@@ -13,9 +13,6 @@ measures the recovery envelope:
   refusals, spill counters, and time-to-recover (first second after
   the outage with every spill queue drained — must be bounded by the
   retry backoff ceiling).
-- **Scalar/batch parity**: the same outage scenario with the pusher
-  analytics in scalar and in batched mode must store bit-identical
-  series — resilience must not fork the two execution paths.
 - **Circuit breaking**: a tester operator with injected per-unit
   failures trips its breaker, is quarantined (stops consuming compute
   passes), probes with backoff, and recovers once the failure clears —
@@ -33,7 +30,6 @@ from pathlib import Path
 if __package__ in (None, ""):  # script invocation: make repo-root imports work
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-import numpy as np
 import pytest
 
 from benchmarks.harness import (
@@ -48,7 +44,7 @@ from repro.deploy import build_deployment
 OUTAGE_START_S = 10
 
 
-def _spec(run_s: int, outage_end_s: int, batch=False) -> dict:
+def _spec(run_s: int, outage_end_s: int) -> dict:
     return {
         "cluster": {"nodes": 2, "cpus": 2, "seed": 0xFA11},
         "monitoring": {"plugins": ["sysfs"], "interval_ms": 1000},
@@ -77,7 +73,6 @@ def _spec(run_s: int, outage_end_s: int, batch=False) -> dict:
                             "window_s": 5,
                             "inputs": ["<bottomup>power"],
                             "outputs": ["<bottomup>power-smooth"],
-                            "batch": batch,
                         }
                     },
                 }
@@ -150,33 +145,6 @@ def run_outage_recovery(run_s: int, outage_end_s: int) -> dict:
             p._m_spill_dropped.value for p in dep.pushers.values()
         ),
         "ingest_dropped": dep.agent.ingest_dropped,
-    }
-
-
-def run_batch_parity(run_s: int, outage_end_s: int) -> dict:
-    """Scalar vs batched analytics under the same outage: identical data."""
-    series = {}
-    for batch in (False, True):
-        dep = build_deployment(_spec(run_s, outage_end_s, batch=batch))
-        dep.run(run_s + 3)
-        dep.agent.flush()
-        out = {}
-        for topic in dep.agent.storage.topics():
-            if topic.endswith("power-smooth"):
-                ts, vals = dep.agent.storage.query(topic, 0, 2**62)
-                out[topic] = (np.asarray(ts), np.asarray(vals))
-        series[batch] = out
-    scalar, batched = series[False], series[True]
-    identical = set(scalar) == set(batched) and all(
-        np.array_equal(scalar[t][0], batched[t][0])
-        and np.array_equal(scalar[t][1], batched[t][1])
-        for t in scalar
-    )
-    return {
-        "topics": sorted(scalar),
-        "scalar_readings": sum(len(v[0]) for v in scalar.values()),
-        "batch_readings": sum(len(v[0]) for v in batched.values()),
-        "identical": identical,
     }
 
 
@@ -289,21 +257,6 @@ def main(argv=None) -> int:
         f"{outage['spill_replayed']}/{outage['spill_buffered']} replayed",
     )
 
-    print_header("Chaos - scalar vs batched analytics under outage")
-    parity = run_batch_parity(run_s, outage_end_s)
-    print_table(
-        ["topics", "scalar readings", "batch readings", "identical"],
-        [(
-            len(parity["topics"]), parity["scalar_readings"],
-            parity["batch_readings"], parity["identical"],
-        )],
-    )
-    ok &= shape_check(
-        "scalar and batched paths store identical series",
-        parity["identical"] and parity["scalar_readings"] > 0,
-        f"{parity['scalar_readings']} readings",
-    )
-
     print_header("Chaos - circuit breaker quarantine and recovery")
     breaker = run_breaker(max(20, run_s // 3))
     print_table(
@@ -334,7 +287,7 @@ def main(argv=None) -> int:
 
     write_bench_artifact(
         "fault_recovery",
-        {"outage": outage, "parity": parity, "breaker": breaker},
+        {"outage": outage, "breaker": breaker},
     )
     return 0 if ok else 1
 
@@ -346,11 +299,6 @@ class TestFaultRecoveryBench:
         assert r["lost_readings"] == 0, r
         assert r["recover_s"] is not None and r["recover_s"] <= 5
         assert r["spill_dropped"] == 0
-        benchmark(lambda: None)
-
-    def test_batch_parity_under_outage(self, benchmark):
-        r = run_batch_parity(45, 22)
-        assert r["identical"] and r["scalar_readings"] > 0
         benchmark(lambda: None)
 
     def test_breaker_quarantine_recovery(self, benchmark):

@@ -143,39 +143,6 @@ class TestFig7:
         op = dep.agent_manager.operator("job-cpi")
         benchmark(op.compute, dep.now)
 
-    def test_pipeline_batch_vs_scalar_path(self, experiment):
-        """The persyst stage (2048-sample gather per job in the paper)
-        is where the batched data plane pays off: report both paths on
-        the finished deployment.  The batch path must not be slower."""
-        import time
-
-        dep, _ = experiment
-        op = dep.agent_manager.operator("job-cpi")
-        assert op.batch_enabled()  # default batch: "auto" + kernel
-
-        def time_pass(reps=50):
-            t0 = time.perf_counter_ns()
-            for _ in range(reps):
-                op.compute(dep.now)
-            return (time.perf_counter_ns() - t0) / reps
-
-        batch_ns = time_pass()
-        op.config.batch = False
-        try:
-            scalar_ns = time_pass()
-        finally:
-            op.config.batch = "auto"
-        print_table(
-            ["path", "us/pass"],
-            [("scalar", scalar_ns / 1e3), ("batch", batch_ns / 1e3)],
-        )
-        assert shape_check(
-            "persyst batch path not slower than scalar",
-            batch_ns <= scalar_ns,
-            f"{scalar_ns / 1e3:.0f} us -> {batch_ns / 1e3:.0f} us "
-            f"({scalar_ns / batch_ns:.1f}x)",
-        )
-
     def test_lammps_low_and_tight(self, experiment, benchmark):
         dep, series = experiment
         summarize("lammps", series["lammps"])

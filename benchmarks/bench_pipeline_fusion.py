@@ -1,7 +1,7 @@
 """Pipeline fusion benchmark — fused vs staged 3-stage pipelines.
 
-PR 4 made one operator pass cheap (compiled-plan batch queries + row
-kernels); the fusion tentpole makes whole *pipelines* cheap.  A staged
+One operator pass is cheap (a compiled-plan batch query feeding an
+axis-1 window kernel); fusion makes whole *pipelines* cheap.  A staged
 smoother → aggregator → aggregator chain pays, per tick and per stage:
 the store fan-out into the host's operator-output caches and a fresh
 batched re-query of exactly the data the previous stage just produced.
@@ -176,7 +176,7 @@ def _planner_groups(n_units: int):
                 name=config.name,
                 label=f"{plugin}/{config.name}",
                 config=config,
-                supports_batch=True,
+                has_kernel=True,
                 input_topics=frozenset(
                     f"/n{i}/{in_name}" for i in range(n_units)
                 ),

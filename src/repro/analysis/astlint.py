@@ -14,8 +14,9 @@ Generic linters don't know this codebase's invariants; these rules do:
   errors invisibly; use ``contextlib.suppress`` for the rare deliberate
   case so the intent is explicit.
 - **L004** — operator plugins must not write ``self.*`` state inside
-  ``compute_unit``/``compute``: parallel unit mode runs units on a
-  thread pool, so per-unit state belongs in the model returned by
+  ``compute_unit``/``compute_window``/``compute``: parallel unit mode
+  runs units on a thread pool, so per-unit state belongs in the model
+  returned by
   ``make_model()`` (placed per-unit or shared by
   :meth:`~repro.core.operator.OperatorBase.model_for`).
 - **L005** — ``threading.Thread(...)`` without a ``daemon=`` argument in
@@ -26,13 +27,6 @@ Generic linters don't know this codebase's invariants; these rules do:
   whole scheduling slot (and, under a wall-clock driver, every
   contender on the driver lock); operators wait by returning and being
   re-invoked at their interval, never by sleeping.
-- **L007** — a per-topic ``engine.query_relative``/``query_absolute``
-  call inside a loop within ``compute_unit``/``compute_batch`` of an
-  operator that declares batch support (``supports_batch`` or a
-  ``compute_batch`` override): the batched plugin exists precisely to
-  avoid N scalar queries per pass, and the scalar loop creeping back in
-  silently forfeits the compiled-plan fast path.  Intentional scalar
-  fallbacks carry an explicit ``allow`` marker.
 - **L008** — a mutable class-level default (``list``/``dict``/``set``
   literal, comprehension or constructor call) on an operator plugin
   class is shared by every instance — and operator instances are shared
@@ -53,16 +47,17 @@ from repro.analysis.diagnostics import Diagnostic, sort_key
 from repro.analysis.suppress import InlineSuppressions
 
 #: Rule codes implemented by this module.
-LINT_CODES = ("L001", "L002", "L003", "L004", "L005", "L006", "L007",
-              "L008")
+LINT_CODES = ("L001", "L002", "L003", "L004", "L005", "L006", "L008")
 
 _WALL_CLOCK_FUNCS = {"time", "monotonic"}
-_COMPUTE_METHODS = {"compute", "compute_unit"}
+_COMPUTE_METHODS = {"compute", "compute_unit", "compute_window"}
 #: Methods on the operator computation path for the sleep rule (L006):
 #: everything invoked from a scheduled compute pass or REST trigger.
 _COMPUTE_PATH_METHODS = {
     "compute",
     "compute_unit",
+    "compute_window",
+    "compute_batch",
     "compute_operator_outputs",
     "trigger",
     "_compute_results",
@@ -448,95 +443,6 @@ def _lint_sleep_in_compute(
                     ))
 
 
-_LOOP_NODES = (
-    ast.For,
-    ast.AsyncFor,
-    ast.While,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-)
-_QUERY_METHODS = {"query_relative", "query_absolute"}
-
-
-def _declares_batch_support(cls: ast.ClassDef) -> bool:
-    """Whether the class body sets ``supports_batch = True`` or defines
-    a ``compute_batch`` override."""
-    for item in cls.body:
-        if (
-            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name == "compute_batch"
-        ):
-            return True
-        targets: List[ast.expr] = []
-        if isinstance(item, ast.Assign):
-            targets = list(item.targets)
-        elif isinstance(item, ast.AnnAssign):
-            targets = [item.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "supports_batch"
-                and isinstance(item.value, ast.Constant)
-                and item.value.value is True
-            ):
-                return True
-    return False
-
-
-def _mentions_engine(node: ast.AST) -> bool:
-    """Whether a call receiver is (or goes through) a query engine."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == "engine":
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr == "engine":
-            return True
-    return False
-
-
-def _lint_scalar_query_loop(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
-) -> None:
-    """L007 — per-topic engine queries looped in a batch-capable plugin."""
-    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
-        if not _is_operator_plugin_class(cls):
-            continue
-        if not _declares_batch_support(cls):
-            continue
-        flagged: Set[int] = set()
-        for method in _iter_methods(cls):
-            if method.name not in ("compute_unit", "compute_batch"):
-                continue
-            for loop in [
-                n for n in ast.walk(method) if isinstance(n, _LOOP_NODES)
-            ]:
-                for node in ast.walk(loop):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in _QUERY_METHODS
-                        and _mentions_engine(node.func.value)
-                        and id(node) not in flagged
-                        and not sup.active(node.lineno, "L007")
-                    ):
-                        flagged.add(id(node))
-                        out.append(Diagnostic(
-                            code="L007",
-                            severity="error",
-                            message=(
-                                f"{cls.name}.{method.name} loops "
-                                f"engine.{node.func.attr} per topic although "
-                                f"the operator declares batch support — use "
-                                f"query_relative_batch/batch_window (or mark "
-                                f"a deliberate scalar fallback with "
-                                f"# lint: allow(L007))"
-                            ),
-                            file=path,
-                            line=node.lineno,
-                        ))
-
-
 #: Expression nodes whose value is a freshly built *mutable* container.
 _MUTABLE_LITERALS = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
@@ -607,7 +513,6 @@ _RULES = (
     _lint_compute_state,
     _lint_thread_lifecycle,
     _lint_sleep_in_compute,
-    _lint_scalar_query_loop,
     _lint_mutable_class_default,
 )
 

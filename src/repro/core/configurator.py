@@ -61,7 +61,6 @@ KNOWN_OPERATOR_KEYS = frozenset(
         "params",
         "max_workers",
         "unit_cadence",
-        "batch",
         "fusion",
         "relaxed",
         "publish_outputs",
@@ -150,14 +149,13 @@ def collect_operator_diagnostics(
     for key in _BOOL_FIELDS:
         if key in block and not isinstance(block[key], bool):
             out.at(key).error("W005", f"{key} must be a bool")
-    for key in ("batch", "fusion"):
-        if key in block and not (
-            isinstance(block[key], bool) or block[key] == "auto"
-        ):
-            out.at(key).error(
-                "W005",
-                f"{key} must be true, false or 'auto', got {block[key]!r}",
-            )
+    if "fusion" in block and not (
+        isinstance(block["fusion"], bool) or block["fusion"] == "auto"
+    ):
+        out.at("fusion").error(
+            "W005",
+            f"fusion must be true, false or 'auto', got {block['fusion']!r}",
+        )
     for key in ("inputs", "outputs", "operator_outputs"):
         if key not in block:
             continue
@@ -214,7 +212,6 @@ def parse_operator_config(name: str, block: dict) -> OperatorConfig:
         "unit_mode",
         "max_workers",
         "unit_cadence",
-        "batch",
         "fusion",
         "breaker_threshold",
         "breaker_cooldown",

@@ -19,17 +19,19 @@ chain — into one executable pass:
 - downstream members query through a :class:`FusedEngine` proxy that
   serves channel topics as zero-copy window views and delegates
   everything else to the real engine;
-- only the final member's results go through the ordinary
-  ``store_results_batch``/operator-output fan-out.
+- only the final member runs its ordinary staged pass, storing through
+  ``store_results_batch`` and the operator-output fan-out.
 
-Semantics preservation is strict: per-pass results are bit-for-bit
-identical to the staged path (same float64 arithmetic on the same
-right-aligned tails), missing-data and short-window error accounting is
-unchanged (empty channel rows mirror empty caches), breaker-quarantined
-units simply leave their channel rows unshifted exactly as they leave
-caches unwritten, and an active runtime sanitizer makes the group fall
-back to per-operator :meth:`~repro.core.operator.OperatorBase.compute`
-— the staged, instrumented scalar path — for the pass.
+Every member runs the same pass a staged operator runs
+(:meth:`~repro.core.operator.OperatorBase.run_pass`); fused and staged
+differ only in where an intermediate's result goes.  Semantics
+preservation is strict: per-pass results are bit-for-bit identical to
+the staged path (same kernel on the same right-aligned tails),
+missing-data and short-window error accounting is unchanged (empty
+channel rows mirror empty caches), and breaker-quarantined units simply
+leave their channel rows unshifted exactly as they leave caches
+unwritten.  The runtime sanitizer instruments fused passes like any
+other: channel rows served to a kernel are fingerprinted (rule R007).
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ import numpy as np
 from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import CacheView, SensorCache
-from repro.core.queryengine import BatchWindow, QueryEngine
+from repro.core.queryengine import BatchWindow, QueryEngine, report_views
+from repro.core.units import same_units
 from repro.sanitizer import hooks
 
 #: Fallback retention window when a host exposes no ``cache_window_ns``.
@@ -69,16 +72,29 @@ class FusedChannel:
     leaves their caches unwritten.
     """
 
-    __slots__ = ("topics", "row_of", "width", "values", "timestamps", "counts")
+    __slots__ = (
+        "topics", "row_of", "width", "values", "timestamps", "counts",
+        "column_name",
+    )
 
-    def __init__(self, topics: Sequence[str], width: int) -> None:
-        rows = len(topics)
-        self.topics: Tuple[str, ...] = tuple(topics)
+    def __init__(self, units: Sequence, width: int) -> None:
+        outputs = [s for u in units for s in u.outputs]
+        rows = len(outputs)
+        self.topics: Tuple[str, ...] = tuple(s.topic for s in outputs)
         self.row_of: Dict[str, int] = {t: i for i, t in enumerate(self.topics)}
         self.width = max(1, int(width))
         self.values = np.full((rows, self.width), np.nan, dtype=np.float64)
         self.timestamps = np.zeros((rows, self.width), dtype=np.int64)
         self.counts = np.zeros(rows, dtype=np.int64)
+        #: The output name all rows share when every unit has exactly
+        #: one output (row ``j`` is then unit ``j``): a uniform pass's
+        #: column of that name is the channel's next column as it is.
+        names = {s.name for s in outputs}
+        self.column_name: Optional[str] = (
+            names.pop()
+            if len(names) == 1 and all(len(u.outputs) == 1 for u in units)
+            else None
+        )
 
     def seed(self, prev: Optional["FusedChannel"], cache_lookup) -> None:
         """Warm rows from a predecessor channel (plan rebuild) or from
@@ -102,21 +118,16 @@ class FusedChannel:
                     self.timestamps[r], self.values[r], self.width
                 )
 
-    def append(self, ts: int, rows: List[int], vals: List[float]) -> None:
+    def append(self, ts: int, rows: Optional[List[int]], vals) -> None:
         """Shift the produced rows left by one slot and write the new
-        column; unproduced rows keep their (older) window verbatim."""
-        if not rows:
+        column; unproduced rows keep their (older) window verbatim.
+        ``rows=None`` means every row produced, ``vals`` in row order."""
+        if rows is None or len(rows) == len(self.counts):
+            idx = slice(None)  # the steady state: no index array
+        elif rows:
+            idx = np.asarray(rows, dtype=np.intp)
+        else:
             return
-        if len(rows) == len(self.counts):
-            # Every row produced — the steady-state vectorized path.
-            if self.width > 1:
-                self.values[:, :-1] = self.values[:, 1:]
-                self.timestamps[:, :-1] = self.timestamps[:, 1:]
-            self.values[:, -1] = vals
-            self.timestamps[:, -1] = ts
-            np.minimum(self.counts + 1, self.width, out=self.counts)
-            return
-        idx = np.asarray(rows, dtype=np.intp)
         if self.width > 1:
             self.values[idx, :-1] = self.values[idx, 1:]
             self.timestamps[idx, :-1] = self.timestamps[idx, 1:]
@@ -124,26 +135,19 @@ class FusedChannel:
         self.timestamps[idx, -1] = ts
         self.counts[idx] = np.minimum(self.counts[idx] + 1, self.width)
 
-    def append_column(self, ts: int, vals: np.ndarray) -> None:
-        """Vectorized append: one produced value per row, in row order.
-
-        The fused driver uses this for uniform passes where a plugin's
-        ``compute_batch_vector`` kernel emitted the whole column — the
-        all-rows branch of :meth:`append` without the per-unit list
-        assembly."""
-        if self.width > 1:
-            self.values[:, :-1] = self.values[:, 1:]
-            self.timestamps[:, :-1] = self.timestamps[:, 1:]
-        self.values[:, -1] = vals
-        self.timestamps[:, -1] = ts
-        np.minimum(self.counts + 1, self.width, out=self.counts)
-
-    def append_results(self, ts: int, results) -> None:
-        """Append one pass's :class:`UnitResult` list (emission order)."""
+    def append_pass(self, ts: int, result) -> None:
+        """Sink of an intermediate member's pass (emission order)."""
+        if (
+            result.column_of is not None
+            and self.column_name is not None
+            and len(result.units) == len(self.counts)
+        ):
+            self.append(ts, None, result.column_of(self.column_name))
+            return
         rows: List[int] = []
         vals: List[float] = []
         row_of = self.row_of
-        for unit, values in results:
+        for unit, values in result.results():
             for sensor in unit.outputs:
                 value = values.get(sensor.name)
                 if value is None:
@@ -163,23 +167,21 @@ class FusedEngine:
     """Query-engine proxy a fused member computes through.
 
     Topics bound to an upstream :class:`FusedChannel` are answered from
-    the channel matrices — zero-copy views for ``fusion_safe``
-    consumers, private copies otherwise; every other topic (raw sensor
-    inputs of the first stages, out-of-group feeds) delegates to the
-    real engine, keeping its compiled-plan cache and generation
-    invalidation in charge.  Attribute access falls through to the real
-    engine, so navigator/virtual-sensor surfaces stay available.
+    the channel matrices as zero-copy views (a kernel reads its window
+    read-only by contract); every other topic (raw sensor inputs of the
+    first stages, out-of-group feeds) delegates to the real engine,
+    keeping its compiled-plan cache and generation invalidation in
+    charge.  Attribute access falls through to the real engine, so
+    navigator/virtual-sensor surfaces stay available.
     """
 
     def __init__(
         self,
         real: QueryEngine,
         channel_of: Dict[str, Tuple[FusedChannel, int]],
-        fusion_safe: bool = False,
     ) -> None:
         self._real = real
         self._channel_of = dict(channel_of)
-        self._fusion_safe = bool(fusion_safe)
         # Dispatch memo: operators reuse their memoized batch layout
         # (the same topics tuple object every steady-state pass), so
         # one identity check replaces the per-topic channel scan.
@@ -223,8 +225,6 @@ class FusedEngine:
         view = CacheView._snapshot_of(*tail)
         san = hooks.CURRENT
         if san is not None:
-            # Fallback passes run under the sanitizer: channel views get
-            # the same invariant checks cache views would.
             san.on_query_view(topic, view)
         return view
 
@@ -253,39 +253,36 @@ class FusedEngine:
         if topics is self._all_external:
             return self._real.query_relative_batch(topics, window_ns, key=key)
         if topics is self._whole_channel_topics:
-            return self._serve_whole_channel(topics, window_ns)
-        channel_of = self._channel_of
-        entries = [channel_of.get(t) for t in topics]
-        if all(e is None for e in entries):
-            self._all_external = topics
-            return self._real.query_relative_batch(topics, window_ns, key=key)
-        first = entries[0]
-        if (
-            first is not None
-            and topics == first[0].topics
-        ):
-            # Whole-channel identity read: the dominant shape (a stage
-            # consuming exactly its upstream's outputs, unit-aligned).
-            self._whole_channel = first[0]
-            self._whole_channel_topics = topics
-            return self._serve_whole_channel(topics, window_ns)
-        return self._gather(topics, entries, window_ns, key)
+            window = self._serve_whole_channel(topics, window_ns)
+        else:
+            channel_of = self._channel_of
+            entries = [channel_of.get(t) for t in topics]
+            if all(e is None for e in entries):
+                self._all_external = topics
+                return self._real.query_relative_batch(
+                    topics, window_ns, key=key
+                )
+            first = entries[0]
+            if first is not None and topics == first[0].topics:
+                # Whole-channel identity read: the dominant shape (a
+                # stage consuming exactly its upstream's outputs,
+                # unit-aligned).
+                self._whole_channel = first[0]
+                self._whole_channel_topics = topics
+                window = self._serve_whole_channel(topics, window_ns)
+            else:
+                window = self._gather(topics, entries, window_ns, key)
+        san = hooks.CURRENT
+        if san is not None:
+            report_views(san, window)
+        return window
 
     def _serve_whole_channel(
         self, topics: Tuple[str, ...], window_ns: int
     ) -> BatchWindow:
         channel = self._whole_channel
         counts = np.minimum(channel.counts, channel.serve_count(window_ns))
-        if self._fusion_safe:
-            return BatchWindow(
-                topics, channel.values, channel.timestamps, counts
-            )
-        return BatchWindow(
-            topics,
-            channel.values.copy(),
-            channel.timestamps.copy(),
-            counts,
-        )
+        return BatchWindow(topics, channel.values, channel.timestamps, counts)
 
     def _gather(
         self,
@@ -348,18 +345,14 @@ class FusedPlan:
     :class:`~repro.core.queryengine.QueryPlan`.
     """
 
-    __slots__ = ("generation", "units_sig", "channels", "engines", "vector_ok")
+    __slots__ = ("generation", "units", "channels", "engines")
 
-    def __init__(
-        self, generation, units_sig, channels, engines, vector_ok
-    ) -> None:
+    def __init__(self, generation, units, channels, engines) -> None:
         self.generation = generation
-        self.units_sig = units_sig
+        #: The producer units themselves (see ``same_units``).
+        self.units: List = units
         self.channels: List[FusedChannel] = channels
         self.engines: List[Optional[FusedEngine]] = engines
-        #: Per intermediate member: one output per unit, so a vector
-        #: kernel's column aligns 1:1 with the channel rows.
-        self.vector_ok: List[bool] = vector_ok
 
 
 class FusedGroup:
@@ -371,13 +364,11 @@ class FusedGroup:
         ops: Sequence,
         host,
         engine: QueryEngine,
-        fallback_counter=None,
     ) -> None:
         self.name = name
         self.ops = list(ops)
         self.host = host
         self.engine = engine
-        self._m_fallbacks = fallback_counter
         self._plan: Optional[FusedPlan] = None
 
     def members(self) -> List[str]:
@@ -387,21 +378,22 @@ class FusedGroup:
     # Plan compilation
     # ------------------------------------------------------------------
 
-    def _units_sig(self) -> tuple:
-        """Identity of every producer unit (terminal units may churn
-        freely — job operators rebuild theirs each pass — without
-        invalidating the channels, which never carry them)."""
-        return tuple(id(u) for op in self.ops[:-1] for u in op.units)
-
     def _ensure_plan(self) -> FusedPlan:
         gen = self.engine.navigator.generation
-        sig = self._units_sig()
+        # Every producer unit, by identity (terminal units may churn
+        # freely — job operators rebuild theirs each pass — without
+        # invalidating the channels, which never carry them).
+        units = [u for op in self.ops[:-1] for u in op.units]
         plan = self._plan
-        if plan is not None and plan.generation == gen and plan.units_sig == sig:
+        if (
+            plan is not None
+            and plan.generation == gen
+            and same_units(plan.units, units)
+        ):
             return plan
-        return self._compile(gen, sig)
+        return self._compile(gen, units)
 
-    def _compile(self, generation, units_sig) -> FusedPlan:
+    def _compile(self, generation, units) -> FusedPlan:
         cache_window_ns = getattr(
             self.host, "cache_window_ns", DEFAULT_CACHE_WINDOW_NS
         )
@@ -411,14 +403,13 @@ class FusedGroup:
         old = self._plan
         channels: List[FusedChannel] = []
         for i, op in enumerate(self.ops[:-1]):
-            topics = [s.topic for u in op.units for s in u.outputs]
             width = 1
             for consumer in self.ops[i + 1:]:
                 width = max(
                     width,
                     min(_window_count(consumer.config.window_ns), capacity),
                 )
-            channel = FusedChannel(topics, width)
+            channel = FusedChannel(op.units, width)
             prev = (
                 old.channels[i]
                 if old is not None and i < len(old.channels)
@@ -433,18 +424,8 @@ class FusedGroup:
             channel_of = dict(channel_of)
             for row, topic in enumerate(channel.topics):
                 channel_of[topic] = (channel, row)
-            engines.append(
-                FusedEngine(
-                    self.engine,
-                    channel_of,
-                    fusion_safe=type(self.ops[i]).fusion_safe,
-                )
-            )
-        vector_ok = [
-            all(len(u.outputs) == 1 for u in op.units)
-            for op in self.ops[:-1]
-        ]
-        plan = FusedPlan(generation, units_sig, channels, engines, vector_ok)
+            engines.append(FusedEngine(self.engine, channel_of))
+        plan = FusedPlan(generation, units, channels, engines)
         self._plan = plan
         return plan
 
@@ -453,66 +434,18 @@ class FusedGroup:
     # ------------------------------------------------------------------
 
     def run(self, ts: int) -> None:
-        """One scheduled pass: fused when allowed, staged otherwise."""
-        if hooks.CURRENT is not None:
-            self._run_staged(ts)
-            return
+        """One scheduled pass over the chain: every intermediate member
+        sinks its result into the channel the next member reads, the
+        final member runs its ordinary storing pass."""
         plan = self._ensure_plan()
         last = len(self.ops) - 1
         for i, op in enumerate(self.ops):
-            proxy = plan.engines[i]
-            vectored = i < last and plan.vector_ok[i]
-            vector = None
-            if proxy is None:
-                if vectored:
-                    vector, results = op.compute_fused_vector(ts)
+            real = op.engine
+            op.engine = plan.engines[i] or real
+            try:
+                if i < last:
+                    op.run_pass(ts, plan.channels[i].append_pass)
                 else:
-                    results = op.compute_fused(ts)
-            else:
-                real = op.engine
-                op.engine = proxy
-                try:
-                    if vectored:
-                        vector, results = op.compute_fused_vector(ts)
-                    else:
-                        results = op.compute_fused(ts)
-                finally:
-                    op.engine = real
-            if i < last:
-                if vector is not None:
-                    plan.channels[i].append_column(ts, vector)
-                else:
-                    plan.channels[i].append_results(ts, results)
-            else:
-                op._store_results(ts, results)
-                op._store_operator_outputs(ts, results)
-
-    def _run_staged(self, ts: int) -> None:
-        """Sanitizer-veto fallback: every member runs its ordinary
-        staged pass (instrumented scalar compute, full store/publish
-        fan-out).  Downstream members still read through the channel
-        proxies — the host caches hold no intermediate history from
-        fused passes, the channels do — and the channels keep absorbing
-        the intermediates so resuming fused execution later sees the
-        same window history an always-staged run would have cached.
-        Channel reads stay bit-exact with cache reads here because
-        ``SensorCache.view_relative`` with the 1 s operator-output
-        interval hint is count-bounded by the same arithmetic as
-        :func:`_window_count`."""
-        if self._m_fallbacks is not None:
-            self._m_fallbacks.inc()
-        plan = self._ensure_plan()
-        last = len(self.ops) - 1
-        for i, op in enumerate(self.ops):
-            proxy = plan.engines[i]
-            if proxy is None:
-                results = op.compute(ts)
-            else:
-                real = op.engine
-                op.engine = proxy
-                try:
-                    results = op.compute(ts)
-                finally:
-                    op.engine = real
-            if i < last:
-                plan.channels[i].append_results(ts, results)
+                    op.compute(ts)
+            finally:
+                op.engine = real

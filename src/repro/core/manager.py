@@ -17,7 +17,7 @@ from repro.common.errors import ConfigError, PluginError
 from repro.core.configurator import Configurator
 from repro.core.fusion import FusedGroup
 from repro.core.operator import JobOperatorBase, OperatorBase
-from repro.core.pipeline import FusionSpec, plan_fusion
+from repro.core.pipeline import FusionSpec, has_kernel, plan_fusion
 from repro.core.queryengine import QueryEngine
 from repro.dcdb.restapi import RestResponse
 from repro.telemetry import MetricRegistry
@@ -45,7 +45,6 @@ class OperatorManager:
 
     def _init_metrics(self, registry: MetricRegistry) -> None:
         self._m_busy = registry.counter("analytics_busy_ns_total")
-        self._m_fusion_fallbacks = registry.counter("fusion_fallbacks_total")
         self._m_fusion_pass = registry.histogram("fusion_pass_seconds")
         registry.gauge("fused_groups", fn=lambda: len(self._fused_groups))
 
@@ -164,7 +163,7 @@ class OperatorManager:
                     name=op.name,
                     label=f"{self._plugin_of.get(op.name, '?')}/{op.name}",
                     config=op.config,
-                    supports_batch=type(op).supports_batch,
+                    has_kernel=has_kernel(type(op)),
                     is_job_plugin=isinstance(op, JobOperatorBase),
                     input_topics=frozenset(
                         t for u in op.units for t in u.inputs
@@ -213,7 +212,6 @@ class OperatorManager:
                 ops=ops,
                 host=self.host,
                 engine=self.engine,
-                fallback_counter=self._m_fusion_fallbacks,
             )
             leader_task.fn = lambda ts, g=group: self._run_fused_group(g, ts)
             for member in ops[1:]:
@@ -334,10 +332,8 @@ class OperatorManager:
             op = self.operator(name)
         except PluginError as exc:
             return None, RestResponse.error(str(exc), 404)
-        if not any(u.name == unit for u in op.units):
-            slashed = "/" + unit
-            if any(u.name == slashed for u in op.units):
-                unit = slashed
+        if op.unit_named(unit) is None and op.unit_named("/" + unit):
+            unit = "/" + unit
         return (op, unit), None
 
     def _route_breaker_get(self, request) -> RestResponse:

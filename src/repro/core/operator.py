@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +34,12 @@ from repro.dcdb.sensor import Sensor
 from repro.core.breaker import CLOSED, OPEN, UnitBreaker, default_snapshot
 from repro.core.queryengine import BatchWindow, QueryEngine
 from repro.core.tree import SensorTree
-from repro.core.units import Unit, UnitResolver
+from repro.core.units import Unit, UnitResolver, same_units
 from repro.sanitizer import hooks
 from repro.telemetry import Histogram, MetricRegistry
 
 MODES = ("online", "ondemand")
 UNIT_MODES = ("sequential", "parallel")
-BATCH_MODES = (True, False, "auto")
 FUSION_MODES = (True, False, "auto")
 
 
@@ -63,18 +62,12 @@ class OperatorConfig:
         unit_cadence: compute each unit only every Nth pass, staggered
             by unit index — spreads the load of operators with very
             large unit sets across intervals (1 = every pass).
-        batch: ``"auto"`` (default) uses the vectorized
-            :meth:`OperatorBase.compute_batch` path when the plugin
-            declares ``supports_batch``; ``True`` forces the batch path
-            even through the default per-unit fallback; ``False`` pins
-            the scalar path.  The runtime sanitizer always computes
-            scalar so its per-unit hooks keep firing.
         fusion: ``"auto"`` (default) lets the manager's fusion planner
             group this operator with adjacent pipeline stages into one
-            fused pass when eligible; ``True`` additionally forces
-            membership through the per-unit fallback paths (like
-            ``batch: true``) and admits job operators as terminal
-            consumers; ``False`` keeps the operator on the staged path.
+            fused pass when eligible; ``True`` additionally admits
+            plugins without a window kernel and job operators (as
+            terminal consumers); ``False`` keeps the operator on the
+            staged path.
         breaker_threshold: consecutive failures after which a unit is
             quarantined (skipped) by its circuit breaker; 0 (default)
             disables automatic tripping, leaving only manual REST
@@ -97,7 +90,6 @@ class OperatorConfig:
     publish_outputs: bool = True
     max_workers: int = 1
     unit_cadence: int = 1
-    batch: object = "auto"
     fusion: object = "auto"
     breaker_threshold: int = 0
     breaker_cooldown: int = 4
@@ -128,11 +120,6 @@ class OperatorConfig:
             raise ConfigError(
                 f"operator {self.name}: unit_cadence must be >= 1"
             )
-        if self.batch not in BATCH_MODES:
-            raise ConfigError(
-                f"operator {self.name}: batch must be true, false or "
-                f"'auto', not {self.batch!r}"
-            )
         if self.fusion not in FUSION_MODES:
             raise ConfigError(
                 f"operator {self.name}: fusion must be true, false or "
@@ -159,35 +146,96 @@ class UnitResult(NamedTuple):
     values: Dict[str, float]
 
 
-def _unit_inputs(unit: Unit) -> List[str]:
-    """Default topic extractor for :meth:`OperatorBase.batch_window`."""
-    return unit.inputs
+#: One gathered input window: ``(topic, timestamps, values)``, oldest
+#: first; both arrays are empty where the input holds no data.
+WindowRow = Tuple[str, np.ndarray, np.ndarray]
+
+_NO_TIMESTAMPS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+
+
+def require_data(row: WindowRow) -> np.ndarray:
+    """The values of a gathered row, or the :class:`QueryError` a
+    relative query of that input raises when it holds no data."""
+    topic, _timestamps, values = row
+    if not len(values):
+        raise QueryError(f"no data available for sensor {topic}")
+    return values
+
+
+class PassResult:
+    """What one pass produced, before it goes anywhere.
+
+    A ragged pass carries its per-unit results as a list.  A *uniform*
+    pass — every unit exactly one kernel row, all windows the same
+    non-empty length — carries ``units`` and ``column_of`` instead:
+    ``column_of(name)`` is the float64 column of the output sensor
+    called ``name``, aligned with ``units``.  Per-unit dicts are derived
+    from the columns only when a consumer asks for them
+    (:meth:`results`); a fused intermediate appends the column to its
+    channel as it is.
+    """
+
+    __slots__ = ("units", "column_of", "_results")
+
+    def __init__(
+        self,
+        results: Optional[List[UnitResult]] = None,
+        units: Sequence[Unit] = (),
+        column_of: Optional[Callable[[str], np.ndarray]] = None,
+    ) -> None:
+        self.units = units
+        self.column_of = column_of
+        self._results = results
+
+    def __len__(self) -> int:
+        """Units that produced a result."""
+        if self._results is not None:
+            return len(self._results)
+        return len(self.units)
+
+    def results(self) -> List[UnitResult]:
+        """The per-unit view, in unit order."""
+        if self._results is None:
+            # tolist() converts a column to plain floats once; boxing
+            # one np.float64 per unit costs more than the kernels
+            # themselves at 1000s of units.
+            columns: Dict[str, list] = {}
+            out = []
+            for j, unit in enumerate(self.units):
+                values = {}
+                for sensor in unit.outputs:
+                    column = columns.get(sensor.name)
+                    if column is None:
+                        column = columns[sensor.name] = self.column_of(
+                            sensor.name
+                        ).tolist()
+                    values[sensor.name] = column[j]
+                out.append(UnitResult(unit, values))
+            self._results = out
+        return self._results
 
 
 class OperatorBase:
     """Base class for all Wintermute operator plugins.
 
-    Subclasses implement :meth:`compute_unit` (and optionally
-    :meth:`make_model` and :meth:`compute_operator_outputs`).  The base
-    class handles unit resolution, model placement (shared vs per-unit),
-    scheduling hooks, result storage and bookkeeping.
+    A plugin implements exactly one of two things:
 
-    Plugins with a vectorized :meth:`compute_batch` set the class
-    attribute ``supports_batch = True``; the ``batch`` config knob then
-    routes whole passes through one kernel over a
-    :class:`~repro.core.queryengine.BatchWindow` instead of U per-unit
-    Python calls.
+    - :meth:`compute_unit` — analyse one unit.  The inherited
+      :meth:`compute_batch` loops it over the due units (spread over a
+      worker pool in parallel unit mode).
+    - a *window kernel*: :meth:`compute_batch` gathers every unit's
+      windows in one batched query (:meth:`batch_window`) and reduces
+      the stacked matrix along axis 1; :meth:`compute_window` feeds the
+      same arithmetic a single unit's windows as 1×n views, which is
+      what ragged passes, on-demand triggers and failure isolation run.
+      Windows are read-only.
+
+    Optional hooks are :meth:`make_model` and
+    :meth:`compute_operator_outputs`.  The base class handles unit
+    resolution, model placement (shared vs per-unit), scheduling hooks,
+    result storage and bookkeeping.
     """
-
-    #: Whether the plugin ships a vectorized :meth:`compute_batch`.
-    supports_batch = False
-
-    #: Whether :meth:`compute_batch` treats its :class:`BatchWindow` as
-    #: read-only.  Fused pipeline stages (``core/fusion.py``) serve
-    #: windows as zero-copy views over live fused-channel matrices to
-    #: ``fusion_safe`` consumers; plugins that mutate window arrays in
-    #: place must leave this ``False`` to receive private copies.
-    fusion_safe = False
 
     @classmethod
     def flow_transforms(cls, params: dict) -> Dict[str, object]:
@@ -218,6 +266,7 @@ class OperatorBase:
     def __init__(self, config: OperatorConfig) -> None:
         self.config = config
         self.units: List[Unit] = []
+        self._unit_by_name: Dict[str, Unit] = {}
         self.host = None
         self.engine: Optional[QueryEngine] = None
         self.enabled = False
@@ -231,12 +280,9 @@ class OperatorBase:
         # mode records failures from pool worker threads.
         self._breakers: Dict[str, UnitBreaker] = {}
         self._breaker_lock = hooks.make_lock("OperatorBase.breaker")
-        # Memoized batch-query layout: (key, topics, slices) from the
-        # last batch_window call, keyed on the exact unit identities.
+        # Memoized batch-query layout: (units, topics, slices, aligned)
+        # from the last batch_window call (see same_units).
         self._batch_layout: Optional[tuple] = None
-        # Memoized one-row-per-unit index (vector-kernel alignment),
-        # keyed on the slices object batch_window keeps stable.
-        self._row_layout: Optional[tuple] = None
         # Unbound operators instrument against a private registry; bind()
         # migrates the accrued values into the host's registry so every
         # operator shows up under the host's GET /metrics.
@@ -333,10 +379,18 @@ class OperatorBase:
 
     def set_units(self, units: Sequence[Unit]) -> None:
         """Install pre-built units (used by tests and job operators)."""
-        self.units = list(units)
+        self._install_units(list(units))
         self._unit_models.clear()
         self._shared_model = None
         self._init_operator_outputs()
+
+    def _install_units(self, units: List[Unit]) -> None:
+        self.units = units
+        self._unit_by_name = {unit.name: unit for unit in units}
+
+    def unit_named(self, name: str) -> Optional[Unit]:
+        """The resolved unit called ``name``, if any (O(1))."""
+        return self._unit_by_name.get(name)
 
     def _init_operator_outputs(self) -> None:
         self._operator_output_sensors = [
@@ -413,118 +467,74 @@ class OperatorBase:
         Output names must match the short names of the unit's output
         sensors.  Returning an empty dict stores nothing for the unit
         (useful while a model is still training).
+
+        Per-unit plugins implement this.  Kernel plugins inherit the
+        default: a plan-free, matrix-free gather — one relative query
+        per kernel input, no :class:`QueryPlan` touched — handed to
+        :meth:`compute_window`.  On-demand triggers and the per-unit
+        isolation after a kernel failure come through here.
+        """
+        assert self.engine is not None
+        rows: List[WindowRow] = []
+        for topic in self.kernel_inputs(unit):
+            try:
+                view = self.engine.query_relative(topic, self.config.window_ns)
+            except QueryError:
+                rows.append((topic, _NO_TIMESTAMPS, _NO_VALUES))
+            else:
+                rows.append((topic, view.timestamps(), view.values()))
+        return self.compute_window(unit, rows)
+
+    def kernel_inputs(self, unit: Unit) -> List[str]:
+        """The input topics a window kernel reads for ``unit``, in row
+        order (all of them unless the plugin narrows it)."""
+        return unit.inputs
+
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        """Kernel plugins: one unit's outputs from its gathered windows.
+
+        ``rows`` holds one :data:`WindowRow` per :meth:`kernel_inputs`
+        topic.  Implementations hand them to the same axis-1 arithmetic
+        their :meth:`compute_batch` runs on the stacked matrix, as 1×n
+        views (``values[None, :]``), and must not write into them.
         """
         raise NotImplementedError
 
     def compute(self, ts: int) -> List[UnitResult]:
-        """One full computation pass over all units (online path)."""
+        """One full pass over the due units: gather, kernel, store."""
+        return self.run_pass(ts, self._store).results()
+
+    def run_pass(
+        self, ts: int, sink: Callable[[int, PassResult], None]
+    ) -> PassResult:
+        """Gather, run the kernel, hand the result to ``sink``.
+
+        Every pass comes through here.  A staged pass sinks into the
+        host (:meth:`compute`); an intermediate member of a fused group
+        sinks into the channel feeding the next stage — where the result
+        goes is the only difference between the two.
+        """
         if not self.enabled:
-            return []
+            return PassResult([])
         san = hooks.CURRENT
         if san is not None:
             san.begin_pass(self)
         t0 = time.perf_counter_ns()
-        results = self._compute_results(ts)
-        self._record_unit_successes(results)
-        self._store_results(ts, results)
-        self._store_operator_outputs(ts, results)
+        result = self._compute_results(ts)
+        if not isinstance(result, PassResult):
+            result = PassResult(result)
+        self._record_unit_successes(result)
+        sink(ts, result)
         elapsed = time.perf_counter_ns() - t0
         self._m_computes.inc()
         self._m_busy.inc(elapsed)
         self._m_latency.observe(elapsed)
-        self._m_unit_results.inc(len(results))
+        self._m_unit_results.inc(len(result))
         if san is not None:
             san.end_pass(self)
-        return results
-
-    def compute_fused(self, ts: int) -> List[UnitResult]:
-        """One member pass of a fused pipeline group.
-
-        Identical to :meth:`compute` up to (and including) breaker
-        bookkeeping and telemetry, but performs **no** result storage:
-        the fused group driver threads intermediate results straight
-        into the next stage's window and only routes the final stage
-        through :meth:`_store_results`/:meth:`_store_operator_outputs`.
-        Never runs with the sanitizer active — the group driver falls
-        back to the staged :meth:`compute` path first.
-        """
-        if not self.enabled:
-            return []
-        t0 = time.perf_counter_ns()
-        results = self._compute_results(ts)
-        self._record_unit_successes(results)
-        elapsed = time.perf_counter_ns() - t0
-        self._m_computes.inc()
-        self._m_busy.inc(elapsed)
-        self._m_latency.observe(elapsed)
-        self._m_unit_results.inc(len(results))
-        return results
-
-    def compute_fused_vector(self, ts: int):
-        """One fused *intermediate* pass, vectorized when possible.
-
-        Returns ``(vector, results)`` with exactly one of the two set:
-        when the pass is plain — no cadence staggering, no breakers to
-        account for, batching on — and the plugin's
-        :meth:`compute_batch_vector` kernel accepts it, ``vector`` is
-        the float64 output column aligned with ``self.units`` and
-        ``results`` is None; otherwise ``vector`` is None and
-        ``results`` is the ordinary :meth:`compute_fused` list.  The
-        fused group driver threads the vector straight into the next
-        stage's window matrix, skipping per-unit result packaging.
-        """
-        if not self.enabled:
-            return None, []
-        vec = None
-        if (
-            self.config.unit_cadence <= 1
-            and not self._breakers  # unguarded: emptiness fast-path; any breaker routes through the accounted list path
-            and self.batch_enabled()
-        ):
-            t0 = time.perf_counter_ns()
-            try:
-                vec = self.compute_batch_vector(self.units, ts)
-            except (QueryError, PluginError, ValueError, KeyError):
-                # The list path below re-raises and accounts for it
-                # exactly as a staged pass would.
-                vec = None
-        if vec is None:
-            return None, self.compute_fused(ts)
-        elapsed = time.perf_counter_ns() - t0
-        self._m_computes.inc()
-        self._m_busy.inc(elapsed)
-        self._m_latency.observe(elapsed)
-        self._m_unit_results.inc(len(self.units))
-        return vec, None
-
-    def compute_batch_vector(self, units: Sequence[Unit], ts: int):
-        """Optional vectorized kernel for fused intermediate stages.
-
-        When the pass is uniform — every unit exactly one input row
-        with equal non-empty window counts, one output per unit —
-        return the float64 output vector aligned with ``units``.
-        Return None to decline; the driver then runs the ordinary
-        :meth:`compute_batch` list path.  Implementations must be
-        bit-for-bit identical to the values :meth:`compute_batch`
-        would produce for the same pass, and must not store anything.
-        """
-        return None
-
-    def _single_row_layout(self, slices: List[range]):
-        """Unit→row index when every unit maps to exactly one window
-        row (the vector kernels' alignment precondition), else None.
-        Memoized on the slices object, which :meth:`batch_window`'s
-        layout memo keeps identity-stable across steady-state passes."""
-        memo = self._row_layout
-        if memo is not None and memo[0] is slices:
-            return memo[1]
-        rows = None
-        if all(len(s) == 1 for s in slices):
-            rows = np.fromiter(
-                (s[0] for s in slices), dtype=np.intp, count=len(slices)
-            )
-        self._row_layout = (slices, rows)
-        return rows
+        return result
 
     def _due_units(self) -> List[Unit]:
         """Units owed a computation this pass (cadence staggering,
@@ -576,12 +586,12 @@ class OperatorBase:
                     allowed.append(unit)
         return allowed
 
-    def _record_unit_successes(self, results: List[UnitResult]) -> None:
+    def _record_unit_successes(self, result: PassResult) -> None:
         """Close/clear breakers of units that produced results."""
         if not self._breakers:  # unguarded: emptiness fast-path; a missed close is retried next pass
             return
         with self._breaker_lock:
-            for unit, _values in results:
+            for unit, _values in result.results():
                 breaker = self._breakers.get(unit.name)
                 if breaker is None:
                     continue
@@ -630,7 +640,7 @@ class OperatorBase:
         return {"operator": self.name, "unit": unit_name, **snap}
 
     def _require_unit(self, unit_name: str) -> None:
-        if any(u.name == unit_name for u in self.units):
+        if self.unit_named(unit_name) is not None:
             return
         if unit_name in self._breakers:  # unguarded: racy probe; REST readers tolerate staleness
             return  # job units may have rotated out; state still readable
@@ -638,143 +648,132 @@ class OperatorBase:
             f"operator {self.name!r} has no unit {unit_name!r}"
         )
 
-    def batch_enabled(self) -> bool:
-        """Whether this pass runs through :meth:`compute_batch`.
+    def _compute_results(self, ts: int):
+        """Produce the pass's results (a :class:`PassResult` or a plain
+        ``List[UnitResult]``).
 
-        The sanitizer vetoes batching unconditionally: its per-unit
-        compute watcher and per-view invariant checks only exist on the
-        scalar path.
-        """
-        if hooks.CURRENT is not None:
-            return False
-        batch = self.config.batch
-        if batch is True:
-            return True
-        return bool(batch == "auto" and self.supports_batch)
-
-    def _compute_results(self, ts: int) -> List[UnitResult]:
-        """Produce the pass's unit results.
-
-        The default iterates units under the configured unit mode (or
-        hands the whole due set to :meth:`compute_batch`); cross-unit
-        operators (e.g. clustering, which fits one model over all units'
-        features) may override it wholesale.
+        The default hands the due units to :meth:`compute_batch`;
+        cross-unit operators (e.g. clustering, which fits one model over
+        all units' features) may override it wholesale.
         """
         due_units = self._due_units()
-        if self.batch_enabled():
-            return self._compute_results_batch(due_units, ts)
+        try:
+            return self.compute_batch(due_units, ts)
+        except (QueryError, PluginError, ValueError, KeyError):
+            # The kernel failed on the stacked windows.  Run it again
+            # one unit at a time (compute_unit feeds it 1×n views), so
+            # only the unit owning the failing row is counted and
+            # advanced toward quarantine.
+            return OperatorBase.compute_batch(self, due_units, ts)
+
+    def compute_batch(self, units: Sequence[Unit], ts: int):
+        """Compute every due unit of a pass.
+
+        Per-unit plugins inherit this loop over :meth:`compute_unit`,
+        spread over the worker pool in parallel unit mode.  Kernel
+        plugins override it: gather with :meth:`batch_window`, reduce a
+        uniform pass along axis 1 of the stacked matrix and return a
+        columnar :class:`PassResult`, or fall back to
+        :meth:`compute_ragged`.
+        """
+        if not (self._uses_pool() and len(units) > 1):
+            return self._compute_chunk(units, ts)
+        pool = self._pool
+        if pool is None:
+            # Enabled without start() (tests drive compute directly).
+            pool = self._pool = self._make_pool()
+        n = len(units)
+        workers = min(self.config.max_workers, n)
+        chunk = (n + workers - 1) // workers
+        futures = [
+            pool.submit(self._compute_chunk, units[lo:lo + chunk], ts)
+            for lo in range(0, n, chunk)
+        ]
         results: List[UnitResult] = []
-        if self._uses_pool() and len(due_units) > 1:
-            pool = self._pool
-            if pool is None:
-                # Enabled without start() (tests drive compute directly).
-                pool = self._pool = self._make_pool()
-            n = len(due_units)
-            workers = min(self.config.max_workers, n)
-            chunk = (n + workers - 1) // workers
-            futures = [
-                pool.submit(self._compute_chunk, due_units[lo:lo + chunk], ts)
-                for lo in range(0, n, chunk)
-            ]
-            for future in futures:
-                results.extend(future.result())
-        else:
-            for unit in due_units:
-                result = self._compute_one(unit, ts)
-                if result is not None:
-                    results.append(result)
+        for future in futures:
+            results.extend(future.result())
         return results
 
     def _compute_chunk(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        """One worker's contiguous share of a parallel pass.
+        """One worker's contiguous share of a pass.
 
         Chunking keeps the future count at ``max_workers`` instead of U,
         and gathering chunks in submission order preserves unit order in
-        the result list exactly like the sequential path.
+        the result list exactly like the sequential loop.
         """
         out = []
         for unit in units:
-            result = self._compute_one(unit, ts)
+            result = self._compute_one(unit, self.compute_unit, ts)
             if result is not None:
                 out.append(result)
         return out
 
-    def _compute_results_batch(
-        self, due_units: List[Unit], ts: int
+    def batch_window(
+        self, units: Sequence[Unit]
+    ) -> Tuple[BatchWindow, List[range], int]:
+        """Fetch all the units' kernel inputs in one batched query.
+
+        Returns ``(window, slices, n)``.  ``slices[j]`` is the
+        ``range(lo, hi)`` of rows in ``window`` holding unit ``j``'s
+        :meth:`kernel_inputs`, in order.  ``n`` is non-zero when the
+        pass is *uniform* — every unit has exactly one row (so row ``j``
+        is unit ``j``) and at least one output, and all rows hold the
+        same ``n`` readings: the kernel may then reduce
+        ``window.values[:, window.width - n:]`` along axis 1 in one go.
+
+        The underlying query plan is cached per operator and invalidated
+        by sensor-space generation moves, so steady-state passes resolve
+        zero topic names.
+        """
+        # The layout (flattened topics + per-unit row slices) depends
+        # only on the unit identities; steady-state passes reuse it.
+        cached = self._batch_layout
+        if cached is not None and same_units(cached[0], units):
+            _, topics, slices, aligned = cached
+        else:
+            flat: List[str] = []
+            slices = []
+            aligned = bool(units)
+            for unit in units:
+                lo = len(flat)
+                flat.extend(self.kernel_inputs(unit))
+                slices.append(range(lo, len(flat)))
+                aligned = aligned and len(flat) - lo == 1 and bool(unit.outputs)
+            topics = tuple(flat)
+            self._batch_layout = (list(units), topics, slices, aligned)
+        window = self.engine.query_relative_batch(
+            topics, self.config.window_ns, key=f"operator:{self.name}"
+        )
+        return window, slices, window.uniform_count() if aligned else 0
+
+    def compute_ragged(
+        self, units: Sequence[Unit], window: BatchWindow, slices: List[range]
     ) -> List[UnitResult]:
-        """Batched pass: one :meth:`compute_batch` call for all units.
-
-        A batch-wide failure degrades to the per-unit scalar loop for
-        the pass, so a kernel bug costs performance, never output.
-        """
-        try:
-            return self.compute_batch(due_units, ts)
-        except (QueryError, PluginError, ValueError, KeyError) as exc:
-            self._note_error("<batch>", exc)
-            results = []
-            for unit in due_units:
-                result = self._compute_one(unit, ts)
-                if result is not None:
-                    results.append(result)
-            return results
-
-    def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        """Compute every unit of a pass in one call.
-
-        Vectorizing plugins override this (and set ``supports_batch``)
-        with a kernel over :meth:`batch_window`'s stacked matrix.  The
-        default preserves exact scalar semantics by delegating to
-        :meth:`compute_unit` per unit, including its error accounting.
-        """
+        """The kernel one unit at a time over an already gathered window
+        — passes that are not uniform (several inputs per unit, windows
+        of different lengths, missing data).  A failing unit is counted
+        and skipped exactly like a failing :meth:`compute_unit`."""
+        topics = window.topics
         results = []
-        for unit in units:
-            result = self._compute_one(unit, ts)
+        for unit, rows in zip(units, slices):
+            gathered = [
+                (topics[r], window.row_timestamps(r), window.row_values(r))
+                for r in rows
+            ]
+            result = self._compute_one(unit, self.compute_window, gathered)
             if result is not None:
                 results.append(result)
         return results
 
-    def batch_window(
-        self, units: Sequence[Unit], topics_of=None
-    ) -> Tuple[BatchWindow, List[range]]:
-        """Fetch all the units' input windows in one batched query.
-
-        Returns ``(window, slices)`` where ``slices[j]`` is the
-        ``range(lo, hi)`` of rows in ``window`` holding unit ``j``'s
-        inputs, in the unit's input order.  The underlying query plan is
-        cached per operator and invalidated by sensor-space generation
-        moves, so steady-state passes resolve zero topic names.
-        """
-        if topics_of is None:
-            topics_of = _unit_inputs
-        # The layout (flattened topics + per-unit row slices) depends
-        # only on the unit identities; steady-state passes reuse it.
-        key = (topics_of, tuple(map(id, units)))
-        cached = self._batch_layout
-        if cached is not None and cached[0] == key:
-            topics, slices = cached[1], cached[2]
-        else:
-            topics = []
-            slices: List[range] = []
-            for unit in units:
-                unit_topics = topics_of(unit)
-                lo = len(topics)
-                topics.extend(unit_topics)
-                slices.append(range(lo, len(topics)))
-            topics = tuple(topics)
-            self._batch_layout = (key, topics, slices)
-        window = self.engine.query_relative_batch(
-            topics, self.config.window_ns, key=f"operator:{self.name}"
-        )
-        return window, slices
-
-    def _compute_one(self, unit: Unit, ts: int) -> Optional[UnitResult]:
+    def _compute_one(self, unit: Unit, fn, arg) -> Optional[UnitResult]:
+        """``fn(unit, arg)`` with the unit's failure isolated."""
         san = hooks.CURRENT
         try:
             if san is None:
-                values = self.compute_unit(unit, ts)
+                values = fn(unit, arg)
             else:
                 values = san.watch_unit_compute(
-                    self, unit, lambda: self.compute_unit(unit, ts)
+                    self, unit, lambda: fn(unit, arg)
                 )
         except (QueryError, PluginError, ValueError, KeyError) as exc:
             # A failing unit must not take down the operator: count it
@@ -797,12 +796,7 @@ class OperatorBase:
             self.last_errors = (self.last_errors + [f"{label}: {exc}"])[-16:]
 
     def _record_unit_error(self, unit: Unit, exc: Exception) -> None:
-        """Count one failed unit without aborting the pass.
-
-        Batch kernels call this for rows the scalar path would have
-        errored on (e.g. all input sensors missing), keeping the two
-        paths' error accounting identical.
-        """
+        """Count one failed unit without aborting the pass."""
         self._note_error(unit.name, exc)
         if self.breaker_enabled() or self._breakers:  # unguarded: fast-path pre-check; the mutation below re-checks under the lock
             with self._breaker_lock:
@@ -812,10 +806,16 @@ class OperatorBase:
                 if breaker.trips != trips_before:
                     self._m_breaker_trips.inc()
 
+    def _store(self, ts: int, result: PassResult) -> None:
+        """The staged pass's sink: the host's caches, broker, storage."""
+        results = result.results()
+        self._store_results(ts, results)
+        self._store_operator_outputs(ts, results)
+
     def _store_results(self, ts: int, results: List[UnitResult]) -> None:
         if self.host is None:
             return
-        if self.batch_enabled() and hasattr(self.host, "store_readings_batch"):
+        if hasattr(self.host, "store_readings_batch"):
             self.store_results_batch(ts, results)
             return
         for unit, values in results:
@@ -825,12 +825,10 @@ class OperatorBase:
                     self.host.store_reading(sensor, ts, float(value))
 
     def store_results_batch(self, ts: int, results: List[UnitResult]) -> None:
-        """Hand a whole pass's readings to the host in one call.
-
-        Preserves the scalar path's (unit, output) emission order, so
-        cache contents and MQTT publish order are unchanged — only the
-        per-reading call overhead is amortized.
-        """
+        """Hand a whole pass's readings to the host in one call, in
+        (unit, output) emission order — cache contents and MQTT publish
+        order are those of per-reading stores, only the call overhead is
+        amortized."""
         readings = []
         for unit, values in results:
             for sensor in unit.outputs:
@@ -877,7 +875,7 @@ class OperatorBase:
         propagated only as a response to the request.  Units already
         resolved are reused; otherwise the unit is built on the fly.
         """
-        unit = next((u for u in self.units if u.name == unit_name), None)
+        unit = self.unit_named(unit_name)
         if unit is None:
             unit = self.make_resolver().resolve_for_name(tree, unit_name)
         return self.compute_unit(unit, ts)
@@ -975,14 +973,9 @@ class JobOperatorBase(OperatorBase):
         self._unit_models = {
             name: m for name, m in self._unit_models.items() if name in kept
         }
-        self.units = units
+        self._install_units(units)
 
     def compute(self, ts: int) -> List[UnitResult]:
         if self.enabled:
             self.refresh_units(ts)
         return super().compute(ts)
-
-    def compute_fused(self, ts: int) -> List[UnitResult]:
-        if self.enabled:
-            self.refresh_units(ts)
-        return super().compute_fused(ts)

@@ -144,10 +144,11 @@ class ResolvedPipeline:
     def fusion_plan(self, host_has_storage: bool = False) -> "FusionPlan":
         """Run the fusion planner over this resolved pipeline.
 
-        Builds one :class:`FusionSpec` per resolved operator (plugin
-        batch capability looked up without instantiation) and plans the
-        same groups the runtime manager would form, so the static flow
-        analyzer and the live deployment agree on eligibility.
+        Builds one :class:`FusionSpec` per resolved operator (whether
+        the plugin class defines a window kernel is looked up without
+        instantiation) and plans the same groups the runtime manager
+        would form, so the static flow analyzer and the live deployment
+        agree on eligibility.
         """
         from repro.core.registry import get_plugin_class
 
@@ -159,7 +160,7 @@ class ResolvedPipeline:
                     name=op.name,
                     label=op.label,
                     config=op.config,
-                    supports_batch=bool(getattr(cls, "supports_batch", False)),
+                    has_kernel=isinstance(cls, type) and has_kernel(cls),
                     is_job_plugin=op.is_job_plugin,
                     input_topics=frozenset(
                         t for u in op.units for t in u.inputs
@@ -260,7 +261,7 @@ def _add_topic(tree: SensorTree, topic: str) -> None:
 #: producers, no chaining at all) stay silent — they are either
 #: deliberate opt-outs or structurally meaningless to report.
 REPORTABLE_FUSION_BLOCKS = (
-    "batch-disabled",
+    "no-kernel",
     "period-mismatch",
     "external-subscriber",
 )
@@ -272,7 +273,7 @@ class FusionSpec:
 
     name: str
     config: OperatorConfig
-    supports_batch: bool = False
+    has_kernel: bool = False
     is_job_plugin: bool = False
     input_topics: frozenset = frozenset()
     output_topics: frozenset = frozenset()
@@ -301,15 +302,15 @@ class FusionPlan:
     blocked: List[FusionBlock] = field(default_factory=list)
 
 
-def _batch_capable(spec: FusionSpec) -> bool:
+def has_kernel(cls: type) -> bool:
+    """Whether a plugin class defines a window kernel of its own (the
+    inherited ``compute_batch`` is the per-unit loop)."""
+    return cls.compute_batch is not OperatorBase.compute_batch
+
+
+def _can_join(spec: FusionSpec) -> bool:
     """Whether the member can run its pass inside a fused group."""
-    if spec.config.batch is False:
-        return False
-    return bool(
-        spec.supports_batch
-        or spec.config.batch is True
-        or spec.config.fusion is True
-    )
+    return spec.has_kernel or spec.config.fusion is True
 
 
 def _can_lead(spec: FusionSpec) -> bool:
@@ -318,7 +319,7 @@ def _can_lead(spec: FusionSpec) -> bool:
         spec.config.mode == "online"
         and spec.config.fusion is not False
         and not spec.is_job_plugin
-        and _batch_capable(spec)
+        and _can_join(spec)
     )
 
 
@@ -343,13 +344,11 @@ def _chain_verdict(
         return ("job", "job operators join only with fusion: true")
     if tail.is_job_plugin:
         return ("job", "job operators cannot produce fused intermediates")
-    if not _batch_capable(consumer):
+    if not _can_join(consumer):
         return (
-            "batch-disabled",
-            f"{consumer.label} has batch: false"
-            if consumer.config.batch is False
-            else f"{consumer.label} has no vectorized kernel "
-            f"(set batch/fusion: true to force)",
+            "no-kernel",
+            f"{consumer.label} computes unit by unit, it has no window "
+            f"kernel (set fusion: true to force)",
         )
     if (
         consumer.config.interval_ns != tail.config.interval_ns

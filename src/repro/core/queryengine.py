@@ -50,9 +50,13 @@ class BatchWindow:
     zero timestamps.  The arrays are freshly allocated per query, so a
     window is a snapshot in the same sense a :class:`CacheView` is.
 
-    A row with ``counts[i] == 0`` means the scalar path
-    (:meth:`QueryEngine.query_relative`) would have raised
+    A row with ``counts[i] == 0`` means
+    :meth:`QueryEngine.query_relative` would have raised
     :class:`QueryError` for that topic at the same instant.
+
+    Consumers treat the arrays as **read-only**: a fused pipeline stage
+    is served live channel matrices, not copies (the runtime sanitizer
+    fingerprints every row, rule R007).
     """
 
     __slots__ = ("topics", "values", "timestamps", "counts", "width")
@@ -78,6 +82,16 @@ class BatchWindow:
         """Boolean validity mask, True where a slot holds a reading."""
         return np.arange(self.width) >= (self.width - self.counts[:, None])
 
+    def uniform_count(self) -> int:
+        """The reading count every row shares, or 0 when rows differ,
+        any is empty or there are none — the precondition for reducing
+        ``values[:, width - n:]`` along axis 1 in one go."""
+        counts = self.counts
+        if not len(counts):
+            return 0
+        n = int(counts[0])
+        return n if n and (counts == n).all() else 0
+
     def row_values(self, i: int) -> np.ndarray:
         """The valid value segment of row ``i``, oldest-first (a view)."""
         return self.values[i, self.width - int(self.counts[i]):]
@@ -93,6 +107,18 @@ class BatchWindow:
     def newest_timestamps(self) -> np.ndarray:
         """Newest timestamp per row (0 where a row is empty)."""
         return self.timestamps[:, -1]
+
+
+def report_views(san, window: BatchWindow) -> None:
+    """Hand every gathered row to the sanitizer as the view a relative
+    query of its topic would have returned (zero-copy over the window,
+    so a kernel writing into its window breaks the fingerprint)."""
+    for i, topic in enumerate(window.topics):
+        if window.counts[i]:
+            san.on_query_view(
+                topic,
+                CacheView([(window.row_timestamps(i), window.row_values(i))]),
+            )
 
 
 class QueryPlan:
@@ -488,36 +514,19 @@ class QueryEngine:
 
         ``key`` names the plan-cache slot (operators pass a stable
         per-operator key); without one the slot is derived from the query
-        itself.  When the runtime sanitizer is active the batch is served
-        through the scalar path so per-view invariant checks still fire.
+        itself.
         """
         t0 = time.perf_counter_ns()
         try:
-            if hooks.CURRENT is not None:
-                return self._batch_via_scalar(topics, window_ns)
             if key is None:
                 key = ("auto", tuple(topics), int(window_ns))
-            plan = self.plan_for(key, topics, window_ns)
-            return self._execute_plan(plan)
+            window = self._execute_plan(self.plan_for(key, topics, window_ns))
+            san = hooks.CURRENT
+            if san is not None:
+                report_views(san, window)
+            return window
         finally:
             self._m_latency_batch.observe(time.perf_counter_ns() - t0)
-
-    def _batch_via_scalar(
-        self, topics: Sequence[str], window_ns: int
-    ) -> BatchWindow:
-        """Correctness-path batch: U instrumented scalar queries."""
-        fetched = []
-        width = 1
-        for topic in topics:
-            try:
-                view = self.query_relative(topic, window_ns)
-                ts, val = view.timestamps(), view.values()
-            except QueryError:
-                ts, val = None, None
-            fetched.append((ts, val))
-            if ts is not None:
-                width = max(width, len(ts))
-        return self._assemble(topics, fetched, width)
 
     def _execute_plan(self, plan: QueryPlan) -> BatchWindow:
         """Run a compiled plan: zero lookups on the cache-bound rows."""
@@ -567,24 +576,6 @@ class QueryEngine:
         if hits:
             self._m_hits.inc(hits)
         return BatchWindow(plan.topics, values, timestamps, counts)
-
-    @staticmethod
-    def _assemble(
-        topics: Sequence[str], fetched: List[tuple], width: int
-    ) -> BatchWindow:
-        """Pack per-topic (ts, val) pairs into a right-aligned window."""
-        u = len(fetched)
-        values = np.full((u, width), np.nan, dtype=np.float64)
-        timestamps = np.zeros((u, width), dtype=np.int64)
-        counts = np.zeros(u, dtype=np.int64)
-        for i, (ts, val) in enumerate(fetched):
-            if ts is None or not len(ts):
-                continue
-            n = len(ts)
-            timestamps[i, width - n:] = ts
-            values[i, width - n:] = val
-            counts[i] = n
-        return BatchWindow(topics, values, timestamps, counts)
 
     # ------------------------------------------------------------------
     # Derived conveniences used by several plugins

@@ -21,6 +21,7 @@ A unit whose input expressions match no sensors cannot be built; in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -65,6 +66,16 @@ class Unit:
             f"Unit({self.name!r}, inputs={len(self.inputs)}, "
             f"outputs={[s.name for s in self.outputs]})"
         )
+
+
+def same_units(a: Sequence[Unit], b: Sequence[Unit]) -> bool:
+    """Whether two sequences hold the very same unit objects, in order.
+
+    What a memo keyed on units compares — against the units it *holds*,
+    never their ``id()``s: an id outlives its object, and the allocator
+    hands a freed unit's address to its replacement.
+    """
+    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 class UnitResolver:

@@ -21,46 +21,24 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.common.errors import ConfigError, QueryError
-from repro.core.operator import OperatorBase, OperatorConfig, UnitResult
+from repro.common.errors import ConfigError
+from repro.core.operator import (
+    OperatorBase,
+    OperatorConfig,
+    PassResult,
+    WindowRow,
+    require_data,
+)
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
-from repro.dcdb.cache import CacheView
 
 _QUANTILE_RE = re.compile(r"^q(100|\d{1,2})$")
 
-
-def _delta(view: CacheView) -> float:
-    values = view.values()
-    return float(values[-1] - values[0]) if len(values) >= 2 else float("nan")
-
-
-def _rate(view: CacheView) -> float:
-    if len(view) < 2:
-        return float("nan")
-    ts = view.timestamps()
-    span_s = (int(ts[-1]) - int(ts[0])) / 1e9
-    if span_s <= 0:
-        return float("nan")
-    values = view.values()
-    return float((values[-1] - values[0]) / span_s)
-
-
-_SIMPLE_OPS: Dict[str, Callable[[np.ndarray], float]] = {
-    "mean": lambda v: float(v.mean()),
-    "std": lambda v: float(v.std()),
-    "min": lambda v: float(v.min()),
-    "max": lambda v: float(v.max()),
-    "sum": lambda v: float(v.sum()),
-    "median": lambda v: float(np.median(v)),
-    "count": lambda v: float(len(v)),
-    "last": lambda v: float(v[-1]),
-}
-
-# Row-wise (axis=1) twins of _SIMPLE_OPS.  NumPy applies the same
-# pairwise reduction per row of a C-contiguous matrix as it does to a
-# 1-D copy of that row, so these match the scalar results bit-for-bit.
-_SIMPLE_OPS_AXIS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
+# One aggregate per row (axis 1).  NumPy applies the same pairwise
+# reduction to a row of a matrix as to a 1-D array of that row, so a
+# unit's value is the same whether its window sits in a stacked pass
+# matrix or is handed over alone as a 1×n view.
+_ROW_OPS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "mean": lambda m: m.mean(axis=1),
     "std": lambda m: m.std(axis=1),
     "min": lambda m: m.min(axis=1),
@@ -70,6 +48,35 @@ _SIMPLE_OPS_AXIS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "count": lambda m: np.full(m.shape[0], float(m.shape[1])),
     "last": lambda m: m[:, -1].copy(),
 }
+
+
+def _kernel(
+    op: str, pooled: np.ndarray, first: np.ndarray, first_ts: np.ndarray
+) -> np.ndarray:
+    """Aggregate ``op`` of every row: U×n matrices in, U values out.
+
+    ``pooled`` holds each unit's readings pooled over its inputs;
+    ``delta``/``rate`` read ``first``/``first_ts``, the window of the
+    unit's first input (they are counter-oriented and pooling counters
+    is meaningless).
+    """
+    if op in ("delta", "rate"):
+        if first.shape[1] < 2:
+            return np.full(first.shape[0], np.nan)
+        diff = first[:, -1] - first[:, 0]
+        if op == "delta":
+            return diff
+        out = np.full(first.shape[0], np.nan)
+        span_s = (first_ts[:, -1] - first_ts[:, 0]) / 1e9
+        ok = span_s > 0
+        out[ok] = diff[ok] / span_s[ok]
+        return out
+    if pooled.shape[1] == 0:
+        return np.full(pooled.shape[0], np.nan)
+    match = _QUANTILE_RE.match(op)
+    if match:
+        return np.percentile(pooled, int(match.group(1)), axis=1)
+    return _ROW_OPS[op](pooled)
 
 
 @operator_plugin("aggregator")
@@ -119,23 +126,11 @@ class AggregatorOperator(OperatorBase):
 
     @staticmethod
     def _validate_op(op: str) -> None:
-        if op in _SIMPLE_OPS or op in ("delta", "rate"):
+        if op in _ROW_OPS or op in ("delta", "rate"):
             return
         if _QUANTILE_RE.match(op):
             return
         raise ConfigError(f"unknown aggregate {op!r}")
-
-    def _apply(self, op: str, view: CacheView, pooled: np.ndarray) -> float:
-        if op == "delta":
-            return _delta(view)
-        if op == "rate":
-            return _rate(view)
-        if pooled.size == 0:
-            return float("nan")
-        match = _QUANTILE_RE.match(op)
-        if match:
-            return float(np.percentile(pooled, int(match.group(1))))
-        return _SIMPLE_OPS[op](pooled)
 
     def _op_for(self, sensor_name: str) -> str:
         op = self._ops.get(sensor_name) or self._ops.get("*")
@@ -146,155 +141,34 @@ class AggregatorOperator(OperatorBase):
             )
         return op
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
-        assert self.engine is not None
-        views = [
-            self.engine.query_relative(t, self.config.window_ns)  # lint: allow(L007)
-            for t in unit.inputs
-        ]
-        pooled = (
-            np.concatenate([v.values() for v in views])
-            if views
-            else np.empty(0)
-        )
-        # delta/rate act on the first input's window (they are
-        # counter-oriented and pooling counters is meaningless).
-        first = views[0] if views else CacheView.empty()
-        return {
-            sensor.name: self._apply(self._op_for(sensor.name), first, pooled)
-            for sensor in unit.outputs
-        }
-
-    # ------------------------------------------------------------------
-    # Batched path
-    # ------------------------------------------------------------------
-
-    supports_batch = True
-    #: compute_batch reads its BatchWindow without mutating it, so
-    #: fused groups may serve this plugin zero-copy channel views.
-    fusion_safe = True
-
-    def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        assert self.engine is not None
-        window, slices = self.batch_window(units)
-        n = _uniform_single_input(units, slices, window.counts)
-        if n is not None:
-            return self._batch_uniform(units, slices, window, n)
-        results = []
-        for unit, rows in zip(units, slices):
-            values = self._unit_from_window(unit, rows, window)
-            if values:
-                results.append(UnitResult(unit, values))
-        return results
-
-    def _batch_uniform(self, units, slices, window, n: int) -> List[UnitResult]:
-        """One kernel per aggregate over the stacked single-input rows."""
-        rows = np.fromiter((s[0] for s in slices), dtype=np.intp, count=len(slices))
-        sub = window.values[rows, window.width - n:]
-        tss = window.timestamps[rows, window.width - n:]
-        # tolist() converts each column to plain floats once; per-element
-        # float(np.float64) in the unit loop costs more than the kernels
-        # themselves at 1000s of units.
-        per_op = {
-            op: self._kernel(op, sub, tss, n).tolist()
+    def compute_batch(self, units: Sequence[Unit], ts: int):
+        window, slices, n = self.batch_window(units)
+        if not n:
+            return self.compute_ragged(units, window, slices)
+        # Uniform pass: one kernel per aggregate over the stacked rows.
+        values = window.values[:, window.width - n:]
+        timestamps = window.timestamps[:, window.width - n:]
+        columns = {
+            op: _kernel(op, values, values, timestamps)
             for op in set(self._ops.values())
         }
-        resolved: Dict[str, list] = {}
-        results = []
-        for j, unit in enumerate(units):
-            values = {}
-            for sensor in unit.outputs:
-                name = sensor.name
-                column = resolved.get(name)
-                if column is None:
-                    column = resolved[name] = per_op[self._op_for(name)]
-                values[name] = column[j]
-            if values:
-                results.append(UnitResult(unit, values))
-        return results
+        return PassResult(
+            units=units, column_of=lambda name: columns[self._op_for(name)]
+        )
 
-    def compute_batch_vector(self, units: Sequence[Unit], ts: int):
-        """Uniform-pass vector kernel for fused intermediate stages.
-
-        Only the wildcard single-aggregate form (``ops: {"*": op}``)
-        qualifies — then every output resolves to the same kernel and
-        the stacked :meth:`_kernel` column is exactly what
-        :meth:`_batch_uniform` would have unpacked per unit.  Declines
-        (None) on multiple/ragged inputs, same as the uniform path.
-        """
-        if set(self._ops) != {"*"}:
-            return None
-        window, slices = self.batch_window(units)
-        rows = self._single_row_layout(slices)
-        if rows is None or not len(rows):
-            return None
-        counts = window.counts[rows]
-        n = int(counts[0])
-        if n < 1 or (counts != n).any():
-            return None
-        sub = window.values[rows, window.width - n:]
-        tss = window.timestamps[rows, window.width - n:]
-        return self._kernel(self._ops["*"], sub, tss, n)
-
-    def _kernel(self, op: str, sub, tss, n: int):
-        if op == "delta":
-            if n < 2:
-                return np.full(sub.shape[0], np.nan)
-            return sub[:, -1] - sub[:, 0]
-        if op == "rate":
-            out = np.full(sub.shape[0], np.nan)
-            if n >= 2:
-                span_s = (tss[:, -1] - tss[:, 0]) / 1e9
-                ok = span_s > 0
-                out[ok] = (sub[ok, -1] - sub[ok, 0]) / span_s[ok]
-            return out
-        match = _QUANTILE_RE.match(op)
-        if match:
-            return np.percentile(sub, int(match.group(1)), axis=1)
-        return _SIMPLE_OPS_AXIS[op](sub)
-
-    def _unit_from_window(self, unit: Unit, rows, window) -> Dict[str, float]:
-        """Scalar-identical evaluation from prefetched window rows.
-
-        Used for units the uniform kernel cannot cover (several inputs,
-        ragged windows): the pooled array and first-input view are built
-        from exactly the arrays the scalar queries would have returned.
-        """
-        segs = []
-        first = CacheView.empty()
-        for r in rows:
-            if not window.counts[r]:
-                # The scalar path raises on its first missing input.
-                self._record_unit_error(
-                    unit, QueryError(f"no data available for sensor {window.topics[r]}")
-                )
-                return {}
-            segs.append(window.row_values(r))
-            if len(segs) == 1:
-                first = CacheView._snapshot_of(
-                    window.row_timestamps(r), window.row_values(r)
-                )
-        pooled = np.concatenate(segs) if segs else np.empty(0)
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        segments: List[np.ndarray] = [require_data(row) for row in rows]
+        pooled = np.concatenate(segments) if segments else np.empty(0)
+        first = segments[0] if segments else pooled
+        first_ts = rows[0][1] if rows else np.empty(0, dtype=np.int64)
         return {
-            sensor.name: self._apply(self._op_for(sensor.name), first, pooled)
+            sensor.name: float(
+                _kernel(
+                    self._op_for(sensor.name),
+                    pooled[None, :], first[None, :], first_ts[None, :],
+                )[0]
+            )
             for sensor in unit.outputs
         }
-
-
-def _uniform_single_input(units, slices, counts):
-    """Window length when every unit has one input and equal, non-empty
-    windows — the precondition of the stacked-matrix kernels.  None
-    otherwise."""
-    if not units:
-        return None
-    for s in slices:
-        if len(s) != 1:
-            return None
-    rows = [s[0] for s in slices]
-    n = int(counts[rows[0]])
-    if n < 1:
-        return None
-    for r in rows:
-        if counts[r] != n:
-            return None
-    return n

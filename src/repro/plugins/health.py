@@ -23,8 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigError, QueryError
-from repro.core.operator import OperatorBase, OperatorConfig, UnitResult
+from repro.common.errors import ConfigError
+from repro.core.operator import (
+    OperatorBase,
+    OperatorConfig,
+    UnitResult,
+    WindowRow,
+    require_data,
+)
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 
@@ -66,9 +72,9 @@ class HealthOperator(OperatorBase):
         """Per-unit violation counters, keyed by unit name.
 
         Kept in the model (not on ``self``) so parallel unit mode gives
-        each unit its own counter dict and ``compute_unit`` never writes
-        shared operator state (lint rule L004); sequential mode shares
-        one dict, which is race-free by construction.
+        each unit its own counter dict and a unit computation never
+        writes shared operator state (lint rule L004); sequential mode
+        shares one dict, which is race-free by construction.
         """
         return {}
 
@@ -80,23 +86,19 @@ class HealthOperator(OperatorBase):
             return False
         return True
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
-        assert self.engine is not None
-        violated = False
-        for topic in unit.inputs:
-            name = topic.rsplit("/", 1)[-1]
-            if name not in self.bounds:
-                continue
-            view = self.engine.query_relative(topic, self.config.window_ns)  # lint: allow(L007)
-            values = view.values()
-            if values.size == 0:
-                continue
-            if not self._in_bounds(name, float(values.mean())):
-                violated = True
-        return self._apply_hysteresis(unit, violated)
+    def kernel_inputs(self, unit: Unit) -> List[str]:
+        # Inputs without configured bounds are never read.
+        return [t for t in unit.inputs if t.rsplit("/", 1)[-1] in self.bounds]
 
-    def _apply_hysteresis(self, unit: Unit, violated: bool) -> Dict[str, float]:
-        """Advance the unit's trip counter and emit the health bit."""
+    def _judge(
+        self, unit: Unit, topics: Sequence[str], means: Sequence[float]
+    ) -> Dict[str, float]:
+        """Bounds check of the unit's window means, then hysteresis:
+        advance the unit's trip counter and emit the health bit."""
+        violated = False
+        for topic, mean in zip(topics, means):
+            if not self._in_bounds(topic.rsplit("/", 1)[-1], mean):
+                violated = True
         violations: Dict[str, int] = self.model_for(unit)
         if violated:
             violations[unit.name] = violations.get(unit.name, 0) + 1
@@ -105,59 +107,33 @@ class HealthOperator(OperatorBase):
         healthy = violations[unit.name] < self.trip_count
         return {sensor.name: 1.0 if healthy else 0.0 for sensor in unit.outputs}
 
-    # ------------------------------------------------------------------
-    # Batched path
-    # ------------------------------------------------------------------
-
-    supports_batch = True
-    #: compute_batch reads its BatchWindow without mutating it, so
-    #: fused groups may serve this plugin zero-copy channel views.
-    fusion_safe = True
-
-    def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        """Window means for every bounded input in one batched query.
-
-        Only topics with configured bounds are fetched (the scalar path
-        never queries the rest); a bounded topic with no data errors the
-        unit exactly like the scalar query would.
-        """
-        assert self.engine is not None
-        window, slices = self.batch_window(units, topics_of=self._bounded_inputs)
-        counts = window.counts
-        width = window.width
-        # Row means over the valid tail of each row: with the NaN
-        # padding on the left, nanmean over the full width would change
-        # results for rows containing real NaN readings — use per-row
-        # tail segments instead, which match the scalar reduction.
-        means = np.empty(len(window), dtype=np.float64)
-        for r in range(len(window)):
-            n = int(counts[r])
-            means[r] = window.values[r, width - n:].mean() if n else np.nan
+    def compute_batch(self, units: Sequence[Unit], ts: int):
+        """Window means of every bounded input in one axis-1 reduction
+        when all rows hold equally many readings (units may span several
+        rows); a bounded input with no data errors its unit."""
+        window, slices, _ = self.batch_window(units)
+        n = window.uniform_count()
+        if not n:
+            return self.compute_ragged(units, window, slices)
+        means = _window_means(window.values[:, window.width - n:]).tolist()
+        topics = window.topics
         results = []
         for unit, rows in zip(units, slices):
-            violated = False
-            errored = False
-            for r in rows:
-                if not counts[r]:
-                    self._record_unit_error(
-                        unit,
-                        QueryError(
-                            f"no data available for sensor {window.topics[r]}"
-                        ),
-                    )
-                    errored = True
-                    break
-                name = window.topics[r].rsplit("/", 1)[-1]
-                if not self._in_bounds(name, float(means[r])):
-                    violated = True
-            if errored:
-                continue
-            values = self._apply_hysteresis(unit, violated)
+            values = self._judge(
+                unit, topics[rows.start:rows.stop], means[rows.start:rows.stop]
+            )
             if values:
                 results.append(UnitResult(unit, values))
         return results
 
-    def _bounded_inputs(self, unit: Unit) -> List[str]:
-        return [
-            t for t in unit.inputs if t.rsplit("/", 1)[-1] in self.bounds
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        means = [
+            float(_window_means(require_data(row)[None, :])[0]) for row in rows
         ]
+        return self._judge(unit, [row[0] for row in rows], means)
+
+
+def _window_means(values: np.ndarray) -> np.ndarray:
+    return values.mean(axis=1)

@@ -26,7 +26,12 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.core.operator import JobOperatorBase, OperatorConfig, UnitResult
+from repro.core.operator import (
+    JobOperatorBase,
+    OperatorConfig,
+    UnitResult,
+    WindowRow,
+)
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 from repro.ml.stats import quantiles as compute_quantiles
@@ -73,21 +78,6 @@ class PerSystOperator(JobOperatorBase):
             self.extra_stats
         )
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
-        assert self.engine is not None
-        samples: List[float] = []
-        for topic in unit.inputs:
-            try:
-                view = self.engine.query_relative(topic, self.config.window_ns)  # lint: allow(L007)
-            except Exception:
-                continue  # a core that has not produced the metric yet
-            values = view.values()
-            if values.size:
-                samples.append(float(values[-1]))
-        if not samples:
-            return {}
-        return self._reduce(np.asarray(samples))
-
     def _reduce(self, arr: np.ndarray) -> Dict[str, float]:
         """Quantiles + extra stats of one job's sample distribution."""
         qvals = compute_quantiles(arr, self.quantiles)
@@ -101,34 +91,29 @@ class PerSystOperator(JobOperatorBase):
             out["std"] = float(arr.std())
         return out
 
-    # ------------------------------------------------------------------
-    # Batched path
-    # ------------------------------------------------------------------
-
-    supports_batch = True
-    #: compute_batch reads its BatchWindow without mutating it, so
-    #: fused groups may serve this plugin zero-copy channel views.
-    fusion_safe = True
-
     def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
         """One batched query gathers every job's newest samples at once.
 
         The per-core window fetches — by far the dominant cost of the
         Fig 7 pipeline (2048 samples per 32-node job) — collapse into a
         single compiled-plan execution; the decile reduction then runs on
-        each job's row of newest values.  Topics with no data yet are
-        skipped exactly like the scalar path's swallowed query errors.
+        each job's rows of newest values.  A core that has not produced
+        the metric yet is skipped.
         """
-        assert self.engine is not None
-        window, slices = self.batch_window(units)
+        window, slices, _ = self.batch_window(units)
         last = window.last_values()
-        counts = window.counts
+        live = window.counts > 0
         results = []
         for unit, rows in zip(units, slices):
-            idx = np.fromiter(
-                (r for r in rows if counts[r]), dtype=np.intp
-            )
-            if not idx.size:
-                continue
-            results.append(UnitResult(unit, self._reduce(last[idx])))
+            samples = last[rows.start:rows.stop][live[rows.start:rows.stop]]
+            if samples.size:
+                results.append(UnitResult(unit, self._reduce(samples)))
         return results
+
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        samples = [values[-1] for _, _, values in rows if len(values)]
+        if not samples:
+            return {}
+        return self._reduce(np.asarray(samples))

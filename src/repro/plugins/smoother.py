@@ -17,8 +17,14 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.common.errors import ConfigError, QueryError
-from repro.core.operator import OperatorBase, OperatorConfig, UnitResult
+from repro.common.errors import ConfigError
+from repro.core.operator import (
+    OperatorBase,
+    OperatorConfig,
+    PassResult,
+    WindowRow,
+    require_data,
+)
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 
@@ -39,103 +45,28 @@ class SmootherOperator(OperatorBase):
             raise ConfigError(f"{config.name}: alpha must be in (0, 1]")
         self.alpha = float(alpha) if alpha is not None else None
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
-        assert self.engine is not None
-        if not unit.inputs:
-            return {}
-        view = self.engine.query_relative(unit.inputs[0], self.config.window_ns)
-        values = view.values()
-        if values.size == 0:
-            return {}
+    def kernel_inputs(self, unit: Unit) -> List[str]:
+        # Only each unit's first input is smoothed.
+        return unit.inputs[:1]
+
+    def _smooth(self, values: np.ndarray) -> np.ndarray:
+        """Window mean or EWMA of every row (axis 1, oldest first)."""
         if self.alpha is None:
-            smoothed = float(values.mean())
-        else:
-            # EWMA over the window, oldest first.
-            weights = (1.0 - self.alpha) ** np.arange(len(values) - 1, -1, -1)
-            smoothed = float((values * weights).sum() / weights.sum())
+            return values.mean(axis=1)
+        weights = (1.0 - self.alpha) ** np.arange(values.shape[1] - 1, -1, -1)
+        return (values * weights).sum(axis=1) / weights.sum()
+
+    def compute_batch(self, units: Sequence[Unit], ts: int):
+        window, slices, n = self.batch_window(units)
+        if not n:
+            return self.compute_ragged(units, window, slices)
+        smoothed = self._smooth(window.values[:, window.width - n:])
+        return PassResult(units=units, column_of=lambda name: smoothed)
+
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        if not rows:
+            return {}
+        smoothed = float(self._smooth(require_data(rows[0])[None, :])[0])
         return {sensor.name: smoothed for sensor in unit.outputs}
-
-    # ------------------------------------------------------------------
-    # Batched path
-    # ------------------------------------------------------------------
-
-    supports_batch = True
-    #: compute_batch reads its BatchWindow without mutating it, so
-    #: fused groups may serve this plugin zero-copy channel views.
-    fusion_safe = True
-
-    def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        assert self.engine is not None
-        # Only each unit's first input is smoothed, exactly as scalar.
-        window, slices = self.batch_window(units, topics_of=_first_input)
-        counts = window.counts
-        rows = [s[0] if len(s) else -1 for s in slices]
-        live = [r for r in rows if r >= 0]
-        uniform = (
-            len(live) == len(units)
-            and len(live) > 0
-            and counts[live].min() == counts[live].max()
-            and counts[live[0]] > 0
-        )
-        if uniform:
-            n = int(counts[live[0]])
-            sub = window.values[np.asarray(live, dtype=np.intp), window.width - n:]
-            if self.alpha is None:
-                smoothed = sub.mean(axis=1)
-            else:
-                weights = (1.0 - self.alpha) ** np.arange(n - 1, -1, -1)
-                smoothed = (sub * weights).sum(axis=1) / weights.sum()
-            results = []
-            for j, unit in enumerate(units):
-                values = {s.name: float(smoothed[j]) for s in unit.outputs}
-                if values:
-                    results.append(UnitResult(unit, values))
-            return results
-        results = []
-        for unit, r in zip(units, rows):
-            if r < 0:
-                continue  # no inputs: scalar returns {} for the unit
-            if not counts[r]:
-                self._record_unit_error(
-                    unit,
-                    QueryError(f"no data available for sensor {window.topics[r]}"),
-                )
-                continue
-            values = window.row_values(r)
-            if self.alpha is None:
-                smoothed = float(values.mean())
-            else:
-                weights = (1.0 - self.alpha) ** np.arange(len(values) - 1, -1, -1)
-                smoothed = float((values * weights).sum() / weights.sum())
-            out = {s.name: smoothed for s in unit.outputs}
-            if out:
-                results.append(UnitResult(unit, out))
-        return results
-
-    def compute_batch_vector(self, units: Sequence[Unit], ts: int):
-        """Uniform-pass vector kernel for fused intermediate stages.
-
-        The same stacked mean/EWMA :meth:`compute_batch` runs on its
-        uniform path, minus the per-unit dict packaging — bit-for-bit
-        identical values, returned as one column aligned with
-        ``units``.  Declines (None) whenever a unit lacks an input or
-        windows are ragged, exactly where :meth:`compute_batch` leaves
-        its uniform path.
-        """
-        window, slices = self.batch_window(units, topics_of=_first_input)
-        rows = self._single_row_layout(slices)
-        if rows is None or not len(rows):
-            return None
-        counts = window.counts[rows]
-        n = int(counts[0])
-        if n < 1 or (counts != n).any():
-            return None
-        sub = window.values[rows, window.width - n:]
-        if self.alpha is None:
-            return sub.mean(axis=1)
-        weights = (1.0 - self.alpha) ** np.arange(n - 1, -1, -1)
-        return (sub * weights).sum(axis=1) / weights.sum()
-
-
-def _first_input(unit: Unit) -> List[str]:
-    return unit.inputs[:1]

@@ -329,66 +329,6 @@ class TestSleepInCompute:
         assert diags == []
 
 
-class TestScalarQueryInLoop:
-    def test_loop_query_in_batch_capable_class_flagged(self):
-        diags = lint("""
-        class XOperator(OperatorBase):
-            supports_batch = True
-
-            def compute_unit(self, unit, ts):
-                return [
-                    self.engine.query_relative(t, 0) for t in unit.inputs
-                ]
-        """, path="src/repro/plugins/x.py")
-        assert codes(diags) == ["L007"]
-        assert "query_relative" in diags[0].message
-
-    def test_for_loop_in_compute_batch_flagged(self):
-        diags = lint("""
-        class XOperator(OperatorBase):
-            def compute_batch(self, units, ts):
-                out = []
-                for unit in units:
-                    for t in unit.inputs:
-                        out.append(self.engine.query_absolute(t, 0, 1))
-                return out
-        """, path="src/repro/plugins/x.py")
-        assert codes(diags) == ["L007"]
-
-    def test_without_batch_support_not_flagged(self):
-        diags = lint("""
-        class XOperator(OperatorBase):
-            def compute_unit(self, unit, ts):
-                return [
-                    self.engine.query_relative(t, 0) for t in unit.inputs
-                ]
-        """, path="src/repro/plugins/x.py")
-        assert diags == []
-
-    def test_query_outside_loop_not_flagged(self):
-        diags = lint("""
-        class XOperator(OperatorBase):
-            supports_batch = True
-
-            def compute_unit(self, unit, ts):
-                return self.engine.query_relative(unit.inputs[0], 0)
-        """, path="src/repro/plugins/x.py")
-        assert diags == []
-
-    def test_suppression(self):
-        diags = lint("""
-        class XOperator(OperatorBase):
-            supports_batch = True
-
-            def compute_unit(self, unit, ts):
-                return [
-                    self.engine.query_relative(t, 0)  # lint: allow(L007)
-                    for t in unit.inputs
-                ]
-        """, path="src/repro/plugins/x.py")
-        assert diags == []
-
-
 class TestMutableClassDefault:
     def test_list_default_flagged(self):
         diags = lint("""

@@ -1,12 +1,14 @@
-"""Pipeline fusion: planner, fused runtime, parity, fallback, analysis.
+"""Pipeline fusion: planner, fused runtime, parity, analysis.
 
 The fusion contract is *strict semantics preservation*: a fused group
 must store bit-for-bit what the staged pipeline would have stored, under
 missing data, quarantined units, hot-plugged sensor spaces and an active
-sanitizer (which vetoes fusion entirely for the pass).  Every parity
-test here runs the same pipeline twice — staged computes vs one
+sanitizer (which instruments the fused pass, it does not reroute it).
+Staged and fused are two schedulings of the same kernels, so every
+parity test here runs the same pipeline twice — staged computes vs one
 :class:`~repro.core.fusion.FusedGroup` — over identical input streams
-and compares the terminal stores exactly.
+and compares the terminal stores exactly; the first test also anchors
+the terminal series on a plain-NumPy reference of the chain.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.plugins.health import HealthOperator
 from repro.plugins.persyst import PerSystOperator
 from repro.plugins.smoother import SmootherOperator
 from repro.sanitizer.core import Sanitizer
-from repro.telemetry import MetricRegistry
 
 N_UNITS = 8
 CACHE_WINDOW_NS = 180 * NS_PER_SEC
@@ -195,9 +196,8 @@ def spec(
     interval=1,
     delay=0,
     mode="online",
-    batch="auto",
     fusion="auto",
-    supports=True,
+    kernel=True,
     job=False,
     publish=False,
     op_outputs=(),
@@ -209,12 +209,11 @@ def spec(
             interval_ns=interval * NS_PER_SEC,
             delay_ns=delay * NS_PER_SEC,
             mode=mode,
-            batch=batch,
             fusion=fusion,
             publish_outputs=publish,
             operator_outputs=list(op_outputs),
         ),
-        supports_batch=supports,
+        has_kernel=kernel,
         is_job_plugin=job,
         input_topics=frozenset(inputs),
         output_topics=frozenset(outputs),
@@ -251,10 +250,25 @@ class TestFusionPlanner:
         plan = plan_fusion([a, b])
         assert [blk.reason for blk in plan.blocked] == ["period-mismatch"]
 
-    def test_batch_false_blocks_and_reports(self):
-        a, b = self.chain(batch=False)
+    def test_plugin_without_kernel_blocks_and_reports(self):
+        a, b = self.chain(kernel=False)
         plan = plan_fusion([a, b])
-        assert [blk.reason for blk in plan.blocked] == ["batch-disabled"]
+        assert [blk.reason for blk in plan.blocked] == ["no-kernel"]
+
+    def test_forced_fusion_admits_a_per_unit_plugin(self):
+        a, b = self.chain(kernel=False, fusion=True)
+        assert plan_fusion([a, b]).groups == [["a", "b"]]
+
+    def test_kernel_is_read_off_the_plugin_class(self):
+        from repro.core.pipeline import has_kernel
+        from repro.plugins.clustering import ClusteringOperator
+        from repro.plugins.perfmetrics import PerfMetricsOperator
+
+        for cls in (AggregatorOperator, SmootherOperator, HealthOperator,
+                    PerSystOperator):
+            assert has_kernel(cls)
+        assert not has_kernel(PerfMetricsOperator)
+        assert not has_kernel(ClusteringOperator)
 
     def test_published_intermediate_blocks(self):
         a = spec("a", inputs=["/p"], outputs=["/x"], publish=True)
@@ -302,14 +316,14 @@ class TestFusionPlanner:
         assert plan.groups == [] and plan.blocked == []
 
     def test_group_restarts_after_block(self):
-        a, b = self.chain(batch=False)
+        a, b = self.chain(kernel=False)
         c = spec("c", inputs=["/y"], outputs=["/z"])
         d = spec("d", inputs=["/z"], outputs=["/w"], publish=True)
         plan = plan_fusion([a, b, c, d])
-        # a|b breaks (reported); b cannot lead (batch: false); c starts
-        # a fresh group that d joins.
+        # a|b breaks (reported); b cannot lead (no kernel); c starts a
+        # fresh group that d joins.
         assert plan.groups == [["c", "d"]]
-        assert [blk.reason for blk in plan.blocked] == ["batch-disabled"]
+        assert [blk.reason for blk in plan.blocked] == ["no-kernel"]
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +335,17 @@ class TestFusedParity:
         staged, fused, s_ops, f_ops, _ = run_both(30)
         assert final_series(staged) == final_series(fused)
         assert any(v for v in final_series(fused).values())
+        # Anchor: the chain recomputed stage by stage in plain NumPy
+        # (each stage reads the W + 1 newest values of the one before).
+        rng = np.random.default_rng(7)
+        stage = rng.random((30, N_UNITS)).T  # unit x tick, as fed
+        for w, reduce in ((5, np.mean), (10, np.mean), (20, np.max)):
+            stage = np.array([
+                [reduce(row[max(0, t - w):t + 1]) for t in range(len(row))]
+                for row in stage
+            ])
+        for i in range(N_UNITS):
+            assert [v for _, v in fused.stored[f"/n{i}/mx"]] == stage[i].tolist()
         # Fused intermediates never touch the host: no cache, no store.
         assert "/n0/sm" in staged.stored and "/n0/sm" not in fused.stored
         assert fused.cache_for("/n0/sm") is None
@@ -507,16 +532,11 @@ class TestPlanLifecycle:
         group.run(6 * NS_PER_SEC)
         assert group._plan is not plan_before
 
-    def test_sanitizer_veto_falls_back_and_counts(self):
-        registry = MetricRegistry()
-        fallback = registry.counter("fusion_fallbacks_total")
+    def test_sanitizer_instruments_the_fused_pass(self):
         rng = np.random.default_rng(13)
         staged_host, _, staged_ops = build_chain()
         fused_host, fused_engine, fused_ops = build_chain()
-        group = FusedGroup(
-            "t:san", fused_ops, fused_host, fused_engine,
-            fallback_counter=fallback,
-        )
+        group = FusedGroup("t:san", fused_ops, fused_host, fused_engine)
 
         def one_tick(tick):
             ts = tick * NS_PER_SEC
@@ -530,20 +550,24 @@ class TestPlanLifecycle:
 
         for tick in range(1, 10):
             one_tick(tick)
-        assert fallback.value == 0
         san = Sanitizer(track_wall_clock=False)
         with san.activate():
             for tick in range(10, 14):
                 one_tick(tick)
-        assert fallback.value == 4
-        # Fallback passes store intermediates like any staged pass ...
-        assert fused_host.stored.get("/n0/sm")
-        # ... and fused execution resumes afterwards, still in parity.
         for tick in range(14, 22):
             one_tick(tick)
-        assert fallback.value == 4
+        # The group stayed fused under the sanitizer: intermediates
+        # never reached the host, and the unsanitized twin agrees bit
+        # for bit on every pass — before, under and after.
+        assert "/n0/sm" not in fused_host.stored
+        assert fused_host.cache_for("/n0/sm") is None
         assert final_series(staged_host) == final_series(fused_host)
-
+        # Every gathered row of both executions was fingerprinted — the
+        # fused ones are live channel rows — and nothing wrote to one.
+        events = san.event_summary()
+        assert events["views_tracked"] == 2 * 4 * 3 * N_UNITS
+        assert events["compute_passes"] == 2 * 4 * 3
+        assert san.finish() == []
 
 # ----------------------------------------------------------------------
 # Manager + deployment integration
@@ -603,7 +627,6 @@ class TestManagerFusion:
             if mode == "auto":
                 # The group driver ran and timed its passes.
                 assert any(m._m_fusion_pass.count > 0 for m in managers)
-                assert all(m._m_fusion_fallbacks.value == 0 for m in managers)
             out = {}
             for topic in dep.agent.storage.topics():
                 if topic.endswith("pss"):
@@ -720,15 +743,21 @@ class TestFlowFusion:
         f013 = [d for d in diags if d.code == "F013"]
         assert len(f013) == 1 and "period-mismatch" in f013[0].message
 
-    def test_batch_disabled_reports_f013(self):
+    def test_plugin_without_kernel_reports_f013(self):
         spec_doc = flow_spec()
-        spec_doc["analytics"]["pushers"][1]["operators"]["s2"][
-            "batch"
-        ] = False
+        spec_doc["analytics"]["pushers"][1]["plugin"] = "tester"
         f013 = [
             d for d in analyze_flow(spec_doc) if d.code == "F013"
         ]
-        assert len(f013) == 1 and "batch-disabled" in f013[0].message
+        assert len(f013) == 1 and "no-kernel" in f013[0].message
+
+    def test_batch_key_is_unknown_to_the_config_check(self):
+        from repro.analysis.config import analyze_deployment
+
+        spec_doc = flow_spec(batch=False)
+        w003 = [d for d in analyze_deployment(spec_doc) if d.code == "W003"]
+        assert len(w003) == 1 and "'batch'" in w003[0].message
+        assert w003[0].severity == "error"
 
     def test_report_shows_fused_groups(self):
         from repro.analysis.flow import build_flow_model, render_flow_report
