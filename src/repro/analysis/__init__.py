@@ -59,8 +59,6 @@ __all__ = [
     "sort_key",
     "analyze_deployment",
     "analyze_pipeline_blocks",
-    "analyze_plugin_block",
-    "trees_from_deployment",
     "analyze_flow",
     "build_flow_model",
     "flow_report",
@@ -79,8 +77,6 @@ __all__ = [
 _LAZY = {
     "analyze_deployment": "repro.analysis.config",
     "analyze_pipeline_blocks": "repro.analysis.config",
-    "analyze_plugin_block": "repro.analysis.config",
-    "trees_from_deployment": "repro.analysis.config",
     "analyze_flow": "repro.analysis.flow",
     "build_flow_model": "repro.analysis.flow",
     "flow_report": "repro.analysis.flow",

@@ -5,24 +5,27 @@ thousands of per-component units (Section III-C) — which also means a
 typo in a ``<bottomup-1, filter node>`` pattern, a dangling sensor
 reference or a cycle between operator inputs and outputs is normally
 discovered only at deploy time, deep inside the Operator Manager.  This
-module finds those problems *statically*: it parses every pattern-unit
-expression without instantiating operators, resolves sensor references
-against a sensor tree synthesized from the deployment's cluster and
-monitoring sections, detects inter-operator pipeline cycles and
-duplicate output topics, and reports unit-expansion cardinality per
-operator.
+module finds those problems *statically*.
+
+The structural half — unknown keys, types, ranges, malformed patterns,
+cross-field rules (W001–W007, W016) — is the table walk of
+:mod:`repro.spec`, the same one the builder runs.  What this module
+adds needs a sensor tree: it resolves sensor references against a tree
+synthesized from the deployment's cluster and monitoring sections,
+detects inter-operator pipeline cycles and duplicate output topics, and
+reports unit-expansion cardinality per operator (W008–W014).
 
 Entry points:
 
-- :func:`analyze_plugin_block` — one plugin block, optionally against a
-  sensor tree.
-- :func:`analyze_pipeline_blocks` — an ordered list of blocks sharing a
-  host: adds cross-operator rules (duplicate outputs W011, cycles W012)
-  and makes earlier blocks' declared outputs visible to later blocks,
-  mirroring staged pipeline deployment.
+- :func:`analyze_pipeline_blocks` — an ordered list of plugin blocks
+  sharing a host, optionally against a sensor tree: earlier blocks'
+  declared outputs are visible to later blocks, mirroring staged
+  pipeline deployment, and the cross-operator rules (duplicate outputs
+  W011, cycles W012) run over the whole list.
 - :func:`analyze_deployment` — a whole ``repro.deploy`` specification:
-  validates every section and runs the pipeline analysis per analytics
-  host context against the synthesized trees.
+  walks it, resolves it once (:func:`resolve_deployment`) and runs the
+  pipeline analysis per analytics host context against the resolved
+  trees; the flow pass, when asked for, reuses the same resolution.
 
 All findings are :class:`~repro.analysis.diagnostics.Diagnostic`
 records; rule codes are documented in ``docs/STATIC_ANALYSIS.md``.
@@ -30,57 +33,36 @@ records; rule codes are documented in ``docs/STATIC_ANALYSIS.md``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector
-from repro.common.errors import ConfigError, TopicError
-from repro.core.configurator import collect_block_diagnostics
+from repro.common.errors import TopicError
 from repro.core.operator import JobOperatorBase
 from repro.core.pattern import PatternExpression
-from repro.core.registry import available_plugins, get_plugin_class
+from repro.core.pipeline import (
+    ResolvedPipeline,
+    add_topic,
+    replicate_topic,
+    resolve_pipeline,
+)
+from repro.core.registry import get_plugin_class
 from repro.core.tree import SensorTree
+from repro.dcdb.plugins import MONITORING_PLUGINS
+from repro.simulator.cluster import ClusterTopology
+from repro.simulator.facility import FACILITY_SENSOR_UNITS
+from repro.spec import (
+    PLUGIN_BLOCK,
+    check_plugin_name,
+    cluster_spec,
+    read_deployment,
+)
 
 #: Default cardinality threshold: a single operator expanding to more
 #: units than this draws a W014 warning (Section III-C scale is the
 #: point, but six-figure unit sets deserve a deliberate decision).
 DEFAULT_MAX_UNITS = 10_000
-
-_DEPLOYMENT_SECTIONS = frozenset(
-    {"cluster", "monitoring", "jobs", "facility", "analytics", "network",
-     "storage",
-     # "ignore" suppresses flow (F) diagnostics by code — the JSON
-     # counterpart of the inline "# wintermute: ignore[...]" marker.
-     "ignore"}
-)
-_CLUSTER_KEYS = frozenset(
-    {"nodes", "cpus", "seed", "anomalies", "racks", "chassis_per_rack",
-     "nodes_per_chassis", "preset", "total_nodes"}
-)
-_MONITORING_KEYS = frozenset(
-    {"plugins", "perfevent_counters", "interval_ms", "cache_window_s",
-     "tester_sensors"}
-)
-_FACILITY_KEYS = frozenset({"enabled", "setpoint_c", "interval_s"})
-_NETWORK_KEYS = frozenset(
-    {"latency_ms", "jitter_ms", "drop_probability", "seed", "outages",
-     "spill", "ingest"}
-)
-_OUTAGE_KEYS = frozenset({"start_s", "end_s", "destinations"})
-_SPILL_KEYS = frozenset(
-    {"capacity", "policy", "retry_base_ms", "retry_max_ms", "seed"}
-)
-_INGEST_KEYS = frozenset({"queue_capacity", "policy"})
-_QUEUE_POLICIES = ("drop-oldest", "drop-newest")
-_JOB_KEYS = frozenset(
-    {"app", "nodes", "node_paths", "start_s", "end_s", "id"}
-)
-_STORAGE_KEYS = frozenset(
-    {"tiers", "dir", "flush_mb", "flush_interval_s", "ttl_s", "rollups",
-     "retention"}
-)
-_ROLLUP_KEYS = frozenset({"after_s", "minute_after_s"})
-_RETENTION_KEYS = frozenset({"raw_s", "rollup_s"})
-_STORAGE_TIER_MODES = ("memory", "tiered")
 
 
 # ----------------------------------------------------------------------
@@ -88,28 +70,16 @@ _STORAGE_TIER_MODES = ("memory", "tiered")
 # ----------------------------------------------------------------------
 
 class _OperatorView:
-    """Pre-parsed expressions of one operator block (analysis-side)."""
+    """Parsed expressions of one operator's typed view (analysis-side)."""
 
     def __init__(self, block_index: int, plugin: str, name: str,
-                 block: dict) -> None:
+                 view: SimpleNamespace) -> None:
         self.block_index = block_index
         self.plugin = plugin
         self.name = name
-        self.relaxed = bool(block.get("relaxed", False))
-        self.inputs: List[PatternExpression] = []
-        self.outputs: List[PatternExpression] = []
-        for key, target in (("inputs", self.inputs), ("outputs", self.outputs)):
-            value = block.get(key)
-            if not isinstance(value, list):
-                continue
-            for text in value:
-                if not isinstance(text, str):
-                    continue
-                try:
-                    target.append(PatternExpression.parse(text))
-                except ConfigError:
-                    pass  # already reported as W006 by the configurator
-
+        self.relaxed = view.relaxed
+        self.inputs = [PatternExpression.parse(t) for t in view.inputs]
+        self.outputs = [PatternExpression.parse(t) for t in view.outputs]
         cls = get_plugin_class(plugin)
         self.is_job_plugin = isinstance(cls, type) and issubclass(
             cls, JobOperatorBase
@@ -149,55 +119,25 @@ def _level_key(expr: PatternExpression, tree: Optional[SensorTree],
 # Single-block analysis
 # ----------------------------------------------------------------------
 
-def analyze_plugin_block(
-    block: dict,
-    tree: Optional[SensorTree] = None,
-    known_plugins: Optional[Sequence[str]] = None,
-    collector: Optional[DiagnosticCollector] = None,
-    max_units: int = DEFAULT_MAX_UNITS,
-    block_index: int = 0,
-) -> List[Diagnostic]:
-    """Analyze one plugin configuration block.
-
-    Structural validation (unknown keys, time spellings, malformed
-    patterns) is delegated to the configurator's collector so the static
-    and runtime paths agree; this function layers plugin-name checks and
-    — when ``tree`` is given — sensor-reference resolution and
-    cardinality reporting on top.
-    """
-    out = collector if collector is not None else DiagnosticCollector()
-    start = len(out.sink)
-    collect_block_diagnostics(block, out)
-    if not isinstance(block, dict):
-        return out.sink[start:]
-    plugin = block.get("plugin")
-    known = set(available_plugins()) | set(known_plugins or ())
-    if isinstance(plugin, str) and plugin not in known:
-        out.at("plugin").error(
-            "W001",
-            f"unknown operator plugin {plugin!r}; registered: {sorted(known)}",
-        )
-    operators = block.get("operators")
-    if not isinstance(operators, dict) or not isinstance(plugin, str):
-        return out.sink[start:]
-    for name, op_block in operators.items():
-        if not isinstance(op_block, dict):
-            continue
-        view = _OperatorView(block_index, plugin, name, op_block)
-        _analyze_operator(view, tree, out.at("operators", name), max_units)
-    return out.sink[start:]
+def _operator_views(block_index: int, block) -> List[_OperatorView]:
+    """The operators of one plugin block's typed view (none when the
+    block does not name its plugin)."""
+    if block.plugin is None:
+        return []
+    return [
+        _OperatorView(block_index, block.plugin, name, view)
+        for name, view in block.operators.items()
+    ]
 
 
 def _analyze_operator(
     view: _OperatorView,
-    tree: Optional[SensorTree],
+    tree: SensorTree,
     out: DiagnosticCollector,
     max_units: int,
 ) -> None:
-    """Resolution-level checks for one operator (tree may be None)."""
+    """Resolution-level checks for one operator."""
     unit_expr = view.unit_expr()
-    if tree is None:
-        return
     unit_domain = None
     if unit_expr is not None and not view.is_job_plugin:
         try:
@@ -313,32 +253,37 @@ def analyze_pipeline_blocks(
     """
     out = collector if collector is not None else DiagnosticCollector()
     start = len(out.sink)
+    views = [PLUGIN_BLOCK.read(b, out.at(i)) for i, b in enumerate(blocks)]
+    for i, view in enumerate(views):
+        check_plugin_name(view, out.at(i), known_plugins or ())
+    _analyze_pipeline(views, tree, out, max_units)
+    return out.sink[start:]
+
+
+def _analyze_pipeline(
+    blocks: Sequence[SimpleNamespace],
+    tree: Optional[SensorTree],
+    out: DiagnosticCollector,
+    max_units: int,
+) -> None:
+    """The tree rules (W008–W014) over the typed views of one host's
+    plugin blocks; the structural findings are already reported."""
     work_tree = _copy_tree(tree) if tree is not None else None
     views: List[_OperatorView] = []
     for i, block in enumerate(blocks):
-        block_out = out.at(i)
-        analyze_plugin_block(
-            block, work_tree, known_plugins, block_out,
-            max_units=max_units, block_index=i,
-        )
-        if not isinstance(block, dict):
-            continue
-        plugin = block.get("plugin")
-        operators = block.get("operators")
-        if not isinstance(plugin, str) or not isinstance(operators, dict):
-            continue
-        block_views = [
-            _OperatorView(i, plugin, name, op_block)
-            for name, op_block in operators.items()
-            if isinstance(op_block, dict)
-        ]
+        block_views = _operator_views(i, block)
         views.extend(block_views)
         if work_tree is not None:
+            # A block's operators do not see each other's outputs.
+            for view in block_views:
+                _analyze_operator(
+                    view, work_tree, out.at(i, "operators", view.name),
+                    max_units,
+                )
             for view in block_views:
                 _materialize_outputs(view, work_tree)
     _check_duplicate_outputs(views, work_tree, out)
     _check_cycles(views, work_tree, out)
-    return out.sink[start:]
 
 
 def _copy_tree(tree: SensorTree) -> SensorTree:
@@ -367,10 +312,7 @@ def _materialize_outputs(view: _OperatorView, tree: SensorTree) -> None:
                 f"/{expr.sensor}" if node.path == "/"
                 else f"{node.path.rstrip('/')}/{expr.sensor}"
             )
-            try:
-                tree.add_sensor(topic)
-            except TopicError:
-                pass  # name collides with a component; resolution rules apply
+            add_topic(tree, topic)
 
 
 def _output_keys(view: _OperatorView, tree: Optional[SensorTree]):
@@ -499,287 +441,72 @@ def _check_cycles(
 # Deployment specs
 # ----------------------------------------------------------------------
 
-def trees_from_deployment(spec: dict) -> Tuple[SensorTree, SensorTree]:
-    """Synthesize (agent_tree, pusher_tree) from a deployment spec.
-
-    The agent tree holds every sensor topic the monitoring configuration
-    would produce cluster-wide (plus facility sensors); the pusher tree
-    holds one representative node's topics — the view a per-node
-    analytics manager resolves its pattern units against.  Nothing is
-    instantiated beyond the cluster topology.
-    """
-    from repro.deploy import cluster_spec_from_block
-    from repro.simulator.cluster import ClusterTopology
-    from repro.simulator.engine import CPU_COUNTERS
-    from repro.dcdb.plugins.opa import SENSOR_NAMES as OPA_NAMES
-    from repro.dcdb.plugins.procfs import SENSOR_NAMES as PROCFS_NAMES
-    from repro.dcdb.plugins.sysfs import SENSOR_NAMES as SYSFS_NAMES
-
-    cluster = spec.get("cluster", {})
-    monitoring = spec.get("monitoring", {})
-    plugins = list(monitoring.get("plugins", ("sysfs",)))
-    counters = monitoring.get("perfevent_counters") or list(CPU_COUNTERS)
-    tester_sensors = monitoring.get("tester_sensors", 100)
-    topology = ClusterTopology(cluster_spec_from_block(cluster))
+def _synthesize_trees(
+    view: SimpleNamespace, topology: ClusterTopology
+) -> Tuple[SensorTree, SensorTree]:
+    """(agent_tree, pusher_tree) of a deployment's typed view."""
+    monitoring = view.monitoring
 
     def node_topics(node: str) -> List[str]:
         topics: List[str] = []
-        if "sysfs" in plugins:
-            topics += [f"{node}/{n}" for n in SYSFS_NAMES]
-        if "procfs" in plugins:
-            topics += [f"{node}/{n}" for n in PROCFS_NAMES]
-        if "opa" in plugins:
-            topics += [f"{node}/{n}" for n in OPA_NAMES]
-        if "perfevent" in plugins:
-            cpus = topology.cpus_of_node.get(node, [])
-            topics += [f"{cpu}/{c}" for cpu in cpus for c in counters]
-        if "tester" in plugins:
-            topics += [
-                f"{node}/tester{i:04d}" for i in range(int(tester_sensors))
-            ]
+        for name, plugin in MONITORING_PLUGINS.items():
+            if name in monitoring.plugins:
+                roots = topology.cpus_of_node[node] if plugin.PER_CPU else [node]
+                topics += [
+                    f"{root}/{sensor}" for root in roots
+                    for sensor in plugin.static_sensors(monitoring)
+                ]
         return topics
 
-    agent_topics: List[str] = []
-    for node in topology.node_paths:
-        agent_topics.extend(node_topics(node))
-    if spec.get("facility", {}).get("enabled"):
-        from repro.simulator.facility import FACILITY_SENSOR_NAMES
-
-        agent_topics.extend(
-            f"/facility/cooling/{n}" for n in FACILITY_SENSOR_NAMES
-        )
-    pusher_topics = (
-        node_topics(topology.node_paths[0]) if topology.node_paths else []
-    )
+    agent_topics = [
+        topic for node in topology.node_paths for topic in node_topics(node)
+    ]
+    if view.facility.enabled:
+        agent_topics += [
+            f"/facility/cooling/{name}" for name in FACILITY_SENSOR_UNITS
+        ]
     return (
         SensorTree.from_topics(agent_topics),
-        SensorTree.from_topics(pusher_topics),
+        SensorTree.from_topics(node_topics(topology.node_paths[0])),
     )
 
 
-def _positive_number(value) -> bool:
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and value > 0
+@dataclass
+class ResolvedDeployment:
+    """One static resolution of a deployment spec: what the tree rules
+    and the flow pass both work from, computed once per check."""
+
+    view: SimpleNamespace
+    node_paths: List[str]
+    #: One representative node's monitoring sensors — what a Pusher's
+    #: analytics manager resolves against.
+    pusher_tree: SensorTree
+    #: Every node's sensors, the facility's, and the Pushers' operator
+    #: outputs on every node — what the Collect Agent's manager sees.
+    agent_tree: SensorTree
+    #: The Pusher blocks resolved against ``pusher_tree``.
+    pushers: ResolvedPipeline
+    #: Pusher operator output topic -> its topics across the fleet.
+    replicated: Dict[str, List[str]]
+
+
+def resolve_deployment(view: SimpleNamespace) -> ResolvedDeployment:
+    """Resolve a deployment's typed view without instantiating it."""
+    nodes = ClusterTopology(cluster_spec(view.cluster))
+    agent_tree, pusher_tree = _synthesize_trees(view, nodes)
+    pushers = resolve_pipeline(view.analytics.pushers, pusher_tree, "pushers")
+    # Pusher pipelines resolve against one representative node; at run
+    # time every node runs them, so each output exists once per node.
+    replicated = {
+        topic: replicate_topic(topic, nodes.node_paths[0], nodes.node_paths)
+        for op in pushers.operators for topic in op.output_topics()
+    }
+    for topics in replicated.values():
+        for topic in topics:
+            add_topic(agent_tree, topic)
+    return ResolvedDeployment(
+        view, nodes.node_paths, pusher_tree, agent_tree, pushers, replicated
     )
-
-
-def _analyze_network(network, out: DiagnosticCollector) -> None:
-    """Validate a deployment's ``network`` (resilience) section."""
-    if network is None:
-        return
-    net_out = out.at("network")
-    if not isinstance(network, dict):
-        net_out.error("W005", "'network' must be a mapping")
-        return
-    for key in sorted(set(network) - _NETWORK_KEYS):
-        net_out.at(key).warning("W003", f"unknown network key {key!r}")
-    latency = network.get("latency_ms", 0)
-    jitter = network.get("jitter_ms", 0)
-    for key, value in (("latency_ms", latency), ("jitter_ms", jitter)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-            net_out.at(key).error(
-                "W016", f"network {key} must be a non-negative number"
-            )
-            return
-    if jitter > latency:
-        net_out.at("jitter_ms").error(
-            "W016", "network jitter_ms cannot exceed latency_ms"
-        )
-    drop = network.get("drop_probability", 0.0)
-    if isinstance(drop, bool) or not isinstance(drop, (int, float)) or not (
-        0.0 <= drop < 1.0
-    ):
-        net_out.at("drop_probability").error(
-            "W016", "network drop_probability must be in [0, 1)"
-        )
-    outages = network.get("outages", [])
-    if not isinstance(outages, list):
-        net_out.at("outages").error("W005", "network outages must be a list")
-        outages = []
-    for i, outage in enumerate(outages):
-        o_out = net_out.at("outages", i)
-        if not isinstance(outage, dict):
-            o_out.error("W005", "outage entry must be a mapping")
-            continue
-        for key in sorted(set(outage) - _OUTAGE_KEYS):
-            o_out.at(key).warning("W003", f"unknown outage key {key!r}")
-        start_s, end_s = outage.get("start_s"), outage.get("end_s")
-        if start_s is None or end_s is None:
-            o_out.error("W016", "outage entries need start_s and end_s")
-        elif not isinstance(start_s, (int, float)) or not isinstance(
-            end_s, (int, float)
-        ) or end_s <= start_s:
-            o_out.error("W016", "outage must end after it starts")
-        destinations = outage.get("destinations")
-        if destinations is not None and (
-            not isinstance(destinations, list)
-            or not destinations
-            or not all(isinstance(d, str) for d in destinations)
-        ):
-            o_out.at("destinations").error(
-                "W016",
-                "outage destinations must be a non-empty list of "
-                "topic prefixes",
-            )
-    spill = network.get("spill", {})
-    if not isinstance(spill, dict):
-        net_out.at("spill").error("W005", "network spill must be a mapping")
-        spill = {}
-    for key in sorted(set(spill) - _SPILL_KEYS):
-        net_out.at("spill", key).warning(
-            "W003", f"unknown spill key {key!r}"
-        )
-    capacity = spill.get("capacity")
-    if capacity is not None and (
-        isinstance(capacity, bool)
-        or not isinstance(capacity, int)
-        or capacity < 1
-    ):
-        net_out.at("spill", "capacity").error(
-            "W016", "spill capacity must be an integer >= 1"
-        )
-    if "policy" in spill and spill["policy"] not in _QUEUE_POLICIES:
-        net_out.at("spill", "policy").error(
-            "W016", f"spill policy must be one of {list(_QUEUE_POLICIES)}"
-        )
-    for key in ("retry_base_ms", "retry_max_ms"):
-        if key in spill and not _positive_number(spill[key]):
-            net_out.at("spill", key).error(
-                "W016", f"spill {key} must be a positive number"
-            )
-    if (
-        _positive_number(spill.get("retry_base_ms"))
-        and _positive_number(spill.get("retry_max_ms"))
-        and spill["retry_base_ms"] > spill["retry_max_ms"]
-    ):
-        net_out.at("spill", "retry_base_ms").error(
-            "W016", "spill retry_base_ms cannot exceed retry_max_ms"
-        )
-    ingest = network.get("ingest", {})
-    if not isinstance(ingest, dict):
-        net_out.at("ingest").error("W005", "network ingest must be a mapping")
-        ingest = {}
-    for key in sorted(set(ingest) - _INGEST_KEYS):
-        net_out.at("ingest", key).warning(
-            "W003", f"unknown ingest key {key!r}"
-        )
-    queue_capacity = ingest.get("queue_capacity")
-    if queue_capacity is not None and (
-        isinstance(queue_capacity, bool)
-        or not isinstance(queue_capacity, int)
-        or queue_capacity < 1
-    ):
-        net_out.at("ingest", "queue_capacity").error(
-            "W016", "ingest queue_capacity must be an integer >= 1"
-        )
-    if "policy" in ingest and ingest["policy"] not in _QUEUE_POLICIES:
-        net_out.at("ingest", "policy").error(
-            "W016", f"ingest policy must be one of {list(_QUEUE_POLICIES)}"
-        )
-
-
-def _analyze_storage(storage, out: DiagnosticCollector) -> None:
-    """Validate a deployment's ``storage`` (tiered persistence) section."""
-    if storage is None:
-        return
-    st_out = out.at("storage")
-    if not isinstance(storage, dict):
-        st_out.error("W005", "'storage' must be a mapping")
-        return
-    for key in sorted(set(storage) - _STORAGE_KEYS):
-        st_out.at(key).warning("W003", f"unknown storage key {key!r}")
-    tiers = storage.get("tiers", "memory")
-    if tiers not in _STORAGE_TIER_MODES:
-        st_out.at("tiers").error(
-            "W016",
-            f"storage tiers must be one of {list(_STORAGE_TIER_MODES)}",
-        )
-    directory = storage.get("dir")
-    if directory is not None and (
-        not isinstance(directory, str) or not directory
-    ):
-        st_out.at("dir").error(
-            "W016", "storage dir must be a non-empty path string"
-        )
-    for key in ("flush_mb", "flush_interval_s"):
-        if key in storage and not _positive_number(storage[key]):
-            st_out.at(key).error(
-                "W016", f"storage {key} must be a positive number"
-            )
-    ttl_s = storage.get("ttl_s", 0)
-    if isinstance(ttl_s, bool) or not isinstance(ttl_s, (int, float)) or (
-        ttl_s < 0
-    ):
-        st_out.at("ttl_s").error(
-            "W016", "storage ttl_s must be a non-negative number"
-        )
-    for section, keys in (
-        ("rollups", _ROLLUP_KEYS), ("retention", _RETENTION_KEYS)
-    ):
-        block = storage.get(section, {})
-        if not isinstance(block, dict):
-            st_out.at(section).error(
-                "W005", f"storage {section} must be a mapping"
-            )
-            continue
-        for key in sorted(set(block) - keys):
-            st_out.at(section, key).warning(
-                "W003", f"unknown {section} key {key!r}"
-            )
-        for key in sorted(set(block) & keys):
-            value = block[key]
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ) or value < 0:
-                st_out.at(section, key).error(
-                    "W016",
-                    f"storage {section}.{key} must be a non-negative "
-                    "number of seconds",
-                )
-    rollups = storage.get("rollups", {})
-    retention = storage.get("retention", {})
-    if not isinstance(rollups, dict):
-        rollups = {}
-    if not isinstance(retention, dict):
-        retention = {}
-    after = rollups.get("after_s", 0)
-    minute_after = rollups.get("minute_after_s", 0)
-    if (
-        _positive_number(after)
-        and _positive_number(minute_after)
-        and minute_after <= after
-    ):
-        st_out.at("rollups", "minute_after_s").warning(
-            "W016",
-            "minute_after_s should exceed after_s — 1-minute compaction "
-            "would chase the 10s rollup immediately",
-        )
-    raw_retention = retention.get("raw_s", 0)
-    if (
-        _positive_number(raw_retention)
-        and _positive_number(after)
-        and raw_retention <= after
-    ):
-        st_out.at("retention", "raw_s").warning(
-            "W016",
-            "retention raw_s <= rollups after_s: raw segments expire "
-            "before they can roll up, losing history the rollup tier "
-            "was meant to keep",
-        )
-    if tiers == "memory":
-        for key in ("dir", "flush_mb", "flush_interval_s"):
-            if key in storage:
-                st_out.at(key).warning(
-                    "W003",
-                    f"storage {key} has no effect with tiers='memory'",
-                )
-        if rollups or retention:
-            st_out.at("rollups" if rollups else "retention").warning(
-                "W003",
-                "rollups/retention have no effect with tiers='memory'",
-            )
 
 
 def analyze_deployment(
@@ -790,176 +517,33 @@ def analyze_deployment(
     flow: bool = False,
     flow_memory_budget_mb: Optional[float] = None,
 ) -> List[Diagnostic]:
-    """Analyze a whole deployment specification (see :mod:`repro.deploy`).
+    """Analyze a whole deployment specification (see :mod:`repro.spec`).
 
     With ``flow=True`` the dataflow pass (:mod:`repro.analysis.flow`,
-    F rules) runs after the structural rules, reusing the sensor trees
-    synthesized here instead of rebuilding them.
+    F rules) runs after the W rules, on the same resolution.
     """
-    from repro.deploy import _MONITORING_PLUGINS
-    from repro.simulator.engine import CPU_COUNTERS
-    from repro.simulator.workload import APP_PROFILES
-
     out = collector if collector is not None else DiagnosticCollector()
     start = len(out.sink)
-    if not isinstance(spec, dict):
-        out.error("W005", "deployment spec must be a mapping")
+    view = read_deployment(spec, out, known_plugins or ())
+    if view is None:
         return out.sink[start:]
-    for key in sorted(set(spec) - _DEPLOYMENT_SECTIONS):
-        out.at(key).error(
-            "W003",
-            f"unknown deployment section {key!r} "
-            f"(expected {sorted(_DEPLOYMENT_SECTIONS)})",
-        )
-    if "cluster" not in spec:
-        out.error("W016", "deployment spec needs a 'cluster' section")
-        return out.sink[start:]
-
-    cluster = spec.get("cluster")
-    if not isinstance(cluster, dict):
-        out.at("cluster").error("W005", "'cluster' must be a mapping")
-        cluster = {}
-    for key in sorted(set(cluster) - _CLUSTER_KEYS):
-        out.at("cluster", key).warning(
-            "W003", f"unknown cluster key {key!r}"
-        )
-    preset = cluster.get("preset")
-    if preset is not None and preset != "coolmuc3":
-        out.at("cluster", "preset").error(
-            "W016", f"unknown cluster preset {preset!r} (known: coolmuc3)"
-        )
-    for key in ("nodes", "cpus", "racks"):
-        value = cluster.get(key)
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, int) or value < 1
-        ):
-            out.at("cluster", key).error(
-                "W016", f"cluster {key} must be a positive integer"
-            )
-
-    monitoring = spec.get("monitoring", {})
-    if not isinstance(monitoring, dict):
-        out.at("monitoring").error("W005", "'monitoring' must be a mapping")
-        monitoring = {}
-    for key in sorted(set(monitoring) - _MONITORING_KEYS):
-        out.at("monitoring", key).warning(
-            "W003", f"unknown monitoring key {key!r}"
-        )
-    plugins = monitoring.get("plugins", ())
-    unknown_monitoring = set(plugins) - set(_MONITORING_PLUGINS)
-    if unknown_monitoring:
-        out.at("monitoring", "plugins").error(
-            "W016",
-            f"unknown monitoring plugins {sorted(unknown_monitoring)} "
-            f"(available: {sorted(_MONITORING_PLUGINS)})",
-        )
-    counters = monitoring.get("perfevent_counters") or ()
-    unknown_counters = set(counters) - set(CPU_COUNTERS)
-    if unknown_counters:
-        out.at("monitoring", "perfevent_counters").error(
-            "W016",
-            f"unknown perfevent counters {sorted(unknown_counters)} "
-            f"(available: {sorted(CPU_COUNTERS)})",
-        )
-    interval = monitoring.get("interval_ms")
-    if interval is not None and (
-        isinstance(interval, bool)
-        or not isinstance(interval, (int, float))
-        or interval <= 0
+    resolved = resolve_deployment(view)
+    for context, tree in (
+        ("pushers", resolved.pusher_tree), ("agent", resolved.agent_tree)
     ):
-        out.at("monitoring", "interval_ms").error(
-            "W016", "monitoring interval_ms must be a positive number"
-        )
-
-    facility = spec.get("facility", {})
-    if isinstance(facility, dict):
-        for key in sorted(set(facility) - _FACILITY_KEYS):
-            out.at("facility", key).warning(
-                "W003", f"unknown facility key {key!r}"
-            )
-
-    _analyze_network(spec.get("network"), out)
-    _analyze_storage(spec.get("storage"), out)
-
-    # Synthesized sensor space (skipped when the cluster section is
-    # malformed enough that topology construction fails).
-    agent_tree = pusher_tree = None
-    try:
-        agent_tree, pusher_tree = trees_from_deployment(spec)
-    except Exception as exc:
-        out.at("cluster").error(
-            "W016", f"cannot synthesize the sensor space: {exc}"
-        )
-
-    jobs = spec.get("jobs", [])
-    if not isinstance(jobs, list):
-        out.at("jobs").error("W005", "'jobs' must be a list")
-        jobs = []
-    node_paths = set()
-    if agent_tree is not None:
-        node_paths = {
-            n.path
-            for n in agent_tree.root.iter_subtree()
-            if n.sensors and n.path != "/"
-        }
-    for i, job in enumerate(jobs):
-        job_out = out.at("jobs", i)
-        if not isinstance(job, dict):
-            job_out.error("W005", "job entry must be a mapping")
-            continue
-        for key in sorted(set(job) - _JOB_KEYS):
-            job_out.at(key).warning("W003", f"unknown job key {key!r}")
-        app = job.get("app")
-        if app is None:
-            job_out.error("W016", "job entry needs an 'app'")
-        elif not isinstance(app, str) or app.lower() not in APP_PROFILES:
-            job_out.at("app").error(
-                "W016",
-                f"unknown application profile {app!r} "
-                f"(known: {sorted(APP_PROFILES)})",
-            )
-        if "end_s" not in job:
-            job_out.error("W016", "job entry needs an 'end_s'")
-        for path in job.get("node_paths", ()):
-            if node_paths and path not in node_paths:
-                job_out.at("node_paths").error(
-                    "W016", f"job names unknown node path {path!r}"
-                )
-
-    analytics = spec.get("analytics", {})
-    if not isinstance(analytics, dict):
-        out.at("analytics").error("W005", "'analytics' must be a mapping")
-        return out.sink[start:]
-    for key in sorted(set(analytics) - {"pushers", "agent"}):
-        out.at("analytics", key).error(
-            "W003",
-            f"unknown analytics host context {key!r} "
-            f"(expected 'pushers' and/or 'agent')",
-        )
-    for context, tree in (("pushers", pusher_tree), ("agent", agent_tree)):
-        blocks = analytics.get(context, [])
-        if not isinstance(blocks, list):
-            out.at("analytics", context).error(
-                "W005", f"analytics.{context} must be a list of plugin blocks"
-            )
-            continue
-        analyze_pipeline_blocks(
-            blocks, tree, known_plugins,
-            out.at("analytics", context), max_units=max_units,
+        _analyze_pipeline(
+            getattr(view.analytics, context), tree,
+            out.at("analytics", context), max_units,
         )
     if flow:
-        from repro.analysis.flow import DEFAULT_MEMORY_BUDGET_MB, analyze_flow
+        from repro.analysis.flow import DEFAULT_MEMORY_BUDGET_MB, build_flow_model
 
-        analyze_flow(
+        build_flow_model(
             spec, out,
             memory_budget_mb=(
                 flow_memory_budget_mb if flow_memory_budget_mb is not None
                 else DEFAULT_MEMORY_BUDGET_MB
             ),
-            trees=(
-                (agent_tree, pusher_tree)
-                if agent_tree is not None and pusher_tree is not None
-                else None
-            ),
+            resolved=resolved,
         )
     return out.sink[start:]

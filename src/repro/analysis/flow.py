@@ -51,12 +51,18 @@ F013  info      fusable operator chain blocked from fusing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.config import ResolvedDeployment, resolve_deployment
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC
+from repro.core.pipeline import resolve_pipeline
+from repro.core.registry import get_plugin_class
+from repro.dcdb.plugins import MONITORING_PLUGINS
+from repro.simulator.facility import FACILITY_SENSOR_UNITS
+from repro.spec import read_deployment
 
 #: Default per-host cache memory budget (F008), in MiB.
 DEFAULT_MEMORY_BUDGET_MB = 1024
@@ -117,15 +123,18 @@ class FlowModel:
     operators: List[OperatorFlowView] = field(default_factory=list)
     #: host label -> estimated cache footprint in bytes.
     host_memory: Dict[str, int] = field(default_factory=dict)
-    monitoring_interval_ns: int = NS_PER_SEC
-    cache_window_ns: int = 180 * NS_PER_SEC
+    #: ``monitoring.interval_ms`` / ``cache_window_s`` of the spec.
+    monitoring_interval_ns: int = 0
+    cache_window_ns: int = 0
     n_base_topics: int = 0
     n_pushers: int = 0
     #: Worst scheduled outage in ns (0 = none).
     worst_outage_ns: int = 0
     #: Per-pusher MQTT publish rate in readings/second.
     publish_rate_hz: float = 0.0
-    spill_capacity: int = 8192
+    #: ``network.spill.capacity`` / ``network.ingest.queue_capacity``
+    #: (None: no ``network`` section / an unbounded queue).
+    spill_capacity: Optional[int] = None
     ingest_queue_capacity: Optional[int] = None
     memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB
     #: Storage tiering mode from the spec's ``storage`` section
@@ -142,6 +151,8 @@ class FlowModel:
     fusion_blocked: List[Tuple[str, str, str, str]] = field(
         default_factory=list
     )
+    #: F codes the spec's ``ignore`` list suppresses.
+    ignore: FrozenSet[str] = frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -178,62 +189,27 @@ def _sensor_name(topic: str) -> str:
 # Base facts: the monitoring layer
 # ----------------------------------------------------------------------
 
-def _monitoring_unit_table(plugins: Sequence[str], counters) -> Dict[str, str]:
-    """sensor-name -> physical unit for the enabled monitoring plugins."""
-    table: Dict[str, str] = {}
-    if "sysfs" in plugins:
-        from repro.dcdb.plugins.sysfs import SENSOR_UNITS
-
-        table.update(SENSOR_UNITS)
-    if "procfs" in plugins:
-        from repro.dcdb.plugins.procfs import SENSOR_UNITS
-
-        table.update(SENSOR_UNITS)
-    if "opa" in plugins:
-        from repro.dcdb.plugins.opa import SENSOR_UNITS
-
-        table.update(SENSOR_UNITS)
-    if "perfevent" in plugins:
-        table.update({c: "#" for c in counters})
-    # tester sensors stay unknown: they carry synthetic values.
-    return table
-
-
-def _base_facts(
-    spec: dict, agent_tree, model: FlowModel
-) -> Dict[str, FlowFact]:
+def _base_facts(resolved: ResolvedDeployment) -> Dict[str, FlowFact]:
     """One fact per monitoring/facility sensor topic."""
-    from repro.simulator.engine import CPU_COUNTERS
-    from repro.simulator.facility import FACILITY_SENSOR_UNITS
-
-    monitoring = spec.get("monitoring", {})
-    if not isinstance(monitoring, dict):
-        monitoring = {}
-    plugins = monitoring.get("plugins", ("sysfs",))
-    if not isinstance(plugins, (list, tuple)):
-        plugins = ("sysfs",)
-    counters = monitoring.get("perfevent_counters") or list(CPU_COUNTERS)
-    units = _monitoring_unit_table(plugins, counters)
-
-    facility = spec.get("facility", {})
-    if not isinstance(facility, dict):
-        facility = {}
-    facility_interval = facility.get("interval_s", 10)
-    if not isinstance(facility_interval, (int, float)) or facility_interval <= 0:
-        facility_interval = 10
-    facility_period_ns = int(facility_interval * NS_PER_SEC)
-
+    view = resolved.view
+    units: Dict[str, str] = {}
+    for name in view.monitoring.plugins:
+        units.update(MONITORING_PLUGINS[name].static_sensors(view.monitoring))
+    # The agent's tree also holds the Pushers' operator outputs.
+    derived = {t for topics in resolved.replicated.values() for t in topics}
     facts: Dict[str, FlowFact] = {}
-    for topic in agent_tree.all_sensor_topics():
+    for topic in resolved.agent_tree.all_sensor_topics():
+        if topic in derived:
+            continue
         name = _sensor_name(topic)
         if topic.startswith("/facility/"):
             facts[topic] = FlowFact(
-                topic, facility_period_ns,
+                topic, view.facility.interval_ns,
                 FACILITY_SENSOR_UNITS.get(name, _UNKNOWN), "monitoring",
             )
         else:
             facts[topic] = FlowFact(
-                topic, model.monitoring_interval_ns,
+                topic, view.monitoring.interval_ns,
                 units.get(name, _UNKNOWN), "monitoring",
             )
     return facts
@@ -245,8 +221,6 @@ def _base_facts(
 
 def _transforms_of(plugin: str, params: dict) -> List[Tuple[str, object]]:
     """Ordered (output-glob, transform) metadata of a plugin, or []."""
-    from repro.core.registry import get_plugin_class
-
     cls = get_plugin_class(plugin)
     if cls is None:
         return []
@@ -517,47 +491,6 @@ def _analyze_fusion(
 
 
 # ----------------------------------------------------------------------
-# Cross-host replication
-# ----------------------------------------------------------------------
-
-def _replicate_pusher_outputs(
-    facts: Dict[str, FlowFact],
-    agent_tree,
-    source_root: str,
-    node_paths: Sequence[str],
-) -> None:
-    """Spread pusher-stage output facts across every node of the fleet.
-
-    Pusher pipelines are resolved against one representative node; at
-    runtime every node runs the same pipeline, so each output topic
-    exists once per node — which is what the agent-side model (and the
-    agent memory estimate) must see.
-    """
-    from repro.common.errors import TopicError
-
-    source = source_root.rstrip("/")
-    pusher_facts = [
-        f for f in facts.values() if f.producer.startswith("pushers/")
-    ]
-    for fact in pusher_facts:
-        if fact.topic.startswith(source + "/"):
-            suffix = fact.topic[len(source):]
-            targets = [f"{n.rstrip('/')}{suffix}" for n in node_paths]
-        else:
-            targets = [fact.topic]  # above the node level: exists as-is
-        for topic in targets:
-            facts.setdefault(
-                topic,
-                FlowFact(topic, fact.period_ns, fact.unit, fact.producer,
-                         fact.first_fire_ns),
-            )
-            try:
-                agent_tree.add_sensor(topic)
-            except TopicError:
-                pass
-
-
-# ----------------------------------------------------------------------
 # Memory and resilience budgets
 # ----------------------------------------------------------------------
 
@@ -595,43 +528,19 @@ def _check_memory(model: FlowModel, out: DiagnosticCollector) -> None:
             )
 
 
-def _network_section(spec: dict) -> dict:
-    network = spec.get("network")
-    return network if isinstance(network, dict) else {}
-
-
-def _worst_outage_ns(network: dict) -> int:
-    worst = 0.0
-    outages = network.get("outages", [])
-    if not isinstance(outages, list):
-        return 0
-    for outage in outages:
-        if not isinstance(outage, dict):
-            continue
-        start, end = outage.get("start_s"), outage.get("end_s")
-        if isinstance(start, (int, float)) and isinstance(end, (int, float)):
-            worst = max(worst, float(end) - float(start))
-    return int(worst * NS_PER_SEC) if worst > 0 else 0
-
-
 def _check_resilience(
-    spec: dict,
+    network,
     pusher_ops,
     model: FlowModel,
     out: DiagnosticCollector,
 ) -> None:
     """F009/F010/F012: outage demand vs spill, breaker and ingest budgets."""
-    network = _network_section(spec)
-    model.worst_outage_ns = _worst_outage_ns(network)
-
-    spill = network.get("spill", {})
-    capacity = spill.get("capacity") if isinstance(spill, dict) else None
-    if isinstance(capacity, int) and not isinstance(capacity, bool) and capacity >= 1:
-        model.spill_capacity = capacity
-    ingest = network.get("ingest", {})
-    queue = ingest.get("queue_capacity") if isinstance(ingest, dict) else None
-    if isinstance(queue, int) and not isinstance(queue, bool) and queue >= 1:
-        model.ingest_queue_capacity = queue
+    if network is not None:
+        model.worst_outage_ns = max(
+            [0] + [o.end_ns - o.start_ns for o in network.outages]
+        )
+        model.spill_capacity = network.spill.capacity
+        model.ingest_queue_capacity = network.ingest.queue_capacity
 
     # Per-pusher publish rate: every monitoring reading, plus every
     # published online operator output.
@@ -699,69 +608,37 @@ def build_flow_model(
     spec: dict,
     collector: Optional[DiagnosticCollector] = None,
     memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
-    trees=None,
+    resolved: Optional[ResolvedDeployment] = None,
 ) -> FlowModel:
     """Propagate dataflow facts through a deployment spec.
 
-    Diagnostics (F001-F012) are recorded into ``collector``; the
+    Diagnostics (F001-F013) are recorded into ``collector``; the
     returned model carries the inferred per-operator plan consumed by
-    :func:`render_flow_report`.  Structurally broken specs yield an
-    empty model — the W rules own reporting those.
+    :func:`render_flow_report`.  The pass reads the typed view of the
+    spec (a malformed value counts as its default — the W rules own
+    reporting it); ``resolved`` hands in the resolution a caller has
+    already made of ``spec``.  A spec that is no mapping yields an
+    empty model.
     """
-    from repro.analysis.config import trees_from_deployment
-    from repro.core.pipeline import resolve_pipeline
-    from repro.deploy import cluster_spec_from_block
-    from repro.simulator.cluster import ClusterTopology
-
     out = collector if collector is not None else DiagnosticCollector()
     model = FlowModel(memory_budget_mb=memory_budget_mb)
-    if not isinstance(spec, dict):
-        return model
-    if trees is not None:
-        agent_tree, pusher_tree = trees
-    else:
-        try:
-            agent_tree, pusher_tree = trees_from_deployment(spec)
-        except Exception:
-            return model  # reported as W016 by the structural analyzer
-
-    monitoring = spec.get("monitoring", {})
-    if not isinstance(monitoring, dict):
-        monitoring = {}
-    interval_ms = monitoring.get("interval_ms", 1000)
-    if isinstance(interval_ms, (int, float)) and not isinstance(
-        interval_ms, bool
-    ) and interval_ms > 0:
-        model.monitoring_interval_ns = int(interval_ms * NS_PER_MS)
-    cache_window_s = monitoring.get("cache_window_s", 180)
-    if isinstance(cache_window_s, (int, float)) and not isinstance(
-        cache_window_s, bool
-    ) and cache_window_s > 0:
-        model.cache_window_ns = int(cache_window_s * NS_PER_SEC)
-
-    try:
-        topology = ClusterTopology(
-            cluster_spec_from_block(spec.get("cluster", {}))
-        )
-        node_paths = list(topology.node_paths)
-    except Exception:
-        node_paths = []
-    model.n_pushers = len(node_paths)
-    model.n_base_topics = pusher_tree.n_sensors
+    if resolved is None:
+        view = read_deployment(spec)
+        if view is None:
+            return model
+        resolved = resolve_deployment(view)
+    view = resolved.view
+    model.ignore = frozenset(view.ignore)
+    model.monitoring_interval_ns = view.monitoring.interval_ns
+    model.cache_window_ns = view.monitoring.cache_window_ns
+    model.n_pushers = len(resolved.node_paths)
+    model.n_base_topics = resolved.pusher_tree.n_sensors
 
     facts = model.facts
-    facts.update(_base_facts(spec, agent_tree, model))
-
-    analytics = spec.get("analytics", {})
-    if not isinstance(analytics, dict):
-        analytics = {}
-
-    def blocks_of(context: str) -> list:
-        blocks = analytics.get(context, [])
-        return blocks if isinstance(blocks, list) else []
+    facts.update(_base_facts(resolved))
 
     # Pusher pipelines resolve against one representative node.
-    pusher_rp = resolve_pipeline(blocks_of("pushers"), pusher_tree, "pushers")
+    pusher_rp = resolved.pushers
     pusher_fused = _analyze_fusion(pusher_rp, "pushers", False, model, out)
     for op in pusher_rp.operators:
         _propagate_operator(
@@ -770,17 +647,16 @@ def build_flow_model(
                    op.name),
             pusher_fused.get(op.name),
         )
-
-    # Their published outputs exist on every node of the agent's view.
-    agent_base = agent_tree
-    if node_paths and pusher_rp.operators:
-        _replicate_pusher_outputs(
-            facts, agent_base, node_paths[0], node_paths
-        )
+    # Their outputs exist on every node of the agent's view.
+    for source, topics in resolved.replicated.items():
+        for topic in topics:
+            facts.setdefault(topic, replace(facts[source], topic=topic))
 
     # The Collect Agent always persists to storage, so its chains can
     # never hide an intermediate from the external subscriber.
-    agent_rp = resolve_pipeline(blocks_of("agent"), agent_base, "agent")
+    agent_rp = resolve_pipeline(
+        view.analytics.agent, resolved.agent_tree, "agent"
+    )
     agent_fused = _analyze_fusion(agent_rp, "agent", True, model, out)
     for op in agent_rp.operators:
         _propagate_operator(
@@ -796,23 +672,15 @@ def build_flow_model(
     model.host_memory["collect agent"] = _estimate_memory(
         agent_rp.tree.all_sensor_topics(), facts, model
     )
-    storage = spec.get("storage")
-    if isinstance(storage, dict) and storage.get("tiers") == "tiered":
-        model.storage_tiers = "tiered"
-        flush_mb = storage.get("flush_mb", 64.0)
-        if (
-            isinstance(flush_mb, (int, float))
-            and not isinstance(flush_mb, bool)
-            and flush_mb > 0
-        ):
-            model.storage_flush_bytes = int(flush_mb * 1024 * 1024)
-            model.host_memory["collect agent"] += model.storage_flush_bytes
-    if model.n_pushers:
-        model.host_memory["pusher (per node)"] = _estimate_memory(
-            pusher_rp.tree.all_sensor_topics(), facts, model
-        )
+    model.storage_tiers = view.storage.tiers
+    if model.storage_tiers == "tiered":
+        model.storage_flush_bytes = view.storage.flush_bytes
+        model.host_memory["collect agent"] += model.storage_flush_bytes
+    model.host_memory["pusher (per node)"] = _estimate_memory(
+        pusher_rp.tree.all_sensor_topics(), facts, model
+    )
     _check_memory(model, out)
-    _check_resilience(spec, pusher_rp.operators, model, out)
+    _check_resilience(view.network, pusher_rp.operators, model, out)
     return model
 
 
@@ -820,14 +688,11 @@ def analyze_flow(
     spec: dict,
     collector: Optional[DiagnosticCollector] = None,
     memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
-    trees=None,
 ) -> List[Diagnostic]:
-    """Run the dataflow pass over a deployment spec (F001-F012)."""
+    """Run the dataflow pass over a deployment spec (F001-F013)."""
     out = collector if collector is not None else DiagnosticCollector()
     start = len(out.sink)
-    build_flow_model(
-        spec, out, memory_budget_mb=memory_budget_mb, trees=trees
-    )
+    build_flow_model(spec, out, memory_budget_mb=memory_budget_mb)
     return out.sink[start:]
 
 

@@ -59,6 +59,8 @@ import re
 import sys
 from typing import List, Optional
 
+from repro.analysis.diagnostics import sort_key
+from repro.common.errors import ConfigError
 from repro.common.textplot import sparkline
 from repro.core.registry import available_plugins
 from repro.deploy import build_deployment
@@ -356,11 +358,8 @@ def cmd_check(args) -> int:
         )
         # A spec-level "ignore" list is the JSON counterpart of the
         # inline "# wintermute: ignore[...]" marker (JSON: no comments).
-        ignore_codes = spec.get("ignore") if isinstance(spec, dict) else None
-        ignore_codes = set(ignore_codes) if isinstance(
-            ignore_codes, list) else set()
         for d in flow_out.sink:
-            if d.code in ignore_codes:
+            if d.code in model.ignore:
                 ignored += 1
                 continue
             diags.append(replace(d, file=d.file or path))
@@ -467,7 +466,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True,
-                       help="deployment JSON file (see repro.deploy)")
+                       help="deployment JSON file "
+                            "(format: docs/CONFIGURATION.md)")
         p.add_argument("--duration", type=float, default=30.0,
                        help="simulated seconds to run (default 30)")
 
@@ -619,6 +619,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if hooks.env_enabled() and args.command != "check":
             return _run_sanitized(args)
         return args.fn(args)
+    except ConfigError as exc:
+        # A refused spec: the findings `check --config` prints for it.
+        for diag in sorted(exc.diagnostics, key=sort_key):
+            print(diag.format(), file=sys.stderr)
+        print(f"{args.command}: {str(exc).splitlines()[0]}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe: not an error.
         with contextlib.suppress(Exception):

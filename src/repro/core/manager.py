@@ -82,8 +82,9 @@ class OperatorManager:
     # Plugin loading
     # ------------------------------------------------------------------
 
-    def load_plugin(self, config: dict, start: bool = True) -> List[OperatorBase]:
-        """Load one plugin configuration block.
+    def load_plugin(self, config, start: bool = True) -> List[OperatorBase]:
+        """Load one plugin configuration block (or its typed view, see
+        :class:`Configurator`).
 
         Builds its operators, resolves their units against the host's
         current sensor tree, schedules the online ones and (optionally)

@@ -47,37 +47,11 @@ FUSION_MODES = (True, False, "auto")
 class OperatorConfig:
     """Declarative configuration of one operator.
 
-    Attributes:
-        name: operator instance name, unique within its manager.
-        interval_ns: computation interval for online operators.
-        mode: ``online`` or ``ondemand``.
-        unit_mode: ``sequential`` (shared model) or ``parallel``
-            (per-unit models, optional worker pool).
-        window_ns: length of the input window operators query at each
-            computation (0 = most recent value only).
-        delay_ns: initial delay before the first online computation.
-        relaxed: tolerate unbuildable units during resolution.
-        publish_outputs: publish output readings over MQTT.
-        max_workers: worker threads for parallel unit mode (1 = inline).
-        unit_cadence: compute each unit only every Nth pass, staggered
-            by unit index — spreads the load of operators with very
-            large unit sets across intervals (1 = every pass).
-        fusion: ``"auto"`` (default) lets the manager's fusion planner
-            group this operator with adjacent pipeline stages into one
-            fused pass when eligible; ``True`` additionally admits
-            plugins without a window kernel and job operators (as
-            terminal consumers); ``False`` keeps the operator on the
-            staged path.
-        breaker_threshold: consecutive failures after which a unit is
-            quarantined (skipped) by its circuit breaker; 0 (default)
-            disables automatic tripping, leaving only manual REST
-            control.
-        breaker_cooldown: passes an open breaker waits before letting a
-            probe computation through.
-        breaker_max_cooldown: ceiling of the probe backoff doubling.
-        inputs / outputs: pattern expressions of the operator's units.
-        operator_outputs: names of operator-level aggregate outputs.
-        params: plugin-specific parameters.
+    ``name`` is the operator instance name, unique within its manager.
+    Every other field is a key of an operator block, times in ns: what
+    it means and which values it takes are its row of the ``OPERATOR``
+    table in :mod:`repro.spec` (rendered in ``docs/CONFIGURATION.md``),
+    which takes its default from here.
     """
 
     name: str

@@ -17,9 +17,10 @@ remain the user's responsibility, exactly as in the real system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.common.errors import ConfigError, UnitResolutionError
+from repro.common.errors import ConfigError, TopicError, UnitResolutionError
 from repro.core.operator import JobOperatorBase, OperatorBase, OperatorConfig
 from repro.core.tree import SensorTree
 from repro.core.units import Unit, UnitResolver
@@ -172,41 +173,33 @@ class ResolvedPipeline:
 
 
 def resolve_pipeline(
-    blocks: Sequence[dict],
+    blocks: Sequence[SimpleNamespace],
     tree: SensorTree,
     host: str = "",
 ) -> ResolvedPipeline:
     """Resolve plugin blocks against a sensor tree without instantiation.
 
-    Blocks are processed in deployment order; each stage's resolved
-    output sensors are added to the (copied) tree before the next stage
-    resolves, mirroring staged pipeline deployment.  Malformed blocks or
-    operators are skipped silently — the structural analyzer
-    (:mod:`repro.analysis.config`) owns reporting those.
+    ``blocks`` are the typed views the schema walk makes of plugin
+    blocks (``repro.spec.PLUGIN_BLOCK.read``), in deployment order; each
+    stage's resolved output sensors are added to the (copied) tree
+    before the next stage resolves, mirroring staged pipeline
+    deployment.  A block that does not name its plugin is skipped — the
+    walk has reported it.
     """
-    from repro.core.configurator import parse_operator_config
     from repro.core.registry import get_plugin_class
+    from repro.spec import operator_config
 
     work = SensorTree.from_topics(tree.all_sensor_topics())
     resolved = ResolvedPipeline(host=host, tree=work)
     for i, block in enumerate(blocks):
-        if not isinstance(block, dict):
+        if block.plugin is None:
             continue
-        plugin = block.get("plugin")
-        operators = block.get("operators")
-        if not isinstance(plugin, str) or not isinstance(operators, dict):
-            continue
-        cls = get_plugin_class(plugin)
+        cls = get_plugin_class(block.plugin)
         is_job = isinstance(cls, type) and issubclass(cls, JobOperatorBase)
-        for name, op_block in operators.items():
-            if not isinstance(op_block, dict):
-                continue
-            try:
-                config = parse_operator_config(name, op_block)
-            except ConfigError:
-                continue  # structurally invalid; reported by the analyzer
+        for name, view in block.operators.items():
+            config = operator_config(name, view)
             entry = ResolvedOperator(
-                block_index=i, plugin=plugin, name=name, config=config,
+                block_index=i, plugin=block.plugin, name=name, config=config,
                 is_job_plugin=is_job,
             )
             if not is_job and config.outputs:
@@ -215,7 +208,7 @@ def resolve_pipeline(
                 )
                 for unit in entry.units:
                     for sensor in unit.outputs:
-                        _add_topic(work, sensor.topic)
+                        add_topic(work, sensor.topic)
             resolved.operators.append(entry)
     return resolved
 
@@ -232,13 +225,14 @@ def _resolve_units(tree: SensorTree, config: OperatorConfig):
         return [], str(exc)
 
 
-def _add_topic(tree: SensorTree, topic: str) -> None:
-    from repro.common.errors import TopicError
-
+def add_topic(tree: SensorTree, topic: str) -> None:
+    """Add an operator output to a statically resolved tree; a name
+    that collides with a component node is left to the resolution
+    rules."""
     try:
         tree.add_sensor(topic)
     except TopicError:
-        pass  # collides with a component node; resolution rules apply
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -429,21 +423,19 @@ def plan_fusion(
     return plan
 
 
-def replicate_topics(
-    topics: Sequence[str], source_root: str, target_roots: Sequence[str]
+def replicate_topic(
+    topic: str, source_root: str, target_roots: Sequence[str]
 ) -> List[str]:
-    """Map topics under one component root onto sibling roots.
+    """Map a topic under one component root onto sibling roots.
 
     A pusher pipeline is resolved against one representative node's
-    tree; its published outputs exist on *every* node.  This helper
-    rewrites ``/rack00/.../node00/avg-power`` to each node path so the
-    agent-side model sees the whole fleet's derived sensors.
+    tree; its outputs exist on *every* node.  This helper rewrites
+    ``/rack00/.../node00/avg-power`` to each node path so the agent-side
+    model sees the whole fleet's derived sensors; a topic above the
+    source root exists once, as it is.
     """
     source = source_root.rstrip("/")
-    out: List[str] = []
-    for topic in topics:
-        if not topic.startswith(source + "/"):
-            continue
-        suffix = topic[len(source):]
-        out.extend(f"{root.rstrip('/')}{suffix}" for root in target_roots)
-    return out
+    if not topic.startswith(source + "/"):
+        return [topic]
+    suffix = topic[len(source):]
+    return [f"{root.rstrip('/')}{suffix}" for root in target_roots]

@@ -15,7 +15,20 @@ from repro.dcdb.plugins.sysfs import SysfsPlugin
 from repro.dcdb.plugins.procfs import ProcfsPlugin
 from repro.dcdb.plugins.opa import OpaPlugin
 
+#: Every monitoring plugin a deployment spec can name, in the order a
+#: Pusher loads them.  The builder, the static sensor-tree synthesis and
+#: the flow pass's unit facts all go through this table (and the
+#: ``for_node`` / ``static_sensors`` / ``PER_CPU`` of its classes).
+MONITORING_PLUGINS = {
+    "sysfs": SysfsPlugin,
+    "procfs": ProcfsPlugin,
+    "perfevent": PerfeventPlugin,
+    "opa": OpaPlugin,
+    "tester": TesterMonitoringPlugin,
+}
+
 __all__ = [
+    "MONITORING_PLUGINS",
     "MonitoringPlugin",
     "PluginSample",
     "TesterMonitoringPlugin",

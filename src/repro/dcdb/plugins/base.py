@@ -9,7 +9,7 @@ configuration attaches e.g. a perfevent group to each CPU.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.sensor import Sensor
@@ -31,6 +31,23 @@ class MonitoringPlugin:
             most plugins at 1 s; the power-prediction case study samples
             at 250 ms.
     """
+
+    #: Static sensor table: name -> physical unit ("" = unknown) of the
+    #: sensors the plugin attaches to a node, or — with ``PER_CPU`` — to
+    #: each of its CPUs.  What the static analyzers know of a plugin.
+    SENSOR_UNITS: Dict[str, str] = {}
+    PER_CPU = False
+
+    @classmethod
+    def for_node(cls, simulator, node_path: str, interval_ns: int, options):
+        """The instance a deployment attaches to one node's Pusher;
+        ``options`` is the spec's ``monitoring`` view."""
+        return cls(simulator, node_path, interval_ns=interval_ns)
+
+    @classmethod
+    def static_sensors(cls, options) -> Dict[str, str]:
+        """``SENSOR_UNITS`` under the given ``monitoring`` options."""
+        return cls.SENSOR_UNITS
 
     def __init__(self, name: str, interval_ns: int = NS_PER_SEC) -> None:
         if interval_ns <= 0:

@@ -18,15 +18,11 @@ _SENSORS: Tuple[Tuple[str, str], ...] = (
     ("rcv-bytes", "B"),
 )
 
-#: Sensor names this plugin attaches to each node (static-analysis view).
-SENSOR_NAMES: Tuple[str, ...] = tuple(name for name, _ in _SENSORS)
-
-#: name -> physical unit, for the static dataflow analyzer.
-SENSOR_UNITS = dict(_SENSORS)
-
 
 class OpaPlugin(MonitoringPlugin):
     """Fabric counter sampling for one compute node."""
+
+    SENSOR_UNITS = dict(_SENSORS)
 
     def __init__(
         self,

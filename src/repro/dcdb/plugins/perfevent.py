@@ -27,6 +27,21 @@ class PerfeventPlugin(MonitoringPlugin):
         interval_ns: sampling period.
     """
 
+    SENSOR_UNITS = dict.fromkeys(CPU_COUNTERS, "#")
+    PER_CPU = True
+
+    @classmethod
+    def for_node(cls, simulator, node_path, interval_ns, options):
+        return cls(
+            simulator, node_path, interval_ns=interval_ns,
+            counters=list(cls.static_sensors(options)),
+        )
+
+    @classmethod
+    def static_sensors(cls, options):
+        chosen = options.perfevent_counters
+        return cls.SENSOR_UNITS if chosen is None else dict.fromkeys(chosen, "#")
+
     def __init__(
         self,
         simulator: ClusterSimulator,

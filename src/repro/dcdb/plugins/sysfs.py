@@ -23,15 +23,11 @@ _SENSORS: Tuple[Tuple[str, str, bool], ...] = (
     ("freq", "Hz", False),
 )
 
-#: Sensor names this plugin attaches to each node (static-analysis view).
-SENSOR_NAMES: Tuple[str, ...] = tuple(name for name, _, _ in _SENSORS)
-
-#: name -> physical unit, for the static dataflow analyzer.
-SENSOR_UNITS = {name: unit for name, unit, _ in _SENSORS}
-
 
 class SysfsPlugin(MonitoringPlugin):
     """Node-level electrical/thermal sampling for one compute node."""
+
+    SENSOR_UNITS = {name: unit for name, unit, _ in _SENSORS}
 
     def __init__(
         self,

@@ -28,6 +28,21 @@ class TesterMonitoringPlugin(MonitoringPlugin):
 
     __test__ = False  # not a pytest test class despite the name
 
+    @classmethod
+    def for_node(cls, simulator, node_path, interval_ns, options):
+        return cls(
+            node_path, n_sensors=options.tester_sensors, interval_ns=interval_ns
+        )
+
+    @classmethod
+    def static_sensors(cls, options):
+        # Synthetic values: their unit stays unknown to the flow pass.
+        return dict.fromkeys(cls.sensor_names(options.tester_sensors), "")
+
+    @staticmethod
+    def sensor_names(n_sensors: int) -> List[str]:
+        return [f"tester{i:04d}" for i in range(n_sensors)]
+
     def __init__(
         self,
         component_topic: str,
@@ -40,10 +55,10 @@ class TesterMonitoringPlugin(MonitoringPlugin):
             raise ValueError(f"n_sensors must be positive: {n_sensors}")
         base = component_topic.rstrip("/")
         self._counters: List[int] = [0] * n_sensors
-        for i in range(n_sensors):
+        for name in self.sensor_names(n_sensors):
             self._register(
                 Sensor(
-                    topic=f"{base}/tester{i:04d}",
+                    topic=f"{base}/{name}",
                     unit="#",
                     is_delta=True,
                     publish=publish,

@@ -3,137 +3,61 @@
 Production DCDB is configured through files read at daemon start-up;
 this module provides the equivalent for the reproduction: one JSON-able
 specification describes the cluster, the monitoring plugins each Pusher
-loads, the Wintermute plugin blocks per host, and the job schedule — and
-:func:`build_deployment` materialises the whole system on a shared
-simulation clock.
+loads, the Wintermute plugin blocks per host, the job schedule, the
+network link and the storage tier — and :func:`build_deployment`
+materialises the whole system on a shared simulation clock.
 
-Specification shape (all sections optional except ``cluster``)::
-
-    {
-      "cluster": {"nodes": 4, "cpus": 8, "seed": 7,
-                  "anomalies": {"<node-path>": 1.2}},
-      "monitoring": {
-        "plugins": ["sysfs", "procfs", "perfevent"],
-        "perfevent_counters": ["cpu-cycles", "instructions"],
-        "interval_ms": 1000,
-        "cache_window_s": 180
-      },
-      "jobs": [
-        {"app": "lammps", "nodes": 2, "start_s": 1, "end_s": 300}
-      ],
-      "facility": {"enabled": true, "setpoint_c": 40,
-                   "interval_s": 10},
-      "analytics": {
-        "pushers": [ <wintermute plugin config block>, ... ],
-        "agent":   [ <wintermute plugin config block>, ... ]
-      },
-      "storage": {
-        "tiers": "tiered", "dir": "/var/tmp/wintermute-segments",
-        "flush_mb": 64, "flush_interval_s": 30, "ttl_s": 0,
-        "rollups": {"after_s": 3600, "minute_after_s": 86400},
-        "retention": {"raw_s": 604800, "rollup_s": 0}
-      },
-      "network": {
-        "latency_ms": 5, "jitter_ms": 2, "drop_probability": 0.0,
-        "seed": 0,
-        "outages": [
-          {"start_s": 10, "end_s": 25,
-           "destinations": ["/rack00/chassis00/node00"]}
-        ],
-        "spill": {"capacity": 8192, "policy": "drop-oldest",
-                  "retry_base_ms": 500, "retry_max_ms": 30000,
-                  "seed": 0},
-        "ingest": {"queue_capacity": 100000, "policy": "drop-oldest"}
-      }
-    }
-
-``jobs`` entries either give a node count (FCFS allocation) or an
-explicit ``node_paths`` list.  With a ``facility`` section, a cooling
-loop is attached to the cluster and sampled by a dedicated facility
-Pusher under ``/facility/cooling``.
-
-With a ``storage`` section set to ``"tiers": "tiered"``, the Collect
-Agent persists through a
-:class:`~repro.dcdb.segments.TieredStorageBackend`: in-memory series are
-sealed into on-disk segment files past ``flush_mb``, raw segments roll
-up into 10-second and 1-minute min/mean/max aggregates past the
-``rollups`` horizons, and ``retention`` drops whole segments past their
-horizon.  Reopening the same ``dir`` replays sealed segments (crash
-recovery).  ``"tiers": "memory"`` (the default) keeps the in-memory
-backend, optionally with a ``ttl_s`` expiry sweep.
-
-With a ``network`` section, every Pusher publishes through a
-:class:`~repro.dcdb.network.NetworkConditions` link (exposed as
-``deployment.link``): latency/jitter/loss apply to each message,
-``outages`` declares down-windows during which publishes are refused
-and spilled into the Pushers' store-and-forward queues (``spill``
-knobs), and ``ingest`` bounds the Collect Agent's MQTT queue.
+The format of that specification — every section and key, its type,
+range, default and meaning — is the schema table of :mod:`repro.spec`,
+rendered into ``docs/CONFIGURATION.md``.  The builder walks a spec
+through the table, refuses it with a :class:`ConfigError` carrying the
+diagnostics ``wintermute-sim check --config`` would print, and
+otherwise reads nothing but the walk's typed view.
 """
 
 from __future__ import annotations
 
 import json
 import tempfile
+from types import SimpleNamespace
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.diagnostics import DiagnosticCollector
 from repro.common.errors import ConfigError
-from repro.common.timeutil import NS_PER_MS, NS_PER_SEC
+from repro.common.timeutil import NS_PER_SEC
 from repro.core.manager import OperatorManager
 from repro.dcdb import Broker, CollectAgent, Pusher
 from repro.dcdb.network import NetworkConditions
-from repro.dcdb.plugins import (
-    OpaPlugin,
-    PerfeventPlugin,
-    ProcfsPlugin,
-    SysfsPlugin,
-    TesterMonitoringPlugin,
-)
+from repro.dcdb.plugins import MONITORING_PLUGINS
+from repro.dcdb.segments import TieredStorageBackend
+from repro.dcdb.storage import StorageBackend
 from repro.simulator import ClusterSimulator, ClusterSpec
 from repro.simulator.clock import TaskScheduler
 from repro.simulator.scheduler import Job
+from repro.spec import DEPLOYMENT, MIB, cluster_spec, read_deployment, refuse
 
-_MONITORING_PLUGINS = ("sysfs", "procfs", "perfevent", "opa", "tester")
+#: The typed view of a spec that says nothing: every default there is.
+_DEFAULTS = DEPLOYMENT.read({}, DiagnosticCollector())
 
-_STORAGE_TIERS = ("memory", "tiered")
 
-
-def storage_from_block(block: Optional[dict]):
-    """Build the Collect Agent's storage backend from a spec's
-    ``storage`` section (None keeps the agent's default backend)."""
-    from repro.dcdb.storage import StorageBackend
-
-    if not block:
-        return None
-    tiers = block.get("tiers", "memory")
-    if tiers not in _STORAGE_TIERS:
-        raise ConfigError(f"unknown storage tiers mode: {tiers!r}")
-    ttl_ns = int(block.get("ttl_s", 0) * NS_PER_SEC)
-    if tiers == "memory":
-        return StorageBackend(ttl_ns=ttl_ns) if ttl_ns > 0 else None
-    from repro.dcdb.segments import TieredStorageBackend
-
-    directory = block.get("dir")
-    if not directory:
-        # Per-run scratch tier; intentionally not auto-deleted, so a
-        # restarted process pointed at the printed path can replay it.
-        directory = tempfile.mkdtemp(prefix="wintermute-segments-")
-    rollups = block.get("rollups", {})
-    retention = block.get("retention", {})
+def _storage_backend(storage) -> StorageBackend:
+    """The Collect Agent's backend of a ``storage`` view."""
+    if storage.tiers == "memory":
+        return StorageBackend(ttl_ns=storage.ttl_ns)
+    # A scratch tier is intentionally not auto-deleted, so a restarted
+    # process pointed at the printed path can replay it.
+    directory = storage.dir or tempfile.mkdtemp(prefix="wintermute-segments-")
     return TieredStorageBackend(
         directory,
-        flush_mb=float(block.get("flush_mb", 64.0)),
-        rollup_after_ns=int(rollups.get("after_s", 0) * NS_PER_SEC),
-        rollup_minute_after_ns=int(
-            rollups.get("minute_after_s", 0) * NS_PER_SEC
-        ),
-        retention_raw_ns=int(retention.get("raw_s", 0) * NS_PER_SEC),
-        retention_rollup_ns=int(retention.get("rollup_s", 0) * NS_PER_SEC),
-        ttl_ns=ttl_ns,
-        maintenance_interval_ns=int(
-            block.get("flush_interval_s", 30) * NS_PER_SEC
-        ),
+        flush_mb=storage.flush_bytes / MIB,
+        rollup_after_ns=storage.rollups.after_ns,
+        rollup_minute_after_ns=storage.rollups.minute_after_ns,
+        retention_raw_ns=storage.retention.raw_ns,
+        retention_rollup_ns=storage.retention.rollup_ns,
+        ttl_ns=storage.ttl_ns,
+        maintenance_interval_ns=storage.flush_interval_ns,
     )
 
 
@@ -148,17 +72,20 @@ class Deployment:
     def __init__(
         self,
         spec: ClusterSpec,
-        seed: int = 0xDCDB,
-        monitoring: Sequence[str] = ("sysfs",),
+        seed: int = _DEFAULTS.cluster.seed,
+        monitoring: Sequence[str] = tuple(_DEFAULTS.monitoring.plugins),
         perfevent_counters: Optional[Sequence[str]] = None,
-        sampling_interval_ns: int = NS_PER_SEC,
-        cache_window_ns: int = 180 * NS_PER_SEC,
+        sampling_interval_ns: int = _DEFAULTS.monitoring.interval_ns,
+        cache_window_ns: int = _DEFAULTS.monitoring.cache_window_ns,
         anomalies: Optional[Dict[str, float]] = None,
-        tester_sensors: int = 100,
-        network: Optional[dict] = None,
-        storage: Optional[dict] = None,
+        tester_sensors: int = _DEFAULTS.monitoring.tester_sensors,
+        network=None,
+        storage=None,
     ) -> None:
-        unknown = set(monitoring) - set(_MONITORING_PLUGINS)
+        """``network`` and ``storage`` are the typed views of the spec
+        sections of those names (see :mod:`repro.spec`); None keeps the
+        plain broker and the agent's in-memory backend."""
+        unknown = set(monitoring) - set(MONITORING_PLUGINS)
         if unknown:
             raise ConfigError(f"unknown monitoring plugins: {sorted(unknown)}")
         self.sim = ClusterSimulator(spec, seed=seed, anomalies=anomalies)
@@ -172,36 +99,33 @@ class Deployment:
             self.link = NetworkConditions(
                 self.broker,
                 self.scheduler,
-                latency_ns=int(network.get("latency_ms", 0) * NS_PER_MS),
-                jitter_ns=int(network.get("jitter_ms", 0) * NS_PER_MS),
-                drop_probability=network.get("drop_probability", 0.0),
-                seed=network.get("seed", 0),
+                latency_ns=network.latency_ns,
+                jitter_ns=network.jitter_ns,
+                drop_probability=network.drop_probability,
+                seed=network.seed,
             )
             self._transport = self.link
-            for outage in network.get("outages", []):
+            for outage in network.outages:
                 self.link.schedule_outage(
-                    int(outage["start_s"] * NS_PER_SEC),
-                    int(outage["end_s"] * NS_PER_SEC),
-                    destinations=outage.get("destinations"),
+                    outage.start_ns, outage.end_ns,
+                    destinations=outage.destinations,
                 )
-            spill = network.get("spill", {})
-            for src, dst, scale in (
-                ("capacity", "spill_capacity", None),
-                ("policy", "spill_policy", None),
-                ("retry_base_ms", "retry_base_ns", NS_PER_MS),
-                ("retry_max_ms", "retry_max_ns", NS_PER_MS),
-                ("seed", "retry_seed", None),
-            ):
-                if src in spill:
-                    value = spill[src]
-                    self._pusher_kwargs[dst] = (
-                        int(value * scale) if scale else value
-                    )
-            ingest = network.get("ingest", {})
-            if "queue_capacity" in ingest:
-                agent_kwargs["ingest_queue_capacity"] = ingest["queue_capacity"]
-            if "policy" in ingest:
-                agent_kwargs["ingest_policy"] = ingest["policy"]
+            spill, ingest = network.spill, network.ingest
+            self._pusher_kwargs = dict(
+                spill_capacity=spill.capacity,
+                spill_policy=spill.policy,
+                retry_base_ns=spill.retry_base_ns,
+                retry_max_ns=spill.retry_max_ns,
+                retry_seed=spill.seed,
+            )
+            agent_kwargs = dict(
+                ingest_queue_capacity=ingest.queue_capacity,
+                ingest_policy=ingest.policy,
+            )
+        options = SimpleNamespace(
+            perfevent_counters=perfevent_counters,
+            tester_sensors=tester_sensors,
+        )
         self.pushers: Dict[str, Pusher] = {}
         self.managers: Dict[str, OperatorManager] = {}
         for node in self.sim.node_paths:
@@ -210,40 +134,21 @@ class Deployment:
                 cache_window_ns=cache_window_ns,
                 **self._pusher_kwargs,
             )
-            if "sysfs" in monitoring:
-                pusher.add_plugin(
-                    SysfsPlugin(self.sim, node, interval_ns=sampling_interval_ns)
-                )
-            if "procfs" in monitoring:
-                pusher.add_plugin(
-                    ProcfsPlugin(self.sim, node, interval_ns=sampling_interval_ns)
-                )
-            if "perfevent" in monitoring:
-                kwargs = {"interval_ns": sampling_interval_ns}
-                if perfevent_counters is not None:
-                    kwargs["counters"] = list(perfevent_counters)
-                pusher.add_plugin(PerfeventPlugin(self.sim, node, **kwargs))
-            if "opa" in monitoring:
-                pusher.add_plugin(
-                    OpaPlugin(self.sim, node, interval_ns=sampling_interval_ns)
-                )
-            if "tester" in monitoring:
-                pusher.add_plugin(
-                    TesterMonitoringPlugin(
-                        node,
-                        n_sensors=tester_sensors,
-                        interval_ns=sampling_interval_ns,
+            for name, plugin in MONITORING_PLUGINS.items():
+                if name in monitoring:
+                    pusher.add_plugin(
+                        plugin.for_node(
+                            self.sim, node, sampling_interval_ns, options
+                        )
                     )
-                )
             manager = OperatorManager(
                 context={"job_source": self.sim.scheduler}
             )
             pusher.attach_analytics(manager)
             self.pushers[node] = pusher
             self.managers[node] = manager
-        storage_backend = storage_from_block(storage)
-        if storage_backend is not None:
-            agent_kwargs["storage"] = storage_backend
+        if storage is not None:
+            agent_kwargs["storage"] = _storage_backend(storage)
         self.agent = CollectAgent(
             "agent", self.broker, self.scheduler,
             cache_window_ns=cache_window_ns,
@@ -257,7 +162,9 @@ class Deployment:
         self.facility_pusher: Optional[Pusher] = None
 
     def attach_facility(
-        self, setpoint_c: Optional[float] = None, interval_ns: int = 10 * NS_PER_SEC
+        self,
+        setpoint_c: Optional[float] = None,
+        interval_ns: int = _DEFAULTS.facility.interval_ns,
     ):
         """Attach a cooling loop plus its facility Pusher.
 
@@ -319,96 +226,58 @@ class Deployment:
         return self.agent.storage.latest(topic)
 
 
-def cluster_spec_from_block(block: dict) -> ClusterSpec:
-    """Translate a deployment spec's ``cluster`` section into a
-    :class:`ClusterSpec` (shared with the static analyzer)."""
-    return _cluster_spec(block)
-
-
-def _cluster_spec(block: dict) -> ClusterSpec:
-    if "racks" in block:
-        return ClusterSpec(
-            racks=block["racks"],
-            chassis_per_rack=block.get("chassis_per_rack", 1),
-            nodes_per_chassis=block.get("nodes_per_chassis", 1),
-            cpus_per_node=block.get("cpus", 4),
-            total_nodes=block.get(
-                "nodes",
-                block["racks"]
-                * block.get("chassis_per_rack", 1)
-                * block.get("nodes_per_chassis", 1),
-            ),
-        )
-    if block.get("preset") == "coolmuc3":
-        return ClusterSpec.coolmuc3()
-    return ClusterSpec.small(
-        nodes=block.get("nodes", 4), cpus=block.get("cpus", 4)
-    )
-
-
 def build_deployment(config: dict) -> Deployment:
-    """Materialise a deployment from a declarative specification."""
-    if "cluster" not in config:
-        raise ConfigError("deployment spec needs a 'cluster' section")
-    cluster = config["cluster"]
-    monitoring = config.get("monitoring", {})
+    """Materialise a deployment from a declarative specification.
+
+    Refuses exactly the specs whose table walk reports an error: the
+    raised :class:`ConfigError` carries those diagnostics.
+    """
+    out = DiagnosticCollector()
+    view = read_deployment(config, out)
+    refuse("deployment spec", out.sink)
+    cluster, monitoring = view.cluster, view.monitoring
     dep = Deployment(
-        _cluster_spec(cluster),
-        seed=cluster.get("seed", 0xDCDB),
-        monitoring=tuple(monitoring.get("plugins", ("sysfs",))),
-        perfevent_counters=monitoring.get("perfevent_counters"),
-        sampling_interval_ns=int(
-            monitoring.get("interval_ms", 1000) * NS_PER_MS
-        ),
-        cache_window_ns=int(
-            monitoring.get("cache_window_s", 180) * NS_PER_SEC
-        ),
-        anomalies=cluster.get("anomalies"),
-        tester_sensors=monitoring.get("tester_sensors", 100),
-        network=config.get("network"),
-        storage=config.get("storage"),
+        cluster_spec(cluster),
+        seed=cluster.seed,
+        monitoring=monitoring.plugins,
+        perfevent_counters=monitoring.perfevent_counters,
+        sampling_interval_ns=monitoring.interval_ns,
+        cache_window_ns=monitoring.cache_window_ns,
+        anomalies=cluster.anomalies,
+        tester_sensors=monitoring.tester_sensors,
+        network=view.network,
+        storage=view.storage,
     )
-    for i, job_block in enumerate(config.get("jobs", [])):
-        start = int(job_block.get("start_s", 0) * NS_PER_SEC)
-        end = int(job_block["end_s"] * NS_PER_SEC)
-        if "node_paths" in job_block:
-            dep.sim.scheduler.add_job(
+    jobs = dep.sim.scheduler
+    for i, job in enumerate(view.jobs):
+        if job.node_paths is not None:
+            jobs.add_job(
                 Job(
-                    job_block.get("id", f"job{i}"),
-                    job_block["app"],
-                    tuple(job_block["node_paths"]),
-                    start,
-                    end,
+                    job.id or f"job{i}", job.app, tuple(job.node_paths),
+                    job.start_ns, job.end_ns,
                 )
             )
         else:
-            dep.sim.scheduler.submit(
-                job_block["app"],
-                job_block.get("nodes", 1),
-                start,
-                end,
-                job_id=job_block.get("id"),
+            jobs.submit(
+                job.app, job.nodes, job.start_ns, job.end_ns, job_id=job.id
             )
-    facility = config.get("facility", {})
-    if facility.get("enabled"):
+    if view.facility.enabled:
         dep.attach_facility(
-            setpoint_c=facility.get("setpoint_c"),
-            interval_ns=int(facility.get("interval_s", 10) * NS_PER_SEC),
+            setpoint_c=view.facility.setpoint_c,
+            interval_ns=view.facility.interval_ns,
         )
-    analytics = config.get("analytics", {})
-    for block in analytics.get("pushers", []):
+    for block in view.analytics.pushers:
         for manager in dep.managers.values():
             manager.load_plugin(block)
-    for block in analytics.get("agent", []):
+    for block in view.analytics.agent:
         dep.agent_manager.load_plugin(block)
-    if analytics:
-        # With every block loaded, plan pipeline fusion once per host.
-        # The planner is conservative: hosts with no eligible chain
-        # (agent storage, published intermediates, period mismatches)
-        # simply keep their staged per-operator schedule.
-        for manager in dep.managers.values():
-            manager.refresh_fusion()
-        dep.agent_manager.refresh_fusion()
+    # With every block loaded, plan pipeline fusion once per host.  The
+    # planner is conservative: hosts with no eligible chain (agent
+    # storage, published intermediates, period mismatches) simply keep
+    # their staged per-operator schedule.
+    for manager in dep.managers.values():
+        manager.refresh_fusion()
+    dep.agent_manager.refresh_fusion()
     return dep
 
 

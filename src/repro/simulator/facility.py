@@ -127,11 +127,8 @@ class CoolingSystem:
         return self.it_power_w + self.chiller_power_w
 
 
-#: Sensor names the facility plugin attaches to its component path
-#: (static-analysis view).
-FACILITY_SENSOR_NAMES = ("inlet-temp", "setpoint", "chiller-power", "it-power")
-
-#: name -> physical unit, for the static dataflow analyzer.
+#: Sensors the facility plugin attaches to its component path, name ->
+#: physical unit (the static analyzers' view).
 FACILITY_SENSOR_UNITS = {
     "inlet-temp": "C",
     "setpoint": "C",

@@ -7,19 +7,33 @@ from repro.analysis import (
     DiagnosticCollector,
     analyze_deployment,
     analyze_pipeline_blocks,
-    analyze_plugin_block,
     count_by_severity,
     has_errors,
     sort_key,
-    trees_from_deployment,
 )
+from repro.analysis.config import resolve_deployment
 from repro.common.errors import ConfigError
-from repro.core.configurator import (
-    Configurator,
-    collect_block_diagnostics,
-    parse_operator_config,
-)
+from repro.core.configurator import Configurator, parse_operator_config
 from repro.core.tree import SensorTree
+from repro.spec import PLUGIN_BLOCK, read_deployment
+
+
+def analyze_plugin_block(cfg, **kwargs):
+    """One plugin block on its own: a pipeline of one."""
+    return analyze_pipeline_blocks([cfg], **kwargs)
+
+
+def trees_from_deployment(spec):
+    """(agent_tree, pusher_tree) the analyzers synthesize for a spec."""
+    resolved = resolve_deployment(read_deployment(spec))
+    return resolved.agent_tree, resolved.pusher_tree
+
+
+def collect_block_diagnostics(cfg):
+    """The schema walk's findings for one plugin block."""
+    out = DiagnosticCollector()
+    PLUGIN_BLOCK.read(cfg, out)
+    return out.sink
 
 
 def codes(diags, severity=None):
@@ -389,7 +403,9 @@ class TestNetworkSection:
             "spill": {"cap": 10},               # W003 nested
             "ingest": {"policy": "drop-oldest", "qcap": 1},  # W003 nested
         }))
-        assert codes(diags, "warning").count("W003") == 3
+        # An unknown key is an error wherever it sits: the builder
+        # refuses it rather than run with ``latency`` silently dropped.
+        assert codes(diags, "error").count("W003") == 3
 
     def test_value_errors(self):
         diags = analyze_deployment(self.spec({

@@ -255,7 +255,7 @@ class TestCatalogDrift:
 
         sources = sorted(
             (REPO_ROOT / "src" / "repro" / "analysis").glob("*.py")
-        ) + [REPO_ROOT / "src" / "repro" / "core" / "configurator.py"]
+        ) + [REPO_ROOT / "src" / "repro" / "spec.py"]
         emitted = set()
         for src in sources:
             emitted |= set(re.findall(r"\b[WLFS]\d{3}\b", src.read_text()))

@@ -19,7 +19,7 @@ import pytest
 
 from repro.common.errors import QueryError, TopicError
 from repro.common.timeutil import NS_PER_SEC
-from repro.core.configurator import collect_operator_diagnostics
+from repro.analysis.diagnostics import DiagnosticCollector
 from repro.core.operator import OperatorBase, OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.tree import SensorTree
@@ -28,6 +28,7 @@ from repro.dcdb.mqtt import Broker, Message
 from repro.dcdb.pusher import Pusher
 from repro.dcdb.sensor import Sensor
 from repro.core.units import Unit
+from repro.spec import OPERATOR
 from repro.plugins.aggregator import AggregatorOperator
 from repro.plugins.health import HealthOperator
 from repro.plugins.persyst import PerSystOperator
@@ -945,9 +946,9 @@ class TestNoBatchKnob:
             OperatorConfig(name="x", batch=True)
 
     def test_batch_key_is_an_unknown_key(self):
-        diags = collect_operator_diagnostics(
-            "x", {"outputs": ["<bottomup>y"], "batch": False}
-        )
+        out = DiagnosticCollector()
+        OPERATOR.read({"outputs": ["<bottomup>y"], "batch": False}, out)
+        diags = out.sink
         assert [(d.code, d.severity) for d in diags] == [("W003", "error")]
         assert "'batch'" in diags[0].message
 

@@ -8,10 +8,8 @@ import pytest
 from repro.common.errors import ConfigError, LinkDownError
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC
 from repro.core.breaker import CLOSED, HALF_OPEN, OPEN, UnitBreaker
-from repro.core.configurator import (
-    collect_operator_diagnostics,
-    parse_operator_config,
-)
+from repro.analysis.diagnostics import DiagnosticCollector
+from repro.core.configurator import parse_operator_config
 from repro.core.manager import OperatorManager
 from repro.dcdb import Broker, CollectAgent, Pusher
 from repro.dcdb.mqtt import Message, QueuedSubscriber
@@ -21,6 +19,7 @@ from repro.dcdb.resilience import ExponentialBackoff, SpillQueue
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
+from repro.spec import OPERATOR
 
 
 def metric_value(rest, name, **labels):
@@ -609,14 +608,16 @@ class TestOperatorBreaker:
         )
 
     def test_breaker_config_validation(self):
-        diags = collect_operator_diagnostics(
-            "x",
+        out = DiagnosticCollector()
+        OPERATOR.read(
             {
                 "breaker_threshold": -1,
                 "breaker_cooldown": 0,
                 "breaker_max_cooldown": True,
             },
+            out,
         )
+        diags = out.sink
         codes = sorted(d.code for d in diags)
         assert codes == ["W005", "W005", "W005"]
         cfg = parse_operator_config(
@@ -633,7 +634,9 @@ class TestOperatorBreaker:
         assert cfg.breaker_max_cooldown == 2
 
     def test_unknown_breaker_key_warns(self):
-        diags = collect_operator_diagnostics("x", {"breaker_treshold": 1})
+        diags = DiagnosticCollector()
+        OPERATOR.read({"breaker_treshold": 1}, diags)
+        diags = diags.sink
         assert any(d.code == "W003" for d in diags)
 
 

@@ -296,10 +296,16 @@ class TestDeploySpec:
         assert dep.agent.storage.ttl_ns == 60 * NS_PER_SEC
 
     def test_unknown_tiers_rejected(self):
-        from repro.deploy import storage_from_block
+        from repro.deploy import build_deployment
 
-        with pytest.raises(ConfigError, match="tiers"):
-            storage_from_block({"tiers": "cassandra"})
+        with pytest.raises(ConfigError, match="tiers") as err:
+            build_deployment({
+                "cluster": {"nodes": 1, "cpus": 1},
+                "storage": {"tiers": "cassandra"},
+            })
+        assert [(d.code, d.path) for d in err.value.diagnostics] == [
+            ("W016", "storage.tiers")
+        ]
 
 
 class TestAnalyzerCoverage:
