@@ -159,7 +159,8 @@ class SensorCache:
     """
 
     __slots__ = (
-        "_ts", "_val", "_cap", "_head", "_size", "interval_ns", "stale_drops"
+        "_ts", "_val", "_cap", "_head", "_size", "interval_ns", "stale_drops",
+        "newest_ts",
     )
 
     def __init__(self, capacity: int, interval_ns: int = 0):
@@ -170,6 +171,11 @@ class SensorCache:
         self._val = np.zeros(self._cap, dtype=np.float64)
         self._head = 0  # index of the next write slot
         self._size = 0
+        #: Timestamp of the newest retained reading (``None`` when
+        #: empty), kept as a Python int beside the ring so the order
+        #: guard and the hosts' cadence tracking read it without boxing
+        #: a NumPy scalar per reading.  Read-only for callers.
+        self.newest_ts: Optional[int] = None
         self.interval_ns = int(interval_ns)
         #: Readings rejected for violating timestamp monotonicity; hosts
         #: surface the aggregate as a telemetry drop gauge.
@@ -208,12 +214,15 @@ class SensorCache:
     def store(self, timestamp: int, value: float) -> None:
         """Append one reading.  Timestamps must be non-decreasing; stale
         (out-of-order) readings are dropped, matching DCDB semantics."""
-        if self._size and timestamp < int(self._ts[(self._head - 1) % self._cap]):
+        newest = self.newest_ts
+        if newest is not None and timestamp < newest:
             self.stale_drops += 1
             return
-        self._ts[self._head] = timestamp
-        self._val[self._head] = value
-        self._head = (self._head + 1) % self._cap
+        head = self._head
+        self._ts[head] = timestamp
+        self._val[head] = value
+        self.newest_ts = timestamp
+        self._head = (head + 1) % self._cap
         if self._size < self._cap:
             self._size += 1
 
@@ -234,7 +243,7 @@ class SensorCache:
         if n == 0:
             return
         if self._size:
-            newest = int(self._ts[(self._head - 1) % self._cap])
+            newest = self.newest_ts
             stale = int(np.searchsorted(timestamps, newest, side="left"))
             if stale:
                 self.stale_drops += stale
@@ -243,6 +252,7 @@ class SensorCache:
                 n -= stale
                 if n == 0:
                     return
+        self.newest_ts = int(timestamps[-1])
         if n >= self._cap:
             # Only the newest `cap` readings survive; write them aligned
             # to the start of the buffer.
@@ -265,6 +275,7 @@ class SensorCache:
         """Drop all readings."""
         self._head = 0
         self._size = 0
+        self.newest_ts = None
 
     def resize(self, capacity: int) -> None:
         """Re-allocate the ring at a new capacity, preserving contents.

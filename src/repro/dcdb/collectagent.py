@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
-from repro.dcdb.mqtt import Broker, Message, QueuedSubscriber
+from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
 from repro.dcdb.restapi import RestApi, RestResponse
 from repro.dcdb.sensor import Sensor
 from repro.dcdb.storage import StorageBackend
@@ -72,14 +72,13 @@ class CollectAgent:
         self.caches: Dict[str, SensorCache] = {}
         self.sensors: Dict[str, Sensor] = {}
         #: Smallest observed inter-arrival gap per remote topic; drives
-        #: ingest cache sizing (see :meth:`_observe_arrival`).
+        #: ingest cache sizing (see :meth:`_ingest`).
         self._gap_ns: Dict[str, int] = {}
         self.rest = RestApi()
         self.telemetry = MetricRegistry()
         self._m_forwarded = self.telemetry.counter("forwarded_readings_total")
         self._m_drain_latency = self.telemetry.histogram("drain_latency_ns")
         self._m_ingest_dropped = self.telemetry.counter("ingest_dropped_total")
-        self._dropped_synced = 0
         self._register_gauges()
         self.analytics: Optional[object] = None
         self._queue = QueuedSubscriber(
@@ -172,13 +171,15 @@ class CollectAgent:
     @property
     def ingest_dropped(self) -> int:
         """Messages lost to ingest-queue backpressure (telemetry view)."""
-        # Sync pending queue-side drops so callers between drains see
-        # the live number, not the last drain's snapshot.
-        dropped = self._queue.dropped
-        if dropped != self._dropped_synced:
-            self._m_ingest_dropped.inc(dropped - self._dropped_synced)
-            self._dropped_synced = dropped
-        return self._m_ingest_dropped.value
+        return self._sync_ingest_dropped()
+
+    def _sync_ingest_dropped(self) -> int:
+        # Telemetry follows the queue's own drop count on every drain and
+        # on demand (callers between drains see the live number); when
+        # two threads sync at once and over-count, the next sync waits.
+        counter = self._m_ingest_dropped
+        counter.inc(max(0, self._queue.dropped - counter.value))
+        return counter.value
 
     # ------------------------------------------------------------------
     # Ingest path
@@ -190,66 +191,53 @@ class CollectAgent:
     #: not balloon one cache to the whole window divided by a nanosecond.
     _MAX_INGEST_CAPACITY = 1_000_000
 
-    def _cache_for_ingest(
-        self, topic: str, ts: Optional[int] = None
-    ) -> SensorCache:
-        cache = self.caches.get(topic)
-        if cache is None:
-            # Interval is unknown for remote sensors; a count-sized cache
-            # with binary-search relative fallback keeps semantics right.
-            # Start with the 1 Hz guess and grow from the observed
-            # inter-arrival gap — a 10 Hz sensor must still retain its
-            # whole window, not a tenth of it.
-            cache = self.caches[topic] = SensorCache(
-                capacity=max(2, self.cache_window_ns // NS_PER_SEC + 1)
-            )
-        if ts is not None:
-            self._observe_arrival(topic, cache, ts)
-        return cache
-
-    def _observe_arrival(
-        self, topic: str, cache: SensorCache, ts: int
-    ) -> None:
-        """Track a topic's cadence and grow its cache to the window.
-
-        The retention window is a time contract; the ring is sized in
-        readings.  Whenever a smaller positive inter-arrival gap is
-        observed, the implied reading count for ``cache_window_ns`` is
-        recomputed (with the same 20% slack ``for_duration`` applies)
-        and the cache grown in place, preserving its contents.
-        """
-        prev = cache.latest()
-        if prev is None:
-            return
-        gap = ts - prev.timestamp
-        if gap <= 0:
-            return  # duplicate or stale arrival; no cadence information
-        known = self._gap_ns.get(topic)
-        if known is not None and gap >= known:
-            return
-        self._gap_ns[topic] = gap
+    def _ingest_capacity(self, gap_ns: int) -> int:
+        """Readings ``cache_window_ns`` holds at one per ``gap_ns``."""
         needed = (
             self.cache_window_ns * self._SIZING_SLACK_NUM
-        ) // (gap * self._SIZING_SLACK_DEN) + 2
-        needed = min(max(2, needed), self._MAX_INGEST_CAPACITY)
-        if needed > cache.capacity:
-            cache.resize(needed)
+        ) // (gap_ns * self._SIZING_SLACK_DEN) + 2
+        return min(max(2, needed), self._MAX_INGEST_CAPACITY)
+
+    def _ingest(self, batch: ReadingBatch) -> None:
+        """Scatter a batch into caches and storage: the agent's one
+        write loop, for MQTT traffic and operator outputs alike.
+
+        Interval is unknown for remote sensors; a count-sized cache with
+        binary-search relative fallback keeps semantics right.  It
+        starts at the 1 Hz guess and follows the topic's cadence: the
+        retention window is a time contract, the ring is sized in
+        readings, so whenever a smaller positive inter-arrival gap is
+        observed the cache is grown in place to the reading count the
+        window implies — a 10 Hz sensor must still retain its whole
+        window, not a tenth of it.
+        """
+        caches, gaps = self.caches, self._gap_ns
+        insert = self._storage.insert
+        for topic, ts, value in zip(batch.topics, batch.timestamps, batch.values):
+            cache = caches.get(topic)
+            if cache is None:
+                cache = caches[topic] = SensorCache(
+                    self._ingest_capacity(NS_PER_SEC)
+                )
+            newest = cache.newest_ts
+            # (First, duplicate or stale arrivals say nothing of cadence.)
+            if newest is not None and ts > newest:
+                known = gaps.get(topic)
+                if known is None or ts - newest < known:
+                    gap = gaps[topic] = ts - newest
+                    needed = self._ingest_capacity(gap)
+                    if needed > cache.capacity:
+                        cache.resize(needed)
+            cache.store(ts, value)
+            insert(topic, ts, value)
 
     def _drain(self, ts: int) -> None:
-        """Flush queued MQTT messages into caches and storage."""
+        """Flush queued MQTT readings into caches and storage."""
         t0 = time.perf_counter_ns()
-        n = 0
-        for msg in self._queue.drain():
-            cache = self._cache_for_ingest(msg.topic, msg.timestamp)
-            cache.store(msg.timestamp, msg.value)
-            self._storage.insert(msg.topic, msg.timestamp, msg.value)
-            n += 1
-        if n:
-            self._m_forwarded.inc(n)
-        dropped = self._queue.dropped
-        if dropped != self._dropped_synced:
-            self._m_ingest_dropped.inc(dropped - self._dropped_synced)
-            self._dropped_synced = dropped
+        batch = self._queue.drain()
+        self._ingest(batch)
+        self._m_forwarded.inc(len(batch))
+        self._sync_ingest_dropped()
         self._m_drain_latency.observe(time.perf_counter_ns() - t0)
 
     def flush(self, ts: Optional[int] = None) -> None:
@@ -261,34 +249,28 @@ class CollectAgent:
     # ------------------------------------------------------------------
 
     def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
-        """Store an operator output: cache + storage (+ MQTT if published).
-
-        In a Collect Agent, operator outputs are also written to the
-        Storage Backend (Section IV-a).
-        """
-        self.sensors[sensor.topic] = sensor
-        self._cache_for_ingest(sensor.topic, ts).store(ts, value)
-        self._storage.insert(sensor.topic, ts, value)
-        if sensor.publish and self.republish_outputs:
-            self.broker.publish(sensor.topic, value, ts)
+        """Store one operator output: a pass of one."""
+        self.store_readings_batch(ts, ((sensor, value),))
 
     def store_readings_batch(self, ts, readings) -> None:
         """Store a whole pass's operator outputs in one call.
 
         ``readings`` is a sequence of ``(sensor, value)`` pairs sharing
-        one timestamp; cache, storage and republish behaviour match
-        per-reading :meth:`store_reading`, with MQTT republishes (when
-        enabled) collapsed into one broker batch.
+        one timestamp.  In a Collect Agent they go to the cache and are
+        also written to the Storage Backend (Section IV-a); MQTT
+        republishes (when enabled) leave as one broker batch.
         """
-        to_publish = []
-        for sensor, value in readings:
-            self.sensors[sensor.topic] = sensor
-            self._cache_for_ingest(sensor.topic, ts).store(ts, value)
-            self._storage.insert(sensor.topic, ts, value)
-            if sensor.publish and self.republish_outputs:
-                to_publish.append(Message(sensor.topic, value, ts))
-        if to_publish:
-            self.broker.publish_batch(to_publish)
+        self.sensors.update((sensor.topic, sensor) for sensor, _ in readings)
+        batch = ReadingBatch(
+            [sensor.topic for sensor, _ in readings],
+            [ts] * len(readings),
+            [value for _, value in readings],
+        )
+        self._ingest(batch)
+        if self.republish_outputs:
+            published = [i for i, (s, _) in enumerate(readings) if s.publish]
+            if published:
+                self.broker.publish_batch(batch.take(published))
 
     def cache_for(self, topic: str) -> Optional[SensorCache]:
         """The agent-side cache for ``topic``, if any traffic was seen."""

@@ -7,19 +7,20 @@ the storage backend.  This reproduction keeps the same topic semantics
 wildcards, retained messages) but runs in-process so experiments are
 deterministic and require no network stack.
 
-Delivery is synchronous by default: ``publish`` invokes matching
-subscriber callbacks immediately, in subscription order.  A queued mode
-(:class:`QueuedSubscriber`) is available for components that want to
-drain messages on their own schedule, e.g. a Collect Agent batching
-storage writes.
+The unit of transport is the :class:`ReadingBatch`, one pass as parallel
+columns; ``publish(topic, value, ts)`` is a batch of one.  Delivery is
+synchronous: each matching subscriber gets its readings immediately, in
+list order, subscribers in subscription order; which ones a topic
+reaches is resolved once and memoised until the next (un)subscribe.  A
+:class:`QueuedSubscriber` buffers the columns for components that drain
+on their own schedule, e.g. a Collect Agent batching storage writes.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError, TopicError
 from repro.common.topics import split_topic
@@ -27,6 +28,8 @@ from repro.sanitizer import hooks
 
 #: Callback signature for subscribers: (topic, payload, timestamp_ns).
 MessageHandler = Callable[[str, float, int], None]
+#: Column subscribers take whole runs: (topics, timestamps, values).
+BatchHandler = Callable[[Sequence[str], Sequence[int], Sequence[float]], None]
 
 _SINGLE = "+"
 _MULTI = "#"
@@ -41,24 +44,60 @@ class Message:
     timestamp: int
 
 
+class ReadingBatch:
+    """Readings as three parallel columns, oldest first: what travels
+    from a Pusher's pass to the Collect Agent's ingest queue, with no
+    object per reading.  Iterating yields :class:`Message`, for the
+    callers that do want them one at a time (the spill queue, tests)."""
+
+    __slots__ = ("topics", "timestamps", "values")
+
+    def __init__(self, topics, timestamps, values) -> None:
+        self.topics, self.timestamps, self.values = topics, timestamps, values
+
+    @classmethod
+    def of(cls, messages) -> "ReadingBatch":
+        """``messages`` as a batch (a sequence of :class:`Message` is
+        turned into columns)."""
+        if isinstance(messages, cls):
+            return messages
+        return cls(
+            [m.topic for m in messages],
+            [m.timestamp for m in messages],
+            [m.value for m in messages],
+        )
+
+    def __len__(self) -> int:
+        return len(self.topics)
+
+    def __iter__(self):
+        return map(Message, self.topics, self.values, self.timestamps)
+
+    def take(self, indices: Sequence[int]) -> "ReadingBatch":
+        """The readings at ``indices``, in that order."""
+        return ReadingBatch(*(
+            [column[i] for i in indices]
+            for column in (self.topics, self.timestamps, self.values)
+        ))
+
+
 @dataclass
 class _TrieNode:
-    """A node in the subscription trie keyed by topic segments."""
+    """A node in the subscription trie keyed by pattern segments; ``+``
+    and ``#`` are ordinary keys, :meth:`Broker._route` interprets them."""
 
     children: Dict[str, "_TrieNode"] = field(default_factory=dict)
     # (subscription id, handler) pairs whose pattern ends at this node.
-    handlers: List[Tuple[int, MessageHandler]] = field(default_factory=list)
-    # Handlers for '#' patterns rooted here (match this node and below).
-    multi_handlers: List[Tuple[int, MessageHandler]] = field(default_factory=list)
+    handlers: List[Tuple[int, BatchHandler]] = field(default_factory=list)
 
 
 class Broker:
     """Topic-tree publish/subscribe broker.
 
-    Subscriptions are stored in a trie over topic segments so that a
-    publish visits only the trie paths compatible with the topic, rather
-    than scanning every subscription — the same property a real MQTT
-    broker's topic tree provides.
+    Subscriptions are stored in a trie over topic segments so that
+    resolving a topic visits only the trie paths compatible with it,
+    rather than scanning every subscription — the same property a real
+    MQTT broker's topic tree provides.
     """
 
     def __init__(self) -> None:
@@ -66,6 +105,9 @@ class Broker:
         self._ids = itertools.count(1)
         self._retained: Dict[str, Message] = {}
         self._pattern_by_id: Dict[int, List[str]] = {}
+        # topic -> its subscribers' handlers in subscription order.
+        # *Replaced* by subscribe/unsubscribe, never cleared in place.
+        self._routes: Dict[str, Tuple[BatchHandler, ...]] = {}
         self.published_count = 0
         self.delivered_count = 0
         self.handler_errors = 0
@@ -87,27 +129,36 @@ class Broker:
         ``replay_retained``, retained messages matching the pattern are
         delivered immediately.
         """
+
+        def each(topics, timestamps, values) -> None:
+            # A throwing handler must not poison the publisher, the rest
+            # of its run or the remaining subscribers.
+            for topic, ts, value in zip(topics, timestamps, values):
+                try:
+                    handler(topic, value, ts)
+                except Exception as exc:
+                    self._note_handler_errors(1, topic, exc)
+
+        sub_id = self.subscribe_batch(pattern, each)
+        if replay_retained:
+            for msg in list(self._retained.values()):
+                if each in self._route(msg.topic):
+                    each((msg.topic,), (msg.timestamp,), (msg.value,))
+        return sub_id
+
+    def subscribe_batch(self, pattern: str, handler: BatchHandler) -> int:
+        """Register a column subscriber: ``handler(topics, timestamps,
+        values)`` receives each run of matching readings as a whole."""
         parts = split_topic(pattern)
         if _MULTI in parts[:-1]:
             raise TopicError(f"'#' must terminate the pattern: {pattern!r}")
         sub_id = next(self._ids)
         node = self._root
-        is_multi = parts[-1] == _MULTI
-        walk = parts[:-1] if is_multi else parts
-        for seg in walk:
+        for seg in parts:
             node = node.children.setdefault(seg, _TrieNode())
-        if is_multi:
-            node.multi_handlers.append((sub_id, handler))
-        else:
-            node.handlers.append((sub_id, handler))
+        node.handlers.append((sub_id, handler))
         self._pattern_by_id[sub_id] = parts
-        if replay_retained:
-            from repro.common.topics import topic_matches
-
-            pat = "/" + "/".join(parts)
-            for msg in list(self._retained.values()):
-                if topic_matches(pat, msg.topic):
-                    self._invoke(handler, msg.topic, msg.value, msg.timestamp)
+        self._routes = {}
         return sub_id
 
     def unsubscribe(self, sub_id: int) -> bool:
@@ -115,19 +166,19 @@ class Broker:
         parts = self._pattern_by_id.pop(sub_id, None)
         if parts is None:
             return False
-        is_multi = parts[-1] == _MULTI
-        walk = parts[:-1] if is_multi else parts
-        node = self._root
-        for seg in walk:
-            node = node.children.get(seg)
-            if node is None:
-                return False
-        bucket = node.multi_handlers if is_multi else node.handlers
-        for i, (sid, _) in enumerate(bucket):
-            if sid == sub_id:
-                del bucket[i]
-                return True
-        return False
+        path = [self._root]
+        for seg in parts:
+            path.append(path[-1].children[seg])
+        path[-1].handlers[:] = [
+            sub for sub in path[-1].handlers if sub[0] != sub_id
+        ]
+        # Prune what the pattern alone kept alive, or hot-plug churn
+        # grows the trie without bound.
+        while len(path) > 1 and not (path[-1].children or path[-1].handlers):
+            path.pop()
+            del path[-1].children[parts[len(path) - 1]]
+        self._routes = {}
+        return True
 
     def subscription_count(self) -> int:
         """Number of live subscriptions."""
@@ -140,59 +191,47 @@ class Broker:
     def publish(
         self, topic: str, value: float, timestamp: int, retain: bool = False
     ) -> int:
-        """Deliver a sample to all matching subscribers.
-
-        Returns the number of handlers invoked.  With ``retain`` the
-        message is stored and replayed to late subscribers that request
-        retained delivery.
-        """
-        parts = split_topic(topic)
-        if _SINGLE in parts or _MULTI in parts:
-            # MQTT forbids wildcard characters in publish topics; letting
-            # them through would alias the subscription trie's wildcard
-            # slots.
-            raise TopicError(f"wildcards not allowed in publish topic {topic!r}")
+        """Deliver a sample to all matching subscribers (a batch of one)
+        and return how many there were.  With ``retain`` the message is
+        stored and replayed to late subscribers that request it."""
         if retain:
+            self._route(topic)  # a wildcard topic is never retained
             self._retained[topic] = Message(topic, value, timestamp)
+        return self.publish_batch(
+            ReadingBatch((topic,), (timestamp,), (value,))
+        )
+
+    def publish_batch(self, messages) -> int:
+        """Deliver a :class:`ReadingBatch` (or a sequence of
+        :class:`Message`) in list order; returns the deliveries made.
+
+        Every topic is resolved before anything is delivered, so one
+        wildcard topic refuses the whole batch.  A subscriber gets its
+        readings in list order, a run of consecutive same-route readings
+        per call; the counters move per reading.
+        """
+        batch = ReadingBatch.of(messages)
+        topics = batch.topics
+        n = len(topics)
+        if not n:
+            return 0
+        routes = [self._route(topic) for topic in topics]
         # Fan-out runs arbitrary subscriber callbacks of unbounded cost
         # — the in-process stand-in for a network send.  Holding a lock
         # across it is the classic lock-across-I/O hazard (rule R002).
-        hooks.note_blocking("Broker.publish (subscriber fan-out)")
-        self.published_count += 1
-        delivered = self._dispatch(self._root, parts, 0, topic, value, timestamp)
-        self.delivered_count += delivered
-        return delivered
-
-    def publish_message(self, msg: Message, retain: bool = False) -> int:
-        """Publish a prebuilt :class:`Message`."""
-        return self.publish(msg.topic, msg.value, msg.timestamp, retain)
-
-    def publish_batch(self, messages: List[Message]) -> int:
-        """Deliver many samples in one call, in list order.
-
-        Semantically identical to publishing each message individually
-        (same per-message trie dispatch, same delivery order, same
-        counters) but pays topic validation and the blocking-section
-        bookkeeping once per batch instead of once per reading — the
-        fan-out side of the operators' batched store path.
-        """
-        if not messages:
-            return 0
-        split = []
-        for msg in messages:
-            parts = split_topic(msg.topic)
-            if _SINGLE in parts or _MULTI in parts:
-                raise TopicError(
-                    f"wildcards not allowed in publish topic {msg.topic!r}"
-                )
-            split.append(parts)
         hooks.note_blocking("Broker.publish_batch (subscriber fan-out)")
+        self.published_count += n
+        columns = (topics, batch.timestamps, batch.values)
+        cuts = [i for i in range(1, n) if routes[i] != routes[i - 1]]
         delivered = 0
-        for msg, parts in zip(messages, split):
-            self.published_count += 1
-            delivered += self._dispatch(
-                self._root, parts, 0, msg.topic, msg.value, msg.timestamp
-            )
+        for start, end in zip([0] + cuts, cuts + [n]):
+            run = [column[start:end] for column in columns]
+            for handler in routes[start]:
+                try:
+                    handler(*run)
+                except Exception as exc:
+                    self._note_handler_errors(end - start, topics[start], exc)
+            delivered += len(routes[start]) * (end - start)
         self.delivered_count += delivered
         return delivered
 
@@ -200,43 +239,44 @@ class Broker:
         """The retained message on ``topic``, if any."""
         return self._retained.get(topic)
 
-    def _invoke(self, handler, topic: str, value: float, timestamp: int) -> None:
-        """Call one subscriber; a throwing handler must not poison the
-        publisher or the remaining subscribers."""
-        try:
-            handler(topic, value, timestamp)
-        except Exception as exc:
-            self.handler_errors += 1
-            self.last_handler_errors = (
-                self.last_handler_errors + [f"{topic}: {exc}"]
-            )[-16:]
+    def _route(self, topic: str) -> Tuple[BatchHandler, ...]:
+        """The handlers ``topic`` reaches, resolved once per topic."""
+        # Taken before the trie is read: a concurrent (un)subscribe
+        # replaces the table, so a stale result lands in the orphan.
+        routes = self._routes
+        route = routes.get(topic)
+        if route is None:
+            parts = split_topic(topic)
+            if _SINGLE in parts or _MULTI in parts:
+                # MQTT forbids wildcard characters in publish topics;
+                # letting them through would alias the subscription
+                # trie's wildcard slots.  Never memoised as valid.
+                raise TopicError(
+                    f"wildcards not allowed in publish topic {topic!r}"
+                )
+            def under(nodes, key):
+                return [n.children[key] for n in nodes if key in n.children]
 
-    def _dispatch(
-        self,
-        node: _TrieNode,
-        parts: List[str],
-        depth: int,
-        topic: str,
-        value: float,
-        timestamp: int,
-    ) -> int:
-        count = 0
-        for _, handler in node.multi_handlers:
-            self._invoke(handler, topic, value, timestamp)
-            count += 1
-        if depth == len(parts):
-            for _, handler in node.handlers:
-                self._invoke(handler, topic, value, timestamp)
-                count += 1
-            return count
-        seg = parts[depth]
-        child = node.children.get(seg)
-        if child is not None:
-            count += self._dispatch(child, parts, depth + 1, topic, value, timestamp)
-        wild = node.children.get(_SINGLE)
-        if wild is not None:
-            count += self._dispatch(wild, parts, depth + 1, topic, value, timestamp)
-        return count
+            # Nodes whose pattern matches: a '#' matches here and below,
+            # so every '#' child on the way down, then what full depth
+            # reaches and the '#' children of that.
+            matched: List[_TrieNode] = []
+            level = [self._root]
+            for seg in parts:
+                matched += under(level, _MULTI)
+                level = under(level, seg) + under(level, _SINGLE)
+            matched += level + under(level, _MULTI)
+            # Subscription order: ids are unique, so sorting the pairs
+            # never gets as far as comparing two handlers.
+            found = sorted(sub for node in matched for sub in node.handlers)
+            route = routes[topic] = tuple(handler for _, handler in found)
+        return route
+
+    def _note_handler_errors(self, count: int, topic: str, exc) -> None:
+        self.handler_errors += count
+        self.last_handler_errors = (
+            self.last_handler_errors + [f"{topic}: {exc}"]
+        )[-16:]
 
 
 #: Backpressure policies a bounded :class:`QueuedSubscriber` accepts.
@@ -244,19 +284,19 @@ QUEUE_POLICIES = ("drop-oldest", "drop-newest")
 
 
 class QueuedSubscriber:
-    """A subscriber that buffers messages for deferred draining.
+    """A subscriber that buffers readings for deferred draining.
 
     Collect Agents use this to decouple broker delivery from storage
     writes: ``attach`` registers the queue on a broker, and ``drain``
-    hands the accumulated batch to a consumer.
+    hands the accumulated columns to a consumer.
 
-    With ``maxlen`` the queue is bounded: at capacity, ``drop-oldest``
-    evicts the head to admit the new message (monitoring's newest-data
-    bias, the default) while ``drop-newest`` refuses the arrival.
-    Either way the loss lands in ``dropped``, which the owning host
-    exports as ``ingest_dropped_total``.  All queue state is guarded by
-    a ``hooks.make_lock`` lock — under a WallClockDriver, ``handler``
-    runs on publisher threads concurrently with the drain task.
+    With ``maxlen`` the queue is bounded, counted in readings: at
+    capacity, ``drop-oldest`` evicts the head to admit an arrival
+    (monitoring's newest-data bias, the default) while ``drop-newest``
+    refuses it.  Either way the loss lands in ``dropped``, which the
+    owning host exports as ``ingest_dropped_total``.  All queue state is
+    guarded by a ``hooks.make_lock`` lock — under a WallClockDriver,
+    deliveries run on publisher threads concurrently with the drain.
     """
 
     def __init__(
@@ -269,7 +309,8 @@ class QueuedSubscriber:
             )
         if maxlen is not None and maxlen < 1:
             raise ConfigError(f"queue maxlen must be positive: {maxlen}")
-        self._queue: Deque[Message] = deque()
+        #: Pending (topics, timestamps, values), oldest first.
+        self._columns: Tuple[list, list, list] = ([], [], [])
         self.dropped = 0
         self._maxlen = maxlen
         self.policy = policy
@@ -277,28 +318,37 @@ class QueuedSubscriber:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._queue)
+            return len(self._columns[0])
 
     def handler(self, topic: str, value: float, timestamp: int) -> None:
-        """Broker-facing callback: enqueue the message."""
+        """Enqueue one reading: a run of one."""
+        self.handle_batch((topic,), (timestamp,), (value,))
+
+    def handle_batch(self, topics, timestamps, values) -> None:
+        """Broker-facing callback: enqueue a run of readings.  The bound
+        applies per reading, as if they had arrived one by one."""
+        arriving = (topics, timestamps, values)
         with self._lock:
-            if self._maxlen is not None and len(self._queue) >= self._maxlen:
-                self.dropped += 1
-                if self.policy == "drop-newest":
-                    return
-                self._queue.popleft()
-            self._queue.append(Message(topic, value, timestamp))
+            over = 0
+            if self._maxlen is not None:
+                over = max(0, len(self._columns[0]) + len(topics) - self._maxlen)
+            self.dropped += over
+            if over and self.policy == "drop-newest":
+                arriving = [col[: len(col) - over] for col in arriving]
+                over = 0  # refused at the door: nothing to evict
+            for pending, col in zip(self._columns, arriving):
+                pending.extend(col)
+                del pending[:over]
 
     def attach(self, broker: Broker, pattern: str) -> int:
         """Subscribe this queue to ``pattern`` on ``broker``."""
-        return broker.subscribe(pattern, self.handler)
+        return broker.subscribe_batch(pattern, self.handle_batch)
 
-    def drain(self, limit: Optional[int] = None) -> List[Message]:
-        """Remove and return up to ``limit`` queued messages (all if None)."""
+    def drain(self, limit: Optional[int] = None) -> ReadingBatch:
+        """Remove and return up to ``limit`` queued readings (all if
+        None), oldest first."""
         with self._lock:
-            n = (
-                len(self._queue)
-                if limit is None
-                else min(limit, len(self._queue))
-            )
-            return [self._queue.popleft() for _ in range(n)]
+            taken = [col[:limit] for col in self._columns]
+            for col in self._columns:
+                del col[:limit]
+        return ReadingBatch(*taken)

@@ -17,12 +17,12 @@ Section IV-a describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError, LinkDownError
-from repro.dcdb.mqtt import Broker, Message
+from repro.dcdb.mqtt import Broker, ReadingBatch
 from repro.sanitizer import hooks
 from repro.simulator.clock import TaskScheduler
 
@@ -226,80 +226,72 @@ class NetworkConditions:
 
     # ------------------------------------------------------------------
 
-    def _sample_latency(self) -> int:
-        if self.jitter_ns == 0:
-            return self.latency_ns
-        return int(
-            self.latency_ns
-            + self._rng.integers(-self.jitter_ns, self.jitter_ns + 1)
-        )
-
     def publish(self, topic: str, value: float, timestamp: int) -> None:
-        """Send one message through the link.
+        """Send one message through the link: a batch of one."""
+        self.publish_batch(ReadingBatch((topic,), (timestamp,), (value,)))
 
-        Raises :class:`LinkDownError` when a scheduled outage covers the
-        destination — the message never enters the link (not counted as
-        sent) and the producer decides whether to buffer and retry.
+    def publish_batch(self, messages) -> None:
+        """Send a :class:`ReadingBatch` (or a sequence of messages)
+        through the link, in list order.
+
+        Each message meets the link on its own — refused by an outage
+        covering its destination (never counted as sent), dropped, or
+        delayed by its latency sample, one RNG draw order whatever the
+        batch size.  What is due at one instant reaches the broker as
+        one batch, in list order.
+        When any destination is down, one :class:`LinkDownError` is
+        raised afterwards carrying the refused subset in ``refused``, so
+        store-and-forward producers spill exactly what was not accepted.
         """
-        with self._lock:
-            outage = self._refusing_outage(topic, self.scheduler.clock.now)
-            if outage is not None:
-                self.refused += 1
-                until = outage.end_ns
-        if outage is not None:
-            raise LinkDownError(
-                f"link down for {topic!r} until t={until}ns",
-                until_ns=until,
-            )
-        with self._lock:
-            self.sent += 1
-            if (
-                self.drop_probability
-                and self._rng.random() < self.drop_probability
-            ):
-                self.dropped += 1
-                return
-            latency = self._sample_latency() if self.latency_ns else 0
-        if latency == 0:
-            self.broker.publish(topic, value, timestamp)
-            with self._lock:
-                self.delivered += 1
-            return
-        due = self.scheduler.clock.now + latency
-
-        def deliver(ts: int, t=topic, v=value, orig=timestamp) -> None:
-            self.broker.publish(t, v, orig)
-            with self._lock:
-                self.delivered += 1
-
-        self.scheduler.add_once("net-delivery", deliver, due)
-
-    def publish_batch(self, messages: Sequence[Message]) -> None:
-        """Send many messages through the link, in list order.
-
-        Per-message semantics (latency sampling, drops, refusals) match
-        :meth:`publish` exactly — the batched store path behaves
-        identically to the scalar one behind a degraded link.  When any
-        destination is down, the deliverable messages still go out and
-        one :class:`LinkDownError` is raised afterwards carrying the
-        refused subset in its ``refused`` attribute, so store-and-forward
-        producers spill exactly what was not accepted.
-        """
-        refused: List[Message] = []
+        batch = ReadingBatch.of(messages)
+        now = self.scheduler.clock.now
+        refused: List[int] = []
+        arrivals: Dict[int, List[int]] = {}  # due -> indices, list order
         until = None
-        for msg in messages:
-            try:
-                self.publish(msg.topic, msg.value, msg.timestamp)
-            except LinkDownError as exc:
-                refused.append(msg)
-                if exc.until_ns is not None:
-                    until = max(until or 0, exc.until_ns)
+        with self._lock:
+            for i, topic in enumerate(batch.topics):
+                outage = self._refusing_outage(topic, now)
+                if outage is not None:
+                    self.refused += 1
+                    refused.append(i)
+                    until = max(until or 0, outage.end_ns)
+                    continue
+                self.sent += 1
+                if (
+                    self.drop_probability
+                    and self._rng.random() < self.drop_probability
+                ):
+                    self.dropped += 1
+                    continue
+                due = now + self.latency_ns
+                if self.jitter_ns:
+                    due += int(
+                        self._rng.integers(-self.jitter_ns, self.jitter_ns + 1)
+                    )
+                arrivals.setdefault(due, []).append(i)
+        # What is due at the same instant (everything, on a jitter-free
+        # link) travels on as one batch: same arrival order, one task.
+        for due, indices in arrivals.items():
+            arriving = batch.take(indices)
+            if due == now:
+                self._arrive(arriving)
+            else:
+                self.scheduler.add_once(
+                    "net-delivery",
+                    lambda ts, arriving=arriving: self._arrive(arriving),
+                    due,
+                )
         if refused:
             raise LinkDownError(
-                f"link refused {len(refused)}/{len(messages)} messages",
+                f"link refused {len(refused)}/{len(batch)} messages",
                 until_ns=until,
-                refused=refused,
+                refused=batch.take(refused),
             )
+
+    def _arrive(self, batch: ReadingBatch) -> None:
+        self.broker.publish_batch(batch)
+        with self._lock:
+            self.delivered += len(batch)
 
     # Duck-type compatibility with Broker for producers that only publish.
     def subscribe(self, *args, **kwargs):

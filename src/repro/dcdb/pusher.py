@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import ConfigError, LinkDownError, PluginError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
-from repro.dcdb.mqtt import Broker, Message
+from repro.dcdb.mqtt import Broker, Message, ReadingBatch
 from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.resilience import ExponentialBackoff, SpillQueue
 from repro.dcdb.restapi import RestApi, RestResponse
@@ -183,9 +183,13 @@ class Pusher:
 
     def _sample_plugin(self, plugin: MonitoringPlugin, ts: int) -> None:
         t0 = time.perf_counter_ns()
+        readings: list = []
         try:
-            for sensor, value in plugin.sample(ts):
-                self.store_reading(sensor, ts, value)
+            try:
+                readings.extend(plugin.sample(ts))
+            finally:
+                # What the plugin yielded before it raised is kept.
+                self.store_readings_batch(ts, readings)
         except Exception as exc:
             # A faulty plugin must not take down the sampling loop (or
             # the other plugins sharing it): count and continue.
@@ -202,9 +206,8 @@ class Pusher:
     # ------------------------------------------------------------------
 
     def _cache_for_sensor(self, sensor: Sensor) -> SensorCache:
-        """Lazy cache registration shared by the scalar and batch store
-        paths: operator outputs register with the host cache window the
-        first time they are written."""
+        """Lazy cache registration: operator outputs register with the
+        host cache window the first time they are written."""
         cache = self.caches.get(sensor.topic)
         if cache is None:
             interval = getattr(sensor, "interval_hint_ns", 0) or NS_PER_SEC
@@ -215,32 +218,29 @@ class Pusher:
         return cache
 
     def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
-        """Cache a reading and publish it if the sensor is published.
+        """Cache a reading and publish it if the sensor is published:
+        a pass of one through :meth:`store_readings_batch`."""
+        self.store_readings_batch(ts, ((sensor, value),))
 
+    def store_readings_batch(self, ts, readings) -> None:
+        """Store one pass — sampled readings or operator outputs.
+
+        ``readings`` is a sequence of ``(sensor, value)`` pairs sharing
+        one timestamp.  Each lands in its sensor's cache (created on
+        first write); the publishable ones leave as one column batch.
         Operator outputs flow through the same call, which is what makes
         them "identical to all other sensor data" (Section IV-d) and
         thus usable as pipeline inputs downstream.
         """
-        self._cache_for_sensor(sensor).store(ts, value)
-        if sensor.publish:
-            self._publish(Message(sensor.topic, value, ts))
-
-    def store_readings_batch(self, ts, readings) -> None:
-        """Store a whole pass's operator outputs in one call.
-
-        ``readings`` is a sequence of ``(sensor, value)`` pairs sharing
-        one timestamp.  Caching behaviour matches per-reading
-        :meth:`store_reading` exactly (lazy cache creation included);
-        publishable readings are collected and handed to the broker as
-        one batch so MQTT fan-out bookkeeping is paid once per pass.
-        """
-        to_publish = []
+        topics: list = []
+        values: list = []
         for sensor, value in readings:
             self._cache_for_sensor(sensor).store(ts, value)
             if sensor.publish:
-                to_publish.append(Message(sensor.topic, value, ts))
-        if to_publish:
-            self._publish_batch(to_publish)
+                topics.append(sensor.topic)
+                values.append(value)
+        if topics:
+            self._publish_batch(ReadingBatch(topics, [ts] * len(topics), values))
 
     # ------------------------------------------------------------------
     # Store-and-forward publish path
@@ -252,54 +252,30 @@ class Pusher:
         with self._spill_lock:
             return len(self._spill)
 
-    def _queue_behind_spill(self) -> bool:
-        """While spilled readings await replay, new publishes must line
-        up behind them — bypassing the queue would reorder the stream
-        and the agent's caches would drop the late replays as stale."""
+    def _publish_batch(self, batch: ReadingBatch) -> None:
+        # While spilled readings await replay, new publishes must line
+        # up behind them — bypassing the queue would reorder the stream
+        # and the agent's caches would drop the late replays as stale.
         with self._spill_lock:
-            return self._replaying or len(self._spill) > 0
-
-    def _publish(self, msg: Message) -> None:
-        if self._queue_behind_spill():
+            refused = batch if self._replaying or len(self._spill) else None
+        if refused is None:
+            try:
+                self.broker.publish_batch(batch)
+                return
+            except LinkDownError as exc:
+                refused = exc.refused or batch
+                self._m_link_refusals.inc(len(refused))
+        for msg in refused:
             self._spill_message(msg)
-            self._schedule_retry()
-            return
-        try:
-            self.broker.publish(msg.topic, msg.value, msg.timestamp)
-        except LinkDownError:
-            self._m_link_refusals.inc()
-            self._spill_message(msg)
-            self._schedule_retry()
-
-    def _publish_batch(self, messages: List[Message]) -> None:
-        publish_batch = getattr(self.broker, "publish_batch", None)
-        if publish_batch is None:
-            for msg in messages:
-                self._publish(msg)
-            return
-        if self._queue_behind_spill():
-            for msg in messages:
-                self._spill_message(msg)
-            self._schedule_retry()
-            return
-        try:
-            publish_batch(messages)
-        except LinkDownError as exc:
-            refused = exc.refused or list(messages)
-            self._m_link_refusals.inc(len(refused))
-            for msg in refused:
-                self._spill_message(msg)
-            self._schedule_retry()
+        self._schedule_retry()
 
     def _spill_message(self, msg: Message) -> None:
         with self._spill_lock:
             evicted = self._spill.append(msg)
-        if evicted is msg:  # refused outright (drop-newest at capacity)
+        if evicted is not None:  # the head, or msg itself (drop-newest)
             self._m_spill_dropped.inc()
-            return
-        self._m_spill_buffered.inc()
-        if evicted is not None:
-            self._m_spill_dropped.inc()
+        if evicted is not msg:
+            self._m_spill_buffered.inc()
 
     def _schedule_retry(self) -> None:
         with self._spill_lock:

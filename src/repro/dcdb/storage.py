@@ -21,7 +21,7 @@ from repro.dcdb.sensor import SensorReading
 class _Series:
     """Growable column pair for one sensor."""
 
-    __slots__ = ("ts", "val", "size")
+    __slots__ = ("ts", "val", "size", "newest_ts")
 
     _INITIAL = 256
 
@@ -29,6 +29,9 @@ class _Series:
         self.ts = np.empty(self._INITIAL, dtype=np.int64)
         self.val = np.empty(self._INITIAL, dtype=np.float64)
         self.size = 0
+        #: ``ts[size - 1]`` as a Python int (``None`` when empty): the
+        #: order guard reads it without boxing a NumPy scalar.
+        self.newest_ts: Optional[int] = None
 
     def _grow(self, needed: int) -> None:
         cap = len(self.ts)
@@ -46,13 +49,16 @@ class _Series:
         Maintain time order: DCDB rejects out-of-order inserts at the
         same key; we drop them silently like the sensor cache does.
         """
-        if self.size and timestamp < int(self.ts[self.size - 1]):
+        newest = self.newest_ts
+        if newest is not None and timestamp < newest:
             return False
-        if self.size == len(self.ts):
-            self._grow(self.size + 1)
-        self.ts[self.size] = timestamp
-        self.val[self.size] = value
-        self.size += 1
+        size = self.size
+        if size == len(self.ts):
+            self._grow(size + 1)
+        self.ts[size] = timestamp
+        self.val[size] = value
+        self.newest_ts = timestamp
+        self.size = size + 1
         return True
 
     def append_batch(self, timestamps: np.ndarray, values: np.ndarray) -> int:
@@ -71,7 +77,7 @@ class _Series:
             return 0
         keep = timestamps >= np.maximum.accumulate(timestamps)
         if self.size:
-            keep &= timestamps >= int(self.ts[self.size - 1])
+            keep &= timestamps >= self.newest_ts
         if not keep.all():
             timestamps = timestamps[keep]
             values = values[keep]
@@ -83,6 +89,7 @@ class _Series:
         self.ts[self.size : self.size + n] = timestamps
         self.val[self.size : self.size + n] = values
         self.size += n
+        self.newest_ts = int(timestamps[-1])
         return n
 
     def range(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -116,6 +123,8 @@ class _Series:
             self.ts[:keep] = self.ts[lo : self.size]
             self.val[:keep] = self.val[lo : self.size]
         self.size = keep
+        if not keep:
+            self.newest_ts = None
         return lo
 
     def memory_bytes(self) -> int:

@@ -388,6 +388,49 @@ class TestIngestCacheSizing:
         assert len(v.timestamps()) == n
         assert cache.capacity >= n
 
+    def test_steady_1hz_topic_never_resizes(self, monkeypatch):
+        # Regression: the first guess (window // 1 s + 1) was smaller
+        # than what the first observed 1 s gap asks for (window * 1.2 +
+        # 2), so the second arrival of every 1 Hz topic reallocated its
+        # ring.
+        from repro.dcdb import Broker, CollectAgent
+        from repro.simulator.clock import TaskScheduler
+
+        resizes = []
+        resize = SensorCache.resize
+
+        def counting_resize(cache, capacity):
+            resizes.append(capacity)
+            resize(cache, capacity)
+
+        monkeypatch.setattr(SensorCache, "resize", counting_resize)
+        scheduler = TaskScheduler()
+        broker = Broker()
+        agent = CollectAgent(
+            "agent", broker, scheduler, cache_window_ns=30 * NS_PER_SEC
+        )
+        topic = "/r0/c0/n0/power"
+        for i in range(10):
+            scheduler.run_until(i * NS_PER_SEC)
+            broker.publish(topic, float(i), i * NS_PER_SEC)
+        agent.flush()
+        assert resizes == []
+        assert len(agent.caches[topic]) == 10
+
+    def test_adjacent_timestamps_stop_at_the_ceiling(self):
+        from repro.dcdb import Broker, CollectAgent
+        from repro.simulator.clock import TaskScheduler
+
+        broker = Broker()
+        agent = CollectAgent("agent", broker, TaskScheduler())
+        topic = "/r0/c0/n0/burst"
+        broker.publish(topic, 1.0, 1000)
+        broker.publish(topic, 2.0, 1001)  # 1 ns apart
+        agent.flush()
+        cache = agent.caches[topic]
+        assert cache.capacity == CollectAgent._MAX_INGEST_CAPACITY
+        assert len(cache) == 2
+
     def test_slow_sensor_does_not_balloon(self):
         from repro.dcdb import Broker, CollectAgent
         from repro.simulator.clock import TaskScheduler
@@ -400,6 +443,7 @@ class TestIngestCacheSizing:
             scheduler.run_until(i * 10 * NS_PER_SEC)
             broker.publish(topic, float(i), i * 10 * NS_PER_SEC)
         agent.flush()
-        # The initial 1 Hz guess stays an upper bound; a slower cadence
-        # must not grow the ring.
-        assert agent.caches[topic].capacity == 181
+        # The initial 1 Hz guess (180 s of readings plus the 20% slack
+        # every later observation applies too) stays an upper bound; a
+        # slower cadence must not grow the ring.
+        assert agent.caches[topic].capacity == 218

@@ -108,6 +108,122 @@ class TestUnsubscribe:
         assert b.subscription_count() == 1
 
 
+class TestRouteMemo:
+    """A topic's subscribers are resolved once and memoised; every
+    subscribe/unsubscribe must invalidate what earlier publishes
+    memoised, or deliveries go to the wrong handlers."""
+
+    @pytest.mark.parametrize("pattern", ["/a/b", "/a/+", "/a/#", "/#"])
+    def test_subscribe_after_publish_reaches_new_handler(self, pattern):
+        b = Broker()
+        order = []
+        b.subscribe("/a/b", lambda t, v, ts: order.append(("first", v)))
+        assert b.publish("/a/b", 1.0, 1) == 1  # memoises /a/b -> [first]
+        b.subscribe(pattern, lambda t, v, ts: order.append(("late", v)))
+        assert b.publish("/a/b", 2.0, 2) == 2
+        assert order == [("first", 1.0), ("first", 2.0), ("late", 2.0)]
+
+    def test_delivery_is_in_subscription_order(self):
+        b = Broker()
+        order = []
+        for name, pattern in [("multi", "/a/#"), ("exact", "/a/b"),
+                              ("plus", "/+/b"), ("root", "/#")]:
+            b.subscribe(pattern, lambda t, v, ts, n=name: order.append(n))
+        assert b.publish("/a/b", 1.0, 1) == 4
+        assert order == ["multi", "exact", "plus", "root"]
+
+    @pytest.mark.parametrize("pattern", ["/a/b", "/a/+", "/a/#"])
+    def test_unsubscribe_after_publish_stops_delivery(self, pattern):
+        b = Broker()
+        gone, kept = Recorder(), Recorder()
+        sid = b.subscribe(pattern, gone)
+        b.subscribe("/#", kept)
+        assert b.publish("/a/b", 1.0, 1) == 2  # memoised with both
+        assert b.unsubscribe(sid) is True
+        assert b.publish("/a/b", 2.0, 2) == 1
+        assert [m[1] for m in gone.messages] == [1.0]
+        assert [m[1] for m in kept.messages] == [1.0, 2.0]
+
+    def test_wildcard_topic_refused_every_time_and_delivers_nothing(self):
+        b = Broker()
+        rec = Recorder()
+        b.subscribe("/#", rec)
+        batch = [Message("/ok", 1.0, 1), Message("/a/+", 2.0, 1),
+                 Message("/ok", 3.0, 1)]
+        for _ in range(3):  # a refusal must not be memoised as valid
+            with pytest.raises(TopicError):
+                b.publish_batch(batch)
+            with pytest.raises(TopicError):
+                b.publish("/a/#", 1.0, 1)
+        assert rec.messages == []
+        assert b.published_count == 0 and b.delivered_count == 0
+
+    def test_throwing_subscriber_costs_one_error_per_reading(self):
+        b = Broker()
+        rec = Recorder()
+
+        def bad(topic, value, ts):
+            raise ValueError("subscriber bug")
+
+        b.subscribe("/#", bad)
+        b.subscribe("/#", rec)
+        queue = QueuedSubscriber()
+        queue.attach(b, "/t/#")
+        batch = [Message(f"/t/{i}", float(i), i) for i in range(5)]
+        assert b.publish_batch(batch) == 15
+        assert b.publish_batch(batch) == 15  # memoised route, same cost
+        assert b.handler_errors == 10
+        assert [m[1] for m in rec.messages] == [0.0, 1.0, 2.0, 3.0, 4.0] * 2
+        assert [m.value for m in queue.drain()] == [0.0, 1.0, 2.0, 3.0, 4.0] * 2
+
+    def test_mixed_routes_keep_list_order_per_subscriber(self):
+        b = Broker()
+        everything, only_a = Recorder(), Recorder()
+        b.subscribe("/#", everything)
+        b.subscribe("/a/#", only_a)
+        topics = ["/a/x", "/a/y", "/b/x", "/a/z", "/b/y"]
+        n = b.publish_batch(
+            [Message(t, float(i), i) for i, t in enumerate(topics)]
+        )
+        assert n == 8
+        assert [m[0] for m in everything.messages] == topics
+        assert [m[0] for m in only_a.messages] == ["/a/x", "/a/y", "/a/z"]
+        assert b.published_count == 5 and b.delivered_count == 8
+
+
+class TestTriePruning:
+    def test_unsubscribe_prunes_empty_nodes(self):
+        b = Broker()
+        keep = b.subscribe("/rack/n0/power", Recorder())
+        for i in range(50):  # hot-plug churn
+            sids = [b.subscribe(f"/rack/n{i}/cpu{c}/+/cycles", Recorder())
+                    for c in range(4)]
+            sids.append(b.subscribe(f"/rack/n{i}/#", Recorder()))
+            for sid in sids:
+                assert b.unsubscribe(sid) is True
+
+        def nodes(node):
+            return 1 + sum(nodes(c) for c in node.children.values())
+
+        # Only the path of the surviving subscription is left.
+        assert nodes(b._root) == 4
+        assert b.unsubscribe(keep) is True
+        assert nodes(b._root) == 1
+
+    def test_pruning_stops_at_nodes_still_in_use(self):
+        b = Broker()
+        deep, shallow, multi = Recorder(), Recorder(), Recorder()
+        sid = b.subscribe("/a/b/c", deep)
+        b.subscribe("/a/b", shallow)
+        b.subscribe("/a/#", multi)
+        b.unsubscribe(sid)
+        b.publish("/a/b", 1.0, 1)
+        b.publish("/a/b/c", 2.0, 2)
+        assert deep.messages == []
+        assert [m[1] for m in shallow.messages] == [1.0]
+        assert [m[1] for m in multi.messages] == [1.0, 2.0]
+
+
 class TestRetained:
     def test_retained_replayed_on_subscribe(self):
         b = Broker()
@@ -180,6 +296,21 @@ class TestQueuedSubscriber:
         assert q.dropped == 2
         # deque(maxlen) keeps the newest entries
         assert [m.value for m in q.drain()] == [2.0, 3.0]
+
+
+    @pytest.mark.parametrize("policy,kept", [
+        ("drop-oldest", [4.0, 5.0, 6.0]), ("drop-newest", [0.0, 1.0, 2.0]),
+    ])
+    def test_bound_is_per_reading_within_a_batch(self, policy, kept):
+        # One run larger than what is left of the queue, then one larger
+        # than the whole queue: the outcome is that of seven arrivals.
+        b = Broker()
+        q = QueuedSubscriber(maxlen=3, policy=policy)
+        q.attach(b, "/#")
+        b.publish_batch([Message("/t", float(i), i) for i in range(2)])
+        b.publish_batch([Message("/t", float(i), i) for i in range(2, 7)])
+        assert len(q) == 3 and q.dropped == 4
+        assert [m.value for m in q.drain()] == kept
 
 
 class TestPublishValidation:

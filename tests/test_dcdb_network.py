@@ -79,6 +79,37 @@ class TestNetworkConditions:
         scheduler.run_until(NS_PER_SEC)
         assert len(received) == 20
 
+    @pytest.mark.parametrize("jitter_ms", [0, 50])
+    def test_batch_draws_and_arrives_like_its_messages_one_by_one(
+        self, jitter_ms
+    ):
+        # Same seed, same messages: once as one batch, once one by one.
+        # Drops, latency draws and broker arrival order must be equal —
+        # on the jitter-free link too, where the batch travels whole.
+        from repro.dcdb.mqtt import Message
+
+        arrivals = []
+        for batched in (True, False):
+            scheduler, _, link, received = self.rig(
+                latency_ns=100 * NS_PER_MS, jitter_ns=jitter_ms * NS_PER_MS,
+                drop_probability=0.2, seed=5,
+            )
+            messages = [Message(f"/t{i % 3}", float(i), i) for i in range(30)]
+            if batched:
+                link.publish_batch(messages)
+            else:
+                for m in messages:
+                    link.publish(m.topic, m.value, m.timestamp)
+            assert link.in_flight == 30 - link.dropped
+            scheduler.run_until(NS_PER_SEC)
+            assert link.in_flight == 0 and 0 < link.dropped < 30
+            arrivals.append(received)
+        assert arrivals[0] == arrivals[1]
+        if not jitter_ms:
+            assert [v for _, v, _ in arrivals[0]] == sorted(
+                v for _, v, _ in arrivals[0]
+            )
+
     def test_drops_are_deterministic_and_counted(self):
         scheduler, _, link, received = self.rig(
             drop_probability=0.5, seed=42

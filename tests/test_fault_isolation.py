@@ -54,12 +54,24 @@ class TestPusherFaultIsolation:
 
     def test_partial_samples_before_failure_are_kept(self):
         scheduler = TaskScheduler()
-        pusher = Pusher("/n0", Broker(), scheduler)
+        broker = Broker()
+        pusher = Pusher("/n0", broker, scheduler)
         pusher.add_plugin(MidwayFailer("/n0"))
+        agent = CollectAgent("agent", broker, scheduler)
         scheduler.run_until(3 * NS_PER_SEC)
+        agent.flush()
         assert len(pusher.cache_for("/n0/ok-sensor")) == 4
         assert len(pusher.cache_for("/n0/never-sensor") or []) == 0
         assert pusher.sampling_errors == 4
+        # What was yielded before the plugin raised also left the
+        # Pusher: published and stored, once each, the pass still
+        # counted as failed.
+        assert broker.published_count == 4
+        ts, val = agent.storage.query("/n0/ok-sensor", 0, 10 * NS_PER_SEC)
+        assert list(ts) == [s * NS_PER_SEC for s in range(4)]
+        assert list(val) == [1.0] * 4
+        assert len(agent.cache_for("/n0/ok-sensor")) == 4
+        assert "/n0/never-sensor" not in agent.storage
 
 
 class TestBrokerFaultIsolation:
