@@ -18,8 +18,8 @@ reports unit-expansion cardinality per operator (W008–W014).
 Entry points:
 
 - :func:`analyze_pipeline_blocks` — an ordered list of plugin blocks
-  sharing a host, optionally against a sensor tree: earlier blocks'
-  declared outputs are visible to later blocks, mirroring staged
+  sharing a host, optionally against a sensor tree: earlier operators'
+  declared outputs are visible to later ones, mirroring staged
   pipeline deployment, and the cross-operator rules (duplicate outputs
   W011, cycles W012) run over the whole list.
 - :func:`analyze_deployment` — a whole ``repro.deploy`` specification:
@@ -244,19 +244,21 @@ def analyze_pipeline_blocks(
 ) -> List[Diagnostic]:
     """Analyze an ordered list of plugin blocks sharing one host.
 
-    Blocks are processed in deployment order; each block's declared
-    output sensors are added to the (copied) tree before the next block
-    is analyzed, so staged pipelines resolve exactly like
-    :meth:`repro.core.pipeline.Pipeline.deploy` loads them.  Duplicate
-    output topics (W011) and operator cycles (W012) are detected across
-    the whole list.
+    Operators are processed in deployment order; each one's declared
+    output sensors are added to the (copied) tree before the next is
+    analyzed — the next of the same block included — so staged
+    pipelines resolve exactly like
+    :meth:`repro.core.manager.OperatorManager.load_plugin` loads them.
+    Duplicate output topics (W011) and operator cycles (W012) are
+    detected across the whole list.
     """
     out = collector if collector is not None else DiagnosticCollector()
     start = len(out.sink)
     views = [PLUGIN_BLOCK.read(b, out.at(i)) for i, b in enumerate(blocks)]
     for i, view in enumerate(views):
         check_plugin_name(view, out.at(i), known_plugins or ())
-    _analyze_pipeline(views, tree, out, max_units)
+    resolved = resolve_pipeline(views, tree) if tree is not None else None
+    _analyze_pipeline(views, tree, out, max_units, resolved)
     return out.sink[start:]
 
 
@@ -265,54 +267,37 @@ def _analyze_pipeline(
     tree: Optional[SensorTree],
     out: DiagnosticCollector,
     max_units: int,
+    resolved: Optional[ResolvedPipeline],
 ) -> None:
     """The tree rules (W008–W014) over the typed views of one host's
-    plugin blocks; the structural findings are already reported."""
-    work_tree = _copy_tree(tree) if tree is not None else None
+    plugin blocks; the structural findings are already reported.
+
+    ``resolved`` is the blocks' resolution against ``tree`` (both None
+    without a tree).  Each operator is checked against the tree as
+    ``load_plugin`` would find it: grown by the output topics of every
+    operator before it, its own block's included.
+    """
+    work_tree = None
+    produced: Dict[Tuple[int, str], List[str]] = {}
+    if tree is not None:
+        work_tree = SensorTree.from_topics(tree.all_sensor_topics())
+        produced = {
+            (op.block_index, op.name): op.output_topics()
+            for op in resolved.operators
+        }
     views: List[_OperatorView] = []
     for i, block in enumerate(blocks):
-        block_views = _operator_views(i, block)
-        views.extend(block_views)
-        if work_tree is not None:
-            # A block's operators do not see each other's outputs.
-            for view in block_views:
+        for view in _operator_views(i, block):
+            views.append(view)
+            if work_tree is not None:
                 _analyze_operator(
                     view, work_tree, out.at(i, "operators", view.name),
                     max_units,
                 )
-            for view in block_views:
-                _materialize_outputs(view, work_tree)
+                for topic in produced[i, view.name]:
+                    add_topic(work_tree, topic)
     _check_duplicate_outputs(views, work_tree, out)
     _check_cycles(views, work_tree, out)
-
-
-def _copy_tree(tree: SensorTree) -> SensorTree:
-    return SensorTree.from_topics(tree.all_sensor_topics())
-
-
-def _materialize_outputs(view: _OperatorView, tree: SensorTree) -> None:
-    """Add the operator's declared output sensors to the tree, making
-    them visible to later pipeline stages."""
-    if view.is_job_plugin:
-        return  # outputs live under /jobs/<id>/, created per running job
-    unit_expr = view.unit_expr()
-    for expr in view.outputs:
-        if expr.anchor == "unit":
-            domain_expr = unit_expr
-        else:
-            domain_expr = expr
-        if domain_expr is None:
-            continue
-        try:
-            nodes = domain_expr.domain(tree)
-        except TopicError:
-            continue
-        for node in nodes:
-            topic = (
-                f"/{expr.sensor}" if node.path == "/"
-                else f"{node.path.rstrip('/')}/{expr.sensor}"
-            )
-            add_topic(tree, topic)
 
 
 def _output_keys(view: _OperatorView, tree: Optional[SensorTree]):
@@ -481,13 +466,16 @@ class ResolvedDeployment:
     #: One representative node's monitoring sensors — what a Pusher's
     #: analytics manager resolves against.
     pusher_tree: SensorTree
-    #: Every node's sensors, the facility's, and the Pushers' operator
-    #: outputs on every node — what the Collect Agent's manager sees.
+    #: Every node's sensors, the facility's, and the Pushers' published
+    #: operator outputs on every node — what the builder declares to the
+    #: Collect Agent's engine before its first block loads.
     agent_tree: SensorTree
     #: The Pusher blocks resolved against ``pusher_tree``.
     pushers: ResolvedPipeline
-    #: Pusher operator output topic -> its topics across the fleet.
+    #: Published Pusher operator output -> its topics across the fleet.
     replicated: Dict[str, List[str]]
+    #: The agent blocks resolved against ``agent_tree``.
+    agent: ResolvedPipeline
 
 
 def resolve_deployment(view: SimpleNamespace) -> ResolvedDeployment:
@@ -499,13 +487,16 @@ def resolve_deployment(view: SimpleNamespace) -> ResolvedDeployment:
     # time every node runs them, so each output exists once per node.
     replicated = {
         topic: replicate_topic(topic, nodes.node_paths[0], nodes.node_paths)
-        for op in pushers.operators for topic in op.output_topics()
+        for op in pushers.operators if op.config.publish_outputs
+        for topic in op.output_topics()
     }
     for topics in replicated.values():
         for topic in topics:
             add_topic(agent_tree, topic)
+    agent = resolve_pipeline(view.analytics.agent, agent_tree, "agent")
     return ResolvedDeployment(
-        view, nodes.node_paths, pusher_tree, agent_tree, pushers, replicated
+        view, nodes.node_paths, pusher_tree, agent_tree, pushers, replicated,
+        agent,
     )
 
 
@@ -528,12 +519,13 @@ def analyze_deployment(
     if view is None:
         return out.sink[start:]
     resolved = resolve_deployment(view)
-    for context, tree in (
-        ("pushers", resolved.pusher_tree), ("agent", resolved.agent_tree)
+    for context, tree, pipeline in (
+        ("pushers", resolved.pusher_tree, resolved.pushers),
+        ("agent", resolved.agent_tree, resolved.agent),
     ):
         _analyze_pipeline(
             getattr(view.analytics, context), tree,
-            out.at("analytics", context), max_units,
+            out.at("analytics", context), max_units, pipeline,
         )
     if flow:
         from repro.analysis.flow import DEFAULT_MEMORY_BUDGET_MB, build_flow_model

@@ -58,7 +58,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.analysis.config import ResolvedDeployment, resolve_deployment
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC
-from repro.core.pipeline import resolve_pipeline
 from repro.core.registry import get_plugin_class
 from repro.dcdb.plugins import MONITORING_PLUGINS
 from repro.simulator.facility import FACILITY_SENSOR_UNITS
@@ -654,9 +653,7 @@ def build_flow_model(
 
     # The Collect Agent always persists to storage, so its chains can
     # never hide an intermediate from the external subscriber.
-    agent_rp = resolve_pipeline(
-        view.analytics.agent, resolved.agent_tree, "agent"
-    )
+    agent_rp = resolved.agent
     agent_fused = _analyze_fusion(agent_rp, "agent", True, model, out)
     for op in agent_rp.operators:
         _propagate_operator(

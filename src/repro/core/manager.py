@@ -98,7 +98,7 @@ class OperatorManager:
             if op.name in self._operators:
                 raise ConfigError(f"duplicate operator name {op.name!r}")
         # Pipelines: upstream stages may have created sensors after this
-        # engine was built — resolve against the freshest sensor space.
+        # engine was built — bring the sensor space up to date first.
         self.engine.refresh_navigator()
         tree = self.engine.navigator.tree
         for op in operators:
@@ -109,7 +109,6 @@ class OperatorManager:
             self.engine.declare_topics(
                 s.topic for u in op.units for s in u.outputs
             )
-            tree = self.engine.navigator.tree
             self._operators[op.name] = op
             self._plugin_of[op.name] = configurator.plugin_name
             if op.config.mode == "online":
@@ -265,12 +264,6 @@ class OperatorManager:
             return op.trigger(unit_name, when, self.engine.navigator.tree)
         finally:
             self._m_busy.inc(time.perf_counter_ns() - t0)
-
-    def refresh_sensor_space(self) -> None:
-        """Rebuild the Query Engine's navigator from the host's topics."""
-        self._require_host()
-        assert self.engine is not None
-        self.engine.refresh_navigator()
 
     # ------------------------------------------------------------------
     # REST routes

@@ -18,23 +18,20 @@ from repro.core.tree import SensorTree, TreeNode
 
 
 class SensorNavigator:
-    """Hierarchy-aware view over the monitored sensor space."""
+    """Hierarchy-aware view over the monitored sensor space.
+
+    A Query Engine's navigator keeps one tree for life: the engine adds
+    to it in place as its host gains sensors and as operators declare
+    their outputs (DESIGN.md, "How the sensor space grows").
+    """
 
     def __init__(self, tree: Optional[SensorTree] = None) -> None:
         self._tree = tree if tree is not None else SensorTree()
-        self._rebuilds = 0
 
     @classmethod
     def from_topics(cls, topics: Iterable[str]) -> "SensorNavigator":
-        """Build a navigator directly from sensor topics.
-
-        The tree is frozen once built: host sensor spaces change by
-        :meth:`rebuild` (a fresh tree), never by in-place mutation —
-        units resolved against the old tree hold references into it.
-        """
-        tree = SensorTree.from_topics(topics)
-        tree.freeze()
-        return cls(tree)
+        """Build a navigator directly from sensor topics."""
+        return cls(SensorTree.from_topics(topics))
 
     @property
     def tree(self) -> SensorTree:
@@ -42,26 +39,25 @@ class SensorNavigator:
         return self._tree
 
     @property
-    def generation(self) -> tuple:
-        """Sensor-space generation: changes whenever the navigator is
-        rebuilt *or* the current tree is mutated in place (hot-plug).
+    def generation(self) -> int:
+        """Sensor-space generation: the tree's change counter.
 
         Compiled query plans compare this value to decide staleness;
-        anything cheaper (object identity of the tree) misses in-place
-        mutations, anything coarser forces needless recompiles.
+        it moves only when the tree really changes, so loading a block
+        that adds nothing recompiles nothing.
         """
-        return (self._rebuilds, self._tree.generation)
+        return self._tree.generation
 
     def rebuild(self, topics: Iterable[str]) -> None:
-        """Replace the tree with one built from ``topics``.
+        """Start a *standalone* navigator over from ``topics``.
 
-        Hosts call this when their sensor space changes — e.g. when a
-        pipeline stage starts producing new operator-output sensors.
+        Query Engines never call this — their tree grows in place.  The
+        fresh tree counts on from the old one's generation, so a plan
+        compiled before the rebuild can never look current after it.
         """
         tree = SensorTree.from_topics(topics)
-        tree.freeze()
+        tree._generation += self._tree.generation + 1
         self._tree = tree
-        self._rebuilds += 1
 
     # ------------------------------------------------------------------
     # Navigation

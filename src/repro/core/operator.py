@@ -937,7 +937,6 @@ class JobOperatorBase(OperatorBase):
                 except Exception as exc:  # unresolvable job
                     if attempt == 0 and not refreshed and self.engine is not None:
                         self.engine.refresh_navigator()
-                        self._tree = self.engine.navigator.tree
                         refreshed = True
                         continue
                     self._note_error(job.job_id, exc)

@@ -8,10 +8,11 @@ control operators that close feedback loops.
 
 This module adds a thin deployment helper: a :class:`Pipeline` is an
 ordered list of stages, each a plugin configuration targeted at a host.
-``deploy`` loads stages in order, refreshing each host's sensor space
-first so later stages can resolve pattern units against the sensors
-earlier stages (or remote hosts) publish.  Stage interval/delay settings
-remain the user's responsibility, exactly as in the real system.
+``deploy`` loads stages in order; each load first brings its host's
+sensor space up to date, so later stages can resolve pattern units
+against the sensors earlier stages (or remote hosts) publish.  Stage
+interval/delay settings remain the user's responsibility, exactly as in
+the real system.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class Pipeline:
     def deploy(self, start: bool = True) -> Dict[str, List[OperatorBase]]:
         """Load every stage in order; returns operators per stage label.
 
-        Before each stage loads, its manager's sensor space is refreshed
-        so units can bind to sensors created by earlier stages.
+        ``load_plugin`` refreshes its host's sensor space before it
+        resolves anything, so units can bind to sensors created by
+        earlier stages.
         """
         for stage in self.stages:
-            stage.manager.refresh_sensor_space()
             ops = stage.manager.load_plugin(stage.config, start=start)
             self._operators.setdefault(stage.label, []).extend(ops)
         # All stages are in place: let each distinct manager plan fused
@@ -133,9 +134,9 @@ class ResolvedOperator:
 class ResolvedPipeline:
     """An ordered list of plugin blocks resolved against one host tree.
 
-    ``tree`` is a private copy of the input tree with every stage's
-    output sensors materialized, exactly as :meth:`Pipeline.deploy`
-    refreshes the host's sensor space between stages.
+    ``tree`` is a private copy of the input tree grown by every
+    operator's output sensors, exactly as ``OperatorManager.load_plugin``
+    declares them to the host's live tree after each operator.
     """
 
     host: str
@@ -181,10 +182,10 @@ def resolve_pipeline(
 
     ``blocks`` are the typed views the schema walk makes of plugin
     blocks (``repro.spec.PLUGIN_BLOCK.read``), in deployment order; each
-    stage's resolved output sensors are added to the (copied) tree
-    before the next stage resolves, mirroring staged pipeline
-    deployment.  A block that does not name its plugin is skipped — the
-    walk has reported it.
+    operator's resolved output sensors are added to the (copied) tree
+    before the next operator resolves — the runtime grows its live tree
+    the same way (DESIGN.md, "How the sensor space grows").  A block
+    that does not name its plugin is skipped — the walk has reported it.
     """
     from repro.core.registry import get_plugin_class
     from repro.spec import operator_config
@@ -221,7 +222,7 @@ def _resolve_units(tree: SensorTree, config: OperatorConfig):
             publish_outputs=config.publish_outputs,
         )
         return resolver.resolve(tree), ""
-    except (ConfigError, UnitResolutionError) as exc:
+    except (ConfigError, TopicError, UnitResolutionError) as exc:
         return [], str(exc)
 
 

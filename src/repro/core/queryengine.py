@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigError, QueryError
+from repro.common.errors import ConfigError, QueryError, TopicError
 from repro.dcdb.cache import CacheView, SensorCache
 from repro.dcdb.virtual import VirtualSensor, VirtualSensorRegistry
 from repro.core.navigator import SensorNavigator
@@ -138,10 +138,11 @@ class QueryPlan:
     - *scalar*: virtual sensors, interval-less caches and topics only a
       storage backend can serve; executed through the scalar query path
       (correct, not fast).
-    - *miss*: topics unresolvable when the plan was compiled.  They stay
-      empty until a sensor-space change bumps the generation and forces
-      a recompile — exactly the staleness the generation counter exists
-      to bound.
+    - *miss*: topics with neither cache nor storage when the plan was
+      compiled.  They stay empty until the sensor-space generation moves
+      or the host has a cache for one of them — a declared operator
+      output is in the tree before its first store, so its cache
+      appearing moves no generation; :meth:`QueryEngine.plan_for` looks.
     """
 
     __slots__ = (
@@ -155,7 +156,7 @@ class QueryPlan:
         window_ns: int,
         width: int,
         rows: List[tuple],
-        generation: tuple,
+        generation: int,
     ) -> None:
         self.topics = topics
         self.window_ns = window_ns
@@ -194,7 +195,9 @@ class QueryEngine:
             (may be ``None``) and ``sensor_topics()`` — both DCDB host
             classes qualify.
         navigator: optional pre-built navigator; by default one is
-            constructed from the host's current sensor space.
+            constructed from the host's current sensor space.  Either
+            way the engine keeps its one tree for life and grows it in
+            place (:meth:`refresh_navigator`, :meth:`declare_topics`).
     """
 
     def __init__(self, host, navigator: Optional[SensorNavigator] = None) -> None:
@@ -202,9 +205,6 @@ class QueryEngine:
         self._navigator = navigator or SensorNavigator.from_topics(
             host.sensor_topics()
         )
-        #: Operator-output topics announced before their producer has
-        #: stored anything (see :meth:`declare_topics`).
-        self._declared_topics: set = set()
         # Shares the host's metric registry when it has one (Pusher /
         # Collect Agent); standalone engines get a private registry so
         # instrumentation is unconditional.
@@ -262,36 +262,41 @@ class QueryEngine:
         return self._navigator
 
     def refresh_navigator(self) -> None:
-        """Rebuild the navigator from the host's current sensor space.
+        """Add to the sensor tree what the host has gained since.
 
         Needed when new sensors appear after engine construction — e.g.
-        upstream pipeline stages starting to publish derived metrics.
-        Declared-but-not-yet-stored operator outputs stay in the tree so
-        downstream pipeline stages keep resolving across rebuilds.
+        upstream pipeline stages, or remote Pushers, starting to publish.
+        A pull: the hosts never write the tree, it is brought up to date
+        where something is about to be resolved against it.
         """
-        topics = list(self._host.sensor_topics())
-        if self._declared_topics:
-            known = set(topics)
-            topics.extend(
-                t for t in sorted(self._declared_topics) if t not in known
-            )
-        self._navigator.rebuild(topics)
+        self.declare_topics(self._host.sensor_topics())
 
     def declare_topics(self, topics) -> None:
-        """Announce operator-output topics ahead of their first store.
+        """Add topics to the sensor tree, ahead of their first reading
+        if need be — the one way a topic enters a live tree:
+        ``add_sensor`` on it, once per topic it does not hold.
 
         Pipeline stages resolve their units against the sensor tree at
         load time, before any upstream pass has lazily created the
-        operator-output caches.  Declaring the upstream stage's output
-        topics makes a downstream ``<bottomup>`` input expression match
-        immediately, so whole pipelines load cold in one deployment
-        build.  Rebuilds the navigator (bumping the plan generation)
-        only when a genuinely new topic appears.
+        operator-output caches (and, on a Collect Agent, before any
+        Pusher has published).  Declaring what is about to exist makes a
+        downstream ``<bottomup>`` input expression match immediately, so
+        whole pipelines load cold in one deployment build.
+
+        Topics the tree refuses (the name is already a component) are
+        reported in one :class:`TopicError` after the rest are in, and
+        nothing of them is kept.
         """
-        new = set(topics) - self._declared_topics
-        if new:
-            self._declared_topics |= new
-            self.refresh_navigator()
+        tree = self._navigator.tree
+        refused = []
+        for topic in topics:
+            try:
+                if not tree.has_sensor(topic):
+                    tree.add_sensor(topic)
+            except TopicError as exc:
+                refused.append(str(exc))
+        if refused:
+            raise TopicError("; ".join(refused))
 
     def topics(self) -> List[str]:
         """All topics currently queryable on this host (incl. virtual)."""
@@ -481,8 +486,9 @@ class QueryEngine:
         """Cached :meth:`compile_plan`, invalidated by sensor-space moves.
 
         A cached plan is reused only while the navigator generation, the
-        topic tuple and the window all match; any mismatch recompiles in
-        place and counts as an invalidation.
+        topic tuple and the window all match and none of its miss rows
+        has gained a cache; anything else recompiles in place and counts
+        as an invalidation.
         """
         topics = tuple(topics)
         plan = self._plans.get(key)
@@ -491,6 +497,7 @@ class QueryEngine:
                 plan.generation == self._navigator.generation
                 and plan.window_ns == window_ns
                 and plan.topics == topics
+                and not (plan.miss_rows and self._miss_healed(plan))
             ):
                 self._m_plan_hits.inc()
                 return plan
@@ -498,6 +505,13 @@ class QueryEngine:
         plan = self.compile_plan(topics, window_ns)
         self._plans[key] = plan
         return plan
+
+    def _miss_healed(self, plan: QueryPlan) -> bool:
+        """Whether the host now caches a topic ``plan`` bound as a miss."""
+        cache_for = self._host.cache_for
+        return any(
+            cache_for(plan.topics[i]) is not None for i in plan.miss_rows
+        )
 
     def query_relative_batch(
         self,

@@ -14,11 +14,10 @@ level 0 and ``bottomup`` to ``max_level``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.common.errors import TopicError
-from repro.common.topics import join_topic, split_topic
-from repro.sanitizer import hooks
+from repro.common.topics import join_topic, normalize_topic, split_topic
 
 
 class TreeNode:
@@ -68,52 +67,33 @@ class SensorTree:
     """Tree representation of a monitored system's sensor space.
 
     Built incrementally from sensor topics (:meth:`add_sensor`) or in
-    bulk (:meth:`from_topics`).  Lookups used by pattern resolution —
-    nodes at a level, node by path — are O(1) via indexes maintained on
-    insertion.
+    bulk (:meth:`from_topics`), and grown the same way for as long as it
+    lives: a host's tree is never rebuilt, new topics are added to it in
+    place (DESIGN.md, "How the sensor space grows").  Units resolved
+    against it hold topic strings and sensors, never tree nodes, so
+    growth leaves them as they are.  Lookups used by pattern resolution
+    — nodes at a level, node by path — are O(1) via indexes maintained
+    on insertion.
     """
 
     def __init__(self) -> None:
         self.root = TreeNode("", "/", -1, None)
         self._by_path: Dict[str, TreeNode] = {"/": self.root}
         self._by_level: Dict[int, List[TreeNode]] = {}
-        self._sensor_count = 0
-        self._frozen = False
+        self._topics: Set[str] = set()
         self._generation = 0
 
     @property
     def generation(self) -> int:
-        """Mutation counter: bumps on every add/remove, frozen or not.
+        """Change counter: moves when a sensor or component is really
+        added or removed, and only then.
 
         Compiled query plans and other structures derived from the tree
         record the generation they were built against and treat any
-        difference as staleness — including hot-plugged sensors added
-        after :meth:`freeze`.
+        difference as staleness; re-adding a topic the tree already
+        holds changes nothing and invalidates nothing.
         """
         return self._generation
-
-    def freeze(self) -> None:
-        """Mark construction finished: the tree is read-only from here.
-
-        Pattern-resolved units hold direct references into the tree, so
-        mutating it after unit resolution silently invalidates them.
-        The flag is advisory — mutations still apply (legacy callers
-        keep working) but the runtime sanitizer records each one as a
-        read-only-after-build violation (rule R008).
-        """
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        """Whether the tree has been marked read-only."""
-        return self._frozen
-
-    def _note_mutation(self, action: str, topic: str) -> None:
-        self._generation += 1
-        if self._frozen:
-            san = hooks.CURRENT
-            if san is not None:
-                san.on_tree_mutation(action, topic)
 
     # ------------------------------------------------------------------
     # Construction
@@ -144,43 +124,47 @@ class SensorTree:
         """Insert a sensor topic; creates missing component nodes.
 
         The last topic segment becomes a sensor on the component named
-        by the preceding segments.  Single-segment topics attach to an
-        implicit top-level component is not allowed — a sensor must
-        belong to a component (the paper's root holds e.g. ``db-uptime``,
-        which we model as a sensor on the root).
+        by the preceding segments; a single-segment topic becomes a
+        sensor on the root (the paper's root holds e.g. ``db-uptime``).
+
+        A topic whose last segment already names a child component is
+        refused with :class:`TopicError` before anything is touched: the
+        tree, its topic set and ``generation`` stay as they were.
         """
-        self._note_mutation("add_sensor", topic)
         parts = split_topic(topic)
         name = parts[-1]
-        if len(parts) == 1:
-            component = self.root
-        else:
+        component = self._by_path.get(join_topic(parts[:-1]))
+        if component is None:
             component = self._ensure_component(parts[:-1])
-        if name in component.children:
+        elif name in component.children:
             raise TopicError(
                 f"{topic}: segment {name!r} is already a component node"
             )
-        if name not in component.sensors:
-            self._sensor_count += 1
-        component.sensors[name] = join_topic(parts)
+        topic = join_topic(parts)
+        if topic not in self._topics:
+            self._topics.add(topic)
+            component.sensors[name] = topic
+            self._generation += 1
         return component
 
     def add_component(self, path: str) -> TreeNode:
         """Insert a (possibly sensor-less) component node."""
-        self._note_mutation("add_component", path)
-        return self._ensure_component(split_topic(path))
+        known = len(self._by_path)
+        node = self._ensure_component(split_topic(path))
+        if len(self._by_path) != known:
+            self._generation += 1
+        return node
 
     def remove_sensor(self, topic: str) -> bool:
         """Remove a sensor; empty components are retained (cheap, and
         unit resolution only looks at levels/sensors)."""
-        self._note_mutation("remove_sensor", topic)
         parts = split_topic(topic)
-        comp_path = "/" if len(parts) == 1 else join_topic(parts[:-1])
-        node = self._by_path.get(comp_path)
-        if node is None or parts[-1] not in node.sensors:
+        topic = join_topic(parts)
+        if topic not in self._topics:
             return False
-        del node.sensors[parts[-1]]
-        self._sensor_count -= 1
+        self._topics.remove(topic)
+        del self._by_path[join_topic(parts[:-1])].sensors[parts[-1]]
+        self._generation += 1
         return True
 
     # ------------------------------------------------------------------
@@ -195,7 +179,7 @@ class SensorTree:
     @property
     def n_sensors(self) -> int:
         """Number of distinct sensor topics in the tree."""
-        return self._sensor_count
+        return len(self._topics)
 
     def node(self, path: str) -> Optional[TreeNode]:
         """Component node by canonical path (``/`` for the root)."""
@@ -207,11 +191,9 @@ class SensorTree:
             return None
 
     def has_sensor(self, topic: str) -> bool:
-        """Whether a full sensor topic exists."""
-        parts = split_topic(topic)
-        comp = "/" if len(parts) == 1 else join_topic(parts[:-1])
-        node = self._by_path.get(comp)
-        return node is not None and parts[-1] in node.sensors
+        """Whether a full sensor topic exists (canonical spellings are
+        answered from the topic set without splitting the path)."""
+        return topic in self._topics or normalize_topic(topic) in self._topics
 
     def nodes_at_level(self, level: int) -> List[TreeNode]:
         """All component nodes at an absolute level (0 = top)."""

@@ -70,7 +70,6 @@ class CollectAgent:
         self._storage = storage if storage is not None else StorageBackend()
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
-        self.sensors: Dict[str, Sensor] = {}
         #: Smallest observed inter-arrival gap per remote topic; drives
         #: ingest cache sizing (see :meth:`_ingest`).
         self._gap_ns: Dict[str, int] = {}
@@ -260,7 +259,6 @@ class CollectAgent:
         also written to the Storage Backend (Section IV-a); MQTT
         republishes (when enabled) leave as one broker batch.
         """
-        self.sensors.update((sensor.topic, sensor) for sensor, _ in readings)
         batch = ReadingBatch(
             [sensor.topic for sensor, _ in readings],
             [ts] * len(readings),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import tempfile
 from types import SimpleNamespace
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -202,6 +202,20 @@ class Deployment:
         hosts.append(self.agent)
         return hosts
 
+    def published_topics(self) -> List[str]:
+        """What the Pushers send the Collect Agent: every published
+        sensor their plugins sample and every published output of the
+        operators loaded on them so far."""
+        topics: List[str] = []
+        for pusher in self.all_hosts()[:-1]:  # the agent comes last
+            topics += [t for t, s in pusher.sensors.items() if s.publish]
+            if pusher.analytics is not None:
+                topics += [
+                    s.topic for op in pusher.analytics.operators()
+                    for u in op.units for s in u.outputs if s.publish
+                ]
+        return topics
+
     @property
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
@@ -269,6 +283,11 @@ def build_deployment(config: dict) -> Deployment:
     for block in view.analytics.pushers:
         for manager in dep.managers.values():
             manager.load_plugin(block)
+    if view.analytics.agent:
+        # The agent's sensor space is what has arrived, and before the
+        # first tick nothing has: its blocks resolve against what the
+        # Pushers are going to publish (as check --config assumes).
+        dep.agent_manager.engine.declare_topics(dep.published_topics())
     for block in view.analytics.agent:
         dep.agent_manager.load_plugin(block)
     # With every block loaded, plan pipeline fusion once per host.  The

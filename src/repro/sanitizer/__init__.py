@@ -3,10 +3,10 @@
 The dynamic counterpart of :mod:`repro.analysis`: where the static pass
 lints for concurrency hazards (L-rules), the sanitizer *observes* them —
 it runs a bounded simulation with instrumentation injected at seams in
-the operator base class, the Query Engine, the sensor tree and the
-wall-clock driver, and reports what actually happened as structured
+the operator base class, the Query Engine and the wall-clock driver,
+and reports what actually happened as structured
 :class:`~repro.analysis.diagnostics.Diagnostic` records with stable
-``R001``–``R010`` codes.
+``R001``–``R010`` codes (``R008`` is retired).
 
 Three analysis families:
 
@@ -19,8 +19,7 @@ Three analysis families:
   accesses in parallel unit mode (R004, R005);
 - **invariant sanitizers** (:mod:`repro.sanitizer.invariants`) — cache
   write monotonicity (R006), query snapshot immutability (R007),
-  sensor-tree read-only-after-build (R008), wall-clock discipline
-  (R009) and out-of-order data loss (R010).
+  wall-clock discipline (R009) and out-of-order data loss (R010).
 
 Activation is strictly opt-in: ``wintermute-sim check --runtime
 <config>`` or ``WINTERMUTE_SANITIZE=1``.  When off, every seam costs one

@@ -8,9 +8,9 @@ production seams call through :data:`repro.sanitizer.hooks.CURRENT`.
 
 Findings are emitted as the same structured
 :class:`~repro.analysis.diagnostics.Diagnostic` records the static pass
-produces, under stable ``R001``–``R010`` codes (catalog below and in
-``docs/STATIC_ANALYSIS.md``), so the CLI renders text/JSON and computes
-exit codes with the exact same machinery.
+produces, under stable ``R001``–``R010`` codes (``R008`` is retired;
+catalog below and in ``docs/STATIC_ANALYSIS.md``), so the CLI renders
+text/JSON and computes exit codes with the exact same machinery.
 
 Event volumes are counted in a dedicated telemetry registry
 (``sanitizer_*`` metrics) that runtime checks absorb into the
@@ -34,7 +34,6 @@ from repro.analysis.diagnostics import (
 from repro.sanitizer import hooks
 from repro.sanitizer.invariants import (
     TimePatch,
-    TreeWatch,
     ViewTracker,
     iter_host_caches,
     scan_cache,
@@ -54,7 +53,6 @@ RUNTIME_RULES: Dict[str, Tuple[str, str]] = {
     "R005": (ERROR, "operator self-state mutated during parallel compute"),
     "R006": (ERROR, "cache timestamp order violated"),
     "R007": (ERROR, "query result mutated after hand-out"),
-    "R008": (ERROR, "sensor tree mutated after build"),
     "R009": (ERROR, "wall-clock read in clock-disciplined code"),
     "R010": (WARNING, "out-of-order readings dropped during the run"),
 }
@@ -101,7 +99,6 @@ class Sanitizer:
         self.locks = LockTracker(long_hold_ns=int(long_hold_ms * 1e6))
         self.races = RaceTracker()
         self.views = ViewTracker()
-        self.tree_watch = TreeWatch()
         self.track_wall_clock = bool(track_wall_clock)
         self._timepatch = TimePatch(self)
         self._mutex = threading.Lock()
@@ -216,9 +213,6 @@ class Sanitizer:
         self._m_views.inc()
         self.views.on_view(topic, view)
 
-    def on_tree_mutation(self, action: str, topic: str) -> None:
-        self.tree_watch.on_mutation(action, topic)
-
     # ------------------------------------------------------------------
     # Deployment scans (post-run invariants)
     # ------------------------------------------------------------------
@@ -332,13 +326,6 @@ class Sanitizer:
                 f"query result for {violation.topic} mutated after "
                 f"hand-out: {violation.detail}",
                 path=f"views.{violation.topic}",
-            ))
-        for mutation in self.tree_watch.mutations:
-            out.append(self._diag(
-                "R008",
-                f"sensor tree mutated after build: "
-                f"{mutation.action}({mutation.topic})",
-                path=f"tree.{mutation.topic}",
             ))
         for read in self._timepatch.reads:
             file, line = _relsite(f"{read.file}:{read.line}")

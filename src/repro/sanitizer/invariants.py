@@ -1,6 +1,6 @@
-"""Invariant sanitizers: snapshots, cache order, tree freeze, clocks.
+"""Invariant sanitizers: snapshots, cache order, clocks.
 
-Four invariants underpin the Query Engine's lock-free read path and the
+Three invariants underpin the Query Engine's lock-free read path and the
 Fig 5 overhead claim; each gets a runtime verifier here:
 
 - **Snapshot immutability (R007)** — a :class:`~repro.dcdb.cache.CacheView`
@@ -16,10 +16,10 @@ Fig 5 overhead claim; each gets a runtime verifier here:
 - **Out-of-order drops (R010)** — the cache's stale-drop guard firing is
   not a bug in the cache, but it *is* data loss worth surfacing: the
   scan reports caches that dropped readings during the run.
-- **Sensor-tree read-only-after-build (R008)** — pattern-resolved units
-  hold references into the tree; mutating it after unit resolution
-  invalidates them.  Trees are frozen once their navigator is built;
-  later mutations are recorded here.
+
+Rule R008 (sensor tree read-only after build) is retired: a host's tree
+grows in place for as long as it lives, and resolved units hold topic
+strings and sensors, never tree nodes, so there is nothing to freeze.
 
 Wall-clock discipline (R009) also lives here: while the sanitizer is
 active, ``time.time``/``time.monotonic`` are replaced with recording
@@ -100,26 +100,6 @@ class ViewTracker:
                 detail = "values changed after hand-out"
             with self._mutex:
                 self.violations.append(ViewViolation(topic, detail))
-
-
-@dataclass
-class TreeMutation:
-    """A sensor-tree mutation after the tree was frozen."""
-
-    action: str
-    topic: str
-
-
-class TreeWatch:
-    """Collects post-freeze tree mutations (rule R008)."""
-
-    def __init__(self) -> None:
-        self._mutex = threading.Lock()
-        self.mutations: List[TreeMutation] = []
-
-    def on_mutation(self, action: str, topic: str) -> None:
-        with self._mutex:
-            self.mutations.append(TreeMutation(action, topic))
 
 
 # ---------------------------------------------------------------------------

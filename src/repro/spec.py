@@ -574,7 +574,10 @@ ANALYTICS = Section("analytics", [
     Key("pushers", Each(list, PLUGIN_BLOCK), [],
         "plugin blocks loaded into every node Pusher's manager"),
     Key("agent", Each(list, PLUGIN_BLOCK), [],
-        "plugin blocks loaded into the Collect Agent's manager"),
+        "plugin blocks loaded into the Collect Agent's manager; they "
+        "resolve against what the Pushers publish (sampled sensors and "
+        "published operator outputs of every node, the facility's), "
+        "known at build time — no traffic has to arrive first"),
 ])
 
 

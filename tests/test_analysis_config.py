@@ -229,6 +229,27 @@ class TestPipelineRules:
         diags = analyze_pipeline_blocks(blocks, tree=small_tree())
         assert "W010" not in codes(diags)
 
+    def test_same_block_outputs_visible_downstream(self):
+        # load_plugin declares after each operator, not after each block.
+        diags = analyze_pipeline_blocks([block({
+            "a": {"inputs": ["<bottomup>power"],
+                  "outputs": ["<bottomup>avg-power"]},
+            "b": {"inputs": ["<bottomup>avg-power"],
+                  "outputs": ["<bottomup>peak-power"]},
+        })], tree=small_tree())
+        assert "W010" not in codes(diags)
+
+    def test_unresolvable_producer_declares_nothing(self):
+        # ... and, like load_plugin, only what resolved: a stage that
+        # cannot build its units has no outputs for the next to read.
+        diags = analyze_pipeline_blocks([block({
+            "a": {"inputs": ["<bottomup>powr"],
+                  "outputs": ["<bottomup>avg-power"]},
+            "b": {"inputs": ["<bottomup>avg-power"],
+                  "outputs": ["<bottomup>peak-power"]},
+        })], tree=small_tree())
+        assert codes(diags, "error") == ["W010", "W010"]
+
     def test_duplicate_output_topics_error(self):
         blocks = [block({
             "a": {"inputs": ["<bottomup>power"],
@@ -336,6 +357,26 @@ class TestDeployment:
         assert any(
             d.code == "W016" and "node path" in d.message for d in diags
         )
+
+    def test_level_outside_tree_in_a_deployment_is_w008(self):
+        # Failing-before: the static resolution let the TopicError out
+        # and ``check --config`` ended in a traceback.
+        bad = block({"a": {"inputs": ["<bottomup>power"],
+                           "outputs": ["<topdown+7>x"]}})
+        for context in ("pushers", "agent"):
+            diags = analyze_deployment(self.spec(analytics={context: [bad]}))
+            assert codes(diags, "error") == ["W008"]
+
+    def test_unpublished_pusher_outputs_never_reach_the_agent(self):
+        quiet = block({"a": {"inputs": ["<bottomup>power"],
+                             "outputs": ["<bottomup>avg-power"],
+                             "publish_outputs": False}})
+        reader = block({"r": {"inputs": ["<bottomup>avg-power"],
+                              "outputs": ["<bottomup>seen"]}})
+        diags = analyze_deployment(self.spec(
+            analytics={"pushers": [quiet], "agent": [reader]}
+        ))
+        assert codes(diags, "error") == ["W010"]
 
     def test_analytics_blocks_resolved_per_context(self):
         # temp exists on every node: fine for both pushers and agent.

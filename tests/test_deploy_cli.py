@@ -2,6 +2,7 @@
 the terminal plotting helpers."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.runtime import WallClockDriver
 from repro.simulator import ClusterSpec
 from repro.simulator.clock import TaskScheduler
 
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 BASIC_SPEC = {
     "cluster": {"nodes": 2, "cpus": 2, "seed": 3},
@@ -147,6 +149,53 @@ class TestBuildDeployment:
         topic = f"/jobs/{jobs[0].job_id}/decile5"
         assert dep.agent.storage.count(topic) > 0
         assert dep.agent_manager.operator("jp").error_count == 0
+
+    def test_agent_block_builds_cold_on_what_the_pushers_publish(self):
+        """Failing-before: the agent's sensor space was empty until
+        traffic arrived, so a spec ``check --config`` passes died in the
+        builder with ``topdown+0 resolves to level 0, outside [0, -1]``."""
+        spec = json.loads((EXAMPLES / "cross_host_pipeline.json").read_text())
+        spec["facility"] = {"enabled": True}
+        op = spec["analytics"]["agent"][0]["operators"]["rack-power"]
+        op["outputs"] = ["<topdown, filter rack>rack-power"]  # not /facility
+        dep = build_deployment(spec)
+        tree = dep.agent_manager.engine.navigator.tree
+        # Declared: every Pusher's sampled sensors, the facility's, and
+        # the published outputs of the Pusher stage on every node.
+        for node in dep.sim.node_paths:
+            assert tree.has_sensor(f"{node}/power")
+            assert tree.has_sensor(f"{node}/avg-power")
+        assert tree.has_sensor("/facility/cooling/setpoint")
+        dep.run(8)
+        stats = dep.agent_manager.operator("rack-power").stats()
+        assert stats["units"] == 1 and stats["errors"] == 0
+        assert stats["computes"] >= 6
+        _, values = dep.series("/rack00/rack-power")
+        assert len(values) >= 6 and np.all(values > 0)
+        assert dep.agent_manager.engine.navigator.tree is tree
+
+    def test_specs_without_agent_blocks_declare_nothing(self):
+        dep = build_deployment(BASIC_SPEC)
+        assert dep.agent_manager.engine.navigator.tree.n_sensors == 0
+
+    def test_job_operator_retry_grows_the_tree_it_was_given(self):
+        """Loaded on an agent that has heard nothing yet, a job operator
+        fails to resolve its first job, refreshes once and retries —
+        against the same tree, which has meanwhile grown in place."""
+        dep = build_deployment(BASIC_SPEC)
+        engine = dep.agent_manager.engine
+        tree = engine.navigator.tree
+        [jp] = dep.agent_manager.load_plugin({
+            "plugin": "persyst",
+            "operators": {"jp": {
+                "interval_s": 2, "window_s": 4, "delay_s": 3,
+                "inputs": ["power"], "params": {"quantiles": [0.5]},
+            }},
+        })
+        assert tree.n_sensors == 0
+        dep.run(15)
+        assert jp.error_count == 0 and jp.unit_results_count > 0
+        assert engine.navigator.tree is tree and tree.n_sensors > 0
 
 
 class TestCli:

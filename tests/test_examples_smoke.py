@@ -133,3 +133,65 @@ def test_fast_example_runs(name):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "example produced no output"
+
+
+#: Every spec the three verdicts must agree on: the shipped examples
+#: plus the fixture that pins same-block visibility.
+VERDICT_SPECS = ALL_JSON_SPECS + [
+    EXAMPLES_DIR.parent / "tests" / "data" / "sameblock_pipeline.json",
+]
+
+
+def _unit_facts(units):
+    return sorted(
+        (u.name, sorted(u.inputs), sorted(s.topic for s in u.outputs))
+        for u in units
+    )
+
+
+@pytest.mark.parametrize("path", VERDICT_SPECS, ids=lambda p: p.name)
+def test_static_resolution_predicts_the_built_units(path, tmp_path):
+    """``check --config``, ``check --flow`` and the builder answer "what
+    can this operator see when it loads" alike: a spec both checks pass
+    builds, and every operator holds exactly the units the static
+    resolution predicted (Pusher blocks on the first node), computes
+    and does not err."""
+    import json
+
+    from repro.analysis import analyze_deployment
+    from repro.analysis.config import resolve_deployment
+    from repro.analysis.flow import analyze_flow
+    from repro.deploy import build_deployment
+    from repro.spec import read_deployment
+
+    spec = json.loads(path.read_text())
+    if spec.get("storage", {}).get("tiers") == "tiered":
+        spec["storage"]["dir"] = str(tmp_path)
+    for analyze in (analyze_deployment, analyze_flow):
+        errors = [d.format() for d in analyze(spec) if d.severity == "error"]
+        assert not errors, errors
+    resolved = resolve_deployment(read_deployment(spec))
+    dep = build_deployment(spec)
+    managers = [*dep.managers.values(), dep.agent_manager]
+    trees = [m.engine.navigator.tree for m in managers]
+    dep.run(8)
+    first = dep.managers[resolved.node_paths[0]]
+    for manager, pipeline in (
+        (first, resolved.pushers), (dep.agent_manager, resolved.agent)
+    ):
+        assert [op.name for op in manager.operators()] == [
+            op.name for op in pipeline.operators
+        ]
+        for predicted in pipeline.operators:
+            op = manager.operator(predicted.name)
+            stats = op.stats()
+            assert stats["errors"] == 0, stats
+            if predicted.config.mode == "online":
+                assert stats["computes"] >= 1, stats
+            if not predicted.is_job_plugin:
+                assert _unit_facts(op.units) == _unit_facts(predicted.units)
+    # Loading, declaring and eight seconds of passes grew every tree in
+    # place: no engine ever swapped its tree for another.
+    for manager, tree in zip(managers, trees):
+        manager.engine.refresh_navigator()
+        assert manager.engine.navigator.tree is tree

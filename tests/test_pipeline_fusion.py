@@ -365,12 +365,12 @@ class TestFusedParity:
         assert final_series(staged) == final_series(fused)
 
     def test_intermittent_readings_parity(self):
-        # Misses start after tick 1 so every intermediate cache exists
-        # before downstream staged plans bind (bootstrap MISS rows need
-        # a refresh_sensor_space to heal, which this loop never issues;
-        # fused channels have no such bind-time dependency).
+        # Misses from the very first tick on: a staged plan binds an
+        # intermediate that has no cache yet as a miss row and picks the
+        # cache up on the pass after its first store, just as the fused
+        # channel has the row from then on.
         def feed(tick, i):
-            if tick > 1 and (tick + i) % 3 == 0:
+            if (tick + i) % 3 == 0:
                 return None  # sensor skipped a beat
             return float((tick * 31 + i * 7) % 11) / 11.0
 

@@ -2,7 +2,6 @@
 
 import time
 
-from repro.core.tree import SensorTree
 from repro.dcdb.cache import SensorCache
 from repro.sanitizer import make_sanitizer
 from repro.sanitizer.invariants import scan_cache, time_functions_patched
@@ -97,26 +96,6 @@ class TestViewImmutability:
             san.on_query_view("t", view)
             for i in range(8, 20):
                 cache.store(i * 1000, float(i))
-        assert san.finish() == []
-
-
-class TestTreeFreeze:
-    def test_r008_mutation_after_freeze(self):
-        tree = SensorTree.from_topics(["/rack00/node00/power"])
-        tree.freeze()
-        san = make_sanitizer(track_wall_clock=False)
-        with san.activate():
-            tree.add_sensor("/rack00/node00/temp")
-        diags = san.finish()
-        assert codes(diags) == ["R008"]
-        assert "add_sensor" in diags[0].message
-
-    def test_mutation_before_freeze_is_fine(self):
-        san = make_sanitizer(track_wall_clock=False)
-        with san.activate():
-            tree = SensorTree.from_topics(["/rack00/node00/power"])
-            tree.add_sensor("/rack00/node00/temp")
-            tree.freeze()
         assert san.finish() == []
 
 
