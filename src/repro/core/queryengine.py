@@ -16,11 +16,20 @@ Queries come in two modes matching the paper:
 
 Both return :class:`~repro.dcdb.cache.CacheView` objects, so operators
 receive zero-copy array windows regardless of the data's origin.
+
+Operators ask for all their units' windows at once
+(:meth:`query_relative_batch`), through a compiled :class:`QueryPlan`
+in which every topic the host has a cache for is bound to its ring —
+on a Pusher, where the sampling interval is known, and on a Collect
+Agent, where only the observed arrival gap is.  The scalar
+:meth:`query_relative` is the reference: row ``i`` of a batch is what it
+returns for ``topics[i]`` at that instant, bit for bit.
 """
 
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,9 +45,22 @@ from repro.telemetry import MetricRegistry
 CacheLookup = Callable[[str], Optional[SensorCache]]
 
 #: Row kinds of a compiled plan (see :class:`QueryPlan`).
-_ROW_CACHE = 0    # direct ring-buffer binding, O(1) tail copy per tick
-_ROW_SCALAR = 1   # storage/virtual/interval-less cache: scalar query
+_ROW_CACHE = 0    # a cache the host holds: its ring, read directly
+_ROW_SCALAR = 1   # another data source (virtual, storage): scalar query
 _ROW_MISS = 2     # unresolvable at compile time: always empty
+
+#: Most readings a time-window row gathers on speculation.  The observed
+#: gap only ever shrinks, so one glitch — two readings 1 ns apart — would
+#: otherwise size every later pass's matrix by ``window // 1``.  A row
+#: that really holds more than this inside its window fails the check
+#: and is re-read alone, at its exact length.
+_MAX_SPECULATIVE_READ = 4096
+
+#: ``QueryPlan.reach`` of a row whose window is a reading count: further
+#: back than any timestamp, so the time cut keeps all it gathered.
+_ANY_AGE = 1 << 62
+
+_gap_of = attrgetter("gap_ns")
 
 
 class BatchWindow:
@@ -121,33 +143,75 @@ def report_views(san, window: BatchWindow) -> None:
             )
 
 
+def _longest(rows) -> int:
+    """Length of the longest ``(timestamps, values)`` row (``None`` = 0)."""
+    return max((len(row[0]) for row in rows if row), default=0)
+
+
+def _cut_to_windows(
+    timestamps: np.ndarray, values: np.ndarray, counts: np.ndarray,
+    reach: np.ndarray,
+) -> np.ndarray:
+    """Cut right-aligned gathered rows to ``[newest - reach, newest]``.
+
+    One comparison of the timestamp matrix against its last column, for
+    every row at once; slots that fall out of their window go back to
+    NaN / 0 in place and the surviving counts are returned.  The bound
+    is inclusive, like ``view_absolute``'s.
+    """
+    width = timestamps.shape[1]
+    keep = timestamps >= (timestamps[:, -1] - reach)[:, None]
+    keep &= np.arange(width) >= (width - counts)[:, None]  # the filled slots
+    drop = ~keep
+    timestamps[drop] = 0
+    values[drop] = np.nan
+    return keep.sum(axis=1)
+
+
 class QueryPlan:
     """A compiled batched query: topic -> data-source bindings.
 
     Built once per operator (at ``init_units``/tree-change time) and
     reused every tick until the sensor-space generation moves on.  A
-    plan removes *all* per-tick name resolution: cache rows hold direct
-    references to the ring buffers plus the precomputed window length
-    (``offset // interval + 1``, the paper's O(1) relative arithmetic),
-    so executing a plan performs zero dict lookups and zero re-parsing.
+    plan removes *all* per-tick name resolution: a row whose topic the
+    host caches holds a direct reference to that ring, so executing a
+    plan performs zero dict lookups and zero re-parsing.
 
-    Rows come in three kinds:
+    Rows come in three kinds, by **data source**:
 
-    - *cache*: an interval-hinted local cache; the tick path copies the
-      ring tail straight into the result matrix.
-    - *scalar*: virtual sensors, interval-less caches and topics only a
-      storage backend can serve; executed through the scalar query path
-      (correct, not fast).
+    - *cache* (ring-bound): any topic the host has a cache for.  The
+      tick path copies the ring's tail straight into the result matrix
+      with :meth:`SensorCache.tail_into`.  How long that tail is depends
+      on which of two window definitions the cache carries:
+
+      - a **count** — ``window // interval + 1`` readings, the paper's
+        O(1) relative arithmetic — when the cache has an interval hint
+        (every Pusher cache) or the window is 0 (the latest reading);
+        fixed at compile time, stored as the row's ``count``;
+      - **timestamps** — everything within ``window`` of the newest
+        reading — when it has none (every Collect Agent cache; the row's
+        ``count`` is 0).  The host's observed arrival gap bounds how
+        many readings that can be, ``window // gap + 2``, read when the
+        plan *runs* so a faster cadence or a ``resize`` needs no
+        recompile; the gathered rows are then cut to their windows in
+        one vectorised step and every one of them is verified.
+
+    - *scalar*: virtual sensors and topics only a storage backend can
+      serve; executed through the scalar query path (correct, not fast).
     - *miss*: topics with neither cache nor storage when the plan was
-      compiled.  They stay empty until the sensor-space generation moves
-      or the host has a cache for one of them — a declared operator
-      output is in the tree before its first store, so its cache
-      appearing moves no generation; :meth:`QueryEngine.plan_for` looks.
+      compiled; always empty.
+
+    Scalar rows of a storage-only topic and miss rows are *unbound*:
+    the host may yet get a cache for them, and a declared topic's cache
+    appearing moves no generation (it is in the tree before its first
+    store), so :meth:`QueryEngine.plan_for` looks for one on every pass
+    and recompiles once when it is there.
     """
 
     __slots__ = (
         "topics", "window_ns", "width", "rows", "generation",
-        "cache_rows", "scalar_rows", "miss_rows",
+        "cache_rows", "scalar_rows", "miss_rows", "unbound",
+        "timed", "timed_caches", "reach",
     )
 
     def __init__(
@@ -157,30 +221,44 @@ class QueryPlan:
         width: int,
         rows: List[tuple],
         generation: int,
+        unbound: List[int],
     ) -> None:
         self.topics = topics
         self.window_ns = window_ns
         self.width = width
         self.rows = rows
         self.generation = generation
+        #: Rows no cache is bound to although the host may yet have one.
+        self.unbound = unbound
         # Pre-split by kind so execution loops touch only the rows they
         # serve (the cache loop is the per-tick hot path and must not
         # branch over scalar/miss rows at 1000s of units).
         self.cache_rows: List[tuple] = []
         self.scalar_rows: List[tuple] = []
         self.miss_rows: List[int] = []
+        timed: List[int] = []
         for i, (kind, payload, count) in enumerate(rows):
             if kind == _ROW_CACHE:
                 self.cache_rows.append((i, payload, count))
+                if not count:
+                    timed.append(i)
             elif kind == _ROW_SCALAR:
                 self.scalar_rows.append((i, payload))
             else:
                 self.miss_rows.append(i)
+        #: The time-window rows: their indices, their caches (whose
+        #: ``gap_ns`` sizes the gather) and, per row of the plan, how
+        #: far back from its newest reading the window reaches.
+        self.timed = np.array(timed, dtype=np.intp)
+        self.timed_caches = tuple(rows[i][1] for i in timed)
+        self.reach = np.full(len(rows), _ANY_AGE, dtype=np.int64)
+        self.reach[self.timed] = window_ns
 
     @property
     def n_cache_rows(self) -> int:
-        """Rows served by direct ring-buffer bindings."""
-        return sum(1 for kind, _, _ in self.rows if kind == _ROW_CACHE)
+        """Ring-bound rows, of both window definitions (what
+        ``qe_plan_rows{kind="ring"}`` sums)."""
+        return len(self.cache_rows)
 
 
 class QueryEngine:
@@ -229,7 +307,20 @@ class QueryEngine:
         self._m_plan_invalidations = self.telemetry.counter(
             "qe_plan_invalidations_total"
         )
+        self._m_violations = self.telemetry.counter("qe_hint_violations_total")
         self._plans: Dict[object, QueryPlan] = {}
+        # Which gather path the cached plans' rows are on, evaluated by
+        # the /metrics scraper (nothing on the hot path).
+        for kind, attr in (
+            ("ring", "cache_rows"), ("scalar", "scalar_rows"), ("miss", "miss_rows")
+        ):
+            self.telemetry.gauge(
+                "qe_plan_rows",
+                fn=lambda a=attr: sum(
+                    len(getattr(plan, a)) for plan in list(self._plans.values())
+                ),
+                kind=kind,
+            )
         self.virtual = VirtualSensorRegistry()
         self._virtual_in_flight: set = set()
 
@@ -448,15 +539,17 @@ class QueryEngine:
         """Resolve ``topics`` into a :class:`QueryPlan` for ``window_ns``.
 
         Resolution order mirrors the scalar path exactly: virtual sensor,
-        then local cache, then storage backend.  Interval-hinted caches
-        become direct ring-buffer bindings; everything else degrades to a
-        scalar row so batch results stay byte-identical to U scalar
-        queries issued at the same instant.
+        then local cache, then storage backend.  Every cache becomes a
+        direct ring binding, its window a reading count where the cache
+        has an interval hint and a time span where it has none; what is
+        not a cache degrades to a scalar row, so batch results stay
+        byte-identical to U scalar queries issued at the same instant.
         """
         if window_ns < 0:
             raise QueryError(f"negative relative offset: {window_ns}")
         gen = self._navigator.generation
         rows: List[tuple] = []
+        unbound: List[int] = []
         width = 1
         has_storage = self._host.storage is not None
         for topic in topics:
@@ -465,20 +558,20 @@ class QueryEngine:
                 continue
             cache = self._host.cache_for(topic)
             if cache is None:
+                unbound.append(len(rows))
                 kind = _ROW_SCALAR if has_storage else _ROW_MISS
                 rows.append((kind, topic, 0))
                 continue
-            if cache.interval_ns <= 0:
-                # No sampling interval hint: the relative window needs a
-                # binary search per tick, which the scalar path provides.
-                rows.append((_ROW_SCALAR, topic, 0))
-                continue
-            count = window_ns // cache.interval_ns + 1 if window_ns else 1
-            count = min(int(count), cache.capacity)
+            if not window_ns:
+                count = 1  # the latest reading, whatever the cadence
+            elif cache.interval_ns > 0:
+                count = min(int(window_ns // cache.interval_ns + 1), cache.capacity)
+            else:
+                count = 0  # no hint: a time window, sized when the plan runs
             rows.append((_ROW_CACHE, cache, count))
             width = max(width, count)
         self._m_plan_compiles.inc()
-        return QueryPlan(tuple(topics), int(window_ns), width, rows, gen)
+        return QueryPlan(tuple(topics), int(window_ns), width, rows, gen, unbound)
 
     def plan_for(
         self, key: object, topics: Sequence[str], window_ns: int
@@ -486,9 +579,9 @@ class QueryEngine:
         """Cached :meth:`compile_plan`, invalidated by sensor-space moves.
 
         A cached plan is reused only while the navigator generation, the
-        topic tuple and the window all match and none of its miss rows
-        has gained a cache; anything else recompiles in place and counts
-        as an invalidation.
+        topic tuple and the window all match and none of its unbound
+        rows has gained a cache; anything else recompiles in place and
+        counts as an invalidation.
         """
         topics = tuple(topics)
         plan = self._plans.get(key)
@@ -497,7 +590,7 @@ class QueryEngine:
                 plan.generation == self._navigator.generation
                 and plan.window_ns == window_ns
                 and plan.topics == topics
-                and not (plan.miss_rows and self._miss_healed(plan))
+                and not (plan.unbound and self._unbound_healed(plan))
             ):
                 self._m_plan_hits.inc()
                 return plan
@@ -506,11 +599,13 @@ class QueryEngine:
         self._plans[key] = plan
         return plan
 
-    def _miss_healed(self, plan: QueryPlan) -> bool:
-        """Whether the host now caches a topic ``plan`` bound as a miss."""
+    def _unbound_healed(self, plan: QueryPlan) -> bool:
+        """Whether the host now caches a topic ``plan`` bound to none:
+        one ``cache_for`` per unbound row, nothing for a fully bound
+        plan."""
         cache_for = self._host.cache_for
         return any(
-            cache_for(plan.topics[i]) is not None for i in plan.miss_rows
+            cache_for(plan.topics[i]) is not None for i in plan.unbound
         )
 
     def query_relative_batch(
@@ -542,53 +637,84 @@ class QueryEngine:
         finally:
             self._m_latency_batch.observe(time.perf_counter_ns() - t0)
 
+    def _read_row(self, topic: str, window_ns: int) -> Optional[tuple]:
+        """One row through the scalar path: ``(timestamps, values)``, or
+        ``None`` where :meth:`query_relative` raises."""
+        try:
+            view = self._query_relative(topic, window_ns)
+        except QueryError:
+            return None
+        return view.timestamps(), view.values()
+
     def _execute_plan(self, plan: QueryPlan) -> BatchWindow:
-        """Run a compiled plan: zero lookups on the cache-bound rows."""
-        width = plan.width
-        # Scalar rows first — their result length can exceed the planned
-        # width (storage backends are not capacity-bounded).  Cache-bound
-        # rows whose ring emptied since compile time degrade the same way.
-        scalar: Dict[int, tuple] = {}
-        for i, topic in plan.scalar_rows:
-            try:
-                view = self._query_relative(topic, plan.window_ns)
-                ts, val = view.timestamps(), view.values()
-                scalar[i] = (ts, val)
-                width = max(width, len(ts))
-            except QueryError:
-                scalar[i] = (None, None)
-        for i, cache, _count in plan.cache_rows:
-            if cache._size:
-                continue
-            try:
-                view = self._query_relative(plan.topics[i], plan.window_ns)
-                ts, val = view.timestamps(), view.values()
-                scalar[i] = (ts, val)
-                width = max(width, len(ts))
-            except QueryError:
-                scalar[i] = (None, None)
+        """Run a compiled plan: zero lookups on the ring-bound rows."""
+        window_ns = plan.window_ns
+        # Rows of another data source first — their exact length can
+        # exceed the planned width (storage is not capacity-bounded).
+        exact: Dict[int, Optional[tuple]] = {
+            i: self._read_row(topic, window_ns) for i, topic in plan.scalar_rows
+        }
+        width = max(plan.width, _longest(exact.values()))
+        k = 0
+        if plan.timed_caches:
+            # At most window // gap + 1 readings one gap or more apart
+            # fit a window; one more shows where it ends.  The smallest
+            # gap of the plan serves all its rows: gathering more than a
+            # row needs is never wrong, the cut below drops the excess.
+            gap = min(map(_gap_of, plan.timed_caches))
+            k = min(window_ns // gap + 2, _MAX_SPECULATIVE_READ)
+            width = max(width, k)
         if plan.miss_rows:
             self._m_misses.inc(len(plan.miss_rows))
         u = len(plan.rows)
         values = np.full((u, width), np.nan, dtype=np.float64)
         timestamps = np.zeros((u, width), dtype=np.int64)
         counts = np.zeros(u, dtype=np.int64)
-        hits = 0
+        reread: List[int] = []
         for i, cache, count in plan.cache_rows:
-            if not cache._size:
-                continue  # filled from the scalar dict below
             # Direct ring read: the cache writes its tail slices into
             # the result row without intermediate view objects.
-            counts[i] = cache.tail_into(timestamps[i], values[i], count)
-            hits += 1
-        for i, (ts, val) in scalar.items():
-            if ts is not None and len(ts):
-                n = len(ts)
-                timestamps[i, width - n:] = ts
-                values[i, width - n:] = val
+            n = cache.tail_into(timestamps[i], values[i], count or k)
+            if n:
                 counts[i] = n
+            else:
+                reread.append(i)  # emptied since compile time
+        if k:
+            counts = _cut_to_windows(timestamps, values, counts, plan.reach)
+            # Checked on every pass, on data the pass already holds: a
+            # time row is exact iff its oldest gathered reading fell
+            # outside the window (it was cut: fewer than k are left) or
+            # the ring holds nothing older.
+            timed = plan.timed
+            violations = [
+                i for i in timed[counts[timed] == k].tolist()
+                if plan.rows[i][1]._size > k
+            ]
+            if violations:
+                self._m_violations.inc(len(violations))
+                timestamps[violations] = 0
+                values[violations] = np.nan
+                reread += violations
+        hits = len(plan.cache_rows) - len(reread)
         if hits:
             self._m_hits.inc(hits)
+        if reread:
+            # Whatever the scalar path finds (and counts) for each; a
+            # row longer than the matrix widens it.
+            for i in reread:
+                exact[i] = self._read_row(plan.topics[i], window_ns)
+            pad = _longest(exact.values()) - width
+            if pad > 0:
+                values = np.hstack([np.full((u, pad), np.nan), values])
+                timestamps = np.hstack(
+                    [np.zeros((u, pad), dtype=np.int64), timestamps]
+                )
+                width += pad
+        for i, row in exact.items():
+            n = len(row[0]) if row else 0
+            if n:
+                timestamps[i, width - n:], values[i, width - n:] = row
+            counts[i] = n
         return BatchWindow(plan.topics, values, timestamps, counts)
 
     # ------------------------------------------------------------------

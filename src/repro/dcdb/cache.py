@@ -33,6 +33,12 @@ from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.sensor import SensorReading
 
+#: :attr:`SensorCache.gap_ns` until two distinct timestamps have arrived:
+#: no gap observed yet is an arbitrarily large one, so ``window // gap``
+#: is 0 and a host's "is this arrival closer than any before" is one
+#: comparison with no unknown case.
+NO_GAP = 1 << 62
+
 
 class CacheView:
     """A window over sensor readings.
@@ -160,7 +166,7 @@ class SensorCache:
 
     __slots__ = (
         "_ts", "_val", "_cap", "_head", "_size", "interval_ns", "stale_drops",
-        "newest_ts",
+        "newest_ts", "gap_ns",
     )
 
     def __init__(self, capacity: int, interval_ns: int = 0):
@@ -177,6 +183,15 @@ class SensorCache:
         #: a NumPy scalar per reading.  Read-only for callers.
         self.newest_ts: Optional[int] = None
         self.interval_ns = int(interval_ns)
+        #: Smallest gap between two successive distinct timestamps, as
+        #: measured by a host that cannot know the sensor's interval
+        #: (the Collect Agent's ingest loop; :data:`NO_GAP` until it has
+        #: seen two).  It is an observation, not a contract: the host
+        #: sizes the ring by it and the Query Engine reads it to decide
+        #: how many readings a time window can hold at most — the window
+        #: itself stays a matter of timestamps (``interval_ns`` is the
+        #: claim that turns it into a count).
+        self.gap_ns = NO_GAP
         #: Readings rejected for violating timestamp monotonicity; hosts
         #: surface the aggregate as a telemetry drop gauge.
         self.stale_drops = 0
@@ -391,7 +406,7 @@ class SensorCache:
         if self.interval_ns > 0:
             count = offset_ns // self.interval_ns + 1
             return self._tail_view(int(count))
-        newest = int(self._ts[(self._head - 1) % self._cap])
+        newest = self.newest_ts
         return self.view_absolute(newest - offset_ns, newest)
 
     def view_absolute(self, start_ts: int, end_ts: int) -> CacheView:

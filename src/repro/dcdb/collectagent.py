@@ -70,9 +70,6 @@ class CollectAgent:
         self._storage = storage if storage is not None else StorageBackend()
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
-        #: Smallest observed inter-arrival gap per remote topic; drives
-        #: ingest cache sizing (see :meth:`_ingest`).
-        self._gap_ns: Dict[str, int] = {}
         self.rest = RestApi()
         self.telemetry = MetricRegistry()
         self._m_forwarded = self.telemetry.counter("forwarded_readings_total")
@@ -201,16 +198,21 @@ class CollectAgent:
         """Scatter a batch into caches and storage: the agent's one
         write loop, for MQTT traffic and operator outputs alike.
 
-        Interval is unknown for remote sensors; a count-sized cache with
-        binary-search relative fallback keeps semantics right.  It
-        starts at the 1 Hz guess and follows the topic's cadence: the
-        retention window is a time contract, the ring is sized in
-        readings, so whenever a smaller positive inter-arrival gap is
-        observed the cache is grown in place to the reading count the
-        window implies — a 10 Hz sensor must still retain its whole
-        window, not a tenth of it.
+        Interval is unknown for remote sensors, so an ingest cache
+        carries no ``interval_ns`` and a relative window over it is a
+        matter of timestamps.  What the loop can do is measure: the
+        smallest gap between two successive distinct timestamps of a
+        topic is kept on its cache (``gap_ns``) and used twice.  Here it
+        sizes the ring — the retention window is a time contract, the
+        ring is sized in readings, so the cache starts at the 1 Hz guess
+        and whenever a smaller gap is observed it is grown in place to
+        the reading count the window implies (a 10 Hz sensor must still
+        retain its whole window, not a tenth of it).  In the Query
+        Engine it bounds how many readings a time window can hold, which
+        is what lets a compiled plan read these rings directly (see
+        ``core.queryengine``); it is never published as the interval.
         """
-        caches, gaps = self.caches, self._gap_ns
+        caches = self.caches
         insert = self._storage.insert
         for topic, ts, value in zip(batch.topics, batch.timestamps, batch.values):
             cache = caches.get(topic)
@@ -220,13 +222,11 @@ class CollectAgent:
                 )
             newest = cache.newest_ts
             # (First, duplicate or stale arrivals say nothing of cadence.)
-            if newest is not None and ts > newest:
-                known = gaps.get(topic)
-                if known is None or ts - newest < known:
-                    gap = gaps[topic] = ts - newest
-                    needed = self._ingest_capacity(gap)
-                    if needed > cache.capacity:
-                        cache.resize(needed)
+            if newest is not None and ts > newest and ts - newest < cache.gap_ns:
+                gap = cache.gap_ns = ts - newest
+                needed = self._ingest_capacity(gap)
+                if needed > cache.capacity:
+                    cache.resize(needed)
             cache.store(ts, value)
             insert(topic, ts, value)
 

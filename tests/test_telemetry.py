@@ -286,6 +286,52 @@ class TestQueryEngineTelemetry:
         assert reg.histogram("qe_query_latency_ns", mode="relative").count == 2
         assert reg.histogram("qe_query_latency_ns", mode="absolute").count == 1
 
+    def test_gather_path_is_visible_on_the_metrics_page(self):
+        """"Is my operator on the fast path" without a tracer: the rows
+        of the cached plans by kind, and the rows that failed their
+        per-pass check."""
+        agent = CollectAgent("agent", Broker(), TaskScheduler())
+        for i in range(6):
+            agent.broker.publish("/n/a", float(i), i * NS_PER_SEC)
+        agent.flush()
+        agent.storage.insert("/n/stored", 0, 1.0)  # no cache: another source
+        qe = QueryEngine(agent)
+        assert qe.telemetry is agent.telemetry
+
+        def page():
+            metrics = agent.rest.get("/metrics", match="qe_").body["metrics"]
+            rows = {
+                m["labels"]["kind"]: m["value"]
+                for m in metrics if m["name"] == "qe_plan_rows"
+            }
+            violations = [
+                m["value"] for m in metrics
+                if m["name"] == "qe_hint_violations_total"
+            ]
+            return rows, violations
+
+        assert page() == ({"ring": 0, "scalar": 0, "miss": 0}, [0])
+        qe.query_relative_batch(["/n/a", "/n/stored"], 3 * NS_PER_SEC, key="op")
+        qe.query_relative_batch(["/n/a"], 0, key="latest")
+        assert page() == ({"ring": 2, "scalar": 1, "miss": 0}, [0])
+        assert qe._plans["op"].n_cache_rows == 1
+
+        # A ring nobody measured the arrival gap of is gathered short,
+        # caught by the check, re-read — and counted.
+        raw = agent.caches["/n/raw"] = SensorCache(64)
+        for i in range(10):
+            raw.store(i * NS_PER_SEC, float(i))
+        win = qe.query_relative_batch(["/n/raw"], 3 * NS_PER_SEC, key="raw")
+        assert win.counts.tolist() == [4]
+        assert page() == ({"ring": 3, "scalar": 1, "miss": 0}, [1])
+
+        host = FakeHost()  # no storage: an absent topic is a miss row
+        host.caches["/a"] = filled_cache()
+        qe = QueryEngine(host)
+        qe.query_relative_batch(["/a", "/absent"], NS_PER_SEC, key="op")
+        assert qe.telemetry.gauge("qe_plan_rows", kind="miss").value == 1
+        assert qe.telemetry.gauge("qe_plan_rows", kind="ring").value == 1
+
     def test_host_registry_shared_when_available(self):
         host = FakeHost()
         host.caches["/a"] = filled_cache()
