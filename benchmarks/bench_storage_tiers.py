@@ -21,6 +21,12 @@ bench measures exactly those properties:
   redistribute readings, they must not invent or lose signal).
 - **Query/insert throughput**: memory-only vs tiered on identical
   workloads, so the disk tier's overhead is a number, not a feeling.
+- **Maintenance**: what one sweep costs at fan-in width (1 480 topics x
+  10 readings per flush, the shape ``tiered_query_mix`` has) — flush,
+  raw -> 10 s and 10 s -> 1 min compaction, open, bytes on disk per
+  reading — each beside the per-topic loop and JSON-header file
+  (WMSEG01) it replaced, kept here as the reference and run in the same
+  process on the same data.
 
 Run standalone (``python benchmarks/bench_storage_tiers.py [--smoke]``)
 or under pytest.
@@ -28,7 +34,11 @@ or under pytest.
 
 from __future__ import annotations
 
+import json
+import os
 import shutil
+import statistics
+import struct
 import sys
 import tempfile
 import time
@@ -46,13 +56,22 @@ from benchmarks.harness import (
     write_bench_artifact,
 )
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.segments import TieredStorageBackend
+from repro.dcdb.segments import (
+    LEVEL_10S,
+    LEVEL_1MIN,
+    LEVEL_RAW,
+    ROLLUP_BUCKET_NS,
+    ROLLUP_COLUMNS,
+    Segment,
+    TieredStorageBackend,
+)
 from repro.dcdb.storage import StorageBackend
 
 CONFIG = {
     "identity": {"topics": 8, "seconds": 30, "ooo_every": 13},
     "rollup": {"topics": 3, "seconds": 1800, "flush_chunks": 6},
     "throughput": {"topics": 4, "readings": 25_000},
+    "maintenance": {"nodes": 148, "sensors": 10, "readings": 10, "rounds": 9},
 }
 
 
@@ -267,6 +286,247 @@ def run_throughput(topics: int, readings: int) -> dict:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+# ----------------------------------------------------------------------
+# Maintenance: the columnar sweep beside the per-topic loop it replaced
+# ----------------------------------------------------------------------
+
+
+def _reference_rollup_columns(ts, vmin, vmean, vmax, count, bucket_ns):
+    """PR 10's per-series kernel."""
+    bucket = (ts // bucket_ns) * bucket_ns
+    starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]])
+    counts = np.add.reduceat(count, starts)
+    sums = np.add.reduceat(vmean * count, starts)
+    return {
+        "ts": bucket[starts].astype(np.int64),
+        "min": np.minimum.reduceat(vmin, starts),
+        "mean": sums / counts,
+        "max": np.maximum.reduceat(vmax, starts),
+        "count": counts.astype(np.int64),
+    }
+
+
+class _ReferenceSegment:
+    """A WMSEG01 file the way PR 10 wrote, opened and compacted it: a
+    JSON index header, a dict per topic, one ``write`` per topic and
+    column, one kernel call per topic."""
+
+    MAGIC = b"WMSEG01\n"
+
+    def __init__(self, path, header, data_offset):
+        self.path, self.header, self.data_offset = path, header, data_offset
+        self.level = header["level"]
+        self.columns = tuple(header["columns"])
+        self.series = header["series"]
+        self._data = None
+
+    @classmethod
+    def write(cls, path, seq, level, series_data, created_ns=0, bucket_ns=0):
+        columns = ROLLUP_COLUMNS if level else ("ts", "val")
+        index, offset = {}, 0
+        topics = sorted(series_data)
+        for topic in topics:
+            cols = series_data[topic]
+            ts = cols["ts"]
+            index[topic] = {
+                "offset": offset, "count": len(ts),
+                "min_ts": int(ts[0]), "max_ts": int(ts[-1]),
+                "last_val": float(cols["mean" if level else "val"][-1]),
+            }
+            offset += len(ts)
+        header = {
+            "level": int(level), "seq": int(seq),
+            "created_ns": int(created_ns), "bucket_ns": int(bucket_ns),
+            "columns": list(columns),
+            "min_ts": min(s["min_ts"] for s in index.values()),
+            "max_ts": max(s["max_ts"] for s in index.values()),
+            "points": offset, "series": index,
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        tmp = path.with_suffix(".tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(cls.MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for col in columns:
+                dtype = np.int64 if col in ("ts", "count") else np.float64
+                for topic in topics:
+                    fh.write(np.ascontiguousarray(
+                        series_data[topic][col], dtype=dtype
+                    ).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        return cls(path, header, len(cls.MAGIC) + 4 + len(blob))
+
+    @classmethod
+    def open(cls, path):
+        with open(path, "rb") as fh:
+            fh.read(len(cls.MAGIC))
+            (length,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(length).decode("utf-8"))
+        return cls(path, header, len(cls.MAGIC) + 4 + length)
+
+    def topic_columns(self, topic):
+        if self._data is None:
+            raw = self.path.read_bytes()[self.data_offset:]
+            points = self.header["points"]
+            self._data = {
+                col: np.frombuffer(
+                    raw, dtype=np.int64 if col in ("ts", "count") else np.float64,
+                    count=points, offset=i * points * 8,
+                )
+                for i, col in enumerate(self.columns)
+            }
+        entry = self.series[topic]
+        o, n = entry["offset"], entry["count"]
+        ts = self._data["ts"][o : o + n]
+        lo = int(np.searchsorted(ts, self.header["min_ts"], side="left"))
+        hi = int(np.searchsorted(ts, self.header["max_ts"], side="right"))
+        return {c: self._data[c][o + lo : o + hi] for c in self.columns}
+
+    def compact(self, path, level):
+        bucket_ns = ROLLUP_BUCKET_NS[level]
+        data = {}
+        for topic in self.series:
+            cols = self.topic_columns(topic)
+            if self.level == LEVEL_RAW:
+                val = cols["val"]
+                vmin = vmean = vmax = val
+                count = np.ones(len(val), dtype=np.int64)
+            else:
+                vmin, vmean, vmax = cols["min"], cols["mean"], cols["max"]
+                count = cols["count"]
+            data[topic] = _reference_rollup_columns(
+                cols["ts"], vmin, vmean, vmax, count, bucket_ns
+            )
+        new = self.write(
+            path, self.header["seq"], level, data, bucket_ns=bucket_ns
+        )
+        self.path.unlink()
+        return new
+
+
+def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dict:
+    """One sweep's costs, columnar path vs per-topic reference."""
+    names = [
+        f"/rack{n // 37:02d}/chassis{n % 37 // 4:02d}/node{n % 4:02d}"
+        f"/tester{s:04d}"
+        for n in range(nodes) for s in range(sensors)
+    ]
+    rng = np.random.default_rng(0x5EA1)
+    # Node-wise sampling phases, as Pushers have.
+    phase = rng.integers(0, NS_PER_SEC, size=nodes).repeat(sensors)
+    # 17 s of 0.6 s readings: 10 s buckets of ragged size, two per minute.
+    steps = np.arange(readings, dtype=np.int64) * (17 * NS_PER_SEC // readings)
+    ms = {k: {"columnar": [], "per_topic_reference": []} for k in (
+        "flush_ms", "compact_10s_ms", "compact_1min_ms", "open_ms")}
+    identical = True
+    sizes = {}
+
+    def timed(key, side, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        ms[key][side].append((time.perf_counter() - t0) * 1e3)
+        return out
+
+    tmp = Path(tempfile.mkdtemp(prefix="bench-tiers-"))
+    try:
+        for r in range(rounds):
+            values = rng.normal(100.0, 5.0, size=(len(names), readings))
+            backend = TieredStorageBackend(
+                tmp / f"columnar-{r}", flush_mb=64,
+                rollup_after_ns=100 * NS_PER_SEC,
+                rollup_minute_after_ns=1000 * NS_PER_SEC,
+            )
+            reference = StorageBackend()
+            for i, topic in enumerate(names):
+                ts = steps + int(phase[i])
+                backend.insert_batch(topic, ts, values[i])
+                reference.insert_batch(topic, ts, values[i])
+            ref_dir = tmp / f"reference-{r}"
+            ref_dir.mkdir()
+
+            def reference_flush():
+                data = {
+                    topic: {
+                        "ts": series.ts[: series.size].copy(),
+                        "val": series.val[: series.size].copy(),
+                    }
+                    for topic, series in reference._series.items()
+                }
+                return _ReferenceSegment.write(
+                    ref_dir / "segment-000000-l0.seg", 0, LEVEL_RAW, data
+                )
+
+            def both(key, columnar, per_topic):
+                """Time both sides, alternating which goes first so
+                neither always runs warm."""
+                sides = [("columnar", columnar), ("per_topic_reference", per_topic)]
+                if r % 2:
+                    sides.reverse()
+                return {side: timed(key, side, fn) for side, fn in sides}
+
+            done = both(
+                "flush_ms", lambda: backend.flush(20 * NS_PER_SEC), reference_flush
+            )
+            ref = done["per_topic_reference"]
+            (seg,) = backend.store.segments
+            sizes = {
+                "columnar": seg.disk_bytes,
+                "per_topic_reference": ref.path.stat().st_size,
+                "data_bytes": seg.points * 16,
+            }
+            timed("open_ms", "columnar", lambda: Segment.open(seg.path))
+            ref = timed(
+                "open_ms", "per_topic_reference",
+                lambda: _ReferenceSegment.open(ref.path),
+            )
+            for key, level, now_s in (
+                ("compact_10s_ms", LEVEL_10S, 500),
+                ("compact_1min_ms", LEVEL_1MIN, 5000),
+            ):
+                ref_path = ref_dir / f"segment-000000-l{level}.seg"
+                done = both(
+                    key, lambda: backend.maintain(now_s * NS_PER_SEC),
+                    lambda: ref.compact(ref_path, level),
+                )
+                ref = done["per_topic_reference"]
+                (seg,) = backend.store.segments
+                assert seg.level == level, seg.level
+                for topic in names[:: max(1, len(names) // 64)]:
+                    got = seg.topic_columns(topic, seg.min_ts, seg.max_ts)
+                    want = ref.topic_columns(topic)
+                    identical &= all(
+                        got[c].tobytes() == want[c].tobytes()
+                        for c in ROLLUP_COLUMNS
+                    )
+        points = len(names) * readings
+        out = {
+            "topics": len(names), "readings_per_flush": points,
+            "rounds": rounds, "rollup_identical_to_reference": bool(identical),
+        }
+        for key, sides in ms.items():
+            col = statistics.median(sides["columnar"])
+            ref_ms = statistics.median(sides["per_topic_reference"])
+            out[key] = {
+                "columnar": col, "per_topic_reference": ref_ms,
+                "speedup": ref_ms / col,
+            }
+        out["disk_bytes_per_reading"] = {
+            "columnar": sizes["columnar"] / points,
+            "per_topic_reference": sizes["per_topic_reference"] / points,
+        }
+        out["data_bytes"] = sizes["data_bytes"]
+        out["index_bytes"] = {
+            side: sizes[side] - sizes["data_bytes"]
+            for side in ("columnar", "per_topic_reference")
+        }
+        return out
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     import argparse
 
@@ -282,6 +542,8 @@ def main(argv=None) -> int:
             "identity": {"topics": 4, "seconds": 12, "ooo_every": 5},
             "rollup": {"topics": 2, "seconds": 600, "flush_chunks": 4},
             "throughput": {"topics": 2, "readings": 5_000},
+            # Full width (the shape checks are about width), fewer rounds.
+            "maintenance": {**CONFIG["maintenance"], "rounds": 3},
         }
 
     print_header("Storage tiers - memory vs tiered identity")
@@ -381,6 +643,44 @@ def main(argv=None) -> int:
         == throughput["memory"]["window_readings"],
     )
 
+    print_header("Storage tiers - maintenance sweep at fan-in width")
+    maintenance = run_maintenance(**cfg["maintenance"])
+    rows = [
+        (
+            key.removesuffix("_ms").replace("_", " "),
+            f"{maintenance[key]['columnar']:.2f}",
+            f"{maintenance[key]['per_topic_reference']:.2f}",
+            f"{maintenance[key]['speedup']:.1f}x",
+        )
+        for key in ("flush_ms", "compact_10s_ms", "compact_1min_ms", "open_ms")
+    ]
+    per_reading = maintenance["disk_bytes_per_reading"]
+    rows.append((
+        "B/reading", f"{per_reading['columnar']:.1f}",
+        f"{per_reading['per_topic_reference']:.1f}",
+        f"{per_reading['per_topic_reference'] / per_reading['columnar']:.1f}x",
+    ))
+    print_table(
+        ["step (ms)", "columnar", "per-topic", "ratio"], rows, fmt="{:>14}"
+    )
+    ok &= shape_check(
+        "whole-segment rollup equals the per-topic loop bit for bit",
+        maintenance["rollup_identical_to_reference"],
+    )
+    for key in ("compact_10s_ms", "compact_1min_ms"):
+        ok &= shape_check(
+            f"{key.removesuffix('_ms')} >= 5x the per-topic loop",
+            maintenance[key]["speedup"] >= 5.0,
+            f"{maintenance[key]['speedup']:.1f}x",
+        )
+    index_bytes = maintenance["index_bytes"]["columnar"]
+    ok &= shape_check(
+        "index bytes < 1/4 data bytes in a raw segment",
+        index_bytes < maintenance["data_bytes"] / 4,
+        f"{index_bytes} B index, {maintenance['data_bytes']} B data "
+        f"(WMSEG01: {maintenance['index_bytes']['per_topic_reference']} B)",
+    )
+
     write_bench_artifact(
         "storage_tiers",
         {
@@ -388,6 +688,7 @@ def main(argv=None) -> int:
             "restart_replay": replay,
             "rollup": rollup,
             "throughput": throughput,
+            "maintenance": maintenance,
         },
         config=cfg,
     )
@@ -412,6 +713,12 @@ class TestStorageTiersBench:
         assert r["represented_readings"] == r["raw_readings"], r
         assert r["mass_error"] < 1e-12
         assert max(r["levels"]) == 2
+        benchmark(lambda: None)
+
+    def test_maintenance_matches_the_reference_loop(self, benchmark):
+        r = run_maintenance(nodes=8, sensors=4, readings=10, rounds=2)
+        assert r["rollup_identical_to_reference"], r
+        assert r["index_bytes"]["columnar"] < r["index_bytes"]["per_topic_reference"]
         benchmark(lambda: None)
 
 

@@ -152,6 +152,10 @@ class CollectAgent:
                 "storage_rollup_compactions",
                 fn=lambda: storage.rollup_compactions,
             )
+            self.telemetry.gauge(
+                "storage_segments_quarantined",
+                fn=lambda: storage.store.quarantined,
+            )
             for tier in ("memory", "segment", "rollup"):
                 self.telemetry.gauge(
                     "storage_tier_hits",

@@ -103,6 +103,48 @@ class TestSegmentStore:
         assert not raw.path.exists()  # superseded source removed
 
 
+    def test_orphan_tmp_removed_at_scan(self, tmp_path):
+        store = SegmentStore(tmp_path)
+        ts = np.arange(5, dtype=np.int64)
+        store.write({"/a": {"ts": ts, "val": ts.astype(float)}})
+        # A crash between write and rename leaves the temporary file.
+        orphan = tmp_path / "segment-000007-l0.tmp"
+        orphan.write_bytes(b"half a segment")
+        again = SegmentStore(tmp_path)
+        assert not orphan.exists()
+        assert [s.seq for s in again.segments] == [0]
+
+    def test_bad_header_quarantined_at_scan(self, tmp_path):
+        store = SegmentStore(tmp_path)
+        for i in range(2):
+            ts = np.array([i * 100], dtype=np.int64)
+            store.write({"/a": {"ts": ts, "val": ts.astype(float)}})
+        bad = store.segments[0].path
+        blob = bytearray(bad.read_bytes())
+        blob[20] ^= 0x01  # inside the fixed header
+        bad.write_bytes(bytes(blob))
+        (tmp_path / "segment-000005-l0.seg").write_bytes(b"junk")
+        tiered = TieredStorageBackend(tmp_path)  # starts all the same
+        assert [s.seq for s in tiered.store.segments] == [1]
+        assert tiered.tier_stats()["segments_quarantined"] == 2
+        assert bad.with_suffix(".corrupt").exists() and not bad.exists()
+        # The count is the files set aside, so it survives a reopen.
+        assert SegmentStore(tmp_path).quarantined == 2
+
+    def test_flipped_data_bit_fails_the_query(self, tmp_path):
+        ts = np.arange(10, dtype=np.int64)
+        seg = Segment.write(
+            tmp_path / "s.seg", 0, LEVEL_RAW,
+            {"/a": {"ts": ts, "val": ts.astype(float)}},
+        )
+        blob = bytearray(seg.path.read_bytes())
+        blob[-3] ^= 0x10
+        seg.path.write_bytes(bytes(blob))
+        reopened = Segment.open(seg.path)  # header and index are fine
+        with pytest.raises(StorageError, match="checksum"):
+            reopened.query("/a", 0, 2**62)
+
+
 class TestRollupColumns:
     def test_mass_and_extrema(self):
         ts = np.arange(25, dtype=np.int64) * NS_PER_SEC
@@ -196,6 +238,34 @@ class TestTieredBackend:
         tiered.maintain(100_000 * NS_PER_SEC)
         assert len(tiered.store.segments) == 0
         assert tiered.segments_expired == 1
+
+    @pytest.mark.parametrize("minute", [False, True])
+    def test_seal_floor_survives_rollup_and_restart(self, tmp_path, minute):
+        """A rollup's ``max_ts`` is the start of its last bucket; the
+        floor is the newest *raw* timestamp sealed, kept in the index."""
+        def backend():
+            return TieredStorageBackend(
+                tmp_path, flush_mb=64, rollup_after_ns=10 * NS_PER_SEC,
+                rollup_minute_after_ns=1000 * NS_PER_SEC,
+            )
+
+        first = backend()
+        ts = np.arange(60, dtype=np.int64) * NS_PER_SEC
+        first.insert_batch("/a", ts, np.ones(60))
+        first.flush(60 * NS_PER_SEC)
+        first.maintain((5000 if minute else 100) * NS_PER_SEC)
+        (seg,) = first.store.segments
+        assert seg.level == (2 if minute else 1)
+        assert seg.max_ts == (0 if minute else 50 * NS_PER_SEC)
+        first.insert("/a", 55 * NS_PER_SEC, 1.0)
+        assert first.ooo_dropped == 1
+        second = backend()
+        second.insert("/a", 55 * NS_PER_SEC, 1.0)
+        assert second.ooo_dropped == 1
+        assert second.count("/a") == len(second.query("/a", 0, 2**62)[0])
+        assert super(TieredStorageBackend, second).total_readings() == 0
+        second.insert("/a", 59 * NS_PER_SEC, 1.0)  # the floor itself is in order
+        assert second.ooo_dropped == 1
 
     def test_query_aggregate_spans_tiers(self, tmp_path):
         mem = StorageBackend()
