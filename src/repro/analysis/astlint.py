@@ -61,7 +61,7 @@ _COMPUTE_PATH_METHODS = {
     "compute_operator_outputs",
     "trigger",
     "_compute_results",
-    "_compute_one",
+    "_compute_each",
 }
 
 

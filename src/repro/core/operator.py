@@ -24,6 +24,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,6 +129,10 @@ WindowRow = Tuple[str, np.ndarray, np.ndarray]
 _NO_TIMESTAMPS = np.empty(0, dtype=np.int64)
 _NO_VALUES = np.empty(0, dtype=np.float64)
 
+#: What a unit's computation may raise and stay one unit's failure: it
+#: is counted against that unit and the pass goes on.
+UNIT_ERRORS = (QueryError, PluginError, ValueError, KeyError)
+
 
 def require_data(row: WindowRow) -> np.ndarray:
     """The values of a gathered row, or the :class:`QueryError` a
@@ -193,19 +199,20 @@ class PassResult:
 class OperatorBase:
     """Base class for all Wintermute operator plugins.
 
-    A plugin implements exactly one of two things:
+    The framework reads, the plugin computes.  In this order:
 
-    - :meth:`compute_unit` — analyse one unit.  The inherited
-      :meth:`compute_batch` loops it over the due units (spread over a
-      worker pool in parallel unit mode).
-    - a *window kernel*: :meth:`compute_batch` gathers every unit's
-      windows in one batched query (:meth:`batch_window`) and reduces
-      the stacked matrix along axis 1; :meth:`compute_window` feeds the
-      same arithmetic a single unit's windows as 1×n views, which is
-      what ragged passes, on-demand triggers and failure isolation run.
-      Windows are read-only.
+    - implement :meth:`compute_window` — one unit's outputs from the
+      windows of its :meth:`kernel_inputs`, which the framework gathers
+      for every due unit in one batched query per pass
+      (:meth:`batch_window`) and hands over read-only;
+    - add a :meth:`compute_batch` *matrix kernel* when the arithmetic is
+      the same for every unit: reduce the stacked windows of a uniform
+      pass along axis 1, :meth:`compute_ragged` for the rest;
+    - override :meth:`compute_unit` only to issue queries yourself.  The
+      pass then loops it unit by unit (:meth:`compute_per_unit`) and
+      gives up the compiled plan, the single gather and fusion.
 
-    Optional hooks are :meth:`make_model` and
+    Optional hooks are :meth:`check_unit`, :meth:`make_model` and
     :meth:`compute_operator_outputs`.  The base class handles unit
     resolution, model placement (shared vs per-unit), scheduling hooks,
     result storage and bookkeeping.
@@ -352,8 +359,12 @@ class OperatorBase:
         self.set_units(self.make_resolver().resolve(tree))
 
     def set_units(self, units: Sequence[Unit]) -> None:
-        """Install pre-built units (used by tests and job operators)."""
-        self._install_units(list(units))
+        """Install pre-built units (used by tests and job operators),
+        each one through :meth:`check_unit` first."""
+        units = list(units)
+        for unit in units:
+            self.check_unit(unit)
+        self._install_units(units)
         self._unit_models.clear()
         self._shared_model = None
         self._init_operator_outputs()
@@ -361,6 +372,17 @@ class OperatorBase:
     def _install_units(self, units: List[Unit]) -> None:
         self.units = units
         self._unit_by_name = {unit.name: unit for unit in units}
+
+    def check_unit(self, unit: Unit) -> None:
+        """Raise :class:`ConfigError`, naming the operator and the unit,
+        for a unit this plugin cannot compute whatever the data — an
+        output it does not know, an input it needs and the unit lacks.
+
+        Runs where a unit enters the operator, never in a pass: on
+        :meth:`set_units` (so ``load_plugin`` refuses the block) and on
+        a unit built on the fly for :meth:`trigger`.  :meth:`compute_window`
+        may rely on what it established.
+        """
 
     def unit_named(self, name: str) -> Optional[Unit]:
         """The resolved unit called ``name``, if any (O(1))."""
@@ -442,13 +464,14 @@ class OperatorBase:
         sensors.  Returning an empty dict stores nothing for the unit
         (useful while a model is still training).
 
-        Per-unit plugins implement this.  Kernel plugins inherit the
-        default: a plan-free, matrix-free gather — one relative query
-        per kernel input, no :class:`QueryPlan` touched — handed to
-        :meth:`compute_window`.  On-demand triggers and the per-unit
-        isolation after a kernel failure come through here.
+        The default is a plan-free, matrix-free gather — one relative
+        query per kernel input, no :class:`QueryPlan` touched — handed
+        to :meth:`compute_window`.  On-demand triggers and the
+        unit-by-unit re-run after a pass raised come through here.
         """
         assert self.engine is not None
+        if self.unit_named(unit.name) is not unit:
+            self.check_unit(unit)  # built on the fly, never installed
         rows: List[WindowRow] = []
         for topic in self.kernel_inputs(unit):
             try:
@@ -467,12 +490,14 @@ class OperatorBase:
     def compute_window(
         self, unit: Unit, rows: Sequence[WindowRow]
     ) -> Dict[str, float]:
-        """Kernel plugins: one unit's outputs from its gathered windows.
+        """One unit's outputs from its gathered windows — the analysis.
 
         ``rows`` holds one :data:`WindowRow` per :meth:`kernel_inputs`
-        topic.  Implementations hand them to the same axis-1 arithmetic
-        their :meth:`compute_batch` runs on the stacked matrix, as 1×n
-        views (``values[None, :]``), and must not write into them.
+        topic, in that order, empty where the input holds no data
+        (:func:`require_data` raises what the scalar query would have).
+        Implementations must not write into them; one that also has a
+        matrix kernel hands them to the same axis-1 arithmetic as 1×n
+        views (``values[None, :]``).
         """
         raise NotImplementedError
 
@@ -633,54 +658,80 @@ class OperatorBase:
         due_units = self._due_units()
         try:
             return self.compute_batch(due_units, ts)
-        except (QueryError, PluginError, ValueError, KeyError):
-            # The kernel failed on the stacked windows.  Run it again
-            # one unit at a time (compute_unit feeds it 1×n views), so
-            # only the unit owning the failing row is counted and
-            # advanced toward quarantine.
-            return OperatorBase.compute_batch(self, due_units, ts)
+        except UNIT_ERRORS:
+            # The gather or the kernel failed on the whole pass.  Run it
+            # again one unit at a time, so only the unit owning the
+            # failing row is counted and advanced toward quarantine.
+            return self.compute_per_unit(due_units, ts)
 
     def compute_batch(self, units: Sequence[Unit], ts: int):
         """Compute every due unit of a pass.
 
-        Per-unit plugins inherit this loop over :meth:`compute_unit`,
-        spread over the worker pool in parallel unit mode.  Kernel
-        plugins override it: gather with :meth:`batch_window`, reduce a
-        uniform pass along axis 1 of the stacked matrix and return a
-        columnar :class:`PassResult`, or fall back to
-        :meth:`compute_ragged`.
+        Inherited: one :meth:`batch_window` gather, then
+        :meth:`compute_ragged` — or :meth:`compute_per_unit` iff the
+        plugin class overrides :meth:`compute_unit`.  A matrix kernel
+        overrides it and returns a columnar :class:`PassResult` for a
+        uniform pass.
         """
-        if not (self._uses_pool() and len(units) > 1):
-            return self._compute_chunk(units, ts)
+        if type(self).compute_unit is not OperatorBase.compute_unit:
+            return self.compute_per_unit(units, ts)
+        window, slices, _n = self.batch_window(units)
+        return self.compute_ragged(units, window, slices)
+
+    def compute_per_unit(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
+        """:meth:`compute_unit` for each unit in turn: scalar queries
+        only, no plan — what a pass that raised is re-run on, and the
+        reference the gathered paths are checked against."""
+        return self._compute_each(units, self.compute_unit, repeat(ts))
+
+    def _compute_each(self, units: Sequence[Unit], fn, args) -> List[UnitResult]:
+        """``fn(unit, arg)`` for every unit and its arg, each unit's
+        failure isolated; in parallel unit mode spread over the pool.
+
+        One contiguous chunk per worker keeps the future count at
+        ``max_workers`` instead of U, and collecting chunks in
+        submission order preserves unit order in the result list exactly
+        like the sequential loop.
+        """
+        jobs = list(zip(units, args))
+        san = hooks.CURRENT
+
+        def run(chunk) -> List[UnitResult]:
+            out = []
+            for unit, arg in chunk:
+                try:
+                    if san is None:
+                        values = fn(unit, arg)
+                    else:
+                        values = san.watch_unit_compute(
+                            self, unit, partial(fn, unit, arg)
+                        )
+                except UNIT_ERRORS as exc:
+                    # A failing unit must not take down the operator:
+                    # count it and move on, like the production
+                    # framework's error path.
+                    self._record_unit_error(unit, exc)
+                else:
+                    if values:
+                        out.append(UnitResult(unit, values))
+            return out
+
+        n = len(jobs)
+        if not (self._uses_pool() and n > 1):
+            return run(jobs)
         pool = self._pool
         if pool is None:
             # Enabled without start() (tests drive compute directly).
             pool = self._pool = self._make_pool()
-        n = len(units)
         workers = min(self.config.max_workers, n)
-        chunk = (n + workers - 1) // workers
+        size = (n + workers - 1) // workers
         futures = [
-            pool.submit(self._compute_chunk, units[lo:lo + chunk], ts)
-            for lo in range(0, n, chunk)
+            pool.submit(run, jobs[lo:lo + size]) for lo in range(0, n, size)
         ]
         results: List[UnitResult] = []
         for future in futures:
             results.extend(future.result())
         return results
-
-    def _compute_chunk(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        """One worker's contiguous share of a pass.
-
-        Chunking keeps the future count at ``max_workers`` instead of U,
-        and gathering chunks in submission order preserves unit order in
-        the result list exactly like the sequential loop.
-        """
-        out = []
-        for unit in units:
-            result = self._compute_one(unit, self.compute_unit, ts)
-            if result is not None:
-                out.append(result)
-        return out
 
     def batch_window(
         self, units: Sequence[Unit]
@@ -723,40 +774,15 @@ class OperatorBase:
     def compute_ragged(
         self, units: Sequence[Unit], window: BatchWindow, slices: List[range]
     ) -> List[UnitResult]:
-        """The kernel one unit at a time over an already gathered window
-        — passes that are not uniform (several inputs per unit, windows
-        of different lengths, missing data).  A failing unit is counted
-        and skipped exactly like a failing :meth:`compute_unit`."""
-        topics = window.topics
-        results = []
-        for unit, rows in zip(units, slices):
-            gathered = [
-                (topics[r], window.row_timestamps(r), window.row_values(r))
-                for r in rows
-            ]
-            result = self._compute_one(unit, self.compute_window, gathered)
-            if result is not None:
-                results.append(result)
-        return results
-
-    def _compute_one(self, unit: Unit, fn, arg) -> Optional[UnitResult]:
-        """``fn(unit, arg)`` with the unit's failure isolated."""
-        san = hooks.CURRENT
-        try:
-            if san is None:
-                values = fn(unit, arg)
-            else:
-                values = san.watch_unit_compute(
-                    self, unit, lambda: fn(unit, arg)
-                )
-        except (QueryError, PluginError, ValueError, KeyError) as exc:
-            # A failing unit must not take down the operator: count it
-            # and move on, like the production framework's error path.
-            self._record_unit_error(unit, exc)
-            return None
-        if not values:
-            return None
-        return UnitResult(unit, values)
+        """:meth:`compute_window` one unit at a time over an already
+        gathered window — every pass of a plugin without a matrix
+        kernel and, for one that has it, the passes that are not uniform
+        (several inputs per unit, windows of different lengths, missing
+        data).  A failing unit is counted and skipped exactly like a
+        failing :meth:`compute_unit`."""
+        return self._compute_each(
+            units, self.compute_window, map(window.rows, slices)
+        )
 
     def _note_error(self, label: str, exc: Exception) -> None:
         """Count one error into the bounded log.

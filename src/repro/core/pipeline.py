@@ -298,8 +298,8 @@ class FusionPlan:
 
 
 def has_kernel(cls: type) -> bool:
-    """Whether a plugin class defines a window kernel of its own (the
-    inherited ``compute_batch`` is the per-unit loop)."""
+    """Whether a plugin class defines a matrix kernel of its own (the
+    inherited ``compute_batch`` computes unit by unit)."""
     return cls.compute_batch is not OperatorBase.compute_batch
 
 

@@ -122,6 +122,15 @@ class BatchWindow:
         """The valid timestamp segment of row ``i``, oldest-first."""
         return self.timestamps[i, self.width - int(self.counts[i]):]
 
+    def rows(self, indices: Sequence[int]) -> List[tuple]:
+        """``(topic, timestamps, values)`` of each row in ``indices``,
+        valid segments only — what one unit's computation is handed."""
+        out = []
+        for i in indices:
+            lo = self.width - int(self.counts[i])
+            out.append((self.topics[i], self.timestamps[i, lo:], self.values[i, lo:]))
+        return out
+
     def last_values(self) -> np.ndarray:
         """Newest value per row (NaN where a row is empty)."""
         return self.values[:, -1]

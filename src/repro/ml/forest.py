@@ -9,7 +9,7 @@ plugin.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -146,3 +146,36 @@ class RandomForestClassifier(_BaseForest):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class per sample."""
         return np.argmax(self.predict_proba(X), axis=1)
+
+
+class OnlineForest:
+    """A forest that trains itself: ``(features, response)`` pairs
+    accumulate until ``training_samples`` of them are there, then it is
+    fitted — once — and the buffer dropped."""
+
+    def __init__(self, forest: _BaseForest, training_samples: int) -> None:
+        self.forest = forest
+        self.training_samples = training_samples
+        self._X: List[np.ndarray] = []
+        self._y: List[float] = []
+
+    @property
+    def trained(self) -> bool:
+        """Whether the forest has been fitted."""
+        return self.forest.is_fitted
+
+    @property
+    def buffered(self) -> int:
+        """Accumulated training pairs so far."""
+        return len(self._y)
+
+    def add_pair(self, features: np.ndarray, response: float) -> None:
+        """Append one (features, response) pair; fit at the threshold."""
+        if self.trained:
+            return
+        self._X.append(features)
+        self._y.append(response)
+        if len(self._y) >= self.training_samples:
+            self.forest.fit(np.vstack(self._X), np.asarray(self._y))
+            self._X.clear()
+            self._y.clear()

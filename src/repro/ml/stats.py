@@ -11,7 +11,8 @@ accumulator for cheap windowless aggregation.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,13 +63,29 @@ def window_features(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def feature_matrix(windows: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-sensor feature vectors into one flat vector.
+def feature_matrix(
+    windows: Iterable[np.ndarray], counters: Iterable[bool] = ()
+) -> Optional[np.ndarray]:
+    """One flat feature vector from one window per input sensor.
 
-    The regressor builds its model input this way: one window per input
-    sensor, features concatenated in sensor order.
+    The regressor and the classifier build their model input this way:
+    features concatenated in sensor order, a window flagged in
+    ``counters`` (a monotonic counter; no flag means it is not one)
+    differenced first.  ``None`` when a window is too short to have a
+    feature or a feature is not finite.  ``windows`` is consumed lazily,
+    one window at a time.
     """
-    return np.concatenate([window_features(w) for w in windows])
+    parts = []
+    for values, is_counter in zip(windows, chain(counters, repeat(False))):
+        if is_counter:
+            values = np.diff(values)
+        if len(values) == 0:
+            return None
+        parts.append(window_features(values))
+    if not parts:
+        return None
+    features = np.concatenate(parts)
+    return features if np.all(np.isfinite(features)) else None
 
 
 def quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:

@@ -141,6 +141,10 @@ class AggregatorOperator(OperatorBase):
             )
         return op
 
+    def check_unit(self, unit: Unit) -> None:
+        for sensor in unit.outputs:
+            self._op_for(sensor.name)
+
     def compute_batch(self, units: Sequence[Unit], ts: int):
         window, slices, n = self.batch_window(units)
         if not n:

@@ -20,19 +20,19 @@ Params:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.core.operator import OperatorBase, OperatorConfig
+from repro.core.operator import OperatorBase, OperatorConfig, WindowRow, require_data
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
-from repro.ml.forest import RandomForestClassifier
-from repro.ml.stats import window_features
+from repro.ml.forest import OnlineForest, RandomForestClassifier
+from repro.ml.stats import feature_matrix
 
 
-class OnlineClassificationModel:
+class OnlineClassificationModel(OnlineForest):
     """Training buffer + forest for one classifier model."""
 
     def __init__(
@@ -43,31 +43,13 @@ class OnlineClassificationModel:
         max_depth: int,
         seed: int,
     ) -> None:
-        self.training_samples = training_samples
-        self.forest = RandomForestClassifier(
+        forest = RandomForestClassifier(
             n_classes=n_classes,
             n_estimators=n_estimators,
             max_depth=max_depth,
             random_state=seed,
         )
-        self._X: List[np.ndarray] = []
-        self._y: List[int] = []
-
-    @property
-    def trained(self) -> bool:
-        """Whether the forest has been fitted."""
-        return self.forest.is_fitted
-
-    def add_pair(self, features: np.ndarray, label: int) -> None:
-        """Append one labelled window; fit at the threshold."""
-        if self.trained:
-            return
-        self._X.append(features)
-        self._y.append(label)
-        if len(self._y) >= self.training_samples:
-            self.forest.fit(np.vstack(self._X), np.asarray(self._y))
-            self._X.clear()
-            self._y.clear()
+        super().__init__(forest, training_samples)
 
     def predict(self, features: np.ndarray) -> int:
         """Most probable class of one feature vector."""
@@ -113,53 +95,32 @@ class ClassifierOperator(OperatorBase):
             self.seed,
         )
 
-    def _features(self, unit: Unit) -> Optional[np.ndarray]:
-        assert self.engine is not None
-        parts: List[np.ndarray] = []
-        for topic in unit.inputs:
-            name = topic.rsplit("/", 1)[-1]
-            if name == self.label:
-                continue  # the label is not a feature
-            view = self.engine.query_relative(topic, self.config.window_ns)
-            values = view.values()
-            if name in self.delta_inputs:
-                if len(values) < 2:
-                    return None
-                values = np.diff(values)
-            if values.size == 0:
-                return None
-            parts.append(window_features(values))
-        if not parts:
-            return None
-        features = np.concatenate(parts)
-        if not np.all(np.isfinite(features)):
-            return None
-        return features
-
-    def _label_value(self, unit: Unit) -> Optional[int]:
-        assert self.engine is not None
-        topics = unit.inputs_named(self.label)
-        if not topics:
+    def check_unit(self, unit: Unit) -> None:
+        if not unit.inputs_named(self.label):
             raise ConfigError(
                 f"{self.name}: unit {unit.name} has no input sensor named "
                 f"{self.label!r}"
             )
-        view = self.engine.latest(topics[0])
-        if not len(view):
-            return None
-        label = int(round(view.values()[-1]))
-        if not (0 <= label < self.n_classes):
-            return None
-        return label
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
         model: OnlineClassificationModel = self.model_for(unit)
-        features = self._features(unit)
+        suffix = "/" + self.label
+        inputs = [  # the label is not a feature
+            row for row in rows if not row[0].endswith(suffix)
+        ]
+        features = feature_matrix(
+            map(require_data, inputs),
+            (row[0].rsplit("/", 1)[-1] in self.delta_inputs for row in inputs),
+        )
         if features is None:
             return {}
         if not model.trained:
-            label = self._label_value(unit)
-            if label is not None:
+            # The label's newest reading (the first input of that name).
+            newest = next(row for row in rows if row[0].endswith(suffix))
+            label = int(round(require_data(newest)[-1]))
+            if 0 <= label < self.n_classes:
                 model.add_pair(features, label)
             return {}
         predicted = model.predict(features)

@@ -30,12 +30,12 @@ Params:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.core.operator import OperatorBase, OperatorConfig, UnitResult
+from repro.core.operator import OperatorBase, OperatorConfig, UnitResult, WindowRow
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 from repro.ml.bgmm import BayesianGaussianMixture
@@ -80,34 +80,24 @@ class ClusteringOperator(OperatorBase):
     # Feature extraction
     # ------------------------------------------------------------------
 
-    def _unit_features(self, unit: Unit) -> Optional[np.ndarray]:
-        """One feature per input sensor, in input order."""
-        assert self.engine is not None
+    def _unit_features(self, rows: Sequence[WindowRow]) -> Optional[np.ndarray]:
+        """One feature per input window, in input order; ``None`` while
+        any of them is too short for its transform."""
         feats: List[float] = []
-        for topic in unit.inputs:
-            name = topic.rsplit("/", 1)[-1]
-            transform = self.transforms.get(name, "mean")
-            try:
-                view = self.engine.query_relative(topic, self.config.window_ns)
-            except Exception:
-                return None
-            values = view.values()
-            if values.size == 0:
+        for topic, timestamps, values in rows:
+            transform = self.transforms.get(topic.rsplit("/", 1)[-1], "mean")
+            if len(values) < (1 if transform == "mean" else 2):
                 return None
             if transform == "mean":
                 feats.append(float(values.mean()))
-            elif transform == "delta":
-                if values.size < 2:
-                    return None
-                feats.append(float(values[-1] - values[0]))
-            else:  # rate
-                if len(view) < 2:
-                    return None
-                ts_arr = view.timestamps()
-                span = (int(ts_arr[-1]) - int(ts_arr[0])) / 1e9
+                continue
+            delta = values[-1] - values[0]
+            if transform == "rate":
+                span = (int(timestamps[-1]) - int(timestamps[0])) / 1e9
                 if span <= 0:
                     return None
-                feats.append(float((values[-1] - values[0]) / span))
+                delta = delta / span
+            feats.append(float(delta))
         vec = np.asarray(feats)
         if not np.all(np.isfinite(vec)):
             return None
@@ -119,8 +109,9 @@ class ClusteringOperator(OperatorBase):
 
     def _compute_results(self, ts: int) -> List[UnitResult]:
         points: List[Tuple[Unit, np.ndarray]] = []
-        for unit in self.units:
-            vec = self._unit_features(unit)
+        window, slices, _n = self.batch_window(self.units)
+        for unit, rows in zip(self.units, slices):
+            vec = self._unit_features(window.rows(rows))
             if vec is not None:
                 points.append((unit, vec))
         if len(points) < self.min_units:
@@ -149,17 +140,21 @@ class ClusteringOperator(OperatorBase):
         self.last_outliers = []
         results: List[UnitResult] = []
         for (unit, _), label, is_outlier in zip(points, labels, outliers):
-            values: Dict[str, float] = {}
-            for sensor in unit.outputs:
-                if "outlier" in sensor.name:
-                    values[sensor.name] = 1.0 if is_outlier else 0.0
-                else:
-                    values[sensor.name] = float(label)
             self.last_labels[unit.name] = int(label)
             if is_outlier:
                 self.last_outliers.append(unit.name)
-            results.append(UnitResult(unit, values))
+            results.append(
+                UnitResult(unit, self._values(unit, label, is_outlier))
+            )
         return results
+
+    @staticmethod
+    def _values(unit: Unit, label: int, is_outlier: bool) -> Dict[str, float]:
+        """``*outlier*`` outputs get the flag, every other the label."""
+        return {
+            s.name: float(is_outlier if "outlier" in s.name else label)
+            for s in unit.outputs
+        }
 
     @staticmethod
     def _canonical_labels(
@@ -183,11 +178,4 @@ class ClusteringOperator(OperatorBase):
         label = self.last_labels.get(unit.name)
         if label is None:
             return {}
-        is_outlier = unit.name in self.last_outliers
-        out: Dict[str, float] = {}
-        for sensor in unit.outputs:
-            if "outlier" in sensor.name:
-                out[sensor.name] = 1.0 if is_outlier else 0.0
-            else:
-                out[sensor.name] = float(label)
-        return out
+        return self._values(unit, label, unit.name in self.last_outliers)

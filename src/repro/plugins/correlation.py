@@ -24,12 +24,12 @@ output name            value
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.core.operator import OperatorBase, OperatorConfig
+from repro.core.operator import OperatorBase, OperatorConfig, WindowRow, require_data
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 
@@ -60,36 +60,46 @@ class CorrelationOperator(OperatorBase):
         if self.min_samples < 3:
             raise ConfigError(f"{config.name}: min_samples must be >= 3")
 
-    def _windows(self, unit: Unit) -> Optional[np.ndarray]:
-        """Stacked per-sensor windows truncated to a common length."""
-        assert self.engine is not None
-        columns: List[np.ndarray] = []
-        for topic in unit.inputs:
-            view = self.engine.query_relative(topic, self.config.window_ns)
-            values = view.values()
-            if len(values) < self.min_samples:
-                return None
-            columns.append(values)
-        n = min(len(c) for c in columns)
-        return np.vstack([c[-n:] for c in columns])
-
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
-        if len(unit.inputs) < 2:
+    def check_unit(self, unit: Unit) -> None:
+        k = len(unit.inputs)
+        if k < 2:
             raise ConfigError(
                 f"{self.name}: unit {unit.name} needs >= 2 inputs for a "
                 f"correlation signature"
             )
-        data = self._windows(unit)
-        if data is None:
-            return {}
+        for sensor in unit.outputs:
+            if sensor.name in ("corr-mean", "corr-min"):
+                continue
+            match = _PAIR_RE.match(sensor.name)
+            if match is None:
+                raise ConfigError(
+                    f"{self.name}: unit {unit.name}: unknown correlation "
+                    f"output {sensor.name!r}"
+                )
+            i, j = int(match.group(1)), int(match.group(2))
+            if not (i < k and j < k and i != j):
+                raise ConfigError(
+                    f"{self.name}: unit {unit.name}: pair ({i},{j}) outside "
+                    f"the unit's {k} inputs"
+                )
+
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        # Per-sensor windows, truncated to a common length and stacked.
+        columns: List[np.ndarray] = []
+        for row in rows:
+            values = require_data(row)
+            if len(values) < self.min_samples:
+                return {}
+            columns.append(values)
+        n = min(len(c) for c in columns)
         with np.errstate(invalid="ignore"):
-            corr = np.corrcoef(data)
-        k = len(unit.inputs)
-        iu = np.triu_indices(k, 1)
-        pairs = corr[iu]
+            corr = np.corrcoef(np.vstack([c[-n:] for c in columns]))
         # Constant windows produce NaN correlations; define them as 0
         # (no linear relationship observable).
-        pairs = np.nan_to_num(pairs, nan=0.0)
+        corr = np.nan_to_num(corr, nan=0.0)
+        pairs = corr[np.triu_indices(len(rows), 1)]
         out: Dict[str, float] = {}
         for sensor in unit.outputs:
             name = sensor.name
@@ -98,17 +108,6 @@ class CorrelationOperator(OperatorBase):
             elif name == "corr-min":
                 out[name] = float(pairs.min())
             else:
-                match = _PAIR_RE.match(name)
-                if match is None:
-                    raise ConfigError(
-                        f"{self.name}: unknown correlation output {name!r}"
-                    )
-                i, j = int(match.group(1)), int(match.group(2))
-                if not (0 <= i < k and 0 <= j < k and i != j):
-                    raise ConfigError(
-                        f"{self.name}: pair ({i},{j}) outside the unit's "
-                        f"{k} inputs"
-                    )
-                value = corr[i, j]
-                out[name] = float(0.0 if np.isnan(value) else value)
+                i, j = map(int, _PAIR_RE.match(name).groups())
+                out[name] = float(corr[i, j])
         return out

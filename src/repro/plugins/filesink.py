@@ -3,9 +3,10 @@
 Exports sensor streams to CSV files — the production Wintermute ships a
 file-sink plugin for exactly this purpose: feeding external tooling
 (plotting, spreadsheets, offline analysis) without touching the storage
-backend.  Each unit writes one CSV file named after the unit, with a
-timestamp column plus one column per input sensor (sample-and-hold
-aligned on the first input's timestamps).
+backend.  Each unit writes one CSV file named after the unit, one row per
+pass: the newest value of every input sensor (sample-and-hold, blank
+while a sensor has produced nothing) under the timestamp of the newest
+of those readings.
 
 Params:
     ``directory`` (str, required): output directory (created if absent).
@@ -22,10 +23,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
-from typing import Dict, List, TextIO
+from typing import Dict, List, Sequence, TextIO
 
 from repro.common.errors import ConfigError
-from repro.core.operator import OperatorBase, OperatorConfig
+from repro.core.operator import OperatorBase, OperatorConfig, WindowRow
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 
@@ -98,18 +99,19 @@ class FileSinkOperator(OperatorBase):
             sink = self._sinks[unit.name] = _UnitSink(path, columns)
         return sink
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
-        assert self.engine is not None
-        values = []
-        for topic in unit.inputs:
-            try:
-                view = self.engine.latest(topic)
-                values.append(float(view.values()[-1]) if len(view) else "")
-            except Exception:
-                values.append("")  # sensor not yet producing: blank cell
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        newest = [int(ts[-1]) for _topic, ts, _values in rows if len(ts)]
+        if not newest:
+            return {}  # no sensor producing yet: nothing to export
         sink = self._sink_for(unit)
-        timestamp = ts / self.ts_divisor if self.ts_divisor != 1.0 else ts
-        sink.write(timestamp, values)
+        stamp = max(newest)
+        sink.write(
+            stamp / self.ts_divisor if self.ts_divisor != 1.0 else stamp,
+            # A sensor not yet producing leaves a blank cell.
+            [float(v[-1]) if len(v) else "" for _topic, _ts, v in rows],
+        )
         if sink.pending >= self.flush_every:
             sink.flush()
         return {s.name: float(sink.rows_written) for s in unit.outputs}

@@ -5,8 +5,8 @@ input CPU and node-level data and computes as output a series of derived
 performance metrics, such as cycles per instruction (CPI), floating
 point operations per second (FLOPS) or vectorization ratio."
 
-Each unit is typically one CPU core; the plugin reads the raw monotonic
-counters over the configured window, forms per-interval deltas and
+Each unit is typically one CPU core; the plugin is handed the windows of
+the raw monotonic counters its outputs need, forms their deltas and
 derives the requested metrics — selected simply by naming the output
 sensors:
 
@@ -24,10 +24,10 @@ output name      derived metric
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.core.operator import OperatorBase, OperatorConfig
+from repro.core.operator import OperatorBase, OperatorConfig, WindowRow, require_data
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 
@@ -40,6 +40,16 @@ _METRICS = {
     "vector-ratio": ("vector-ops", "instructions"),
     "miss-ratio": ("cache-misses", "cache-references"),
 }
+
+
+def _advance(row: Optional[WindowRow]) -> Optional[Tuple[float, float]]:
+    """How far a counter moved over its window and the seconds that
+    took; ``None`` for a counter the unit lacks or fewer than two
+    readings."""
+    if row is None or len(require_data(row)) < 2:
+        return None
+    _topic, timestamps, values = row
+    return float(values[-1] - values[0]), (int(timestamps[-1]) - int(timestamps[0])) / 1e9
 
 
 @operator_plugin("perfmetrics")
@@ -63,51 +73,37 @@ class PerfMetricsOperator(OperatorBase):
                 f"form counter deltas"
             )
 
-    def _delta(self, unit: Unit, counter: str, ts: int) -> Optional[float]:
-        """Window delta of the unit's input counter named ``counter``."""
-        assert self.engine is not None
-        topics = unit.inputs_named(counter)
-        if not topics:
-            return None
-        view = self.engine.query_relative(topics[0], self.config.window_ns)
-        if len(view) < 2:
-            return None
-        values = view.values()
-        return float(values[-1] - values[0])
+    def check_unit(self, unit: Unit) -> None:
+        for sensor in unit.outputs:
+            if sensor.name not in _METRICS:
+                raise ConfigError(
+                    f"{self.name}: unit {unit.name}: unknown derived metric "
+                    f"{sensor.name!r}; supported: {sorted(_METRICS)}"
+                )
 
-    def _span_seconds(self, unit: Unit, counter: str) -> Optional[float]:
-        assert self.engine is not None
-        topics = unit.inputs_named(counter)
-        if not topics:
-            return None
-        view = self.engine.query_relative(topics[0], self.config.window_ns)
-        if len(view) < 2:
-            return None
-        ts = view.timestamps()
-        span = (int(ts[-1]) - int(ts[0])) / 1e9
-        return span if span > 0 else None
+    def kernel_inputs(self, unit: Unit) -> List[str]:
+        # One row per counter the unit's outputs need, however many of
+        # them share it; the first input of that name wins.
+        counters = dict.fromkeys(
+            c for sensor in unit.outputs for c in _METRICS[sensor.name] if c
+        )
+        return [named[0] for c in counters if (named := unit.inputs_named(c))]
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
+        counters = {row[0].rsplit("/", 1)[-1]: row for row in rows}
         out: Dict[str, float] = {}
         for sensor in unit.outputs:
-            spec = _METRICS.get(sensor.name)
-            if spec is None:
-                raise ConfigError(
-                    f"{self.name}: unknown derived metric {sensor.name!r}; "
-                    f"supported: {sorted(_METRICS)}"
-                )
-            num_counter, den_counter = spec
-            num = self._delta(unit, num_counter, ts)
+            num_counter, den_counter = _METRICS[sensor.name]
+            num = _advance(counters.get(num_counter))
             if num is None:
                 continue
             if den_counter is None:
-                span = self._span_seconds(unit, num_counter)
-                if span is None:
-                    continue
-                out[sensor.name] = num / span
+                if num[1] > 0:
+                    out[sensor.name] = num[0] / num[1]
             else:
-                den = self._delta(unit, den_counter, ts)
-                if den is None or den <= 0:
-                    continue
-                out[sensor.name] = num / den
+                den = _advance(counters.get(den_counter))
+                if den is not None and den[0] > 0:
+                    out[sensor.name] = num[0] / den[0]
         return out

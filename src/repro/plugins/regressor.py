@@ -35,19 +35,19 @@ operator-level output ``avg-error`` stores the fleet-wide mean error.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.core.operator import OperatorBase, OperatorConfig
+from repro.core.operator import OperatorBase, OperatorConfig, WindowRow, require_data
 from repro.core.registry import operator_plugin
 from repro.core.units import Unit
-from repro.ml.forest import RandomForestRegressor
-from repro.ml.stats import window_features
+from repro.ml.forest import OnlineForest, RandomForestRegressor
+from repro.ml.stats import feature_matrix
 
 
-class OnlineRegressionModel:
+class OnlineRegressionModel(OnlineForest):
     """Shared state of one regression model: training buffer + forest.
 
     One instance is shared by all units in sequential mode, or created
@@ -63,41 +63,18 @@ class OnlineRegressionModel:
         min_samples_leaf: int,
         seed: int,
     ) -> None:
-        self.training_samples = training_samples
-        self.forest = RandomForestRegressor(
+        forest = RandomForestRegressor(
             n_estimators=n_estimators,
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             max_features="third",
             random_state=seed,
         )
-        self._X: List[np.ndarray] = []
-        self._y: List[float] = []
+        super().__init__(forest, training_samples)
         # Per-unit causal state: features awaiting their response, and
         # the last emitted prediction awaiting its true value.
         self.pending_features: Dict[str, np.ndarray] = {}
         self.pending_prediction: Dict[str, float] = {}
-
-    @property
-    def trained(self) -> bool:
-        """Whether the forest has been fitted."""
-        return self.forest.is_fitted
-
-    @property
-    def buffered(self) -> int:
-        """Accumulated training pairs so far."""
-        return len(self._y)
-
-    def add_pair(self, features: np.ndarray, response: float) -> None:
-        """Append one (features, response) pair; fit at the threshold."""
-        if self.trained:
-            return
-        self._X.append(features)
-        self._y.append(response)
-        if len(self._y) >= self.training_samples:
-            self.forest.fit(np.vstack(self._X), np.asarray(self._y))
-            self._X.clear()
-            self._y.clear()
 
     def predict(self, features: np.ndarray) -> float:
         """Next-interval prediction for one feature vector."""
@@ -147,57 +124,36 @@ class RegressorOperator(OperatorBase):
             self.seed,
         )
 
-    # ------------------------------------------------------------------
-
-    def _features(self, unit: Unit) -> Optional[np.ndarray]:
-        """Concatenated window features of every input sensor."""
-        assert self.engine is not None
-        parts: List[np.ndarray] = []
-        for topic in unit.inputs:
-            view = self.engine.query_relative(topic, self.config.window_ns)
-            values = view.values()
-            name = topic.rsplit("/", 1)[-1]
-            if name in self.delta_inputs:
-                if len(values) < 2:
-                    return None
-                values = np.diff(values)
-            if values.size == 0:
-                return None
-            parts.append(window_features(values))
-        if not parts:
-            return None
-        features = np.concatenate(parts)
-        if not np.all(np.isfinite(features)):
-            return None
-        return features
-
-    def _target_value(self, unit: Unit) -> Optional[float]:
-        assert self.engine is not None
-        topics = unit.inputs_named(self.target)
-        if not topics:
+    def check_unit(self, unit: Unit) -> None:
+        if not unit.inputs_named(self.target):
             raise ConfigError(
                 f"{self.name}: unit {unit.name} has no input sensor named "
                 f"{self.target!r}"
             )
-        view = self.engine.latest(topics[0])
-        return float(view.values()[-1]) if len(view) else None
 
-    def compute_unit(self, unit: Unit, ts: int) -> Dict[str, float]:
+    def compute_window(
+        self, unit: Unit, rows: Sequence[WindowRow]
+    ) -> Dict[str, float]:
         model: OnlineRegressionModel = self.model_for(unit)
-        current = self._target_value(unit)
+        # The target's newest reading (the first input of that name)
+        # closes out last interval's causal pair.
+        suffix = "/" + self.target
+        target = next(row for row in rows if row[0].endswith(suffix))
+        current = float(require_data(target)[-1])
         out: Dict[str, float] = {}
-        if current is not None:
-            # Close out last interval's causal pair.
-            prev_features = model.pending_features.pop(unit.name, None)
-            if prev_features is not None:
-                model.add_pair(prev_features, current)
-            prev_pred = model.pending_prediction.pop(unit.name, None)
-            if prev_pred is not None and current != 0.0:
-                rel_err = abs(prev_pred - current) / abs(current)
-                for sensor in unit.outputs:
-                    if "error" in sensor.name:
-                        out[sensor.name] = rel_err
-        features = self._features(unit)
+        prev_features = model.pending_features.pop(unit.name, None)
+        if prev_features is not None:
+            model.add_pair(prev_features, current)
+        prev_pred = model.pending_prediction.pop(unit.name, None)
+        if prev_pred is not None and current != 0.0:
+            rel_err = abs(prev_pred - current) / abs(current)
+            for sensor in unit.outputs:
+                if "error" in sensor.name:
+                    out[sensor.name] = rel_err
+        features = feature_matrix(
+            map(require_data, rows),
+            (row[0].rsplit("/", 1)[-1] in self.delta_inputs for row in rows),
+        )
         if features is None:
             return out
         model.pending_features[unit.name] = features

@@ -18,12 +18,11 @@ property (the cut made exclusive; ``k`` short by two with the per-pass
 verification off), and two deployments pin it end to end: a cold-built
 agent pipeline, and an ``agent_holistic``-shaped spec through a network
 outage with spill replay, against a twin whose agent operators run the
-per-unit reference (``OperatorBase.compute_batch``: plain
+per-unit reference (``OperatorBase.compute_per_unit``: plain
 ``query_relative`` per input).
 """
 
 import copy
-import functools
 import inspect
 import json
 import pathlib
@@ -37,7 +36,6 @@ from hypothesis import strategies as st
 from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.core import queryengine
-from repro.core.operator import OperatorBase
 from repro.core.queryengine import _ROW_CACHE, QueryEngine
 from repro.dcdb import Broker, CollectAgent
 from repro.dcdb.cache import NO_GAP
@@ -364,13 +362,24 @@ HORIZON = 10**18
 
 def build_with_per_unit_twin(spec):
     """The deployment, and the same deployment with every agent operator
-    on the per-unit reference: ``OperatorBase.compute_batch`` —
+    on the per-unit reference: ``OperatorBase.compute_per_unit`` —
     ``compute_unit`` per unit, i.e. one plain ``query_relative`` per
-    input."""
+    input.  The twin's ``run`` checks that it stayed one: no operator
+    plan was ever compiled on its agent."""
     dep = build_deployment(copy.deepcopy(spec))
     twin = build_deployment(copy.deepcopy(spec))
     for op in twin.agent_manager.operators():
-        op.compute_batch = functools.partial(OperatorBase.compute_batch, op)
+        op.compute_batch = op.compute_per_unit
+    run = twin.run
+
+    def run_plan_free(seconds):
+        run(seconds)
+        planned = set(twin.agent_manager.engine._plans)
+        assert not planned & {
+            f"operator:{op.name}" for op in twin.agent_manager.operators()
+        }
+
+    twin.run = run_plan_free
     return dep, twin
 
 
