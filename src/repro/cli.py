@@ -63,6 +63,7 @@ from repro.analysis.diagnostics import sort_key
 from repro.common.errors import ConfigError
 from repro.common.textplot import sparkline
 from repro.core.registry import available_plugins
+from repro.dcdb.cache import slab_memory_bytes
 from repro.deploy import build_deployment
 
 
@@ -145,8 +146,7 @@ def cmd_report(args) -> int:
           f"{dep.broker.delivered_count:,} delivered / "
           f"{dep.broker.handler_errors} handler errors")
     cache_mb = sum(
-        c.memory_bytes() for p in dep.pushers.values()
-        for c in p.caches.values()
+        slab_memory_bytes(p.caches.values()) for p in dep.pushers.values()
     ) / 2**20
     print(f"- pusher cache memory (total): {cache_mb:.1f} MB")
     print("\n## Analytics")

@@ -261,8 +261,8 @@ class OperatorBase:
         # mode records failures from pool worker threads.
         self._breakers: Dict[str, UnitBreaker] = {}
         self._breaker_lock = hooks.make_lock("OperatorBase.breaker")
-        # Memoized batch-query layout: (units, topics, slices, aligned)
-        # from the last batch_window call (see same_units).
+        # Memoized batch-query layout: (units, topics, slices, m) from
+        # the last batch_window call (see same_units, rows_per_unit).
         self._batch_layout: Optional[tuple] = None
         # Unbound operators instrument against a private registry; bind()
         # migrates the accrued values into the host's registry so every
@@ -754,22 +754,33 @@ class OperatorBase:
         # only on the unit identities; steady-state passes reuse it.
         cached = self._batch_layout
         if cached is not None and same_units(cached[0], units):
-            _, topics, slices, aligned = cached
+            _, topics, slices, m = cached
         else:
             flat: List[str] = []
             slices = []
-            aligned = bool(units)
             for unit in units:
                 lo = len(flat)
                 flat.extend(self.kernel_inputs(unit))
                 slices.append(range(lo, len(flat)))
-                aligned = aligned and len(flat) - lo == 1 and bool(unit.outputs)
             topics = tuple(flat)
-            self._batch_layout = (list(units), topics, slices, aligned)
+            sizes = {len(rows) for rows in slices}
+            m = (
+                sizes.pop()
+                if len(sizes) == 1 and all(unit.outputs for unit in units)
+                else 0
+            )
+            self._batch_layout = (list(units), topics, slices, m)
         window = self.engine.query_relative_batch(
             topics, self.config.window_ns, key=f"operator:{self.name}"
         )
-        return window, slices, window.uniform_count() if aligned else 0
+        return window, slices, window.uniform_count() if m == 1 else 0
+
+    def rows_per_unit(self) -> int:
+        """The number ``m >= 1`` of kernel rows every unit of the last
+        :meth:`batch_window` has — its window then holds unit ``j`` in
+        rows ``[j * m, (j + 1) * m)`` — or 0 when the units differ or
+        one of them has no output."""
+        return self._batch_layout[3]
 
     def compute_ragged(
         self, units: Sequence[Unit], window: BatchWindow, slices: List[range]
@@ -777,9 +788,9 @@ class OperatorBase:
         """:meth:`compute_window` one unit at a time over an already
         gathered window — every pass of a plugin without a matrix
         kernel and, for one that has it, the passes that are not uniform
-        (several inputs per unit, windows of different lengths, missing
-        data).  A failing unit is counted and skipped exactly like a
-        failing :meth:`compute_unit`."""
+        (units with different numbers of inputs, windows of different
+        lengths, missing data).  A failing unit is counted and skipped
+        exactly like a failing :meth:`compute_unit`."""
         return self._compute_each(
             units, self.compute_window, map(window.rows, slices)
         )

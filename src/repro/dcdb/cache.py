@@ -12,7 +12,15 @@ these caches in two modes (Section V-B of the paper):
   located with binary search in O(log N).
 
 The cache is a fixed-capacity ring buffer over two parallel NumPy arrays
-(int64 timestamps, float64 values).
+(int64 timestamps, float64 values).  Those arrays are always one *row*
+of a :class:`CacheSlab`: storage follows the sampling group — sensors a
+host creates together (one monitoring plugin, one operator pass, one
+first-arrival batch) share one ``ts[rows, cap]`` / ``val[rows, cap]``
+pair, which is exactly the set of rings a compiled query plan reads
+together and can therefore gather with one index operation.  A
+stand-alone ``SensorCache(capacity)`` is a slab of one row.  Everything
+a ring does — stores, heads, sizes, views — happens on its row and is
+unaware of its neighbours.
 
 **Snapshot semantics.**  Views handed out by a :class:`SensorCache` are
 *snapshots*: the (at most two) window slices are materialised into one
@@ -38,6 +46,58 @@ from repro.dcdb.sensor import SensorReading
 #: is 0 and a host's "is this arrival closer than any before" is one
 #: comparison with no unknown case.
 NO_GAP = 1 << 62
+
+
+class CacheSlab:
+    """Backing store of ``rows`` rings of one capacity: two matrices and
+    nothing else but :attr:`epoch`.
+
+    Ring state (head, size, newest timestamp) lives on the
+    :class:`SensorCache` bound to each row; the slab only owns the
+    memory.  A ring that is resized moves into a fresh one-row slab and
+    bumps ``epoch`` here, which is how a reader that indexes the
+    matrices by row number (``QueryPlan``) learns that one of the rows
+    it remembered is no longer anybody's ring.  The row left behind
+    stays allocated for as long as any sibling keeps the slab alive.
+    """
+
+    __slots__ = ("ts", "val", "epoch")
+
+    def __init__(self, rows: int, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError(f"cache capacity must be positive: {capacity}")
+        self.ts = np.zeros((rows, int(capacity)), dtype=np.int64)
+        self.val = np.zeros((rows, int(capacity)), dtype=np.float64)
+        #: Moves whenever a ring leaves one of the rows.
+        self.epoch = 0
+
+    @classmethod
+    def sized_for(
+        cls, rows: int, window_ns: int, interval_ns: int
+    ) -> "CacheSlab":
+        """Rings sized like :meth:`SensorCache.for_duration`."""
+        return cls(
+            rows, SensorCache.capacity_for_duration(window_ns, interval_ns)
+        )
+
+    def rings(self, interval_ns: int = 0) -> "list[SensorCache]":
+        """A fresh, empty :class:`SensorCache` on every row, in row
+        order — call once per slab."""
+        rings = []
+        for row in range(len(self.ts)):
+            cache = SensorCache.__new__(SensorCache)
+            cache._init_on(self, row, interval_ns)
+            rings.append(cache)
+        return rings
+
+    def memory_bytes(self) -> int:
+        """Resident size of both matrices in bytes."""
+        return self.ts.nbytes + self.val.nbytes
+
+
+def slab_memory_bytes(caches) -> int:
+    """Bytes allocated behind ``caches``, every slab counted once."""
+    return sum(slab.memory_bytes() for slab in {c.slab for c in caches})
 
 
 class CacheView:
@@ -153,7 +213,8 @@ class CacheView:
 
 
 class SensorCache:
-    """Fixed-capacity ring buffer of readings for one sensor.
+    """Fixed-capacity ring buffer of readings for one sensor: one row
+    (:attr:`row`) of a :class:`CacheSlab` (:attr:`slab`).
 
     Args:
         capacity: maximum number of retained readings.  Alternatively use
@@ -165,16 +226,22 @@ class SensorCache:
     """
 
     __slots__ = (
-        "_ts", "_val", "_cap", "_head", "_size", "interval_ns", "stale_drops",
-        "newest_ts", "gap_ns",
+        "slab", "row", "_ts", "_val", "_cap", "_head", "_size", "interval_ns",
+        "stale_drops", "newest_ts", "gap_ns",
     )
 
     def __init__(self, capacity: int, interval_ns: int = 0):
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive: {capacity}")
-        self._cap = int(capacity)
-        self._ts = np.zeros(self._cap, dtype=np.int64)
-        self._val = np.zeros(self._cap, dtype=np.float64)
+        self._init_on(CacheSlab(1, capacity), 0, interval_ns)
+
+    def _bind(self, slab: CacheSlab, row: int) -> None:
+        self.slab = slab
+        self.row = row
+        self._ts = slab.ts[row]
+        self._val = slab.val[row]
+        self._cap = slab.ts.shape[1]
+
+    def _init_on(self, slab: CacheSlab, row: int, interval_ns: int) -> None:
+        self._bind(slab, row)
         self._head = 0  # index of the next write slot
         self._size = 0
         #: Timestamp of the newest retained reading (``None`` when
@@ -299,17 +366,20 @@ class SensorCache:
         newest ``capacity`` when shrinking).  Hosts use this to grow
         ingest caches once a remote sensor's real cadence is observed —
         the window is a retention contract, not a reading count.
+
+        A slab holds rings of one capacity, so the ring moves into a
+        fresh one-row slab and the slab it leaves notes it in ``epoch``;
+        resizing to the current capacity changes nothing and the ring
+        stays where it is.
         """
         capacity = int(capacity)
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive: {capacity}")
         if capacity == self._cap:
             return
+        slab = CacheSlab(1, capacity)  # refuses a capacity <= 0
         keep = min(self._size, capacity)
         kept = self._tail_view(keep)  # snapshot: private contiguous copy
-        self._cap = capacity
-        self._ts = np.zeros(capacity, dtype=np.int64)
-        self._val = np.zeros(capacity, dtype=np.float64)
+        self.slab.epoch += 1
+        self._bind(slab, 0)
         self._head = keep % capacity
         self._size = keep
         if keep:
@@ -351,12 +421,15 @@ class SensorCache:
         of the destination arrays, oldest-first, and return how many
         were written.
 
-        This is the zero-intermediate-copy window primitive behind both
-        the compiled query plans (``QueryEngine._execute_plan``) and the
-        fused pipeline channels: the ring's one or two live segments are
-        sliced straight into the caller's right-aligned row storage,
-        with no per-reading loop and no temporary concatenation.  The
-        destinations must be at least ``min(count, size)`` long.
+        This is the one-ring window primitive — behind every view of
+        this cache, the fused pipeline channels' seeding and the rows a
+        compiled query plan reads one at a time (rings that share a slab
+        with too few others to be worth one index operation, see
+        ``QueryEngine._execute_plan``): the ring's one or two live
+        segments are sliced straight into the caller's right-aligned row
+        storage, with no per-reading loop and no temporary
+        concatenation.  The destinations must be at least
+        ``min(count, size)`` long.
         """
         n = count if count < self._size else self._size
         if n <= 0:
@@ -452,7 +525,8 @@ class SensorCache:
         ]
 
     def memory_bytes(self) -> int:
-        """Resident size of the backing arrays in bytes."""
+        """Size of this ring's slab row in bytes (what a host has
+        allocated is :func:`slab_memory_bytes` of its caches)."""
         return self._ts.nbytes + self._val.nbytes
 
 

@@ -15,7 +15,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.cache import SensorCache
+from repro.dcdb.cache import CacheSlab, SensorCache, slab_memory_bytes
 from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
 from repro.dcdb.restapi import RestApi, RestResponse
 from repro.dcdb.sensor import Sensor
@@ -124,9 +124,11 @@ class CollectAgent:
             "cache_capacity_readings",
             fn=lambda: sum(c.capacity for c in self.caches.values()),
         )
+        # What is allocated, each slab once: the row a ring left when
+        # it was resized stays counted while its slab has a live ring.
         self.telemetry.gauge(
             "cache_memory_bytes",
-            fn=lambda: sum(c.memory_bytes() for c in self.caches.values()),
+            fn=lambda: slab_memory_bytes(self.caches.values()),
         )
         self.telemetry.gauge(
             "cache_stale_drops",
@@ -215,15 +217,20 @@ class CollectAgent:
         Engine it bounds how many readings a time window can hold, which
         is what lets a compiled plan read these rings directly (see
         ``core.queryengine``); it is never published as the interval.
+
+        Topics a batch is the first to bring arrived together and will
+        be read together: their rings share one slab, allocated at the
+        batch's first miss (a ring that later outgrows it moves out).
         """
         caches = self.caches
         insert = self._storage.insert
         for topic, ts, value in zip(batch.topics, batch.timestamps, batch.values):
             cache = caches.get(topic)
             if cache is None:
-                cache = caches[topic] = SensorCache(
-                    self._ingest_capacity(NS_PER_SEC)
-                )
+                new = [t for t in dict.fromkeys(batch.topics) if t not in caches]
+                slab = CacheSlab(len(new), self._ingest_capacity(NS_PER_SEC))
+                caches.update(zip(new, slab.rings()))
+                cache = caches[topic]
             newest = cache.newest_ts
             # (First, duplicate or stale arrivals say nothing of cadence.)
             if newest is not None and ts > newest and ts - newest < cache.gap_ns:

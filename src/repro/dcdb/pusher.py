@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError, LinkDownError, PluginError
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.cache import SensorCache
+from repro.dcdb.cache import CacheSlab, SensorCache, slab_memory_bytes
 from repro.dcdb.mqtt import Broker, Message, ReadingBatch
 from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.resilience import ExponentialBackoff, SpillQueue
@@ -115,9 +115,11 @@ class Pusher:
             "cache_capacity_readings",
             fn=lambda: sum(c.capacity for c in self.caches.values()),
         )
+        # What is allocated, each slab once: a row that a resize left
+        # behind stays counted for as long as its slab has a live ring.
         self.telemetry.gauge(
             "cache_memory_bytes",
-            fn=lambda: sum(c.memory_bytes() for c in self.caches.values()),
+            fn=lambda: slab_memory_bytes(self.caches.values()),
         )
         self.telemetry.gauge(
             "cache_stale_drops",
@@ -143,16 +145,21 @@ class Pusher:
     # ------------------------------------------------------------------
 
     def add_plugin(self, plugin: MonitoringPlugin) -> None:
-        """Install a monitoring plugin: create caches, schedule sampling."""
+        """Install a monitoring plugin: create caches, schedule sampling.
+
+        The plugin's sensors are one sampling group — one interval, one
+        read — and their rings share one slab.  Every topic is checked
+        before anything is installed: a refused plugin leaves the host
+        as it found it.
+        """
         if plugin.name in self._plugins:
             raise ConfigError(f"duplicate monitoring plugin {plugin.name!r}")
+        sensors = {}
         for sensor in plugin.sensors():
-            if sensor.topic in self.sensors:
+            if sensor.topic in self.sensors or sensor.topic in sensors:
                 raise ConfigError(f"duplicate sensor topic {sensor.topic}")
-            self.sensors[sensor.topic] = sensor
-            self.caches[sensor.topic] = SensorCache.for_duration(
-                self.cache_window_ns, plugin.interval_ns
-            )
+            sensors[sensor.topic] = sensor
+        self._allocate_caches(sensors, plugin.interval_ns)
         self._plugins[plugin.name] = plugin
         self._m_plugin_latency[plugin.name] = self.telemetry.histogram(
             "sampling_latency_ns", plugin=plugin.name
@@ -205,16 +212,31 @@ class Pusher:
     # Data path (also used by Wintermute operator outputs)
     # ------------------------------------------------------------------
 
-    def _cache_for_sensor(self, sensor: Sensor) -> SensorCache:
+    def _allocate_caches(
+        self, sensors: Dict[str, Sensor], interval_ns: int
+    ) -> None:
+        """Register ``sensors`` (by topic) on rings of one fresh slab."""
+        slab = CacheSlab.sized_for(
+            len(sensors), self.cache_window_ns, interval_ns
+        )
+        self.caches.update(zip(sensors, slab.rings(interval_ns)))
+        self.sensors.update(sensors)
+
+    def _cache_for_sensor(self, sensor: Sensor, readings) -> SensorCache:
         """Lazy cache registration: operator outputs register with the
-        host cache window the first time they are written."""
+        host cache window the first time they are written — together
+        with every other sensor of the pass (``readings``) that has no
+        cache yet, one slab per interval hint."""
         cache = self.caches.get(sensor.topic)
         if cache is None:
-            interval = getattr(sensor, "interval_hint_ns", 0) or NS_PER_SEC
-            cache = self.caches[sensor.topic] = SensorCache.for_duration(
-                self.cache_window_ns, interval
-            )
-            self.sensors[sensor.topic] = sensor
+            groups: Dict[int, Dict[str, Sensor]] = {}
+            for new, _ in readings:
+                if new.topic not in self.caches:
+                    interval = getattr(new, "interval_hint_ns", 0) or NS_PER_SEC
+                    groups.setdefault(interval, {})[new.topic] = new
+            for interval, sensors in groups.items():
+                self._allocate_caches(sensors, interval)
+            cache = self.caches[sensor.topic]
         return cache
 
     def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
@@ -235,7 +257,7 @@ class Pusher:
         topics: list = []
         values: list = []
         for sensor, value in readings:
-            self._cache_for_sensor(sensor).store(ts, value)
+            self._cache_for_sensor(sensor, readings).store(ts, value)
             if sensor.publish:
                 topics.append(sensor.topic)
                 values.append(value)

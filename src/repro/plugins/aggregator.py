@@ -147,13 +147,20 @@ class AggregatorOperator(OperatorBase):
 
     def compute_batch(self, units: Sequence[Unit], ts: int):
         window, slices, n = self.batch_window(units)
+        m = self.rows_per_unit()
+        if m > 1:  # n speaks for one row per unit only
+            n = window.uniform_count()
         if not n:
             return self.compute_ragged(units, window, slices)
-        # Uniform pass: one kernel per aggregate over the stacked rows.
+        # Uniform pass: every unit has m rows of n readings.  The
+        # stacked block reshaped to (units, m * n) is each unit's inputs
+        # laid end to end — its pooled readings; every m-th row is a
+        # unit's first input.  One kernel per aggregate over that.
         values = window.values[:, window.width - n:]
         timestamps = window.timestamps[:, window.width - n:]
+        pooled = values.reshape(len(units), m * n)
         columns = {
-            op: _kernel(op, values, values, timestamps)
+            op: _kernel(op, pooled, values[::m], timestamps[::m])
             for op in set(self._ops.values())
         }
         return PassResult(

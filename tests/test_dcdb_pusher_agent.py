@@ -6,6 +6,7 @@ from repro.common.errors import ConfigError, PluginError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb import Broker, CollectAgent, Pusher
 from repro.dcdb.plugins import TesterMonitoringPlugin
+from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.sensor import Sensor
 from repro.simulator.clock import TaskScheduler
 
@@ -51,6 +52,83 @@ class TestPusherSampling:
         p2.name = "tester2"
         with pytest.raises(ConfigError):
             rig.pusher.add_plugin(p2)
+
+    def test_refused_plugin_leaves_the_host_as_it_found_it(self, rig):
+        """The third sensor collides: nothing of the first two may stay
+        (they used to, cached and listed, and a corrected retry then
+        failed on its own first sensor)."""
+        pusher = rig.pusher
+        pusher.add_plugin(TesterMonitoringPlugin("/r0/c0/n0", n_sensors=1))
+
+        def state():
+            return (
+                pusher.plugins(), sorted(pusher.sensor_topics()),
+                sorted(pusher.sensors), sorted(pusher.caches),
+                pusher.rest.get("/sensors").body, sorted(pusher._tasks),
+            )
+
+        class Extra(MonitoringPlugin):
+            def __init__(self, names):
+                super().__init__("extra")
+                for name in names:
+                    self._register(Sensor(f"/r0/c0/n0/{name}"))
+
+            def sample(self, ts):
+                return [(sensor, 1.0) for sensor in self.sensors()]
+
+        before = state()
+        with pytest.raises(ConfigError, match="duplicate sensor topic"):
+            pusher.add_plugin(Extra(["x0", "x1", "tester0000"]))
+        assert state() == before
+        # ... so the corrected plugin installs, and samples.
+        pusher.add_plugin(Extra(["x0", "x1", "x2"]))
+        assert pusher.plugins() == ["tester", "extra"]
+        rig.scheduler.run_until(2 * NS_PER_SEC)
+        assert len(pusher.cache_for("/r0/c0/n0/x0")) == 3
+
+        class Twice(Extra):
+            def __init__(self):
+                super().__init__(["y0", "y1", "y0"])
+                self.name = "twice"
+
+        before = state()
+        with pytest.raises(ConfigError, match="duplicate sensor topic"):
+            pusher.add_plugin(Twice())
+        assert state() == before
+
+    def test_plugin_sensors_share_one_slab(self, rig):
+        """Storage follows the sampling group: one plugin, one slab;
+        another plugin, another; lazily registered outputs of one pass,
+        a third."""
+        pusher = rig.pusher
+        pusher.add_plugin(TesterMonitoringPlugin("/r0/c0/n0", n_sensors=5))
+        slabs = {pusher.cache_for(t).slab for t in pusher.sensor_topics()}
+        assert len(slabs) == 1
+        assert sorted(
+            pusher.cache_for(t).row for t in pusher.sensor_topics()
+        ) == list(range(5))
+        outs = [Sensor(f"/r0/c0/n0/out{i}", is_operator_output=True) for i in range(3)]
+        pusher.store_readings_batch(0, [(s, 1.0) for s in outs] + [(outs[0], 2.0)])
+        out_slabs = {pusher.cache_for(s.topic).slab for s in outs}
+        assert len(out_slabs) == 1 and not out_slabs & slabs
+        assert len(pusher.cache_for(outs[0].topic)) == 2
+        assert pusher.sensors[outs[1].topic] is outs[1]
+        # A later pass brings one more output: its own slab.
+        late = Sensor("/r0/c0/n0/late", is_operator_output=True)
+        pusher.store_readings_batch(NS_PER_SEC, [(outs[0], 3.0), (late, 1.0)])
+        assert pusher.cache_for(late.topic).slab not in out_slabs | slabs
+
+    def test_cache_memory_counts_every_slab_once(self, rig):
+        pusher = rig.pusher
+        pusher.add_plugin(TesterMonitoringPlugin("/r0/c0/n0", n_sensors=4))
+        gauge = pusher.telemetry.gauge("cache_memory_bytes")
+        cache = pusher.cache_for("/r0/c0/n0/tester0000")
+        slab = cache.slab
+        assert gauge.value == slab.memory_bytes() == 4 * cache.memory_bytes()
+        # A resized ring moves out; the row it left is still allocated.
+        cache.resize(cache.capacity * 2)
+        assert cache.slab is not slab and slab.epoch == 1
+        assert gauge.value == slab.memory_bytes() + cache.slab.memory_bytes()
 
     def test_stop_start_plugin(self, rig):
         rig.pusher.add_plugin(TesterMonitoringPlugin("/r0/c0/n0", n_sensors=1))
