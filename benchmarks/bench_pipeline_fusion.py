@@ -60,7 +60,7 @@ class MiniPusher:
     """A Pusher-shaped host: caches, no storage, batched store fan-out.
 
     Operator outputs land in lazily created caches exactly as
-    ``Pusher._cache_for_sensor`` would make them — ``for_duration`` of
+    ``Pusher._write_plan`` would make them — ``for_duration`` of
     the retention window with the 1 s host interval hint — so the
     staged pipeline's downstream stages re-query real ring buffers.
     """

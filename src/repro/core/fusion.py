@@ -55,7 +55,7 @@ def _window_count(window_ns: int) -> int:
     """Readings a consumer pulls from an operator-output channel.
 
     Operator-output caches are created with the host's 1 s interval
-    hint (``Pusher._cache_for_sensor``), so the staged plan arithmetic
+    hint (``Pusher._write_plan``), so the staged plan arithmetic
     is ``window // 1s + 1`` regardless of the producer's real cadence.
     The channel reproduces that formula exactly — parity depends on it.
     """
@@ -446,6 +446,6 @@ class FusedGroup:
                 if i < last:
                     op.run_pass(ts, plan.channels[i].append_pass)
                 else:
-                    op.compute(ts)
+                    op.run(ts)
             finally:
                 op.engine = real

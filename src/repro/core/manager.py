@@ -129,7 +129,7 @@ class OperatorManager:
 
     def _run_operator(self, op: OperatorBase, ts: int) -> None:
         t0 = time.perf_counter_ns()
-        op.compute(ts)
+        op.run(ts)
         self._m_busy.inc(time.perf_counter_ns() - t0)
 
     def unload_operator(self, name: str) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError, PluginError, QueryError
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.core.breaker import CLOSED, OPEN, UnitBreaker, default_snapshot
 from repro.core.queryengine import BatchWindow, QueryEngine
 from repro.core.tree import SensorTree
@@ -152,8 +152,9 @@ class PassResult:
     ``column_of(name)`` is the float64 column of the output sensor
     called ``name``, aligned with ``units``.  Per-unit dicts are derived
     from the columns only when a consumer asks for them
-    (:meth:`results`); a fused intermediate appends the column to its
-    channel as it is.
+    (:meth:`results`); the host gets the columns themselves
+    (:meth:`OperatorBase.store_results_batch`), a fused intermediate
+    appends the column to its channel as it is.
     """
 
     __slots__ = ("units", "column_of", "_results")
@@ -264,6 +265,9 @@ class OperatorBase:
         # Memoized batch-query layout: (units, topics, slices, m) from
         # the last batch_window call (see same_units, rows_per_unit).
         self._batch_layout: Optional[tuple] = None
+        # Memoized output layout of a uniform pass: (units, sensors,
+        # output names, index) — see _output_columns.
+        self._output_layout: Optional[tuple] = None
         # Unbound operators instrument against a private registry; bind()
         # migrates the accrued values into the host's registry so every
         # operator shows up under the host's GET /metrics.
@@ -502,8 +506,14 @@ class OperatorBase:
         raise NotImplementedError
 
     def compute(self, ts: int) -> List[UnitResult]:
-        """One full pass over the due units: gather, kernel, store."""
-        return self.run_pass(ts, self._store).results()
+        """One full pass over the due units: gather, kernel, store; the
+        per-unit results are returned."""
+        return self.run(ts).results()
+
+    def run(self, ts: int) -> PassResult:
+        """One scheduled pass: gather, kernel, store — what the
+        Operator Manager runs, with no per-unit view of the result."""
+        return self.run_pass(ts, self._store)
 
     def run_pass(
         self, ts: int, sink: Callable[[int, PassResult], None]
@@ -511,7 +521,7 @@ class OperatorBase:
         """Gather, run the kernel, hand the result to ``sink``.
 
         Every pass comes through here.  A staged pass sinks into the
-        host (:meth:`compute`); an intermediate member of a fused group
+        host (:meth:`run`); an intermediate member of a fused group
         sinks into the channel feeding the next stage — where the result
         goes is the only difference between the two.
         """
@@ -819,39 +829,64 @@ class OperatorBase:
 
     def _store(self, ts: int, result: PassResult) -> None:
         """The staged pass's sink: the host's caches, broker, storage."""
-        results = result.results()
-        self._store_results(ts, results)
-        self._store_operator_outputs(ts, results)
-
-    def _store_results(self, ts: int, results: List[UnitResult]) -> None:
         if self.host is None:
             return
         if hasattr(self.host, "store_readings_batch"):
-            self.store_results_batch(ts, results)
-            return
-        for unit, values in results:
-            for sensor in unit.outputs:
-                value = values.get(sensor.name)
-                if value is not None:
-                    self.host.store_reading(sensor, ts, float(value))
+            self.store_results_batch(ts, result)
+        else:
+            for sensor, value in self._output_columns(result):
+                self.host.store_reading(sensor, ts, value)
+        if self._operator_output_sensors:
+            self._store_operator_outputs(ts, result.results())
 
-    def store_results_batch(self, ts: int, results: List[UnitResult]) -> None:
-        """Hand a whole pass's readings to the host in one call, in
-        (unit, output) emission order — cache contents and MQTT publish
-        order are those of per-reading stores, only the call overhead is
-        amortized."""
-        readings = []
-        for unit, values in results:
-            for sensor in unit.outputs:
-                value = values.get(sensor.name)
-                if value is not None:
-                    readings.append((sensor, float(value)))
-        if readings:
+    def store_results_batch(self, ts: int, result: PassResult) -> None:
+        """Hand a whole pass's readings to the host in one call, as two
+        columns in (unit, output) emission order — cache contents and
+        MQTT publish order are those of per-reading stores."""
+        readings = self._output_columns(result)
+        if len(readings):
             self.host.store_readings_batch(ts, readings)
 
+    def _output_columns(self, result: PassResult) -> SensorColumns:
+        """The pass's readings as (sensors, values) columns.
+
+        A uniform pass is taken straight from ``column_of``: which output
+        of which unit each reading is depends only on the units, so the
+        sensor tuple and the index into the stacked output columns are
+        memoised with them.  A ragged pass is flattened from its per-unit
+        dicts, outputs a unit did not produce left out.
+        """
+        if result.column_of is None:
+            sensors, values = [], []
+            for unit, produced in result.results():
+                for sensor in unit.outputs:
+                    value = produced.get(sensor.name)
+                    if value is not None:
+                        sensors.append(sensor)
+                        values.append(float(value))
+            return SensorColumns(tuple(sensors), values)
+        units = result.units
+        layout = self._output_layout
+        if layout is None or not same_units(layout[0], units):
+            outputs = [(j, s) for j, unit in enumerate(units) for s in unit.outputs]
+            names = list(dict.fromkeys(s.name for _, s in outputs))
+            index = None
+            if len(names) > 1 or len(outputs) != len(units):
+                at = {name: q for q, name in enumerate(names)}
+                index = (
+                    np.array([at[s.name] for _, s in outputs], dtype=np.intp),
+                    np.array([j for j, _ in outputs], dtype=np.intp),
+                )
+            layout = self._output_layout = (
+                list(units), tuple(s for _, s in outputs), names, index
+            )
+        _, sensors, names, index = layout
+        if index is None:  # one output per unit, all of one name
+            return SensorColumns(sensors, result.column_of(names[0]))
+        stacked = np.stack([result.column_of(name) for name in names])
+        return SensorColumns(sensors, stacked[index])
+
     def _store_operator_outputs(self, ts: int, results: List[UnitResult]) -> None:
-        if not self._operator_output_sensors or self.host is None:
-            return
         aggregates = self.compute_operator_outputs(ts, results)
         for sensor in self._operator_output_sensors:
             value = aggregates.get(sensor.name)
@@ -985,7 +1020,7 @@ class JobOperatorBase(OperatorBase):
         }
         self._install_units(units)
 
-    def compute(self, ts: int) -> List[UnitResult]:
+    def run(self, ts: int) -> PassResult:
         if self.enabled:
             self.refresh_units(ts)
-        return super().compute(ts)
+        return super().run(ts)

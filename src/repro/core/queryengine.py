@@ -62,19 +62,18 @@ _ANY_AGE = 1 << 62
 
 #: Fewest ring rows of one slab and one count worth a slab gather; a
 #: smaller group is read ring by ring with ``SensorCache.tail_into``.
-#: The gather pays a fixed handful of array operations, the loop ~2 us a
-#: row.  One ``_execute_plan`` over N hinted rings of one slab, count 11
-#: (us, best of 7 x 3000 on the 2-core sandbox; loop / gather):
-#:     1 row     5.6 /  13.2        16 rows    35.0 /  19.0
-#:     4 rows   11.1 /  14.3        64 rows   120.4 /  30.4
-#:     6 rows   14.9 /  14.9      1024 rows  1852   / 262
-#:     8 rows   19.3 /  15.5
-#: A tie at 6, so the first size that is ahead by more than the noise.
+#: The gather pays a fixed handful of array operations, the loop ~1.1 us
+#: a row.  One ``_execute_plan`` over N hinted rings of one lock-step
+#: slab, count 11 (us, best of 7 x 3000 on 2 Xeon vCPUs; loop /
+#: gather):
+#:     1 row      5.0 /  11.0        12 rows    17.2 /  13.4
+#:     4 rows     8.4 /  11.6        16 rows    21.9 /  13.5
+#:     6 rows    10.6 /  12.0        64 rows    73.0 /  19.1
+#:     8 rows    12.7 /  11.9      1024 rows  1065   / 123
+#: Even between 6 and 8, so the first size that is ahead.
 _SLAB_GATHER_MIN_ROWS = 8
 
 _gap_of = attrgetter("gap_ns")
-_head_of = attrgetter("_head")
-_size_of = attrgetter("_size")
 
 
 class BatchWindow:
@@ -192,30 +191,21 @@ def _gather_slab(
     right-aligned rows of the result matrices — what ``tail_into`` does
     for one ring — and return the plan rows whose ring is empty.
 
-    Heads and sizes are read from the rings themselves (one truth, no
-    second copy of a head); the slot of reading ``j`` of a row, oldest
-    first, is ``(head - c + j) mod cap``.
+    The rings of a slab advance in lock step, so one head and one size
+    serve them all: the slot of reading ``j`` of the newest ``held``,
+    oldest first, is ``(head - held + j) mod cap`` in every row.
     """
-    slab, _, count, index, rows, caches = group
-    n = len(caches)
+    slab, _, count, index, rows, _ = group
     cap = slab.ts.shape[1]
-    c = count or min(k, cap)  # a ring holds no more than cap readings
-    heads = np.fromiter(map(_head_of, caches), np.intp, n)
-    held = np.minimum(np.fromiter(map(_size_of, caches), np.intp, n), c)
-    cols = (heads[:, None] + np.arange(cap - c, cap)) % cap
-    ts = slab.ts[rows, cols]
-    val = slab.val[rows, cols]
-    empty: List[int] = []
-    if held.min() < c:
-        unwritten = np.arange(c) < (c - held)[:, None]
-        ts[unwritten] = 0
-        val[unwritten] = np.nan
-        empty = index[held == 0].tolist()
-    lo = timestamps.shape[1] - c
-    timestamps[index, lo:] = ts
-    values[index, lo:] = val
+    held = min(slab.size, count or k, cap)  # a ring holds no more than cap
+    if not held:
+        return index.tolist()
+    cols = (slab.head + np.arange(cap - held, cap)) % cap
+    lo = timestamps.shape[1] - held
+    timestamps[index, lo:] = slab.ts[rows, cols]
+    values[index, lo:] = slab.val[rows, cols]
     counts[index] = held
-    return empty
+    return []
 
 
 def _cut_to_windows(

@@ -14,11 +14,21 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.cache import CacheSlab, SensorCache, slab_memory_bytes
+from repro.dcdb.cache import (
+    CacheSlab,
+    Column,
+    SensorCache,
+    plan_columns,
+    plan_is_current,
+    register_cache_gauges,
+    remember,
+)
 from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
 from repro.dcdb.restapi import RestApi, RestResponse
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import MetricRegistry, register_metrics_route
@@ -70,6 +80,8 @@ class CollectAgent:
         self._storage = storage if storage is not None else StorageBackend()
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
+        #: Write plans by topic sequence (see ``_ingest``).
+        self._plans: Dict[tuple, List[Column]] = {}
         self.rest = RestApi()
         self.telemetry = MetricRegistry()
         self._m_forwarded = self.telemetry.counter("forwarded_readings_total")
@@ -113,27 +125,7 @@ class CollectAgent:
         """Collection-time gauges: queue depth, cache occupancy, storage
         footprint.  Evaluated by the /metrics scraper, not the hot path."""
         self.telemetry.gauge("ingest_queue_depth", fn=lambda: len(self._queue))
-        self.telemetry.gauge(
-            "cache_sensor_count", fn=lambda: len(self.caches)
-        )
-        self.telemetry.gauge(
-            "cache_occupancy_readings",
-            fn=lambda: sum(len(c) for c in self.caches.values()),
-        )
-        self.telemetry.gauge(
-            "cache_capacity_readings",
-            fn=lambda: sum(c.capacity for c in self.caches.values()),
-        )
-        # What is allocated, each slab once: the row a ring left when
-        # it was resized stays counted while its slab has a live ring.
-        self.telemetry.gauge(
-            "cache_memory_bytes",
-            fn=lambda: slab_memory_bytes(self.caches.values()),
-        )
-        self.telemetry.gauge(
-            "cache_stale_drops",
-            fn=lambda: sum(c.stale_drops for c in self.caches.values()),
-        )
+        register_cache_gauges(self.telemetry, self.caches)
         self.telemetry.gauge(
             "storage_stored_readings",
             fn=lambda: self._storage.total_readings(),
@@ -202,44 +194,101 @@ class CollectAgent:
 
     def _ingest(self, batch: ReadingBatch) -> None:
         """Scatter a batch into caches and storage: the agent's one
-        write loop, for MQTT traffic and operator outputs alike.
+        write path, for MQTT traffic and operator outputs alike.
+
+        The batch lands as columns — one per slab and timestamp, two
+        NumPy writes each — by the write plan memoised for its topic
+        sequence (:meth:`_write_plan`), re-planned when a planned slab
+        lost a ring or a column's readings no longer share a timestamp.
+        Storage takes the batch in one ``insert_columns`` loop.
 
         Interval is unknown for remote sensors, so an ingest cache
         carries no ``interval_ns`` and a relative window over it is a
-        matter of timestamps.  What the loop can do is measure: the
+        matter of timestamps.  What the agent can do is measure: the
         smallest gap between two successive distinct timestamps of a
-        topic is kept on its cache (``gap_ns``) and used twice.  Here it
-        sizes the ring — the retention window is a time contract, the
-        ring is sized in readings, so the cache starts at the 1 Hz guess
-        and whenever a smaller gap is observed it is grown in place to
-        the reading count the window implies (a 10 Hz sensor must still
-        retain its whole window, not a tenth of it).  In the Query
-        Engine it bounds how many readings a time window can hold, which
-        is what lets a compiled plan read these rings directly (see
+        slab is kept on it (``gap``).  In the Query Engine it bounds how
+        many readings a time window can hold, which is what lets a
+        compiled plan read these rings directly (see
         ``core.queryengine``); it is never published as the interval.
-
-        Topics a batch is the first to bring arrived together and will
-        be read together: their rings share one slab, allocated at the
-        batch's first miss (a ring that later outgrows it moves out).
+        Here it sizes the rings (:meth:`_advance`).
         """
+        topics, timestamps = batch.topics, batch.timestamps
+        if not len(topics):
+            return
+        key = tuple(topics)
+        plan = self._plans.get(key)
+        if plan is None or not self._fits(plan, timestamps):
+            plan = self._write_plan(topics, timestamps)
+            remember(self._plans, key, plan)
+        values = np.asarray(batch.values, dtype=np.float64)
+        for col in plan:
+            ts = timestamps[col.first]
+            self._advance(col.slab, ts)
+            col.slab.store_column(
+                ts, values if col.index is None else values[col.index]
+            )
+        self._storage.insert_columns(topics, timestamps, batch.values)
+
+    @staticmethod
+    def _fits(plan: List[Column], timestamps) -> bool:
+        """Whether ``plan`` still writes a batch of these timestamps:
+        no planned slab lost a ring, and each column's readings share
+        one timestamp (trivially, when the whole batch does)."""
+        if not plan_is_current(plan):
+            return False
+        if timestamps.count(timestamps[0]) == len(timestamps):
+            return True
+        stamps = np.asarray(timestamps, dtype=np.int64)
+        for col in plan:
+            column = stamps if col.index is None else stamps[col.index]
+            if (column != stamps[col.first]).any():
+                return False
+        return True
+
+    def _write_plan(self, topics, timestamps) -> List[Column]:
+        """The columns of a batch (:func:`plan_columns`), once the topics
+        it is the first to bring have rings: one slab per first-arrival
+        timestamp, for what is first heard together is written and read
+        together."""
         caches = self.caches
-        insert = self._storage.insert
-        for topic, ts, value in zip(batch.topics, batch.timestamps, batch.values):
-            cache = caches.get(topic)
-            if cache is None:
-                new = [t for t in dict.fromkeys(batch.topics) if t not in caches]
-                slab = CacheSlab(len(new), self._ingest_capacity(NS_PER_SEC))
-                caches.update(zip(new, slab.rings()))
-                cache = caches[topic]
-            newest = cache.newest_ts
-            # (First, duplicate or stale arrivals say nothing of cadence.)
-            if newest is not None and ts > newest and ts - newest < cache.gap_ns:
-                gap = cache.gap_ns = ts - newest
-                needed = self._ingest_capacity(gap)
-                if needed > cache.capacity:
-                    cache.resize(needed)
-            cache.store(ts, value)
-            insert(topic, ts, value)
+        first: Dict[str, int] = {}
+        for topic, ts in zip(topics, timestamps):
+            if topic not in caches and topic not in first:
+                first[topic] = ts
+        groups: Dict[int, List[str]] = {}
+        for topic, ts in first.items():
+            groups.setdefault(ts, []).append(topic)
+        for group in groups.values():
+            slab = CacheSlab(len(group), self._ingest_capacity(NS_PER_SEC))
+            caches.update(zip(group, slab.rings()))
+        return plan_columns([caches[topic] for topic in topics], timestamps)
+
+    def _advance(self, slab: CacheSlab, ts: int) -> None:
+        """Track the cadence of ``slab`` and size it for a column at
+        ``ts``.
+
+        The retention window is a time contract and a ring is sized in
+        readings, so a ring starts at the 1 Hz guess and grows to what
+        the window implies at the smallest gap seen (a 10 Hz sensor must
+        still retain its whole window, not a tenth of it) — but only
+        while everything it holds is still inside the window.  Once a
+        ring spans its window it loses nothing by staying as it is, and
+        one early or late arrival (a gap of a millisecond at 1 Hz) is no
+        reason to grow it a thousandfold; it grows again when the
+        reading a store would evict is still inside the window.
+        """
+        newest = slab.newest
+        if newest is not None:
+            if ts < newest:
+                return  # a stale column is dropped: it says nothing
+            # (Nor does a duplicate, or the first arrival, of cadence.)
+            if ts > newest and ts - newest < slab.gap:
+                slab.gap = ts - newest
+        needed = self._ingest_capacity(slab.gap)
+        if needed > slab.capacity:
+            oldest = slab.oldest()
+            if oldest is None or ts - oldest <= self.cache_window_ns:
+                slab.grow(needed)
 
     def _drain(self, ts: int) -> None:
         """Flush queued MQTT readings into caches and storage."""
@@ -265,19 +314,22 @@ class CollectAgent:
     def store_readings_batch(self, ts, readings) -> None:
         """Store a whole pass's operator outputs in one call.
 
-        ``readings`` is a sequence of ``(sensor, value)`` pairs sharing
-        one timestamp.  In a Collect Agent they go to the cache and are
-        also written to the Storage Backend (Section IV-a); MQTT
-        republishes (when enabled) leave as one broker batch.
+        ``readings`` is a :class:`SensorColumns` or a sequence of
+        ``(sensor, value)`` pairs, all at one timestamp.  In a Collect
+        Agent they go to the cache and are also written to the Storage
+        Backend (Section IV-a); MQTT republishes (when enabled) leave as
+        one broker batch.
         """
+        columns = SensorColumns.of(readings)
+        sensors = columns.sensors
         batch = ReadingBatch(
-            [sensor.topic for sensor, _ in readings],
-            [ts] * len(readings),
-            [value for _, value in readings],
+            [sensor.topic for sensor in sensors],
+            [ts] * len(sensors),
+            columns.values.tolist(),
         )
         self._ingest(batch)
         if self.republish_outputs:
-            published = [i for i, (s, _) in enumerate(readings) if s.publish]
+            published = [i for i, s in enumerate(sensors) if s.publish]
             if published:
                 self.broker.publish_batch(batch.take(published))
 

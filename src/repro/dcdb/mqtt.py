@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError, TopicError
 from repro.common.topics import split_topic
+from repro.dcdb.cache import PLAN_MEMO_SIZE, remember
 from repro.sanitizer import hooks
 
 #: Callback signature for subscribers: (topic, payload, timestamp_ns).
@@ -108,6 +109,10 @@ class Broker:
         # topic -> its subscribers' handlers in subscription order.
         # *Replaced* by subscribe/unsubscribe, never cleared in place.
         self._routes: Dict[str, Tuple[BatchHandler, ...]] = {}
+        # topics tuple -> its route runs, and the routes table they
+        # were cut against (see _runs).
+        self._runs_memo: Dict[tuple, list] = {}
+        self._runs_of_routes = self._routes
         self.published_count = 0
         self.delivered_count = 0
         self.handler_errors = 0
@@ -215,25 +220,50 @@ class Broker:
         n = len(topics)
         if not n:
             return 0
-        routes = [self._route(topic) for topic in topics]
+        runs = self._runs(topics)
         # Fan-out runs arbitrary subscriber callbacks of unbounded cost
         # — the in-process stand-in for a network send.  Holding a lock
         # across it is the classic lock-across-I/O hazard (rule R002).
         hooks.note_blocking("Broker.publish_batch (subscriber fan-out)")
         self.published_count += n
-        columns = (topics, batch.timestamps, batch.values)
-        cuts = [i for i in range(1, n) if routes[i] != routes[i - 1]]
+        timestamps, values = batch.timestamps, batch.values
         delivered = 0
-        for start, end in zip([0] + cuts, cuts + [n]):
-            run = [column[start:end] for column in columns]
-            for handler in routes[start]:
+        for start, end, handlers in runs:
+            run = (topics[start:end], timestamps[start:end], values[start:end])
+            for handler in handlers:
                 try:
                     handler(*run)
                 except Exception as exc:
                     self._note_handler_errors(end - start, topics[start], exc)
-            delivered += len(routes[start]) * (end - start)
+            delivered += len(handlers) * (end - start)
         self.delivered_count += delivered
         return delivered
+
+    def _runs(self, topics) -> List[Tuple[int, int, Tuple[BatchHandler, ...]]]:
+        """``topics`` cut into runs of consecutive readings with one
+        route: ``(start, end, handlers)``.  Memoised per topics *tuple*
+        (what a Pusher's write plan hands over every pass) for as long as
+        the routes table they were resolved against is the live one.
+        Every Pusher publishes through one broker, so the memo holds as
+        many tuples as there are routed topics (steady sequences — one
+        per plugin or operator of each Pusher — do not share topics)."""
+        routes_table = self._routes
+        if self._runs_of_routes is not routes_table:
+            self._runs_memo = {}
+            self._runs_of_routes = routes_table
+        memo = self._runs_memo
+        runs = memo.get(topics) if type(topics) is tuple else None
+        if runs is None:
+            routes = [self._route(topic) for topic in topics]
+            n = len(topics)
+            cuts = [i for i in range(1, n) if routes[i] != routes[i - 1]]
+            runs = [
+                (start, end, routes[start])
+                for start, end in zip([0] + cuts, cuts + [n])
+            ]
+            if type(topics) is tuple:
+                remember(memo, topics, runs, max(PLAN_MEMO_SIZE, len(routes_table)))
+        return runs
 
     def retained(self, topic: str) -> Optional[Message]:
         """The retained message on ``topic``, if any."""

@@ -19,19 +19,38 @@ from these counters.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import ConfigError, LinkDownError, PluginError
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.cache import CacheSlab, SensorCache, slab_memory_bytes
+from repro.dcdb.cache import (
+    CacheSlab,
+    Column,
+    SensorCache,
+    plan_columns,
+    plan_is_current,
+    register_cache_gauges,
+    remember,
+)
 from repro.dcdb.mqtt import Broker, Message, ReadingBatch
 from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.resilience import ExponentialBackoff, SpillQueue
 from repro.dcdb.restapi import RestApi, RestResponse
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.sanitizer import hooks
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import Histogram, MetricRegistry, register_metrics_route
+
+
+class _WritePlan(NamedTuple):
+    """How one sequence of sensors is stored and published."""
+
+    sensors: tuple
+    columns: List[Column]
+    topics: Tuple[str, ...]          # of the published sensors, in order
+    published: Optional[np.ndarray]  # their positions; None: all of them
 
 
 class Pusher:
@@ -82,6 +101,9 @@ class Pusher:
         self._replaying = False
         self.caches: Dict[str, SensorCache] = {}
         self.sensors: Dict[str, Sensor] = {}
+        #: Write plans by (first sensor, length), checked against the
+        #: sensors they were planned for (see ``store_readings_batch``).
+        self._plans: Dict[tuple, _WritePlan] = {}
         self._plugins: Dict[str, MonitoringPlugin] = {}
         self._tasks: Dict[str, object] = {}
         self.rest = RestApi()
@@ -96,35 +118,10 @@ class Pusher:
         self._m_spill_dropped = self.telemetry.counter("spill_dropped_total")
         self._m_link_refusals = self.telemetry.counter("link_refusals_total")
         self.telemetry.gauge("spill_queue_depth", fn=lambda: len(self._spill))
-        self._register_cache_gauges()
+        register_cache_gauges(self.telemetry, self.caches)
         self.last_sampling_errors: List[str] = []
         self.analytics: Optional[object] = None  # OperatorManager, if attached
         self._register_routes()
-
-    def _register_cache_gauges(self) -> None:
-        """Collection-time gauges over the per-sensor caches: evaluated
-        by the /metrics scraper, costing the data path nothing."""
-        self.telemetry.gauge(
-            "cache_sensor_count", fn=lambda: len(self.caches)
-        )
-        self.telemetry.gauge(
-            "cache_occupancy_readings",
-            fn=lambda: sum(len(c) for c in self.caches.values()),
-        )
-        self.telemetry.gauge(
-            "cache_capacity_readings",
-            fn=lambda: sum(c.capacity for c in self.caches.values()),
-        )
-        # What is allocated, each slab once: a row that a resize left
-        # behind stays counted for as long as its slab has a live ring.
-        self.telemetry.gauge(
-            "cache_memory_bytes",
-            fn=lambda: slab_memory_bytes(self.caches.values()),
-        )
-        self.telemetry.gauge(
-            "cache_stale_drops",
-            fn=lambda: sum(c.stale_drops for c in self.caches.values()),
-        )
 
     # ------------------------------------------------------------------
     # Telemetry-backed counters (kept as attributes for compatibility)
@@ -222,23 +219,6 @@ class Pusher:
         self.caches.update(zip(sensors, slab.rings(interval_ns)))
         self.sensors.update(sensors)
 
-    def _cache_for_sensor(self, sensor: Sensor, readings) -> SensorCache:
-        """Lazy cache registration: operator outputs register with the
-        host cache window the first time they are written — together
-        with every other sensor of the pass (``readings``) that has no
-        cache yet, one slab per interval hint."""
-        cache = self.caches.get(sensor.topic)
-        if cache is None:
-            groups: Dict[int, Dict[str, Sensor]] = {}
-            for new, _ in readings:
-                if new.topic not in self.caches:
-                    interval = getattr(new, "interval_hint_ns", 0) or NS_PER_SEC
-                    groups.setdefault(interval, {})[new.topic] = new
-            for interval, sensors in groups.items():
-                self._allocate_caches(sensors, interval)
-            cache = self.caches[sensor.topic]
-        return cache
-
     def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
         """Cache a reading and publish it if the sensor is published:
         a pass of one through :meth:`store_readings_batch`."""
@@ -247,22 +227,56 @@ class Pusher:
     def store_readings_batch(self, ts, readings) -> None:
         """Store one pass — sampled readings or operator outputs.
 
-        ``readings`` is a sequence of ``(sensor, value)`` pairs sharing
-        one timestamp.  Each lands in its sensor's cache (created on
-        first write); the publishable ones leave as one column batch.
-        Operator outputs flow through the same call, which is what makes
-        them "identical to all other sensor data" (Section IV-d) and
-        thus usable as pipeline inputs downstream.
+        ``readings`` is a :class:`SensorColumns` or a sequence of
+        ``(sensor, value)`` pairs, all at one timestamp.  The pass lands
+        as one column per slab and its publishable readings leave as one
+        column batch, both by the write plan memoised for this sequence
+        of sensors (:meth:`_write_plan`).  Operator outputs flow through
+        the same call, which is what makes them "identical to all other
+        sensor data" (Section IV-d) and thus usable as pipeline inputs
+        downstream.
         """
-        topics: list = []
-        values: list = []
-        for sensor, value in readings:
-            self._cache_for_sensor(sensor, readings).store(ts, value)
-            if sensor.publish:
-                topics.append(sensor.topic)
-                values.append(value)
+        columns = SensorColumns.of(readings)
+        sensors = columns.sensors
+        if not sensors:
+            return
+        key = (id(sensors[0]), len(sensors))
+        plan = self._plans.get(key)
+        if plan is None or plan.sensors != sensors or not plan_is_current(plan.columns):
+            plan = self._write_plan(sensors)
+            remember(self._plans, key, plan)
+        values = columns.values
+        for col in plan.columns:
+            col.slab.store_column(ts, values if col.index is None else values[col.index])
+        topics = plan.topics
         if topics:
-            self._publish_batch(ReadingBatch(topics, [ts] * len(topics), values))
+            if plan.published is not None:
+                values = values[plan.published]
+            self._publish_batch(ReadingBatch(topics, [ts] * len(topics), values.tolist()))
+
+    def _write_plan(self, sensors: tuple) -> "_WritePlan":
+        """Where a pass of ``sensors`` lands: caches for the sensors that
+        have none yet — operator outputs, registered with the host cache
+        window the first time they are written, one slab per interval
+        hint — then the columns (:func:`plan_columns`) and what is
+        published."""
+        new: Dict[int, Dict[str, Sensor]] = {}
+        for sensor in sensors:
+            if sensor.topic not in self.caches:
+                interval = getattr(sensor, "interval_hint_ns", 0) or NS_PER_SEC
+                new.setdefault(interval, {})[sensor.topic] = sensor
+        for interval, group in new.items():
+            self._allocate_caches(group, interval)
+        caches = self.caches
+        columns = plan_columns(
+            [caches[sensor.topic] for sensor in sensors], [0] * len(sensors)
+        )
+        published = [i for i, sensor in enumerate(sensors) if sensor.publish]
+        return _WritePlan(
+            sensors, columns,
+            tuple(sensors[i].topic for i in published),
+            None if len(published) == len(sensors) else np.array(published, dtype=np.intp),
+        )
 
     # ------------------------------------------------------------------
     # Store-and-forward publish path

@@ -716,6 +716,20 @@ class TieredStorageBackend(StorageBackend):
             return
         super().insert(topic, timestamp, value)
 
+    def insert_columns(self, topics, timestamps, values) -> None:
+        sealed = self._sealed
+        if sealed:
+            keep = [
+                i for i, (topic, ts) in enumerate(zip(topics, timestamps))
+                if ts >= sealed.get(topic, ts)
+            ]
+            if len(keep) < len(topics):
+                self.ooo_dropped += len(topics) - len(keep)
+                topics = [topics[i] for i in keep]
+                timestamps = [timestamps[i] for i in keep]
+                values = [values[i] for i in keep]
+        super().insert_columns(topics, timestamps, values)
+
     def insert_batch(self, topic: str, timestamps, values) -> None:
         floor = self._sealed.get(topic)
         if floor is not None and len(timestamps):

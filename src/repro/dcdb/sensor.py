@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.common.topics import normalize_topic, sensor_name
 
 
@@ -62,6 +64,39 @@ class Sensor:
 
     def __hash__(self) -> int:
         return hash(self.topic)
+
+
+class SensorColumns:
+    """One pass's readings as two parallel columns: a tuple of
+    :class:`Sensor` and their float64 values, in emission order.
+
+    What an operator pass and a sampling pass hand a host's
+    ``store_readings_batch``; iterating yields ``(sensor, value)``
+    pairs, for the hosts that store one reading at a time.
+    """
+
+    __slots__ = ("sensors", "values")
+
+    def __init__(self, sensors: tuple, values) -> None:
+        self.sensors = sensors
+        self.values = np.asarray(values, dtype=np.float64)
+
+    @classmethod
+    def of(cls, readings) -> "SensorColumns":
+        """``readings`` as columns (``(sensor, value)`` pairs are split)."""
+        if isinstance(readings, cls):
+            return readings
+        pairs = readings if isinstance(readings, (list, tuple)) else list(readings)
+        if not pairs:
+            return cls((), ())
+        sensors, values = zip(*pairs)
+        return cls(sensors, values)
+
+    def __len__(self) -> int:
+        return len(self.sensors)
+
+    def __iter__(self):
+        return zip(self.sensors, self.values.tolist())
 
 
 @dataclass

@@ -161,6 +161,32 @@ class StorageBackend:
         else:
             self.ooo_dropped += 1
 
+    def insert_columns(self, topics, timestamps, values) -> None:
+        """Insert readings given as three parallel columns, in order:
+        what :meth:`insert` does for each — same order, same
+        out-of-order drops — in one loop."""
+        series_of = self._series
+        get = series_of.get
+        dropped = 0
+        for topic, ts, value in zip(topics, timestamps, values):
+            series = get(topic)
+            if series is None:
+                series = series_of[topic] = _Series()
+            size = series.size
+            if size and ts < series.newest_ts:
+                dropped += 1
+                continue
+            try:
+                series.ts[size] = ts
+            except IndexError:  # full: double, then write
+                series._grow(size + 1)
+                series.ts[size] = ts
+            series.val[size] = value
+            series.newest_ts = ts
+            series.size = size + 1
+        self.insert_count += len(topics) - dropped
+        self.ooo_dropped += dropped
+
     def insert_batch(
         self, topic: str, timestamps: np.ndarray, values: np.ndarray
     ) -> None:

@@ -99,7 +99,7 @@ class TestPusherSampling:
     def test_plugin_sensors_share_one_slab(self, rig):
         """Storage follows the sampling group: one plugin, one slab;
         another plugin, another; lazily registered outputs of one pass,
-        a third."""
+        a third — which a sensor brought twice in one pass leaves."""
         pusher = rig.pusher
         pusher.add_plugin(TesterMonitoringPlugin("/r0/c0/n0", n_sensors=5))
         slabs = {pusher.cache_for(t).slab for t in pusher.sensor_topics()}
@@ -108,11 +108,15 @@ class TestPusherSampling:
             pusher.cache_for(t).row for t in pusher.sensor_topics()
         ) == list(range(5))
         outs = [Sensor(f"/r0/c0/n0/out{i}", is_operator_output=True) for i in range(3)]
-        pusher.store_readings_batch(0, [(s, 1.0) for s in outs] + [(outs[0], 2.0)])
+        pusher.store_readings_batch(0, [(s, 1.0) for s in outs])
         out_slabs = {pusher.cache_for(s.topic).slab for s in outs}
         assert len(out_slabs) == 1 and not out_slabs & slabs
-        assert len(pusher.cache_for(outs[0].topic)) == 2
         assert pusher.sensors[outs[1].topic] is outs[1]
+        pusher.store_readings_batch(1, [(s, 2.0) for s in outs] + [(outs[0], 3.0)])
+        twice = pusher.cache_for(outs[0].topic)
+        assert len(twice) == 3 and twice.slab not in out_slabs
+        assert twice.view_absolute(0, 1).values().tolist() == [1.0, 2.0, 3.0]
+        assert {pusher.cache_for(s.topic).slab for s in outs[1:]} == out_slabs
         # A later pass brings one more output: its own slab.
         late = Sensor("/r0/c0/n0/late", is_operator_output=True)
         pusher.store_readings_batch(NS_PER_SEC, [(outs[0], 3.0), (late, 1.0)])

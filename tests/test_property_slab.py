@@ -5,16 +5,18 @@ both the old loop is the reference:
 
 - ``QueryEngine._execute_plan`` gathers the rings of one
   :class:`~repro.dcdb.cache.CacheSlab` with one index operation
-  (``_gather_slab``).  Random slabs of 1–40 rings with staggered
-  histories (empty, partial, wrapped, exactly full; one ring cleared,
-  one resized mid-run so it leaves the slab — or resized to its own
-  capacity so it does not —, one stale store), counts of 1..cap+3,
-  hinted and timed rows in one plan: the matrix, timestamps and counts
-  are ``tobytes()``-equal to :func:`frozen_execute` — the per-row
-  ``tail_into`` loop as it stood before the slab, held here — and to
-  ``query_relative`` per topic.  Four seeded source mutations must fail
-  that (modulo dropped, mask off by one, ``epoch`` ignored after a
-  ``resize``, group rows in the wrong order).
+  (``_gather_slab``).  Random slabs of 1–40 rings written column by
+  column with staggered histories (empty, partial, wrapped, exactly
+  full — rings a column misses leave together, so every fill level is a
+  slab of its own; one ring cleared, one resized mid-run so it leaves
+  its slab — or resized to its own capacity so it does not —, one stale
+  store), counts of 1..cap+3, hinted and timed rows in one plan: the
+  matrix, timestamps and counts are ``tobytes()``-equal to
+  :func:`frozen_execute` — the per-row ``tail_into`` loop as it stood
+  before the slab, held here — and to ``query_relative`` per topic.
+  Four seeded source mutations must fail that (modulo dropped, the
+  slab's size ignored, ``epoch`` ignored after a ring left, group rows
+  in the wrong order).
 - ``AggregatorOperator.compute_batch`` pools a unit's ``m`` inputs by
   reshaping the gathered block.  For every aggregate, ``m`` 1..5,
   ``n`` 1..20, 1..6 units the pass equals ``compute_ragged`` on the same
@@ -25,7 +27,7 @@ Then the deployment level, counts exact: in steady state a tick of an
 ``inband_fused``-shaped deployment calls ``SensorCache.tail_into`` from
 ``_execute_plan`` and ``BatchWindow.rows`` from the aggregator zero
 times; on the agent, the topics of one first-arrival batch share a slab
-and a ring that outgrows it keeps exact windows.
+and a ring that speeds up leaves it and keeps exact windows.
 """
 
 from typing import Dict, List, Optional
@@ -48,7 +50,7 @@ from repro.core.queryengine import (
     _longest,
 )
 from repro.core.units import Unit
-from repro.dcdb.cache import CacheSlab, SensorCache
+from repro.dcdb.cache import CacheSlab, SensorCache, plan_columns
 from repro.dcdb.mqtt import ReadingBatch
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
@@ -143,12 +145,17 @@ def scenarios(draw):
     cap = draw(st.integers(2, 9))
     per_row = lambda strategy: st.lists(strategy, min_size=rows, max_size=rows)
     row = st.integers(0, rows - 1)
+    # Stored 0..3 x cap times: empty, partial, exactly full, wrapped —
+    # at most three levels, so several rings end up on each slab.
+    levels = draw(st.lists(
+        st.sampled_from([0, 1, cap - 1, cap, 2 * cap + 1, 3 * cap]),
+        min_size=1, max_size=3,
+    ))
     return {
         "rows": rows,
         "cap": cap,
-        # Stored 0..3 x cap times: empty, partial, exactly full, wrapped.
-        "history": draw(per_row(st.integers(0, 3 * cap))),
-        "more": draw(per_row(st.integers(0, cap))),
+        "history": draw(per_row(st.sampled_from(levels))),
+        "more": draw(per_row(st.sampled_from([0, 1, cap]))),
         "hinted": draw(per_row(st.booleans())),
         "order": draw(st.permutations(range(rows))),
         "clear": draw(row),
@@ -159,7 +166,8 @@ def scenarios(draw):
 
 
 class SlabRig:
-    """One slab behind a host, an engine over it, and a clock a ring."""
+    """One slab behind a host, an engine over it, written a column at a
+    time the way the hosts write."""
 
     def __init__(self, engine_cls, scenario):
         self.scenario = scenario
@@ -174,19 +182,26 @@ class SlabRig:
         self.topics = [f"/s/r{j:02d}" for j in range(rows)]
         self.host = Host(zip(self.topics, self.rings))
         self.engine = engine_cls(self.host)
-        self.clock = [1000 + 7 * j for j in range(rows)]  # no two alike
+        self.clock = 1000
         self.value = 0.0
         #: The plan's topic order is not the slab's row order.
         self.asked = tuple(self.topics[j] for j in scenario["order"])
 
-    def store(self, j, times):
-        ring = self.rings[j]
-        for _ in range(times):
-            self.clock[j] += STEP
-            self.value += 1.0
-            if ring.newest_ts is not None and not ring.interval_ns:
-                ring.gap_ns = STEP  # what the agent's ingest loop measures
-            ring.store(self.clock[j], self.value)
+    def store(self, counts):
+        """Ring ``j`` gets ``counts[j]`` more readings, one column per
+        timestamp: the rings a column misses move out of its slab."""
+        for t in range(max(counts, default=0)):
+            rings = [ring for ring, n in zip(self.rings, counts) if n > t]
+            self.clock += STEP
+            values = self.value + 1.0 + np.arange(len(rings))
+            self.value += len(rings)
+            for col in plan_columns(rings, [self.clock] * len(rings)):
+                col.slab.store_column(
+                    self.clock, values if col.index is None else values[col.index]
+                )
+            for ring in rings:
+                if len(ring) > 1 and not ring.interval_ns:
+                    ring.gap_ns = STEP  # what the agent's ingest loop measures
 
     def check(self):
         """Every count, gathered three ways at one instant."""
@@ -219,22 +234,21 @@ class SlabRig:
 def run_scenario(engine_cls, scenario):
     rig = SlabRig(engine_cls, scenario)
     rig.check()  # plans compiled over empty rings
-    for j, times in enumerate(scenario["history"]):
-        rig.store(j, times)
+    rig.store(scenario["history"])
     rig.check()
-    # Mid-run: a ring emptied, one resized (out of the slab unless the
+    # Mid-run: a ring emptied, one resized (out of its slab unless the
     # capacity is its own), one stale store, then more data everywhere.
     rig.rings[scenario["clear"]].clear()
     resized = rig.rings[scenario["resize"]]
+    before = resized.slab
     resized.resize(scenario["capacity"])
-    assert (resized.slab is rig.slab) == (scenario["capacity"] == scenario["cap"])
+    assert (resized.slab is before) == (scenario["capacity"] == scenario["cap"])
     stale = rig.rings[scenario["stale"]]
     if stale.newest_ts is not None:
         stale.store(stale.newest_ts - 1, -1.0)
         assert stale.stale_drops == 1
     rig.check()
-    for j, times in enumerate(scenario["more"]):
-        rig.store(j, times)
+    rig.store(scenario["more"])
     rig.check()
     return rig
 
@@ -253,12 +267,12 @@ def test_slab_gather_is_the_per_row_loop(scenario):
 
 MUTATIONS = {
     "modulo-dropped": (
-        "cols = (heads[:, None] + np.arange(cap - c, cap)) % cap",
-        "cols = heads[:, None] + np.arange(cap - c, cap)",
+        "cols = (slab.head + np.arange(cap - held, cap)) % cap",
+        "cols = slab.head + np.arange(cap - held, cap)",
     ),
-    "mask-off-by-one": (
-        "unwritten = np.arange(c) < (c - held)[:, None]",
-        "unwritten = np.arange(c) <= (c - held)[:, None]",
+    "size-ignored": (
+        "held = min(slab.size, count or k, cap)",
+        "held = min(count or k, cap)",
     ),
     "epoch-ignored": (
         "if any(g.slab.epoch != g.epoch for g in plan.slab_groups):",
@@ -270,9 +284,9 @@ MUTATIONS = {
     ),
 }
 
-#: Twelve rings in reverse order, each a different fill, one resized.
+#: Twelve rings in reverse order, four fills, one resized.
 WRAPPED = {
-    "rows": 12, "cap": 5, "history": list(range(12)), "more": [3] * 12,
+    "rows": 12, "cap": 5, "history": [0, 4, 5, 11] * 3, "more": [3] * 12,
     "hinted": [True] * 6 + [False] * 6, "order": list(range(11, -1, -1)),
     "clear": 1, "resize": 7, "capacity": 9, "stale": 3,
 }
@@ -310,9 +324,11 @@ class TestSlab:
         rings = slab.rings(interval_ns=STEP)
         assert [r.row for r in rings] == [0, 1, 2]
         assert all(r.slab is slab and r.capacity == 4 for r in rings)
-        rings[1].store(5, 2.5)
-        assert slab.ts[1, 0] == 5 and slab.val[1, 0] == 2.5
-        assert not slab.ts[0].any() and not slab.ts[2].any()
+        slab.store_column(5, [1.5, 2.5, 3.5])
+        assert slab.ts[:, 0].tolist() == [5, 5, 5]
+        assert slab.val[:, 0].tolist() == [1.5, 2.5, 3.5]
+        assert [len(r) for r in rings] == [1, 1, 1]  # one ring state
+        assert rings[1].latest() == (5, 2.5) and rings[1].newest_ts == 5
         assert slab.memory_bytes() == 3 * rings[0].memory_bytes() == 3 * 4 * 16
 
     def test_a_stand_alone_cache_is_a_one_row_slab(self):
@@ -324,18 +340,19 @@ class TestSlab:
         slab = CacheSlab(2, 4)
         ring, other = slab.rings()
         for ts in range(1, 7):
-            ring.store(ts, float(ts))
+            slab.store_column(ts, [float(ts), -float(ts)])
         ring.resize(8)
         assert ring.slab is not slab and ring.row == 0 and slab.epoch == 1
         assert ring.view_absolute(0, 100).timestamps().tolist() == [3, 4, 5, 6]
         ring.store(7, 7.0)
         assert slab.ts[0].max() == 6  # the row left behind is nobody's
-        assert other.slab is slab
+        assert other.slab is slab and slab.bound == {1: other}
+        assert other.view_absolute(0, 100).values().tolist() == [-3.0, -4.0, -5.0, -6.0]
 
     def test_resize_to_the_current_capacity_stays(self):
         slab = CacheSlab(2, 4)
         ring, _ = slab.rings()
-        ring.store(1, 1.0)
+        slab.store_column(1, [1.0, 2.0])
         ring.resize(4)
         assert ring.slab is slab and slab.epoch == 0 and len(ring) == 1
 
@@ -617,15 +634,16 @@ def test_a_first_arrival_batch_shares_a_slab_and_a_ring_may_outgrow_it():
     agent, engine = agent_with_engine(60 * NS_PER_SEC)
     window_ns = 10 * NS_PER_SEC
     topics = [f"/n/x{j}" for j in range(10)]
-    ingest(agent, [(t, 0) for t in topics] + [(topics[0], NS_PER_SEC)])
+    ingest(agent, [(t, 0) for t in topics])
     caches = [agent.caches[t] for t in topics]
     slab = caches[0].slab
     assert all(c.slab is slab for c in caches)
     assert sorted(c.row for c in caches) == list(range(10))
-    assert len(caches[0]) == 2
-    # A later batch brings its own.
-    ingest(agent, [("/n/late", 0), (topics[1], NS_PER_SEC)])
+    # A later batch brings its own first arrivals; the slab takes its
+    # column as a whole.
+    ingest(agent, [("/n/late", 0)] + [(t, NS_PER_SEC) for t in topics])
     assert agent.caches["/n/late"].slab is not slab
+    assert all(c.slab is slab for c in caches) and len(caches[0]) == 2
     ingest(agent, [
         (t, i * NS_PER_SEC) for i in range(2, 30) for t in topics
     ])
@@ -635,7 +653,8 @@ def test_a_first_arrival_batch_shares_a_slab_and_a_ring_may_outgrow_it():
     assert slab_rows.value == 10
     memory = agent.telemetry.gauge("cache_memory_bytes")
     before = memory.value
-    # One topic speeds up to 10 Hz: its ring grows, out of the slab.
+    # One topic speeds up to 10 Hz: brought alone, it leaves the slab
+    # and its own slab grows.
     fast = caches[3]
     tenth = NS_PER_SEC // 10
     ingest(agent, [

@@ -1,0 +1,560 @@
+"""The write side is columnar — and writes what one store per ring wrote.
+
+A :class:`~repro.dcdb.cache.CacheSlab` keeps one ring state for all its
+rows, and a host writes a pass as one column per slab
+(``plan_columns`` → ``store_column``).  The reference is the ring as it
+was before: :class:`FrozenRing`, a per-ring copy of ``SensorCache``
+with its own head, size and newest timestamp, held here and fed every
+reading one ``store`` at a time.
+
+- A hypothesis state machine over one slab of 1–40 rings: full, partial,
+  duplicate, two-timestamp and stale column writes through a writer
+  that memoises its plans the way the hosts do; scalar ``store``,
+  ``clear`` and ``resize``; a slab growing as a whole, as the agent
+  grows one.  After every step every ring's ``len``, ``newest_ts``,
+  ``stale_drops``, ``view_relative`` and ``view_absolute`` are
+  byte-equal to its reference, and every slab holds its invariant: the
+  live rows share one history of timestamps, each ring's views alias
+  its slab.  Four seeded mutations of ``dcdb/cache.py`` must fail it.
+- ``StorageBackend.insert_columns`` is ``insert`` per reading, on both
+  backends, the tiered one below a seal floor included.
+- Exact counts on steady ticks, stated beforehand.
+- The ingest ring-growth bug: one off-cadence arrival no longer sizes a
+  ring for life.
+"""
+
+import inspect
+import tempfile
+import types
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.common.timeutil import NS_PER_SEC
+from repro.dcdb import Broker, CollectAgent
+from repro.dcdb import cache as cache_module
+from repro.dcdb.cache import SensorCache
+from repro.dcdb.mqtt import ReadingBatch
+from repro.dcdb.segments import TieredStorageBackend
+from repro.dcdb.storage import StorageBackend
+from repro.deploy import build_deployment
+from repro.simulator.clock import TaskScheduler
+from tests.test_property_slab import inband_fused_spec
+
+STEP = 10  # ns: the rings' interval hint
+WINDOWS = (0, STEP, 3 * STEP, 40 * STEP)
+HORIZON = 10**18
+
+
+# ----------------------------------------------------------------------
+# The reference: one ring, its own state, one store at a time
+# ----------------------------------------------------------------------
+
+
+class FrozenRing:
+    """``SensorCache`` as it was when every ring owned its head, size
+    and newest timestamp — kept verbatim but for the slab."""
+
+    def __init__(self, capacity, interval_ns):
+        self._ts = np.zeros(capacity, dtype=np.int64)
+        self._val = np.zeros(capacity, dtype=np.float64)
+        self._cap = capacity
+        self._head = 0
+        self._size = 0
+        self.newest_ts = None
+        self.interval_ns = interval_ns
+        self.stale_drops = 0
+
+    def store(self, timestamp, value):
+        newest = self.newest_ts
+        if newest is not None and timestamp < newest:
+            self.stale_drops += 1
+            return
+        head = self._head
+        self._ts[head] = timestamp
+        self._val[head] = value
+        self.newest_ts = timestamp
+        self._head = (head + 1) % self._cap
+        if self._size < self._cap:
+            self._size += 1
+
+    def clear(self):
+        self._head = 0
+        self._size = 0
+        self.newest_ts = None
+
+    def resize(self, capacity):
+        if capacity == self._cap:
+            return
+        keep = min(self._size, capacity)
+        ts, val = self._tail(keep)
+        self._ts = np.zeros(capacity, dtype=np.int64)
+        self._val = np.zeros(capacity, dtype=np.float64)
+        self._cap = capacity
+        self._head = keep % capacity
+        self._size = keep
+        self._ts[:keep] = ts
+        self._val[:keep] = val
+
+    def __len__(self):
+        return self._size
+
+    def _tail(self, count):
+        n = min(count, self._size)
+        slots = [(self._head - n + j) % self._cap for j in range(n)]
+        return self._ts[slots], self._val[slots]
+
+    def view_relative(self, offset_ns):
+        if not self._size:
+            return np.empty(0, np.int64), np.empty(0)
+        if offset_ns == 0:
+            return self._tail(1)
+        return self._tail(offset_ns // self.interval_ns + 1)
+
+    def view_absolute(self, start_ts, end_ts):
+        ts, val = self._tail(self._size)
+        keep = (ts >= start_ts) & (ts <= end_ts)
+        return ts[keep], val[keep]
+
+
+# ----------------------------------------------------------------------
+# The system: a writer doing what the hosts do
+# ----------------------------------------------------------------------
+
+
+class Writer:
+    """A host's write path over ``module``'s slabs: one plan per ring
+    sequence, kept while no planned slab lost a ring and each column's
+    readings share a timestamp (``CollectAgent._ingest``'s rule)."""
+
+    def __init__(self, module):
+        self.module = module
+        self.plans = {}
+
+    def write(self, rings, timestamps, values):
+        key = tuple(map(id, rings))
+        plan = self.plans.get(key)
+        stamps = np.asarray(timestamps, dtype=np.int64)
+        if plan is None or not (
+            self.module.plan_is_current(plan[1])
+            and all(
+                (stamps[col.index if col.index is not None else slice(None)]
+                 == stamps[col.first]).all()
+                for col in plan[1]
+            )
+        ):
+            plan = (rings, self.module.plan_columns(rings, timestamps))
+            self.plans[key] = plan
+        values = np.asarray(values, dtype=np.float64)
+        for col in plan[1]:
+            col.slab.store_column(
+                timestamps[col.first],
+                values if col.index is None else values[col.index],
+            )
+
+
+def machine_for(module):
+    """The state machine over ``module`` (``dcdb/cache.py`` or a
+    mutant of it)."""
+
+    class SlabWrites(RuleBasedStateMachine):
+        @initialize(
+            rows=st.integers(1, 40), cap=st.integers(1, 9),
+        )
+        def make(self, rows, cap):
+            self.rings = module.CacheSlab(rows, cap).rings(interval_ns=STEP)
+            self.refs = [FrozenRing(cap, STEP) for _ in range(rows)]
+            self.writer = Writer(module)
+            self.clock = 1000
+            self.value = 0.0
+
+        def _values(self, n):
+            self.value += n
+            return [self.value - i for i in range(n)]
+
+        def _write(self, js, timestamps):
+            values = self._values(len(js))
+            self.writer.write([self.rings[j] for j in js], timestamps, values)
+            for j, ts, value in zip(js, timestamps, values):
+                self.refs[j].store(ts, value)
+
+        def _tick(self, steps=1):
+            self.clock += steps * STEP
+            return self.clock
+
+        # -- column writes ---------------------------------------------
+
+        @rule(reverse=st.booleans())
+        def full(self, reverse):
+            """Every ring once at a fresh timestamp, in one of two
+            orders (so a plan is found again)."""
+            js = list(range(len(self.rings)))[::-1 if reverse else 1]
+            ts = self._tick()
+            self._write(js, [ts] * len(js))
+
+        @rule(data=st.data())
+        def partial(self, data):
+            js = data.draw(st.lists(
+                st.integers(0, len(self.rings) - 1), min_size=1, unique=True,
+            ))
+            ts = self._tick()
+            self._write(js, [ts] * len(js))
+
+        @rule(data=st.data())
+        def duplicate(self, data):
+            """Every ring, then some of them again at the same time."""
+            again = data.draw(st.lists(
+                st.integers(0, len(self.rings) - 1), min_size=1, unique=True,
+            ))
+            js = list(range(len(self.rings))) + again
+            ts = self._tick()
+            self._write(js, [ts] * len(js))
+
+        @rule(data=st.data())
+        def two_timestamps(self, data):
+            """Each ring at one of two timestamps, or at both in turn."""
+            first, second = self._tick(), self._tick()
+            picks = data.draw(st.lists(
+                st.sampled_from(["first", "second", "both", "none"]),
+                min_size=len(self.rings), max_size=len(self.rings),
+            ))
+            js, stamps = [], []
+            for j, pick in enumerate(picks):
+                if pick in ("first", "both"):
+                    js.append(j)
+                    stamps.append(first)
+            for j, pick in enumerate(picks):
+                if pick in ("second", "both"):
+                    js.append(j)
+                    stamps.append(second)
+            if js:
+                self._write(js, stamps)
+
+        @rule(data=st.data(), back=st.integers(1, 3 * STEP))
+        def stale(self, data, back):
+            """A column older than what the rings hold: dropped, counted
+            once per ring (equal to the newest: kept)."""
+            js = data.draw(st.lists(
+                st.integers(0, len(self.rings) - 1), min_size=1, unique=True,
+            ))
+            ts = self.clock - back
+            self._write(js, [ts] * len(js))
+
+        # -- one ring at a time ----------------------------------------
+
+        @rule(data=st.data(), stale=st.booleans())
+        def scalar_store(self, data, stale):
+            j = data.draw(st.integers(0, len(self.rings) - 1))
+            ts = self.clock - STEP if stale else self._tick()
+            (value,) = self._values(1)
+            self.rings[j].store(ts, value)
+            self.refs[j].store(ts, value)
+
+        @rule(data=st.data())
+        def clear(self, data):
+            j = data.draw(st.integers(0, len(self.rings) - 1))
+            self.rings[j].clear()
+            self.refs[j].clear()
+
+        @rule(data=st.data(), capacity=st.integers(1, 12))
+        def resize(self, data, capacity):
+            j = data.draw(st.integers(0, len(self.rings) - 1))
+            self.rings[j].resize(capacity)
+            self.refs[j].resize(capacity)
+
+        @rule(data=st.data(), more=st.integers(1, 8))
+        def grow(self, data, more):
+            """The agent grows a lock-step slab as a whole."""
+            j = data.draw(st.integers(0, len(self.rings) - 1))
+            slab = self.rings[j].slab
+            capacity = slab.capacity + more
+            on_slab = [i for i, ring in enumerate(self.rings) if ring.slab is slab]
+            slab.grow(capacity)
+            for i in on_slab:
+                self.refs[i].resize(capacity)
+
+        # -- what must hold after every step ---------------------------
+
+        @invariant()
+        def rings_are_their_references(self):
+            for ring, ref in zip(self.rings, self.refs):
+                assert len(ring) == len(ref)
+                assert ring.capacity == ref._cap
+                assert ring.newest_ts == ref.newest_ts
+                assert ring.stale_drops == ref.stale_drops
+                for window in WINDOWS:
+                    view = ring.view_relative(window)
+                    ts, val = ref.view_relative(window)
+                    assert view.timestamps().tobytes() == ts.tobytes()
+                    assert view.values().tobytes() == val.tobytes()
+                for lo, hi in ((0, HORIZON), (self.clock - 4 * STEP, self.clock)):
+                    view = ring.view_absolute(lo, hi)
+                    ts, val = ref.view_absolute(lo, hi)
+                    assert view.timestamps().tobytes() == ts.tobytes()
+                    assert view.values().tobytes() == val.tobytes()
+
+        @invariant()
+        def live_rows_share_one_history(self):
+            for slab in {ring.slab for ring in self.rings}:
+                for row, ring in slab.bound.items():
+                    assert ring.slab is slab and ring.row == row
+                    assert np.shares_memory(ring._ts, slab.ts)
+                    assert np.shares_memory(ring._val, slab.val)
+                cap, size = slab.capacity, slab.size
+                slots = (slab.head + np.arange(cap - size, cap)) % cap
+                rows = np.array(sorted(slab.bound), dtype=np.intp)
+                history = slab.ts[rows[:, None], slots]
+                assert (history == history[:1]).all()
+                if size:
+                    assert slab.newest == int(history[0, -1])
+
+    return SlabWrites
+
+
+SETTINGS = settings(
+    max_examples=150, stateful_step_count=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def test_columns_write_what_one_store_per_ring_wrote():
+    run_state_machine_as_test(machine_for(cache_module), settings=SETTINGS)
+
+
+# ----------------------------------------------------------------------
+# Seeded mutations: the machine must notice each
+# ----------------------------------------------------------------------
+
+
+def mutant_cache(*edits):
+    """``dcdb/cache.py`` with each ``(old, new)`` source edit applied
+    (each ``old`` must occur exactly once)."""
+    source = inspect.getsource(cache_module)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    module = types.ModuleType("cache_mutant")
+    exec(compile(source, cache_module.__file__, "exec"), module.__dict__)
+    return module
+
+
+MUTATIONS = {
+    "missed-row-not-moved-out": (
+        "if missed:\n            groups.setdefault((), []).extend(missed)",
+        "if False:\n            pass",
+    ),
+    "epoch-not-bumped": (
+        "        self.epoch += 1\n        return slab",
+        "        return slab",
+    ),
+    "grow-not-rebinding-views": (
+        "        for row, ring in self.bound.items():\n            ring._bind(self, row)",
+        "",
+    ),
+    "stale-drops-on-dead-rows": (  # a ring that left is still counted
+        "            del self.bound[ring.row]\n",
+        "            pass\n",
+    ),
+}
+
+
+def test_the_unmutated_copy_passes():
+    run_state_machine_as_test(
+        machine_for(mutant_cache()),
+        settings=settings(SETTINGS, max_examples=30, database=None),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_seeded_mutation_fails_the_machine(name):
+    machine = machine_for(mutant_cache(MUTATIONS[name]))
+    with pytest.raises(AssertionError):
+        run_state_machine_as_test(machine, settings=settings(
+            SETTINGS, max_examples=300, database=None,
+            phases=[Phase.generate],  # found is enough: no shrinking
+        ))
+
+
+# ----------------------------------------------------------------------
+# Storage: one loop, the per-reading semantics
+# ----------------------------------------------------------------------
+
+TOPICS = ["/a", "/b", "/c"]
+_readings = st.lists(
+    st.tuples(st.sampled_from(TOPICS), st.integers(0, 40)), max_size=60,
+)
+
+
+def _contents(storage):
+    out = {}
+    for topic in sorted(storage.topics()):
+        ts, val = storage.query(topic, -HORIZON, HORIZON)
+        out[topic] = (ts.tobytes(), val.tobytes())
+    return out, storage.insert_count, storage.ooo_dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(before=_readings, batch=_readings)
+def test_insert_columns_is_insert_per_reading(before, batch):
+    columns, one_by_one = StorageBackend(), StorageBackend()
+    for storage in (columns, one_by_one):
+        for i, (topic, ts) in enumerate(before):
+            storage.insert(topic, ts, float(i))
+    topics = [topic for topic, _ in batch]
+    stamps = [ts for _, ts in batch]
+    values = [float(-i) for i in range(len(batch))]
+    columns.insert_columns(topics, stamps, values)
+    for reading in zip(topics, stamps, values):
+        one_by_one.insert(*reading)
+    assert _contents(columns) == _contents(one_by_one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(before=_readings, batch=_readings)
+def test_insert_columns_keeps_the_seal_floor(before, batch):
+    """Below a topic's seal floor a reading is refused and counted, and
+    no series is opened for it — as ``TieredStorageBackend.insert``."""
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        columns = TieredStorageBackend(a, flush_mb=64)
+        one_by_one = TieredStorageBackend(b, flush_mb=64)
+        for storage in (columns, one_by_one):
+            for i, (topic, ts) in enumerate(before):
+                storage.insert(topic, 1000 + ts, float(i))  # sealed: 1000+
+            storage.flush(0)
+        topics = [topic for topic, _ in batch]
+        stamps = [990 + ts for _, ts in batch]  # straddles the floors
+        values = [float(-i) for i in range(len(batch))]
+        columns.insert_columns(topics, stamps, values)
+        for reading in zip(topics, stamps, values):
+            one_by_one.insert(*reading)
+        assert _contents(columns) == _contents(one_by_one)
+        assert sorted(columns._series) == sorted(one_by_one._series)
+
+
+# ----------------------------------------------------------------------
+# Steady ticks: exact counts, stated beforehand
+# ----------------------------------------------------------------------
+
+SENSORS = 4
+
+
+def ingest_fanin_spec():
+    """The ``ingest_fanin`` ledger workload at smoke size: 148 Pushers
+    of 4 tester sensors, no online operator."""
+    return {
+        "cluster": {"preset": "coolmuc3", "seed": 1},
+        "monitoring": {
+            "plugins": ["tester"], "tester_sensors": SENSORS,
+            "interval_ms": 1000, "cache_window_s": 30,
+        },
+        "analytics": {"pushers": [], "agent": []},
+    }
+
+
+def count_calls(monkeypatch, cls, name, calls, note=lambda self: self):
+    fn = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(note(self))
+        return fn(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+
+
+def test_a_steady_ingest_tick_makes_no_per_reading_call(monkeypatch):
+    dep = build_deployment(ingest_fanin_spec())
+    dep.run(5)  # every cache, plan and route run exists
+    readings = len(dep.pushers) * SENSORS
+    stores, inserts, routes = [], [], []
+    count_calls(monkeypatch, SensorCache, "store", stores)
+    count_calls(monkeypatch, StorageBackend, "insert", inserts)
+    count_calls(monkeypatch, Broker, "_route", routes)
+    before = dep.agent.storage.insert_count
+    ticks = 3
+    dep.run(ticks)
+    assert dep.agent.storage.insert_count - before == ticks * readings == 1776
+    # The parent, per tick: one SensorCache.store per reading on the
+    # Pusher and one on the agent (1 184), one StorageBackend.insert
+    # (592), one Broker._route (592).  Here: none.
+    assert (len(stores), len(inserts), len(routes)) == (0, 0, 0)
+    # One slab per Pusher plugin, one for the agent's first arrivals.
+    for pusher in dep.pushers.values():
+        assert pusher.telemetry.gauge("cache_slab_count").value == 1
+    assert dep.agent.telemetry.gauge("cache_slab_count").value == 1
+    assert dep.agent.telemetry.gauge("cache_sensor_count").value == readings
+
+
+def test_inband_stores_one_ring_at_a_time_only_on_one_row_slabs(monkeypatch):
+    dep = build_deployment(inband_fused_spec())
+    dep.run(8)
+    rings_on_slab = []  # per store call: live rings on the ring's slab
+    count_calls(
+        monkeypatch, SensorCache, "store", rings_on_slab,
+        note=lambda ring: len(ring.slab.bound),
+    )
+    dep.run(5)
+    # The parent: 980 stores in these 5 ticks, every Pusher
+    # sample, operator output and agent arrival one call each.  Here a
+    # pass is a column, and a ring written alone is one that is alone —
+    # here there is none.
+    assert set(rings_on_slab) <= {1}
+    assert len(rings_on_slab) == 0
+
+
+# ----------------------------------------------------------------------
+# The ingest ring-growth bug
+# ----------------------------------------------------------------------
+
+
+def agent_at(cache_window_s):
+    return CollectAgent(
+        "agent", Broker(), TaskScheduler(),
+        cache_window_ns=cache_window_s * NS_PER_SEC, drain_interval_ns=10**15,
+    )
+
+
+def ingest(agent, topic, timestamps):
+    agent._ingest(ReadingBatch(
+        [topic] * len(timestamps), list(timestamps),
+        [float(ts) for ts in timestamps],
+    ))
+
+
+def test_one_off_cadence_arrival_does_not_size_a_ring_for_life():
+    """Failing before: a 1 Hz topic plus one reading 1 ms late took the
+    ring from 218 readings to 216 002 (3.5 KB to 3.46 MB), and it stayed
+    that size.  A ring that spans its window loses nothing by staying."""
+    agent = agent_at(180)
+    ingest(agent, "/n/x", [i * NS_PER_SEC for i in range(200)])
+    cache = agent.caches["/n/x"]
+    assert cache.capacity == 218
+    ingest(agent, "/n/x", [199 * NS_PER_SEC + NS_PER_SEC // 1000])
+    assert cache.gap_ns == NS_PER_SEC // 1000  # still the plan's read hint
+    ingest(agent, "/n/x", [i * NS_PER_SEC for i in range(200, 400)])
+    assert cache.capacity == 218
+    view = cache.view_relative(180 * NS_PER_SEC)
+    assert len(view) == 181 and view.first().timestamp == 219 * NS_PER_SEC
+
+
+def test_a_real_faster_cadence_still_keeps_its_whole_window():
+    """1 Hz for longer than the window, then 10 Hz: the ring grows once
+    the reading a store would evict is still inside the window."""
+    agent = agent_at(180)
+    ingest(agent, "/n/x", [i * NS_PER_SEC for i in range(200)])
+    tenth = NS_PER_SEC // 10
+    start = 199 * NS_PER_SEC
+    ingest(agent, "/n/x", [start + i * tenth for i in range(1, 2001)])
+    cache = agent.caches["/n/x"]
+    newest = start + 2000 * tenth
+    view = cache.view_relative(180 * NS_PER_SEC)
+    assert len(view) == 1801 and view.first().timestamp == newest - 1800 * tenth
+    assert cache.capacity >= 1801
