@@ -1,6 +1,6 @@
 """Offline static analysis for Wintermute configurations and sources.
 
-Three halves (surfaced through ``wintermute-sim check``):
+Four passes (surfaced through ``wintermute-sim check``):
 
 - :mod:`repro.analysis.config` — a **static configuration analyzer**:
   validates plugin blocks and whole deployment specs without
@@ -18,17 +18,15 @@ Three halves (surfaced through ``wintermute-sim check``):
   mixing, interval aliasing, per-host memory footprints and resilience
   budgets before anything runs.
 - :mod:`repro.analysis.astlint` — a **repo-specific AST lint pass**
-  enforcing invariants generic linters cannot express: lock discipline,
-  simulation-clock purity, no silent broad excepts, and no writes to
-  shared unit state inside operator ``compute`` paths.
+  enforcing invariants generic linters cannot express: simulation-clock
+  purity, no silent broad excepts, no writes to shared unit state
+  inside operator ``compute`` paths, thread lifecycle.
 - :mod:`repro.analysis.concurrency` — a **static concurrency analyzer**
   (S rules): interprocedural lockset computation and guarded-by
   inference over the source tree, proving lock discipline on all paths
-  (the runtime sanitizer's R rules only see observed executions) and
-  exporting a static lock-order graph cross-validated against the
-  runtime lockdep graph.
+  (the runtime sanitizer's R rules only see observed executions).
 
-Both report :class:`~repro.analysis.diagnostics.Diagnostic` records with
+All report :class:`~repro.analysis.diagnostics.Diagnostic` records with
 stable rule codes; the catalog lives in ``docs/STATIC_ANALYSIS.md``.
 
 Only the diagnostics primitives are imported eagerly: the configurator
@@ -70,7 +68,6 @@ __all__ = [
     "extract_configs",
     "analyze_concurrency",
     "render_concurrency_report",
-    "static_lock_order_graph",
     "InlineSuppressions",
 ]
 
@@ -88,7 +85,6 @@ _LAZY = {
     "extract_configs": "repro.analysis.extract",
     "analyze_concurrency": "repro.analysis.concurrency",
     "render_concurrency_report": "repro.analysis.concurrency",
-    "static_lock_order_graph": "repro.analysis.concurrency",
     "InlineSuppressions": "repro.analysis.suppress",
 }
 

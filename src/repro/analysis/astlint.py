@@ -2,10 +2,6 @@
 
 Generic linters don't know this codebase's invariants; these rules do:
 
-- **L001** — an attribute assigned under ``with self._lock`` somewhere in
-  a class is lock-guarded; mutating it outside a ``with self._lock``
-  block (``__init__`` excepted — construction happens-before sharing) is
-  a data race waiting for a second thread.
 - **L002** — ``time.time()`` / ``time.monotonic()`` inside ``simulator/``
   or ``plugins/`` breaks the simulated-clock discipline: everything in
   those trees must take timestamps as arguments, or determinism and the
@@ -34,7 +30,9 @@ Generic linters don't know this codebase's invariants; these rules do:
   Initialise mutable state in ``__init__`` (or ``make_model``).
   ALL_CAPS names are treated as read-only class constants and exempt.
 
-Suppression: append ``# lint: allow(CODE)`` to the offending line.
+Lock discipline is the concurrency pass's (S001-S003): one rule per
+invariant.  Suppression: ``# wintermute: ignore[CODE]`` on the offending
+line (:mod:`repro.analysis.suppress`).
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from repro.analysis.diagnostics import Diagnostic, sort_key
 from repro.analysis.suppress import InlineSuppressions
 
 #: Rule codes implemented by this module.
-LINT_CODES = ("L001", "L002", "L003", "L004", "L005", "L006", "L008")
+LINT_CODES = ("L002", "L003", "L004", "L005", "L006", "L008")
 
 _WALL_CLOCK_FUNCS = {"time", "monotonic"}
 _COMPUTE_METHODS = {"compute", "compute_unit", "compute_window"}
@@ -90,47 +88,6 @@ def _assigned_self_attrs(stmt: ast.stmt) -> Iterable[ast.Attribute]:
                 yield base
 
 
-def _is_with_self_lock(stmt: ast.stmt) -> bool:
-    if not isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return False
-    return any(
-        _is_self_attr(item.context_expr)
-        and item.context_expr.attr in ("_lock", "lock")
-        for item in stmt.items
-    )
-
-
-class _Suppressions:
-    """Per-line suppression markers.
-
-    Two syntaxes are honoured: the legacy ``# lint: allow(CODE)`` and
-    the uniform ``# wintermute: ignore[CODE]`` shared with the flow and
-    concurrency passes.  ``matched`` counts suppressions that actually
-    fired, surfaced as the ``ignored`` total by ``check``.
-    """
-
-    def __init__(self, source: str) -> None:
-        self._uniform = InlineSuppressions(source)
-        self.matched = 0
-        self._by_line: dict = {}
-        for i, line in enumerate(source.splitlines(), start=1):
-            marker = line.find("# lint: allow(")
-            if marker < 0:
-                continue
-            codes = line[marker + len("# lint: allow("):]
-            codes = codes.split(")", 1)[0]
-            self._by_line[i] = {c.strip() for c in codes.split(",")}
-
-    def active(self, line: int, code: str) -> bool:
-        if code in self._by_line.get(line, ()):
-            self.matched += 1
-            return True
-        if self._uniform.active(line, code):
-            self.matched += 1
-            return True
-        return False
-
-
 def _iter_methods(cls: ast.ClassDef) -> Iterable[ast.FunctionDef]:
     for item in cls.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -160,74 +117,9 @@ def _is_operator_plugin_class(cls: ast.ClassDef) -> bool:
 # Rules
 # ----------------------------------------------------------------------
 
-def _lint_lock_discipline(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
-) -> None:
-    """L001 — guarded attributes mutated without holding the lock."""
-    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
-        guarded: Set[str] = set()
-        for method in _iter_methods(cls):
-            for stmt in ast.walk(method):
-                if not _is_with_self_lock(stmt):
-                    continue
-                for inner in stmt.body:
-                    for sub in ast.walk(inner):
-                        if isinstance(sub, ast.stmt):
-                            for attr in _assigned_self_attrs(sub):
-                                guarded.add(attr.attr)
-        guarded.discard("_lock")
-        guarded.discard("lock")
-        if not guarded:
-            continue
-        for method in _iter_methods(cls):
-            if method.name == "__init__":
-                continue
-            _scan_unlocked(method.body, guarded, cls, method, path, out, sup)
-
-
-def _child_stmt_lists(stmt: ast.stmt) -> Iterable[Sequence[ast.stmt]]:
-    for name in ("body", "orelse", "finalbody"):
-        nested = getattr(stmt, name, None)
-        if nested and isinstance(nested[0], ast.stmt):
-            yield nested
-    for handler in getattr(stmt, "handlers", ()):
-        yield handler.body
-
-
-def _scan_unlocked(
-    body: Sequence[ast.stmt],
-    guarded: Set[str],
-    cls: ast.ClassDef,
-    method: ast.AST,
-    path: str,
-    out: List[Diagnostic],
-    sup: _Suppressions,
-) -> None:
-    for stmt in body:
-        if _is_with_self_lock(stmt):
-            continue  # everything below holds the lock
-        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            for attr in _assigned_self_attrs(stmt):
-                if attr.attr in guarded and not sup.active(
-                    attr.lineno, "L001"
-                ):
-                    out.append(Diagnostic(
-                        code="L001",
-                        severity="error",
-                        message=(
-                            f"{cls.name}.{method.name}: attribute "
-                            f"self.{attr.attr} is guarded by self._lock "
-                            f"elsewhere but mutated here without it"
-                        ),
-                        file=path,
-                        line=attr.lineno,
-                    ))
-        for nested in _child_stmt_lists(stmt):
-            _scan_unlocked(nested, guarded, cls, method, path, out, sup)
-
-
 def _lint_wall_clock(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
+    tree: ast.Module, path: str, out: List[Diagnostic],
+    sup: InlineSuppressions,
 ) -> None:
     """L002 — wall-clock reads in clock-disciplined subtrees."""
     parts = path.replace(os.sep, "/")
@@ -256,7 +148,8 @@ def _lint_wall_clock(
 
 
 def _lint_silent_except(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
+    tree: ast.Module, path: str, out: List[Diagnostic],
+    sup: InlineSuppressions,
 ) -> None:
     """L003 — broad except handlers that silently discard the error."""
     for node in ast.walk(tree):
@@ -296,7 +189,8 @@ def _lint_silent_except(
 
 
 def _lint_compute_state(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
+    tree: ast.Module, path: str, out: List[Diagnostic],
+    sup: InlineSuppressions,
 ) -> None:
     """L004 — operator plugins writing shared state in compute paths."""
     parts = path.replace(os.sep, "/")
@@ -365,7 +259,8 @@ def _has_thread_join(scope: ast.AST) -> bool:
 
 
 def _lint_thread_lifecycle(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
+    tree: ast.Module, path: str, out: List[Diagnostic],
+    sup: InlineSuppressions,
 ) -> None:
     """L005 — threads created with neither a daemon flag nor a join."""
 
@@ -409,7 +304,8 @@ def _lint_thread_lifecycle(
 
 
 def _lint_sleep_in_compute(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
+    tree: ast.Module, path: str, out: List[Diagnostic],
+    sup: InlineSuppressions,
 ) -> None:
     """L006 — ``time.sleep`` on an operator computation path."""
     for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
@@ -471,7 +367,8 @@ def _is_constant_name(name: str) -> bool:
 
 
 def _lint_mutable_class_default(
-    tree: ast.Module, path: str, out: List[Diagnostic], sup: _Suppressions
+    tree: ast.Module, path: str, out: List[Diagnostic],
+    sup: InlineSuppressions,
 ) -> None:
     """L008 — mutable class-level default on an operator plugin class."""
     for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
@@ -507,7 +404,6 @@ def _lint_mutable_class_default(
 
 
 _RULES = (
-    _lint_lock_discipline,
     _lint_wall_clock,
     _lint_silent_except,
     _lint_compute_state,
@@ -541,7 +437,7 @@ def lint_source_counted(
             file=path,
             line=exc.lineno or 0,
         )], 0
-    sup = _Suppressions(source)
+    sup = InlineSuppressions(source)
     out: List[Diagnostic] = []
     for rule in _RULES:
         rule(tree, path, out, sup)

@@ -3,8 +3,8 @@
 PR 3's runtime sanitizer (R rules) only catches races that *manifest*
 during an observed bounded run; this module proves lock discipline over
 **all** paths, statically, before a single thread is started.  It is the
-fifth rule family (S001-S010) reported through the shared
-:mod:`repro.analysis.diagnostics` machinery.
+fifth rule family (S001-S010, S006 retired) reported through the
+shared :mod:`repro.analysis.diagnostics` machinery.
 
 How it works, per analyzed file:
 
@@ -12,29 +12,27 @@ How it works, per analyzed file:
    ``threading.Lock()`` / ``RLock()`` / ``hooks.make_lock("name")``
    (directly or through a small helper, resolved to a bounded call
    depth) becomes a *lock field*.  ``hooks.make_lock`` string arguments
-   become the lock's display name, so the static graph speaks the same
-   names as the runtime lockdep graph ("Pusher.spill", ...).
+   become the lock's display name, so findings speak the same names
+   as the runtime sanitizer ("Pusher.spill", ...).
 2. **Lockset walk** — each method body is walked with the set of held
    locks at every statement: ``with self._lock:`` pushes, bare
    ``acquire()`` followed by ``try/finally: release()`` pushes for the
    ``try`` body (anything else is S005).  Every ``self.X`` read/write,
-   internal call site, nested acquisition and callback invocation is
-   recorded together with the local lockset.
+   internal call site and callback invocation is recorded together
+   with the local lockset.
 3. **Interprocedural propagation** — private helpers inherit the
    *intersection* of their callers' locksets (public or
    callback-escaped methods conservatively inherit nothing), iterated
    to a fixpoint, so "callers hold the lock" helper patterns are
    understood without annotations.
-4. **Guarded-by inference** — an attribute written under lock L on the
-   majority of its (non-``__init__``) writes is *claimed* by L; every
+4. **Guarded-by inference** — an attribute written under lock L on at
+   least half of its (non-``__init__``) writes is *claimed* by L; every
    access that cannot prove L is held raises S001/S002/S003/S004.
    ``# guarded-by: <lock>`` forces a claim; ``# unguarded: <reason>``
    declares an intentional racy access on that line.
-5. **Lock-order graph** — nested acquisitions (local and through
-   calls, including cross-class calls through attributes constructed in
-   ``__init__``) become edges of a static lock-order graph; cycles are
-   S006.  The graph is exported for the static-superset-of-runtime
-   cross-validation test against the sanitizer's observed graph.
+
+Lock order is the runtime sanitizer's R001 (one rule per invariant):
+its graph is built on the lock tracker R002/R003 already need.
 
 Rule catalog (docs/STATIC_ANALYSIS.md):
 
@@ -46,7 +44,6 @@ S002  warning   read of a claimed attribute without its guard
 S003  error     claimed attribute accessed under a *different* lock
 S004  error     check-then-act: tested unguarded, then acted on
 S005  error     ``acquire()`` without ``with`` / ``try-finally``
-S006  error     static lock-order cycle between lock fields
 S007  error     object published into a guarded container / thread,
                 then mutated without the guard
 S008  error     lock created per call instead of per instance
@@ -94,7 +91,7 @@ _UNGUARDED_RE = re.compile(r"#\s*unguarded:\s*(.*)$")
 
 _SEVERITY = {
     "S001": "error", "S002": "warning", "S003": "error", "S004": "error",
-    "S005": "error", "S006": "error", "S007": "error", "S008": "error",
+    "S005": "error", "S007": "error", "S008": "error",
     "S009": "warning", "S010": "warning",
 }
 
@@ -138,21 +135,10 @@ class CallEvent:
 
 @dataclass
 class AttrCallEvent:
-    """``self.X.m(...)`` — method call through an instance attribute."""
+    """``self.X(...)`` — a callback stored in an attribute, invoked."""
 
     attr: str
-    meth: str
     lockset: FrozenSet[str]
-    line: int
-    method: str
-
-
-@dataclass
-class WithEvent:
-    """Acquisition of lock field ``lock`` while ``prior`` were held."""
-
-    lock: str
-    prior: FrozenSet[str]
     line: int
     method: str
 
@@ -197,7 +183,6 @@ class MethodInfo:
     accesses: List[AttrAccess] = field(default_factory=list)
     calls: List[CallEvent] = field(default_factory=list)
     attr_calls: List[AttrCallEvent] = field(default_factory=list)
-    withs: List[WithEvent] = field(default_factory=list)
     ifs: List[IfEvent] = field(default_factory=list)
     publishes: List[PublishEvent] = field(default_factory=list)
     mutates: List[MutateEvent] = field(default_factory=list)
@@ -210,8 +195,6 @@ class ClassInfo:
     node: ast.ClassDef
     locks: Dict[str, LockField] = field(default_factory=dict)
     methods: Dict[str, MethodInfo] = field(default_factory=dict)
-    #: attrs constructed as ``self.x = ClassName(...)`` in ``__init__``.
-    attr_types: Dict[str, str] = field(default_factory=dict)
     #: method names referenced without a call (callbacks, timers, ...).
     escaped: Set[str] = field(default_factory=set)
     #: attr -> (lock attr, annotation line) forced by # guarded-by.
@@ -244,12 +227,6 @@ class ConcurrencyModel:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     ignored: int = 0
     files: List[FileInfo] = field(default_factory=list)
-    #: every lock display name seen anywhere (graph node universe).
-    lock_names: Set[str] = field(default_factory=set)
-    #: (src display, dst display) -> first (file, line) that created it.
-    lock_order_edges: Dict[Tuple[str, str], Tuple[str, int]] = field(
-        default_factory=dict
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +272,7 @@ def _lock_ctor_display(
 def _discover_locks(
     ci: ClassInfo, module_funcs: Dict[str, ast.AST]
 ) -> None:
-    """Populate ``ci.locks`` and ``ci.attr_types`` from the class body."""
+    """Populate ``ci.locks`` from the class body."""
     # class-level: ``X = threading.Lock()`` shared across instances.
     for stmt in ci.node.body:
         if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
@@ -309,32 +286,21 @@ def _discover_locks(
                         tgt.id, disp or f"{ci.name}.{tgt.id}", stmt.lineno
                     )
     for method in _iter_methods(ci.node):
-        in_init = method.name == "__init__"
         for node in ast.walk(method):
-            if not isinstance(node, ast.Assign):
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)):
                 continue
             for tgt in node.targets:
-                if not (isinstance(tgt, ast.Attribute)
-                        and isinstance(tgt.value, ast.Name)
-                        and tgt.value.id == "self"):
+                attr = _self_attr(tgt)
+                if attr is None:
                     continue
-                if isinstance(node.value, ast.Call):
-                    disp = _lock_ctor_display(
-                        node.value, module_funcs, _MAX_CALL_DEPTH
-                    )
-                    if disp is not None:
-                        ci.locks.setdefault(tgt.attr, LockField(
-                            tgt.attr, disp or f"{ci.name}.{tgt.attr}",
-                            node.lineno,
-                        ))
-                        continue
-                    ctor = node.value.func
-                    if in_init and isinstance(ctor, (ast.Name,
-                                                     ast.Attribute)):
-                        cls_name = (ctor.id if isinstance(ctor, ast.Name)
-                                    else ctor.attr)
-                        if cls_name and cls_name[0].isupper():
-                            ci.attr_types.setdefault(tgt.attr, cls_name)
+                disp = _lock_ctor_display(
+                    node.value, module_funcs, _MAX_CALL_DEPTH
+                )
+                if disp is not None:
+                    ci.locks.setdefault(attr, LockField(
+                        attr, disp or f"{ci.name}.{attr}", node.lineno
+                    ))
     # implicit locks: ``with self.X`` / ``self.X.acquire()`` on a
     # lock-looking name defined elsewhere (e.g. in a base class).
     for method in _iter_methods(ci.node):
@@ -397,9 +363,6 @@ class _MethodWalker:
             if lock is not None:
                 nxt = stmts[i + 1] if i + 1 < len(stmts) else None
                 if isinstance(nxt, ast.Try) and self._releases(nxt, lock):
-                    self.mi.withs.append(WithEvent(
-                        lock, ls, stmt.lineno, self.mi.name
-                    ))
                     held = ls | {lock}
                     self._body(nxt.body, held)
                     for handler in nxt.handlers:
@@ -450,9 +413,6 @@ class _MethodWalker:
             for item in stmt.items:
                 attr = _self_attr(item.context_expr)
                 if attr and attr in self.ci.locks:
-                    self.mi.withs.append(WithEvent(
-                        attr, held, stmt.lineno, self.mi.name
-                    ))
                     held = held | {attr}
                 else:
                     self._expr(item.context_expr, ls)
@@ -590,7 +550,7 @@ class _MethodWalker:
                     # calling through a data attribute: self.handler(...)
                     self._access(direct, "read", node.lineno, ls)
                     self.mi.attr_calls.append(AttrCallEvent(
-                        direct, "__call__", ls, node.lineno, self.mi.name
+                        direct, ls, node.lineno, self.mi.name
                     ))
             elif recv is not None:
                 handled_func = True
@@ -606,9 +566,6 @@ class _MethodWalker:
                 else:
                     kind = "write" if func.attr in _MUTATORS else "read"
                     self._access(recv, kind, node.lineno, ls)
-                    self.mi.attr_calls.append(AttrCallEvent(
-                        recv, func.attr, ls, node.lineno, self.mi.name
-                    ))
                     if kind == "write":
                         for arg in node.args:
                             if isinstance(arg, ast.Name):
@@ -629,8 +586,7 @@ class _MethodWalker:
         elif isinstance(func, ast.Name) and func.id in self.loopvars \
                 and ls:
             self.mi.attr_calls.append(AttrCallEvent(
-                self.loopvars[func.id], "__call__", ls, node.lineno,
-                self.mi.name,
+                self.loopvars[func.id], ls, node.lineno, self.mi.name
             ))
             handled_func = True
         if not handled_func:
@@ -855,7 +811,7 @@ def _incoming_locksets(ci: ClassInfo) -> Dict[str, FrozenSet[str]]:
 
 def _infer_claims(ci: ClassInfo, fi: FileInfo, emitter: _Emitter,
                   inc: Dict[str, FrozenSet[str]]) -> None:
-    """Majority-vote guarded-by inference + forced annotations."""
+    """Guarded-by inference (a tie claims) + forced annotations."""
     def must(access: AttrAccess) -> FrozenSet[str]:
         return access.lockset | inc.get(access.method, frozenset())
 
@@ -890,7 +846,7 @@ def _infer_claims(ci: ClassInfo, fi: FileInfo, emitter: _Emitter,
             lock, n = min(
                 votes.items(), key=lambda kv: (-kv[1], kv[0])
             )
-            if 2 * n <= len(writes):
+            if 2 * n < len(writes):
                 continue
             ci.claims[attr] = lock
         lock = ci.claims[attr]
@@ -999,8 +955,6 @@ def _check_callbacks(ci: ClassInfo, fi: FileInfo, emitter: _Emitter,
     """S009 — callback invoked while holding the lock guarding it."""
     for mi in ci.methods.values():
         for ev in mi.attr_calls:
-            if ev.meth != "__call__":
-                continue
             lock = ci.claims.get(ev.attr)
             if lock is None:
                 continue
@@ -1090,102 +1044,6 @@ def _check_percall_locks(tree: ast.Module, fi: FileInfo,
 
 
 # ---------------------------------------------------------------------------
-# static lock-order graph (S006 + runtime cross-validation export)
-
-
-def _may_acquire(ci: ClassInfo, method: str,
-                 by_name: Dict[str, ClassInfo],
-                 memo: Dict[Tuple[int, str], Set[str]],
-                 depth: int = _MAX_CALL_DEPTH) -> Set[str]:
-    key = (id(ci), method)
-    if key in memo:
-        return memo[key]
-    memo[key] = set()  # cycle guard
-    mi = ci.methods.get(method)
-    if mi is None or depth <= 0:
-        return memo[key]
-    out: Set[str] = set()
-    for ev in mi.withs:
-        out.add(ci.display(ev.lock))
-    for call in mi.calls:
-        out |= _may_acquire(ci, call.callee, by_name, memo, depth - 1)
-    for ev in mi.attr_calls:
-        other_name = ci.attr_types.get(ev.attr)
-        other = by_name.get(other_name) if other_name else None
-        if other is not None and ev.meth in other.methods:
-            out |= _may_acquire(other, ev.meth, by_name, memo, depth - 1)
-    memo[key] = out
-    return out
-
-
-def _build_lock_graph(model: ConcurrencyModel,
-                      by_name: Dict[str, ClassInfo],
-                      incoming: Dict[int, Dict[str, FrozenSet[str]]]
-                      ) -> None:
-    memo: Dict[Tuple[int, str], Set[str]] = {}
-
-    def add(src: str, dst: str, file: str, line: int) -> None:
-        if src != dst:
-            model.lock_order_edges.setdefault((src, dst), (file, line))
-
-    for fi in model.files:
-        for ci in fi.classes:
-            inc = incoming.get(id(ci), {})
-            for lf in ci.locks.values():
-                model.lock_names.add(lf.display)
-            for mi in ci.methods.values():
-                held_base = inc.get(mi.name, frozenset())
-                for ev in mi.withs:
-                    for held in ev.prior | held_base:
-                        add(ci.display(held), ci.display(ev.lock),
-                            fi.path, ev.line)
-                for call in mi.calls:
-                    held = call.lockset | held_base
-                    if not held:
-                        continue
-                    for dst in _may_acquire(ci, call.callee, by_name,
-                                            memo):
-                        for src in held:
-                            add(ci.display(src), dst, fi.path, call.line)
-                for ev in mi.attr_calls:
-                    held = ev.lockset | held_base
-                    other_name = ci.attr_types.get(ev.attr)
-                    other = by_name.get(other_name) if other_name else None
-                    if not held or other is None or \
-                            ev.meth not in other.methods:
-                        continue
-                    for dst in _may_acquire(other, ev.meth, by_name,
-                                            memo):
-                        for src in held:
-                            add(ci.display(src), dst, fi.path, ev.line)
-
-
-def _graph_cycles(edges) -> List[List[str]]:
-    adjacency: Dict[str, List[str]] = {}
-    for src, dst in edges:
-        adjacency.setdefault(src, []).append(dst)
-        adjacency.setdefault(dst, [])
-    seen: Set[Tuple[str, ...]] = set()
-    out: List[List[str]] = []
-
-    def visit(node: str, path: List[str]) -> None:
-        for nxt in sorted(adjacency.get(node, ())):
-            if nxt in path:
-                cycle = path[path.index(nxt):]
-                i = cycle.index(min(cycle))
-                canon = tuple(cycle[i:] + cycle[:i])
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(list(canon))
-                continue
-            visit(nxt, path + [nxt])
-
-    for start in sorted(adjacency):
-        visit(start, [start])
-    return sorted(out)
-
-
-# ---------------------------------------------------------------------------
 # entry points
 
 
@@ -1257,41 +1115,14 @@ def analyze_source(source: str, path: str,
 
 
 def _finalize(model: ConcurrencyModel, emitter: _Emitter) -> None:
-    by_name: Dict[str, ClassInfo] = {}
-    incoming: Dict[int, Dict[str, FrozenSet[str]]] = {}
-    for fi in model.files:
-        for ci in fi.classes:
-            by_name.setdefault(ci.name, ci)
     for fi in model.files:
         for ci in fi.classes:
             inc = _incoming_locksets(ci)
-            incoming[id(ci)] = inc
             _infer_claims(ci, fi, emitter, inc)
-    for fi in model.files:
-        for ci in fi.classes:
-            inc = incoming[id(ci)]
             _check_accesses(ci, fi, emitter, inc)
             _check_publishes(ci, fi, emitter, inc)
             _check_callbacks(ci, fi, emitter, inc)
         _check_annotations(fi, emitter)
-    _build_lock_graph(model, by_name, incoming)
-    for cycle in _graph_cycles(model.lock_order_edges):
-        file, line = model.lock_order_edges.get(
-            (cycle[0], cycle[1 % len(cycle)]), ("", 0)
-        )
-        fi = next((f for f in model.files if f.path == file), None)
-        loop = " -> ".join([*cycle, cycle[0]])
-        if fi is not None:
-            emitter.emit(
-                "S006", fi, line, "lock-order",
-                f"static lock-order cycle: {loop} — acquire these locks "
-                f"in one global order",
-            )
-        else:  # pragma: no cover - edge without provenance
-            emitter.diagnostics.append(Diagnostic(
-                code="S006", severity="error", path="lock-order",
-                message=f"static lock-order cycle: {loop}",
-            ))
     model.diagnostics = emitter.diagnostics
     model.ignored = emitter.ignored
 
@@ -1309,16 +1140,6 @@ def analyze_concurrency(paths: Sequence[str]) -> ConcurrencyModel:
         analyze_source(source, file, model, emitter)
     _finalize(model, emitter)
     return model
-
-
-def static_lock_order_graph(
-    model: ConcurrencyModel,
-) -> Dict[str, object]:
-    """Exported static graph, comparable to ``Sanitizer.lockdep_export``."""
-    return {
-        "locks": sorted(model.lock_names),
-        "edges": sorted([src, dst] for src, dst in model.lock_order_edges),
-    }
 
 
 def render_concurrency_report(model: ConcurrencyModel) -> str:
@@ -1341,12 +1162,4 @@ def render_concurrency_report(model: ConcurrencyModel) -> str:
                 )
             if not ci.claims:
                 lines.append("  (no guarded attributes inferred)")
-    edges = sorted(model.lock_order_edges)
-    lines.append(
-        f"lock-order graph: {len(model.lock_names)} locks, "
-        f"{len(edges)} edges"
-    )
-    for src, dst in edges:
-        file, line = model.lock_order_edges[(src, dst)]
-        lines.append(f"  {src} -> {dst}  ({file}:{line})")
     return "\n".join(lines)

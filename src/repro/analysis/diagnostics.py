@@ -37,7 +37,7 @@ class Diagnostic:
     """One finding of the static analyzer or the lint pass.
 
     Attributes:
-        code: stable rule code (``W001``..., ``L001``...).
+        code: stable rule code (``W001``..., ``L002``...).
         severity: ``error``, ``warning`` or ``info``.
         message: human-readable description of the finding.
         path: configuration location for config diagnostics, e.g.

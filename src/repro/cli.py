@@ -36,8 +36,8 @@ declarative deployment file (see :mod:`repro.deploy`):
     supply, physical units, memory and resilience budgets — F-series
     rules; ``--flow-report`` prints the inferred per-pipeline plan),
     and/or execute a **bounded sanitized run** of a deployment
-    spec (``--runtime``) hunting lock-order inversions, unit-state
-    races and invariant violations (R-series rules).  ``--fail-on``
+    spec (``--runtime``) hunting lock-order inversions, shared models
+    and mutated query results (R-series rules).  ``--fail-on``
     picks the severity that makes the exit code non-zero; ``--format
     json`` emits the diagnostics machine-readably (with a
     ``schema_version`` field).  Rules: ``docs/STATIC_ANALYSIS.md``.
@@ -256,8 +256,9 @@ def cmd_metrics(args) -> int:
 #: this field itself plus runtime (R-series) diagnostics; version 3
 #: added dataflow (F-series) diagnostics and the ``flow_report`` field;
 #: version 4 added concurrency (S-series) diagnostics, the
-#: ``concurrency_report`` field and the ``ignored`` suppression count.
-CHECK_SCHEMA_VERSION = 4
+#: ``concurrency_report`` field and the ``ignored`` suppression count;
+#: version 5 dropped ``wall_clock_reads`` from the ``runtime`` events.
+CHECK_SCHEMA_VERSION = 5
 
 #: Severities that fail the check, per ``--fail-on`` threshold.
 _FAIL_LEVELS = {
@@ -520,7 +521,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--lint", action="store_true",
-        help="run the repo-specific AST lint rules (L001..L008)",
+        help="run the repo-specific AST lint rules (L002-L006, L008)",
     )
     p_check.add_argument(
         "--lint-path", action="append", default=[], metavar="PATH",
@@ -535,7 +536,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--concurrency-report", action="store_true",
         help="with --concurrency: also print the inferred guarded-by "
-             "table per class and the static lock-order graph",
+             "table per class",
     )
     p_check.add_argument(
         "--flow", action="append", default=[], metavar="FILE",

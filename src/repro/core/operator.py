@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -704,18 +703,12 @@ class OperatorBase:
         like the sequential loop.
         """
         jobs = list(zip(units, args))
-        san = hooks.CURRENT
 
         def run(chunk) -> List[UnitResult]:
             out = []
             for unit, arg in chunk:
                 try:
-                    if san is None:
-                        values = fn(unit, arg)
-                    else:
-                        values = san.watch_unit_compute(
-                            self, unit, partial(fn, unit, arg)
-                        )
+                    values = fn(unit, arg)
                 except UNIT_ERRORS as exc:
                     # A failing unit must not take down the operator:
                     # count it and move on, like the production

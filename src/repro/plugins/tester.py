@@ -21,15 +21,12 @@ Params:
     ``misbehave`` (str): **fault injection** for sanitizer validation;
         deliberately violates one concurrency invariant per computation:
         ``shared_model`` (one model object aliased across parallel
-        units, rule R004), ``self_state`` (operator attribute rebound
-        inside ``compute_unit``, rule R005), ``wall_clock`` (host clock
-        read during compute, rule R009) or ``mutate_view`` (writes into
-        a query result after hand-out, rule R007).  Default off.
+        units, rule R004) or ``mutate_view`` (writes into a query
+        result after hand-out, rule R007).  Default off.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 import re
@@ -41,7 +38,7 @@ from repro.core.registry import operator_plugin
 from repro.core.units import Unit
 
 #: Deliberate invariant violations the tester can inject on request.
-MISBEHAVE_MODES = ("shared_model", "self_state", "wall_clock", "mutate_view")
+MISBEHAVE_MODES = ("shared_model", "mutate_view")
 
 
 @operator_plugin("tester")
@@ -139,18 +136,12 @@ class TesterOperator(OperatorBase):
     def _inject_fault(self, unit: Unit, ts: int, view) -> None:
         """Deliberately violate the invariant selected by ``misbehave``.
 
-        Each branch is a *bug on purpose*, kept for sanitizer validation;
-        the lint suppressions below acknowledge the static rules that
-        would (correctly) flag the same hazards.
+        Each branch is a *bug on purpose*, kept for sanitizer validation.
         """
         if self.misbehave is None:
             return
         if self.misbehave == "shared_model":
             model = self.model_for(unit)
             model[unit.name] = ts  # concurrent writes to the aliased dict
-        elif self.misbehave == "self_state":
-            self.last_unit_seen = unit.name  # lint: allow(L004)
-        elif self.misbehave == "wall_clock":
-            _ = time.time()  # lint: allow(L002)
         elif self.misbehave == "mutate_view" and view is not None and len(view):
             view.values()[0] += 1.0

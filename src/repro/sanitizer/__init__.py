@@ -1,12 +1,12 @@
 """Opt-in runtime concurrency sanitizer (R-series rules).
 
-The dynamic counterpart of :mod:`repro.analysis`: where the static pass
-lints for concurrency hazards (L-rules), the sanitizer *observes* them —
-it runs a bounded simulation with instrumentation injected at seams in
-the operator base class, the Query Engine and the wall-clock driver,
-and reports what actually happened as structured
+The dynamic counterpart of :mod:`repro.analysis`: where the static
+passes read code (L- and S-rules), the sanitizer *observes* it — it
+runs a bounded simulation with instrumentation injected at seams in the
+operator base class, the Query Engine and the wall-clock driver, and
+reports what actually happened as structured
 :class:`~repro.analysis.diagnostics.Diagnostic` records with stable
-``R001``–``R010`` codes (``R008`` is retired).
+``R`` codes (R001-R004, R007, R010; retired codes are never reused).
 
 Three analysis families:
 
@@ -15,11 +15,10 @@ Three analysis families:
   potential deadlocks (R001), plus hold-across-blocking-call (R002) and
   long-hold (R003) violations;
 - **unit-state race detection** (:mod:`repro.sanitizer.race`) — a
-  happens-before-lite checker over operator model and self-state
-  accesses in parallel unit mode (R004, R005);
-- **invariant sanitizers** (:mod:`repro.sanitizer.invariants`) — cache
-  write monotonicity (R006), query snapshot immutability (R007),
-  wall-clock discipline (R009) and out-of-order data loss (R010).
+  happens-before-lite checker over operator model accesses in parallel
+  unit mode (R004);
+- **invariant sanitizers** (:mod:`repro.sanitizer.invariants`) — query
+  snapshot immutability (R007) and out-of-order data loss (R010).
 
 Activation is strictly opt-in: ``wintermute-sim check --runtime
 <config>`` or ``WINTERMUTE_SANITIZE=1``.  When off, every seam costs one

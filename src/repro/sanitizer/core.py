@@ -8,9 +8,9 @@ production seams call through :data:`repro.sanitizer.hooks.CURRENT`.
 
 Findings are emitted as the same structured
 :class:`~repro.analysis.diagnostics.Diagnostic` records the static pass
-produces, under stable ``R001``–``R010`` codes (``R008`` is retired;
-catalog below and in ``docs/STATIC_ANALYSIS.md``), so the CLI renders
-text/JSON and computes exit codes with the exact same machinery.
+produces, under stable ``R`` codes (catalog below; retired codes are
+listed in ``docs/STATIC_ANALYSIS.md`` and never reused), so the CLI
+renders text/JSON and computes exit codes with the exact same machinery.
 
 Event volumes are counted in a dedicated telemetry registry
 (``sanitizer_*`` metrics) that runtime checks absorb into the
@@ -36,7 +36,6 @@ from repro.sanitizer.invariants import (
     TimePatch,
     ViewTracker,
     iter_host_caches,
-    scan_cache,
 )
 from repro.sanitizer.locks import LockTracker, TrackedLock
 from repro.sanitizer.race import RaceTracker
@@ -50,10 +49,7 @@ RUNTIME_RULES: Dict[str, Tuple[str, str]] = {
     "R002": (ERROR, "lock held across a blocking call"),
     "R003": (WARNING, "lock held longer than the hold threshold"),
     "R004": (ERROR, "model shared across units in parallel unit mode"),
-    "R005": (ERROR, "operator self-state mutated during parallel compute"),
-    "R006": (ERROR, "cache timestamp order violated"),
     "R007": (ERROR, "query result mutated after hand-out"),
-    "R009": (ERROR, "wall-clock read in clock-disciplined code"),
     "R010": (WARNING, "out-of-order readings dropped during the run"),
 }
 
@@ -87,8 +83,8 @@ class Sanitizer:
 
     Args:
         long_hold_ms: wall-clock threshold for rule R003.
-        track_wall_clock: install the ``time.time``/``monotonic``/
-            ``sleep`` shims while active (rule R009 + sleep-as-blocking).
+        track_wall_clock: install the ``time.sleep`` shim while active
+            (a sleep under a tracked lock is R002).
     """
 
     def __init__(
@@ -118,9 +114,6 @@ class Sanitizer:
         )
         self._m_views = self.telemetry.counter("sanitizer_views_tracked_total")
         self._m_passes = self.telemetry.counter("sanitizer_passes_total")
-        self._m_wall = self.telemetry.counter(
-            "sanitizer_wall_clock_reads_total"
-        )
 
     # ------------------------------------------------------------------
     # Activation
@@ -185,30 +178,6 @@ class Sanitizer:
             id(model),
         )
 
-    def watch_unit_compute(self, operator, unit, thunk):
-        """Run ``thunk`` (a ``compute_unit`` call), diffing self-state.
-
-        In parallel unit mode an operator's ``__dict__`` must not be
-        rebound from inside a unit computation — that is exactly the
-        unsynchronised shared write lint rule L004 warns about, observed
-        live (rule R005).
-        """
-        if operator.config.unit_mode != "parallel":
-            return thunk()
-        before = {k: id(v) for k, v in operator.__dict__.items()}
-        try:
-            return thunk()
-        finally:
-            after = {k: id(v) for k, v in operator.__dict__.items()}
-            changed = tuple(
-                k for k in sorted(set(before) | set(after))
-                if before.get(k) != after.get(k)
-            )
-            if changed:
-                self.races.on_self_mutation(
-                    operator.name, unit.name, changed
-                )
-
     def on_query_view(self, topic: str, view) -> None:
         self._m_views.inc()
         self.views.on_view(topic, view)
@@ -218,23 +187,14 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def check_deployment(self, deployment) -> None:
-        """Scan a deployment's caches for order violations and drops."""
+        """Report every cache that dropped out-of-order readings (R010)."""
         for host, topic, cache in iter_host_caches(deployment):
-            order, stale = scan_cache(host, topic, cache)
-            where = f"hosts.{host}.caches.{topic}"
-            if order is not None:
-                self._add_extra(
-                    "R006",
-                    f"cache timestamp order violated: {order.detail} "
-                    "(binary-search invariant broken)",
-                    path=where,
-                )
-            if stale is not None:
+            if cache.stale_drops:
                 self._add_extra(
                     "R010",
-                    f"{stale.drops} out-of-order reading(s) dropped "
+                    f"{cache.stale_drops} out-of-order reading(s) dropped "
                     "(stale data discarded to protect cache ordering)",
-                    path=where,
+                    path=f"hosts.{host}.caches.{topic}",
                 )
 
     def _add_extra(self, code: str, message: str, *, path: str = "",
@@ -309,32 +269,12 @@ class Sanitizer:
                 "(unsynchronised concurrent mutation)",
                 path=f"operators.{race.operator}.model",
             ))
-        mutated: Dict[Tuple[str, Tuple[str, ...]], set] = {}
-        for mut in self.races.self_mutations:
-            mutated.setdefault((mut.operator, mut.attrs), set()).add(mut.unit)
-        for (op_name, attrs), units in sorted(mutated.items()):
-            out.append(self._diag(
-                "R005",
-                f"operator {op_name}: attribute(s) {', '.join(attrs)} "
-                f"rebound during parallel unit compute "
-                f"({len(units)} unit(s) affected)",
-                path=f"operators.{op_name}.state",
-            ))
         for violation in self.views.violations:
             out.append(self._diag(
                 "R007",
                 f"query result for {violation.topic} mutated after "
                 f"hand-out: {violation.detail}",
                 path=f"views.{violation.topic}",
-            ))
-        for read in self._timepatch.reads:
-            file, line = _relsite(f"{read.file}:{read.line}")
-            out.append(self._diag(
-                "R009",
-                f"{read.func}() read from clock-disciplined code at "
-                "runtime (simulation must use the simulated clock)",
-                path="clock",
-                file=file, line=line,
             ))
         with self._mutex:
             out.extend(self._extra)
@@ -371,23 +311,6 @@ class Sanitizer:
             "model_accesses": self.races.model_accesses,
             "views_tracked": self.views.views_seen,
             "compute_passes": passes,
-            "wall_clock_reads": self._timepatch.wall_clock_reads,
-        }
-
-    def lockdep_export(self) -> Dict[str, list]:
-        """The observed lockdep graph, comparable to the static one.
-
-        Same shape as ``repro.analysis.concurrency
-        .static_lock_order_graph``: every lock *name* this run acquired
-        plus every nested-acquisition edge.  The cross-validation test
-        asserts the static graph is a superset, so the two analyses
-        cannot silently drift apart.
-        """
-        return {
-            "locks": sorted(self.locks.names_seen()),
-            "edges": sorted(
-                [e.src, e.dst] for e in self.locks.graph.edges()
-            ),
         }
 
 

@@ -1,7 +1,4 @@
-"""Invariant sanitizers: snapshots, cache order, clocks.
-
-Three invariants underpin the Query Engine's lock-free read path and the
-Fig 5 overhead claim; each gets a runtime verifier here:
+"""Invariant sanitizers: query snapshots, stale drops, the sleep shim.
 
 - **Snapshot immutability (R007)** — a :class:`~repro.dcdb.cache.CacheView`
   handed to an operator is a point-in-time snapshot; nobody (neither the
@@ -9,40 +6,29 @@ Fig 5 overhead claim; each gets a runtime verifier here:
   returned by the Query Engine is fingerprinted (length, boundary
   timestamps, value checksum) when handed out and re-checked at the end
   of the compute pass.
-- **Cache write monotonicity (R006)** — the ring buffer's binary-search
-  contract requires non-decreasing timestamps across its segments; a
-  violation silently corrupts every absolute query.  Verified by a
-  whole-deployment scan after the bounded run.
 - **Out-of-order drops (R010)** — the cache's stale-drop guard firing is
-  not a bug in the cache, but it *is* data loss worth surfacing: the
-  scan reports caches that dropped readings during the run.
+  not a bug in the cache, but it *is* data loss worth surfacing: a scan
+  after the run reports caches that dropped readings.  The guard itself
+  (``SensorCache.store``/``store_batch``, ``CacheSlab.store_column``) is
+  what keeps a ring's timestamps sorted; the cache property suites pin it.
 
-Rule R008 (sensor tree read-only after build) is retired: a host's tree
-grows in place for as long as it lives, and resolved units hold topic
-strings and sensors, never tree nodes, so there is nothing to freeze.
-
-Wall-clock discipline (R009) also lives here: while the sanitizer is
-active, ``time.time``/``time.monotonic`` are replaced with recording
-wrappers that inspect the caller's frame — a read from simulator or
-plugin code during the run breaks clock discipline (the runtime twin of
-lint rule L002).  ``time.sleep`` is wrapped too, feeding the R002
-blocking-under-lock check.
+While the sanitizer is active ``time.sleep`` is wrapped, feeding the
+R002 blocking-under-lock check.  Wall-clock reads are lint rule L002's.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Views fingerprinted per compute pass; beyond this they pass untracked
 #: (bounds sanitizer memory on large unit sets).
 MAX_TRACKED_VIEWS = 256
 
-#: Marker attribute set on patched time functions so the Fig 5 benchmark
-#: can assert the production path runs unpatched functions.
+#: Marker attribute set on the patched ``time.sleep`` so the Fig 5
+#: benchmark can assert the production path runs unpatched functions.
 PATCH_MARKER = "_wintermute_sanitizer_patch"
 
 
@@ -102,54 +88,6 @@ class ViewTracker:
                 self.violations.append(ViewViolation(topic, detail))
 
 
-# ---------------------------------------------------------------------------
-# Cache scans (run once over the finished deployment, not per write)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CacheOrderViolation:
-    """Non-monotonic timestamps found inside a sensor cache."""
-
-    host: str
-    topic: str
-    detail: str
-
-
-@dataclass
-class StaleDropReport:
-    """A cache that dropped out-of-order readings during the run."""
-
-    host: str
-    topic: str
-    drops: int
-
-
-def scan_cache(host_name: str, topic: str, cache) -> Tuple[
-    Optional[CacheOrderViolation], Optional[StaleDropReport]
-]:
-    """Verify one cache's ordering invariant and read its drop counter."""
-    order: Optional[CacheOrderViolation] = None
-    prev = None
-    for ts, _ in cache._ordered_segments():
-        for value in ts:
-            value = int(value)
-            if prev is not None and value < prev:
-                order = CacheOrderViolation(
-                    host_name, topic,
-                    f"timestamp {value} follows {prev}",
-                )
-                break
-            prev = value
-        if order is not None:
-            break
-    drops = int(getattr(cache, "stale_drops", 0))
-    stale = (
-        StaleDropReport(host_name, topic, drops) if drops > 0 else None
-    )
-    return order, stale
-
-
 def iter_host_caches(deployment):
     """Yield (host name, topic, cache) over a deployment's components.
 
@@ -165,112 +103,33 @@ def iter_host_caches(deployment):
             yield name, topic, caches[topic]
 
 
-# ---------------------------------------------------------------------------
-# Wall-clock discipline (R009) and sleep interception
-# ---------------------------------------------------------------------------
-
-#: Path fragments marking clock-disciplined code: simulated components
-#: and operator plugins must take time from the simulation clock.
-CLOCK_DISCIPLINED_FRAGMENTS = ("simulator/", "plugins/")
-
-#: Path fragments whose frames are skipped when attributing a wall-clock
-#: read (the sanitizer's own code and the stdlib are not interesting).
-_IGNORED_FRAGMENTS = ("sanitizer/", "threading.py", "concurrent/")
-
-
-@dataclass
-class WallClockRead:
-    """A wall-clock read from clock-disciplined code."""
-
-    func: str
-    file: str
-    line: int
-
-
 class TimePatch:
-    """Swaps ``time.time``/``monotonic``/``sleep`` for recording shims.
+    """Swaps ``time.sleep`` for a shim reporting each sleep as blocking.
 
     Only installed while a sanitizer is active; :meth:`uninstall`
-    restores the originals, and each shim carries :data:`PATCH_MARKER`
+    restores the original, and the shim carries :data:`PATCH_MARKER`
     so tests can prove the production path never sees a patched clock.
     """
 
     def __init__(self, sanitizer) -> None:
         self._san = sanitizer
-        self._originals: Dict[str, object] = {}
-        self._mutex = threading.Lock()
-        self.reads: List[WallClockRead] = []
-        self.wall_clock_reads = 0
-
-    # -- frame attribution ---------------------------------------------
-
-    def _record_read(self, func: str) -> None:
-        frame = sys._getframe(2)
-        while frame is not None:
-            filename = frame.f_code.co_filename.replace("\\", "/")
-            if any(frag in filename for frag in _IGNORED_FRAGMENTS):
-                frame = frame.f_back
-                continue
-            break
-        if frame is None:
-            return
-        # Reads made while the import machinery is on the stack are
-        # module-level initialisation of lazily imported libraries, not
-        # behaviour of the run under test — and whether they happen at
-        # all depends on which modules previous code already imported.
-        caller = frame
-        while caller is not None:
-            if caller.f_code.co_filename.startswith("<frozen importlib"):
-                return
-            caller = caller.f_back
-        filename = frame.f_code.co_filename.replace("\\", "/")
-        with self._mutex:
-            self.wall_clock_reads += 1
-            if any(frag in filename for frag in CLOCK_DISCIPLINED_FRAGMENTS):
-                self.reads.append(
-                    WallClockRead(func, filename, frame.f_lineno)
-                )
-
-    # -- install / uninstall -------------------------------------------
+        self._original = None
 
     def install(self) -> None:
-        real_time = _time.time
-        real_monotonic = _time.monotonic
-        real_sleep = _time.sleep
-        self._originals = {
-            "time": real_time,
-            "monotonic": real_monotonic,
-            "sleep": real_sleep,
-        }
-        patch = self
-
-        def patched_time() -> float:
-            patch._record_read("time.time")
-            return real_time()
-
-        def patched_monotonic() -> float:
-            patch._record_read("time.monotonic")
-            return real_monotonic()
+        real_sleep = self._original = _time.sleep
+        san = self._san
 
         def patched_sleep(seconds: float) -> None:
-            san = patch._san
-            if san is not None and seconds > 0:
+            if seconds > 0:
                 san.on_blocking_call(f"time.sleep({seconds:g})")
             real_sleep(seconds)
 
-        for shim in (patched_time, patched_monotonic, patched_sleep):
-            setattr(shim, PATCH_MARKER, True)
-        _time.time = patched_time
-        _time.monotonic = patched_monotonic
+        setattr(patched_sleep, PATCH_MARKER, True)
         _time.sleep = patched_sleep
 
     def uninstall(self) -> None:
-        if not self._originals:
-            return
-        _time.time = self._originals["time"]
-        _time.monotonic = self._originals["monotonic"]
-        _time.sleep = self._originals["sleep"]
-        self._originals = {}
+        if self._original is not None:
+            _time.sleep, self._original = self._original, None
 
 
 def time_functions_patched() -> bool:

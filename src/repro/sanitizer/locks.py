@@ -77,11 +77,6 @@ class LockOrderGraph:
             edge.count += 1
             edge.threads.add(thread_name)
 
-    def edges(self) -> List[LockEdge]:
-        """All recorded edges (stable order)."""
-        with self._mutex:
-            return [self._edges[k] for k in sorted(self._edges)]
-
     def cycles(self) -> List[List[str]]:
         """Every elementary cycle, canonicalised and deduplicated.
 
@@ -197,8 +192,6 @@ class LockTracker:
         self.blocking_under_lock: List[Tuple[str, Tuple[str, ...], str]] = []
         self.self_deadlocks: List[Tuple[str, str]] = []
         self.acquisitions = 0
-        #: every lock name acquired at least once (graph node universe).
-        self._names_seen: Set[str] = set()
 
     def _held(self) -> List[_HeldLock]:
         held = getattr(self._tls, "held", None)
@@ -224,12 +217,6 @@ class LockTracker:
         self._held().append(_HeldLock(lock, time.perf_counter_ns(), site))
         with self._mutex:
             self.acquisitions += 1
-            self._names_seen.add(lock.name)
-
-    def names_seen(self) -> Set[str]:
-        """Names of every lock acquired during the run."""
-        with self._mutex:
-            return set(self._names_seen)
 
     def on_released(self, lock: TrackedLock) -> None:
         held = self._held()

@@ -10,14 +10,11 @@ without a happens-before edge — no clocks needed.
 
 The tracker therefore keys accesses by *(pass epoch, object id)* and
 records the set of unit names and thread ids that touched each object.
-At the end of a pass:
-
-- a **model object** accessed by two or more units while the operator is
-  in parallel mode is a shared-model race (rule R004) — per-unit models
-  exist precisely so workers never share mutable state;
-- a **mutation of operator self-state** observed inside a parallel
-  ``compute_unit`` (detected by diffing the operator's ``__dict__``
-  around the call) is rule R005, the dynamic twin of lint rule L004.
+At the end of a pass, a **model object** accessed by two or more units
+while the operator is in parallel mode is a shared-model race (rule
+R004) — per-unit models exist precisely so workers never share mutable
+state.  Writes to operator self-state inside a compute method are lint
+rule L004's, statically, for every plugin.
 
 Unit-name sets make detection deterministic: the same config produces
 the same diagnostics whether or not the thread pool actually interleaved
@@ -48,17 +45,8 @@ class ModelRace:
     thread_count: int
 
 
-@dataclass
-class SelfMutation:
-    """Operator attribute(s) rebound during a parallel unit compute."""
-
-    operator: str
-    unit: str
-    attrs: Tuple[str, ...]
-
-
 class RaceTracker:
-    """Per-pass reader/writer sets over operator models and self-state."""
+    """Per-pass reader/writer sets over operator models."""
 
     def __init__(self) -> None:
         self._mutex = threading.Lock()
@@ -66,10 +54,7 @@ class RaceTracker:
         # that operator only; cleared in end_pass.
         self._models: Dict[Tuple[str, int], _ModelRecord] = {}
         self.model_races: List[ModelRace] = []
-        self.self_mutations: List[SelfMutation] = []
         self.model_accesses = 0
-
-    # -- model accesses -------------------------------------------------
 
     def on_model_access(self, op_name: str, parallel: bool,
                         unit_name: str, model_id: int) -> None:
@@ -97,13 +82,3 @@ class RaceTracker:
                         units=tuple(sorted(rec.units)),
                         thread_count=len(rec.threads),
                     ))
-
-    # -- self-state mutations -------------------------------------------
-
-    def on_self_mutation(self, op_name: str, unit_name: str,
-                         attrs: Tuple[str, ...]) -> None:
-        """Record operator ``__dict__`` changes seen around a unit call."""
-        with self._mutex:
-            self.self_mutations.append(SelfMutation(
-                operator=op_name, unit=unit_name, attrs=tuple(sorted(attrs)),
-            ))

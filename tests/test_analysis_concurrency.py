@@ -4,23 +4,20 @@ Each ``tests/data/concbad_s0XX.py`` fixture seeds exactly one
 concurrency defect; its golden file records the full ``check
 --concurrency`` JSON document.  On top of the golden comparisons this
 module exercises the inference machinery directly (guarded-by claims,
-annotations, suppression accounting, the lock-order graph) and pins two
-acceptance contracts: the full-repo analysis stays under three seconds,
-and the statically derived lock-order graph is a superset of the
-runtime-observed lockdep graph from a bounded quickstart run.
+annotations, suppression accounting), pins the full-repo analysis under
+three seconds, and keeps the four rule catalogs, the docs and what
+``check`` emits in step.
 """
 
 import json
 import pathlib
+import re
 import time
 
 import pytest
 
-from repro.analysis import (
-    analyze_concurrency,
-    render_concurrency_report,
-    static_lock_order_graph,
-)
+from repro.analysis import analyze_concurrency, render_concurrency_report
+from repro.analysis.concurrency import _SEVERITY as _S_SEVERITY
 from repro.cli import main
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -32,16 +29,48 @@ CONCBAD_FIXTURES = sorted(DATA_DIR.glob("concbad_*.py"))
 
 #: fixture stem -> the one S-rule it is built to trigger.
 EXPECTED_CODES = {
+    # A tie (one guarded write, one not) claims: S001 on line 14.
+    "concbad_s001_tie_vote": "S001",
     "concbad_s001_unguarded_write": "S001",
     "concbad_s002_unguarded_read": "S002",
     "concbad_s003_inconsistent_guard": "S003",
     "concbad_s004_check_then_act": "S004",
     "concbad_s005_bare_acquire": "S005",
-    "concbad_s006_lock_order_cycle": "S006",
     "concbad_s007_publish_then_mutate": "S007",
     "concbad_s008_percall_lock": "S008",
     "concbad_s009_callback_under_lock": "S009",
     "concbad_s010_stale_annotation": "S010",
+}
+
+
+#: Lock discipline kept: every guarded write locked, a locked write
+#: nested in a branch, and a class with no lock at all.
+CLEAN_SOURCES = {
+    "locked": (
+        "import threading\n"
+        "class Buffer:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self._rows = []\n"
+        "    def append(self, row):\n"
+        "        with self._lock:\n"
+        "            self._rows = self._rows + [row]\n"
+        "    def clear(self):\n"
+        "        with self._lock:\n"
+        "            self._rows = []\n"
+    ),
+    "nested": (
+        "class Buffer:\n"
+        "    def maybe(self, flag):\n"
+        "        if flag:\n"
+        "            with self._lock:\n"
+        "                self._rows = []\n"
+    ),
+    "plain": (
+        "class Plain:\n"
+        "    def set(self, v):\n"
+        "        self.value = v\n"
+    ),
 }
 
 
@@ -55,9 +84,7 @@ def test_every_rule_has_a_fixture():
     assert stems == set(EXPECTED_CODES), (
         "fixture set out of sync with EXPECTED_CODES"
     )
-    assert sorted(EXPECTED_CODES.values()) == [
-        f"S{i:03d}" for i in range(1, 11)
-    ]
+    assert sorted(set(EXPECTED_CODES.values())) == sorted(_S_SEVERITY)
 
 
 class TestSeededFixtures:
@@ -107,7 +134,9 @@ class TestRepoIsClean:
         model = analyze_concurrency([str(SRC_REPRO)])
         elapsed = time.monotonic() - start
         assert elapsed < 3.0, f"concurrency pass took {elapsed:.2f}s"
-        assert model.lock_names, "no locks discovered — scan went wrong"
+        assert any(ci.locks for fi in model.files for ci in fi.classes), (
+            "no locks discovered — scan went wrong"
+        )
 
 
 class TestGuardedByInference:
@@ -238,63 +267,14 @@ class TestGuardedByInference:
             "        with self._mu:\n"
             "            pass\n"
         ))
-        assert "C.custom" in model.lock_names
+        ci = model.files[0].classes[0]
+        assert ci.locks["_mu"].display == "C.custom"
 
-
-class TestLockOrderGraph:
-    def test_static_graph_shape(self):
-        model = analyze_concurrency([str(SRC_REPRO)])
-        graph = static_lock_order_graph(model)
-        assert set(graph) == {"locks", "edges"}
-        assert graph["locks"] == sorted(graph["locks"])
-        for edge in graph["edges"]:
-            assert len(edge) == 2
-
-    def test_nested_with_produces_edge(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._a = threading.Lock()\n"
-            "        self._b = threading.Lock()\n"
-            "    def go(self):\n"
-            "        with self._a:\n"
-            "            with self._b:\n"
-            "                pass\n"
-        )
-        model = analyze_concurrency([str(path)])
-        graph = static_lock_order_graph(model)
-        assert ["C._a", "C._b"] in graph["edges"]
-        assert model.diagnostics == []  # one direction only: no cycle
-
-    def test_superset_of_runtime_lockdep_graph(self):
-        """Acceptance: every lock name and nesting edge the quickstart
-        bounded run observes must already be in the static graph, so
-        the static and runtime analyses cannot silently drift apart."""
-        from repro.sanitizer import make_sanitizer, run_runtime_check
-
-        san = make_sanitizer()
-        run_runtime_check(
-            str(EXAMPLES_DIR / "quickstart_deployment.json"),
-            duration_s=5.0,
-            sanitizer=san,
-        )
-        runtime = san.lockdep_export()
-        assert runtime["locks"], "runtime run acquired no tracked locks"
-
-        static = static_lock_order_graph(
-            analyze_concurrency([str(SRC_REPRO)])
-        )
-        missing = set(runtime["locks"]) - set(static["locks"])
-        assert not missing, (
-            f"locks observed at runtime but unknown statically: {missing}"
-        )
-        static_edges = {tuple(e) for e in static["edges"]}
-        runtime_edges = {tuple(e) for e in runtime["edges"]}
-        assert runtime_edges <= static_edges, (
-            f"runtime-only edges: {runtime_edges - static_edges}"
-        )
+    @pytest.mark.parametrize("name", ["locked", "nested", "plain"])
+    def test_clean_sources(self, tmp_path, name):
+        """Lock discipline kept: no finding, and no stray claim."""
+        model = self.analyze(tmp_path, CLEAN_SOURCES[name])
+        assert model.diagnostics == []
 
 
 class TestSuppressions:
@@ -381,14 +361,13 @@ class TestCliIntegration:
             "--concurrency", str(DATA_DIR / "concbad_s002_unguarded_read.py"),
             "--format", "json",
         )
-        assert json.loads(out)["schema_version"] == 4
+        assert json.loads(out)["schema_version"] == 5
 
     def test_concurrency_report_text(self, capsys):
         code, out = run_check(capsys, "--concurrency", "--concurrency-report")
         assert code == 0
         assert "guarded-by" in out
         assert "Pusher.spill" in out
-        assert "lock-order" in out
 
     def test_concurrency_report_json(self, capsys):
         _, out = run_check(
@@ -428,18 +407,88 @@ class TestCliIntegration:
         assert "OperatorBase.breaker" in text
 
 
-class TestCatalogDrift:
-    def test_concurrency_codes_complete(self):
-        import re
+def _doc_rows():
+    """code -> the headings of the docs tables that carry a row for it."""
+    rows, heading = {}, ""
+    for line in (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text() \
+            .splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("# ")
+        m = re.match(r"\| `([WLSFR]\d{3})` \|", line)
+        if m:
+            rows.setdefault(m.group(1), []).append(heading)
+    return rows
 
-        src = (SRC_REPRO / "analysis" / "concurrency.py").read_text()
-        assert set(re.findall(r"\bS\d{3}\b", src)) >= {
+
+def _live_codes():
+    """Every code a pass can emit, from the four families' catalogs."""
+    from repro.analysis.astlint import LINT_CODES
+    from repro.sanitizer import RUNTIME_RULES
+
+    config_and_flow = set()
+    for src in SRC_REPRO.rglob("*.py"):
+        config_and_flow |= set(
+            re.findall(r"[\"']([WF]\d{3})[\"']", src.read_text())
+        )
+    return ({"L000", *LINT_CODES} | set(_S_SEVERITY) | set(RUNTIME_RULES)
+            | config_and_flow)
+
+
+class TestCatalogDrift:
+    """One catalog row per live code; a retired code is a row of the
+    Retired table only, and nothing emits it (codes are never reused)."""
+
+    RETIRED = "Retired codes"
+
+    def test_concurrency_codes_complete(self):
+        assert set(_S_SEVERITY) == {
             f"S{i:03d}" for i in range(1, 11)
-        }
+        } - {"S006"}
 
     def test_all_s_codes_documented(self):
-        import re
+        rows = _doc_rows()
+        assert all(code in rows for code in _S_SEVERITY)
 
-        catalog = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text()
-        documented = set(re.findall(r"\bS\d{3}\b", catalog))
-        assert documented >= {f"S{i:03d}" for i in range(1, 11)}
+    def test_every_live_code_is_one_catalog_row(self):
+        rows = _doc_rows()
+        live = _live_codes()
+        assert {"W001", "F013", "L002", "S010", "R010"} <= live
+        for code in sorted(live):
+            assert len(rows.get(code, ())) == 1, code
+            assert rows[code][0] != self.RETIRED, code
+        retired = {c for c, where in rows.items() if self.RETIRED in where}
+        assert retired >= {"L001", "L007", "R005", "R006", "R008", "R009",
+                           "S006"}
+        assert set(rows) == live | retired
+
+    def test_retired_codes_appear_only_in_the_retired_table(self):
+        rows = _doc_rows()
+        retired = {c for c, where in rows.items() if self.RETIRED in where}
+        doc = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text()
+        for line in doc.splitlines():
+            for code in retired & set(re.findall(r"\b[WLSFR]\d{3}\b", line)):
+                assert line.startswith(f"| `{code}` |"), (code, line)
+
+    def test_check_emits_no_retired_code(self, capsys):
+        """Over src/repro, every shipped spec and every tests/data
+        fixture, through all five passes at once."""
+        rows = _doc_rows()
+        retired = {c for c, where in rows.items() if self.RETIRED in where}
+        specs = sorted(
+            p for p in [*EXAMPLES_DIR.glob("*.json"), *DATA_DIR.glob("*.json")]
+            if not p.name.endswith(".golden.json")
+        )
+        argv = ["--lint", "--concurrency", str(SRC_REPRO), str(DATA_DIR)]
+        for path in [*specs, *sorted(EXAMPLES_DIR.glob("*.py"))]:
+            argv += ["--config", str(path)]
+        for path in specs:
+            argv += ["--flow", str(path)]
+        for path in [*EXAMPLES_DIR.glob("*.json"),
+                     DATA_DIR / "clean_deployment.json",
+                     DATA_DIR / "racy_deployment.json"]:
+            argv += ["--runtime", str(path)]
+        _, out = run_check(capsys, *argv, "--format", "json")
+        emitted = {d["code"] for d in json.loads(out)["diagnostics"]}
+        assert {"S001", "F001", "W001", "R004"} <= emitted
+        assert emitted <= _live_codes()
+        assert not emitted & retired

@@ -118,7 +118,7 @@ class TestCliIntegration:
             capsys, "--flow", str(DATA_DIR / "clean_deployment.json"),
             "--format", "json",
         )
-        assert json.loads(out)["schema_version"] == 4
+        assert json.loads(out)["schema_version"] == 5
 
     def test_flow_report_json(self, capsys):
         spec = EXAMPLES_DIR / "quickstart_deployment.json"

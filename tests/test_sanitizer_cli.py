@@ -45,7 +45,6 @@ class TestRuntimeCheck:
         code, out = run_check(capsys, "--runtime", str(RACY))
         assert code == 1
         assert "error R004" in out
-        assert "error R005" in out
         assert "runtime" in out  # event summary line
 
     def test_runtime_duration_flag(self, capsys):
@@ -114,7 +113,7 @@ class TestSchemaVersion:
             capsys, "--config", str(CLEAN), "--format", "json"
         )
         got = json.loads(out)
-        assert got["schema_version"] == 4
+        assert got["schema_version"] == 5
         assert "runtime" not in got  # only present for --runtime runs
 
     def test_nothing_to_do_mentions_runtime(self, capsys):

@@ -1,4 +1,4 @@
-"""Tests for unit-state race detection (R004/R005) on bounded runs."""
+"""Tests for unit-state race detection (R004) on bounded runs."""
 
 import pytest
 
@@ -51,20 +51,6 @@ class TestSharedModelRace:
             spec("shared_model", unit_mode="sequential"), duration_s=4.0
         )
         assert "R004" not in codes(result)
-
-
-class TestSelfStateMutation:
-    def test_r005_self_attribute_rebound(self):
-        result = run_runtime_check(spec("self_state"), duration_s=4.0)
-        assert codes(result) == ["R005"]
-        assert "last_unit_seen" in result.diagnostics[0].message
-        assert "4 unit(s)" in result.diagnostics[0].message
-
-    def test_sequential_self_state_not_flagged(self):
-        result = run_runtime_check(
-            spec("self_state", unit_mode="sequential"), duration_s=4.0
-        )
-        assert "R005" not in codes(result)
 
 
 class TestCleanRuns:
