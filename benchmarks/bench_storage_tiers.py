@@ -448,13 +448,10 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
             ref_dir.mkdir()
 
             def reference_flush():
-                data = {
-                    topic: {
-                        "ts": series.ts[: series.size].copy(),
-                        "val": series.val[: series.size].copy(),
-                    }
-                    for topic, series in reference._series.items()
-                }
+                data = {}
+                for topic in reference.topics():
+                    ts, val = reference.query(topic, 0, 2**62)
+                    data[topic] = {"ts": ts.copy(), "val": val.copy()}
                 return _ReferenceSegment.write(
                     ref_dir / "segment-000000-l0.seg", 0, LEVEL_RAW, data
                 )

@@ -126,7 +126,7 @@ class CacheSlab:
         """A fresh, empty :class:`SensorCache` on every row, in row
         order — call once per slab."""
         rings = []
-        for row in range(len(self.ts)):
+        for row in range(self.rows):
             cache = SensorCache.__new__(SensorCache)
             cache._init_on(self, row, interval_ns)
             rings.append(cache)
@@ -136,6 +136,11 @@ class CacheSlab:
     def capacity(self) -> int:
         """Readings each row retains."""
         return self.ts.shape[1]
+
+    @property
+    def rows(self) -> int:
+        """Rows of the matrices, the ones a ring left included."""
+        return len(self.ts)
 
     def oldest(self) -> Optional[int]:
         """Timestamp of the oldest retained reading (``None`` when empty);
@@ -263,6 +268,20 @@ class Column(NamedTuple):
     first: int            # a position of the column: its timestamp is the column's
 
 
+def first_arrivals(known, topics, timestamps) -> Dict[int, List[str]]:
+    """The topics of a write that ``known`` holds no row for, grouped by
+    the timestamp each first arrives at, in order of first arrival:
+    what is first heard together is written and read together."""
+    first: Dict[str, int] = {}
+    for topic, ts in zip(topics, timestamps):
+        if topic not in known and topic not in first:
+            first[topic] = ts
+    groups: Dict[int, List[str]] = {}
+    for topic, ts in first.items():
+        groups.setdefault(ts, []).append(topic)
+    return groups
+
+
 def plan_columns(
     caches: Sequence["SensorCache"], timestamps: Sequence[int]
 ) -> List[Column]:
@@ -278,6 +297,10 @@ def plan_columns(
     readings in the order a loop of scalar stores would.  Run before
     anything is stored; the plan is valid for as long as no planned
     slab's ``epoch`` moves.
+
+    A ring is anything with a ``slab`` and a ``row``, a slab anything
+    with ``rows``, ``bound``, ``epoch`` and ``move`` — the storage
+    backend's blocks are planned by this rule too.
     """
     positions: Dict[SensorCache, List[int]] = {}
     for i, cache in enumerate(caches):
@@ -301,7 +324,7 @@ def plan_columns(
     n = len(caches)
     for rings, pattern in homes:
         slab = rings[0].slab
-        rows = len(slab.ts)
+        rows = slab.rows
         for k in range(len(pattern)):
             index = [positions[rings[0]][k]] * rows  # rows no ring is on
             for ring in rings:
@@ -318,6 +341,22 @@ def plan_columns(
 def plan_is_current(columns: Sequence[Column]) -> bool:
     """Whether no planned slab has lost a ring since."""
     return all(col.slab.epoch == col.epoch for col in columns)
+
+
+def plan_fits(columns: Sequence[Column], timestamps: List[int]) -> bool:
+    """Whether ``columns`` still write a sequence of these timestamps:
+    the plan is current and each column's readings share one timestamp
+    (trivially, when the whole sequence does)."""
+    if not plan_is_current(columns):
+        return False
+    if timestamps.count(timestamps[0]) == len(timestamps):
+        return True
+    stamps = np.asarray(timestamps, dtype=np.int64)
+    for col in columns:
+        column = stamps if col.index is None else stamps[col.index]
+        if (column != stamps[col.first]).any():
+            return False
+    return True
 
 
 class CacheView:

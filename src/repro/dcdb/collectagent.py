@@ -21,8 +21,9 @@ from repro.dcdb.cache import (
     CacheSlab,
     Column,
     SensorCache,
+    first_arrivals,
     plan_columns,
-    plan_is_current,
+    plan_fits,
     register_cache_gauges,
     remember,
 )
@@ -199,8 +200,9 @@ class CollectAgent:
         The batch lands as columns — one per slab and timestamp, two
         NumPy writes each — by the write plan memoised for its topic
         sequence (:meth:`_write_plan`), re-planned when a planned slab
-        lost a ring or a column's readings no longer share a timestamp.
-        Storage takes the batch in one ``insert_columns`` loop.
+        lost a ring or a column's readings no longer share a timestamp
+        (:func:`plan_fits`).  Storage takes it the same way, by a plan of
+        its own over its blocks (``insert_columns``).
 
         Interval is unknown for remote sensors, so an ingest cache
         carries no ``interval_ns`` and a relative window over it is a
@@ -217,7 +219,7 @@ class CollectAgent:
             return
         key = tuple(topics)
         plan = self._plans.get(key)
-        if plan is None or not self._fits(plan, timestamps):
+        if plan is None or not plan_fits(plan, timestamps):
             plan = self._write_plan(topics, timestamps)
             remember(self._plans, key, plan)
         values = np.asarray(batch.values, dtype=np.float64)
@@ -227,38 +229,14 @@ class CollectAgent:
             col.slab.store_column(
                 ts, values if col.index is None else values[col.index]
             )
-        self._storage.insert_columns(topics, timestamps, batch.values)
-
-    @staticmethod
-    def _fits(plan: List[Column], timestamps) -> bool:
-        """Whether ``plan`` still writes a batch of these timestamps:
-        no planned slab lost a ring, and each column's readings share
-        one timestamp (trivially, when the whole batch does)."""
-        if not plan_is_current(plan):
-            return False
-        if timestamps.count(timestamps[0]) == len(timestamps):
-            return True
-        stamps = np.asarray(timestamps, dtype=np.int64)
-        for col in plan:
-            column = stamps if col.index is None else stamps[col.index]
-            if (column != stamps[col.first]).any():
-                return False
-        return True
+        self._storage.insert_columns(topics, timestamps, values)
 
     def _write_plan(self, topics, timestamps) -> List[Column]:
         """The columns of a batch (:func:`plan_columns`), once the topics
         it is the first to bring have rings: one slab per first-arrival
-        timestamp, for what is first heard together is written and read
-        together."""
+        timestamp (:func:`first_arrivals`)."""
         caches = self.caches
-        first: Dict[str, int] = {}
-        for topic, ts in zip(topics, timestamps):
-            if topic not in caches and topic not in first:
-                first[topic] = ts
-        groups: Dict[int, List[str]] = {}
-        for topic, ts in first.items():
-            groups.setdefault(ts, []).append(topic)
-        for group in groups.values():
+        for group in first_arrivals(caches, topics, timestamps).values():
             slab = CacheSlab(len(group), self._ingest_capacity(NS_PER_SEC))
             caches.update(zip(group, slab.rings()))
         return plan_columns([caches[topic] for topic in topics], timestamps)

@@ -43,7 +43,9 @@ reading through it and has the byte layout.
   exceeds ``flush_mb``, and records per topic the newest raw timestamp
   it ever sealed: a reading older than that floor is refused exactly
   like an out-of-order insert within one tier, which keeps timestamps
-  sorted *across* tiers.  The floor is stored in the index
+  sorted *across* tiers.  A flushed block is emptied in place and keeps
+  its newest timestamp as its order guard — that *is* the floor of its
+  rows; a row opened later starts at it.  The floor is stored in the index
   (``seal_ts``) and carried through every compaction, so it survives a
   restart even after the raw readings have become buckets and a
   Pusher's spill replay cannot land a reading twice.  A WMSEG01 rollup
@@ -654,7 +656,8 @@ class TieredStorageBackend(StorageBackend):
         directory: segment directory; reopening it replays every sealed
             segment (crash recovery).
         flush_mb: memory-tier budget; :meth:`maintain` seals the series
-            into a raw segment once :meth:`memory_bytes` exceeds it.
+            into a raw segment once :meth:`memory_bytes` — the chunks
+            allocated, not the readings held — exceeds it.
         rollup_after_ns: age at which raw segments are compacted into
             10-second aggregates (0 disables rollups).
         rollup_minute_after_ns: age at which 10s rollup segments are
@@ -697,7 +700,8 @@ class TieredStorageBackend(StorageBackend):
         self.replayed_points = self.store.total_points()
         #: topic -> newest raw timestamp ever sealed: the cross-tier
         #: ordering floor.  Readings older than their topic's seal are
-        #: refused exactly like an out-of-order insert within one tier.
+        #: refused exactly like an out-of-order insert within one tier:
+        #: a row opened for the topic starts with it as its newest.
         self._sealed: Dict[str, int] = {}
         for seg in self.store.segments:
             for topic, seal in zip(seg.topics, seg.seal_ts.tolist()):
@@ -709,39 +713,11 @@ class TieredStorageBackend(StorageBackend):
     # Inserts: the cross-tier ordering guard
     # ------------------------------------------------------------------
 
-    def insert(self, topic: str, timestamp: int, value: float) -> None:
-        floor = self._sealed.get(topic)
-        if floor is not None and timestamp < floor:
-            self.ooo_dropped += 1
-            return
-        super().insert(topic, timestamp, value)
-
-    def insert_columns(self, topics, timestamps, values) -> None:
-        sealed = self._sealed
-        if sealed:
-            keep = [
-                i for i, (topic, ts) in enumerate(zip(topics, timestamps))
-                if ts >= sealed.get(topic, ts)
-            ]
-            if len(keep) < len(topics):
-                self.ooo_dropped += len(topics) - len(keep)
-                topics = [topics[i] for i in keep]
-                timestamps = [timestamps[i] for i in keep]
-                values = [values[i] for i in keep]
-        super().insert_columns(topics, timestamps, values)
-
-    def insert_batch(self, topic: str, timestamps, values) -> None:
-        floor = self._sealed.get(topic)
-        if floor is not None and len(timestamps):
-            timestamps = np.asarray(timestamps, dtype=np.int64)
-            values = np.asarray(values, dtype=np.float64)
-            if len(timestamps) == len(values):
-                keep = timestamps >= floor
-                if not keep.all():
-                    self.ooo_dropped += int(len(timestamps) - keep.sum())
-                    timestamps = timestamps[keep]
-                    values = values[keep]
-        super().insert_batch(topic, timestamps, values)
+    def _floor(self, topic: str) -> Optional[int]:
+        # A flushed block keeps its newest timestamp, which is the floor
+        # of every row in it; this is for a topic with no row (a restart,
+        # a drop) or none left (an expiry).
+        return self._sealed.get(topic)
 
     # ------------------------------------------------------------------
     # Cross-tier queries
@@ -757,9 +733,9 @@ class TieredStorageBackend(StorageBackend):
             if len(ts):
                 parts.append((ts, val))
                 hit_tiers.add("rollup" if seg.level else "segment")
-        series = self._series.get(topic)
-        if series is not None:
-            ts, val = series.range(start_ts, end_ts)
+        row = self._series.get(topic)
+        if row is not None:
+            ts, val = row.slab.range(row.row, start_ts, end_ts)
             if len(ts):
                 parts.append((ts, val))
                 hit_tiers.add("memory")
@@ -820,23 +796,27 @@ class TieredStorageBackend(StorageBackend):
         """Seal every in-memory series into one raw segment.
 
         Returns the number of readings sealed (0 when the memory tier
-        is empty).  Sealed topics restart with fresh (empty) series;
-        their ordering guard moves into the cross-tier seal boundary.
+        is empty).  The sealed blocks are emptied in place: they keep
+        their rows, first chunk and newest timestamp — the seal floor of
+        every row — so write plans stay valid across the flush.
         """
-        topics = sorted(t for t, s in self._series.items() if s.size)
+        topics = sorted(t for t, row in self._series.items() if row.slab.size)
         if not topics:
             return 0
-        live = [self._series[topic] for topic in topics]
+        rows = [self._series[topic] for topic in topics]
+        parts = [
+            part for row in rows for part in row.slab.parts(row.row)
+        ]
         seg = self.store.write(
-            Columnar(topics, _bounds([s.size for s in live]), {
-                "ts": np.concatenate([s.ts[: s.size] for s in live]),
-                "val": np.concatenate([s.val[: s.size] for s in live]),
+            Columnar(topics, _bounds([row.slab.size for row in rows]), {
+                "ts": np.concatenate([ts for ts, _ in parts]),
+                "val": np.concatenate([val for _, val in parts]),
             }),
             LEVEL_RAW, created_ns=now_ns,
         )
         self._sealed.update(zip(topics, seg.seal_ts.tolist()))
-        for topic in topics:
-            del self._series[topic]
+        for block in dict.fromkeys(row.slab for row in rows):
+            block.empty()
         self.flush_count += 1
         return seg.points
 

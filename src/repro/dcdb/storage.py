@@ -3,132 +3,289 @@
 Stands in for the Apache Cassandra backend of DCDB.  It preserves the
 interfaces Wintermute relies on: per-sensor inserts keyed by topic, range
 queries over ``[start, end]`` timestamp intervals, newest-value lookups,
-and TTL-based expiry.  Data is held in per-sensor append-only column
-pairs (int64 timestamps / float64 values) with amortised O(1) appends and
-O(log N) range location via binary search.
+and TTL-based expiry.
+
+Readings are held in *blocks*, the way the sensor caches hold them in
+slabs: the topics first stored together (one batch's first arrivals)
+are the rows of ``ts[rows, w]`` / ``val[rows, w]`` chunk matrices whose
+rows advance in lock step — every live row holds the same timestamps at
+the same positions — so a batch lands as one column per block and
+timestamp, two NumPy writes each.  The lock-step rule is the caches'
+own (:func:`~repro.dcdb.cache.plan_columns`, a write plan memoised per
+topic sequence): a write that would break it first moves the rows that
+fall out of step into a fresh block, and a lone topic is a one-row
+block.  A block grows by appending a chunk as wide as the block so far
+(256, 256, 512, …), so no stored reading is copied to grow, a row spans
+O(log n) chunks, and a range query copies only when it spans two.
+Timestamps are located by binary search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import StorageError
+from repro.dcdb.cache import (
+    Column,
+    first_arrivals,
+    plan_columns,
+    plan_fits,
+    remember,
+)
 from repro.dcdb.sensor import SensorReading
 
+#: Readings per row of a block's first chunk; every later chunk is as
+#: wide as the block so far.
+CHUNK = 256
 
-class _Series:
-    """Growable column pair for one sensor."""
+#: Bytes one reading takes: an int64 timestamp and a float64 value.
+_READING_BYTES = 16
 
-    __slots__ = ("ts", "val", "size", "newest_ts")
 
-    _INITIAL = 256
+def _empty() -> Tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
-    def __init__(self) -> None:
-        self.ts = np.empty(self._INITIAL, dtype=np.int64)
-        self.val = np.empty(self._INITIAL, dtype=np.float64)
+
+def _joined(parts) -> Tuple[np.ndarray, np.ndarray]:
+    """``parts`` — (timestamps, values) pairs, oldest first — as one
+    pair, joined along the last axis: the part itself when there is
+    one, a copy otherwise."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return _empty()
+    return (
+        np.concatenate([ts for ts, _ in parts], axis=-1),
+        np.concatenate([val for _, val in parts], axis=-1),
+    )
+
+
+class _Row:
+    """A stored topic: row :attr:`row` of block :attr:`slab` (the name
+    :func:`~repro.dcdb.cache.plan_columns` reads a row's home by)."""
+
+    __slots__ = ("topic", "slab", "row")
+
+    def __init__(self, topic: str) -> None:
+        self.topic = topic
+
+    def _bind(self, block: "_Block", row: int) -> None:
+        self.slab = block
+        self.row = row
+        block.bound[row] = self
+
+    def alone(self) -> "_Block":
+        """This row's block, once the row is alone on it: a write of one
+        topic moves it out of a block it shares first."""
+        block = self.slab
+        if len(block.bound) > 1:
+            block = block.move([self])
+        return block
+
+
+class _Block:
+    """``rows`` stored topics advancing in lock step: chunk matrices,
+    one fill state and :attr:`epoch`, as a
+    :class:`~repro.dcdb.cache.CacheSlab` that grows instead of wrapping.
+
+    Every row — the ones a topic left included — holds the same
+    timestamps at the same positions, so ``size`` and ``newest`` are
+    plain ints here.  ``newest`` is the order guard: a column older than
+    it is refused, and it outlives :meth:`empty`, so after a flush it is
+    the seal floor of every row.  A row a topic left (moved, dropped)
+    stays allocated and keeps being written with the column, and
+    ``epoch`` moves, which is how a write plan learns it.
+    """
+
+    __slots__ = (
+        "rows", "chunks", "capacity", "firsts", "size", "newest", "epoch",
+        "bound", "_ts", "_val", "_start", "_end",
+    )
+
+    def __init__(self, rows: int, newest: Optional[int] = None) -> None:
+        self.rows = rows
+        #: ``(ts, val)`` matrix pairs of ``rows`` rows, oldest first.
+        self.chunks: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.capacity = 0  # readings per row the chunks have room for
+        self.newest = newest
+        #: Moves whenever a topic leaves one of the rows.
+        self.epoch = 0
+        #: row -> the topic stored in it; a row a topic left is absent.
+        self.bound: Dict[int, _Row] = {}
+        self._rewind()
+
+    def _rewind(self) -> None:
+        """Hold nothing: the next reading goes to position 0."""
         self.size = 0
-        #: ``ts[size - 1]`` as a Python int (``None`` when empty): the
-        #: order guard reads it without boxing a NumPy scalar.
-        self.newest_ts: Optional[int] = None
+        #: The first timestamp of each chunk that holds readings.
+        self.firsts: List[int] = []
+        # The chunk holding position ``size - 1`` and its positions.
+        self._ts = self._val = None
+        self._start = self._end = 0
 
-    def _grow(self, needed: int) -> None:
-        cap = len(self.ts)
-        while cap < needed:
-            cap *= 2
-        new_ts = np.empty(cap, dtype=np.int64)
-        new_val = np.empty(cap, dtype=np.float64)
-        new_ts[: self.size] = self.ts[: self.size]
-        new_val[: self.size] = self.val[: self.size]
-        self.ts, self.val = new_ts, new_val
+    def memory_bytes(self) -> int:
+        """What the live rows hold allocated."""
+        return len(self.bound) * self.capacity * _READING_BYTES
 
-    def append(self, timestamp: int, value: float) -> bool:
-        """Append one reading; returns False when it was dropped.
+    # ------------------------------------------------------------------
+    # Writing
+    # ------------------------------------------------------------------
 
-        Maintain time order: DCDB rejects out-of-order inserts at the
-        same key; we drop them silently like the sensor cache does.
-        """
-        newest = self.newest_ts
+    def _add_chunk(self) -> None:
+        width = self.capacity or CHUNK
+        self.chunks.append((
+            np.empty((self.rows, width), dtype=np.int64),
+            np.empty((self.rows, width), dtype=np.float64),
+        ))
+        self.capacity += width
+
+    def _enter(self, timestamp: int) -> None:
+        """Write on in the next chunk, its first reading at
+        ``timestamp``; the block grows when it has no next chunk."""
+        k = len(self.firsts)
+        if k == len(self.chunks):
+            self._add_chunk()
+        self._ts, self._val = self.chunks[k]
+        self._start = self._end
+        self._end += self._ts.shape[1]
+        self.firsts.append(timestamp)
+
+    def store_column(self, timestamp: int, values) -> bool:
+        """Append one reading to every row: ``values`` in row order (or
+        one value for all), all at ``timestamp``.  Returns False — and
+        stores nothing — for a column older than :attr:`newest`."""
+        newest = self.newest
         if newest is not None and timestamp < newest:
             return False
         size = self.size
-        if size == len(self.ts):
-            self._grow(size + 1)
-        self.ts[size] = timestamp
-        self.val[size] = value
-        self.newest_ts = timestamp
+        if size == self._end:
+            self._enter(timestamp)
+        at = size - self._start
+        self._ts[:, at] = timestamp
+        self._val[:, at] = values
         self.size = size + 1
+        self.newest = timestamp
         return True
 
-    def append_batch(self, timestamps: np.ndarray, values: np.ndarray) -> int:
-        """Append a batch under the same out-of-order-drop semantics as
-        scalar :meth:`append`; returns how many readings were stored.
+    def _extend(self, ts: np.ndarray, val: np.ndarray) -> None:
+        """Append the columns of ``ts`` / ``val`` (``[rows, n]``, or
+        ``[1, n]`` for every row): in order, none older than
+        :attr:`newest`."""
+        n = ts.shape[1]
+        done = 0
+        while done < n:
+            if self.size == self._end:
+                self._enter(int(ts[0, done]))
+            at = self.size - self._start
+            take = min(n - done, self._end - self.size)
+            self._ts[:, at:at + take] = ts[:, done:done + take]
+            self._val[:, at:at + take] = val[:, done:done + take]
+            self.size += take
+            done += take
+        if n:
+            self.newest = int(ts[0, -1])
 
-        An element survives only if it is >= every element stored before
-        it — both the series tail and any earlier batch element that was
-        itself kept.  Because any element larger than the running prefix
-        maximum is always kept, "kept running maximum" and "prefix
-        maximum" coincide, so the guard vectorises as one accumulated
-        maximum plus a tail comparison.
-        """
-        n = len(timestamps)
-        if n == 0:
-            return 0
-        keep = timestamps >= np.maximum.accumulate(timestamps)
+    def move(self, rows: List[_Row]) -> "_Block":
+        """Move ``rows`` — live rows of this block — together into a
+        fresh block with this one's chunk widths, readings and
+        :attr:`newest`, and return it; this block's ``epoch`` moves."""
+        block = _Block(len(rows), self.newest)
+        for _ in self.chunks:
+            block._add_chunk()
         if self.size:
-            keep &= timestamps >= self.newest_ts
-        if not keep.all():
-            timestamps = timestamps[keep]
-            values = values[keep]
-            n = len(timestamps)
-            if n == 0:
-                return 0
-        if self.size + n > len(self.ts):
-            self._grow(self.size + n)
-        self.ts[self.size : self.size + n] = timestamps
-        self.val[self.size : self.size + n] = values
-        self.size += n
-        self.newest_ts = int(timestamps[-1])
-        return n
+            index = np.array([row.row for row in rows], dtype=np.intp)
+            block._extend(*_joined(self.parts(index)))
+        for i, row in enumerate(rows):
+            del self.bound[row.row]
+            row._bind(block, i)
+        self.epoch += 1
+        return block
 
-    def range(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
-        lo = int(np.searchsorted(self.ts[: self.size], start, side="left"))
-        hi = int(np.searchsorted(self.ts[: self.size], end, side="right"))
-        return self.ts[lo:hi], self.val[lo:hi]
+    def empty(self) -> None:
+        """Hold nothing, keeping the first chunk and :attr:`newest`."""
+        del self.chunks[1:]
+        self.capacity = min(self.capacity, CHUNK)
+        self._rewind()
 
     def expire_before(self, cutoff: int) -> int:
-        """Drop readings older than ``cutoff``; returns how many.
+        """Drop the readings older than ``cutoff``; returns how many per
+        row.
 
-        When expiry leaves the buffers less than a quarter full the
-        column pair is reallocated at the next power-of-two fit, so
-        long-retention runs actually release the memory their TTL
-        sweeps free up instead of keeping peak-sized buffers forever.
+        The rest move to the front.  When that leaves the block less
+        than a quarter full its trailing chunks are released down to the
+        next power-of-two fit, so long-retention runs actually give back
+        the memory their TTL sweeps free up.
         """
-        lo = int(np.searchsorted(self.ts[: self.size], cutoff, side="left"))
-        if lo == 0:
+        if not self.size or self.firsts[0] >= cutoff:
             return 0
+        ts, val = _joined(self.parts(slice(None)))
+        lo = int(ts[0].searchsorted(cutoff))  # every row has the timestamps
         keep = self.size - lo
-        cap = len(self.ts)
-        if cap > self._INITIAL and keep < cap / 4:
-            new_cap = self._INITIAL
-            while new_cap < keep:
-                new_cap *= 2
-            new_ts = np.empty(new_cap, dtype=np.int64)
-            new_val = np.empty(new_cap, dtype=np.float64)
-            new_ts[:keep] = self.ts[lo : self.size]
-            new_val[:keep] = self.val[lo : self.size]
-            self.ts, self.val = new_ts, new_val
-        else:
-            self.ts[:keep] = self.ts[lo : self.size]
-            self.val[:keep] = self.val[lo : self.size]
-        self.size = keep
-        if not keep:
-            self.newest_ts = None
+        if self.capacity > CHUNK and keep < self.capacity / 4:
+            capacity = CHUNK
+            while capacity < keep:
+                capacity *= 2
+            del self.chunks[(capacity // CHUNK).bit_length():]
+            self.capacity = capacity
+        self._rewind()
+        if keep:
+            self._extend(ts[:, lo:], val[:, lo:])
         return lo
 
-    def memory_bytes(self) -> int:
-        return self.ts.nbytes + self.val.nbytes
+    # ------------------------------------------------------------------
+    # Reading
+    # ------------------------------------------------------------------
+
+    def parts(
+        self, row, first: int = 0, last: Optional[int] = None
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The readings of ``row`` — one row, or an index or a slice of
+        rows — in chunks ``first:last`` (default: to the newest), oldest
+        first."""
+        newest = len(self.firsts) - 1
+        if last is None:
+            last = newest + 1
+        out = []
+        for k in range(first, last):
+            ts, val = self.chunks[k]
+            if k < newest:  # full
+                out.append((ts[row], val[row]))
+            else:
+                n = self.size - self._start
+                out.append((ts[row, :n], val[row, :n]))
+        return out
+
+    def range(
+        self, row: int, start_ts: int, end_ts: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``row``'s readings in ``[start_ts, end_ts]``: views when they
+        lie in one chunk."""
+        # (The ndarray method: np.searchsorted's dispatch costs more
+        # than the search.)
+        firsts = self.firsts
+        if firsts and (firsts[-1] < start_ts or len(firsts) == 1):
+            # Nothing at or after start_ts before the newest chunk.
+            ts = self._ts[row, :self.size - self._start]
+            lo = ts.searchsorted(start_ts, "left")
+            hi = ts.searchsorted(end_ts, "right")
+            return ts[lo:hi], self._val[row, lo:hi]
+        ts, val = _joined(self.parts(
+            row, max(bisect_left(firsts, start_ts) - 1, 0),
+            bisect_right(firsts, end_ts),
+        ))
+        lo = ts.searchsorted(start_ts, "left")
+        hi = ts.searchsorted(end_ts, "right")
+        return ts[lo:hi], val[lo:hi]
+
+    def latest(self, row: int) -> Optional[SensorReading]:
+        if not self.size:
+            return None
+        return SensorReading(
+            self.newest, float(self._val[row, self.size - 1 - self._start])
+        )
 
 
 class StorageBackend:
@@ -140,77 +297,142 @@ class StorageBackend:
     """
 
     def __init__(self, ttl_ns: int = 0) -> None:
-        self._series: Dict[str, _Series] = {}
+        #: topic -> its row.
+        self._series: Dict[str, _Row] = {}
+        #: Write plans by topic sequence (see :meth:`insert_columns`).
+        self._plans: Dict[tuple, List[Column]] = {}
         self.ttl_ns = int(ttl_ns)
         self.insert_count = 0
         self.query_count = 0
         #: Readings refused for violating per-topic time order.
         self.ooo_dropped = 0
 
+    def _floor(self, topic: str) -> Optional[int]:
+        """The oldest timestamp a row opened for ``topic`` takes: none
+        here, a tiered backend's seal floor there."""
+        return None
+
+    def _open(self, topics: List[str], floor: Optional[int]) -> List[_Row]:
+        """Rows for ``topics``, together in a fresh block."""
+        block = _Block(len(topics), floor)
+        rows = [_Row(topic) for topic in topics]
+        for i, row in enumerate(rows):
+            row._bind(block, i)
+        self._series.update(zip(topics, rows))
+        return rows
+
+    def _row(self, topic: str) -> _Row:
+        row = self._series.get(topic)
+        if row is None:
+            (row,) = self._open([topic], self._floor(topic))
+        return row
+
+    def _blocks(self) -> List[_Block]:
+        """Every block a topic is stored in, once."""
+        return list(dict.fromkeys(row.slab for row in self._series.values()))
+
     # ------------------------------------------------------------------
     # Inserts
     # ------------------------------------------------------------------
 
     def insert(self, topic: str, timestamp: int, value: float) -> None:
-        """Insert one reading for ``topic``."""
-        series = self._series.get(topic)
-        if series is None:
-            series = self._series[topic] = _Series()
-        if series.append(timestamp, value):
-            self.insert_count += 1
-        else:
+        """Insert one reading for ``topic``.
+
+        Time order is kept per topic: DCDB rejects out-of-order inserts
+        at the same key; they are dropped and counted in
+        :attr:`ooo_dropped`, like the sensor cache does.
+        """
+        row = self._row(topic)
+        newest = row.slab.newest
+        if newest is not None and timestamp < newest:
             self.ooo_dropped += 1
+            return
+        row.alone().store_column(timestamp, value)
+        self.insert_count += 1
 
     def insert_columns(self, topics, timestamps, values) -> None:
-        """Insert readings given as three parallel columns, in order:
-        what :meth:`insert` does for each — same order, same
-        out-of-order drops — in one loop."""
-        series_of = self._series
-        get = series_of.get
+        """Insert readings given as three parallel columns (``topics`` and
+        ``timestamps`` lists), in order: what :meth:`insert` does for
+        each — same order, same out-of-order drops — as one column per
+        block and timestamp.
+
+        The write plan is memoised per topic sequence and re-planned when
+        a planned block lost a row or a column's readings no longer share
+        a timestamp; topics the batch is the first to bring get rows
+        first, one block per first-arrival timestamp (and seal floor).
+        """
+        if not len(topics):
+            return
+        key = tuple(topics)
+        plan = self._plans.get(key)
+        if plan is None or not plan_fits(plan, timestamps):
+            plan = self._write_plan(topics, timestamps)
+            remember(self._plans, key, plan)
+        values = np.asarray(values, dtype=np.float64)
         dropped = 0
-        for topic, ts, value in zip(topics, timestamps, values):
-            series = get(topic)
-            if series is None:
-                series = series_of[topic] = _Series()
-            size = series.size
-            if size and ts < series.newest_ts:
-                dropped += 1
-                continue
-            try:
-                series.ts[size] = ts
-            except IndexError:  # full: double, then write
-                series._grow(size + 1)
-                series.ts[size] = ts
-            series.val[size] = value
-            series.newest_ts = ts
-            series.size = size + 1
+        for col in plan:
+            block = col.slab
+            if not block.store_column(
+                timestamps[col.first],
+                values if col.index is None else values[col.index],
+            ):
+                dropped += len(block.bound)
         self.insert_count += len(topics) - dropped
         self.ooo_dropped += dropped
+
+    def _write_plan(self, topics, timestamps) -> List[Column]:
+        """The columns of a batch (:func:`plan_columns`), once the topics
+        it is the first to bring have rows: a block per first-arrival
+        timestamp, split by floor so each block starts at one."""
+        for group in first_arrivals(self._series, topics, timestamps).values():
+            floors: Dict[Optional[int], List[str]] = {}
+            for topic in group:
+                floors.setdefault(self._floor(topic), []).append(topic)
+            for floor, opened in floors.items():
+                self._open(opened, floor)
+        series = self._series
+        return plan_columns([series[topic] for topic in topics], timestamps)
 
     def insert_batch(
         self, topic: str, timestamps: np.ndarray, values: np.ndarray
     ) -> None:
-        """Insert a time-ordered batch for ``topic``."""
+        """Insert a batch for ``topic`` under the same out-of-order-drop
+        semantics as scalar :meth:`insert`.
+
+        An element survives only if it is >= every element stored before
+        it — both the topic's newest reading and any earlier batch
+        element that was itself kept.  Because any element larger than
+        the running prefix maximum is always kept, "kept running
+        maximum" and "prefix maximum" coincide, so the guard vectorises
+        as one accumulated maximum plus a newest comparison.
+        """
         if len(timestamps) != len(values):
             raise StorageError(
                 f"batch length mismatch: {len(timestamps)} != {len(values)}"
             )
-        series = self._series.get(topic)
-        if series is None:
-            series = self._series[topic] = _Series()
-        stored = series.append_batch(
-            np.asarray(timestamps, dtype=np.int64),
-            np.asarray(values, dtype=np.float64),
-        )
+        row = self._row(topic)
+        if not len(timestamps):
+            return
+        timestamps = np.asarray(timestamps, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        keep = timestamps >= np.maximum.accumulate(timestamps)
+        newest = row.slab.newest
+        if newest is not None:
+            keep &= timestamps >= newest
+        stored = int(keep.sum())
         self.insert_count += stored
         self.ooo_dropped += len(timestamps) - stored
+        if stored < len(timestamps):
+            timestamps, values = timestamps[keep], values[keep]
+        if stored:
+            row.alone()._extend(timestamps[None, :], values[None, :])
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def topics(self) -> List[str]:
-        """All topics with stored data."""
+        """All topics written to (and not dropped)."""
         return list(self._series.keys())
 
     def __contains__(self, topic: str) -> bool:
@@ -218,33 +440,31 @@ class StorageBackend:
 
     def count(self, topic: str) -> int:
         """Number of stored readings for ``topic`` (0 if unknown)."""
-        series = self._series.get(topic)
-        return series.size if series else 0
+        row = self._series.get(topic)
+        return row.slab.size if row else 0
 
     def query(
         self, topic: str, start_ts: int, end_ts: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Readings for ``topic`` in ``[start_ts, end_ts]``.
 
-        Returns (timestamps, values) array views, oldest first.  Unknown
-        topics yield empty arrays, matching a Cassandra empty result set.
+        Returns (timestamps, values), oldest first: views of the stored
+        arrays unless the range spans two chunks, so valid until an
+        expiry or a flush rewrites them.  Unknown topics yield empty
+        arrays, matching a Cassandra empty result set.
         """
         if start_ts > end_ts:
             raise StorageError(f"inverted range: {start_ts} > {end_ts}")
         self.query_count += 1
-        series = self._series.get(topic)
-        if series is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64)
-        return series.range(start_ts, end_ts)
+        row = self._series.get(topic)
+        if row is None:
+            return _empty()
+        return row.slab.range(row.row, start_ts, end_ts)
 
     def latest(self, topic: str) -> Optional[SensorReading]:
         """Most recent reading for ``topic``, or None."""
-        series = self._series.get(topic)
-        if series is None or series.size == 0:
-            return None
-        i = series.size - 1
-        return SensorReading(int(series.ts[i]), float(series.val[i]))
+        row = self._series.get(topic)
+        return None if row is None else row.slab.latest(row.row)
 
     def query_readings(
         self, topic: str, start_ts: int, end_ts: int
@@ -281,12 +501,11 @@ class StorageBackend:
             raise StorageError(f"unknown aggregate {op!r}")
         ts, val = self.query(topic, start_ts, end_ts)
         if len(ts) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64)
+            return _empty()
         bucket_idx = (ts - start_ts) // bucket_ns
         n_buckets = int(bucket_idx.max()) + 1
         counts = np.bincount(bucket_idx, minlength=n_buckets)
-        occupied = np.nonzero(counts)[0]
+        occupied = counts.nonzero()[0]
         bucket_ts = (start_ts + occupied * bucket_ns).astype(np.int64)
         if op == "count":
             return bucket_ts, counts[occupied].astype(np.float64)
@@ -294,11 +513,10 @@ class StorageBackend:
             sums = np.bincount(bucket_idx, weights=val, minlength=n_buckets)
             if op == "sum":
                 return bucket_ts, sums[occupied]
-            with np.errstate(invalid="ignore"):
-                means = sums[occupied] / counts[occupied]
-            return bucket_ts, means
+            # Occupied buckets count >= 1: no 0/0 to silence.
+            return bucket_ts, sums[occupied] / counts[occupied]
         # min/max: ufunc reduceat over bucket boundaries.
-        boundaries = np.searchsorted(bucket_idx, occupied, side="left")
+        boundaries = bucket_idx.searchsorted(occupied, side="left")
         reduced = reducers[op].reduceat(val, boundaries)
         return bucket_ts, reduced
 
@@ -307,23 +525,41 @@ class StorageBackend:
     # ------------------------------------------------------------------
 
     def expire(self, now_ns: int) -> int:
-        """Apply the TTL relative to ``now_ns``; returns dropped count."""
+        """Apply the TTL relative to ``now_ns``; returns dropped count.
+
+        A topic left with no reading takes any timestamp again — down to
+        its floor (:meth:`_floor`).
+        """
         if self.ttl_ns <= 0:
             return 0
         cutoff = now_ns - self.ttl_ns
-        return sum(s.expire_before(cutoff) for s in self._series.values())
+        dropped = 0
+        for block in self._blocks():
+            lo = block.expire_before(cutoff)
+            if lo:
+                dropped += lo * len(block.bound)
+                if not block.size:
+                    row = next(iter(block.bound.values()))
+                    block.newest = self._floor(row.topic)
+        return dropped
 
     def drop(self, topic: str) -> bool:
         """Delete an entire series; returns whether it existed."""
-        return self._series.pop(topic, None) is not None
+        row = self._series.pop(topic, None)
+        if row is None:
+            return False
+        block = row.slab
+        del block.bound[row.row]
+        block.epoch += 1
+        return True
 
     def memory_bytes(self) -> int:
-        """Total resident size of all series buffers."""
-        return sum(s.memory_bytes() for s in self._series.values())
+        """What the stored topics hold allocated: their rows' chunks."""
+        return sum(block.memory_bytes() for block in self._blocks())
 
     def total_readings(self) -> int:
         """Total stored readings across all topics."""
-        return sum(s.size for s in self._series.values())
+        return sum(row.slab.size for row in self._series.values())
 
     # ------------------------------------------------------------------
     # Persistence
@@ -338,12 +574,13 @@ class StorageBackend:
         series written.
         """
         arrays = {}
-        for i, (topic, series) in enumerate(sorted(self._series.items())):
+        for i, (topic, row) in enumerate(sorted(self._series.items())):
             arrays[f"topic_{i}"] = np.frombuffer(
                 topic.encode("utf-8"), dtype=np.uint8
             )
-            arrays[f"ts_{i}"] = series.ts[: series.size]
-            arrays[f"val_{i}"] = series.val[: series.size]
+            arrays[f"ts_{i}"], arrays[f"val_{i}"] = _joined(
+                row.slab.parts(row.row)
+            )
         np.savez_compressed(path, n_series=np.int64(len(self._series)),
                             **arrays)
         return len(self._series)

@@ -560,7 +560,9 @@ STORAGE = Section("storage", [
         "segment directory; reopening it replays every sealed segment "
         "(default: a fresh scratch directory)"),
     Key("flush_mb", POSITIVE, int(_arg(TieredStorageBackend, "flush_mb") * MIB),
-        "memory-tier budget: a sweep past it seals all series into a segment"),
+        "memory-tier budget, counted in allocated chunks (room for 256 "
+        "readings a topic at least), not readings held: a sweep past it "
+        "seals all series into a segment"),
     Key("flush_interval_s", POSITIVE,
         _arg(TieredStorageBackend, "maintenance_interval_ns"),
         "cadence of the maintenance sweep (flush check, rollups, retention)"),

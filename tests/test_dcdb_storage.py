@@ -241,5 +241,5 @@ class TestExpiryReclamation:
         s.insert_batch("/a", np.arange(n, dtype=np.int64), np.ones(n))
         s.expire(n + 100)  # expire everything
         assert s.count("/a") == 0
-        floor = 256 * (8 + 8)  # _Series._INITIAL int64+float64 pairs
+        floor = 256 * (8 + 8)  # the first chunk: storage.CHUNK int64+float64 pairs
         assert s.memory_bytes() == floor

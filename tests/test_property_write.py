@@ -18,13 +18,17 @@ reading one ``store`` at a time.
   its slab.  Four seeded mutations of ``dcdb/cache.py`` must fail it.
 - ``StorageBackend.insert_columns`` is ``insert`` per reading, on both
   backends, the tiered one below a seal floor included.
-- Exact counts on steady ticks, stated beforehand.
+- Exact counts on steady ticks, stated beforehand: no per-reading call,
+  and storage compiles no plan and allocates no block or chunk — on the
+  tick after a flush too; the tick that crosses a chunk boundary
+  allocates one chunk and copies no stored reading.
 - The ingest ring-growth bug: one off-cadence arrival no longer sizes a
   ring for life.
 """
 
 import inspect
 import tempfile
+import tracemalloc
 import types
 
 import numpy as np
@@ -42,6 +46,7 @@ from hypothesis.stateful import (
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb import Broker, CollectAgent
 from repro.dcdb import cache as cache_module
+from repro.dcdb import storage as storage_module
 from repro.dcdb.cache import SensorCache
 from repro.dcdb.mqtt import ReadingBatch
 from repro.dcdb.segments import TieredStorageBackend
@@ -385,7 +390,7 @@ def test_seeded_mutation_fails_the_machine(name):
 
 
 # ----------------------------------------------------------------------
-# Storage: one loop, the per-reading semantics
+# Storage: columns, the per-reading semantics
 # ----------------------------------------------------------------------
 
 TOPICS = ["/a", "/b", "/c"]
@@ -491,6 +496,97 @@ def test_a_steady_ingest_tick_makes_no_per_reading_call(monkeypatch):
         assert pusher.telemetry.gauge("cache_slab_count").value == 1
     assert dep.agent.telemetry.gauge("cache_slab_count").value == 1
     assert dep.agent.telemetry.gauge("cache_sensor_count").value == readings
+
+
+def count_storage_writes(monkeypatch):
+    """Per call, in lists: storage plan compiles, block and chunk
+    allocations, ``StorageBackend.insert``."""
+    calls = {"plans": [], "blocks": [], "chunks": [], "inserts": []}
+    count_calls(monkeypatch, StorageBackend, "_write_plan", calls["plans"])
+    count_calls(monkeypatch, storage_module._Block, "__init__", calls["blocks"])
+    count_calls(monkeypatch, storage_module._Block, "_add_chunk", calls["chunks"])
+    count_calls(monkeypatch, StorageBackend, "insert", calls["inserts"])
+    return calls
+
+
+def counts(calls):
+    return {name: len(made) for name, made in calls.items()}
+
+
+NO_WRITE_SETUP = {"plans": 0, "blocks": 0, "chunks": 0, "inserts": 0}
+
+
+def test_a_steady_ingest_tick_builds_nothing_in_storage(monkeypatch):
+    dep = build_deployment(ingest_fanin_spec())
+    dep.run(5)
+    calls = count_storage_writes(monkeypatch)
+    before = dep.agent.storage.insert_count
+    dep.run(3)
+    assert dep.agent.storage.insert_count - before == 3 * 592
+    # The parent: no plan and no block, but one _Series append per
+    # reading (592 a tick) in the insert_columns loop.
+    assert counts(calls) == NO_WRITE_SETUP
+
+
+def test_the_tick_after_a_flush_builds_nothing_in_storage(monkeypatch, tmp_path):
+    """A flush empties its blocks in place: rows, first chunk, plan and
+    order guard carry over, so the next write allocates nothing."""
+    spec = ingest_fanin_spec()
+    spec["storage"] = {
+        "tiers": "tiered", "dir": str(tmp_path),
+        "flush_mb": 1, "flush_interval_s": 5,  # 592 rows x 4 KiB > 1 MB
+    }
+    dep = build_deployment(spec)
+    storage = dep.agent.storage
+    calls = {}
+    flush = TieredStorageBackend.flush
+
+    def flush_then_count(self, *args):
+        sealed = flush(self, *args)
+        if not calls:  # count from the first flush on
+            calls.update(count_storage_writes(monkeypatch))
+        return sealed
+
+    monkeypatch.setattr(TieredStorageBackend, "flush", flush_then_count)
+    while not storage.flush_count:
+        dep.run(1)
+    dep.run(2)
+    assert storage.flush_count == 1
+    # The memory tier holds what came after the flush: in its tick, then
+    # one reading a tick.
+    assert StorageBackend.count(storage, first_topic(dep)) == 3
+    assert counts(calls) == NO_WRITE_SETUP
+
+
+def first_topic(dep):
+    return next(iter(dep.agent.storage._series))
+
+
+def test_crossing_a_chunk_allocates_one_and_copies_nothing(monkeypatch):
+    """Failing before: the tick that brought reading 257 doubled every
+    ``_Series`` (592 new 8 KiB pairs, their 4 KiB contents copied) —
+    5.06 MB traced against one 2.42 MB chunk here."""
+    dep = build_deployment(ingest_fanin_spec())
+    storage = dep.agent.storage
+    dep.run(1)
+    topic = first_topic(dep)
+    while storage.count(topic) < storage_module.CHUNK:
+        dep.run(1)
+    block = storage._series[topic].slab
+    assert block.rows == 592 and len(block.chunks) == 1
+    first = block.chunks[0]
+    calls = count_storage_writes(monkeypatch)
+    tracemalloc.start()
+    try:
+        dep.run(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert storage.count(topic) == storage_module.CHUNK + 1
+    assert counts(calls) == {**NO_WRITE_SETUP, "chunks": 1}
+    assert block.chunks[0] is first  # the stored readings stay where they are
+    chunk_bytes = 592 * storage_module.CHUNK * 16
+    assert peak < 1.5 * chunk_bytes, (peak, chunk_bytes)
 
 
 def test_inband_stores_one_ring_at_a_time_only_on_one_row_slabs(monkeypatch):

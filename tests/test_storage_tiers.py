@@ -199,6 +199,31 @@ class TestTieredBackend:
         assert names[0] in tiered
         assert names[0] in tiered.topics()
 
+    def test_unbound_base_query_reads_the_memory_tier_only(self, tmp_path):
+        """What ``benchmarks/e2e/oracle.py``'s ``_memory_tier`` relies
+        on: the base class's ``query`` on a tiered backend answers from
+        the memory tier — nothing once a flush emptied it — and
+        ``latest`` of a flushed topic falls through to the segments."""
+        tiered = TieredStorageBackend(tmp_path, flush_mb=64)
+        names = ["/r0/n0/power", "/r0/n1/power"]
+        for sec in range(5):
+            tiered.insert_columns(names, [sec * NS_PER_SEC] * 2, [1.0, 2.0])
+        ts, val = StorageBackend.query(tiered, names[1], 0, 2**62)
+        assert list(ts) == [sec * NS_PER_SEC for sec in range(5)]
+        assert list(val) == [2.0] * 5
+        newest = tiered.latest(names[1])
+        tiered.flush(5 * NS_PER_SEC)
+        for name in names:
+            ts, val = StorageBackend.query(tiered, name, 0, 2**62)
+            assert len(ts) == len(val) == 0
+            assert len(tiered.query(name, 0, 2**62)[0]) == 5
+        assert StorageBackend.latest(tiered, names[1]) is None
+        assert tiered.latest(names[1]) == newest
+        tiered.insert_columns(names, [5 * NS_PER_SEC] * 2, [3.0, 4.0])
+        ts, val = StorageBackend.query(tiered, names[1], 0, 2**62)
+        assert list(ts) == [5 * NS_PER_SEC] and list(val) == [4.0]
+        assert tiered.latest(names[1]) == (5 * NS_PER_SEC, 4.0)
+
     def test_restart_replays_segments(self, tmp_path):
         first = TieredStorageBackend(tmp_path, flush_mb=64)
         _fill(first, seconds=15)
