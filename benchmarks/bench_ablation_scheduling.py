@@ -20,36 +20,21 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core.operator import OperatorBase, OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
+from tests.hosts import RecordingHost
 
 N_UNITS = 64
 WINDOW = 50
 
 
-class _Host:
+class _Host(RecordingHost):
+    capacity = WINDOW + 8
+
     def __init__(self, n_units):
-        self.caches = {}
-        self.stored = []
+        super().__init__()
         rng = np.random.default_rng(0)
         for i in range(n_units):
-            cache = SensorCache(WINDOW + 8, interval_ns=NS_PER_SEC)
-            for k in range(WINDOW):
-                cache.store(k * NS_PER_SEC, float(rng.random()))
-            self.caches[f"/n{i:03d}/x"] = cache
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+            self.add_series(f"/n{i:03d}/x", rng.random(WINDOW))
 
 
 class StatsModelOp(OperatorBase):

@@ -378,10 +378,7 @@ def cmd_check(args) -> int:
 
     diags.sort(key=sort_key)
     counts = count_by_severity(diags)
-    fail_on = args.fail_on
-    if args.strict and fail_on == "error":
-        fail_on = "warning"  # --strict predates and implies --fail-on warning
-    failing = sum(counts[s] for s in _FAIL_LEVELS[fail_on])
+    failing = sum(counts[s] for s in _FAIL_LEVELS[args.fail_on])
     exit_code = 1 if failing else 0
     if args.format == "json":
         doc = {
@@ -572,10 +569,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--fail-on", choices=("error", "warning", "info"), default="error",
         help="lowest severity that fails the check (default error)",
-    )
-    p_check.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as failures (same as --fail-on warning)",
     )
     p_check.add_argument(
         "-q", "--quiet", action="store_true",

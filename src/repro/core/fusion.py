@@ -194,8 +194,6 @@ class FusedEngine:
 
     # Derived helpers reuse the real implementations over *this*
     # engine's query_relative, so channel topics stay visible to them.
-    window_values = QueryEngine.window_values
-    rate = QueryEngine.rate
     query_many_relative = QueryEngine.query_many_relative
     query_many_absolute = QueryEngine.query_many_absolute
 

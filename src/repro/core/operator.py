@@ -821,16 +821,20 @@ class OperatorBase:
                     self._m_breaker_trips.inc()
 
     def _store(self, ts: int, result: PassResult) -> None:
-        """The staged pass's sink: the host's caches, broker, storage."""
+        """The staged pass's sink: the host's caches, broker, storage —
+        the pass's readings, then the operator-level aggregates, each
+        one ``store_readings_batch``."""
         if self.host is None:
             return
-        if hasattr(self.host, "store_readings_batch"):
-            self.store_results_batch(ts, result)
-        else:
-            for sensor, value in self._output_columns(result):
-                self.host.store_reading(sensor, ts, value)
+        self.store_results_batch(ts, result)
         if self._operator_output_sensors:
-            self._store_operator_outputs(ts, result.results())
+            aggregates = self.compute_operator_outputs(ts, result.results())
+            outputs = SensorColumns.of([
+                (s, aggregates[s.name]) for s in self._operator_output_sensors
+                if aggregates.get(s.name) is not None
+            ])
+            if len(outputs):
+                self.host.store_readings_batch(ts, outputs)
 
     def store_results_batch(self, ts: int, result: PassResult) -> None:
         """Hand a whole pass's readings to the host in one call, as two
@@ -878,13 +882,6 @@ class OperatorBase:
             return SensorColumns(sensors, result.column_of(names[0]))
         stacked = np.stack([result.column_of(name) for name in names])
         return SensorColumns(sensors, stacked[index])
-
-    def _store_operator_outputs(self, ts: int, results: List[UnitResult]) -> None:
-        aggregates = self.compute_operator_outputs(ts, results)
-        for sensor in self._operator_output_sensors:
-            value = aggregates.get(sensor.name)
-            if value is not None:
-                self.host.store_reading(sensor, ts, float(value))
 
     def compute_operator_outputs(
         self, ts: int, results: List[UnitResult]

@@ -816,33 +816,3 @@ class QueryEngine:
                 timestamps[i, width - n:], values[i, width - n:] = row
             counts[i] = n
         return BatchWindow(plan.topics, values, timestamps, counts)
-
-    # ------------------------------------------------------------------
-    # Derived conveniences used by several plugins
-    # ------------------------------------------------------------------
-
-    def window_values(
-        self, topic: str, offset_ns: int, delta: bool = False
-    ) -> np.ndarray:
-        """Values of a relative window; with ``delta`` the per-interval
-        differences of a monotonic counter (one element shorter)."""
-        view = self.query_relative(topic, offset_ns)
-        values = view.values()
-        if delta:
-            return np.diff(values)
-        return values
-
-    def rate(self, topic: str, offset_ns: int) -> float:
-        """Average per-second rate of a monotonic counter over a window.
-
-        Returns NaN when fewer than two readings are available.
-        """
-        view = self.query_relative(topic, offset_ns)
-        if len(view) < 2:
-            return float("nan")
-        ts = view.timestamps()
-        val = view.values()
-        span_s = (int(ts[-1]) - int(ts[0])) / 1e9
-        if span_s <= 0:
-            return float("nan")
-        return float((val[-1] - val[0]) / span_s)

@@ -18,16 +18,21 @@ timestamp, observed gap — is the slab's, shared by every live row.  The
 invariant: **all live rows of a slab share one history of timestamps**.
 Storage follows the sampling group — sensors a host writes together (one
 monitoring plugin, one operator pass, one first-arrival batch) share a
-slab — so a pass lands as one column (:meth:`CacheSlab.store_column`,
-two NumPy writes) and a compiled query plan reads those rings with one
-index operation.  A write that would break the lock step (a scalar
-store, a batch or a clear on a shared slab; a column some rows miss or
-are brought to twice) first moves the rings that fall out of step into a
-fresh slab (:meth:`CacheSlab.move`) and bumps the ``epoch`` of the one
-they left.  :func:`plan_columns` is that rule for a whole write, the
-plan a host memoises per sequence of sensors.  A stand-alone
-``SensorCache(capacity)`` is a slab of one row, so every scalar path is
-what it was.
+slab — so a pass lands as one column (two NumPy writes) and a compiled
+query plan reads those rings with one index operation.
+
+The lock step is not the caches' alone: a :class:`LockStep` group —
+its members, ``epoch``, fill, newest timestamp, the order guard and the
+hand-over of members to a fresh group — is the base of a slab and of the
+storage backend's blocks, each a :class:`Member` of it.  A write that
+would break the lock step (a scalar store, a batch or a clear on a
+shared group; a column some rows miss or are brought to twice) first
+moves the members that fall out of step into a fresh group and bumps
+the ``epoch`` of the one they left.  :func:`plan_columns` is that rule
+for a whole write, and :func:`plan_write` / :func:`write_columns` are
+the one memoised writer every host's write path goes through.  A
+stand-alone ``SensorCache(capacity)`` is a slab of one row, so every
+scalar path is what it was.
 
 **Snapshot semantics.**  Views handed out by a :class:`SensorCache` are
 *snapshots*: the (at most two) window slices are materialised into one
@@ -71,37 +76,128 @@ def remember(memo: dict, key, plan, size: int = PLAN_MEMO_SIZE) -> None:
     memo[key] = plan
 
 
-class CacheSlab:
-    """``rows`` rings of one capacity advancing in lock step: two
-    matrices, one ring state, and :attr:`epoch`.
+class LockStep:
+    """``rows`` rows advancing in lock step, row -> :class:`Member` in
+    ``bound``: the group under a :class:`CacheSlab` and a storage block.
 
-    Every live row holds the same timestamps in the same slots, so head,
-    size, newest timestamp and observed gap are plain ints here, not on
-    the :class:`SensorCache` bound to each row.  A ring that leaves —
-    resized, written alone, missed by a column — moves into a fresh slab
-    and bumps ``epoch``, which is how a reader that indexes the matrices
-    by row number (``QueryPlan``, a host's write plan) learns that one of
-    the rows it remembered is no longer anybody's ring.  The row left
-    behind stays allocated for as long as any sibling keeps the slab
-    alive, and keeps being written with the column (its values are
-    whatever the writer passes).
+    Every live row holds the same timestamps in the same positions, so
+    ``size`` and ``newest`` are plain ints here.  ``newest`` is the order
+    guard (:meth:`stale`, :meth:`keep`).  A member that leaves (moved
+    out or dropped: :meth:`hand_over`) moves ``epoch``, which is how a
+    reader that indexes the rows by number (a write plan, a
+    ``QueryPlan``) learns it; the row left behind stays allocated and
+    keeps being written with the column.  A layout supplies
+    ``_append`` (one column), ``_extend`` (``[rows, n]`` columns, sets
+    ``newest``) and ``_copy`` (a fresh group holding some members'
+    readings and ``newest``).
     """
 
-    __slots__ = ("ts", "val", "epoch", "head", "size", "newest", "gap", "bound")
+    __slots__ = ("rows", "bound", "epoch", "size", "newest")
+
+    def __init__(self, rows: int, newest: Optional[int] = None) -> None:
+        self.rows = rows
+        self.bound: Dict[int, "Member"] = {}
+        self.epoch = 0
+        self.size = 0
+        self.newest = newest  # a Python int: read without boxing
+
+    def stale(self, timestamp: int) -> bool:
+        """Whether a column at ``timestamp`` is older than the newest
+        reading, and so refused (equal is in order)."""
+        newest = self.newest
+        return newest is not None and timestamp < newest
+
+    def keep(self, timestamps: np.ndarray) -> np.ndarray:
+        """Which of ``timestamps``, in order, one :meth:`stale` check each
+        would keep: those not older than the newest nor than the running
+        maximum (a reading not older than all before it is kept)."""
+        keep = timestamps >= np.maximum.accumulate(timestamps)
+        newest = self.newest
+        if newest is not None:
+            keep &= timestamps >= newest
+        return keep
+
+    def store_column(self, timestamp: int, values) -> bool:
+        """Append one reading to every row: ``values`` in row order (or
+        one for all), all at ``timestamp``; False for a stale column."""
+        if self.stale(timestamp):
+            self._refused()
+            return False
+        self._append(timestamp, values)
+        self.newest = timestamp
+        return True
+
+    def _refused(self) -> None:
+        """The layout's own count of a stale column."""
+
+    def move(self, members, *layout) -> "LockStep":
+        """Move live ``members`` together into a fresh group holding their
+        readings (``layout`` goes to ``_copy``) and return it."""
+        return self.hand_over(members, self._copy(members, *layout))
+
+    def hand_over(self, members, group: Optional["LockStep"] = None):
+        """Take ``members`` off their rows and bind them, in order, to
+        ``group``'s (``None``: drop them); ``epoch`` moves."""
+        for row, member in enumerate(members):
+            del self.bound[member.row]
+            if group is not None:
+                member._bind(group, row)
+        self.epoch += 1
+        return group
+
+
+class Member:
+    """Row :attr:`row` of the :class:`LockStep` group :attr:`slab`."""
+
+    __slots__ = ("slab", "row")
+
+    def _bind(self, group: LockStep, row: int) -> None:
+        self.slab = group
+        self.row = row
+        group.bound[row] = self
+
+    def alone(self) -> LockStep:
+        """This member's group, once it is alone on it: a write of one
+        member moves it out of a group it shares first."""
+        group = self.slab
+        if len(group.bound) > 1:
+            group = group.move([self])
+        return group
+
+    def _write(self, timestamp: int, value: float) -> bool:
+        """One reading of this member alone; False (nothing moved) when
+        stale."""
+        return not self.slab.stale(timestamp) and self.alone().store_column(
+            timestamp, value
+        )
+
+    def _write_batch(self, timestamps: np.ndarray, values: np.ndarray) -> int:
+        """What one :meth:`_write` each would store; returns how many
+        were refused."""
+        keep = self.slab.keep(timestamps)
+        kept = int(np.count_nonzero(keep))
+        if kept:
+            if kept < len(keep):
+                timestamps, values = timestamps[keep], values[keep]
+            self.alone()._extend(timestamps[None, :], values[None, :])
+        return len(keep) - kept
+
+
+class CacheSlab(LockStep):
+    """``rows`` rings of one capacity advancing in lock step: two
+    matrices, the next write slot ``head`` and the observed :attr:`gap`.
+    A ring that leaves (resized, written alone, missed by a column)
+    moves into a fresh slab."""
+
+    __slots__ = ("ts", "val", "head", "gap")
 
     def __init__(self, rows: int, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive: {capacity}")
+        super().__init__(rows)
         self.ts = np.zeros((rows, int(capacity)), dtype=np.int64)
         self.val = np.zeros((rows, int(capacity)), dtype=np.float64)
-        #: Moves whenever a ring leaves one of the rows.
-        self.epoch = 0
         self.head = 0  # index of the next write slot
-        self.size = 0
-        #: Timestamp of the newest retained reading (``None`` when
-        #: empty), a Python int so the order guard and the hosts'
-        #: cadence tracking read it without boxing a NumPy scalar.
-        self.newest: Optional[int] = None
         #: Smallest gap between two successive distinct timestamps, as
         #: measured by a host that cannot know the sensors' interval
         #: (the Collect Agent's ingest loop; :data:`NO_GAP` until it has
@@ -110,8 +206,6 @@ class CacheSlab:
         #: hold at most — the window itself stays a matter of timestamps
         #: (``interval_ns`` is the claim that turns it into a count).
         self.gap = NO_GAP
-        #: row -> the ring bound to it; a row whose ring left is absent.
-        self.bound: Dict[int, "SensorCache"] = {}
 
     @classmethod
     def sized_for(
@@ -137,11 +231,6 @@ class CacheSlab:
         """Readings each row retains."""
         return self.ts.shape[1]
 
-    @property
-    def rows(self) -> int:
-        """Rows of the matrices, the ones a ring left included."""
-        return len(self.ts)
-
     def oldest(self) -> Optional[int]:
         """Timestamp of the oldest retained reading (``None`` when empty);
         every row holds it, the rows a ring left included."""
@@ -157,39 +246,39 @@ class CacheSlab:
     # Writing
     # ------------------------------------------------------------------
 
-    def store_column(self, timestamp: int, values) -> None:
-        """Append one reading to every row: ``values`` in row order, all
-        at ``timestamp``.  A stale column (older than the newest
-        reading) is dropped and counts one drop on every live ring, as
-        one store per ring would."""
-        newest = self.newest
-        if newest is not None and timestamp < newest:
-            for ring in self.bound.values():
-                ring.stale_drops += 1
-            return
+    def _append(self, timestamp: int, values) -> None:
         head = self.head
         self.ts[:, head] = timestamp
         self.val[:, head] = values
-        self.newest = timestamp
         cap = self.ts.shape[1]
         self.head = (head + 1) % cap
         if self.size < cap:
             self.size += 1
+
+    def _refused(self) -> None:
+        # One drop on every live ring, as one store per ring would count.
+        for ring in self.bound.values():
+            ring.stale_drops += 1
+
+    def _extend(self, ts: np.ndarray, val: np.ndarray) -> None:
+        n = ts.shape[1]
+        cap = self.ts.shape[1]
+        keep = min(n, cap)  # a batch longer than the ring keeps its newest
+        self.head = (self.head + n) % cap
+        self.size = min(cap, self.size + n)
+        cols = self._newest_columns(keep)
+        self.ts[:, cols] = ts[:, n - keep:]
+        self.val[:, cols] = val[:, n - keep:]
+        self.newest = int(ts[0, -1])
 
     def _newest_columns(self, keep: int) -> np.ndarray:
         """Slots of the newest ``keep`` readings, oldest first."""
         cap = self.ts.shape[1]
         return (self.head + np.arange(cap - keep, cap)) % cap
 
-    def move(self, rings, capacity: Optional[int] = None) -> "CacheSlab":
-        """Move ``rings`` — live rows of this slab — together into a
-        fresh slab of ``capacity`` (default: this one's) and return it.
-
-        They keep their newest readings (all of them unless the new
-        capacity is smaller), the ring state and the observed gap; this
-        slab's ``epoch`` moves.  Refuses a capacity <= 0 before anything
-        has changed.
-        """
+    def _copy(self, rings, capacity: Optional[int] = None) -> "CacheSlab":
+        """A slab of ``capacity`` (default: this one's; <= 0 is refused)
+        holding the newest readings of ``rings``, ring state and gap."""
         capacity = self.capacity if capacity is None else int(capacity)
         slab = CacheSlab(len(rings), capacity)
         keep = min(self.size, capacity)
@@ -202,10 +291,6 @@ class CacheSlab:
         slab.size = keep
         slab.newest = self.newest
         slab.gap = self.gap
-        for row, ring in enumerate(rings):
-            del self.bound[ring.row]
-            ring._bind(slab, row)
-        self.epoch += 1
         return slab
 
     def grow(self, capacity: int) -> None:
@@ -258,12 +343,12 @@ def register_cache_gauges(telemetry, caches: Dict[str, "SensorCache"]) -> None:
 
 
 class Column(NamedTuple):
-    """One column of a write plan: ``slab`` takes the readings at
-    positions ``index`` of the written sequence, one per row in row
-    order (``None``: the sequence *is* the slab's rows, in order)."""
+    """One column of a write plan: the group ``slab`` takes the readings
+    at positions ``index`` of the written sequence, one per row in row
+    order (``None``: the sequence *is* the group's rows, in order)."""
 
-    slab: CacheSlab
-    epoch: int            # the slab's when planned: a ring leaving moves it
+    slab: LockStep
+    epoch: int            # the group's when planned: a member leaving moves it
     index: Optional[np.ndarray]
     first: int            # a position of the column: its timestamp is the column's
 
@@ -283,29 +368,26 @@ def first_arrivals(known, topics, timestamps) -> Dict[int, List[str]]:
 
 
 def plan_columns(
-    caches: Sequence["SensorCache"], timestamps: Sequence[int]
+    caches: Sequence[Member], timestamps: Sequence[int]
 ) -> List[Column]:
     """How reading ``i`` — for ``caches[i]`` at ``timestamps[i]`` — is
-    written, as columns that keep every slab in lock step.
+    written, as columns that keep every group in lock step.
 
-    Per slab, its live rings are grouped by the timestamps this write
-    brings them, in order (none, for a ring it misses).  The largest
-    group stays (the first of equals; the missed rings count last);
-    every other group moves together into a fresh slab.  Each group then
-    takes one column per timestamp it was brought — a ring's ``k``-th
-    reading in its group's ``k``-th column, so each ring sees its
-    readings in the order a loop of scalar stores would.  Run before
-    anything is stored; the plan is valid for as long as no planned
-    slab's ``epoch`` moves.
-
-    A ring is anything with a ``slab`` and a ``row``, a slab anything
-    with ``rows``, ``bound``, ``epoch`` and ``move`` — the storage
-    backend's blocks are planned by this rule too.
+    Per group, its live members are grouped by the timestamps this
+    write brings them, in order (none, for a member it misses).  The
+    largest group stays (the first of equals; the missed members count
+    last); every other group moves together into a fresh one.  Each
+    group then takes one column per timestamp it was brought — a
+    member's ``k``-th reading in its group's ``k``-th column, so each
+    sees its readings in the order a loop of scalar stores would.  Run
+    before anything is stored; the plan is valid for as long as no
+    planned group's ``epoch`` moves.  The rule of every layout: ring
+    slabs and the storage backend's blocks alike.
     """
-    positions: Dict[SensorCache, List[int]] = {}
+    positions: Dict[Member, List[int]] = {}
     for i, cache in enumerate(caches):
         positions.setdefault(cache, []).append(i)
-    by_slab: Dict[CacheSlab, Dict[tuple, List[SensorCache]]] = {}
+    by_slab: Dict[LockStep, Dict[tuple, List[Member]]] = {}
     for cache, where in positions.items():
         pattern = tuple(timestamps[i] for i in where)
         by_slab.setdefault(cache.slab, {}).setdefault(pattern, []).append(cache)
@@ -338,17 +420,13 @@ def plan_columns(
     return columns
 
 
-def plan_is_current(columns: Sequence[Column]) -> bool:
-    """Whether no planned slab has lost a ring since."""
-    return all(col.slab.epoch == col.epoch for col in columns)
-
-
 def plan_fits(columns: Sequence[Column], timestamps: List[int]) -> bool:
     """Whether ``columns`` still write a sequence of these timestamps:
-    the plan is current and each column's readings share one timestamp
-    (trivially, when the whole sequence does)."""
-    if not plan_is_current(columns):
-        return False
+    no planned group lost a member since, and each column's readings
+    share one timestamp (trivially, when the whole sequence does)."""
+    for col in columns:  # (a loop: no generator to build on every write)
+        if col.slab.epoch != col.epoch:
+            return False
     if timestamps.count(timestamps[0]) == len(timestamps):
         return True
     stamps = np.asarray(timestamps, dtype=np.int64)
@@ -357,6 +435,48 @@ def plan_fits(columns: Sequence[Column], timestamps: List[int]) -> bool:
         if (column != stamps[col.first]).any():
             return False
     return True
+
+
+class WritePlan(NamedTuple):
+    """How a host writes one sequence (of topics): its columns."""
+
+    seq: tuple
+    columns: List[Column]
+
+
+def plan_write(plans: dict, compile, seq: tuple, timestamps: List[int], key=None):
+    """The plan ``plans`` holds for ``seq`` under ``key`` (default:
+    ``seq``) while it was made for it and fits ``timestamps``, else
+    ``compile(seq, timestamps)`` — the host's: rows opened for what
+    ``seq`` brings first, a plan with ``seq`` and ``columns`` — kept."""
+    if key is None:
+        key = seq
+    plan = plans.get(key)
+    if (
+        plan is None
+        or (key is not seq and plan.seq != seq)
+        or not plan_fits(plan.columns, timestamps)
+    ):
+        plan = compile(seq, timestamps)
+        remember(plans, key, plan)
+    return plan
+
+
+def write_columns(columns, timestamps, values: np.ndarray, advance=None) -> int:
+    """Store ``values`` (float64, in sequence order) by a plan's
+    ``columns``, each seen first by ``advance(group, timestamp)`` when
+    given; returns the readings refused as stale."""
+    refused = 0
+    for col in columns:
+        ts = timestamps[col.first]
+        group = col.slab
+        if advance is not None:
+            advance(group, ts)
+        if not group.store_column(
+            ts, values if col.index is None else values[col.index]
+        ):
+            refused += len(group.bound)
+    return refused
 
 
 class CacheView:
@@ -471,7 +591,7 @@ class CacheView:
         return view
 
 
-class SensorCache:
+class SensorCache(Member):
     """Fixed-capacity ring buffer of readings for one sensor: one row
     (:attr:`row`) of a :class:`CacheSlab` (:attr:`slab`), whose ring
     state it reads through.
@@ -485,17 +605,15 @@ class SensorCache:
             views.  When 0, relative views fall back to binary search.
     """
 
-    __slots__ = ("slab", "row", "_ts", "_val", "interval_ns", "stale_drops")
+    __slots__ = ("_ts", "_val", "interval_ns", "stale_drops")
 
     def __init__(self, capacity: int, interval_ns: int = 0):
         self._init_on(CacheSlab(1, capacity), 0, interval_ns)
 
     def _bind(self, slab: CacheSlab, row: int) -> None:
-        self.slab = slab
-        self.row = row
-        self._ts = slab.ts[row]
+        super()._bind(slab, row)
+        self._ts = slab.ts[row]  # the row's views, for the readers
         self._val = slab.val[row]
-        slab.bound[row] = self
 
     def _init_on(self, slab: CacheSlab, row: int, interval_ns: int) -> None:
         self._bind(slab, row)
@@ -553,14 +671,6 @@ class SensorCache:
     def _size(self) -> int:  # what the Query Engine's window check reads
         return self.slab.size
 
-    def _alone(self) -> CacheSlab:
-        """This ring's slab, once the ring is alone on it: a ring-by-ring
-        write moves it out of a slab it shares first."""
-        slab = self.slab
-        if len(slab.bound) > 1:
-            slab = slab.move([self])
-        return slab
-
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -568,72 +678,22 @@ class SensorCache:
     def store(self, timestamp: int, value: float) -> None:
         """Append one reading.  Timestamps must be non-decreasing; stale
         (out-of-order) readings are dropped, matching DCDB semantics."""
-        newest = self.slab.newest
-        if newest is not None and timestamp < newest:
+        if not self._write(timestamp, value):
             self.stale_drops += 1
-            return
-        slab = self._alone()
-        head = slab.head
-        self._ts[head] = timestamp
-        self._val[head] = value
-        slab.newest = timestamp
-        cap = len(self._ts)
-        slab.head = (head + 1) % cap
-        if slab.size < cap:
-            slab.size += 1
 
-    def store_reading(self, reading: SensorReading) -> None:
-        """Append one :class:`SensorReading`."""
-        self.store(reading.timestamp, reading.value)
-
-    def store_batch(self, timestamps: np.ndarray, values: np.ndarray) -> None:
-        """Append many readings at once (already time-ordered).
-
-        The same non-decreasing-timestamp invariant as :meth:`store`
-        applies: any prefix of the batch older than the newest retained
-        reading is dropped, so a stale batch can never corrupt the
-        sorted timestamp order that :meth:`view_absolute`'s binary
-        search relies on.
-        """
-        n = len(timestamps)
-        if n == 0:
-            return
-        newest = self.slab.newest
-        if newest is not None:
-            stale = int(np.searchsorted(timestamps, newest, side="left"))
-            if stale:
-                self.stale_drops += stale
-                timestamps = timestamps[stale:]
-                values = values[stale:]
-                n -= stale
-                if n == 0:
-                    return
-        slab = self._alone()
-        ts, val = self._ts, self._val
-        cap = len(ts)
-        slab.newest = int(timestamps[-1])
-        if n >= cap:
-            # Only the newest `cap` readings survive; write them aligned
-            # to the start of the buffer.
-            ts[:] = timestamps[n - cap:]
-            val[:] = values[n - cap:]
-            slab.head = 0
-            slab.size = cap
-            return
-        head = slab.head
-        first = min(n, cap - head)
-        ts[head:head + first] = timestamps[:first]
-        val[head:head + first] = values[:first]
-        rest = n - first
-        if rest:
-            ts[:rest] = timestamps[first:]
-            val[:rest] = values[first:]
-        slab.head = (head + n) % cap
-        slab.size = min(cap, slab.size + n)
+    def store_batch(self, timestamps, values) -> None:
+        """Append many readings at once, in order: what one :meth:`store`
+        each would keep and drop, so a stale or unsorted batch can never
+        corrupt the sorted timestamp order that :meth:`view_absolute`'s
+        binary search relies on."""
+        self.stale_drops += self._write_batch(
+            np.asarray(timestamps, dtype=np.int64),
+            np.asarray(values, dtype=np.float64),
+        )
 
     def clear(self) -> None:
         """Drop all readings."""
-        slab = self._alone()
+        slab = self.alone()
         slab.head = 0
         slab.size = 0
         slab.newest = None
@@ -733,10 +793,6 @@ class SensorCache:
             np.concatenate((ts[start:], ts[:head])),
             np.concatenate((val[start:], val[:head])),
         )
-
-    def view_latest(self) -> CacheView:
-        """View containing only the most recent reading."""
-        return self._tail_view(1)
 
     def view_relative(self, offset_ns: int) -> CacheView:
         """Readings within ``offset_ns`` of the newest reading.

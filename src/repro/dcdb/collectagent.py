@@ -19,13 +19,13 @@ import numpy as np
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import (
     CacheSlab,
-    Column,
     SensorCache,
+    WritePlan,
     first_arrivals,
     plan_columns,
-    plan_fits,
+    plan_write,
     register_cache_gauges,
-    remember,
+    write_columns,
 )
 from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
 from repro.dcdb.restapi import RestApi, RestResponse
@@ -82,7 +82,7 @@ class CollectAgent:
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
         #: Write plans by topic sequence (see ``_ingest``).
-        self._plans: Dict[tuple, List[Column]] = {}
+        self._plans: Dict[tuple, WritePlan] = {}
         self.rest = RestApi()
         self.telemetry = MetricRegistry()
         self._m_forwarded = self.telemetry.counter("forwarded_readings_total")
@@ -199,10 +199,9 @@ class CollectAgent:
 
         The batch lands as columns — one per slab and timestamp, two
         NumPy writes each — by the write plan memoised for its topic
-        sequence (:meth:`_write_plan`), re-planned when a planned slab
-        lost a ring or a column's readings no longer share a timestamp
-        (:func:`plan_fits`).  Storage takes it the same way, by a plan of
-        its own over its blocks (``insert_columns``).
+        sequence (:func:`plan_write`, compiled by :meth:`_write_plan`).
+        Storage takes it the same way, by a plan of its own over its
+        blocks (``insert_columns``).
 
         Interval is unknown for remote sensors, so an ingest cache
         carries no ``interval_ns`` and a relative window over it is a
@@ -217,21 +216,13 @@ class CollectAgent:
         topics, timestamps = batch.topics, batch.timestamps
         if not len(topics):
             return
-        key = tuple(topics)
-        plan = self._plans.get(key)
-        if plan is None or not plan_fits(plan, timestamps):
-            plan = self._write_plan(topics, timestamps)
-            remember(self._plans, key, plan)
+        topics = tuple(topics)
+        plan = plan_write(self._plans, self._write_plan, topics, timestamps)
         values = np.asarray(batch.values, dtype=np.float64)
-        for col in plan:
-            ts = timestamps[col.first]
-            self._advance(col.slab, ts)
-            col.slab.store_column(
-                ts, values if col.index is None else values[col.index]
-            )
+        write_columns(plan.columns, timestamps, values, self._advance)
         self._storage.insert_columns(topics, timestamps, values)
 
-    def _write_plan(self, topics, timestamps) -> List[Column]:
+    def _write_plan(self, topics: tuple, timestamps) -> WritePlan:
         """The columns of a batch (:func:`plan_columns`), once the topics
         it is the first to bring have rings: one slab per first-arrival
         timestamp (:func:`first_arrivals`)."""
@@ -239,7 +230,9 @@ class CollectAgent:
         for group in first_arrivals(caches, topics, timestamps).values():
             slab = CacheSlab(len(group), self._ingest_capacity(NS_PER_SEC))
             caches.update(zip(group, slab.rings()))
-        return plan_columns([caches[topic] for topic in topics], timestamps)
+        return WritePlan(
+            topics, plan_columns([caches[topic] for topic in topics], timestamps)
+        )
 
     def _advance(self, slab: CacheSlab, ts: int) -> None:
         """Track the cadence of ``slab`` and size it for a column at
@@ -255,13 +248,12 @@ class CollectAgent:
         reason to grow it a thousandfold; it grows again when the
         reading a store would evict is still inside the window.
         """
+        if slab.stale(ts):
+            return  # a stale column is dropped: it says nothing
+        # (Nor does a duplicate, or the first arrival, of cadence.)
         newest = slab.newest
-        if newest is not None:
-            if ts < newest:
-                return  # a stale column is dropped: it says nothing
-            # (Nor does a duplicate, or the first arrival, of cadence.)
-            if ts > newest and ts - newest < slab.gap:
-                slab.gap = ts - newest
+        if newest is not None and 0 < ts - newest < slab.gap:
+            slab.gap = ts - newest
         needed = self._ingest_capacity(slab.gap)
         if needed > slab.capacity:
             oldest = slab.oldest()

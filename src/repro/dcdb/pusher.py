@@ -30,9 +30,9 @@ from repro.dcdb.cache import (
     Column,
     SensorCache,
     plan_columns,
-    plan_is_current,
+    plan_write,
     register_cache_gauges,
-    remember,
+    write_columns,
 )
 from repro.dcdb.mqtt import Broker, Message, ReadingBatch
 from repro.dcdb.plugins.base import MonitoringPlugin
@@ -47,7 +47,7 @@ from repro.telemetry import Histogram, MetricRegistry, register_metrics_route
 class _WritePlan(NamedTuple):
     """How one sequence of sensors is stored and published."""
 
-    sensors: tuple
+    seq: tuple                       # the sensors
     columns: List[Column]
     topics: Tuple[str, ...]          # of the published sensors, in order
     published: Optional[np.ndarray]  # their positions; None: all of them
@@ -240,21 +240,21 @@ class Pusher:
         sensors = columns.sensors
         if not sensors:
             return
-        key = (id(sensors[0]), len(sensors))
-        plan = self._plans.get(key)
-        if plan is None or plan.sensors != sensors or not plan_is_current(plan.columns):
-            plan = self._write_plan(sensors)
-            remember(self._plans, key, plan)
+        stamps = [ts] * len(sensors)
+        plan = plan_write(
+            self._plans, self._write_plan, sensors, stamps,
+            key=(id(sensors[0]), len(sensors)),
+        )
         values = columns.values
-        for col in plan.columns:
-            col.slab.store_column(ts, values if col.index is None else values[col.index])
+        write_columns(plan.columns, stamps, values)
         topics = plan.topics
         if topics:
             if plan.published is not None:
                 values = values[plan.published]
-            self._publish_batch(ReadingBatch(topics, [ts] * len(topics), values.tolist()))
+                stamps = stamps[:len(topics)]
+            self._publish_batch(ReadingBatch(topics, stamps, values.tolist()))
 
-    def _write_plan(self, sensors: tuple) -> "_WritePlan":
+    def _write_plan(self, sensors: tuple, timestamps) -> "_WritePlan":
         """Where a pass of ``sensors`` lands: caches for the sensors that
         have none yet — operator outputs, registered with the host cache
         window the first time they are written, one slab per interval
@@ -269,7 +269,7 @@ class Pusher:
             self._allocate_caches(group, interval)
         caches = self.caches
         columns = plan_columns(
-            [caches[sensor.topic] for sensor in sensors], [0] * len(sensors)
+            [caches[sensor.topic] for sensor in sensors], timestamps
         )
         published = [i for i, sensor in enumerate(sensors) if sensor.publish]
         return _WritePlan(

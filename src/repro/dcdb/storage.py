@@ -5,19 +5,21 @@ interfaces Wintermute relies on: per-sensor inserts keyed by topic, range
 queries over ``[start, end]`` timestamp intervals, newest-value lookups,
 and TTL-based expiry.
 
-Readings are held in *blocks*, the way the sensor caches hold them in
-slabs: the topics first stored together (one batch's first arrivals)
-are the rows of ``ts[rows, w]`` / ``val[rows, w]`` chunk matrices whose
-rows advance in lock step — every live row holds the same timestamps at
-the same positions — so a batch lands as one column per block and
-timestamp, two NumPy writes each.  The lock-step rule is the caches'
-own (:func:`~repro.dcdb.cache.plan_columns`, a write plan memoised per
-topic sequence): a write that would break it first moves the rows that
-fall out of step into a fresh block, and a lone topic is a one-row
-block.  A block grows by appending a chunk as wide as the block so far
-(256, 256, 512, …), so no stored reading is copied to grow, a row spans
-O(log n) chunks, and a range query copies only when it spans two.
-Timestamps are located by binary search.
+Readings are held in *blocks*, the second layout of the caches'
+lock-step group (:class:`~repro.dcdb.cache.LockStep`): the topics first
+stored together (one batch's first arrivals) are the rows of
+``ts[rows, w]`` / ``val[rows, w]`` chunk matrices whose rows advance in
+lock step — every live row holds the same timestamps at the same
+positions — so a batch lands as one column per block and timestamp, two
+NumPy writes each, through the hosts' one memoised writer.  Membership,
+the order guard and the hand-over are the group's: a write that would
+break the lock step first moves the rows that fall out of step into a
+fresh block, and a lone topic is a one-row block.  The block's own are
+its chunks, :meth:`_Block.empty` and :meth:`_Block.expire_before`.  A
+block grows by appending a chunk as wide as the block so far (256, 256,
+512, …), so no stored reading is copied to grow, a row spans O(log n)
+chunks, and a range query copies only when it spans two.  Timestamps
+are located by binary search.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ import numpy as np
 
 from repro.common.errors import StorageError
 from repro.dcdb.cache import (
-    Column,
+    LockStep,
+    Member,
+    WritePlan,
     first_arrivals,
     plan_columns,
-    plan_fits,
-    remember,
+    plan_write,
+    write_columns,
 )
 from repro.dcdb.sensor import SensorReading
 
@@ -63,58 +67,31 @@ def _joined(parts) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
-class _Row:
-    """A stored topic: row :attr:`row` of block :attr:`slab` (the name
-    :func:`~repro.dcdb.cache.plan_columns` reads a row's home by)."""
+class _Row(Member):
+    """A stored topic: row :attr:`row` of block :attr:`slab`."""
 
-    __slots__ = ("topic", "slab", "row")
+    __slots__ = ("topic",)
 
     def __init__(self, topic: str) -> None:
         self.topic = topic
 
-    def _bind(self, block: "_Block", row: int) -> None:
-        self.slab = block
-        self.row = row
-        block.bound[row] = self
 
-    def alone(self) -> "_Block":
-        """This row's block, once the row is alone on it: a write of one
-        topic moves it out of a block it shares first."""
-        block = self.slab
-        if len(block.bound) > 1:
-            block = block.move([self])
-        return block
+class _Block(LockStep):
+    """``rows`` stored topics advancing in lock step: chunk matrices
+    that grow instead of wrapping, the
+    :class:`~repro.dcdb.cache.LockStep` group's other layout.
 
-
-class _Block:
-    """``rows`` stored topics advancing in lock step: chunk matrices,
-    one fill state and :attr:`epoch`, as a
-    :class:`~repro.dcdb.cache.CacheSlab` that grows instead of wrapping.
-
-    Every row — the ones a topic left included — holds the same
-    timestamps at the same positions, so ``size`` and ``newest`` are
-    plain ints here.  ``newest`` is the order guard: a column older than
-    it is refused, and it outlives :meth:`empty`, so after a flush it is
-    the seal floor of every row.  A row a topic left (moved, dropped)
-    stays allocated and keeps being written with the column, and
-    ``epoch`` moves, which is how a write plan learns it.
+    ``newest`` — the order guard — outlives :meth:`empty`, so after a
+    flush it is the seal floor of every row.
     """
 
-    __slots__ = (
-        "rows", "chunks", "capacity", "firsts", "size", "newest", "epoch",
-        "bound", "_ts", "_val", "_start", "_end",
-    )
+    __slots__ = ("chunks", "capacity", "firsts", "_ts", "_val", "_start", "_end")
 
     def __init__(self, rows: int, newest: Optional[int] = None) -> None:
-        self.rows = rows
+        super().__init__(rows, newest)
         #: ``(ts, val)`` matrix pairs of ``rows`` rows, oldest first.
         self.chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         self.capacity = 0  # readings per row the chunks have room for
-        self.newest = newest
-        #: Moves whenever a topic leaves one of the rows.
-        self.epoch = 0
-        #: row -> the topic stored in it; a row a topic left is absent.
-        self.bound: Dict[int, _Row] = {}
         self._rewind()
 
     def _rewind(self) -> None:
@@ -153,13 +130,7 @@ class _Block:
         self._end += self._ts.shape[1]
         self.firsts.append(timestamp)
 
-    def store_column(self, timestamp: int, values) -> bool:
-        """Append one reading to every row: ``values`` in row order (or
-        one value for all), all at ``timestamp``.  Returns False — and
-        stores nothing — for a column older than :attr:`newest`."""
-        newest = self.newest
-        if newest is not None and timestamp < newest:
-            return False
+    def _append(self, timestamp: int, values) -> None:
         size = self.size
         if size == self._end:
             self._enter(timestamp)
@@ -167,8 +138,6 @@ class _Block:
         self._ts[:, at] = timestamp
         self._val[:, at] = values
         self.size = size + 1
-        self.newest = timestamp
-        return True
 
     def _extend(self, ts: np.ndarray, val: np.ndarray) -> None:
         """Append the columns of ``ts`` / ``val`` (``[rows, n]``, or
@@ -188,20 +157,15 @@ class _Block:
         if n:
             self.newest = int(ts[0, -1])
 
-    def move(self, rows: List[_Row]) -> "_Block":
-        """Move ``rows`` — live rows of this block — together into a
-        fresh block with this one's chunk widths, readings and
-        :attr:`newest`, and return it; this block's ``epoch`` moves."""
+    def _copy(self, rows: List[_Row]) -> "_Block":
+        """A fresh block with this one's chunk widths, the readings of
+        ``rows`` and :attr:`newest`."""
         block = _Block(len(rows), self.newest)
         for _ in self.chunks:
             block._add_chunk()
         if self.size:
             index = np.array([row.row for row in rows], dtype=np.intp)
             block._extend(*_joined(self.parts(index)))
-        for i, row in enumerate(rows):
-            del self.bound[row.row]
-            row._bind(block, i)
-        self.epoch += 1
         return block
 
     def empty(self) -> None:
@@ -300,7 +264,7 @@ class StorageBackend:
         #: topic -> its row.
         self._series: Dict[str, _Row] = {}
         #: Write plans by topic sequence (see :meth:`insert_columns`).
-        self._plans: Dict[tuple, List[Column]] = {}
+        self._plans: Dict[tuple, WritePlan] = {}
         self.ttl_ns = int(ttl_ns)
         self.insert_count = 0
         self.query_count = 0
@@ -342,45 +306,28 @@ class StorageBackend:
         at the same key; they are dropped and counted in
         :attr:`ooo_dropped`, like the sensor cache does.
         """
-        row = self._row(topic)
-        newest = row.slab.newest
-        if newest is not None and timestamp < newest:
+        if self._row(topic)._write(timestamp, value):
+            self.insert_count += 1
+        else:
             self.ooo_dropped += 1
-            return
-        row.alone().store_column(timestamp, value)
-        self.insert_count += 1
 
     def insert_columns(self, topics, timestamps, values) -> None:
         """Insert readings given as three parallel columns (``topics`` and
         ``timestamps`` lists), in order: what :meth:`insert` does for
         each — same order, same out-of-order drops — as one column per
-        block and timestamp.
-
-        The write plan is memoised per topic sequence and re-planned when
-        a planned block lost a row or a column's readings no longer share
-        a timestamp; topics the batch is the first to bring get rows
-        first, one block per first-arrival timestamp (and seal floor).
+        block and timestamp, by the write plan memoised for this topic
+        sequence (:func:`~repro.dcdb.cache.plan_write`).
         """
         if not len(topics):
             return
-        key = tuple(topics)
-        plan = self._plans.get(key)
-        if plan is None or not plan_fits(plan, timestamps):
-            plan = self._write_plan(topics, timestamps)
-            remember(self._plans, key, plan)
-        values = np.asarray(values, dtype=np.float64)
-        dropped = 0
-        for col in plan:
-            block = col.slab
-            if not block.store_column(
-                timestamps[col.first],
-                values if col.index is None else values[col.index],
-            ):
-                dropped += len(block.bound)
+        plan = plan_write(self._plans, self._write_plan, tuple(topics), timestamps)
+        dropped = write_columns(
+            plan.columns, timestamps, np.asarray(values, dtype=np.float64)
+        )
         self.insert_count += len(topics) - dropped
         self.ooo_dropped += dropped
 
-    def _write_plan(self, topics, timestamps) -> List[Column]:
+    def _write_plan(self, topics: tuple, timestamps) -> WritePlan:
         """The columns of a batch (:func:`plan_columns`), once the topics
         it is the first to bring have rows: a block per first-arrival
         timestamp, split by floor so each block starts at one."""
@@ -391,41 +338,26 @@ class StorageBackend:
             for floor, opened in floors.items():
                 self._open(opened, floor)
         series = self._series
-        return plan_columns([series[topic] for topic in topics], timestamps)
+        return WritePlan(
+            topics, plan_columns([series[topic] for topic in topics], timestamps)
+        )
 
     def insert_batch(
         self, topic: str, timestamps: np.ndarray, values: np.ndarray
     ) -> None:
         """Insert a batch for ``topic`` under the same out-of-order-drop
-        semantics as scalar :meth:`insert`.
-
-        An element survives only if it is >= every element stored before
-        it — both the topic's newest reading and any earlier batch
-        element that was itself kept.  Because any element larger than
-        the running prefix maximum is always kept, "kept running
-        maximum" and "prefix maximum" coincide, so the guard vectorises
-        as one accumulated maximum plus a newest comparison.
-        """
+        semantics as scalar :meth:`insert` (the guard over a batch,
+        :meth:`~repro.dcdb.cache.LockStep.keep`)."""
         if len(timestamps) != len(values):
             raise StorageError(
                 f"batch length mismatch: {len(timestamps)} != {len(values)}"
             )
-        row = self._row(topic)
-        if not len(timestamps):
-            return
-        timestamps = np.asarray(timestamps, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        keep = timestamps >= np.maximum.accumulate(timestamps)
-        newest = row.slab.newest
-        if newest is not None:
-            keep &= timestamps >= newest
-        stored = int(keep.sum())
-        self.insert_count += stored
-        self.ooo_dropped += len(timestamps) - stored
-        if stored < len(timestamps):
-            timestamps, values = timestamps[keep], values[keep]
-        if stored:
-            row.alone()._extend(timestamps[None, :], values[None, :])
+        dropped = self._row(topic)._write_batch(
+            np.asarray(timestamps, dtype=np.int64),
+            np.asarray(values, dtype=np.float64),
+        )
+        self.insert_count += len(timestamps) - dropped
+        self.ooo_dropped += dropped
 
     # ------------------------------------------------------------------
     # Queries
@@ -548,9 +480,7 @@ class StorageBackend:
         row = self._series.pop(topic, None)
         if row is None:
             return False
-        block = row.slab
-        del block.bound[row.row]
-        block.epoch += 1
+        row.slab.hand_over([row])
         return True
 
     def memory_bytes(self) -> int:

@@ -9,8 +9,9 @@
 - **Out-of-order drops (R010)** — the cache's stale-drop guard firing is
   not a bug in the cache, but it *is* data loss worth surfacing: a scan
   after the run reports caches that dropped readings.  The guard itself
-  (``SensorCache.store``/``store_batch``, ``CacheSlab.store_column``) is
-  what keeps a ring's timestamps sorted; the cache property suites pin it.
+  (``LockStep.stale`` and ``keep`` in ``dcdb/cache.py``, under every
+  cache write) is what keeps a ring's timestamps sorted; the cache
+  property suites pin it.
 
 While the sanitizer is active ``time.sleep`` is wrapped, feeding the
 R002 blocking-under-lock check.  Wall-clock reads are lint rule L002's.

@@ -60,7 +60,7 @@ class TestCheckConfigs:
         code, out = run_check(capsys, "--config", str(example))
         assert code == 0
 
-    def test_strict_turns_warnings_into_failure(self, capsys, tmp_path):
+    def test_fail_on_warning_turns_warnings_into_failure(self, capsys, tmp_path):
         path = tmp_path / "warn.json"
         path.write_text(json.dumps({
             "plugin": "aggregator",
@@ -75,7 +75,9 @@ class TestCheckConfigs:
         }))
         code, _ = run_check(capsys, "--config", str(path))
         assert code == 0  # filtered duplicate is only a warning
-        code, _ = run_check(capsys, "--config", str(path), "--strict")
+        code, _ = run_check(
+            capsys, "--config", str(path), "--fail-on", "warning"
+        )
         assert code == 1
 
     def test_quiet_hides_info(self, capsys, tmp_path):

@@ -4,7 +4,6 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.timeutil import NS_PER_SEC
 from repro.core.operator import (
     JobOperatorBase,
     OperatorBase,
@@ -13,34 +12,17 @@ from repro.core.operator import (
 from repro.core.queryengine import QueryEngine
 from repro.core.tree import SensorTree
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
+from tests import hosts
 
 
-class RecordingHost:
-    """Host capturing stored readings."""
+class RecordingHost(hosts.RecordingHost):
+    """Host capturing stored readings, ten on each of ``topics``."""
 
     def __init__(self, topics=()):
-        self.caches = {}
-        self.stored = []
+        super().__init__()
         for t in topics:
-            cache = SensorCache(64, interval_ns=NS_PER_SEC)
-            for i in range(10):
-                cache.store(i * NS_PER_SEC, float(i))
-            self.caches[t] = cache
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+            self.add_series(t, range(10))
 
 
 class DoubleLatest(OperatorBase):

@@ -1,6 +1,5 @@
 """Tests for the Query Engine (Section V-B)."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import QueryError
@@ -122,28 +121,6 @@ class TestAbsoluteQueries:
         qe = QueryEngine(FakeHost(StorageBackend()))
         with pytest.raises(QueryError):
             qe.query_absolute("/nope", 0, 10)
-
-
-class TestDerivedHelpers:
-    def test_window_values_delta(self):
-        host = FakeHost()
-        host.caches["/a"] = filled_cache()
-        qe = QueryEngine(host)
-        deltas = qe.window_values("/a", 3 * NS_PER_SEC, delta=True)
-        assert list(deltas) == [1.0, 1.0, 1.0]
-
-    def test_rate(self):
-        host = FakeHost()
-        host.caches["/a"] = filled_cache()
-        qe = QueryEngine(host)
-        # values rise 1.0 per second
-        assert qe.rate("/a", 5 * NS_PER_SEC) == pytest.approx(1.0)
-
-    def test_rate_needs_two_readings(self):
-        host = FakeHost()
-        host.caches["/a"] = filled_cache(n=1)
-        qe = QueryEngine(host)
-        assert np.isnan(qe.rate("/a", NS_PER_SEC))
 
 
 class TestNavigatorIntegration:

@@ -48,11 +48,6 @@ class TestStore:
         c.store(100, 2.0)
         assert len(c) == 2
 
-    def test_store_reading(self):
-        c = SensorCache(2)
-        c.store_reading(SensorReading(5, 7.0))
-        assert c.latest() == SensorReading(5, 7.0)
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SensorCache(0)

@@ -6,12 +6,12 @@ import pytest
 from repro.common.errors import ConfigError, QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.core.queryengine import QueryEngine
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.virtual import (
     VirtualSensor,
     VirtualSensorRegistry,
     parse_expression,
 )
+from tests.hosts import RecordingHost
 
 
 class TestExpressionParser:
@@ -133,30 +133,9 @@ class TestRegistry:
             reg.define("/v", "</b>", NS_PER_SEC)
 
 
-class _Host:
-    def __init__(self):
-        self.caches = {}
-
-    def add_series(self, topic, values):
-        cache = SensorCache(64, interval_ns=NS_PER_SEC)
-        for i, v in enumerate(values):
-            cache.store(i * NS_PER_SEC, float(v))
-        self.caches[topic] = cache
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-
 class TestQueryEngineIntegration:
     def make_engine(self):
-        host = _Host()
+        host = RecordingHost()
         host.add_series("/n0/power", [100, 110, 120, 130])
         host.add_series("/n1/power", [50, 51, 52, 53])
         engine = QueryEngine(host)
@@ -203,10 +182,6 @@ class TestQueryEngineIntegration:
 
         engine = self.make_engine()
         host = engine._host
-        host.stored = []
-        host.store_reading = lambda s, ts, v: host.stored.append(
-            (s.topic, ts, v)
-        )
         cfg = OperatorConfig(
             name="agg",
             window_ns=3 * NS_PER_SEC,

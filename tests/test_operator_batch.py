@@ -36,35 +36,20 @@ from repro.plugins.smoother import SmootherOperator
 from repro.sanitizer import hooks
 from repro.sanitizer.core import Sanitizer
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import RecordingHost
 
 WINDOW = 5 * NS_PER_SEC
 NOW = 100 * NS_PER_SEC
 
 
-class Host:
+class Host(RecordingHost):
     """Minimal query/store host over hand-built caches."""
 
     def __init__(self, topic_readings):
-        self.caches = {}
-        self.stored = []
+        super().__init__()
         for topic, readings in topic_readings.items():
-            cache = SensorCache(64, interval_ns=NS_PER_SEC)
             for ts, value in readings:
-                cache.store(ts, value)
-            self.caches[topic] = cache
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+                self.push(topic, ts, value)
 
 
 def series(n, scale=1.0, start_ts=0):
@@ -1059,9 +1044,8 @@ class TestBatchedSinks:
 
         class SinkHost(Host):
             def store_readings_batch(self, ts, readings):
-                calls.append((ts, list(readings)))
-                for sensor, value in readings:
-                    self.stored.append((sensor.topic, ts, value))
+                calls.append(ts)
+                super().store_readings_batch(ts, readings)
 
         class Ones(OperatorBase):
             def compute_unit(self, unit, ts):

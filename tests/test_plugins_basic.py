@@ -8,37 +8,16 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.plugins.aggregator import AggregatorOperator
 from repro.plugins.health import HealthOperator
 from repro.plugins.smoother import SmootherOperator
 from repro.plugins.tester import TesterOperator
+from tests.hosts import RecordingHost
 
 
-class Host:
-    def __init__(self):
-        self.caches = {}
-        self.stored = []
-
-    def add_series(self, topic, values, interval=NS_PER_SEC):
-        cache = SensorCache(256, interval_ns=interval)
-        for i, v in enumerate(values):
-            cache.store(i * interval, float(v))
-        self.caches[topic] = cache
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+class Host(RecordingHost):
+    capacity = 256
 
 
 def unit_for(name, inputs, out_names):

@@ -8,34 +8,13 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.plugins.correlation import CorrelationOperator
+from tests.hosts import RecordingHost
 
 
-class Host:
-    def __init__(self):
-        self.caches = {}
-        self.stored = []
-
-    def add_series(self, topic, values):
-        cache = SensorCache(128, interval_ns=NS_PER_SEC)
-        for i, v in enumerate(values):
-            cache.store(i * NS_PER_SEC, float(v))
-        self.caches[topic] = cache
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+class Host(RecordingHost):
+    capacity = 128
 
 
 def unit_for(inputs, out_names):

@@ -9,34 +9,13 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.plugins.filesink import FileSinkOperator
+from tests.hosts import RecordingHost
 
 
-class Host:
-    def __init__(self):
-        self.caches = {}
-        self.stored = []
-
-    def push(self, topic, ts, value):
-        cache = self.caches.get(topic)
-        if cache is None:
-            cache = self.caches[topic] = SensorCache(32, interval_ns=NS_PER_SEC)
-        cache.store(ts, float(value))
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+class Host(RecordingHost):
+    capacity = 32
 
 
 def make_op(tmp_path, **params):

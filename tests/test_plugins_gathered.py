@@ -29,7 +29,6 @@ from repro.core import registry
 from repro.core.operator import OperatorBase, OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
 from repro.ml.stats import window_features
@@ -38,6 +37,7 @@ from repro.plugins.clustering import ClusteringOperator
 from repro.plugins.correlation import _PAIR_RE, CorrelationOperator
 from repro.plugins.perfmetrics import _METRICS, PerfMetricsOperator
 from repro.plugins.regressor import RegressorOperator
+from tests.hosts import RecordingHost
 
 # ---------------------------------------------------------------------
 # The parent's code (commit b77bc61), frozen.  Do not tidy: it is the
@@ -529,35 +529,14 @@ def test_a_perfmetrics_pass_issues_no_scalar_query_and_compiles_one_plan(
 # ---------------------------------------------------------------------
 
 
-class FeedHost:
+class FeedHost(RecordingHost):
     """A bare host whose caches the test fills: with an interval hint
     (a Pusher's caches, count windows) or without (a Collect Agent's,
     time windows)."""
 
     def __init__(self, hinted):
-        self.hinted = hinted
-        self.caches = {}
-
-    def push(self, topic, ts, value):
-        cache = self.caches.get(topic)
-        if cache is None:
-            cache = self.caches[topic] = SensorCache(
-                64, interval_ns=NS_PER_SEC if self.hinted else 0
-            )
-        cache.store(ts, float(value))
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        pass
+        super().__init__()
+        self.interval_ns = NS_PER_SEC if hinted else 0
 
 
 UNITS = ("/n/u0", "/n/u1", "/n/u2", "/n/u3")

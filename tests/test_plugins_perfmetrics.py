@@ -8,34 +8,14 @@ from repro.core.manager import OperatorManager
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.plugins.perfmetrics import PerfMetricsOperator
+from tests.hosts import RecordingHost
 
 
-class Host:
-    def __init__(self):
-        self.caches = {}
-        self.stored = []
-
+class Host(RecordingHost):
     def add_counter(self, topic, rate_per_s, n=10):
-        cache = SensorCache(64, interval_ns=NS_PER_SEC)
-        for i in range(n):
-            cache.store(i * NS_PER_SEC, float(i * rate_per_s))
-        self.caches[topic] = cache
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+        self.add_series(topic, [i * rate_per_s for i in range(n)])
 
 
 def make_unit(outputs):

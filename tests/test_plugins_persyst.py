@@ -8,34 +8,17 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.tree import SensorTree
-from repro.dcdb.cache import SensorCache
 from repro.plugins.persyst import PerSystOperator, quantile_output_name
+from tests.hosts import RecordingHost
 
 
-class Host:
-    def __init__(self):
-        self.caches = {}
-        self.stored = []
+class Host(RecordingHost):
+    capacity = 8
 
     def set_latest(self, topic, value):
         cache = self.caches.get(topic)
-        if cache is None:
-            cache = self.caches[topic] = SensorCache(8, interval_ns=NS_PER_SEC)
-        ts = (cache.latest().timestamp + NS_PER_SEC) if len(cache) else 0
-        cache.store(ts, float(value))
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+        ts = cache.latest().timestamp + NS_PER_SEC if cache else 0
+        self.push(topic, ts, value)
 
 
 class FakeJob:

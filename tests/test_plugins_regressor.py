@@ -8,33 +8,14 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.plugins.regressor import OnlineRegressionModel, RegressorOperator
+from tests.hosts import RecordingHost
 
 
-class Host:
+class Host(RecordingHost):
     def __init__(self, topics):
-        self.caches = {
-            t: SensorCache(64, interval_ns=NS_PER_SEC) for t in topics
-        }
-        self.stored = []
-
-    def push(self, topic, ts, value):
-        self.caches[topic].store(ts, float(value))
-
-    def cache_for(self, topic):
-        return self.caches.get(topic)
-
-    @property
-    def storage(self):
-        return None
-
-    def sensor_topics(self):
-        return sorted(self.caches)
-
-    def store_reading(self, sensor, ts, value):
-        self.stored.append((sensor.topic, ts, value))
+        super().__init__((t, self.ring()) for t in topics)
 
 
 def make_unit(with_error=False):

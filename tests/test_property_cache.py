@@ -123,3 +123,24 @@ class TestBatchEquivalence:
         va = list(a.view_absolute(0, 10**18))
         vb = list(b.view_absolute(0, 10**18))
         assert va == vb
+
+    @given(
+        before=st.lists(st.integers(0, 50), max_size=10),
+        batch=st.lists(st.integers(0, 60), max_size=40),
+        capacity=st.integers(1, 16),
+    )
+    def test_unsorted_store_batch_equals_store_loop(self, before, batch, capacity):
+        """Failing before: the batch was trusted to be sorted — after a
+        reading at 5, ``[6, 4]`` lost the 6 and counted two drops, and
+        ``[10, 5, 20]`` into an empty ring was stored as it came."""
+        a, b = SensorCache(capacity), SensorCache(capacity)
+        for cache in (a, b):
+            for t in before:
+                cache.store(t, float(t))
+        values = [float(-i) for i in range(len(batch))]
+        a.store_batch(np.array(batch, dtype=np.int64), np.array(values))
+        for t, v in zip(batch, values):
+            b.store(t, v)
+        assert list(a.view_absolute(0, 10**18)) == list(b.view_absolute(0, 10**18))
+        assert a.stale_drops == b.stale_drops
+        assert len(a) == len(b) and a.newest_ts == b.newest_ts

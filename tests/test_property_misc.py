@@ -10,6 +10,7 @@ from repro.common.topics import join_topic, normalize_topic, split_topic
 from repro.dcdb.mqtt import Broker
 from repro.dcdb.storage import StorageBackend
 from repro.ml.stats import StreamingStats, deciles, window_features
+from tests.hosts import RecordingHost
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9
@@ -174,24 +175,9 @@ class TestUnitCadenceProperty:
             def compute_unit(self, unit, ts):
                 return {s.name: 1.0 for s in unit.outputs}
 
-        class Host:
-            caches: dict = {}
-
-            def cache_for(self, topic):
-                return None
-
-            @property
-            def storage(self):
-                return None
-
-            def sensor_topics(self):
-                return []
-
-            def store_reading(self, sensor, ts, value):
-                pass
-
+        host = RecordingHost()
         op = Echo(OperatorConfig(name="e", unit_cadence=cadence))
-        op.bind(Host(), QueryEngine(Host()))
+        op.bind(host, QueryEngine(host))
         op.set_units(
             [
                 Unit(

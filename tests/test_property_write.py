@@ -137,34 +137,26 @@ class FrozenRing:
 
 
 class Writer:
-    """A host's write path over ``module``'s slabs: one plan per ring
-    sequence, kept while no planned slab lost a ring and each column's
-    readings share a timestamp (``CollectAgent._ingest``'s rule)."""
+    """A host's write path over ``module``'s slabs: the hosts' memoised
+    writer (``plan_write`` -> ``write_columns``), one plan per ring
+    sequence, compiled by ``plan_columns`` alone (the rings exist)."""
 
     def __init__(self, module):
         self.module = module
         self.plans = {}
 
+    def compile(self, rings, timestamps):
+        return self.module.WritePlan(
+            rings, self.module.plan_columns(rings, timestamps)
+        )
+
     def write(self, rings, timestamps, values):
-        key = tuple(map(id, rings))
-        plan = self.plans.get(key)
-        stamps = np.asarray(timestamps, dtype=np.int64)
-        if plan is None or not (
-            self.module.plan_is_current(plan[1])
-            and all(
-                (stamps[col.index if col.index is not None else slice(None)]
-                 == stamps[col.first]).all()
-                for col in plan[1]
-            )
-        ):
-            plan = (rings, self.module.plan_columns(rings, timestamps))
-            self.plans[key] = plan
-        values = np.asarray(values, dtype=np.float64)
-        for col in plan[1]:
-            col.slab.store_column(
-                timestamps[col.first],
-                values if col.index is None else values[col.index],
-            )
+        plan = self.module.plan_write(
+            self.plans, self.compile, tuple(rings), list(timestamps)
+        )
+        self.module.write_columns(
+            plan.columns, timestamps, np.asarray(values, dtype=np.float64)
+        )
 
 
 def machine_for(module):
@@ -358,15 +350,15 @@ MUTATIONS = {
         "if False:\n            pass",
     ),
     "epoch-not-bumped": (
-        "        self.epoch += 1\n        return slab",
-        "        return slab",
+        "        self.epoch += 1\n        return group",
+        "        return group",
     ),
     "grow-not-rebinding-views": (
         "        for row, ring in self.bound.items():\n            ring._bind(self, row)",
         "",
     ),
     "stale-drops-on-dead-rows": (  # a ring that left is still counted
-        "            del self.bound[ring.row]\n",
+        "            del self.bound[member.row]\n",
         "            pass\n",
     ),
 }

@@ -100,12 +100,6 @@ class TestFailOn:
         )
         assert code == 1
 
-    def test_strict_still_implies_fail_on_warning(self, capsys, tmp_path):
-        code, _ = run_check(
-            capsys, "--config", str(self.warn_config(tmp_path)), "--strict"
-        )
-        assert code == 1
-
 
 class TestSchemaVersion:
     def test_json_carries_schema_version(self, capsys):
