@@ -145,9 +145,9 @@ def require_data(row: WindowRow) -> np.ndarray:
 class PassResult:
     """What one pass produced, before it goes anywhere.
 
-    A ragged pass carries its per-unit results as a list.  A *uniform*
-    pass — every unit exactly one kernel row, all windows the same
-    non-empty length — carries ``units`` and ``column_of`` instead:
+    A ragged pass carries its per-unit results as a list.  A pass a
+    matrix kernel computed for every unit at once (typically a uniform
+    one) carries ``units`` and ``column_of`` instead:
     ``column_of(name)`` is the float64 column of the output sensor
     called ``name``, aligned with ``units``.  Per-unit dicts are derived
     from the columns only when a consumer asks for them
@@ -957,6 +957,8 @@ class JobOperatorBase(OperatorBase):
         super().__init__(config)
         self.job_source = job_source
         self._tree: Optional[SensorTree] = None
+        # {tree generation: {(job_id, node_paths): unit}} of the last pass.
+        self._job_units: Dict[int, Dict[tuple, Unit]] = {}
 
     def job_output_names(self) -> List[str]:
         """Names of the per-job output sensors."""
@@ -965,44 +967,58 @@ class JobOperatorBase(OperatorBase):
     def init_units(self, tree: SensorTree) -> None:
         """Job units are dynamic; stash the tree and start empty."""
         self._tree = tree
+        self._job_units = {}
         self.set_units([])
 
     def refresh_units(self, ts: int) -> None:
         """Rebuild units from the jobs running at ``ts``.
 
-        If a job fails to resolve, the sensor space is refreshed once
-        for the pass and the job retried — job operators typically load
-        before the upstream pipeline stages (or the monitoring itself)
-        have produced the sensors their inputs name.
+        A job keeps its unit while the sensor tree's generation stands
+        still, so a steady pass resolves nothing.  If a job fails to
+        resolve, the sensor space is refreshed once for the pass and the
+        job retried — job operators typically load before the upstream
+        pipeline stages (or the monitoring itself) have produced the
+        sensors their inputs name.  A job that still fails is counted and
+        retried next pass.
         """
         from repro.core.units import resolve_job_unit
 
         if self.job_source is None or self._tree is None:
             return
+        generation = self._tree.generation
+        known = self._job_units.get(generation, {})
         refreshed = False
-        units = []
+        units, resolved = [], {}
         for job in self.job_source.running_jobs(ts):
-            for attempt in (0, 1):
+            key = (job.job_id, tuple(job.node_paths))
+            unit = known.get(key)
+            for attempt in (0, 1) if unit is None else ():
                 try:
-                    units.append(
-                        resolve_job_unit(
-                            self._tree,
-                            job.job_id,
-                            job.node_paths,
-                            self.config.inputs,
-                            self.job_output_names(),
-                            publish_outputs=self.config.publish_outputs,
-                            relaxed=self.config.relaxed,
-                        )
+                    unit = resolve_job_unit(
+                        self._tree,
+                        job.job_id,
+                        job.node_paths,
+                        self.config.inputs,
+                        self.job_output_names(),
+                        publish_outputs=self.config.publish_outputs,
+                        relaxed=self.config.relaxed,
                     )
                     break
                 except Exception as exc:  # unresolvable job
                     if attempt == 0 and not refreshed and self.engine is not None:
                         self.engine.refresh_navigator()
                         refreshed = True
+                        if self._tree.generation != generation:
+                            known = {}  # later jobs see the new tree
                         continue
                     self._note_error(job.job_id, exc)
                     break
+            if unit is not None:
+                units.append(unit)
+                resolved[key] = unit
+        # Kept under the generation the pass began with: if a refresh
+        # moved it, the next pass resolves every job afresh.
+        self._job_units = {generation: resolved}
         # Preserve per-job models across refreshes in parallel mode.
         kept = {u.name for u in units}
         self._unit_models = {

@@ -20,11 +20,15 @@ of time relative to job start.  Temporal noise is *value noise*: random
 values anchored at fixed time bins and linearly interpolated, generated
 from hashed (instance seed, bin) keys.  Rates are therefore independent
 of the sampling cadence, deterministic under a seed, and smooth.
+Each bin's draw is memoised (a bounded LRU of read-only arrays): the
+samplers ask for the same few bins tick after tick, and building a
+generator costs more than its draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Type
 
 import numpy as np
@@ -61,12 +65,23 @@ class CoreRates:
         return self.cache_miss_per_s * CACHE_LINE_BYTES
 
 
-def _bin_rng(seed: int, bin_index: int) -> np.random.Generator:
-    """Generator keyed by (seed, time bin); stable across calls."""
+#: Bin draws memoised.  About four per simulated node are live at once
+#: (a 24-node facility thrashes below 128); a draw is one value per core.
+BIN_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=BIN_MEMO_SIZE)
+def _bin_draw(seed: int, bin_index: int, n: int, normal: bool) -> np.ndarray:
+    """The ``n`` standard-normal (or uniform[0,1)) values of one (seed,
+    time bin), from a generator keyed by both; read-only, since the same
+    array is handed to every caller."""
     mixed = (seed * 0x9E3779B97F4A7C15 + bin_index * 0xBF58476D1CE4E5B9) & (
         (1 << 63) - 1
     )
-    return np.random.default_rng(mixed)
+    rng = np.random.default_rng(mixed)
+    draw = rng.standard_normal(n) if normal else rng.random(n)
+    draw.flags.writeable = False
+    return draw
 
 
 def value_noise(
@@ -76,14 +91,18 @@ def value_noise(
     anchored at ``bin_s``-spaced grid points.
 
     Pure in ``(seed, t_s, stream)``: resampling at any cadence sees the
-    same underlying signal.
+    same underlying signal.  The result is read-only.
     """
     pos = t_s / bin_s
     lo = int(np.floor(pos))
     frac = pos - lo
-    a = _bin_rng(seed + 7919 * stream, lo).standard_normal(n)
-    b = _bin_rng(seed + 7919 * stream, lo + 1).standard_normal(n)
-    return a * (1.0 - frac) + b * frac
+    a = _bin_draw(seed + 7919 * stream, lo, n, True)
+    if frac == 0.0:  # on a grid point the upper bin weighs nothing
+        return a
+    b = _bin_draw(seed + 7919 * stream, lo + 1, n, True)
+    out = a * (1.0 - frac) + b * frac
+    out.flags.writeable = False
+    return out
 
 
 def binned_uniform(
@@ -92,10 +111,11 @@ def binned_uniform(
     """Piecewise-constant uniform[0,1) noise held for each time bin.
 
     Used for event-like behaviour (spike schedules) where values should
-    persist for a whole bin rather than interpolate.
+    persist for a whole bin rather than interpolate.  The result is
+    read-only.
     """
     lo = int(np.floor(t_s / bin_s))
-    return _bin_rng(seed + 104729 * stream, lo).random(n)
+    return _bin_draw(seed + 104729 * stream, lo, n, False)
 
 
 class AppInstance:
@@ -140,16 +160,20 @@ class AppInstance:
         Mean utilisation modulated by the app's power intensity; high-CPI
         (stalled) phases draw slightly less dynamic power.
         """
-        rates = self.rates(t_s)
-        stall_discount = np.clip(1.0 - 0.004 * (rates.cpi - 1.0), 0.7, 1.0)
-        return float(
-            np.mean(rates.utilization * stall_discount) * self.power_intensity
+        cpi, util = self._cpi_utilization(t_s)
+        stall_discount = np.clip(1.0 - 0.004 * (cpi - 1.0), 0.7, 1.0)
+        return float(np.mean(util * stall_discount) * self.power_intensity)
+
+    def _cpi_utilization(self, t_s: float):
+        """Per-core CPI and utilisation, clamped to their ranges."""
+        return (
+            np.maximum(self._cpi(t_s), 0.25),
+            np.clip(self._utilization(t_s), 0.0, 1.0),
         )
 
     def rates(self, t_s: float) -> CoreRates:
         """Per-core rates at elapsed job time ``t_s`` seconds."""
-        cpi = np.maximum(self._cpi(t_s), 0.25)
-        util = np.clip(self._utilization(t_s), 0.0, 1.0)
+        cpi, util = self._cpi_utilization(t_s)
         cycles = CORE_FREQ_HZ * util
         instr = cycles / cpi
         # Memory-bound (high-CPI) phases miss more per instruction: map

@@ -267,7 +267,7 @@ class TestFusionPlanner:
         for cls in (AggregatorOperator, SmootherOperator, HealthOperator,
                     PerSystOperator):
             assert has_kernel(cls)
-        assert not has_kernel(PerfMetricsOperator)
+        assert has_kernel(PerfMetricsOperator)
         assert not has_kernel(ClusteringOperator)
 
     def test_published_intermediate_blocks(self):

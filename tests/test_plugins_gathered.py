@@ -46,6 +46,10 @@ from tests.hosts import RecordingHost
 
 
 class ParentPerfMetrics(PerfMetricsOperator):
+    # The parent had no matrix kernel: keep the reference on the
+    # inherited per-unit loop rather than the one it is compared with.
+    compute_batch = OperatorBase.compute_batch
+
     def _delta(self, unit, counter, ts):
         topics = unit.inputs_named(counter)
         if not topics:
@@ -615,10 +619,10 @@ CASES = {
 }
 
 
-def make_pair(plugin, hinted, unit_mode):
+def make_pair(plugin, hinted, unit_mode, case=None):
     """The shipped operator and the parent's, each on its own host fed
     the same readings."""
-    case = CASES[plugin]
+    case = case or CASES[plugin]
     pair = []
     for cls in (registry.get_plugin_class(plugin), PARENTS[plugin]):
         host = FeedHost(hinted)
@@ -664,6 +668,72 @@ def test_awkward_windows_match_the_parent(plugin, hinted, unit_mode):
     assert ("/n/u1" in seen) == (not starved)
     if plugin != "clustering":  # which skips silently
         assert op.error_count > 0
+
+
+def count_calls(monkeypatch, op, method):
+    """Count calls of ``op.<method>`` from here on, still running it."""
+    calls = []
+    real = getattr(op, method)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(op, method, counted)
+    return calls
+
+
+def test_unequal_windows_take_the_perfmetrics_kernel(monkeypatch):
+    """The kernel reads only each window's endpoints, so units whose
+    windows hold different numbers of readings (one counter pair every
+    1, 2, 3 and 4 s, time windows as on a Collect Agent) stay on it —
+    and still match the parent bit for bit."""
+    case = dict(inputs=["cpu-cycles", "instructions"],
+                outputs=["cpi", "ipc", "instr-rate"], window_s=5)
+    (host, op), (parent_host, parent) = make_pair(
+        "perfmetrics", False, "sequential", case
+    )
+    ragged = count_calls(monkeypatch, op, "compute_window")
+    kernel_passes = 0
+    for step in range(3 * STEPS):
+        ts = step * NS_PER_SEC
+        for k, unit in enumerate(UNITS):
+            if step % (k + 1) == 0:
+                for h in (host, parent_host):
+                    h.push(f"{unit}/cpu-cycles", ts, 2.1e9 * step + 1e8 * k)
+                    h.push(f"{unit}/instructions", ts, 1.3e9 * step + 3e7 * k)
+        before = len(ragged)
+        got, want = plain(op.compute(ts)), plain(parent.compute(ts))
+        assert repr(got) == repr(want), step
+        assert op.error_count == parent.error_count, step
+        window, _slices, _n = op.batch_window(op.units)
+        if window.counts.min() >= 2:
+            assert len(set(window.counts.tolist())) > 1, step
+            assert len(ragged) == before, step
+            assert len(got) == len(UNITS)
+            kernel_passes += 1
+    assert kernel_passes >= 2 * STEPS
+
+
+@pytest.mark.parametrize("host", ["pushers", "agent"])
+def test_a_steady_perfmetrics_pass_runs_no_unit_by_unit(host, monkeypatch):
+    """Stated beforehand, exact: once every window holds two readings,
+    0 ``compute_window`` calls a pass, on a Pusher (count windows) and
+    on the Collect Agent (time windows, jittered arrival)."""
+    spec = deployment_spec(host, "sequential")
+    del spec["network"]["outages"]
+    spec["analytics"][host] = analytics_blocks("sequential")[:1]
+    dep = build_deployment(spec)
+    dep.run(10)
+    ops = [op for m in managers_of(dep) for op in m.operators()]
+    hosts = len(dep.pushers) if host == "pushers" else 1
+    assert [op.name for op in ops] == ["pm"] * hosts
+    calls = [count_calls(monkeypatch, op, "compute_window") for op in ops]
+    before = [op.unit_results_count for op in ops]
+    dep.run(10)
+    for op, ragged, count in zip(ops, calls, before):
+        assert ragged == []
+        assert op.unit_results_count - count == 10 * len(op.units)
 
 
 @pytest.mark.parametrize("hinted", [True, False], ids=["pusher", "agent"])

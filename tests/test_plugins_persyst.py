@@ -169,3 +169,156 @@ class TestPerSyst:
     def test_validation(self, params):
         with pytest.raises(ConfigError):
             make_op(FakeJobSource([]), **params)
+
+
+# ---------------------------------------------------------------------
+# Job units persist across passes
+# ---------------------------------------------------------------------
+
+
+class ParentPerSyst(PerSystOperator):
+    """The parent commit's ``refresh_units``, frozen: every job resolved
+    afresh on every pass.  The reference for what the memo may change —
+    nothing but the number of resolutions."""
+
+    def refresh_units(self, ts):
+        from repro.core.units import resolve_job_unit
+
+        if self.job_source is None or self._tree is None:
+            return
+        refreshed = False
+        units = []
+        for job in self.job_source.running_jobs(ts):
+            for attempt in (0, 1):
+                try:
+                    units.append(
+                        resolve_job_unit(
+                            self._tree,
+                            job.job_id,
+                            job.node_paths,
+                            self.config.inputs,
+                            self.job_output_names(),
+                            publish_outputs=self.config.publish_outputs,
+                            relaxed=self.config.relaxed,
+                        )
+                    )
+                    break
+                except Exception as exc:
+                    if attempt == 0 and not refreshed and self.engine is not None:
+                        self.engine.refresh_navigator()
+                        refreshed = True
+                        continue
+                    self._note_error(job.job_id, exc)
+                    break
+        kept = {u.name for u in units}
+        self._unit_models = {
+            name: m for name, m in self._unit_models.items() if name in kept
+        }
+        self._install_units(units)
+
+
+NODES = {f"/r0/n{i}": [float(i), 10.0 + i] for i in range(4)}
+
+
+def job_rig(cls, jobs):
+    host, tree = build_rig(NODES)
+    cfg = OperatorConfig(
+        name="ps", window_ns=2 * NS_PER_SEC,
+        inputs=["<bottomup, filter cpu>cpi"],
+    )
+    op = cls(cfg, job_source=FakeJobSource(jobs))
+    op.bind(host, QueryEngine(host))
+    op.init_units(tree)
+    op.start()
+    return host, tree, op
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    """Every ``resolve_job_unit`` call, by job id."""
+    import repro.core.units as units
+
+    calls = []
+    real = units.resolve_job_unit
+
+    def counted(tree, job_id, *args, **kwargs):
+        calls.append(job_id)
+        return real(tree, job_id, *args, **kwargs)
+
+    monkeypatch.setattr(units, "resolve_job_unit", counted)
+    return calls
+
+
+def plan_compiles(op):
+    return op.engine.telemetry.get("qe_plan_compiles_total").value
+
+
+class TestJobUnitsPersist:
+    def test_a_steady_pass_resolves_nothing(self, resolutions):
+        jobs = [FakeJob("j1", ["/r0/n0", "/r0/n1"]), FakeJob("j2", ["/r0/n2"])]
+        _host, _tree, op = job_rig(PerSystOperator, jobs)
+        op.compute(0)
+        assert resolutions == ["j1", "j2"]
+        units, compiles = list(op.units), plan_compiles(op)
+        for step in range(1, 6):
+            op.compute(step * NS_PER_SEC)
+        assert resolutions == ["j1", "j2"]
+        assert all(a is b for a, b in zip(op.units, units))
+        assert plan_compiles(op) == compiles
+
+    def test_a_job_start_or_end_resolves_only_the_new_job(self, resolutions):
+        jobs = [
+            FakeJob("j1", ["/r0/n0"], 0, 100),
+            FakeJob("j2", ["/r0/n1"], 50, 200),
+            FakeJob("j3", ["/r0/n2"], 0, 80),
+        ]
+        _host, _tree, op = job_rig(PerSystOperator, jobs)
+        op.compute(10)
+        j1 = op.unit_named("/jobs/j1")
+        op.compute(60)  # j2 starts
+        assert resolutions == ["j1", "j3", "j2"]
+        op.compute(90)  # j3 ends
+        assert resolutions == ["j1", "j3", "j2"]
+        assert [u.tag for u in op.units] == ["j1", "j2"]
+        assert op.unit_named("/jobs/j1") is j1
+
+    def test_a_generation_move_resolves_every_job(self, resolutions):
+        jobs = [FakeJob("j1", ["/r0/n0"]), FakeJob("j2", ["/r0/n1"])]
+        _host, tree, op = job_rig(PerSystOperator, jobs)
+        op.compute(0)
+        stale = list(op.units)
+        tree.add_sensor("/r0/n1/cpu9/cpi")
+        op.compute(NS_PER_SEC)
+        assert resolutions == ["j1", "j2", "j1", "j2"]
+        assert not any(a is b for a, b in zip(op.units, stale))
+        assert "/r0/n1/cpu9/cpi" in op.unit_named("/jobs/j2").inputs
+
+    def test_units_errors_and_results_match_the_parent(self):
+        """An unresolvable job is retried and counted every pass, as
+        before; the rest is the same too, across start, end and a
+        sensor-space change."""
+        def jobs():
+            return [
+                FakeJob("j1", ["/r0/n0", "/r0/n1"], 0, 10 * NS_PER_SEC),
+                FakeJob("bad", ["/r0/nope"]),
+                FakeJob("j2", ["/r0/n2"], 3 * NS_PER_SEC),
+                FakeJob("j3", ["/r0/n3"], 5 * NS_PER_SEC, 8 * NS_PER_SEC),
+            ]
+
+        rigs = [job_rig(cls, jobs()) for cls in (PerSystOperator, ParentPerSyst)]
+        for step in range(12):
+            ts = step * NS_PER_SEC
+            for host, tree, op in rigs:
+                for node, values in NODES.items():
+                    host.set_latest(f"{node}/cpu0/cpi", values[0] + step)
+                if step == 6:
+                    tree.add_sensor("/r0/n2/cpu7/cpi")
+                    host.set_latest("/r0/n2/cpu7/cpi", 3.5)
+            (_, _, op), (_, _, parent) = rigs
+            got, want = op.compute(ts), parent.compute(ts)
+            assert [(r.unit.name, r.unit.inputs, r.values) for r in got] == [
+                (r.unit.name, r.unit.inputs, r.values) for r in want
+            ], step
+            assert op.error_count == parent.error_count == step + 1
+            assert op.last_errors == parent.last_errors
+        assert "bad: job bad: unknown node /r0/nope" in op.last_errors

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.simulator import workload
 from repro.simulator.workload import (
     APP_PROFILES,
     AmgProfile,
@@ -47,6 +50,86 @@ class TestNoise:
     def test_binned_uniform_in_range(self):
         v = binned_uniform(3, 0.0, 1.0, 100)
         assert (v >= 0).all() and (v < 1).all()
+
+
+def _frozen_rng(seed, bin_index):
+    """The generator the noise functions built on every call before
+    their draws were memoised, frozen as the reference."""
+    mixed = (seed * 0x9E3779B97F4A7C15 + bin_index * 0xBF58476D1CE4E5B9) & (
+        (1 << 63) - 1
+    )
+    return np.random.default_rng(mixed)
+
+
+def _frozen_value_noise(seed, t_s, bin_s, n, stream=0):
+    pos = t_s / bin_s
+    lo = int(np.floor(pos))
+    frac = pos - lo
+    a = _frozen_rng(seed + 7919 * stream, lo).standard_normal(n)
+    b = _frozen_rng(seed + 7919 * stream, lo + 1).standard_normal(n)
+    return a * (1.0 - frac) + b * frac
+
+
+def _frozen_binned_uniform(seed, t_s, bin_s, n, stream=0):
+    lo = int(np.floor(t_s / bin_s))
+    return _frozen_rng(seed + 104729 * stream, lo).random(n)
+
+
+class TestMemoisedDraws:
+    """The per-bin memo changes nothing but the cost: the same bits as
+    a fresh generator per call, arrays nobody can write into, and a
+    memo that stays within its bound."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # Whole and half seconds too: on a grid point the upper bin is
+        # not drawn at all.
+        t_s=st.one_of(
+            st.floats(0.0, 5e4, allow_nan=False),
+            st.integers(0, 20000).map(lambda k: k / 2.0),
+        ),
+        bin_s=st.sampled_from([0.5, 1.0, 3.0, 5.0, 6.0, 10.0]),
+        n=st.integers(1, 64),
+        stream=st.integers(0, 13),
+    )
+    def test_draws_equal_a_fresh_generator_bit_for_bit(
+        self, seed, t_s, bin_s, n, stream
+    ):
+        for got, want in (
+            (value_noise(seed, t_s, bin_s, n, stream),
+             _frozen_value_noise(seed, t_s, bin_s, n, stream)),
+            (binned_uniform(seed, t_s, bin_s, n, stream),
+             _frozen_binned_uniform(seed, t_s, bin_s, n, stream)),
+        ):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        # Asked again (now from the memo): still the same bits.
+        again = value_noise(seed, t_s, bin_s, n, stream)
+        assert again.tobytes() == _frozen_value_noise(
+            seed, t_s, bin_s, n, stream
+        ).tobytes()
+        info = workload._bin_draw.cache_info()
+        assert info.currsize <= info.maxsize == workload.BIN_MEMO_SIZE
+
+    def test_the_memo_is_bounded(self):
+        for k in range(3 * workload.BIN_MEMO_SIZE):
+            binned_uniform(1, float(k), 1.0, 4)
+        info = workload._bin_draw.cache_info()
+        assert info.currsize == workload.BIN_MEMO_SIZE
+
+    def test_activity_is_what_the_rates_imply(self):
+        for name in sorted(APP_PROFILES):
+            inst = APP_PROFILES[name].make_instance(8, seed=2)
+            for t in (0.0, 7.5, 301.0):
+                rates = inst.rates(t)
+                stall = np.clip(1.0 - 0.004 * (rates.cpi - 1.0), 0.7, 1.0)
+                want = float(
+                    np.mean(rates.utilization * stall) * inst.power_intensity
+                )
+                assert inst.activity(t) == want
 
 
 class TestRegistry:
