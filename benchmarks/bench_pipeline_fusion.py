@@ -104,7 +104,7 @@ class MiniPusher:
         self._record(sensor, ts, float(value))
 
     def store_readings_batch(self, ts, readings):
-        for sensor, value in readings:
+        for sensor, value in zip(readings.sensors, readings.values.tolist()):
             self._record(sensor, ts, value)
 
 

@@ -829,12 +829,14 @@ class OperatorBase:
         self.store_results_batch(ts, result)
         if self._operator_output_sensors:
             aggregates = self.compute_operator_outputs(ts, result.results())
-            outputs = SensorColumns.of([
-                (s, aggregates[s.name]) for s in self._operator_output_sensors
+            sensors = tuple(
+                s for s in self._operator_output_sensors
                 if aggregates.get(s.name) is not None
-            ])
-            if len(outputs):
-                self.host.store_readings_batch(ts, outputs)
+            )
+            if sensors:
+                self.host.store_readings_batch(ts, SensorColumns(
+                    sensors, [aggregates[s.name] for s in sensors]
+                ))
 
     def store_results_batch(self, ts: int, result: PassResult) -> None:
         """Hand a whole pass's readings to the host in one call, as two

@@ -279,23 +279,21 @@ class CollectAgent:
 
     def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
         """Store one operator output: a pass of one."""
-        self.store_readings_batch(ts, ((sensor, value),))
+        self.store_readings_batch(ts, SensorColumns((sensor,), (value,)))
 
-    def store_readings_batch(self, ts, readings) -> None:
+    def store_readings_batch(self, ts, readings: SensorColumns) -> None:
         """Store a whole pass's operator outputs in one call.
 
-        ``readings`` is a :class:`SensorColumns` or a sequence of
-        ``(sensor, value)`` pairs, all at one timestamp.  In a Collect
-        Agent they go to the cache and are also written to the Storage
-        Backend (Section IV-a); MQTT republishes (when enabled) leave as
-        one broker batch.
+        ``readings`` are :class:`SensorColumns`, all at one timestamp.
+        In a Collect Agent they go to the cache and are also written to
+        the Storage Backend (Section IV-a); MQTT republishes (when
+        enabled) leave as one broker batch.
         """
-        columns = SensorColumns.of(readings)
-        sensors = columns.sensors
+        sensors = readings.sensors
         batch = ReadingBatch(
             [sensor.topic for sensor in sensors],
             [ts] * len(sensors),
-            columns.values.tolist(),
+            readings.values.tolist(),
         )
         self._ingest(batch)
         if self.republish_outputs:

@@ -56,18 +56,6 @@ class ReadingBatch:
     def __init__(self, topics, timestamps, values) -> None:
         self.topics, self.timestamps, self.values = topics, timestamps, values
 
-    @classmethod
-    def of(cls, messages) -> "ReadingBatch":
-        """``messages`` as a batch (a sequence of :class:`Message` is
-        turned into columns)."""
-        if isinstance(messages, cls):
-            return messages
-        return cls(
-            [m.topic for m in messages],
-            [m.timestamp for m in messages],
-            [m.value for m in messages],
-        )
-
     def __len__(self) -> int:
         return len(self.topics)
 
@@ -206,16 +194,15 @@ class Broker:
             ReadingBatch((topic,), (timestamp,), (value,))
         )
 
-    def publish_batch(self, messages) -> int:
-        """Deliver a :class:`ReadingBatch` (or a sequence of
-        :class:`Message`) in list order; returns the deliveries made.
+    def publish_batch(self, batch: ReadingBatch) -> int:
+        """Deliver a :class:`ReadingBatch` in list order; returns the
+        deliveries made.
 
         Every topic is resolved before anything is delivered, so one
         wildcard topic refuses the whole batch.  A subscriber gets its
         readings in list order, a run of consecutive same-route readings
         per call; the counters move per reading.
         """
-        batch = ReadingBatch.of(messages)
         topics = batch.topics
         n = len(topics)
         if not n:

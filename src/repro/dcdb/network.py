@@ -230,9 +230,8 @@ class NetworkConditions:
         """Send one message through the link: a batch of one."""
         self.publish_batch(ReadingBatch((topic,), (timestamp,), (value,)))
 
-    def publish_batch(self, messages) -> None:
-        """Send a :class:`ReadingBatch` (or a sequence of messages)
-        through the link, in list order.
+    def publish_batch(self, batch: ReadingBatch) -> None:
+        """Send a :class:`ReadingBatch` through the link, in list order.
 
         Each message meets the link on its own — refused by an outage
         covering its destination (never counted as sent), dropped, or
@@ -243,7 +242,6 @@ class NetworkConditions:
         raised afterwards carrying the refused subset in ``refused``, so
         store-and-forward producers spill exactly what was not accepted.
         """
-        batch = ReadingBatch.of(messages)
         now = self.scheduler.clock.now
         refused: List[int] = []
         arrivals: Dict[int, List[int]] = {}  # due -> indices, list order

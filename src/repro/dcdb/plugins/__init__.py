@@ -8,7 +8,7 @@ from the cluster simulator instead of real interfaces; the sampling code
 path (plugin -> cache -> MQTT) is identical to production.
 """
 
-from repro.dcdb.plugins.base import MonitoringPlugin, PluginSample
+from repro.dcdb.plugins.base import MonitoringPlugin, NodePlugin
 from repro.dcdb.plugins.tester import TesterMonitoringPlugin
 from repro.dcdb.plugins.perfevent import PerfeventPlugin
 from repro.dcdb.plugins.sysfs import SysfsPlugin
@@ -30,7 +30,7 @@ MONITORING_PLUGINS = {
 __all__ = [
     "MONITORING_PLUGINS",
     "MonitoringPlugin",
-    "PluginSample",
+    "NodePlugin",
     "TesterMonitoringPlugin",
     "PerfeventPlugin",
     "SysfsPlugin",

@@ -5,21 +5,21 @@ A monitoring plugin declares the sensors it produces and implements one
 are bound to a *component* (a node path) at construction, and their
 sensor topics live under that component — exactly how DCDB's plugin
 configuration attaches e.g. a perfevent group to each CPU.
+
+The contract: ``sensors()`` is a fixed tuple, and ``sample(ts)`` reads
+the whole group at once and returns a fresh float64 array aligned with
+it — one value per sensor, in ``sensors()`` order.  A pass is all or
+nothing: a plugin that raises stores nothing for that pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Sequence
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.sensor import Sensor
-
-
-class PluginSample(NamedTuple):
-    """One sampled value paired with its sensor."""
-
-    sensor: Sensor
-    value: float
 
 
 class MonitoringPlugin:
@@ -65,6 +65,35 @@ class MonitoringPlugin:
         """All sensors this plugin produces."""
         return tuple(self._sensors)
 
-    def sample(self, ts: int) -> Iterable[PluginSample]:
-        """Produce one reading per sensor at time ``ts``."""
+    def sample(self, ts: int) -> np.ndarray:
+        """One float64 value per sensor at time ``ts``, in ``sensors()``
+        order, in an array no other pass shares."""
         raise NotImplementedError
+
+
+class NodePlugin(MonitoringPlugin):
+    """A plugin of node-level sensors read one by one from the
+    simulator: ``SENSORS`` is its table of ``(name, unit, is_delta)``,
+    ``NAME`` the plugin's name."""
+
+    NAME = ""
+    SENSORS: Tuple[Tuple[str, str, bool], ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.SENSOR_UNITS = {name: unit for name, unit, _ in cls.SENSORS}
+
+    def __init__(self, simulator, node_path: str, interval_ns: int = NS_PER_SEC) -> None:
+        super().__init__(self.NAME, interval_ns)
+        self._sim = simulator
+        self._node_path = node_path
+        for name, unit, is_delta in self.SENSORS:
+            self._register(
+                Sensor(topic=f"{node_path}/{name}", unit=unit, is_delta=is_delta)
+            )
+
+    def sample(self, ts: int) -> np.ndarray:
+        read, node = self._sim.read_node, self._node_path
+        return np.array(
+            [read(node, name, ts) for name, _, _ in self.SENSORS], dtype=np.float64
+        )

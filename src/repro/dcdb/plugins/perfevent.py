@@ -8,10 +8,12 @@ the role of the kernel perf interface.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence
+
+import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.plugins.base import MonitoringPlugin, PluginSample
+from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.sensor import Sensor
 from repro.simulator.engine import CPU_COUNTERS, ClusterSimulator
 
@@ -55,25 +57,21 @@ class PerfeventPlugin(MonitoringPlugin):
             raise ValueError(f"unknown perfevent counters: {sorted(unknown)}")
         self._sim = simulator
         self._node_path = node_path
-        n_cpus = simulator.spec.cpus_per_node
-        self._bindings: List[Tuple[int, str, Sensor]] = []
-        for cpu in range(n_cpus):
+        for cpu in range(simulator.spec.cpus_per_node):
             for counter in counters:
-                sensor = self._register(
+                self._register(
                     Sensor(
                         topic=f"{node_path}/cpu{cpu:02d}/{counter}",
                         unit="#",
                         is_delta=True,
                     )
                 )
-                self._bindings.append((cpu, counter, sensor))
         self._counter_names = list(counters)
 
-    def sample(self, ts: int) -> Iterable[PluginSample]:
-        # One vectorised advance per node; reads below are array lookups.
-        per_counter = {
-            name: self._sim.read_cpu_counters(self._node_path, name, ts)
-            for name in self._counter_names
-        }
-        for cpu, counter, sensor in self._bindings:
-            yield PluginSample(sensor, float(per_counter[counter][cpu]))
+    def sample(self, ts: int) -> np.ndarray:
+        # One vectorised advance per node; the sensors are cpu-major,
+        # so the cpus x counters matrix read row by row is their order.
+        read, node = self._sim.read_cpu_counters, self._node_path
+        return np.stack(
+            [read(node, name, ts) for name in self._counter_names], axis=1
+        ).ravel()

@@ -8,10 +8,12 @@ is a counter incremented by one per sample.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
+
+import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.plugins.base import MonitoringPlugin, PluginSample
+from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.sensor import Sensor
 
 
@@ -54,7 +56,7 @@ class TesterMonitoringPlugin(MonitoringPlugin):
         if n_sensors <= 0:
             raise ValueError(f"n_sensors must be positive: {n_sensors}")
         base = component_topic.rstrip("/")
-        self._counters: List[int] = [0] * n_sensors
+        self._counters = np.zeros(n_sensors, dtype=np.float64)
         for name in self.sensor_names(n_sensors):
             self._register(
                 Sensor(
@@ -65,7 +67,6 @@ class TesterMonitoringPlugin(MonitoringPlugin):
                 )
             )
 
-    def sample(self, ts: int) -> Iterable[PluginSample]:
-        for i, sensor in enumerate(self._sensors):
-            self._counters[i] += 1
-            yield PluginSample(sensor, float(self._counters[i]))
+    def sample(self, ts: int) -> np.ndarray:
+        self._counters += 1
+        return self._counters.copy()

@@ -151,8 +151,9 @@ class Pusher:
         """
         if plugin.name in self._plugins:
             raise ConfigError(f"duplicate monitoring plugin {plugin.name!r}")
+        group = tuple(plugin.sensors())
         sensors = {}
-        for sensor in plugin.sensors():
+        for sensor in group:
             if sensor.topic in self.sensors or sensor.topic in sensors:
                 raise ConfigError(f"duplicate sensor topic {sensor.topic}")
             sensors[sensor.topic] = sensor
@@ -163,7 +164,7 @@ class Pusher:
         )
         task = self.scheduler.add_callback(
             f"{self.name}:{plugin.name}",
-            lambda ts, p=plugin: self._sample_plugin(p, ts),
+            lambda ts, p=plugin: self._sample_plugin(p, group, ts),
             plugin.interval_ns,
         )
         self._tasks[plugin.name] = task
@@ -185,15 +186,19 @@ class Pusher:
             raise PluginError(f"no monitoring plugin {name!r} on {self.name}")
         self._tasks[name].enabled = enabled
 
-    def _sample_plugin(self, plugin: MonitoringPlugin, ts: int) -> None:
+    def _sample_plugin(
+        self, plugin: MonitoringPlugin, sensors: tuple, ts: int
+    ) -> None:
+        """One sampling pass: the plugin's array, stored whole or —
+        when the plugin raises or returns the wrong length — not at all."""
         t0 = time.perf_counter_ns()
-        readings: list = []
         try:
-            try:
-                readings.extend(plugin.sample(ts))
-            finally:
-                # What the plugin yielded before it raised is kept.
-                self.store_readings_batch(ts, readings)
+            values = plugin.sample(ts)
+            if len(values) != len(sensors):
+                raise PluginError(
+                    f"sampled {len(values)} values for {len(sensors)} sensors"
+                )
+            self.store_readings_batch(ts, SensorColumns(sensors, values))
         except Exception as exc:
             # A faulty plugin must not take down the sampling loop (or
             # the other plugins sharing it): count and continue.
@@ -222,22 +227,22 @@ class Pusher:
     def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
         """Cache a reading and publish it if the sensor is published:
         a pass of one through :meth:`store_readings_batch`."""
-        self.store_readings_batch(ts, ((sensor, value),))
+        self.store_readings_batch(ts, SensorColumns((sensor,), (value,)))
 
-    def store_readings_batch(self, ts, readings) -> None:
+    def store_readings_batch(self, ts, readings: SensorColumns) -> None:
         """Store one pass — sampled readings or operator outputs.
 
-        ``readings`` is a :class:`SensorColumns` or a sequence of
-        ``(sensor, value)`` pairs, all at one timestamp.  The pass lands
-        as one column per slab and its publishable readings leave as one
-        column batch, both by the write plan memoised for this sequence
-        of sensors (:meth:`_write_plan`).  Operator outputs flow through
+        ``readings`` are :class:`SensorColumns`, all at one timestamp: a
+        plugin's sensors tuple and sampled array, or an operator's
+        outputs.  The pass lands as one column per slab and its
+        publishable readings leave as one column batch, both by the
+        write plan memoised for this sequence of sensors
+        (:meth:`_write_plan`).  Operator outputs flow through
         the same call, which is what makes them "identical to all other
         sensor data" (Section IV-d) and thus usable as pipeline inputs
         downstream.
         """
-        columns = SensorColumns.of(readings)
-        sensors = columns.sensors
+        sensors = readings.sensors
         if not sensors:
             return
         stamps = [ts] * len(sensors)
@@ -245,7 +250,7 @@ class Pusher:
             self._plans, self._write_plan, sensors, stamps,
             key=(id(sensors[0]), len(sensors)),
         )
-        values = columns.values
+        values = readings.values
         write_columns(plan.columns, stamps, values)
         topics = plan.topics
         if topics:

@@ -70,9 +70,9 @@ class SensorColumns:
     """One pass's readings as two parallel columns: a tuple of
     :class:`Sensor` and their float64 values, in emission order.
 
-    What an operator pass and a sampling pass hand a host's
-    ``store_readings_batch``; iterating yields ``(sensor, value)``
-    pairs, for the hosts that store one reading at a time.
+    The one form a host's ``store_readings_batch`` takes: a monitoring
+    plugin's sampling pass (its ``sensors()`` tuple and the array its
+    ``sample`` returned) and an operator pass's outputs alike.
     """
 
     __slots__ = ("sensors", "values")
@@ -81,22 +81,8 @@ class SensorColumns:
         self.sensors = sensors
         self.values = np.asarray(values, dtype=np.float64)
 
-    @classmethod
-    def of(cls, readings) -> "SensorColumns":
-        """``readings`` as columns (``(sensor, value)`` pairs are split)."""
-        if isinstance(readings, cls):
-            return readings
-        pairs = readings if isinstance(readings, (list, tuple)) else list(readings)
-        if not pairs:
-            return cls((), ())
-        sensors, values = zip(*pairs)
-        return cls(sensors, values)
-
     def __len__(self) -> int:
         return len(self.sensors)
-
-    def __iter__(self):
-        return zip(self.sensors, self.values.tolist())
 
 
 @dataclass

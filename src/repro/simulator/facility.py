@@ -25,12 +25,12 @@ The knob a Wintermute control operator can drive is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.plugins.base import MonitoringPlugin, PluginSample
+from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.sensor import Sensor
 
 
@@ -128,7 +128,7 @@ class CoolingSystem:
 
 
 #: Sensors the facility plugin attaches to its component path, name ->
-#: physical unit (the static analyzers' view).
+#: physical unit (the static analyzers' view), in the order it samples.
 FACILITY_SENSOR_UNITS = {
     "inlet-temp": "C",
     "setpoint": "C",
@@ -155,16 +155,13 @@ class FacilityPlugin(MonitoringPlugin):
         super().__init__("facility", interval_ns)
         self.cooling = cooling
         base = component_topic.rstrip("/")
-        self._inlet = self._register(Sensor(f"{base}/inlet-temp", unit="C"))
-        self._setpoint = self._register(Sensor(f"{base}/setpoint", unit="C"))
-        self._chiller = self._register(
-            Sensor(f"{base}/chiller-power", unit="W")
-        )
-        self._it = self._register(Sensor(f"{base}/it-power", unit="W"))
+        for name, unit in FACILITY_SENSOR_UNITS.items():
+            self._register(Sensor(f"{base}/{name}", unit=unit))
 
-    def sample(self, ts: int) -> Iterable[PluginSample]:
-        self.cooling.update(ts)
-        yield PluginSample(self._inlet, self.cooling.inlet_temp_c)
-        yield PluginSample(self._setpoint, self.cooling.setpoint_c)
-        yield PluginSample(self._chiller, self.cooling.chiller_power_w)
-        yield PluginSample(self._it, self.cooling.it_power_w)
+    def sample(self, ts: int) -> np.ndarray:
+        cooling = self.cooling
+        cooling.update(ts)
+        return np.array([
+            cooling.inlet_temp_c, cooling.setpoint_c,
+            cooling.chiller_power_w, cooling.it_power_w,
+        ], dtype=np.float64)

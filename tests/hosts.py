@@ -3,7 +3,6 @@ record of what the operator stores."""
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
-from repro.dcdb.sensor import SensorColumns
 
 
 class RecordingHost:
@@ -50,5 +49,5 @@ class RecordingHost:
     def store_readings_batch(self, ts, readings):
         self.stored.extend(
             (sensor.topic, ts, value)
-            for sensor, value in SensorColumns.of(readings)
+            for sensor, value in zip(readings.sensors, readings.values.tolist())
         )

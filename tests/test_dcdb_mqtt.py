@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import TopicError
-from repro.dcdb.mqtt import Broker, Message, QueuedSubscriber
+from repro.dcdb.mqtt import Broker, Message, QueuedSubscriber, ReadingBatch
 
 
 class Recorder:
@@ -148,8 +148,7 @@ class TestRouteMemo:
         b = Broker()
         rec = Recorder()
         b.subscribe("/#", rec)
-        batch = [Message("/ok", 1.0, 1), Message("/a/+", 2.0, 1),
-                 Message("/ok", 3.0, 1)]
+        batch = ReadingBatch(["/ok", "/a/+", "/ok"], [1, 1, 1], [1.0, 2.0, 3.0])
         for _ in range(3):  # a refusal must not be memoised as valid
             with pytest.raises(TopicError):
                 b.publish_batch(batch)
@@ -169,7 +168,9 @@ class TestRouteMemo:
         b.subscribe("/#", rec)
         queue = QueuedSubscriber()
         queue.attach(b, "/t/#")
-        batch = [Message(f"/t/{i}", float(i), i) for i in range(5)]
+        batch = ReadingBatch(
+            [f"/t/{i}" for i in range(5)], list(range(5)), [float(i) for i in range(5)]
+        )
         assert b.publish_batch(batch) == 15
         assert b.publish_batch(batch) == 15  # memoised route, same cost
         assert b.handler_errors == 10
@@ -182,9 +183,9 @@ class TestRouteMemo:
         b.subscribe("/#", everything)
         b.subscribe("/a/#", only_a)
         topics = ["/a/x", "/a/y", "/b/x", "/a/z", "/b/y"]
-        n = b.publish_batch(
-            [Message(t, float(i), i) for i, t in enumerate(topics)]
-        )
+        n = b.publish_batch(ReadingBatch(
+            topics, list(range(len(topics))), [float(i) for i in range(len(topics))]
+        ))
         assert n == 8
         assert [m[0] for m in everything.messages] == topics
         assert [m[0] for m in only_a.messages] == ["/a/x", "/a/y", "/a/z"]
@@ -307,8 +308,10 @@ class TestQueuedSubscriber:
         b = Broker()
         q = QueuedSubscriber(maxlen=3, policy=policy)
         q.attach(b, "/#")
-        b.publish_batch([Message("/t", float(i), i) for i in range(2)])
-        b.publish_batch([Message("/t", float(i), i) for i in range(2, 7)])
+        for run in (range(2), range(2, 7)):
+            b.publish_batch(
+                ReadingBatch(["/t"] * len(run), list(run), [float(i) for i in run])
+            )
         assert len(q) == 3 and q.dropped == 4
         assert [m.value for m in q.drain()] == kept
 

@@ -86,7 +86,7 @@ class TestNetworkConditions:
         # Same seed, same messages: once as one batch, once one by one.
         # Drops, latency draws and broker arrival order must be equal —
         # on the jitter-free link too, where the batch travels whole.
-        from repro.dcdb.mqtt import Message
+        from repro.dcdb.mqtt import ReadingBatch
 
         arrivals = []
         for batched in (True, False):
@@ -94,7 +94,10 @@ class TestNetworkConditions:
                 latency_ns=100 * NS_PER_MS, jitter_ns=jitter_ms * NS_PER_MS,
                 drop_probability=0.2, seed=5,
             )
-            messages = [Message(f"/t{i % 3}", float(i), i) for i in range(30)]
+            messages = ReadingBatch(
+                [f"/t{i % 3}" for i in range(30)], list(range(30)),
+                [float(i) for i in range(30)],
+            )
             if batched:
                 link.publish_batch(messages)
             else:

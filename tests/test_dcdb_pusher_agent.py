@@ -1,5 +1,6 @@
 """Tests for the Pusher and Collect Agent data paths."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, PluginError
@@ -7,7 +8,7 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb import Broker, CollectAgent, Pusher
 from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.dcdb.plugins.base import MonitoringPlugin
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.simulator.clock import TaskScheduler
 
 
@@ -74,7 +75,7 @@ class TestPusherSampling:
                     self._register(Sensor(f"/r0/c0/n0/{name}"))
 
             def sample(self, ts):
-                return [(sensor, 1.0) for sensor in self.sensors()]
+                return np.ones(len(self.sensors()))
 
         before = state()
         with pytest.raises(ConfigError, match="duplicate sensor topic"):
@@ -108,18 +109,22 @@ class TestPusherSampling:
             pusher.cache_for(t).row for t in pusher.sensor_topics()
         ) == list(range(5))
         outs = [Sensor(f"/r0/c0/n0/out{i}", is_operator_output=True) for i in range(3)]
-        pusher.store_readings_batch(0, [(s, 1.0) for s in outs])
+        pusher.store_readings_batch(0, SensorColumns(tuple(outs), [1.0] * 3))
         out_slabs = {pusher.cache_for(s.topic).slab for s in outs}
         assert len(out_slabs) == 1 and not out_slabs & slabs
         assert pusher.sensors[outs[1].topic] is outs[1]
-        pusher.store_readings_batch(1, [(s, 2.0) for s in outs] + [(outs[0], 3.0)])
+        pusher.store_readings_batch(
+            1, SensorColumns((*outs, outs[0]), [2.0, 2.0, 2.0, 3.0])
+        )
         twice = pusher.cache_for(outs[0].topic)
         assert len(twice) == 3 and twice.slab not in out_slabs
         assert twice.view_absolute(0, 1).values().tolist() == [1.0, 2.0, 3.0]
         assert {pusher.cache_for(s.topic).slab for s in outs[1:]} == out_slabs
         # A later pass brings one more output: its own slab.
         late = Sensor("/r0/c0/n0/late", is_operator_output=True)
-        pusher.store_readings_batch(NS_PER_SEC, [(outs[0], 3.0), (late, 1.0)])
+        pusher.store_readings_batch(
+            NS_PER_SEC, SensorColumns((outs[0], late), [3.0, 1.0])
+        )
         assert pusher.cache_for(late.topic).slab not in out_slabs | slabs
 
     def test_cache_memory_counts_every_slab_once(self, rig):

@@ -24,9 +24,9 @@ from repro.core.operator import OperatorBase, OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.tree import SensorTree
 from repro.dcdb.cache import SensorCache
-from repro.dcdb.mqtt import Broker, Message
+from repro.dcdb.mqtt import Broker, ReadingBatch
 from repro.dcdb.pusher import Pusher
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.core.units import Unit
 from repro.spec import OPERATOR
 from repro.plugins.aggregator import AggregatorOperator
@@ -1007,11 +1007,11 @@ class TestBatchedSinks:
         seen = []
         broker = Broker()
         broker.subscribe("/a/#", lambda t, v, ts: seen.append((t, v, ts)))
-        n = broker.publish_batch([
-            Message("/a/x", 1.0, 10),
-            Message("/a/y", 2.0, 10),
-            Message("/b/z", 3.0, 10),  # no subscriber
-        ])
+        n = broker.publish_batch(ReadingBatch(
+            ["/a/x", "/a/y", "/b/z"],  # no subscriber on /b/z
+            [10, 10, 10],
+            [1.0, 2.0, 3.0],
+        ))
         assert n == 2
         assert seen == [("/a/x", 1.0, 10), ("/a/y", 2.0, 10)]
         assert broker.published_count == 3
@@ -1020,7 +1020,7 @@ class TestBatchedSinks:
     def test_publish_batch_rejects_wildcards(self):
         broker = Broker()
         with pytest.raises(TopicError):
-            broker.publish_batch([Message("/a/+", 1.0, 0)])
+            broker.publish_batch(ReadingBatch(["/a/+"], [0], [1.0]))
 
     def test_pusher_store_readings_batch(self):
         broker = Broker()
@@ -1031,7 +1031,7 @@ class TestBatchedSinks:
             Sensor("/n0/out_a", is_operator_output=True),
             Sensor("/n0/out_b", publish=False, is_operator_output=True),
         ]
-        pusher.store_readings_batch(NOW, [(outs[0], 1.5), (outs[1], 2.5)])
+        pusher.store_readings_batch(NOW, SensorColumns(tuple(outs), [1.5, 2.5]))
         # Lazy cache creation + caching match store_reading semantics.
         assert pusher.cache_for("/n0/out_a").latest().value == 1.5
         assert pusher.cache_for("/n0/out_b").latest().value == 2.5

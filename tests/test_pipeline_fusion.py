@@ -76,7 +76,7 @@ class Host:
         )
 
     def store_readings_batch(self, ts, readings):
-        for sensor, value in readings:
+        for sensor, value in zip(readings.sensors, readings.values.tolist()):
             self.store_reading(sensor, ts, value)
 
 

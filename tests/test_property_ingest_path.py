@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from repro.common.errors import LinkDownError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb import Broker, CollectAgent, Pusher
-from repro.dcdb.mqtt import Message
+from repro.dcdb.mqtt import ReadingBatch
 from repro.dcdb.network import NetworkConditions
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.simulator.clock import TaskScheduler
 
 TOPICS = ["/up/a", "/up/b", "/down/a", "/down/b"]
@@ -158,15 +158,16 @@ class Rig:
         self.scheduler.run_until(0)  # the drain task's firing at t=0
 
     def publish(self, ts, readings):
-        self.pusher.store_readings_batch(
-            ts, [(self.sensors[topic], value) for topic, value in readings]
-        )
+        self.pusher.store_readings_batch(ts, SensorColumns(
+            tuple(self.sensors[topic] for topic, _ in readings),
+            [value for _, value in readings],
+        ))
 
     def publish_raw(self, messages):
         try:
-            self.link.publish_batch(
-                [Message(topic, value, ts) for topic, ts, value in messages]
-            )
+            self.link.publish_batch(ReadingBatch(*(
+                [m[i] for m in messages] for i in range(3)
+            )))
         except LinkDownError:
             pass
 

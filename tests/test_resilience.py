@@ -12,11 +12,11 @@ from repro.analysis.diagnostics import DiagnosticCollector
 from repro.core.configurator import parse_operator_config
 from repro.core.manager import OperatorManager
 from repro.dcdb import Broker, CollectAgent, Pusher
-from repro.dcdb.mqtt import Message, QueuedSubscriber
+from repro.dcdb.mqtt import QueuedSubscriber, ReadingBatch
 from repro.dcdb.network import NetworkConditions, Outage
 from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.dcdb.resilience import ExponentialBackoff, SpillQueue
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
 from repro.spec import OPERATOR
@@ -98,11 +98,7 @@ class TestOutages:
     def test_publish_batch_refuses_partitioned_subset(self):
         scheduler, _, link, received = link_rig()
         link.schedule_outage(0, 10 * NS_PER_SEC, destinations=["/down"])
-        batch = [
-            Message("/up/a", 1.0, 0),
-            Message("/down/b", 2.0, 0),
-            Message("/up/c", 3.0, 0),
-        ]
+        batch = ReadingBatch(["/up/a", "/down/b", "/up/c"], [0, 0, 0], [1.0, 2.0, 3.0])
         with pytest.raises(LinkDownError) as exc:
             link.publish_batch(batch)
         assert [m.topic for m in exc.value.refused] == ["/down/b"]
@@ -288,10 +284,7 @@ class TestStoreAndForward:
         link = NetworkConditions(broker, scheduler)
         link.schedule_outage(0, 2 * NS_PER_SEC, destinations=["/n0/b"])
         pusher = Pusher("/n0", link, scheduler, retry_base_ns=100 * NS_PER_MS)
-        readings = [
-            (Sensor("/n0/a"), 1.0),
-            (Sensor("/n0/b"), 2.0),
-        ]
+        readings = SensorColumns((Sensor("/n0/a"), Sensor("/n0/b")), [1.0, 2.0])
         pusher.store_readings_batch(0, readings)
         assert received == ["/n0/a"]
         assert pusher.spill_depth == 1
