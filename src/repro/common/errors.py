@@ -37,14 +37,15 @@ class LinkDownError(ReproError):
     scheduled outage or partition covers the destination: the message is
     *refused* back to the producer (which may buffer and retry), never
     silently dropped.  ``until_ns`` carries the end of the refusing
-    down-window when known; ``refused`` carries the messages that were
-    not delivered (for ``publish_batch``, the refused subset).
+    down-window when known; ``refused`` carries the readings that were
+    not delivered, as a :class:`~repro.dcdb.mqtt.ReadingBatch` (for
+    ``publish_batch``, the refused subset), when known.
     """
 
     def __init__(self, message: str, until_ns=None, refused=None):
         super().__init__(message)
         self.until_ns = until_ns
-        self.refused = list(refused or [])
+        self.refused = refused
 
 
 class QueryError(ReproError):

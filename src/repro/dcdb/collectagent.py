@@ -27,7 +27,7 @@ from repro.dcdb.cache import (
     register_cache_gauges,
     write_columns,
 )
-from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
+from repro.dcdb.mqtt import Broker, QueuedSubscriber
 from repro.dcdb.restapi import RestApi, RestResponse
 from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.dcdb.storage import StorageBackend
@@ -47,15 +47,10 @@ class CollectAgent:
         drain_interval_ns: how often the subscription queue is flushed
             to caches and storage.
         subscribe_pattern: topic filter; ``/#`` (everything) by default.
-        republish_outputs: whether operator outputs written on this agent
-            are also published over MQTT.  Off by default: in a Collect
-            Agent, outputs are "written to the Storage Backend" directly
-            (Section IV-a) — and with a catch-all subscription a
-            republish would loop straight back into the agent's own
-            ingest queue, duplicating every stored reading.
-        ingest_queue_capacity: bound of the MQTT ingest queue (``None``
-            keeps it unbounded).  A bounded queue applies backpressure
-            instead of growing without limit under bursty ingest.
+        ingest_queue_capacity: bound, in readings, of the MQTT ingest
+            queue (``None`` keeps it unbounded).  A bounded queue applies
+            backpressure instead of growing without limit under bursty
+            ingest.
         ingest_policy: what a full ingest queue does with an arrival —
             ``drop-oldest`` (default) or ``drop-newest``; either way the
             loss is exported as ``ingest_dropped_total``.
@@ -70,11 +65,9 @@ class CollectAgent:
         cache_window_ns: int = 180 * NS_PER_SEC,
         drain_interval_ns: int = NS_PER_SEC,
         subscribe_pattern: str = "/#",
-        republish_outputs: bool = False,
         ingest_queue_capacity: Optional[int] = None,
         ingest_policy: str = "drop-oldest",
     ) -> None:
-        self.republish_outputs = republish_outputs
         self.name = name
         self.broker = broker
         self.scheduler = scheduler
@@ -90,35 +83,26 @@ class CollectAgent:
         self._m_ingest_dropped = self.telemetry.counter("ingest_dropped_total")
         self._register_gauges()
         self.analytics: Optional[object] = None
-        self._queue = QueuedSubscriber(
-            maxlen=ingest_queue_capacity, policy=ingest_policy
-        )
+        self._queue = QueuedSubscriber(ingest_queue_capacity, ingest_policy)
         self._queue.attach(broker, subscribe_pattern)
         self._drain_task = scheduler.add_callback(
             f"{name}:drain", self._drain, int(drain_interval_ns)
         )
-        # Storage TTL maintenance: Cassandra expires rows server-side;
-        # the in-memory backend needs a periodic sweep instead.
-        if self._storage.ttl_ns > 0:
+        # Storage TTL: Cassandra expires rows server-side; here a sweep
+        # does.  A tiered backend's maintenance sweep (flush, rollups,
+        # retention: the Cassandra-compaction equivalent) runs it; the
+        # in-memory backend gets a task of its own.
+        if hasattr(self._storage, "maintain"):
+            self._maintenance_task = scheduler.add_callback(
+                f"{name}:storage-maintenance",
+                self._storage.maintain,
+                self._storage.maintenance_interval_ns,
+            )
+        elif self._storage.ttl_ns > 0:
             self._ttl_task = scheduler.add_callback(
                 f"{name}:ttl",
                 lambda ts: self._storage.expire(ts),
                 max(NS_PER_SEC, self._storage.ttl_ns // 10),
-            )
-        # Tiered backends additionally run flush/rollup/retention sweeps
-        # (the Cassandra-compaction equivalent) on their own cadence.
-        maintain = getattr(self._storage, "maintain", None)
-        if callable(maintain):
-            self._maintenance_task = scheduler.add_callback(
-                f"{name}:storage-maintenance",
-                maintain,
-                int(
-                    getattr(
-                        self._storage,
-                        "maintenance_interval_ns",
-                        30 * NS_PER_SEC,
-                    )
-                ),
             )
         self._register_routes()
 
@@ -193,11 +177,12 @@ class CollectAgent:
         ) // (gap_ns * self._SIZING_SLACK_DEN) + 2
         return min(max(2, needed), self._MAX_INGEST_CAPACITY)
 
-    def _ingest(self, batch: ReadingBatch) -> None:
-        """Scatter a batch into caches and storage: the agent's one
-        write path, for MQTT traffic and operator outputs alike.
+    def _ingest(self, topics, timestamps, values) -> None:
+        """Scatter readings given as three parallel columns (``values``
+        float64) into caches and storage: the agent's one write path,
+        for drained MQTT passes and operator outputs alike.
 
-        The batch lands as columns — one per slab and timestamp, two
+        They land as columns — one per slab and timestamp, two
         NumPy writes each — by the write plan memoised for its topic
         sequence (:func:`plan_write`, compiled by :meth:`_write_plan`).
         Storage takes it the same way, by a plan of its own over its
@@ -213,12 +198,10 @@ class CollectAgent:
         ``core.queryengine``); it is never published as the interval.
         Here it sizes the rings (:meth:`_advance`).
         """
-        topics, timestamps = batch.topics, batch.timestamps
         if not len(topics):
             return
         topics = tuple(topics)
         plan = plan_write(self._plans, self._write_plan, topics, timestamps)
-        values = np.asarray(batch.values, dtype=np.float64)
         write_columns(plan.columns, timestamps, values, self._advance)
         self._storage.insert_columns(topics, timestamps, values)
 
@@ -261,11 +244,18 @@ class CollectAgent:
                 slab.grow(needed)
 
     def _drain(self, ts: int) -> None:
-        """Flush queued MQTT readings into caches and storage."""
+        """Flush queued MQTT passes into caches and storage, joined into
+        one run of columns."""
         t0 = time.perf_counter_ns()
-        batch = self._queue.drain()
-        self._ingest(batch)
-        self._m_forwarded.inc(len(batch))
+        passes = self._queue.drain()
+        if passes:
+            topics, timestamps = [], []
+            for batch in passes:
+                topics += batch.topics
+                timestamps += [batch.timestamp] * len(batch)
+            values = np.concatenate([batch.values for batch in passes])
+            self._ingest(topics, timestamps, values)
+            self._m_forwarded.inc(len(topics))
         self._sync_ingest_dropped()
         self._m_drain_latency.observe(time.perf_counter_ns() - t0)
 
@@ -285,21 +275,17 @@ class CollectAgent:
         """Store a whole pass's operator outputs in one call.
 
         ``readings`` are :class:`SensorColumns`, all at one timestamp.
-        In a Collect Agent they go to the cache and are also written to
-        the Storage Backend (Section IV-a); MQTT republishes (when
-        enabled) leave as one broker batch.
+        In a Collect Agent they go to the cache and are written to the
+        Storage Backend directly (Section IV-a), never published: with a
+        catch-all subscription they would loop back into the agent's own
+        ingest queue and be stored twice.
         """
         sensors = readings.sensors
-        batch = ReadingBatch(
-            [sensor.topic for sensor in sensors],
+        self._ingest(
+            tuple(sensor.topic for sensor in sensors),
             [ts] * len(sensors),
-            readings.values.tolist(),
+            readings.values,
         )
-        self._ingest(batch)
-        if self.republish_outputs:
-            published = [i for i, s in enumerate(sensors) if s.publish]
-            if published:
-                self.broker.publish_batch(batch.take(published))
 
     def cache_for(self, topic: str) -> Optional[SensorCache]:
         """The agent-side cache for ``topic``, if any traffic was seen."""

@@ -7,20 +7,25 @@ the storage backend.  This reproduction keeps the same topic semantics
 wildcards, retained messages) but runs in-process so experiments are
 deterministic and require no network stack.
 
-The unit of transport is the :class:`ReadingBatch`, one pass as parallel
-columns; ``publish(topic, value, ts)`` is a batch of one.  Delivery is
-synchronous: each matching subscriber gets its readings immediately, in
-list order, subscribers in subscription order; which ones a topic
-reaches is resolved once and memoised until the next (un)subscribe.  A
-:class:`QueuedSubscriber` buffers the columns for components that drain
-on their own schedule, e.g. a Collect Agent batching storage writes.
+The unit of transport is the :class:`ReadingBatch`, one pass: topics, the
+timestamp they share and an array of their values; ``publish(topic,
+value, ts)`` is a batch of one.  Delivery is synchronous: each matching
+subscriber gets its readings immediately, in list order, subscribers in
+subscription order; which ones a topic reaches is resolved once and
+memoised until the next (un)subscribe.  A :class:`PassQueue` holds
+passes for whoever sends or drains them on their own schedule: a
+Pusher's spill of refused publishes and, as a :class:`QueuedSubscriber`,
+a Collect Agent's ingest queue.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import ConfigError, TopicError
 from repro.common.topics import split_topic
@@ -29,8 +34,8 @@ from repro.sanitizer import hooks
 
 #: Callback signature for subscribers: (topic, payload, timestamp_ns).
 MessageHandler = Callable[[str, float, int], None]
-#: Column subscribers take whole runs: (topics, timestamps, values).
-BatchHandler = Callable[[Sequence[str], Sequence[int], Sequence[float]], None]
+#: Batch subscribers take whole runs of a pass, as a :class:`ReadingBatch`.
+BatchHandler = Callable[["ReadingBatch"], None]
 
 _SINGLE = "+"
 _MULTI = "#"
@@ -46,28 +51,48 @@ class Message:
 
 
 class ReadingBatch:
-    """Readings as three parallel columns, oldest first: what travels
+    """One pass on the wire: ``topics``, the one ``timestamp`` they
+    share and their float64 ``values``, in list order — what travels
     from a Pusher's pass to the Collect Agent's ingest queue, with no
     object per reading.  Iterating yields :class:`Message`, for the
-    callers that do want them one at a time (the spill queue, tests)."""
+    callers that do want them one at a time (per-message subscribers,
+    spill replay, tests).
 
-    __slots__ = ("topics", "timestamps", "values")
+    The batch owns its array: the constructor copies ``values``, so a
+    producer may overwrite what it handed over once the call returns.
+    The runs a broker or a link cuts out of a batch (``batch[i:j]``,
+    :meth:`take`) share it, and nothing writes into it.
+    """
 
-    def __init__(self, topics, timestamps, values) -> None:
-        self.topics, self.timestamps, self.values = topics, timestamps, values
+    __slots__ = ("topics", "timestamp", "values")
+
+    def __init__(self, topics, timestamp: int, values) -> None:
+        self.topics, self.timestamp = topics, timestamp
+        self.values = np.array(values, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.topics)
 
     def __iter__(self):
-        return map(Message, self.topics, self.values, self.timestamps)
+        ts = self.timestamp
+        return (
+            Message(topic, value, ts)
+            for topic, value in zip(self.topics, self.values.tolist())
+        )
 
-    def take(self, indices: Sequence[int]) -> "ReadingBatch":
+    def __getitem__(self, where: slice) -> "ReadingBatch":
+        """The readings in ``where``, a slice."""
+        return self._part(self.topics[where], self.values[where])
+
+    def take(self, indices) -> "ReadingBatch":
         """The readings at ``indices``, in that order."""
-        return ReadingBatch(*(
-            [column[i] for i in indices]
-            for column in (self.topics, self.timestamps, self.values)
-        ))
+        topics = self.topics
+        return self._part(tuple(topics[i] for i in indices), self.values[indices])
+
+    def _part(self, topics, values) -> "ReadingBatch":
+        part = object.__new__(ReadingBatch)
+        part.topics, part.timestamp, part.values = topics, self.timestamp, values
+        return part
 
 
 @dataclass
@@ -123,25 +148,25 @@ class Broker:
         delivered immediately.
         """
 
-        def each(topics, timestamps, values) -> None:
+        def each(batch: ReadingBatch) -> None:
             # A throwing handler must not poison the publisher, the rest
             # of its run or the remaining subscribers.
-            for topic, ts, value in zip(topics, timestamps, values):
+            for msg in batch:
                 try:
-                    handler(topic, value, ts)
+                    handler(msg.topic, msg.value, msg.timestamp)
                 except Exception as exc:
-                    self._note_handler_errors(1, topic, exc)
+                    self._note_handler_errors(1, msg.topic, exc)
 
         sub_id = self.subscribe_batch(pattern, each)
         if replay_retained:
             for msg in list(self._retained.values()):
                 if each in self._route(msg.topic):
-                    each((msg.topic,), (msg.timestamp,), (msg.value,))
+                    each(ReadingBatch((msg.topic,), msg.timestamp, (msg.value,)))
         return sub_id
 
     def subscribe_batch(self, pattern: str, handler: BatchHandler) -> int:
-        """Register a column subscriber: ``handler(topics, timestamps,
-        values)`` receives each run of matching readings as a whole."""
+        """Register a batch subscriber: ``handler(batch)`` receives each
+        run of matching readings as one :class:`ReadingBatch`."""
         parts = split_topic(pattern)
         if _MULTI in parts[:-1]:
             raise TopicError(f"'#' must terminate the pattern: {pattern!r}")
@@ -190,9 +215,7 @@ class Broker:
         if retain:
             self._route(topic)  # a wildcard topic is never retained
             self._retained[topic] = Message(topic, value, timestamp)
-        return self.publish_batch(
-            ReadingBatch((topic,), (timestamp,), (value,))
-        )
+        return self.publish_batch(ReadingBatch((topic,), timestamp, (value,)))
 
     def publish_batch(self, batch: ReadingBatch) -> int:
         """Deliver a :class:`ReadingBatch` in list order; returns the
@@ -213,13 +236,12 @@ class Broker:
         # across it is the classic lock-across-I/O hazard (rule R002).
         hooks.note_blocking("Broker.publish_batch (subscriber fan-out)")
         self.published_count += n
-        timestamps, values = batch.timestamps, batch.values
         delivered = 0
         for start, end, handlers in runs:
-            run = (topics[start:end], timestamps[start:end], values[start:end])
+            run = batch if end - start == n else batch[start:end]
             for handler in handlers:
                 try:
-                    handler(*run)
+                    handler(run)
                 except Exception as exc:
                     self._note_handler_errors(end - start, topics[start], exc)
             delivered += len(handlers) * (end - start)
@@ -296,76 +318,132 @@ class Broker:
         )[-16:]
 
 
-#: Backpressure policies a bounded :class:`QueuedSubscriber` accepts.
+#: What a full :class:`PassQueue` does with an arrival.
 QUEUE_POLICIES = ("drop-oldest", "drop-newest")
 
 
-class QueuedSubscriber:
-    """A subscriber that buffers readings for deferred draining.
+class PassQueue:
+    """A FIFO of passes (:class:`ReadingBatch`), bounded in readings.
 
-    Collect Agents use this to decouple broker delivery from storage
-    writes: ``attach`` registers the queue on a broker, and ``drain``
-    hands the accumulated columns to a consumer.
-
-    With ``maxlen`` the queue is bounded, counted in readings: at
-    capacity, ``drop-oldest`` evicts the head to admit an arrival
-    (monitoring's newest-data bias, the default) while ``drop-newest``
-    refuses it.  Either way the loss lands in ``dropped``, which the
-    owning host exports as ``ingest_dropped_total``.  All queue state is
-    guarded by a ``hooks.make_lock`` lock — under a WallClockDriver,
-    deliveries run on publisher threads concurrently with the drain.
+    At ``capacity`` (``None``: unbounded) a pass is taken as if its
+    readings arrived one at a time: ``drop-oldest`` evicts from the head
+    to admit each (monitoring's newest-data bias, the default), cutting
+    the head pass where the eviction ends; ``drop-newest`` refuses the
+    arrivals that find the queue full, the tail of the pass.  Either way
+    the loss lands in ``dropped``.  A plain data structure: locking is
+    the owner's.
     """
 
+    __slots__ = ("_passes", "_size", "capacity", "policy", "dropped")
+
     def __init__(
-        self, maxlen: Optional[int] = None, policy: str = "drop-oldest"
+        self, capacity: Optional[int] = None, policy: str = "drop-oldest"
     ) -> None:
         if policy not in QUEUE_POLICIES:
             raise ConfigError(
                 f"unknown queue policy {policy!r} "
                 f"(expected one of {list(QUEUE_POLICIES)})"
             )
-        if maxlen is not None and maxlen < 1:
-            raise ConfigError(f"queue maxlen must be positive: {maxlen}")
-        #: Pending (topics, timestamps, values), oldest first.
-        self._columns: Tuple[list, list, list] = ([], [], [])
-        self.dropped = 0
-        self._maxlen = maxlen
+        if capacity is not None and capacity < 1:
+            raise ConfigError(f"queue capacity must be positive: {capacity}")
+        self._passes: Deque[ReadingBatch] = deque()
+        self._size = 0  # readings
+        self.capacity = capacity
         self.policy = policy
+        self.dropped = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, batch: ReadingBatch) -> int:
+        """Append a pass; returns the readings shed for it."""
+        n = len(batch)
+        shed = 0
+        if self.capacity is not None:
+            # One reading at a time, each arrival at capacity sheds one.
+            shed = min(n, max(0, self._size + n - self.capacity))
+        if shed and self.policy == "drop-newest":
+            batch = batch[: n - shed]
+        if len(batch):
+            self._passes.append(batch)
+            self._size += len(batch)
+        if shed and self.policy == "drop-oldest":
+            self._evict(shed)
+        self.dropped += shed
+        return shed
+
+    def _evict(self, count: int) -> None:
+        passes = self._passes
+        self._size -= count
+        while count and count >= len(passes[0]):
+            count -= len(passes.popleft())
+        if count:
+            passes[0] = passes[0][count:]
+
+    def push_front(self, batch: ReadingBatch) -> None:
+        """Put a pass back at the head (what a replay did not send),
+        whatever the bound."""
+        if len(batch):
+            self._passes.appendleft(batch)
+            self._size += len(batch)
+
+    def pop(self) -> Optional[ReadingBatch]:
+        """Remove and return the head pass, or ``None``."""
+        if not self._passes:
+            return None
+        head = self._passes.popleft()
+        self._size -= len(head)
+        return head
+
+    def pop_all(self) -> List[ReadingBatch]:
+        """Remove and return every pass, oldest first."""
+        passes = list(self._passes)
+        self._passes.clear()
+        self._size = 0
+        return passes
+
+
+class QueuedSubscriber:
+    """A broker subscriber holding passes for deferred draining.
+
+    Collect Agents use this to decouple broker delivery from storage
+    writes: ``attach`` registers it on a broker, and ``drain`` hands the
+    passes held to a consumer.  The passes wait in a :class:`PassQueue`
+    (``capacity``, ``policy``), whose ``dropped`` the owning host
+    exports as ``ingest_dropped_total``.  It is guarded by a
+    ``hooks.make_lock`` lock — under a WallClockDriver, deliveries run
+    on publisher threads concurrently with the drain.
+    """
+
+    def __init__(
+        self, capacity: Optional[int] = None, policy: str = "drop-oldest"
+    ) -> None:
+        self.passes = PassQueue(capacity, policy)
         self._lock = hooks.make_lock("QueuedSubscriber")
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._columns[0])
+            return len(self.passes)
+
+    @property
+    def dropped(self) -> int:
+        """Readings shed at capacity so far."""
+        return self.passes.dropped
 
     def handler(self, topic: str, value: float, timestamp: int) -> None:
-        """Enqueue one reading: a run of one."""
-        self.handle_batch((topic,), (timestamp,), (value,))
+        """Enqueue one reading: a pass of one."""
+        self.handle_batch(ReadingBatch((topic,), timestamp, (value,)))
 
-    def handle_batch(self, topics, timestamps, values) -> None:
-        """Broker-facing callback: enqueue a run of readings.  The bound
-        applies per reading, as if they had arrived one by one."""
-        arriving = (topics, timestamps, values)
+    def handle_batch(self, batch: ReadingBatch) -> None:
+        """Broker-facing callback: enqueue a run of a pass."""
         with self._lock:
-            over = 0
-            if self._maxlen is not None:
-                over = max(0, len(self._columns[0]) + len(topics) - self._maxlen)
-            self.dropped += over
-            if over and self.policy == "drop-newest":
-                arriving = [col[: len(col) - over] for col in arriving]
-                over = 0  # refused at the door: nothing to evict
-            for pending, col in zip(self._columns, arriving):
-                pending.extend(col)
-                del pending[:over]
+            self.passes.push(batch)
 
     def attach(self, broker: Broker, pattern: str) -> int:
         """Subscribe this queue to ``pattern`` on ``broker``."""
         return broker.subscribe_batch(pattern, self.handle_batch)
 
-    def drain(self, limit: Optional[int] = None) -> ReadingBatch:
-        """Remove and return up to ``limit`` queued readings (all if
-        None), oldest first."""
+    def drain(self) -> List[ReadingBatch]:
+        """Remove and return every queued pass, oldest first."""
         with self._lock:
-            taken = [col[:limit] for col in self._columns]
-            for col in self._columns:
-                del col[:limit]
-        return ReadingBatch(*taken)
+            return self.passes.pop_all()

@@ -228,7 +228,7 @@ class NetworkConditions:
 
     def publish(self, topic: str, value: float, timestamp: int) -> None:
         """Send one message through the link: a batch of one."""
-        self.publish_batch(ReadingBatch((topic,), (timestamp,), (value,)))
+        self.publish_batch(ReadingBatch((topic,), timestamp, (value,)))
 
     def publish_batch(self, batch: ReadingBatch) -> None:
         """Send a :class:`ReadingBatch` through the link, in list order.
@@ -239,8 +239,9 @@ class NetworkConditions:
         batch size.  What is due at one instant reaches the broker as
         one batch, in list order.
         When any destination is down, one :class:`LinkDownError` is
-        raised afterwards carrying the refused subset in ``refused``, so
-        store-and-forward producers spill exactly what was not accepted.
+        raised afterwards carrying the refused subset in ``refused`` (a
+        batch), so store-and-forward producers spill exactly what was
+        not accepted.
         """
         now = self.scheduler.clock.now
         refused: List[int] = []

@@ -34,9 +34,9 @@ from repro.dcdb.cache import (
     register_cache_gauges,
     write_columns,
 )
-from repro.dcdb.mqtt import Broker, Message, ReadingBatch
+from repro.dcdb.mqtt import Broker, PassQueue, ReadingBatch
 from repro.dcdb.plugins.base import MonitoringPlugin
-from repro.dcdb.resilience import ExponentialBackoff, SpillQueue
+from repro.dcdb.resilience import ExponentialBackoff
 from repro.dcdb.restapi import RestApi, RestResponse
 from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.sanitizer import hooks
@@ -63,8 +63,8 @@ class Pusher:
         scheduler: shared task scheduler driving periodic sampling.
         cache_window_ns: retention of the per-sensor caches (the paper's
             experiments use 180 s).
-        spill_capacity: bound of the store-and-forward queue holding
-            publishes refused by a down link.
+        spill_capacity: bound, in readings, of the store-and-forward
+            queue holding passes refused by a down link.
         spill_policy: overflow policy of that queue (``drop-oldest``
             default, or ``drop-newest``).
         retry_base_ns / retry_max_ns: exponential reconnect backoff
@@ -88,11 +88,11 @@ class Pusher:
         self.broker = broker
         self.scheduler = scheduler
         self.cache_window_ns = int(cache_window_ns)
-        # Store-and-forward state: refused publishes land in the spill
+        # Store-and-forward state: refused passes land in the spill
         # queue and are replayed on reconnect.  Guarded by a sanitizer
         # seam lock — sampling tasks and retry tasks may run on
         # different threads under a WallClockDriver.
-        self._spill = SpillQueue(spill_capacity, spill_policy)
+        self._spill = PassQueue(spill_capacity, spill_policy)
         self._spill_lock = hooks.make_lock("Pusher.spill")
         self._backoff = ExponentialBackoff(
             retry_base_ns, retry_max_ns, seed=retry_seed
@@ -235,12 +235,12 @@ class Pusher:
         ``readings`` are :class:`SensorColumns`, all at one timestamp: a
         plugin's sensors tuple and sampled array, or an operator's
         outputs.  The pass lands as one column per slab and its
-        publishable readings leave as one column batch, both by the
-        write plan memoised for this sequence of sensors
-        (:meth:`_write_plan`).  Operator outputs flow through
-        the same call, which is what makes them "identical to all other
-        sensor data" (Section IV-d) and thus usable as pipeline inputs
-        downstream.
+        publishable readings leave as one :class:`ReadingBatch` — the
+        plan's topics, ``ts`` and their values — both by the write plan
+        memoised for this sequence of sensors (:meth:`_write_plan`).
+        Operator outputs flow through the same call, which is what makes
+        them "identical to all other sensor data" (Section IV-d) and
+        thus usable as pipeline inputs downstream.
         """
         sensors = readings.sensors
         if not sensors:
@@ -252,12 +252,10 @@ class Pusher:
         )
         values = readings.values
         write_columns(plan.columns, stamps, values)
-        topics = plan.topics
-        if topics:
+        if plan.topics:
             if plan.published is not None:
                 values = values[plan.published]
-                stamps = stamps[:len(topics)]
-            self._publish_batch(ReadingBatch(topics, stamps, values.tolist()))
+            self._publish_batch(ReadingBatch(plan.topics, ts, values))
 
     def _write_plan(self, sensors: tuple, timestamps) -> "_WritePlan":
         """Where a pass of ``sensors`` lands: caches for the sensors that
@@ -306,17 +304,17 @@ class Pusher:
             except LinkDownError as exc:
                 refused = exc.refused or batch
                 self._m_link_refusals.inc(len(refused))
-        for msg in refused:
-            self._spill_message(msg)
+        self._spill_batch(refused)
         self._schedule_retry()
 
-    def _spill_message(self, msg: Message) -> None:
+    def _spill_batch(self, batch: ReadingBatch) -> None:
+        """Spill a refused pass whole; the bound sheds per reading."""
         with self._spill_lock:
-            evicted = self._spill.append(msg)
-        if evicted is not None:  # the head, or msg itself (drop-newest)
-            self._m_spill_dropped.inc()
-        if evicted is not msg:
-            self._m_spill_buffered.inc()
+            shed = self._spill.push(batch)
+            # drop-oldest takes in every reading (each evicts an older one)
+            kept_out = shed if self._spill.policy == "drop-newest" else 0
+        self._m_spill_dropped.inc(shed)
+        self._m_spill_buffered.inc(len(batch) - kept_out)
 
     def _schedule_retry(self) -> None:
         with self._spill_lock:
@@ -331,7 +329,9 @@ class Pusher:
         )
 
     def _replay_spill(self, ts: int) -> None:
-        """Re-publish spilled readings in order; on refusal, back off.
+        """Re-publish spilled readings in order, the head pass one
+        message at a time; on refusal, put back what it did not send
+        and back off.
 
         At most one replay may drain the queue at a time: a scheduled
         retry racing a ``flush_spill()`` from another thread would
@@ -346,19 +346,20 @@ class Pusher:
         try:
             while True:
                 with self._spill_lock:
-                    msg = self._spill.popleft()
-                    if msg is None:
+                    head = self._spill.pop()
+                    if head is None:
                         self._backoff.reset()
                         return
-                try:
-                    self.broker.publish(msg.topic, msg.value, msg.timestamp)
-                except LinkDownError:
-                    self._m_link_refusals.inc()
-                    with self._spill_lock:
-                        self._spill.appendleft(msg)
-                    self._schedule_retry()
-                    return
-                self._m_spill_replayed.inc()
+                for sent, msg in enumerate(head):
+                    try:
+                        self.broker.publish(msg.topic, msg.value, msg.timestamp)
+                    except LinkDownError:
+                        self._m_link_refusals.inc()
+                        with self._spill_lock:
+                            self._spill.push_front(head[sent:])
+                        self._schedule_retry()
+                        return
+                    self._m_spill_replayed.inc()
         finally:
             with self._spill_lock:
                 self._replaying = False

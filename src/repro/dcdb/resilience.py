@@ -1,100 +1,22 @@
-"""Store-and-forward primitives for the Pusher publish path.
+"""Retry pacing for the Pusher's store-and-forward path.
 
 Production ODA deployments live or die on surviving management-network
 outages: a Pusher whose link to the Collect Agent is down must buffer
-readings locally and re-publish them on reconnect, not lose them.  This
-module provides the two building blocks the Pusher composes:
-
-- :class:`SpillQueue` — a bounded FIFO of refused messages with a
-  configurable overflow policy (``drop-oldest`` by default, matching the
-  "newest data wins" bias of monitoring pipelines).
-- :class:`ExponentialBackoff` — deterministic, seeded retry pacing with
-  multiplicative growth and uniform jitter, so a thousand Pushers
-  reconnecting after the same outage do not stampede the broker in
-  lockstep.
-
-Both are plain data structures: locking is the owner's responsibility
-(the Pusher guards its spill state through the ``hooks.make_lock``
-sanitizer seam).
+readings locally and re-publish them on reconnect, not lose them.  The
+buffer is a :class:`~repro.dcdb.mqtt.PassQueue`; this module provides
+the pacing of the re-publishes, :class:`ExponentialBackoff` —
+deterministic, seeded retry delays with multiplicative growth and
+uniform jitter, so a thousand Pushers reconnecting after the same
+outage do not stampede the broker in lockstep.  A plain data structure:
+locking is the owner's responsibility (the Pusher guards its spill
+state through the ``hooks.make_lock`` sanitizer seam).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
-
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.dcdb.mqtt import Message
-
-#: Overflow policies a :class:`SpillQueue` accepts.
-SPILL_POLICIES = ("drop-oldest", "drop-newest")
-
-
-class SpillQueue:
-    """A bounded FIFO buffer of refused publishes.
-
-    Args:
-        capacity: maximum number of buffered messages (> 0).
-        policy: what happens when a message arrives at capacity —
-            ``drop-oldest`` evicts the head to admit it (default),
-            ``drop-newest`` refuses the new message instead.
-    """
-
-    __slots__ = ("_queue", "_capacity", "policy")
-
-    def __init__(self, capacity: int = 8192, policy: str = "drop-oldest"):
-        if capacity <= 0:
-            raise ConfigError(f"spill capacity must be positive: {capacity}")
-        if policy not in SPILL_POLICIES:
-            raise ConfigError(
-                f"unknown spill policy {policy!r} "
-                f"(expected one of {list(SPILL_POLICIES)})"
-            )
-        self._queue: Deque[Message] = deque()
-        self._capacity = int(capacity)
-        self.policy = policy
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def append(self, msg: Message) -> Optional[Message]:
-        """Buffer one message; returns the message dropped to make room.
-
-        ``None`` means the message was admitted without loss.  Under
-        ``drop-newest`` the returned message may be ``msg`` itself
-        (refused outright, never buffered).
-        """
-        if len(self._queue) >= self._capacity:
-            if self.policy == "drop-newest":
-                return msg
-            dropped = self._queue.popleft()
-            self._queue.append(msg)
-            return dropped
-        self._queue.append(msg)
-        return None
-
-    def appendleft(self, msg: Message) -> None:
-        """Put a message back at the head (failed replay re-queue)."""
-        self._queue.appendleft(msg)
-
-    def popleft(self) -> Optional[Message]:
-        """Remove and return the oldest buffered message, or ``None``."""
-        if not self._queue:
-            return None
-        return self._queue.popleft()
-
-    def peek(self) -> Optional[Message]:
-        """The oldest buffered message without removing it."""
-        return self._queue[0] if self._queue else None
-
-    def clear(self) -> None:
-        self._queue.clear()
 
 
 class ExponentialBackoff:

@@ -42,7 +42,6 @@ from repro.dcdb.network import NetworkConditions
 from repro.dcdb.plugins import MONITORING_PLUGINS, MonitoringPlugin
 from repro.dcdb.plugins.perfevent import CPU_COUNTERS
 from repro.dcdb.pusher import Pusher
-from repro.dcdb.resilience import SPILL_POLICIES
 from repro.dcdb.segments import TieredStorageBackend
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.cluster import ClusterSpec, ClusterTopology
@@ -480,7 +479,7 @@ OUTAGE = Section("outage", [
 SPILL = Section("spill", [
     Key("capacity", COUNT, _arg(Pusher, "spill_capacity"),
         "refused readings one Pusher buffers for replay"),
-    Key("policy", choice(SPILL_POLICIES), _arg(Pusher, "spill_policy"),
+    Key("policy", choice(QUEUE_POLICIES), _arg(Pusher, "spill_policy"),
         "which reading a full spill queue sheds"),
     Key("retry_base_ms", POSITIVE, _arg(Pusher, "retry_base_ns"),
         "first reconnect delay; doubles per failed attempt"),
@@ -567,7 +566,9 @@ STORAGE = Section("storage", [
         _arg(TieredStorageBackend, "maintenance_interval_ns"),
         "cadence of the maintenance sweep (flush check, rollups, retention)"),
     Key("ttl_s", NON_NEGATIVE, _arg(StorageBackend, "ttl_ns"),
-        "expiry sweep over the memory tier (0 = off)"),
+        "expiry sweep over the memory tier (0 = off); with `tiered` it "
+        "runs once per maintenance sweep (every `flush_interval_s`), with "
+        "`memory` every `ttl_s`/10, at least 1 s"),
     Key("rollups", ROLLUPS, {}, "age-based downsampling of sealed segments"),
     Key("retention", RETENTION, {}, "age-based deletion of sealed segments"),
 ], rules=[_storage_horizons])

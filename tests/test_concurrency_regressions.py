@@ -20,7 +20,7 @@ import threading
 
 from repro.core.operator import OperatorBase
 from repro.dcdb import Broker, Pusher
-from repro.dcdb.mqtt import Message
+from repro.dcdb.mqtt import ReadingBatch
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import MetricRegistry
 
@@ -139,7 +139,7 @@ class TestReplaySpillSingleOwner:
         pusher = Pusher("/n0", broker, TaskScheduler())
         broker.pusher = pusher
         for i in range(3):
-            pusher._spill_message(Message(f"/m{i}", float(i), i + 1))
+            pusher._spill_batch(ReadingBatch((f"/m{i}",), i + 1, (float(i),)))
         assert pusher.spill_depth == 3
 
         pusher.flush_spill()
@@ -161,7 +161,7 @@ class TestReplaySpillSingleOwner:
 
         scheduler = TaskScheduler()
         pusher = Pusher("/n0", DownBroker(), scheduler)
-        pusher._spill_message(Message("/m0", 0.0, 1))
+        pusher._spill_batch(ReadingBatch(("/m0",), 1, (0.0,)))
         pusher.flush_spill()
         assert pusher.spill_depth == 1  # message went back on the queue
         assert pusher._retry_pending is True

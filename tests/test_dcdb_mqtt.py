@@ -6,6 +6,11 @@ from repro.common.errors import TopicError
 from repro.dcdb.mqtt import Broker, Message, QueuedSubscriber, ReadingBatch
 
 
+def readings(passes):
+    """The values of drained passes, oldest first."""
+    return [m.value for batch in passes for m in batch]
+
+
 class Recorder:
     def __init__(self):
         self.messages = []
@@ -148,7 +153,7 @@ class TestRouteMemo:
         b = Broker()
         rec = Recorder()
         b.subscribe("/#", rec)
-        batch = ReadingBatch(["/ok", "/a/+", "/ok"], [1, 1, 1], [1.0, 2.0, 3.0])
+        batch = ReadingBatch(["/ok", "/a/+", "/ok"], 1, [1.0, 2.0, 3.0])
         for _ in range(3):  # a refusal must not be memoised as valid
             with pytest.raises(TopicError):
                 b.publish_batch(batch)
@@ -169,13 +174,13 @@ class TestRouteMemo:
         queue = QueuedSubscriber()
         queue.attach(b, "/t/#")
         batch = ReadingBatch(
-            [f"/t/{i}" for i in range(5)], list(range(5)), [float(i) for i in range(5)]
+            [f"/t/{i}" for i in range(5)], 7, [float(i) for i in range(5)]
         )
         assert b.publish_batch(batch) == 15
         assert b.publish_batch(batch) == 15  # memoised route, same cost
         assert b.handler_errors == 10
         assert [m[1] for m in rec.messages] == [0.0, 1.0, 2.0, 3.0, 4.0] * 2
-        assert [m.value for m in queue.drain()] == [0.0, 1.0, 2.0, 3.0, 4.0] * 2
+        assert readings(queue.drain()) == [0.0, 1.0, 2.0, 3.0, 4.0] * 2
 
     def test_mixed_routes_keep_list_order_per_subscriber(self):
         b = Broker()
@@ -184,7 +189,7 @@ class TestRouteMemo:
         b.subscribe("/a/#", only_a)
         topics = ["/a/x", "/a/y", "/b/x", "/a/z", "/b/y"]
         n = b.publish_batch(ReadingBatch(
-            topics, list(range(len(topics))), [float(i) for i in range(len(topics))]
+            topics, 3, [float(i) for i in range(len(topics))]
         ))
         assert n == 8
         assert [m[0] for m in everything.messages] == topics
@@ -274,30 +279,22 @@ class TestQueuedSubscriber:
         b.publish("/a", 1.0, 1)
         b.publish("/b", 2.0, 2)
         assert len(q) == 2
-        msgs = q.drain()
-        assert [m.topic for m in msgs] == ["/a", "/b"]
+        passes = q.drain()
+        assert [(p.topics, p.timestamp) for p in passes] == [
+            (("/a",), 1), (("/b",), 2),
+        ]
         assert len(q) == 0
-
-    def test_drain_limit(self):
-        b = Broker()
-        q = QueuedSubscriber()
-        q.attach(b, "/#")
-        for i in range(5):
-            b.publish("/t", float(i), i)
-        assert len(q.drain(limit=2)) == 2
-        assert len(q) == 3
 
     def test_bounded_queue_drops_and_counts(self):
         b = Broker()
-        q = QueuedSubscriber(maxlen=2)
+        q = QueuedSubscriber(2)
         q.attach(b, "/#")
         for i in range(4):
             b.publish("/t", float(i), i)
         assert len(q) == 2
         assert q.dropped == 2
-        # deque(maxlen) keeps the newest entries
-        assert [m.value for m in q.drain()] == [2.0, 3.0]
-
+        # drop-oldest keeps the newest entries
+        assert readings(q.drain()) == [2.0, 3.0]
 
     @pytest.mark.parametrize("policy,kept", [
         ("drop-oldest", [4.0, 5.0, 6.0]), ("drop-newest", [0.0, 1.0, 2.0]),
@@ -306,14 +303,14 @@ class TestQueuedSubscriber:
         # One run larger than what is left of the queue, then one larger
         # than the whole queue: the outcome is that of seven arrivals.
         b = Broker()
-        q = QueuedSubscriber(maxlen=3, policy=policy)
+        q = QueuedSubscriber(3, policy)
         q.attach(b, "/#")
-        for run in (range(2), range(2, 7)):
+        for ts, run in enumerate((range(2), range(2, 7))):
             b.publish_batch(
-                ReadingBatch(["/t"] * len(run), list(run), [float(i) for i in run])
+                ReadingBatch(["/t"] * len(run), ts, [float(i) for i in run])
             )
         assert len(q) == 3 and q.dropped == 4
-        assert [m.value for m in q.drain()] == kept
+        assert readings(q.drain()) == kept
 
 
 class TestPublishValidation:

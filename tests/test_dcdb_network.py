@@ -95,7 +95,7 @@ class TestNetworkConditions:
                 drop_probability=0.2, seed=5,
             )
             messages = ReadingBatch(
-                [f"/t{i % 3}" for i in range(30)], list(range(30)),
+                [f"/t{i % 3}" for i in range(30)], 0,
                 [float(i) for i in range(30)],
             )
             if batched:

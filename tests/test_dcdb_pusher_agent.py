@@ -183,6 +183,20 @@ class TestOperatorOutputPath:
         assert rig.agent.storage.count("/r0/c0/n0/remote") == 1
 
 
+    def test_the_wire_owns_its_values(self, rig):
+        # The producer overwrites its array after the call returns and
+        # before the agent drains: the agent keeps what was sent.
+        sensors = (Sensor("/r0/c0/n0/a"), Sensor("/r0/c0/n0/b"))
+        values = np.array([1.0, 2.0])
+        rig.pusher.store_readings_batch(10, SensorColumns(sensors, values))
+        values[:] = -1.0
+        rig.agent.flush()
+        for sensor, value in zip(sensors, (1.0, 2.0)):
+            assert rig.agent.cache_for(sensor.topic).latest().value == value
+            _, stored = rig.agent.storage.query(sensor.topic, 0, 20)
+            assert stored.tolist() == [value]
+
+
 class TestCollectAgent:
     def test_forwarding_to_storage(self, rig):
         rig.pusher.add_plugin(TesterMonitoringPlugin("/r0/c0/n0", n_sensors=2))

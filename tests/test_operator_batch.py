@@ -1009,7 +1009,7 @@ class TestBatchedSinks:
         broker.subscribe("/a/#", lambda t, v, ts: seen.append((t, v, ts)))
         n = broker.publish_batch(ReadingBatch(
             ["/a/x", "/a/y", "/b/z"],  # no subscriber on /b/z
-            [10, 10, 10],
+            10,
             [1.0, 2.0, 3.0],
         ))
         assert n == 2
@@ -1020,7 +1020,7 @@ class TestBatchedSinks:
     def test_publish_batch_rejects_wildcards(self):
         broker = Broker()
         with pytest.raises(TopicError):
-            broker.publish_batch(ReadingBatch(["/a/+"], [0], [1.0]))
+            broker.publish_batch(ReadingBatch(["/a/+"], 0, [1.0]))
 
     def test_pusher_store_readings_batch(self):
         broker = Broker()

@@ -39,7 +39,6 @@ from repro.core import queryengine
 from repro.core.queryengine import _ROW_CACHE, QueryEngine
 from repro.dcdb import Broker, CollectAgent
 from repro.dcdb.cache import NO_GAP
-from repro.dcdb.mqtt import ReadingBatch
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
@@ -265,10 +264,10 @@ def agent_with_engine(cache_window_ns):
 
 
 def ingest(agent, topic, timestamps):
-    agent._ingest(ReadingBatch(
+    agent._ingest(
         [topic] * len(timestamps), list(timestamps),
-        [float(ts) for ts in timestamps],
-    ))
+        np.array(timestamps, dtype=np.float64),
+    )
 
 
 def assert_row_is_scalar(engine, win, i, window_ns):

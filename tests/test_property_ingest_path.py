@@ -11,6 +11,7 @@ real path; the answers must be those of the per-message one.
 """
 
 from collections import Counter, defaultdict
+from itertools import groupby
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,12 +165,15 @@ class Rig:
         ))
 
     def publish_raw(self, messages):
-        try:
-            self.link.publish_batch(ReadingBatch(*(
-                [m[i] for m in messages] for i in range(3)
-            )))
-        except LinkDownError:
-            pass
+        # One batch per run of one timestamp, in list order.
+        for ts, run in groupby(messages, key=lambda m: m[1]):
+            run = list(run)
+            try:
+                self.link.publish_batch(ReadingBatch(
+                    [m[0] for m in run], ts, [m[2] for m in run]
+                ))
+            except LinkDownError:
+                pass
 
     def counters(self):
         telemetry = self.pusher.telemetry

@@ -51,7 +51,6 @@ from repro.core.queryengine import (
 )
 from repro.core.units import Unit
 from repro.dcdb.cache import CacheSlab, SensorCache, plan_columns
-from repro.dcdb.mqtt import ReadingBatch
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
 from repro.plugins.aggregator import AggregatorOperator
@@ -618,9 +617,9 @@ def test_no_row_is_touched_in_python_on_a_steady_state_tick(monkeypatch):
 
 def ingest(agent, readings):
     topics, timestamps = zip(*readings)
-    agent._ingest(ReadingBatch(
-        list(topics), list(timestamps), [float(ts) for ts in timestamps]
-    ))
+    agent._ingest(
+        topics, list(timestamps), np.array(timestamps, dtype=np.float64)
+    )
 
 
 def assert_rows_are_scalar(engine, win, window_ns):

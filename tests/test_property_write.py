@@ -48,7 +48,6 @@ from repro.dcdb import Broker, CollectAgent
 from repro.dcdb import cache as cache_module
 from repro.dcdb import storage as storage_module
 from repro.dcdb.cache import SensorCache
-from repro.dcdb.mqtt import ReadingBatch
 from repro.dcdb.segments import TieredStorageBackend
 from repro.dcdb.storage import StorageBackend
 from repro.deploy import build_deployment
@@ -611,10 +610,10 @@ def agent_at(cache_window_s):
 
 
 def ingest(agent, topic, timestamps):
-    agent._ingest(ReadingBatch(
+    agent._ingest(
         [topic] * len(timestamps), list(timestamps),
-        [float(ts) for ts in timestamps],
-    ))
+        np.array(timestamps, dtype=np.float64),
+    )
 
 
 def test_one_off_cadence_arrival_does_not_size_a_ring_for_life():

@@ -4,6 +4,8 @@ bounded ingest, and operator circuit breakers."""
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError, LinkDownError
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC
@@ -12,10 +14,10 @@ from repro.analysis.diagnostics import DiagnosticCollector
 from repro.core.configurator import parse_operator_config
 from repro.core.manager import OperatorManager
 from repro.dcdb import Broker, CollectAgent, Pusher
-from repro.dcdb.mqtt import QueuedSubscriber, ReadingBatch
+from repro.dcdb.mqtt import PassQueue, QueuedSubscriber, ReadingBatch
 from repro.dcdb.network import NetworkConditions, Outage
 from repro.dcdb.plugins import TesterMonitoringPlugin
-from repro.dcdb.resilience import ExponentialBackoff, SpillQueue
+from repro.dcdb.resilience import ExponentialBackoff
 from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
@@ -98,7 +100,7 @@ class TestOutages:
     def test_publish_batch_refuses_partitioned_subset(self):
         scheduler, _, link, received = link_rig()
         link.schedule_outage(0, 10 * NS_PER_SEC, destinations=["/down"])
-        batch = ReadingBatch(["/up/a", "/down/b", "/up/c"], [0, 0, 0], [1.0, 2.0, 3.0])
+        batch = ReadingBatch(["/up/a", "/down/b", "/up/c"], 0, [1.0, 2.0, 3.0])
         with pytest.raises(LinkDownError) as exc:
             link.publish_batch(batch)
         assert [m.topic for m in exc.value.refused] == ["/down/b"]
@@ -124,44 +126,115 @@ class TestOutages:
         assert schedule(8) != a
 
 
+def one(topic, ts=0):
+    """A pass of one reading, valued ``ts``."""
+    return ReadingBatch((topic,), ts, (float(ts),))
+
+
+def topics(passes):
+    return [t for batch in passes for t in batch.topics]
+
+
 class TestSpillQueue:
+    """The :class:`PassQueue` in its spill role: bounded, passes of one."""
+
     def test_fifo(self):
-        q = SpillQueue(4)
+        q = PassQueue(4)
         for i in range(3):
-            assert q.append(i) is None
-        assert q.popleft() == 0
-        assert q.peek() == 1
-        assert len(q) == 2
+            assert q.push(one(f"/{i}")) == 0
+        assert q.pop().topics == ("/0",)
+        assert topics(q.pop_all()) == ["/1", "/2"]
+        assert len(q) == 0
 
     def test_drop_oldest_evicts_head(self):
-        q = SpillQueue(2, policy="drop-oldest")
-        q.append("a")
-        q.append("b")
-        assert q.append("c") == "a"
-        assert q.popleft() == "b"
-        assert q.popleft() == "c"
+        q = PassQueue(2, policy="drop-oldest")
+        q.push(one("a"))
+        q.push(one("b"))
+        assert q.push(one("c")) == 1 and q.dropped == 1
+        assert q.pop().topics == ("b",)
+        assert q.pop().topics == ("c",)
 
     def test_drop_newest_refuses_arrival(self):
-        q = SpillQueue(2, policy="drop-newest")
-        q.append("a")
-        q.append("b")
-        assert q.append("c") == "c"
-        assert q.popleft() == "a"
+        q = PassQueue(2, policy="drop-newest")
+        q.push(one("a"))
+        q.push(one("b"))
+        assert q.push(one("c")) == 1 and q.dropped == 1
+        assert topics(q.pop_all()) == ["a", "b"]
 
-    def test_appendleft_restores_order(self):
-        q = SpillQueue(4)
-        q.append("b")
-        q.appendleft("a")
-        assert q.popleft() == "a"
+    def test_push_front_restores_order(self):
+        q = PassQueue(4)
+        q.push(one("b"))
+        q.push_front(one("a"))
+        assert q.pop().topics == ("a",)
 
-    def test_empty_popleft_returns_none(self):
-        assert SpillQueue(2).popleft() is None
+    def test_empty_pop_returns_none(self):
+        assert PassQueue(2).pop() is None
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SpillQueue(0)
+            PassQueue(0)
         with pytest.raises(ConfigError):
-            SpillQueue(4, policy="bogus")
+            PassQueue(4, policy="bogus")
+
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 5)),
+    st.tuples(st.just("push_front"), st.integers(0, 5)),
+    st.tuples(st.just("pop"), st.just(0)),
+    st.tuples(st.just("pop_all"), st.just(0)),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.one_of(st.none(), st.integers(1, 6)),
+    policy=st.sampled_from(["drop-oldest", "drop-newest"]),
+    ops=_ops,
+)
+def test_pass_queue_matches_readings_one_at_a_time(capacity, policy, ops):
+    """Whole passes in, whole passes out: the lengths, shed counts and
+    contents of a list handling one reading at a time, the way the
+    spill queue did (an arrival at capacity sheds the head or itself;
+    a push to the front is never refused)."""
+    q, model, dropped, serial = PassQueue(capacity, policy), [], 0, 0
+
+    def contents(passes):
+        out = []
+        for batch in passes:
+            values = batch.values.tolist()
+            assert list(batch.topics) == [f"/t{v:g}" for v in values]
+            out += values
+        return out
+
+    for op, n in ops:
+        if op in ("push", "push_front"):
+            values = list(range(serial, serial + n))
+            serial += n
+            batch = ReadingBatch([f"/t{v}" for v in values], len(ops), values)
+            if op == "push_front":
+                q.push_front(batch)
+                model[:0] = values
+                continue
+            shed = 0
+            for value in values:
+                if capacity is not None and len(model) >= capacity:
+                    shed += 1
+                    if policy == "drop-newest":
+                        continue
+                    model.pop(0)
+                model.append(value)
+            assert q.push(batch) == shed
+            dropped += shed
+        elif op == "pop":
+            head = q.pop()
+            taken = [] if head is None else contents([head])
+            assert taken == model[: len(taken)] and (head is None) == (not model)
+            del model[: len(taken)]
+        else:
+            assert contents(q.pop_all()) == model
+            model = []
+        assert len(q) == len(model) and q.dropped == dropped
+    assert contents(q.pop_all()) == model
 
 
 class TestExponentialBackoff:
@@ -316,22 +389,33 @@ class TestBoundedIngestQueue:
         assert len(q) == 100 and q.dropped == 0
 
     def test_drop_oldest_keeps_newest(self):
-        q = QueuedSubscriber(maxlen=2)
+        q = QueuedSubscriber(2)
         for i in range(4):
             q.handler("/t", float(i), i)
         assert q.dropped == 2
-        assert [m.value for m in q.drain()] == [2.0, 3.0]
+        assert [m.value for b in q.drain() for m in b] == [2.0, 3.0]
 
     def test_drop_newest_keeps_oldest(self):
-        q = QueuedSubscriber(maxlen=2, policy="drop-newest")
+        q = QueuedSubscriber(2, policy="drop-newest")
         for i in range(4):
             q.handler("/t", float(i), i)
         assert q.dropped == 2
-        assert [m.value for m in q.drain()] == [0.0, 1.0]
+        assert [m.value for b in q.drain() for m in b] == [0.0, 1.0]
+
+    def test_drop_oldest_eviction_splits_the_head_pass(self):
+        q = QueuedSubscriber(5)
+        q.handle_batch(ReadingBatch(("/a", "/b", "/c", "/d"), 1, [1, 2, 3, 4]))
+        q.handle_batch(ReadingBatch(("/e", "/f", "/g"), 2, [5, 6, 7]))
+        assert len(q) == 5 and q.dropped == 2
+        head, tail = q.drain()
+        assert (head.topics, head.timestamp) == (("/c", "/d"), 1)
+        assert head.values.tolist() == [3.0, 4.0]
+        assert (tail.topics, tail.timestamp) == (("/e", "/f", "/g"), 2)
+        assert len(q) == 0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            QueuedSubscriber(maxlen=0)
+            QueuedSubscriber(0)
         with pytest.raises(ConfigError):
             QueuedSubscriber(policy="bogus")
 
@@ -353,7 +437,7 @@ class TestBoundedIngestQueue:
         # Satellite regression: the unguarded queue lost drop counts
         # under concurrent handler calls.  With the lock seam the
         # invariant (kept + dropped == published) must hold exactly.
-        q = QueuedSubscriber(maxlen=64)
+        q = QueuedSubscriber(64)
         n_threads, per_thread = 8, 500
         barrier = threading.Barrier(n_threads)
 
@@ -653,7 +737,7 @@ class TestDeploymentNetworkSection:
         pusher = next(iter(dep.pushers.values()))
         assert pusher.broker is dep.link
         assert pusher._spill.capacity == 777
-        assert dep.agent._queue._maxlen == 50000
+        assert dep.agent._queue.passes.capacity == 50000
 
     def test_outage_recovery_is_lossless(self):
         dep = build_deployment(self.SPEC)

@@ -351,6 +351,31 @@ class TestAgentWiring:
         assert 'storage_tier_hits{tier="memory"}' in metrics
         assert "storage_flushes" in metrics
 
+    def test_tiered_agent_sweeps_ttl_once_per_maintenance(self, tmp_path):
+        # ttl 20 s, maintenance every 10 s, one simulated minute: the
+        # sweep runs inside maintenance only, not also on a task of its
+        # own every ttl/10 (which made 31 + 7 calls).
+        scheduler = TaskScheduler()
+        tiered = TieredStorageBackend(
+            tmp_path, ttl_ns=20 * NS_PER_SEC,
+            maintenance_interval_ns=10 * NS_PER_SEC,
+        )
+        calls = {"expire": 0, "maintain": 0}
+
+        def counted(name):
+            method = getattr(tiered, name)
+
+            def call(now_ns):
+                calls[name] += 1
+                return method(now_ns)
+            return call
+
+        for name in calls:
+            setattr(tiered, name, counted(name))
+        CollectAgent("agent", Broker(), scheduler, storage=tiered)
+        scheduler.run_until(60 * NS_PER_SEC)
+        assert calls == {"expire": 7, "maintain": 7}
+
     def test_memory_agent_has_no_tier_gauges(self):
         from repro.telemetry import render_prometheus
 
