@@ -27,6 +27,13 @@ bench measures exactly those properties:
   reading — each beside the per-topic loop and JSON-header file
   (WMSEG01) it replaced, kept here as the reference and run in the same
   process on the same data.
+- **Range reads**: a store aged to the shape ``tiered_query_mix`` ends
+  with (1 480 topics in 3 raw, 9 x 10 s and 34 x 1 min segments, plus a
+  memory tier) answers the probe's reads — last 30 s, 60 s at a past
+  offset, the whole history, 60 s means over the whole history — through
+  the one-pass read, beside the per-segment read it replaced (every
+  overlapping segment's whole file loaded, both bounds searched), kept
+  here as the reference; every answer is compared bit for bit.
 
 Run standalone (``python benchmarks/bench_storage_tiers.py [--smoke]``)
 or under pytest.
@@ -42,6 +49,7 @@ import struct
 import sys
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 if __package__ in (None, ""):  # script invocation: make repo-root imports work
@@ -72,6 +80,7 @@ CONFIG = {
     "rollup": {"topics": 3, "seconds": 1800, "flush_chunks": 6},
     "throughput": {"topics": 4, "readings": 25_000},
     "maintenance": {"nodes": 148, "sensors": 10, "readings": 10, "rounds": 9},
+    "reads": {"nodes": 148, "sensors": 10, "topics_read": 64, "rounds": 5},
 }
 
 
@@ -524,6 +533,169 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+# ----------------------------------------------------------------------
+# Range reads: the one-pass read beside the per-segment read it replaced
+# ----------------------------------------------------------------------
+
+#: The segment shape ``tiered_query_mix`` ends a 15 s run with: one
+#: flush per 10 s sweep, raw for 30 s, 10 s buckets until 120 s.
+_READ_FLUSHES, _READ_FLUSH_S = 46, 10
+_READ_ROLLUP_S, _READ_MINUTE_S = 30, 120
+
+
+class _ReferenceReader:
+    """The range read before the one-pass loop: a segment filter (the
+    segment's bounds, then the topic's index bounds), each overlapping
+    segment's whole data section loaded and checked on its first read,
+    both bounds searched, the memory tier last, ``concatenate``."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self._loaded = {}
+
+    def _load(self, seg):
+        data = self._loaded.get(seg.path)
+        if data is None:
+            with open(seg.path, "rb") as fh:
+                fh.seek(seg.data_offset)
+                raw = memoryview(fh.read())
+            block = seg.points * 8
+            data = {}
+            for i, col in enumerate(seg.columns):
+                if zlib.crc32(raw[i * block : (i + 1) * block]) != seg._crcs[i]:
+                    raise AssertionError(f"{seg.path}: column {col!r}")
+                data[col] = np.frombuffer(
+                    raw, dtype=np.int64 if col in ("ts", "count") else np.float64,
+                    count=seg.points, offset=i * block,
+                )
+            self._loaded[seg.path] = data
+        return data
+
+    def query(self, topic, start_ts, end_ts):
+        parts = []
+        for seg in [
+            s for s in self.backend.store.segments
+            if s.min_ts <= end_ts and s.max_ts >= start_ts
+            and topic in s.series
+            and s._min_ts[s.series[topic]] <= end_ts
+            and s._max_ts[s.series[topic]] >= start_ts
+        ]:
+            data = self._load(seg)
+            row = seg.series[topic]
+            o, n = seg._offset[row], seg._count[row]
+            ts = data["ts"][o : o + n]
+            lo = int(np.searchsorted(ts, start_ts, side="left"))
+            hi = int(np.searchsorted(ts, end_ts, side="right"))
+            if hi > lo:
+                cols = {c: data[c][o + lo : o + hi] for c in seg.columns}
+                parts.append((cols["ts"], cols["mean" if seg.level else "val"]))
+        ts, val = StorageBackend.query(self.backend, topic, start_ts, end_ts)
+        if len(ts):
+            parts.append((ts, val))
+        if not parts:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        if len(parts) == 1:
+            return parts[0]
+        return (
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+        )
+
+    def query_aggregate(self, topic, start_ts, end_ts, bucket_ns, op="mean"):
+        return StorageBackend.query_aggregate(
+            self, topic, start_ts, end_ts, bucket_ns, op
+        )
+
+
+def _aged_store(directory, nodes: int, sensors: int):
+    """A tiered backend after ``_READ_FLUSHES`` sweeps of 1 Hz readings
+    from ``nodes x sensors`` topics, flushed every sweep and rolled up
+    by age, with 5 s more readings left in memory."""
+    names = [
+        f"/rack{n // 37:02d}/chassis{n % 37 // 4:02d}/node{n % 4:02d}"
+        f"/tester{s:04d}"
+        for n in range(nodes) for s in range(sensors)
+    ]
+    rng = np.random.default_rng(0x4EAD)
+    phase = rng.integers(0, NS_PER_SEC, size=nodes).repeat(sensors)
+    backend = TieredStorageBackend(
+        directory, flush_mb=64,
+        rollup_after_ns=_READ_ROLLUP_S * NS_PER_SEC,
+        rollup_minute_after_ns=_READ_MINUTE_S * NS_PER_SEC,
+    )
+    seconds = np.arange(_READ_FLUSH_S, dtype=np.int64) * NS_PER_SEC
+    for k in range(_READ_FLUSHES + 1):
+        start = k * _READ_FLUSH_S * NS_PER_SEC
+        span = seconds if k < _READ_FLUSHES else seconds[:5]
+        values = rng.normal(100.0, 5.0, size=(len(names), len(span)))
+        for i, topic in enumerate(names):
+            backend.insert_batch(topic, start + span + int(phase[i]), values[i])
+        if k < _READ_FLUSHES:
+            now = start + _READ_FLUSH_S * NS_PER_SEC
+            backend.flush(now)
+            backend.maintain(now)
+    return backend, names, start + 5 * NS_PER_SEC
+
+
+def run_reads(nodes: int, sensors: int, topics_read: int, rounds: int) -> dict:
+    """The probe's four range-read kinds, one-pass vs per-segment."""
+    tmp = Path(tempfile.mkdtemp(prefix="bench-tiers-"))
+    try:
+        backend, names, now = _aged_store(tmp, nodes, sensors)
+        reference = _ReferenceReader(backend)
+        rng = np.random.default_rng(0x7EAD)
+        topics = [names[i] for i in rng.choice(len(names), topics_read, replace=False)]
+        kinds = {
+            "recent_30s": lambda q, t, off: q.query(t, now - 30 * NS_PER_SEC, now),
+            "range_60s": lambda q, t, off: q.query(t, off, off + 60 * NS_PER_SEC),
+            "history": lambda q, t, off: q.query(t, 0, now),
+            "aggregate_60s": lambda q, t, off: q.query_aggregate(
+                t, 0, now, 60 * NS_PER_SEC, "mean"
+            ),
+        }
+        offsets = rng.integers(0, now // NS_PER_SEC - 60, size=topics_read) * NS_PER_SEC
+        sides = {"one_pass": backend, "per_segment_reference": reference}
+        us = {kind: {side: [] for side in sides} for kind in kinds}
+        identical = True
+        for r in range(rounds + 1):  # round 0 reads every block once: untimed
+            order = list(sides.items())
+            if r % 2:
+                order.reverse()
+            for kind, read in kinds.items():
+                for topic, off in zip(topics, offsets.tolist()):
+                    got = {}
+                    for side, q in order:
+                        t0 = time.perf_counter_ns()
+                        got[side] = read(q, topic, off)
+                        if r:
+                            us[kind][side].append((time.perf_counter_ns() - t0) / 1e3)
+                    (a_ts, a_val), (b_ts, b_val) = got.values()
+                    identical &= (
+                        a_ts.tobytes() == b_ts.tobytes()
+                        and a_val.tobytes() == b_val.tobytes()
+                    )
+        levels = backend.store.level_counts()
+        out = {
+            "topics": len(names), "segments": levels,
+            "segment_points": backend.store.total_points(),
+            "memory_readings": backend.tier_stats()["memory_readings"],
+            "reads_per_kind": topics_read * rounds,
+            "identical_to_reference": bool(identical),
+        }
+        for kind, by_side in us.items():
+            row = {}
+            for side, samples in by_side.items():
+                row[f"{side}_us_p50"] = float(np.percentile(samples, 50))
+                row[f"{side}_us_p95"] = float(np.percentile(samples, 95))
+            row["speedup_p50"] = (
+                row["per_segment_reference_us_p50"] / row["one_pass_us_p50"]
+            )
+            out[kind] = row
+        return out
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     import argparse
 
@@ -541,6 +713,8 @@ def main(argv=None) -> int:
             "throughput": {"topics": 2, "readings": 5_000},
             # Full width (the shape checks are about width), fewer rounds.
             "maintenance": {**CONFIG["maintenance"], "rounds": 3},
+            # The same segment shape over a quarter of the topics.
+            "reads": {"nodes": 37, "sensors": 10, "topics_read": 16, "rounds": 2},
         }
 
     print_header("Storage tiers - memory vs tiered identity")
@@ -678,6 +852,39 @@ def main(argv=None) -> int:
         f"(WMSEG01: {maintenance['index_bytes']['per_topic_reference']} B)",
     )
 
+    print_header("Storage tiers - range reads on an aged store")
+    reads = run_reads(**cfg["reads"])
+    kinds = ("recent_30s", "range_60s", "history", "aggregate_60s")
+    print_table(
+        ["read (us)", "p50", "ref p50", "p95", "ref p95", "ratio"],
+        [
+            (
+                kind, f"{reads[kind]['one_pass_us_p50']:.1f}",
+                f"{reads[kind]['per_segment_reference_us_p50']:.1f}",
+                f"{reads[kind]['one_pass_us_p95']:.1f}",
+                f"{reads[kind]['per_segment_reference_us_p95']:.1f}",
+                f"{reads[kind]['speedup_p50']:.1f}x",
+            )
+            for kind in kinds
+        ],
+        fmt="{:>14}",
+    )
+    ok &= shape_check(
+        "the store has the tiered_query_mix shape",
+        reads["segments"] == {"raw": 3, "rollup_10s": 9, "rollup_1min": 34},
+        str(reads["segments"]),
+    )
+    ok &= shape_check(
+        "one-pass reads equal the per-segment reference bit for bit",
+        reads["identical_to_reference"],
+    )
+    assert reads["identical_to_reference"], "range read differs from the reference"
+    ok &= shape_check(
+        "a whole-history read is faster than the per-segment read",
+        reads["history"]["speedup_p50"] > 1.0,
+        f"{reads['history']['speedup_p50']:.1f}x",
+    )
+
     write_bench_artifact(
         "storage_tiers",
         {
@@ -686,6 +893,7 @@ def main(argv=None) -> int:
             "rollup": rollup,
             "throughput": throughput,
             "maintenance": maintenance,
+            "reads": reads,
         },
         config=cfg,
     )
@@ -716,6 +924,12 @@ class TestStorageTiersBench:
         r = run_maintenance(nodes=8, sensors=4, readings=10, rounds=2)
         assert r["rollup_identical_to_reference"], r
         assert r["index_bytes"]["columnar"] < r["index_bytes"]["per_topic_reference"]
+        benchmark(lambda: None)
+
+    def test_reads_match_the_per_segment_reference(self, benchmark):
+        r = run_reads(nodes=4, sensors=2, topics_read=4, rounds=1)
+        assert r["identical_to_reference"], r
+        assert r["segments"] == {"raw": 3, "rollup_10s": 9, "rollup_1min": 34}
         benchmark(lambda: None)
 
 

@@ -135,6 +135,10 @@ class CollectAgent:
                 "storage_segments_quarantined",
                 fn=lambda: storage.store.quarantined,
             )
+            self.telemetry.gauge(
+                "storage_maintenance_errors",
+                fn=lambda: storage.maintenance_errors,
+            )
             for tier in ("memory", "segment", "rollup"):
                 self.telemetry.gauge(
                     "storage_tier_hits",

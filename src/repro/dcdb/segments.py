@@ -24,9 +24,10 @@ reading through it and has the byte layout.
   header, a deflated index block (per-topic ``offset``, ``count``,
   ``min_ts``, ``max_ts``, ``last_val``, ``seal_ts`` arrays and the name
   table) and the column blocks, each part under its own ``zlib.crc32``.
-  Header and index are checked when a file is opened, a column block
-  when it is first read, so range pruning and ``latest`` never touch
-  the data and a flipped bit is a :class:`StorageError`, not an answer.
+  Header and index are checked when a file is opened, each column
+  block when that column is first read, so range pruning and ``latest``
+  never touch the data, a range read loads two of a rollup's five
+  blocks, and a flipped bit is a :class:`StorageError`, not an answer.
   WMSEG01 files (JSON index header, no checksums) stay readable — the
   header maps into the same in-memory index — and are rewritten as
   WMSEG02 by the next compaction that touches them.
@@ -57,10 +58,12 @@ reading through it and has the byte layout.
   Counts are preserved so aggregate mass (``sum = mean x count``) is
   exact across compactions.
 - **Transparent query planning** — ``query``/``query_readings``/
-  ``query_aggregate`` merge the memory tier with every overlapping
-  segment, oldest first; callers (the Query Engine, the Fig 5-8
-  benchmark paths) are unchanged.  Per-tier hit counters feed host
-  telemetry.
+  ``query_aggregate`` make one pass over the segments, oldest first:
+  segment bounds, the topic's index row, its bounds, then two column
+  slices (``ts`` and the level's value column) per overlapping segment;
+  the memory tier comes last and one join makes the answer.  Callers
+  (the Query Engine, the Fig 5-8 benchmark paths) are unchanged.
+  Per-tier hit counters feed host telemetry.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ from repro.common.errors import StorageError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.sensor import SensorReading
 from repro.dcdb.storage import StorageBackend
+# On a line of its own: the memory-tier property test rebuilds this
+# module over a mutant StorageBackend by dropping the line above.
+from repro.dcdb.storage import _joined
 
 #: Segment file magic: format version 2 of the columnar layout.
 SEGMENT_MAGIC = b"WMSEG02\n"
@@ -251,14 +257,16 @@ class Segment:
     blocks), its min/max timestamp, last value and seal floor, so range
     pruning and ``latest`` lookups never read the data blocks.
     ``series`` maps a topic to its index row; the per-row lookups the
-    query path makes are plain Python ints.
+    query path makes (offset, count, min/max timestamp) are plain Python
+    ints.  Each column block is read and checked on its first use: a
+    range read (:meth:`read`) touches ``ts`` and ``value_column`` only.
     """
 
     __slots__ = (
         "path", "level", "seq", "created_ns", "bucket_ns", "columns",
-        "min_ts", "max_ts", "points", "topics", "series", "offsets",
-        "seal_ts", "data_offset", "disk_bytes", "_offset", "_count",
-        "_min_ts", "_max_ts", "_last_val", "_crcs", "_data",
+        "value_column", "min_ts", "max_ts", "points", "topics", "series",
+        "offsets", "seal_ts", "data_offset", "disk_bytes", "_offset",
+        "_count", "_min_ts", "_max_ts", "_last_val", "_crcs", "_data",
     )
 
     def __init__(
@@ -275,6 +283,9 @@ class Segment:
         (self.level, self.seq, self.created_ns, self.bucket_ns,
          self.min_ts, self.max_ts, self.points) = meta
         self.columns = _columns_of(self.level)
+        #: What a range read answers with: the raw readings, or the
+        #: bucket means once they have aged into a rollup.
+        self.value_column = "mean" if self.level else "val"
         self.offsets = np.append(index[0], self.points)
         if (
             len(topics) != index.shape[1]
@@ -299,7 +310,8 @@ class Segment:
         self.disk_bytes = self.path.stat().st_size
         #: crc32 per column block (``None``: a WMSEG01 file has none).
         self._crcs = crcs
-        self._data: Optional[Dict[str, np.ndarray]] = None
+        #: The column blocks read so far, by name.
+        self._data: Dict[str, np.ndarray] = {}
 
     # -- construction --------------------------------------------------
 
@@ -319,7 +331,8 @@ class Segment:
 
         The file is written next to its final name, synced and
         atomically renamed, so readers (and crash recovery) only ever
-        observe complete segments.
+        observe complete segments.  A write that fails (a full disk)
+        removes its temporary before the error propagates.
         """
         topics, offsets, columns, seal_ts = Columnar.of(series_data, level)
         if not len(topics):
@@ -356,13 +369,17 @@ class Segment:
         )[:-4]
         head += struct.pack("<I", zlib.crc32(head))
         tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(head + packed + bytes(_pad(len(packed))))
-            for block in blocks:
-                fh.write(block)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(head + packed + bytes(_pad(len(packed))))
+                for block in blocks:
+                    fh.write(block)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
         _sync_directory(path.parent)
         data_offset = _HEADER.size + len(packed) + _pad(len(packed))
         return cls(path, meta, topics, index, data_offset, crcs, names_of)
@@ -432,75 +449,76 @@ class Segment:
 
     # -- data access ---------------------------------------------------
 
-    def _load(self) -> Dict[str, np.ndarray]:
-        """Memoized, checked read of the full column blocks."""
-        if self._data is None:
-            with open(self.path, "rb") as fh:
-                fh.seek(self.data_offset)
-                raw = memoryview(fh.read())
+    def _column(self, col: str) -> np.ndarray:
+        """Memoized, checked read of one column block."""
+        data = self._data.get(col)
+        if data is None:
+            i = self.columns.index(col)
             block = self.points * _ITEM
-            if len(raw) < len(self.columns) * block:
+            with open(self.path, "rb") as fh:
+                fh.seek(self.data_offset + i * block)
+                raw = fh.read(block)
+            if len(raw) < block:
                 raise StorageError(
                     f"{self.path}: truncated data block "
-                    f"({len(raw)} < {len(self.columns) * block} bytes)"
+                    f"(column {col!r}: {len(raw)} < {block} bytes)"
                 )
-            data = {}
-            for i, col in enumerate(self.columns):
-                if self._crcs is not None and (
-                    zlib.crc32(raw[i * block : (i + 1) * block])
-                    != self._crcs[i]
-                ):
-                    raise StorageError(
-                        f"{self.path}: checksum mismatch in column {col!r}"
-                    )
-                data[col] = np.frombuffer(
-                    raw, dtype=_COLUMN_DTYPES[col],
-                    count=self.points, offset=i * block,
+            if self._crcs is not None and zlib.crc32(raw) != self._crcs[i]:
+                raise StorageError(
+                    f"{self.path}: checksum mismatch in column {col!r}"
                 )
-            self._data = data
-        return self._data
+            data = self._data[col] = np.frombuffer(
+                raw, dtype=_COLUMN_DTYPES[col]
+            )
+        return data
 
     def release(self) -> None:
         """Drop the memoized data blocks (the index stays resident)."""
-        self._data = None
+        self._data = {}
 
     def content(self) -> Columnar:
-        """The whole segment (reads the data blocks)."""
-        return Columnar(self.topics, self.offsets, self._load(), self.seal_ts)
-
-    def overlaps(self, topic: str, start_ts: int, end_ts: int) -> bool:
-        row = self.series.get(topic)
-        return (
-            row is not None
-            and self._min_ts[row] <= end_ts
-            and self._max_ts[row] >= start_ts
-        )
+        """The whole segment (reads every column block)."""
+        return Columnar(self.topics, self.offsets, {
+            col: self._column(col) for col in self.columns
+        }, self.seal_ts)
 
     def topic_columns(
         self, topic: str, start_ts: int, end_ts: int
     ) -> Dict[str, np.ndarray]:
-        """Column slices of ``topic`` clipped to ``[start_ts, end_ts]``."""
+        """Every column's slice of ``topic`` clipped to
+        ``[start_ts, end_ts]`` (reads every column block)."""
         row = self.series[topic]
-        data = self._load()
         o, n = self._offset[row], self._count[row]
-        ts = data["ts"][o : o + n]
-        lo = int(np.searchsorted(ts, start_ts, side="left"))
-        hi = int(np.searchsorted(ts, end_ts, side="right"))
-        return {
-            col: data[col][o + lo : o + hi] for col in self.columns
-        }
+        ts = self._column("ts")[o : o + n]
+        lo = o + int(np.searchsorted(ts, start_ts, side="left"))
+        hi = o + int(np.searchsorted(ts, end_ts, side="right"))
+        return {col: self._column(col)[lo:hi] for col in self.columns}
+
+    def read(
+        self, row: int, start_ts: int, end_ts: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(timestamps, values) of index row ``row`` within
+        ``[start_ts, end_ts]``: slices of ``ts`` and ``value_column``.
+
+        Rollup segments answer with bucket-start timestamps and bucket
+        means — the downsampled representation *is* the data once raw
+        readings have aged out.  A bound is searched for only where the
+        row's own ``min_ts``/``max_ts`` straddle it.
+        """
+        lo = o = self._offset[row]
+        hi = o + self._count[row]
+        ts = self._column("ts")
+        if self._min_ts[row] < start_ts:
+            lo = o + int(ts[o:hi].searchsorted(start_ts, "left"))
+        if self._max_ts[row] > end_ts:
+            hi = o + int(ts[o:hi].searchsorted(end_ts, "right"))
+        return ts[lo:hi], self._column(self.value_column)[lo:hi]
 
     def query(
         self, topic: str, start_ts: int, end_ts: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(timestamps, values) for ``topic`` within the range.
-
-        Rollup segments answer with bucket-start timestamps and bucket
-        means — the downsampled representation *is* the data once raw
-        readings have aged out.
-        """
-        cols = self.topic_columns(topic, start_ts, end_ts)
-        return cols["ts"], cols["mean" if self.level else "val"]
+        """:meth:`read` by topic name."""
+        return self.read(self.series[topic], start_ts, end_ts)
 
 
 class SegmentStore:
@@ -595,19 +613,6 @@ class SegmentStore:
 
     # -- queries -------------------------------------------------------
 
-    def segments_for(
-        self, topic: str, start_ts: int, end_ts: int
-    ) -> List[Segment]:
-        """Segments holding ``topic`` data inside the range, oldest
-        first (sequence order is time order per topic — the seal
-        boundary guarantees it).  A segment's own time range is tested
-        before its per-topic index."""
-        return [
-            s for s in self.segments
-            if s.min_ts <= end_ts and s.max_ts >= start_ts
-            and s.overlaps(topic, start_ts, end_ts)
-        ]
-
     def topics(self) -> List[str]:
         seen = set()
         for seg in self.segments:
@@ -695,6 +700,9 @@ class TieredStorageBackend(StorageBackend):
         self.flush_count = 0
         self.rollup_compactions = 0
         self.segments_expired = 0
+        #: Flush and compaction steps a sweep gave up on (a full disk, a
+        #: bad column block); the next sweep retries them.
+        self.maintenance_errors = 0
         #: Points replayed from sealed segments when this directory was
         #: (re)opened — the crash-recovery visibility number.
         self.replayed_points = self.store.total_points()
@@ -726,10 +734,22 @@ class TieredStorageBackend(StorageBackend):
     def _query_merged(
         self, topic: str, start_ts: int, end_ts: int, count_hits: bool = True
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """One pass over the segments, oldest first (sequence order is
+        time order per topic — the seal floor guarantees it), then the
+        memory tier; the parts joined once."""
         parts: List[Tuple[np.ndarray, np.ndarray]] = []
         hit_tiers = set()
-        for seg in self.store.segments_for(topic, start_ts, end_ts):
-            ts, val = seg.query(topic, start_ts, end_ts)
+        for seg in self.store.segments:
+            if seg.min_ts > end_ts or seg.max_ts < start_ts:
+                continue
+            row = seg.series.get(topic)
+            if (
+                row is None
+                or seg._min_ts[row] > end_ts
+                or seg._max_ts[row] < start_ts
+            ):
+                continue
+            ts, val = seg.read(row, start_ts, end_ts)
             if len(ts):
                 parts.append((ts, val))
                 hit_tiers.add("rollup" if seg.level else "segment")
@@ -742,16 +762,7 @@ class TieredStorageBackend(StorageBackend):
         if count_hits:
             for tier in hit_tiers:
                 self.tier_hits[tier] += 1
-        if not parts:
-            return (
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-            )
-        if len(parts) == 1:
-            return parts[0]
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
+        return _joined(parts)
 
     def query(
         self, topic: str, start_ts: int, end_ts: int
@@ -838,29 +849,44 @@ class TieredStorageBackend(StorageBackend):
         )
         self.rollup_compactions += 1
 
+    def _attempt(self, step, *args) -> int:
+        """Run one flush or compaction step.  A disk fault (``OSError``)
+        or a bad block (:class:`StorageError`) is counted and leaves the
+        step's input as it was — the memory tier unflushed, the source
+        segment in place — for the next sweep to retry."""
+        try:
+            return step(*args)
+        except (OSError, StorageError):
+            self.maintenance_errors += 1
+            return 0
+
     def maintain(self, now_ns: int) -> Dict[str, int]:
         """One maintenance sweep: TTL, flush, rollups, retention.
 
         Scheduled periodically by the hosting Collect Agent (every
-        ``maintenance_interval_ns``); safe to call at any time.
+        ``maintenance_interval_ns``); safe to call at any time.  A step
+        that fails is counted in ``errors`` (:meth:`_attempt`) and the
+        sweep goes on with the others.
         """
         stats = {"expired": 0, "flushed": 0, "compacted": 0, "dropped": 0}
+        errors = self.maintenance_errors
         if self.ttl_ns > 0:
             stats["expired"] = self.expire(now_ns)
         if self.memory_bytes() > self.flush_bytes:
-            stats["flushed"] = self.flush(now_ns)
+            stats["flushed"] = self._attempt(self.flush, now_ns)
         before = self.rollup_compactions
         if self.rollup_after_ns > 0:
             cutoff = now_ns - self.rollup_after_ns
             for seg in list(self.store.segments):
                 if seg.level == LEVEL_RAW and seg.max_ts < cutoff:
-                    self._compact(seg, LEVEL_10S, now_ns)
+                    self._attempt(self._compact, seg, LEVEL_10S, now_ns)
         if self.rollup_minute_after_ns > 0:
             cutoff = now_ns - self.rollup_minute_after_ns
             for seg in list(self.store.segments):
                 if seg.level == LEVEL_10S and seg.max_ts < cutoff:
-                    self._compact(seg, LEVEL_1MIN, now_ns)
+                    self._attempt(self._compact, seg, LEVEL_1MIN, now_ns)
         stats["compacted"] = self.rollup_compactions - before
+        stats["errors"] = self.maintenance_errors - errors
         for horizon, levels in (
             (self.retention_raw_ns, (LEVEL_RAW,)),
             (self.retention_rollup_ns, (LEVEL_10S, LEVEL_1MIN)),
@@ -895,6 +921,7 @@ class TieredStorageBackend(StorageBackend):
             "rollup_compactions": self.rollup_compactions,
             "segments_expired": self.segments_expired,
             "segments_quarantined": self.store.quarantined,
+            "maintenance_errors": self.maintenance_errors,
             "replayed_points": self.replayed_points,
             "ooo_dropped": self.ooo_dropped,
         }

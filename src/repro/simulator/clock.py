@@ -96,16 +96,18 @@ class PeriodicTask:
         self.done = False
 
     def fire(self, ts: int) -> None:
-        """Invoke the callback and schedule the next occurrence."""
-        if self.enabled:
-            self.fn(ts)
-            self.fire_count += 1
-            if self.once:
-                self.done = True
-        if self.once and not self.enabled:
-            # A disabled one-shot is simply dropped at its due time.
-            self.done = True
-        self.next_due += self.interval_ns
+        """Invoke the callback and schedule the next occurrence — also
+        when the callback raises: the exception propagates, and the task
+        stays on its period."""
+        try:
+            if self.enabled:
+                self.fn(ts)
+                self.fire_count += 1
+        finally:
+            # A one-shot retires at its due time: fired, raised or
+            # disabled.
+            self.done = self.once
+            self.next_due += self.interval_ns
 
 
 class TaskScheduler:
@@ -158,11 +160,15 @@ class TaskScheduler:
         while self._heap and self._heap[0][0] <= end_ns:
             due, _, task = heapq.heappop(self._heap)
             self.clock.advance_to(max(due, self.clock.now))
-            task.fire(due)
-            if not task.done:
-                heapq.heappush(
-                    self._heap, (task.next_due, next(self._counter), task)
-                )
+            try:
+                task.fire(due)
+            finally:
+                # Re-queued even when the callback raised: one failing
+                # firing must not retire a periodic task.
+                if not task.done:
+                    heapq.heappush(
+                        self._heap, (task.next_due, next(self._counter), task)
+                    )
             fired += 1
         self.clock.advance_to(max(end_ns, self.clock.now))
         return fired

@@ -11,6 +11,10 @@
   compaction (write, fsync, rename, directory sync, unlink), under
   three models of what the crash leaves on disk; each ends in "reopen,
   zero loss of sealed data, no duplicate, sorted".
+- **Range read**: the backend's one-pass read against a frozen twin of
+  the per-segment read it replaced, bit for bit and tier hit for tier
+  hit, over drawn flush and compaction schedules; three seeded
+  mutations must be noticed.  A rollup read loads two column blocks.
 """
 
 import inspect
@@ -732,3 +736,271 @@ def readings_rolled(batch, minute):
             cols = reference_rollup_columns(*cols.values(), MINUTE)
         out[topic] = cols
     return out
+
+
+# ----------------------------------------------------------------------
+# The range read against the per-segment read it replaced
+# ----------------------------------------------------------------------
+#
+# The twin below is the read as it was before the one-pass loop, frozen:
+# a segment filter (the segment's bounds, then the topic's index
+# bounds), each overlapping segment's whole file loaded and both bounds
+# searched, the memory tier last, the parts joined with ``concatenate``.
+
+
+def twin_columns(seg):
+    """Every column block of ``seg``'s file, read the old way: the whole
+    data section at once."""
+    raw = seg.path.read_bytes()[seg.data_offset:]
+    return {
+        col: np.frombuffer(
+            raw, dtype=segments._COLUMN_DTYPES[col], count=seg.points,
+            offset=i * seg.points * 8,
+        )
+        for i, col in enumerate(seg.columns)
+    }
+
+
+def twin_query(backend, topic, start_ts, end_ts):
+    """(timestamps, values, tiers hit) as the per-segment read gave."""
+    parts, hit = [], set()
+    for seg in backend.store.segments:
+        row = seg.series.get(topic)
+        if not (
+            seg.min_ts <= end_ts and seg.max_ts >= start_ts
+            and row is not None
+            and seg._min_ts[row] <= end_ts and seg._max_ts[row] >= start_ts
+        ):
+            continue
+        data = twin_columns(seg)
+        o, n = seg._offset[row], seg._count[row]
+        ts = data["ts"][o : o + n]
+        lo = int(np.searchsorted(ts, start_ts, side="left"))
+        hi = int(np.searchsorted(ts, end_ts, side="right"))
+        if hi > lo:
+            parts.append((
+                data["ts"][o + lo : o + hi],
+                data["mean" if seg.level else "val"][o + lo : o + hi],
+            ))
+            hit.add("rollup" if seg.level else "segment")
+    ts, val = segments.StorageBackend.query(backend, topic, start_ts, end_ts)
+    if len(ts):
+        parts.append((ts, val))
+        hit.add("memory")
+    if not parts:
+        return np.empty(0, np.int64), np.empty(0, np.float64), hit
+    if len(parts) == 1:
+        return (*parts[0], hit)
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+        hit,
+    )
+
+
+READ_TOPICS = ("/r0/n0/power", "/r0/n1/power", "/r0/n2/temp", "/r1/n0/power")
+
+#: One flush: how long it lasts, its reading step, which topics have
+#: readings in it (topics are missing from some segments), and the
+#: compaction sweep run after it (``None``: none).
+CHUNK = st.tuples(
+    st.integers(min_value=1, max_value=90),
+    st.sampled_from((NS_PER_SEC // 4, NS_PER_SEC, 7 * NS_PER_SEC)),
+    st.sets(st.sampled_from(READ_TOPICS), min_size=1),
+    st.one_of(st.none(), st.sampled_from((0, 15, 40, 75, 150, 400))),
+)
+SCHEDULE = st.tuples(
+    st.lists(CHUNK, min_size=1, max_size=6),
+    st.one_of(st.none(), CHUNK),               # left in memory (None: empty)
+    st.sampled_from((10, 30)),                 # rollups.after_s
+    st.sampled_from((60, 120)),                # rollups.minute_after_s
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def aged_store(backend_cls, directory, drawn):
+    """A tiered backend after a drawn schedule: each chunk's readings
+    inserted and flushed, then (maybe) a sweep ``delay_s`` later; the
+    last chunk maybe left in memory.  Returns it and the current time."""
+    chunks, memory, after_s, minute_s, seed = drawn
+    rng = np.random.default_rng(seed)
+    backend = backend_cls(
+        directory, flush_mb=64, rollup_after_ns=after_s * NS_PER_SEC,
+        rollup_minute_after_ns=minute_s * NS_PER_SEC,
+    )
+    now = 0
+    for i, chunk in enumerate(chunks + ([memory] if memory else [])):
+        seconds, step, topics, delay_s = chunk
+        ts = now + np.arange(0, seconds * NS_PER_SEC, step, dtype=np.int64)
+        for topic in sorted(topics):
+            backend.insert_batch(topic, ts, rng.normal(100.0, 5.0, len(ts)))
+        now += seconds * NS_PER_SEC
+        if i == len(chunks):
+            break  # the memory chunk stays in memory
+        backend.flush(now)
+        if delay_s is not None:
+            now += delay_s * NS_PER_SEC
+            backend.maintain(now)
+    return backend, now
+
+
+def range_points(backend, now):
+    """Bounds worth reading at: every segment's and every topic row's
+    bounds, one either side of each, the stored timestamps, far outside."""
+    points = {-FOREVER, -1, 0, now, now + 1, FOREVER}
+    for seg in backend.store.segments:
+        for bound in (seg.min_ts, seg.max_ts, *seg._min_ts, *seg._max_ts):
+            points.update((bound - 1, bound, bound + 1))
+    for topic in READ_TOPICS:
+        points.update(backend.query(topic, -FOREVER, FOREVER)[0].tolist())
+    return sorted(points)
+
+
+def check_reads(backend, now, data, ranges=12):
+    """The backend's range reads equal the twin's bit for bit, with the
+    same ``tier_hits`` increments and one ``query_count`` each."""
+    points = range_points(backend, now)
+    for _ in range(ranges):
+        topic = data.draw(st.sampled_from(READ_TOPICS))
+        start = data.draw(st.sampled_from(points))
+        end = data.draw(st.one_of(
+            st.just(start), st.sampled_from([p for p in points if p >= start]),
+        ))
+        want_ts, want_val, hit = twin_query(backend, topic, start, end)
+        hits, queries = dict(backend.tier_hits), backend.query_count
+        ts, val = backend.query(topic, start, end)
+        assert ts.dtype == np.int64 and val.dtype == np.float64
+        assert ts.tobytes() == want_ts.tobytes(), (topic, start, end)
+        assert val.tobytes() == want_val.tobytes(), (topic, start, end)
+        assert backend.query_count == queries + 1
+        assert {
+            tier: backend.tier_hits[tier] - hits[tier] for tier in hits
+        } == {tier: int(tier in hit) for tier in hits}
+
+
+def check_schedule(backend_cls, directory, drawn, data):
+    backend, now = aged_store(backend_cls, directory, drawn)
+    check_reads(backend, now, data)
+    # Reopened: every column block is read anew, the memory tier is empty.
+    check_reads(backend_cls(directory), now, data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn=SCHEDULE, data=st.data())
+def test_range_read_is_the_per_segment_read(drawn, data, tmp_path_factory):
+    check_schedule(
+        TieredStorageBackend, tmp_path_factory.mktemp("read"), drawn, data
+    )
+
+
+def test_schedules_reach_every_level_and_split_a_minute(tmp_path):
+    """The drawn shapes the property needs do occur: raw, 10 s and
+    1 min segments side by side, topics missing from some, and one
+    1-minute bucket split over two segments (two entries, one
+    timestamp)."""
+    topics = set(READ_TOPICS[:2])
+    drawn = (
+        [(25, NS_PER_SEC, topics, None), (20, NS_PER_SEC, topics, 200),
+         (40, NS_PER_SEC, {READ_TOPICS[0]}, 15), (5, 7 * NS_PER_SEC, topics, None)],
+        (10, NS_PER_SEC // 4, topics, None), 10, 120, 1,
+    )
+    backend, _ = aged_store(TieredStorageBackend, tmp_path, drawn)
+    assert [s.level for s in backend.store.segments] == [2, 2, 1, 0]
+    assert READ_TOPICS[1] not in backend.store.segments[2].series
+    ts, _ = backend.query(READ_TOPICS[0], 0, MINUTE)
+    assert ts[:2].tolist() == [0, 0]
+    assert backend.count(READ_TOPICS[0]) > backend.store.count(READ_TOPICS[0])
+
+
+READ_MUTATIONS = {
+    "end-bound-searched-left": (
+        'ts[o:hi].searchsorted(end_ts, "right")',
+        'ts[o:hi].searchsorted(end_ts, "left")',
+    ),
+    "first-segment-not-clipped-at-start": (
+        "seg.read(row, start_ts, end_ts)",
+        "seg.read(row, start_ts if parts else -2**63, end_ts)",
+    ),
+    "memory-tier-joined-first": (
+        'parts.append((ts, val))\n                hit_tiers.add("memory")',
+        'parts.insert(0, (ts, val))\n                hit_tiers.add("memory")',
+    ),
+}
+
+
+def mutant_backend(*edits):
+    source = inspect.getsource(segments)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    module = types.ModuleType("segments_mutant")
+    exec(compile(source, segments.__file__, "exec"), module.__dict__)
+    return module.TieredStorageBackend
+
+
+def test_the_unmutated_read_passes(tmp_path):
+    drawn = ([(30, NS_PER_SEC, set(READ_TOPICS), 100)] * 2,
+             (5, NS_PER_SEC, set(READ_TOPICS), None), 10, 60, 2)
+
+    @settings(max_examples=5, deadline=None, database=None)
+    @given(data=st.data())
+    def prop(data):
+        directory = tmp_path / f"d{len(list(tmp_path.iterdir()))}"
+        check_schedule(mutant_backend(), directory, drawn, data)
+
+    prop()
+
+
+@pytest.mark.parametrize("name", sorted(READ_MUTATIONS))
+def test_seeded_mutation_fails_the_read_property(name, tmp_path_factory):
+    backend_cls = mutant_backend(READ_MUTATIONS[name])
+
+    @settings(
+        max_examples=300, deadline=None, database=None,
+        phases=[Phase.generate],  # found is enough: no shrinking
+    )
+    @given(drawn=SCHEDULE, data=st.data())
+    def prop(drawn, data):
+        check_schedule(backend_cls, tmp_path_factory.mktemp("m"), drawn, data)
+
+    with pytest.raises(AssertionError):
+        prop()
+
+
+def test_a_rollup_read_loads_ts_and_mean_only(tmp_path):
+    """Reopened, a range over rollup segments reads two of their five
+    column blocks; ``content`` reads and checks all five; a flipped bit
+    in a ``min`` block, which no range read sees, is still reported when
+    compaction reads it."""
+    backend = tiered(tmp_path)
+    for start_s in (0, 60, 120):
+        insert(backend, readings(start_s))
+        backend.flush((start_s + 60) * NS_PER_SEC)
+    backend.maintain(400 * NS_PER_SEC)
+    assert [s.level for s in backend.store.segments] == [LEVEL_10S] * 3
+    reopened = tiered(tmp_path)
+    first, second, third = reopened.store.segments
+    assert all(seg._data == {} for seg in (first, second, third))
+    ts, _ = reopened.query(TOPICS[0], 30 * NS_PER_SEC, 90 * NS_PER_SEC)
+    assert len(ts) and reopened.tier_hits["rollup"] == 1
+    assert sorted(first._data) == sorted(second._data) == ["mean", "ts"]
+    assert third._data == {}
+    content = third.content()
+    assert sorted(third._data) == sorted(ROLLUP_COLUMNS)
+    assert sorted(content.columns) == sorted(ROLLUP_COLUMNS)
+    # One flipped bit in the middle segment's ``min`` block.
+    min_block = second.data_offset + second.points * 8
+    blob = bytearray(second.path.read_bytes())
+    blob[min_block + 5] ^= 0x20
+    second.path.write_bytes(bytes(blob))
+    second.release()
+    ts_again, _ = reopened.query(TOPICS[0], 30 * NS_PER_SEC, 90 * NS_PER_SEC)
+    assert ts_again.tobytes() == ts.tobytes()
+    with pytest.raises(StorageError, match="checksum mismatch in column 'min'"):
+        second.content()
+    stats = reopened.maintain(5000 * NS_PER_SEC)
+    assert stats["errors"] == 1 and reopened.maintenance_errors == 1
+    assert [s.level for s in reopened.store.segments] == [
+        LEVEL_1MIN, LEVEL_10S, LEVEL_1MIN
+    ]
+    assert reopened.store.segments[1] is second and second.path.exists()

@@ -114,3 +114,34 @@ class TestTaskScheduler:
         s.add_callback("t", calls.append, NS_PER_SEC, first_due=3 * NS_PER_SEC)
         s.run_until(5 * NS_PER_SEC)
         assert calls == [3 * NS_PER_SEC, 4 * NS_PER_SEC, 5 * NS_PER_SEC]
+
+    def test_a_task_that_raised_fires_again_at_its_next_due_time(self):
+        s = TaskScheduler()
+        calls = []
+
+        def flaky(ts):
+            calls.append(ts)
+            if len(calls) == 1:
+                raise OSError("disk full")
+
+        task = s.add_callback("t", flaky, NS_PER_SEC)
+        with pytest.raises(OSError, match="disk full"):
+            s.run_until(3 * NS_PER_SEC)
+        assert task.next_due == NS_PER_SEC and task.fire_count == 0
+        s.run_until(3 * NS_PER_SEC)
+        assert calls == [0, NS_PER_SEC, 2 * NS_PER_SEC, 3 * NS_PER_SEC]
+        assert task.fire_count == 3
+
+    def test_a_one_shot_that_raised_retires(self):
+        s = TaskScheduler()
+        calls = []
+
+        def once(ts):
+            calls.append(ts)
+            raise RuntimeError("once")
+
+        s.add_once("t", once, NS_PER_SEC)
+        with pytest.raises(RuntimeError):
+            s.run_until(3 * NS_PER_SEC)
+        s.run_until(5 * NS_PER_SEC)
+        assert calls == [NS_PER_SEC]

@@ -581,3 +581,119 @@ class TestStorageProperties:
                 remaining = left
                 ts, _ = backend.query("/p", 0, 2**62)
                 assert np.all(np.diff(ts) >= 0)
+
+
+class TestMaintenanceFaults:
+    """A maintenance step that fails — a full disk under a flush, a bad
+    column block under a compaction — is counted, leaves its input as
+    it was, and the next sweep retries it; the deployment keeps running
+    and loses no reading."""
+
+    @staticmethod
+    def _deployment(directory, **rollups):
+        from repro.deploy import build_deployment
+
+        storage = {
+            "tiers": "tiered", "dir": str(directory),
+            "flush_mb": 0.0001, "flush_interval_s": 5,
+        }
+        if rollups:
+            storage["rollups"] = rollups
+        return build_deployment({
+            "cluster": {"nodes": 2, "cpus": 1, "seed": 3},
+            "monitoring": {
+                "plugins": ["tester"], "tester_sensors": 4,
+                "interval_ms": 1000,
+            },
+            "storage": storage,
+        })
+
+    @staticmethod
+    def _held(storage):
+        """Readings the tiers hold: memory, raw points (from the index),
+        rollup buckets weighted by their count."""
+        held = storage.tier_stats()["memory_readings"]
+        for seg in storage.store.segments:
+            if seg.level == LEVEL_RAW:
+                held += seg.points
+            else:
+                held += int(seg.content().columns["count"].sum())
+        return held
+
+    @staticmethod
+    def _gauge(dep, name):
+        from repro.telemetry import render_prometheus
+
+        (line,) = [
+            line for line in render_prometheus(dep.agent.telemetry).splitlines()
+            if line.startswith(name + " ")
+        ]
+        return float(line.split()[1])
+
+    def _intact(self, dep, directory):
+        storage = dep.agent.storage
+        assert self._held(storage) == dep.agent.forwarded_count > 0
+        assert storage.ooo_dropped == 0
+        assert not list(directory.glob("*.tmp"))
+        assert self._gauge(dep, "storage_maintenance_errors") == (
+            storage.maintenance_errors
+        ) == storage.tier_stats()["maintenance_errors"]
+
+    def test_a_full_disk_leaves_the_memory_tier_for_the_next_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        import errno
+        import os
+
+        dep = self._deployment(tmp_path)
+        storage = dep.agent.storage
+        dep.run(12)
+        flushes, points = storage.flush_count, storage.store.total_points()
+        assert flushes >= 1
+
+        def full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", full)
+            dep.run(25)  # sweeps at 15, 20, 25, 30, 35: each flush fails
+        assert storage.maintenance_errors == 5
+        assert storage.flush_count == flushes
+        assert storage.store.total_points() == points
+        assert [p.suffix for p in tmp_path.iterdir()] == [".seg"] * flushes
+        self._intact(dep, tmp_path)
+        # The disk has room again: the next sweep seals what waited.
+        waiting = storage.tier_stats()["memory_readings"]
+        dep.run(5)
+        assert storage.flush_count == flushes + 1
+        assert storage.maintenance_errors == 5
+        assert storage.store.total_points() >= points + waiting
+        assert storage.tier_stats()["memory_readings"] < waiting / 4
+        self._intact(dep, tmp_path)
+
+    def test_a_bad_block_keeps_its_segment_until_it_reads_clean(self, tmp_path):
+        dep = self._deployment(tmp_path, after_s=10)
+        storage = dep.agent.storage
+        dep.run(3)
+        (bad,) = storage.store.segments  # sealed at 0 s
+        assert bad.level == LEVEL_RAW
+        good = bad.path.read_bytes()
+        blob = bytearray(good)
+        blob[bad.data_offset + bad.points * 8 + 3] ^= 0x01  # in ``val``
+        bad.path.write_bytes(bytes(blob))
+        bad.release()
+        dep.run(27)  # it is due for compaction at 15, 20, 25 and 30
+        assert storage.maintenance_errors == 4
+        assert storage.store.segments[0] is bad and bad.path.exists()
+        assert {s.level for s in storage.store.segments[1:]} == {
+            LEVEL_RAW, LEVEL_10S
+        }
+        self._intact(dep, tmp_path)
+        # Rewritten clean: the next sweep compacts it, and flushes.
+        bad.path.write_bytes(good)
+        flushes = storage.flush_count
+        dep.run(5)
+        assert storage.store.segments[0].level == LEVEL_10S
+        assert storage.flush_count == flushes + 1
+        assert storage.maintenance_errors == 4
+        self._intact(dep, tmp_path)
