@@ -12,7 +12,8 @@ Package layout:
   scheduler, simulation clock.
 - :mod:`repro.plugins` -- operator plugin library (tester, aggregator,
   smoother, perfmetrics, persyst, regressor, classifier, clustering,
-  health).
+  health, correlation, filesink), each module imported on the first
+  lookup of its name in :mod:`repro.core.registry`.
 - :mod:`repro.ml` -- from-scratch ML substrate (random forests,
   variational Bayesian GMM, window statistics, error metrics).
 

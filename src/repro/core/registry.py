@@ -1,21 +1,34 @@
 """Operator plugin registry.
 
-The production framework loads operator plugins as shared libraries; the
-Python reproduction registers operator classes under plugin names
-instead.  The Operator Manager instantiates operators by looking up the
-plugin name from a configuration block, passing host context (e.g. the
-job source for job operator plugins) to constructors that declare it.
+The production framework loads operator plugins as shared libraries, only
+those a configuration names; the Python reproduction registers operator
+classes under plugin names instead.  A bundled plugin's module is
+imported on the first lookup of its name (:data:`BUNDLED`); a class
+registered under a name (``@operator_plugin``) wins over the table.  The
+Operator Manager instantiates operators by looking up the plugin name
+from a configuration block, passing host context (e.g. the job source
+for job operator plugins) to constructors that declare it.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
-from typing import Callable, Dict, List, Type
+from typing import Callable, Dict, List, Optional, Type
 
 from repro.common.errors import PluginError
 from repro.core.operator import OperatorBase, OperatorConfig
 
 _REGISTRY: Dict[str, Type[OperatorBase]] = {}
+
+#: Bundled plugin name -> the module whose import registers it.
+BUNDLED: Dict[str, str] = {
+    name: f"repro.plugins.{name}"
+    for name in (
+        "aggregator", "classifier", "clustering", "correlation", "filesink",
+        "health", "perfmetrics", "persyst", "regressor", "smoother", "tester",
+    )
+}
 
 
 def register_operator_plugin(name: str, cls: Type[OperatorBase]) -> None:
@@ -40,22 +53,21 @@ def operator_plugin(name: str) -> Callable[[Type[OperatorBase]], Type[OperatorBa
 
 
 def available_plugins() -> List[str]:
-    """Names of all registered operator plugins."""
-    # Importing the bundled plugin package registers its operators.
-    import repro.plugins  # noqa: F401
-
-    return sorted(_REGISTRY)
+    """Names of all bundled and registered operator plugins (imports
+    nothing)."""
+    return sorted(BUNDLED.keys() | _REGISTRY.keys())
 
 
-def get_plugin_class(name: str):
+def get_plugin_class(name: str) -> Optional[Type[OperatorBase]]:
     """The registered operator class for a plugin name, or None.
 
-    Used by the static analyzer to check plugin references and to tell
-    job operator plugins (dynamic per-job units) from pattern-unit ones
-    without instantiating anything.
+    A bundled plugin not registered yet is imported here.  Used by the
+    static analyzer to check plugin references and to tell job operator
+    plugins (dynamic per-job units) from pattern-unit ones without
+    instantiating anything.
     """
-    import repro.plugins  # noqa: F401  (ensure bundled plugins registered)
-
+    if name not in _REGISTRY and name in BUNDLED:
+        importlib.import_module(BUNDLED[name])
     return _REGISTRY.get(name)
 
 
@@ -68,13 +80,11 @@ def create_operator(
     by name (e.g. ``job_source``); missing context for a required
     parameter is a configuration error.
     """
-    import repro.plugins  # noqa: F401  (ensure bundled plugins registered)
-
-    cls = _REGISTRY.get(plugin_name)
+    cls = get_plugin_class(plugin_name)
     if cls is None:
         raise PluginError(
             f"unknown operator plugin {plugin_name!r}; "
-            f"registered: {sorted(_REGISTRY)}"
+            f"registered: {available_plugins()}"
         )
     sig = inspect.signature(cls.__init__)
     kwargs = {}

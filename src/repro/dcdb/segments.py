@@ -850,10 +850,10 @@ class TieredStorageBackend(StorageBackend):
         self.rollup_compactions += 1
 
     def _attempt(self, step, *args) -> int:
-        """Run one flush or compaction step.  A disk fault (``OSError``)
-        or a bad block (:class:`StorageError`) is counted and leaves the
-        step's input as it was — the memory tier unflushed, the source
-        segment in place — for the next sweep to retry."""
+        """Run one flush, compaction or retention step.  A disk fault
+        (``OSError``) or a bad block (:class:`StorageError`) is counted
+        and leaves the step's input as it was — the memory tier
+        unflushed, the segment listed — for the next sweep to retry."""
         try:
             return step(*args)
         except (OSError, StorageError):
@@ -886,7 +886,6 @@ class TieredStorageBackend(StorageBackend):
                 if seg.level == LEVEL_10S and seg.max_ts < cutoff:
                     self._attempt(self._compact, seg, LEVEL_1MIN, now_ns)
         stats["compacted"] = self.rollup_compactions - before
-        stats["errors"] = self.maintenance_errors - errors
         for horizon, levels in (
             (self.retention_raw_ns, (LEVEL_RAW,)),
             (self.retention_rollup_ns, (LEVEL_10S, LEVEL_1MIN)),
@@ -896,10 +895,15 @@ class TieredStorageBackend(StorageBackend):
             cutoff = now_ns - horizon
             for seg in list(self.store.segments):
                 if seg.level in levels and seg.max_ts < cutoff:
-                    self.store.remove(seg)
-                    self.segments_expired += 1
-                    stats["dropped"] += 1
+                    stats["dropped"] += self._attempt(self._drop, seg)
+        stats["errors"] = self.maintenance_errors - errors
         return stats
+
+    def _drop(self, seg: Segment) -> int:
+        """Retention: delete one expired segment."""
+        self.store.remove(seg)
+        self.segments_expired += 1
+        return 1
 
     # ------------------------------------------------------------------
     # Introspection / persistence

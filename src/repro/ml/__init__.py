@@ -1,7 +1,7 @@
 """From-scratch ML substrate.
 
 The paper's plugins lean on OpenCV random forests and a Bayesian
-Gaussian mixture model; this package reimplements both on NumPy/SciPy,
+Gaussian mixture model; this package reimplements both on NumPy,
 plus the statistical feature extraction and error metrics the case
 studies use:
 
@@ -13,40 +13,7 @@ studies use:
 - :mod:`repro.ml.bgmm` -- variational Bayesian Gaussian mixture with
   automatic effective component count and outlier scoring.
 - :mod:`repro.ml.metrics` -- relative error and binned error profiles.
+
+Each module is imported on its own: a plugin that needs window
+statistics does not load the forests or the mixture model.
 """
-
-from repro.ml.stats import (
-    FEATURE_NAMES,
-    window_features,
-    quantiles,
-    deciles,
-    StreamingStats,
-)
-from repro.ml.tree import DecisionTreeRegressor, DecisionTreeClassifier
-from repro.ml.forest import RandomForestRegressor, RandomForestClassifier
-from repro.ml.bgmm import BayesianGaussianMixture
-from repro.ml.metrics import (
-    relative_error,
-    mean_relative_error,
-    binned_relative_error,
-    confusion_matrix,
-    classification_accuracy,
-)
-
-__all__ = [
-    "FEATURE_NAMES",
-    "window_features",
-    "quantiles",
-    "deciles",
-    "StreamingStats",
-    "DecisionTreeRegressor",
-    "DecisionTreeClassifier",
-    "RandomForestRegressor",
-    "RandomForestClassifier",
-    "BayesianGaussianMixture",
-    "relative_error",
-    "mean_relative_error",
-    "binned_relative_error",
-    "confusion_matrix",
-    "classification_accuracy",
-]

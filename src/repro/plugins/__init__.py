@@ -1,7 +1,9 @@
 """Operator plugin library.
 
-Importing this package registers every bundled Wintermute operator
-plugin with the registry in :mod:`repro.core.registry`:
+The bundled Wintermute operator plugins, one module each.  Importing
+this package imports none of them: :mod:`repro.core.registry` lists
+them by name and imports a plugin's module, which registers it, on the
+first lookup of that name:
 
 - ``tester`` -- performs configurable Query Engine traffic (the Fig 5
   overhead driver).
@@ -20,30 +22,5 @@ plugin with the registry in :mod:`repro.core.registry`:
   controllers.
 - ``correlation`` -- pairwise correlation signatures of a unit's
   sensors (fault-detection fingerprints).
+- ``filesink`` -- CSV export of sensor streams for external tooling.
 """
-
-from repro.plugins.tester import TesterOperator
-from repro.plugins.aggregator import AggregatorOperator
-from repro.plugins.smoother import SmootherOperator
-from repro.plugins.perfmetrics import PerfMetricsOperator
-from repro.plugins.persyst import PerSystOperator
-from repro.plugins.regressor import RegressorOperator
-from repro.plugins.classifier import ClassifierOperator
-from repro.plugins.clustering import ClusteringOperator
-from repro.plugins.health import HealthOperator
-from repro.plugins.correlation import CorrelationOperator
-from repro.plugins.filesink import FileSinkOperator
-
-__all__ = [
-    "CorrelationOperator",
-    "FileSinkOperator",
-    "TesterOperator",
-    "AggregatorOperator",
-    "SmootherOperator",
-    "PerfMetricsOperator",
-    "PerSystOperator",
-    "RegressorOperator",
-    "ClassifierOperator",
-    "ClusteringOperator",
-    "HealthOperator",
-]

@@ -590,7 +590,7 @@ class TestMaintenanceFaults:
     and loses no reading."""
 
     @staticmethod
-    def _deployment(directory, **rollups):
+    def _deployment(directory, retention=None, **rollups):
         from repro.deploy import build_deployment
 
         storage = {
@@ -599,6 +599,8 @@ class TestMaintenanceFaults:
         }
         if rollups:
             storage["rollups"] = rollups
+        if retention:
+            storage["retention"] = retention
         return build_deployment({
             "cluster": {"nodes": 2, "cpus": 1, "seed": 3},
             "monitoring": {
@@ -697,3 +699,58 @@ class TestMaintenanceFaults:
         assert storage.flush_count == flushes + 1
         assert storage.maintenance_errors == 4
         self._intact(dep, tmp_path)
+
+    def test_a_segment_retention_cannot_delete_stays_for_the_next_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        import errno
+        import pathlib
+
+        dep = self._deployment(tmp_path, retention={"raw_s": 10})
+        storage = dep.agent.storage
+        dep.run(12)  # raw segments of 0 s, 1-4 s and 5-9 s
+        bad = storage.store.segments[0]
+        assert bad.level == LEVEL_RAW and bad.max_ts == 0
+        unlink = pathlib.Path.unlink
+
+        def denied(path, missing_ok=False):
+            if path == bad.path:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return unlink(path, missing_ok=missing_ok)
+
+        forwarded = dep.agent.forwarded_count
+        with monkeypatch.context() as patch:
+            patch.setattr(pathlib.Path, "unlink", denied)
+            dep.run(5)  # the sweep at 15 s: the first two have expired
+        assert storage.maintenance_errors == 1
+        assert self._gauge(dep, "storage_maintenance_errors") == 1
+        assert storage.store.segments[0] is bad and bad.path.exists()
+        assert storage.segments_expired == 1
+        assert dep.agent.forwarded_count > forwarded
+        # Deletable again: the sweep at 20 s drops it (and the 5-9 s one).
+        dep.run(5)
+        assert bad not in storage.store.segments and not bad.path.exists()
+        assert storage.segments_expired == 3
+        assert storage.maintenance_errors == 1
+        assert all(seg.max_ts >= 10 * NS_PER_SEC for seg in storage.store.segments)
+
+    def test_a_failed_retention_drop_counts_in_the_sweep_errors(
+        self, tmp_path, monkeypatch
+    ):
+        tiered = TieredStorageBackend(
+            tmp_path, flush_mb=64, retention_raw_ns=10 * NS_PER_SEC
+        )
+        _fill(tiered, seconds=5)
+        tiered.flush(5 * NS_PER_SEC)
+        (seg,) = tiered.store.segments
+
+        def denied(segment):
+            raise PermissionError("Permission denied")
+
+        monkeypatch.setattr(tiered.store, "remove", denied)
+        stats = tiered.maintain(60 * NS_PER_SEC)
+        assert stats["dropped"] == 0 and stats["errors"] == 1
+        assert tiered.store.segments == [seg]
+        monkeypatch.undo()
+        stats = tiered.maintain(60 * NS_PER_SEC)
+        assert stats["dropped"] == 1 and stats["errors"] == 0
