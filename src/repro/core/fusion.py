@@ -16,8 +16,8 @@ chain — into one executable pass:
   operator-output caches would have accumulated (one reading per pass,
   1 s host interval hint, capacity-clamped width) — no cache write, no
   publish, no re-query;
-- downstream members query through a :class:`FusedEngine` proxy that
-  serves channel topics as zero-copy window views and delegates
+- each downstream member's one gather reads a :class:`FusedEngine`
+  that serves channel topics as zero-copy window views and delegates
   everything else to the real engine;
 - only the final member runs its ordinary staged pass, storing through
   ``store_results_batch`` and the operator-output fan-out.
@@ -40,9 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
-from repro.dcdb.cache import CacheView, SensorCache
+from repro.dcdb.cache import SensorCache
 from repro.core.queryengine import BatchWindow, QueryEngine, report_views
 from repro.core.units import same_units
 from repro.sanitizer import hooks
@@ -164,15 +163,15 @@ class FusedChannel:
 
 
 class FusedEngine:
-    """Query-engine proxy a fused member computes through.
+    """What a fused member's one gather reads (the ``source`` of
+    :meth:`~repro.core.operator.OperatorBase.run_pass`).
 
     Topics bound to an upstream :class:`FusedChannel` are answered from
     the channel matrices as zero-copy views (a kernel reads its window
     read-only by contract); every other topic (raw sensor inputs of the
     first stages, out-of-group feeds) delegates to the real engine,
     keeping its compiled-plan cache and generation invalidation in
-    charge.  Attribute access falls through to the real engine, so
-    navigator/virtual-sensor surfaces stay available.
+    charge.
     """
 
     def __init__(
@@ -189,60 +188,13 @@ class FusedEngine:
         self._whole_channel_topics: Optional[Tuple[str, ...]] = None
         self._whole_channel: Optional[FusedChannel] = None
 
-    def __getattr__(self, name):
-        return getattr(self._real, name)
-
-    # Derived helpers reuse the real implementations over *this*
-    # engine's query_relative, so channel topics stay visible to them.
-    query_many_relative = QueryEngine.query_many_relative
-    query_many_absolute = QueryEngine.query_many_absolute
-
-    def latest(self, topic: str) -> CacheView:
-        return self.query_relative(topic, 0)
-
     def _channel_tail(self, entry, count: int):
         channel, row = entry
         n = min(count, int(channel.counts[row]))
         if n <= 0:
             return None
         lo = channel.width - n
-        return (
-            channel.timestamps[row, lo:].copy(),
-            channel.values[row, lo:].copy(),
-        )
-
-    def query_relative(self, topic: str, offset_ns: int) -> CacheView:
-        entry = self._channel_of.get(topic)
-        if entry is None:
-            return self._real.query_relative(topic, offset_ns)
-        if offset_ns < 0:
-            raise QueryError(f"negative relative offset: {offset_ns}")
-        tail = self._channel_tail(entry, _window_count(offset_ns))
-        if tail is None:
-            raise QueryError(f"no data available for sensor {topic}")
-        view = CacheView._snapshot_of(*tail)
-        san = hooks.CURRENT
-        if san is not None:
-            san.on_query_view(topic, view)
-        return view
-
-    def query_absolute(self, topic: str, start_ts: int, end_ts: int) -> CacheView:
-        entry = self._channel_of.get(topic)
-        if entry is None:
-            return self._real.query_absolute(topic, start_ts, end_ts)
-        if start_ts > end_ts:
-            raise QueryError(f"inverted range: {start_ts} > {end_ts}")
-        channel, row = entry
-        n = int(channel.counts[row])
-        if not n:
-            raise QueryError(f"no data available for sensor {topic}")
-        ts = channel.timestamps[row, channel.width - n:]
-        lo = int(np.searchsorted(ts, start_ts, side="left"))
-        hi = int(np.searchsorted(ts, end_ts, side="right"))
-        if lo >= hi:
-            return CacheView.empty()
-        val = channel.values[row, channel.width - n:]
-        return CacheView._snapshot_of(ts[lo:hi].copy(), val[lo:hi].copy())
+        return channel.timestamps[row, lo:], channel.values[row, lo:]
 
     def query_relative_batch(
         self, topics: Sequence[str], window_ns: int, key: object = None
@@ -336,9 +288,9 @@ class FusedEngine:
 class FusedPlan:
     """The compiled binding of one fused group.
 
-    Holds the per-intermediate channels and the per-member proxy
-    engines, stamped with the navigator generation and the producer
-    unit identity it was compiled against — either moving (hot-plugged
+    Holds the per-intermediate channels and the per-member sources,
+    stamped with the navigator generation and the producer unit
+    identity it was compiled against — either moving (hot-plugged
     sensors, re-resolved units) invalidates the plan, exactly like a
     :class:`~repro.core.queryengine.QueryPlan`.
     """
@@ -432,18 +384,14 @@ class FusedGroup:
     # ------------------------------------------------------------------
 
     def run(self, ts: int) -> None:
-        """One scheduled pass over the chain: every intermediate member
-        sinks its result into the channel the next member reads, the
-        final member runs its ordinary storing pass."""
+        """One scheduled pass over the chain: every member after the
+        first gathers from the channels upstream of it, every
+        intermediate member sinks its result into its channel, the final
+        member runs its ordinary storing pass."""
         plan = self._ensure_plan()
         last = len(self.ops) - 1
         for i, op in enumerate(self.ops):
-            real = op.engine
-            op.engine = plan.engines[i] or real
-            try:
-                if i < last:
-                    op.run_pass(ts, plan.channels[i].append_pass)
-                else:
-                    op.run(ts)
-            finally:
-                op.engine = real
+            if i < last:
+                op.run_pass(ts, plan.channels[i].append_pass, plan.engines[i])
+            else:
+                op.run(ts, plan.engines[i])

@@ -41,7 +41,7 @@ from repro.telemetry import Histogram, MetricRegistry
 
 MODES = ("online", "ondemand")
 UNIT_MODES = ("sequential", "parallel")
-FUSION_MODES = (True, False, "auto")
+FUSION_MODES = (False, "auto")
 
 
 @dataclass
@@ -97,8 +97,8 @@ class OperatorConfig:
             )
         if self.fusion not in FUSION_MODES:
             raise ConfigError(
-                f"operator {self.name}: fusion must be true, false or "
-                f"'auto', not {self.fusion!r}"
+                f"operator {self.name}: fusion must be false or 'auto', "
+                f"not {self.fusion!r}"
             )
         if self.breaker_threshold < 0:
             raise ConfigError(
@@ -206,11 +206,13 @@ class OperatorBase:
       for every due unit in one batched query per pass
       (:meth:`batch_window`) and hands over read-only;
     - add a :meth:`compute_batch` *matrix kernel* when the arithmetic is
-      the same for every unit: reduce the stacked windows of a uniform
-      pass along axis 1, :meth:`compute_ragged` for the rest;
-    - override :meth:`compute_unit` only to issue queries yourself.  The
-      pass then loops it unit by unit (:meth:`compute_per_unit`) and
-      gives up the compiled plan, the single gather and fusion.
+      the same for every unit: it is handed the pass's gathered window
+      and reduces the stacked rows of a uniform pass along axis 1,
+      :meth:`compute_ragged` for the rest;
+    - override :meth:`compute_unit` only to issue queries yourself.  A
+      class that does and has no kernel makes no gather: its pass loops
+      it unit by unit (:meth:`compute_per_unit`) and gives up the
+      compiled plan and fusion.
 
     Optional hooks are :meth:`check_unit`, :meth:`make_model` and
     :meth:`compute_operator_outputs`.  The base class handles unit
@@ -469,8 +471,8 @@ class OperatorBase:
 
         The default is a plan-free, matrix-free gather — one relative
         query per kernel input, no :class:`QueryPlan` touched — handed
-        to :meth:`compute_window`.  On-demand triggers and the
-        unit-by-unit re-run after a pass raised come through here.
+        to :meth:`compute_window`.  On-demand triggers come through
+        here.
         """
         assert self.engine is not None
         if self.unit_named(unit.name) is not unit:
@@ -509,20 +511,24 @@ class OperatorBase:
         per-unit results are returned."""
         return self.run(ts).results()
 
-    def run(self, ts: int) -> PassResult:
+    def run(self, ts: int, source=None) -> PassResult:
         """One scheduled pass: gather, kernel, store — what the
         Operator Manager runs, with no per-unit view of the result."""
-        return self.run_pass(ts, self._store)
+        return self.run_pass(ts, self._store, source)
 
     def run_pass(
-        self, ts: int, sink: Callable[[int, PassResult], None]
+        self, ts: int, sink: Callable[[int, PassResult], None], source=None
     ) -> PassResult:
-        """Gather, run the kernel, hand the result to ``sink``.
+        """Gather from ``source``, run the kernel, hand the result to
+        ``sink``.
 
-        Every pass comes through here.  A staged pass sinks into the
-        host (:meth:`run`); an intermediate member of a fused group
-        sinks into the channel feeding the next stage — where the result
-        goes is the only difference between the two.
+        Every pass comes through here.  A staged pass reads the host's
+        engine and sinks into the host (:meth:`run`); a member of a
+        fused group reads its group's channels
+        (:class:`~repro.core.fusion.FusedEngine`), and an intermediate
+        one sinks into the channel feeding the next stage — where the
+        window comes from and where the result goes are the only
+        differences between the two.
         """
         if not self.enabled:
             return PassResult([])
@@ -530,7 +536,7 @@ class OperatorBase:
         if san is not None:
             san.begin_pass(self)
         t0 = time.perf_counter_ns()
-        result = self._compute_results(ts)
+        result = self._compute_results(ts, source)
         if not isinstance(result, PassResult):
             result = PassResult(result)
         self._record_unit_successes(result)
@@ -656,41 +662,48 @@ class OperatorBase:
             f"operator {self.name!r} has no unit {unit_name!r}"
         )
 
-    def _compute_results(self, ts: int):
+    def _compute_results(self, ts: int, source):
         """Produce the pass's results (a :class:`PassResult` or a plain
-        ``List[UnitResult]``).
+        ``List[UnitResult]``): the pass's one gather from ``source``
+        (see :meth:`batch_window`), handed to :meth:`compute_batch`.
 
-        The default hands the due units to :meth:`compute_batch`;
-        cross-unit operators (e.g. clustering, which fits one model over
-        all units' features) may override it wholesale.
+        A plugin that overrides :meth:`compute_unit` and has no kernel
+        of its own queries for itself: its pass skips the gather and
+        runs :meth:`compute_per_unit`.
         """
-        due_units = self._due_units()
-        try:
-            return self.compute_batch(due_units, ts)
-        except UNIT_ERRORS:
-            # The gather or the kernel failed on the whole pass.  Run it
-            # again one unit at a time, so only the unit owning the
-            # failing row is counted and advanced toward quarantine.
-            return self.compute_per_unit(due_units, ts)
-
-    def compute_batch(self, units: Sequence[Unit], ts: int):
-        """Compute every due unit of a pass.
-
-        Inherited: one :meth:`batch_window` gather, then
-        :meth:`compute_ragged` — or :meth:`compute_per_unit` iff the
-        plugin class overrides :meth:`compute_unit`.  A matrix kernel
-        overrides it and returns a columnar :class:`PassResult` for a
-        uniform pass.
-        """
-        if type(self).compute_unit is not OperatorBase.compute_unit:
+        units = self._due_units()
+        cls = type(self)
+        if (
+            cls.compute_unit is not OperatorBase.compute_unit
+            and cls.compute_batch is OperatorBase.compute_batch
+        ):
             return self.compute_per_unit(units, ts)
-        window, slices, _n = self.batch_window(units)
+        window, slices, _n = self.batch_window(units, source)
+        try:
+            return self.compute_batch(units, window, slices)
+        except UNIT_ERRORS:
+            # The kernel failed on the whole pass.  Run it again one
+            # unit at a time over the same window, so only the unit
+            # owning the failing row is counted and advanced toward
+            # quarantine.
+            return self.compute_ragged(units, window, slices)
+
+    def compute_batch(
+        self, units: Sequence[Unit], window: BatchWindow, slices: List[range]
+    ):
+        """Compute every due unit of a pass from its gathered window
+        (:meth:`batch_window`: unit ``j`` owns rows ``slices[j]``).
+
+        Inherited: :meth:`compute_ragged`.  A matrix kernel overrides
+        it and returns a columnar :class:`PassResult` for a uniform pass
+        (:meth:`batch_window`, :meth:`rows_per_unit`).
+        """
         return self.compute_ragged(units, window, slices)
 
     def compute_per_unit(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
         """:meth:`compute_unit` for each unit in turn: scalar queries
-        only, no plan — what a pass that raised is re-run on, and the
-        reference the gathered paths are checked against."""
+        only, no plan — the pass of a plugin that queries for itself,
+        and the reference the gathered paths are checked against."""
         return self._compute_each(units, self.compute_unit, repeat(ts))
 
     def _compute_each(self, units: Sequence[Unit], fn, args) -> List[UnitResult]:
@@ -737,9 +750,10 @@ class OperatorBase:
         return results
 
     def batch_window(
-        self, units: Sequence[Unit]
+        self, units: Sequence[Unit], source=None
     ) -> Tuple[BatchWindow, List[range], int]:
-        """Fetch all the units' kernel inputs in one batched query.
+        """Fetch all the units' kernel inputs in one batched query of
+        ``source`` (the operator's engine unless given).
 
         Returns ``(window, slices, n)``.  ``slices[j]`` is the
         ``range(lo, hi)`` of rows in ``window`` holding unit ``j``'s
@@ -773,7 +787,7 @@ class OperatorBase:
                 else 0
             )
             self._batch_layout = (list(units), topics, slices, m)
-        window = self.engine.query_relative_batch(
+        window = (source or self.engine).query_relative_batch(
             topics, self.config.window_ns, key=f"operator:{self.name}"
         )
         return window, slices, window.uniform_count() if m == 1 else 0
@@ -1028,7 +1042,7 @@ class JobOperatorBase(OperatorBase):
         }
         self._install_units(units)
 
-    def run(self, ts: int) -> PassResult:
+    def run(self, ts: int, source=None) -> PassResult:
         if self.enabled:
             self.refresh_units(ts)
-        return super().run(ts)
+        return super().run(ts, source)

@@ -303,18 +303,13 @@ def has_kernel(cls: type) -> bool:
     return cls.compute_batch is not OperatorBase.compute_batch
 
 
-def _can_join(spec: FusionSpec) -> bool:
-    """Whether the member can run its pass inside a fused group."""
-    return spec.has_kernel or spec.config.fusion is True
-
-
 def _can_lead(spec: FusionSpec) -> bool:
     """Whether the spec may open a group (i.e. become a producer)."""
     return (
         spec.config.mode == "online"
         and spec.config.fusion is not False
         and not spec.is_job_plugin
-        and _can_join(spec)
+        and spec.has_kernel
     )
 
 
@@ -327,23 +322,19 @@ def _chain_verdict(
 ) -> Optional[tuple]:
     """``None`` if ``consumer`` may join the group behind ``tail``,
     else ``(reason, detail)`` explaining why the chain breaks."""
-    forced_job = consumer.is_job_plugin and consumer.config.fusion is True
-    chained = bool(consumer.input_topics & tail.output_topics) or forced_job
-    if not chained:
+    if not consumer.input_topics & tail.output_topics:
         return ("not-chained", "")
     if consumer.config.mode != "online":
         return ("mode", f"{consumer.label} is {consumer.config.mode}")
     if consumer.config.fusion is False or tail.config.fusion is False:
         return ("opt-out", "fusion: false")
-    if consumer.is_job_plugin and not forced_job:
-        return ("job", "job operators join only with fusion: true")
-    if tail.is_job_plugin:
-        return ("job", "job operators cannot produce fused intermediates")
-    if not _can_join(consumer):
+    if consumer.is_job_plugin:
+        return ("job", "job operators run staged")
+    if not consumer.has_kernel:
         return (
             "no-kernel",
             f"{consumer.label} computes unit by unit, it has no window "
-            f"kernel (set fusion: true to force)",
+            f"kernel",
         )
     if (
         consumer.config.interval_ns != tail.config.interval_ns

@@ -613,18 +613,6 @@ class QueryEngine:
         self._m_misses.inc()
         raise QueryError(f"no data available for sensor {topic}")
 
-    def query_many_relative(
-        self, topics: List[str], offset_ns: int
-    ) -> List[CacheView]:
-        """Relative-mode query over several sensors at once."""
-        return [self.query_relative(t, offset_ns) for t in topics]
-
-    def query_many_absolute(
-        self, topics: List[str], start_ts: int, end_ts: int
-    ) -> List[CacheView]:
-        """Absolute-mode query over several sensors at once."""
-        return [self.query_absolute(t, start_ts, end_ts) for t in topics]
-
     # ------------------------------------------------------------------
     # Batched queries (compiled plans)
     # ------------------------------------------------------------------

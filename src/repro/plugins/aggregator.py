@@ -145,11 +145,9 @@ class AggregatorOperator(OperatorBase):
         for sensor in unit.outputs:
             self._op_for(sensor.name)
 
-    def compute_batch(self, units: Sequence[Unit], ts: int):
-        window, slices, n = self.batch_window(units)
+    def compute_batch(self, units: Sequence[Unit], window, slices):
         m = self.rows_per_unit()
-        if m > 1:  # n speaks for one row per unit only
-            n = window.uniform_count()
+        n = window.uniform_count() if m else 0
         if not n:
             return self.compute_ragged(units, window, slices)
         # Uniform pass: every unit has m rows of n readings.  The

@@ -8,8 +8,9 @@ interval the operator fits a Bayesian Gaussian mixture over all units'
 points, assigns each node its cluster label and flags outliers whose
 probability falls below a threshold under all fitted components.
 
-This is inherently a *cross-unit* computation, so the plugin overrides
-the unit-iteration step rather than :meth:`compute_unit` — each unit's
+This is inherently a *cross-unit* computation, so the plugin's kernel
+is the whole :meth:`compute_batch`: it is handed the window of every
+unit due this pass and fits over all of them at once — each unit's
 result still flows through the ordinary output-sensor path.
 
 Params:
@@ -107,10 +108,11 @@ class ClusteringOperator(OperatorBase):
     # Cross-unit computation
     # ------------------------------------------------------------------
 
-    def _compute_results(self, ts: int) -> List[UnitResult]:
+    def compute_batch(
+        self, units: Sequence[Unit], window, slices
+    ) -> List[UnitResult]:
         points: List[Tuple[Unit, np.ndarray]] = []
-        window, slices, _n = self.batch_window(self.units)
-        for unit, rows in zip(self.units, slices):
+        for unit, rows in zip(units, slices):
             vec = self._unit_features(window.rows(rows))
             if vec is not None:
                 points.append((unit, vec))

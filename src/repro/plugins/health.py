@@ -107,11 +107,10 @@ class HealthOperator(OperatorBase):
         healthy = violations[unit.name] < self.trip_count
         return {sensor.name: 1.0 if healthy else 0.0 for sensor in unit.outputs}
 
-    def compute_batch(self, units: Sequence[Unit], ts: int):
+    def compute_batch(self, units: Sequence[Unit], window, slices):
         """Window means of every bounded input in one axis-1 reduction
         when all rows hold equally many readings (units may span several
         rows); a bounded input with no data errors its unit."""
-        window, slices, _ = self.batch_window(units)
         n = window.uniform_count()
         if not n:
             return self.compute_ragged(units, window, slices)

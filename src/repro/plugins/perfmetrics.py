@@ -109,9 +109,9 @@ class PerfMetricsOperator(OperatorBase):
         return [named[0] for c in counters if (named := unit.inputs_named(c))]
 
     def _shared(self) -> Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
-        """``(counters, names)`` when every unit of the last
-        :meth:`batch_window` has the same counter rows in the same order
-        and they hold every counter its outputs need — counter ``k`` of
+        """``(counters, names)`` when every unit of the last gathered
+        pass has the same counter rows in the same order and they hold
+        every counter its outputs need — counter ``k`` of
         unit ``j`` is then row ``j * m + k`` and the pass computes the
         output ``names`` — else ``None``.  Memoised with the layout."""
         layout = self._batch_layout
@@ -126,8 +126,7 @@ class PerfMetricsOperator(OperatorBase):
             self._kernel_layout = (layout, (counters, names) if shared else None)
         return self._kernel_layout[1]
 
-    def compute_batch(self, units: Sequence[Unit], ts: int):
-        window, slices, _n = self.batch_window(units)
+    def compute_batch(self, units: Sequence[Unit], window, slices):
         shared = self._shared()
         if shared is None or window.counts.min() < 2:
             return self.compute_ragged(units, window, slices)

@@ -91,16 +91,16 @@ class PerSystOperator(JobOperatorBase):
             out["std"] = float(arr.std())
         return out
 
-    def compute_batch(self, units: Sequence[Unit], ts: int) -> List[UnitResult]:
-        """One batched query gathers every job's newest samples at once.
+    def compute_batch(
+        self, units: Sequence[Unit], window, slices
+    ) -> List[UnitResult]:
+        """The decile reduction over each job's rows of newest values.
 
         The per-core window fetches — by far the dominant cost of the
-        Fig 7 pipeline (2048 samples per 32-node job) — collapse into a
-        single compiled-plan execution; the decile reduction then runs on
-        each job's rows of newest values.  A core that has not produced
-        the metric yet is skipped.
+        Fig 7 pipeline (2048 samples per 32-node job) — are the pass's
+        one compiled-plan gather.  A core that has not produced the
+        metric yet is skipped.
         """
-        window, slices, _ = self.batch_window(units)
         last = window.last_values()
         live = window.counts > 0
         results = []

@@ -56,8 +56,8 @@ class SmootherOperator(OperatorBase):
         weights = (1.0 - self.alpha) ** np.arange(values.shape[1] - 1, -1, -1)
         return (values * weights).sum(axis=1) / weights.sum()
 
-    def compute_batch(self, units: Sequence[Unit], ts: int):
-        window, slices, n = self.batch_window(units)
+    def compute_batch(self, units: Sequence[Unit], window, slices):
+        n = window.uniform_count() if self.rows_per_unit() else 0
         if not n:
             return self.compute_ragged(units, window, slices)
         smoothed = self._smooth(window.values[:, window.width - n:])

@@ -310,8 +310,7 @@ OPERATOR = Section("operator", [
         "compute each unit only every Nth pass, staggered by index"),
     _op("fusion", choice(FUSION_MODES),
         "join a fused pipeline group: `\"auto\"` when the chain is eligible, "
-        "`false` never, `true` also without a window kernel or as the job "
-        "operator ending a chain"),
+        "`false` never"),
     _op("relaxed", BOOL,
         "skip units whose inputs do not resolve instead of failing the block"),
     _op("publish_outputs", BOOL,

@@ -67,14 +67,6 @@ class TestRelativeQueries:
             qe.query_relative("/nope", 0)
         assert qe.misses == 1
 
-    def test_query_many(self):
-        host = FakeHost()
-        host.caches["/a"] = filled_cache()
-        host.caches["/b"] = filled_cache()
-        qe = QueryEngine(host)
-        views = qe.query_many_relative(["/a", "/b"], 0)
-        assert len(views) == 2
-
 
 class TestAbsoluteQueries:
     def test_cache_serves_covered_range(self):

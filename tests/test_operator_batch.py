@@ -736,10 +736,9 @@ class PoisonableAggregator(AggregatorOperator):
         if (values == 666.0).any():
             raise ValueError("poisoned window")
 
-    def compute_batch(self, units, ts):
-        window, _, _ = self.batch_window(units)
+    def compute_batch(self, units, window, slices):
         self._check(window.values)
-        return super().compute_batch(units, ts)
+        return super().compute_batch(units, window, slices)
 
     def compute_window(self, unit, rows):
         for _, _, values in rows:
@@ -786,6 +785,22 @@ class TestPoisonedRow:
         results = op.compute(NOW + 2 * NS_PER_SEC)
         assert [r.unit.name for r in results] == ["/n0", "/n1", "/n3"]
         assert op.error_count == 2
+
+    def test_a_failed_pass_reruns_on_its_one_gather(self):
+        """The unit-by-unit re-run reads the window the kernel was
+        handed: one batched query for the pass, no relative query."""
+        op = self.rig(True)
+        latency = op.engine.telemetry.histogram
+        queries = {
+            mode: latency("qe_query_latency_ns", mode=mode)
+            for mode in ("batch", "relative")
+        }
+        before = {mode: h.count for mode, h in queries.items()}
+        results = op.compute(NOW)
+        assert [r.unit.name for r in results] == ["/n0", "/n1", "/n3"]
+        assert op.error_count == 1
+        assert queries["batch"].count - before["batch"] == 1
+        assert queries["relative"].count - before["relative"] == 0
 
     def test_unit_cadence_phases(self):
         topics = {f"/n{i}/power": series(10, scale=1.0 + i) for i in range(5)}
@@ -860,10 +875,9 @@ class TestUnitBookkeeping:
 class ScribblingSmoother(SmootherOperator):
     """Breaks the read-only window contract on purpose."""
 
-    def compute_batch(self, units, ts):
-        window, _, _ = self.batch_window(units)
+    def compute_batch(self, units, window, slices):
         window.values[:, -1] += 1.0
-        return super().compute_batch(units, ts)
+        return super().compute_batch(units, window, slices)
 
 
 class TestSanitizedPass:

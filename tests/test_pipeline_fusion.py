@@ -89,15 +89,35 @@ def unit_for(i: int, in_name: str, out_name: str) -> Unit:
     )
 
 
-def build_chain(n_units: int = N_UNITS):
-    """One pipeline instance: smoother -> aggregator -> aggregator."""
+class PoisonableAggregator(AggregatorOperator):
+    """The aggregator refusing any window holding a reading above 100:
+    its kernel fails the whole pass, the re-run only the unit whose
+    rows hold one."""
+
+    def _check(self, rows):
+        for topic, _timestamps, values in rows:
+            if (values > 100.0).any():
+                raise ValueError(f"poisoned window {topic}")
+
+    def compute_batch(self, units, window, slices):
+        self._check(window.rows(range(len(window.topics))))
+        return super().compute_batch(units, window, slices)
+
+    def compute_window(self, unit, rows):
+        self._check(rows)
+        return super().compute_window(unit, rows)
+
+
+def build_chain(n_units: int = N_UNITS, middle=AggregatorOperator):
+    """One pipeline instance: smoother -> ``middle`` (an aggregator) ->
+    aggregator."""
     host = Host([f"/n{i}/power" for i in range(n_units)])
     engine = QueryEngine(host)
     stages = [
         (SmootherOperator, OperatorConfig(
             name="sm", window_ns=5 * NS_PER_SEC, publish_outputs=False,
         ), "power", "sm"),
-        (AggregatorOperator, OperatorConfig(
+        (middle, OperatorConfig(
             name="ag", window_ns=10 * NS_PER_SEC, publish_outputs=False,
             params={"ops": {"*": "mean"}},
         ), "sm", "ag"),
@@ -116,7 +136,10 @@ def build_chain(n_units: int = N_UNITS):
     return host, engine, ops
 
 
-def run_both(ticks, feed=None, skip=(), n_units: int = N_UNITS):
+def run_both(
+    ticks, feed=None, skip=(), n_units: int = N_UNITS,
+    middle=AggregatorOperator,
+):
     """Run staged and fused executions over one input stream.
 
     ``feed(tick, i)`` produces unit ``i``'s reading (None = no reading);
@@ -124,8 +147,8 @@ def run_both(ticks, feed=None, skip=(), n_units: int = N_UNITS):
     Returns (staged_host, fused_host, staged_ops, fused_ops, group).
     """
     rng = np.random.default_rng(7)
-    staged_host, _, staged_ops = build_chain(n_units)
-    fused_host, fused_engine, fused_ops = build_chain(n_units)
+    staged_host, _, staged_ops = build_chain(n_units, middle)
+    fused_host, fused_engine, fused_ops = build_chain(n_units, middle)
     group = FusedGroup(
         name="t:fused", ops=fused_ops, host=fused_host, engine=fused_engine
     )
@@ -162,7 +185,7 @@ class TestFusionKnob:
             OperatorConfig(name="x", fusion="sometimes")
 
     def test_modes_accepted(self):
-        for mode in (True, False, "auto"):
+        for mode in (False, "auto"):
             assert OperatorConfig(name="x", fusion=mode).fusion == mode
 
     def test_analyzer_flags_bad_fusion_value(self):
@@ -255,10 +278,6 @@ class TestFusionPlanner:
         plan = plan_fusion([a, b])
         assert [blk.reason for blk in plan.blocked] == ["no-kernel"]
 
-    def test_forced_fusion_admits_a_per_unit_plugin(self):
-        a, b = self.chain(kernel=False, fusion=True)
-        assert plan_fusion([a, b]).groups == [["a", "b"]]
-
     def test_kernel_is_read_off_the_plugin_class(self):
         from repro.core.pipeline import has_kernel
         from repro.plugins.clustering import ClusteringOperator
@@ -268,7 +287,7 @@ class TestFusionPlanner:
                     PerSystOperator):
             assert has_kernel(cls)
         assert has_kernel(PerfMetricsOperator)
-        assert not has_kernel(ClusteringOperator)
+        assert has_kernel(ClusteringOperator)
 
     def test_published_intermediate_blocks(self):
         a = spec("a", inputs=["/p"], outputs=["/x"], publish=True)
@@ -303,14 +322,13 @@ class TestFusionPlanner:
         plan = plan_fusion([a, b])
         assert plan.groups == [] and plan.blocked == []
 
-    def test_job_terminal_needs_forced_fusion(self):
+    def test_job_terminal_stays_staged(self):
         a, b = self.chain(job=True)
-        assert plan_fusion([a, b]).groups == []
-        a2, b2 = self.chain(job=True, fusion=True)
-        assert plan_fusion([a2, b2]).groups == [["a", "b"]]
+        plan = plan_fusion([a, b])
+        assert plan.groups == [] and plan.blocked == []
 
     def test_job_cannot_produce_intermediates(self):
-        a = spec("a", inputs=["/p"], outputs=["/x"], job=True, fusion=True)
+        a = spec("a", inputs=["/p"], outputs=["/x"], job=True)
         b = spec("b", inputs=["/x"], outputs=["/y"])
         plan = plan_fusion([a, b])
         assert plan.groups == [] and plan.blocked == []
@@ -357,6 +375,28 @@ class TestFusedParity:
         for s_op, f_op in zip(s_ops, f_ops):
             assert s_op.error_count == f_op.error_count
         assert s_ops[0].error_count > 0  # the skipped units did error
+
+    def test_poisoned_intermediate_parity(self):
+        # One 666 reading of unit 3 lifts its smoothed value above 100
+        # for six ticks; the middle stage's kernel then raises on every
+        # pass whose window holds one, and the pass is re-run unit by
+        # unit over the window it was handed, fused as staged.
+        def feed(tick, i):
+            if (tick, i) == (6, 3):
+                return 666.0
+            return float((tick * 31 + i * 7) % 11) / 11.0
+
+        staged, fused, s_ops, f_ops, _ = run_both(
+            25, feed=feed, middle=PoisonableAggregator
+        )
+        assert final_series(staged) == final_series(fused)
+        for s_op, f_op in zip(s_ops, f_ops):
+            assert s_op.error_count == f_op.error_count
+            assert s_op.last_errors == f_op.last_errors
+        # Counted under unit 3 only, once per pass from tick 6 to 21.
+        assert f_ops[1].error_count == 16
+        assert all(e.startswith("/n3: ") for e in f_ops[1].last_errors)
+        assert "/n3/ag" not in fused.stored  # the channel, not the host
 
     def test_short_window_warmup_parity(self):
         # Windows larger than the data seen so far: both paths serve the
@@ -432,64 +472,6 @@ class TestFusedParity:
             group.run(ts)
         assert final_series(s_host, out="flag") == final_series(f_host, out="flag")
         assert any(final_series(f_host, out="flag").values())
-
-    def test_persyst_forced_job_terminal_parity(self):
-        deciles = [0.0, 0.5, 1.0]
-
-        def stack():
-            host = Host([f"/n{i}/power" for i in range(N_UNITS)])
-            engine = QueryEngine(host)
-            ag = AggregatorOperator(OperatorConfig(
-                name="ag", window_ns=5 * NS_PER_SEC, publish_outputs=False,
-                params={"ops": {"*": "mean"}},
-            ))
-            ps = PerSystOperator(OperatorConfig(
-                name="ps", window_ns=5 * NS_PER_SEC, fusion=True,
-                params={"quantiles": deciles},
-            ))
-            ag.bind(host, engine)
-            ag.set_units(
-                [unit_for(i, "power", "ag") for i in range(N_UNITS)]
-            )
-            ag.start()
-            ps.bind(host, engine)
-            ps.set_units([
-                Unit(
-                    name="job1",
-                    level=0,
-                    inputs=[f"/n{i}/ag" for i in range(N_UNITS)],
-                    outputs=[
-                        Sensor(f"/job1/decile{d}", is_operator_output=True)
-                        for d in (0, 5, 10)
-                    ],
-                )
-            ])
-            ps.start()
-            return host, engine, [ag, ps]
-
-        # The planner admits the job plugin only as a forced terminal.
-        plan = plan_fusion([
-            spec("ag", inputs=["/p"], outputs=["/x"]),
-            spec("ps", inputs=["/x"], outputs=["/d"], job=True, fusion=True),
-        ])
-        assert plan.groups == [["ag", "ps"]]
-
-        s_host, _, s_ops = stack()
-        f_host, f_engine, f_ops = stack()
-        group = FusedGroup("t:persyst", f_ops, f_host, f_engine)
-        rng = np.random.default_rng(11)
-        for tick in range(1, 20):
-            ts = tick * NS_PER_SEC
-            for i in range(N_UNITS):
-                v = float(rng.random())
-                s_host.feed(ts, f"/n{i}/power", v)
-                f_host.feed(ts, f"/n{i}/power", v)
-            for op in s_ops:
-                op.compute(ts)
-            group.run(ts)
-        s_out = {t: v for t, v in s_host.stored.items() if t.startswith("/job1/")}
-        f_out = {t: v for t, v in f_host.stored.items() if t.startswith("/job1/")}
-        assert s_out == f_out and len(f_out) == 3
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,54 @@ class TestClustering:
         op.start()
         assert op.compute(29 * NS_PER_SEC) == []
 
+    def fitted_rows(self, monkeypatch):
+        """The row count of every mixture fit, in order."""
+        import repro.plugins.clustering as clustering
+
+        rows = []
+
+        class Recording(clustering.BayesianGaussianMixture):
+            def fit(self, X):
+                rows.append(len(X))
+                return super().fit(X)
+
+        monkeypatch.setattr(clustering, "BayesianGaussianMixture", Recording)
+        return rows
+
+    def test_a_tripped_unit_is_left_out_of_the_fit(self, monkeypatch):
+        """Failing-before: the fit ran over every unit, breaker or not,
+        and the labelled tripped unit read as recovered."""
+        rows = self.fitted_rows(monkeypatch)
+        rng = np.random.default_rng(5)
+        host, units = populate_cluster_host(rng, n_outlier=0)
+        op = make_clustering_op()
+        op.bind(host, QueryEngine(host))
+        op.set_units(units)
+        op.start()
+        tripped = units[3].name
+        op.set_breaker(tripped, "trip")
+        results = op.compute(29 * NS_PER_SEC)
+        assert tripped not in {r.unit.name for r in results}
+        assert tripped not in op.last_labels
+        assert len(results) == len(op.last_labels) == 19
+        assert rows == [19]
+        state = op.breaker_state(tripped)
+        assert state["state"] == "open" and state["recoveries"] == 0
+        assert op.quarantined_units() == [tripped]
+
+    def test_unit_cadence_fits_the_due_units(self, monkeypatch):
+        rows = self.fitted_rows(monkeypatch)
+        rng = np.random.default_rng(6)
+        host, units = populate_cluster_host(rng, n_outlier=0)
+        op = make_clustering_op()
+        op.config.unit_cadence = 2
+        op.bind(host, QueryEngine(host))
+        op.set_units(units)
+        op.start()
+        results = op.compute(29 * NS_PER_SEC)
+        assert [r.unit.name for r in results] == [u.name for u in units[::2]]
+        assert rows == [10]
+
     def test_on_demand_returns_last_labels(self):
         rng = np.random.default_rng(4)
         host, units = populate_cluster_host(rng, n_outlier=0)

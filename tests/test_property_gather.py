@@ -368,7 +368,9 @@ def build_with_per_unit_twin(spec):
     dep = build_deployment(copy.deepcopy(spec))
     twin = build_deployment(copy.deepcopy(spec))
     for op in twin.agent_manager.operators():
-        op.compute_batch = op.compute_per_unit
+        op._compute_results = lambda ts, source, op=op: op.compute_per_unit(
+            op._due_units(), ts
+        )
     run = twin.run
 
     def run_plan_free(seconds):

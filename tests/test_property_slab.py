@@ -451,9 +451,9 @@ def as_bytes(results):
 )
 def test_pooling_by_reshape_is_pooling_by_concatenate(m, n, n_units, seed):
     op, units = aggregator_rig(m, n, n_units, seed)
-    result = op.compute_batch(units, NOW)
-    assert result.column_of is not None  # the matrix path
     window, slices, _ = op.batch_window(units)
+    result = op.compute_batch(units, window, slices)
+    assert result.column_of is not None  # the matrix path
     ragged = op.compute_ragged(units, window, slices)
     assert len(ragged) == n_units and op.error_count == 0
     assert as_bytes(result.results()) == as_bytes(ragged)
@@ -470,7 +470,8 @@ def test_a_pass_that_is_not_uniform_takes_compute_ragged(m, short, monkeypatch):
         op, "compute_ragged",
         lambda *args: ragged_calls.append(1) or compute_ragged(*args),
     )
-    result = op.compute_batch(units, NOW)
+    window, slices, _ = op.batch_window(units)
+    result = op.compute_batch(units, window, slices)
     assert ragged_calls == [1] and isinstance(result, list)
     assert as_bytes(result) == as_bytes(op.compute_per_unit(units, NOW))
 
