@@ -2,7 +2,9 @@
 
 M2: in-process MQTT broker publish throughput under exact, single-level
 and catch-all subscriptions — the data-plane budget between Pushers and
-the Collect Agent.
+the Collect Agent.  Each publish is a pass of one reading (a
+:class:`ReadingBatch` built per message), the smallest unit the broker
+takes.
 
 M3: the Section III-C scaling claim — "in a large-scale HPC system, this
 enables the instantiation of thousands of independent ODA models ...
@@ -20,21 +22,27 @@ import pytest
 from benchmarks.harness import print_header, print_table, shape_check
 from repro.core.tree import SensorTree
 from repro.core.units import UnitResolver
-from repro.dcdb.mqtt import Broker
+from repro.dcdb.mqtt import Broker, ReadingBatch
 from repro.simulator.cluster import ClusterSpec, ClusterTopology
 
 
 def publish_rate(broker: Broker, topic: str, n: int = 20_000) -> float:
     t0 = time.perf_counter_ns()
+    topics = (topic,)
     for i in range(n):
-        broker.publish(topic, float(i), i)
+        broker.publish_batch(ReadingBatch(topics, i, (float(i),)))
     return n / ((time.perf_counter_ns() - t0) / 1e9)
+
+
+def one(topic: str) -> ReadingBatch:
+    """A pass of one reading on ``topic``."""
+    return ReadingBatch((topic,), 1, (1.0,))
 
 
 class TestBrokerThroughput:
     def test_publish_rates_by_subscription_kind(self, benchmark):
         print_header("M2 - broker publish throughput")
-        sink = lambda t, v, ts: None
+        sink = lambda batch: None
         rows = []
         rates = {}
         for kind, pattern in (
@@ -45,7 +53,7 @@ class TestBrokerThroughput:
         ):
             broker = Broker()
             if pattern:
-                broker.subscribe(pattern, sink)
+                broker.subscribe_batch(pattern, sink)
             rates[kind] = publish_rate(broker, "/r0/c0/n0/power")
             rows.append((kind, rates[kind] / 1e3))
         print_table(["subscription", "k msgs/s"], rows, fmt="{:>18}")
@@ -56,18 +64,18 @@ class TestBrokerThroughput:
             f"min {min(rates.values()) / 1e3:.0f}k msg/s",
         )
         broker = Broker()
-        broker.subscribe("/#", sink)
-        benchmark(broker.publish, "/r0/c0/n0/power", 1.0, 1)
+        broker.subscribe_batch("/#", sink)
+        benchmark(broker.publish_batch, one("/r0/c0/n0/power"))
 
     def test_fanout_scales_with_matching_subscribers(self, benchmark):
         print_header("M2 - fan-out cost")
-        sink = lambda t, v, ts: None
+        sink = lambda batch: None
         rows = []
         per_delivery = {}
         for n_subs in (1, 10, 100):
             broker = Broker()
             for _ in range(n_subs):
-                broker.subscribe("/a/b", sink)
+                broker.subscribe_batch("/a/b", sink)
             rate = publish_rate(broker, "/a/b", n=5_000)
             per_delivery[n_subs] = 1e9 / (rate * n_subs)
             rows.append((n_subs, rate / 1e3, per_delivery[n_subs]))
@@ -79,16 +87,16 @@ class TestBrokerThroughput:
         )
         broker = Broker()
         for _ in range(100):
-            broker.subscribe("/a/b", sink)
-        benchmark(broker.publish, "/a/b", 1.0, 1)
+            broker.subscribe_batch("/a/b", sink)
+        benchmark(broker.publish_batch, one("/a/b"))
 
     def test_non_matching_traffic_is_cheap(self, benchmark):
         """A trie-based topic tree must not scan unrelated subscriptions."""
         print_header("M2 - selective routing")
-        sink = lambda t, v, ts: None
+        sink = lambda batch: None
         broker = Broker()
         for i in range(1000):
-            broker.subscribe(f"/rack{i:04d}/power", sink)
+            broker.subscribe_batch(f"/rack{i:04d}/power", sink)
         rate = publish_rate(broker, "/other/topic", n=20_000)
         print(f"  non-matching publish with 1000 live subscriptions: "
               f"{rate / 1e3:.0f}k msg/s")
@@ -97,7 +105,7 @@ class TestBrokerThroughput:
             rate > 200_000,
             f"{rate / 1e3:.0f}k msg/s",
         )
-        benchmark(broker.publish, "/other/topic", 1.0, 1)
+        benchmark(broker.publish_batch, one("/other/topic"))
 
 
 def coolmuc3_topics():

@@ -100,9 +100,6 @@ class MiniPusher:
         # Scalar append, exactly like ``Pusher.store_readings_batch``.
         cache.store(ts, value)
 
-    def store_reading(self, sensor, ts, value):
-        self._record(sensor, ts, float(value))
-
     def store_readings_batch(self, ts, readings):
         for sensor, value in zip(readings.sensors, readings.values.tolist()):
             self._record(sensor, ts, value)

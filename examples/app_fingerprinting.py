@@ -23,7 +23,7 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core import OperatorManager
 from repro.dcdb import Broker, CollectAgent, Pusher
 from repro.dcdb.plugins import PerfeventPlugin
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.simulator import ClusterSimulator, ClusterSpec
 from repro.simulator.clock import TaskScheduler
 from repro.simulator.scheduler import Job
@@ -52,7 +52,9 @@ def main() -> None:
     def publish_label(ts):
         job = sim.scheduler.job_on_node(node, ts)
         label = APPS.index(job.app_name) if job else -1  # -1 = unlabelled
-        pusher.store_reading(label_sensor, ts, float(label))
+        pusher.store_readings_batch(
+            ts, SensorColumns((label_sensor,), (float(label),))
+        )
 
     scheduler.add_callback("labels", publish_label, NS_PER_SEC)
 

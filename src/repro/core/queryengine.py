@@ -161,7 +161,7 @@ def report_views(san, window: BatchWindow) -> None:
         if window.counts[i]:
             san.on_query_view(
                 topic,
-                CacheView([(window.row_timestamps(i), window.row_values(i))]),
+                CacheView(window.row_timestamps(i), window.row_values(i)),
             )
 
 
@@ -521,7 +521,7 @@ class QueryEngine:
             )
         finally:
             self._virtual_in_flight.discard(sensor.topic)
-        return CacheView([(ts, values)])
+        return CacheView(ts, values)
 
     # ------------------------------------------------------------------
     # Queries
@@ -568,7 +568,9 @@ class QueryEngine:
                 ts, val = storage.query(
                     topic, newest.timestamp - offset_ns, newest.timestamp
                 )
-                return CacheView([(ts, val)])
+                # storage.query is zero-copy over chunks a flush or an
+                # expiry reuses; what the engine hands out is private.
+                return CacheView(ts.copy(), val.copy())
         self._m_misses.inc()
         raise QueryError(f"no data available for sensor {topic}")
 
@@ -605,7 +607,7 @@ class QueryEngine:
         if storage is not None and topic in storage:
             self._m_fallbacks.inc()
             ts, val = storage.query(topic, start_ts, end_ts)
-            return CacheView([(ts, val)])
+            return CacheView(ts.copy(), val.copy())
         if cache is not None and len(cache):
             # Pusher with a partially covering cache: return what exists.
             self._m_hits.inc()

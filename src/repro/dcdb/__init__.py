@@ -22,7 +22,7 @@ monitoring framework (Netti et al., SC 2019) that Wintermute builds on:
 
 from repro.dcdb.sensor import Sensor, SensorReading
 from repro.dcdb.cache import SensorCache, CacheView
-from repro.dcdb.mqtt import Broker, Message
+from repro.dcdb.mqtt import Broker
 from repro.dcdb.storage import StorageBackend
 from repro.dcdb.pusher import Pusher
 from repro.dcdb.collectagent import CollectAgent
@@ -37,7 +37,6 @@ __all__ = [
     "SensorCache",
     "CacheView",
     "Broker",
-    "Message",
     "StorageBackend",
     "Pusher",
     "CollectAgent",

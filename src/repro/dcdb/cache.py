@@ -39,8 +39,8 @@ scalar path is what it was.
 contiguous copy at view creation, so readings stored after the view is
 taken — including stores that wrap around the ring and overwrite the
 viewed slots — can never rewrite a view's contents mid-computation.
-Views built from already-private arrays (storage query results, virtual
-sensor evaluations) skip the copy, keeping those paths zero-copy.
+A :class:`CacheView` itself copies nothing: whoever builds one hands it
+arrays it may keep.
 """
 
 from __future__ import annotations
@@ -480,46 +480,26 @@ def write_columns(columns, timestamps, values: np.ndarray, advance=None) -> int:
 
 
 class CacheView:
-    """A window over sensor readings.
+    """A window over one sensor's readings: one (timestamps, values)
+    pair, oldest first.  Iteration yields :class:`SensorReading` tuples.
 
-    Holds one or two (timestamps, values) slice pairs.  Iteration yields
-    :class:`SensorReading` tuples oldest-first.  ``timestamps()`` and
-    ``values()`` concatenate lazily and cache the result.
-
-    With ``snapshot=True`` the segments are materialised into one
-    contiguous private copy immediately — required whenever the source
-    arrays are a live ring buffer that later stores may overwrite.
-    Views over arrays the caller already owns (storage results, virtual
-    sensor output) keep the default zero-copy behaviour.
+    The view holds the arrays it is given, uncopied.  Every view a
+    :class:`SensorCache` or the Query Engine hands out is built over a
+    private copy, so stores after the view is taken — ring wrap-around,
+    a storage flush or expiry — can never rewrite its contents.
     """
 
-    __slots__ = ("_segments", "_ts", "_val")
+    __slots__ = ("_ts", "_val")
 
-    def __init__(self, segments, snapshot: bool = False):
-        self._segments = [
-            (ts, val) for ts, val in segments if len(ts) > 0
-        ]
-        self._ts: Optional[np.ndarray] = None
-        self._val: Optional[np.ndarray] = None
-        if snapshot and self._segments:
-            if len(self._segments) == 1:
-                ts, val = self._segments[0]
-                self._ts = ts.copy()
-                self._val = val.copy()
-            else:
-                self._ts = np.concatenate(
-                    [ts for ts, _ in self._segments]
-                )
-                self._val = np.concatenate(
-                    [val for _, val in self._segments]
-                )
-            self._segments = [(self._ts, self._val)]
+    def __init__(self, ts: np.ndarray, val: np.ndarray):
+        self._ts = ts
+        self._val = val
 
     def __len__(self) -> int:
-        return sum(len(ts) for ts, _ in self._segments)
+        return len(self._ts)
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._ts) > 0
 
     def __iter__(self) -> Iterator[SensorReading]:
         return iter(self.readings())
@@ -531,64 +511,36 @@ class CacheView:
         ``int(ts[i])``/``float(val[i])`` indexing boxes one NumPy scalar
         per element and dominates iteration-heavy plugin loops.
         """
-        ts = self.timestamps().tolist()
-        val = self.values().tolist()
+        ts = self._ts.tolist()
+        val = self._val.tolist()
         return [SensorReading(t, v) for t, v in zip(ts, val)]
 
     def timestamps(self) -> np.ndarray:
-        """All timestamps oldest-first (concatenated once, then cached)."""
-        if self._ts is None:
-            if len(self._segments) == 1:
-                self._ts = self._segments[0][0]
-            elif not self._segments:
-                self._ts = np.empty(0, dtype=np.int64)
-            else:
-                self._ts = np.concatenate([ts for ts, _ in self._segments])
+        """All timestamps oldest-first."""
         return self._ts
 
     def values(self) -> np.ndarray:
-        """All values oldest-first (concatenated once, then cached)."""
-        if self._val is None:
-            if len(self._segments) == 1:
-                self._val = self._segments[0][1]
-            elif not self._segments:
-                self._val = np.empty(0, dtype=np.float64)
-            else:
-                self._val = np.concatenate([v for _, v in self._segments])
+        """All values oldest-first."""
         return self._val
 
     def first(self) -> SensorReading:
         """Oldest reading in the view."""
         if not self:
             raise QueryError("empty cache view")
-        ts, val = self._segments[0]
-        return SensorReading(int(ts[0]), float(val[0]))
+        return SensorReading(int(self._ts[0]), float(self._val[0]))
 
     def last(self) -> SensorReading:
         """Newest reading in the view."""
         if not self:
             raise QueryError("empty cache view")
-        ts, val = self._segments[-1]
-        return SensorReading(int(ts[-1]), float(val[-1]))
+        return SensorReading(int(self._ts[-1]), float(self._val[-1]))
 
     @staticmethod
     def empty() -> "CacheView":
         """A view over no readings."""
-        return CacheView([])
-
-    @classmethod
-    def _snapshot_of(cls, ts: np.ndarray, val: np.ndarray) -> "CacheView":
-        """Fast-path constructor around already-materialised copies.
-
-        Skips the generic segment filtering of ``__init__``; used by the
-        cache's view methods, which produce exactly one contiguous
-        private (timestamps, values) pair per view.
-        """
-        view = cls.__new__(cls)
-        view._ts = ts
-        view._val = val
-        view._segments = [(ts, val)] if len(ts) else []
-        return view
+        return CacheView(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        )
 
 
 class SensorCache(Member):
@@ -788,8 +740,8 @@ class SensorCache(Member):
         ts, val = self._ts, self._val
         if start >= 0 or not head:
             end = head or None
-            return CacheView._snapshot_of(ts[start:end].copy(), val[start:end].copy())
-        return CacheView._snapshot_of(
+            return CacheView(ts[start:end].copy(), val[start:end].copy())
+        return CacheView(
             np.concatenate((ts[start:], ts[:head])),
             np.concatenate((val[start:], val[:head])),
         )
@@ -825,7 +777,7 @@ class SensorCache(Member):
                 f"inverted absolute range: {start_ts} > {end_ts}"
             )
         out = []
-        for ts, val in self._ordered_segments():
+        for ts, val in self._ordered_slices():
             lo = int(np.searchsorted(ts, start_ts, side="left"))
             hi = int(np.searchsorted(ts, end_ts, side="right"))
             if lo < hi:
@@ -834,13 +786,13 @@ class SensorCache(Member):
             return CacheView.empty()
         if len(out) == 1:
             ts, val = out[0]
-            return CacheView._snapshot_of(ts.copy(), val.copy())
-        return CacheView._snapshot_of(
+            return CacheView(ts.copy(), val.copy())
+        return CacheView(
             np.concatenate([ts for ts, _ in out]),
             np.concatenate([val for _, val in out]),
         )
 
-    def _ordered_segments(self):
+    def _ordered_slices(self):
         """The live contents as 1 or 2 time-ordered slices (no copy)."""
         slab = self.slab
         size = slab.size

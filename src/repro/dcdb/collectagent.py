@@ -29,7 +29,7 @@ from repro.dcdb.cache import (
 )
 from repro.dcdb.mqtt import Broker, QueuedSubscriber
 from repro.dcdb.restapi import RestApi, RestResponse
-from repro.dcdb.sensor import Sensor, SensorColumns
+from repro.dcdb.sensor import SensorColumns
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import MetricRegistry, register_metrics_route
@@ -270,10 +270,6 @@ class CollectAgent:
     # ------------------------------------------------------------------
     # Host interface for Wintermute
     # ------------------------------------------------------------------
-
-    def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
-        """Store one operator output: a pass of one."""
-        self.store_readings_batch(ts, SensorColumns((sensor,), (value,)))
 
     def store_readings_batch(self, ts, readings: SensorColumns) -> None:
         """Store a whole pass's operator outputs in one call.

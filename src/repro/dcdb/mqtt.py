@@ -4,18 +4,21 @@ DCDB transports all sensor data over MQTT: Pushers publish readings to
 per-sensor topics, and Collect Agents subscribe and forward the stream to
 the storage backend.  This reproduction keeps the same topic semantics
 (slash-separated topics, ``+`` single-level and ``#`` multi-level
-wildcards, retained messages) but runs in-process so experiments are
-deterministic and require no network stack.
+wildcards) but runs in-process so experiments are deterministic and
+require no network stack.
 
-The unit of transport is the :class:`ReadingBatch`, one pass: topics, the
-timestamp they share and an array of their values; ``publish(topic,
-value, ts)`` is a batch of one.  Delivery is synchronous: each matching
-subscriber gets its readings immediately, in list order, subscribers in
-subscription order; which ones a topic reaches is resolved once and
-memoised until the next (un)subscribe.  A :class:`PassQueue` holds
-passes for whoever sends or drains them on their own schedule: a
-Pusher's spill of refused publishes and, as a :class:`QueuedSubscriber`,
-a Collect Agent's ingest queue.
+The only unit of transport is the :class:`ReadingBatch`, one pass:
+topics, the timestamp they share and an array of their values.  It is
+what :meth:`Broker.publish_batch` takes and what a subscriber
+(:meth:`Broker.subscribe_batch`) is handed; there is no per-message
+publish, subscribe or retained message.  Delivery is synchronous: each
+matching subscriber gets its run of the pass immediately, in list
+order, subscribers in subscription order; which ones a topic reaches is
+resolved once and memoised until the next (un)subscribe.  A
+:class:`PassQueue` holds passes for whoever sends or drains them on
+their own schedule: a Pusher's spill of refused publishes, replayed a
+pass at a time, and, as a :class:`QueuedSubscriber`, a Collect Agent's
+ingest queue.
 """
 
 from __future__ import annotations
@@ -32,31 +35,18 @@ from repro.common.topics import split_topic
 from repro.dcdb.cache import PLAN_MEMO_SIZE, remember
 from repro.sanitizer import hooks
 
-#: Callback signature for subscribers: (topic, payload, timestamp_ns).
-MessageHandler = Callable[[str, float, int], None]
-#: Batch subscribers take whole runs of a pass, as a :class:`ReadingBatch`.
+#: Subscribers take whole runs of a pass, as a :class:`ReadingBatch`.
 BatchHandler = Callable[["ReadingBatch"], None]
 
 _SINGLE = "+"
 _MULTI = "#"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One published sample: a value on a topic at a timestamp."""
-
-    topic: str
-    value: float
-    timestamp: int
-
-
 class ReadingBatch:
     """One pass on the wire: ``topics``, the one ``timestamp`` they
     share and their float64 ``values``, in list order — what travels
     from a Pusher's pass to the Collect Agent's ingest queue, with no
-    object per reading.  Iterating yields :class:`Message`, for the
-    callers that do want them one at a time (per-message subscribers,
-    spill replay, tests).
+    object per reading.
 
     The batch owns its array: the constructor copies ``values``, so a
     producer may overwrite what it handed over once the call returns.
@@ -72,13 +62,6 @@ class ReadingBatch:
 
     def __len__(self) -> int:
         return len(self.topics)
-
-    def __iter__(self):
-        ts = self.timestamp
-        return (
-            Message(topic, value, ts)
-            for topic, value in zip(self.topics, self.values.tolist())
-        )
 
     def __getitem__(self, where: slice) -> "ReadingBatch":
         """The readings in ``where``, a slice."""
@@ -117,10 +100,9 @@ class Broker:
     def __init__(self) -> None:
         self._root = _TrieNode()
         self._ids = itertools.count(1)
-        self._retained: Dict[str, Message] = {}
         self._pattern_by_id: Dict[int, List[str]] = {}
         # topic -> its subscribers' handlers in subscription order.
-        # *Replaced* by subscribe/unsubscribe, never cleared in place.
+        # *Replaced* by subscribe_batch/unsubscribe, never cleared in place.
         self._routes: Dict[str, Tuple[BatchHandler, ...]] = {}
         # topics tuple -> its route runs, and the routes table they
         # were cut against (see _runs).
@@ -135,38 +117,11 @@ class Broker:
     # Subscription management
     # ------------------------------------------------------------------
 
-    def subscribe(
-        self,
-        pattern: str,
-        handler: MessageHandler,
-        replay_retained: bool = False,
-    ) -> int:
-        """Register ``handler`` for topics matching ``pattern``.
-
-        Returns a subscription id usable with :meth:`unsubscribe`.  With
-        ``replay_retained``, retained messages matching the pattern are
-        delivered immediately.
-        """
-
-        def each(batch: ReadingBatch) -> None:
-            # A throwing handler must not poison the publisher, the rest
-            # of its run or the remaining subscribers.
-            for msg in batch:
-                try:
-                    handler(msg.topic, msg.value, msg.timestamp)
-                except Exception as exc:
-                    self._note_handler_errors(1, msg.topic, exc)
-
-        sub_id = self.subscribe_batch(pattern, each)
-        if replay_retained:
-            for msg in list(self._retained.values()):
-                if each in self._route(msg.topic):
-                    each(ReadingBatch((msg.topic,), msg.timestamp, (msg.value,)))
-        return sub_id
-
     def subscribe_batch(self, pattern: str, handler: BatchHandler) -> int:
-        """Register a batch subscriber: ``handler(batch)`` receives each
-        run of matching readings as one :class:`ReadingBatch`."""
+        """Register ``handler`` for topics matching ``pattern``:
+        ``handler(batch)`` receives each run of matching readings as one
+        :class:`ReadingBatch`.  Returns a subscription id usable with
+        :meth:`unsubscribe`."""
         parts = split_topic(pattern)
         if _MULTI in parts[:-1]:
             raise TopicError(f"'#' must terminate the pattern: {pattern!r}")
@@ -206,17 +161,6 @@ class Broker:
     # Publishing
     # ------------------------------------------------------------------
 
-    def publish(
-        self, topic: str, value: float, timestamp: int, retain: bool = False
-    ) -> int:
-        """Deliver a sample to all matching subscribers (a batch of one)
-        and return how many there were.  With ``retain`` the message is
-        stored and replayed to late subscribers that request it."""
-        if retain:
-            self._route(topic)  # a wildcard topic is never retained
-            self._retained[topic] = Message(topic, value, timestamp)
-        return self.publish_batch(ReadingBatch((topic,), timestamp, (value,)))
-
     def publish_batch(self, batch: ReadingBatch) -> int:
         """Deliver a :class:`ReadingBatch` in list order; returns the
         deliveries made.
@@ -243,7 +187,12 @@ class Broker:
                 try:
                     handler(run)
                 except Exception as exc:
-                    self._note_handler_errors(end - start, topics[start], exc)
+                    # A throwing subscriber must not poison the
+                    # publisher or the remaining subscribers.
+                    self.handler_errors += end - start
+                    self.last_handler_errors = (
+                        self.last_handler_errors + [f"{topics[start]}: {exc}"]
+                    )[-16:]
             delivered += len(handlers) * (end - start)
         self.delivered_count += delivered
         return delivered
@@ -273,10 +222,6 @@ class Broker:
             if type(topics) is tuple:
                 remember(memo, topics, runs, max(PLAN_MEMO_SIZE, len(routes_table)))
         return runs
-
-    def retained(self, topic: str) -> Optional[Message]:
-        """The retained message on ``topic``, if any."""
-        return self._retained.get(topic)
 
     def _route(self, topic: str) -> Tuple[BatchHandler, ...]:
         """The handlers ``topic`` reaches, resolved once per topic."""
@@ -310,12 +255,6 @@ class Broker:
             found = sorted(sub for node in matched for sub in node.handlers)
             route = routes[topic] = tuple(handler for _, handler in found)
         return route
-
-    def _note_handler_errors(self, count: int, topic: str, exc) -> None:
-        self.handler_errors += count
-        self.last_handler_errors = (
-            self.last_handler_errors + [f"{topic}: {exc}"]
-        )[-16:]
 
 
 #: What a full :class:`PassQueue` does with an arrival.
@@ -429,10 +368,6 @@ class QueuedSubscriber:
     def dropped(self) -> int:
         """Readings shed at capacity so far."""
         return self.passes.dropped
-
-    def handler(self, topic: str, value: float, timestamp: int) -> None:
-        """Enqueue one reading: a pass of one."""
-        self.handle_batch(ReadingBatch((topic,), timestamp, (value,)))
 
     def handle_batch(self, batch: ReadingBatch) -> None:
         """Broker-facing callback: enqueue a run of a pass."""

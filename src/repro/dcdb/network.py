@@ -58,12 +58,13 @@ class Outage:
 class NetworkConditions:
     """A lossy, delaying link in front of a broker.
 
-    Producers call :meth:`publish` exactly as they would on the broker;
-    delivery happens when the simulation clock reaches the send time
-    plus a sampled latency.  Messages may be dropped.  Ordering is
-    whatever the latency samples induce (late messages genuinely arrive
-    late, as on a real network; the cache/storage layers already drop
-    stale out-of-order readings).
+    Producers call :meth:`publish_batch` exactly as they would on the
+    broker (subscribers attach to the broker itself); delivery happens
+    when the simulation clock reaches the send time plus a sampled
+    latency.  Messages may be dropped.  Ordering is whatever the latency
+    samples induce (late messages genuinely arrive late, as on a real
+    network; the cache/storage layers already drop stale out-of-order
+    readings).
 
     Args:
         broker: the destination broker.
@@ -100,8 +101,8 @@ class NetworkConditions:
         # Guards the counters and the RNG: the link is shared by every
         # Pusher on the deployment, and under a WallClockDriver those
         # publishes arrive from multiple threads.  Never held across
-        # ``broker.publish`` — the fan-out runs subscriber callbacks of
-        # unbounded cost (see rule R002).
+        # ``broker.publish_batch`` — the fan-out runs subscriber
+        # callbacks of unbounded cost (see rule R002).
         self._lock = hooks.make_lock("NetworkConditions")
         self.sent = 0
         self.dropped = 0
@@ -226,10 +227,6 @@ class NetworkConditions:
 
     # ------------------------------------------------------------------
 
-    def publish(self, topic: str, value: float, timestamp: int) -> None:
-        """Send one message through the link: a batch of one."""
-        self.publish_batch(ReadingBatch((topic,), timestamp, (value,)))
-
     def publish_batch(self, batch: ReadingBatch) -> None:
         """Send a :class:`ReadingBatch` through the link, in list order.
 
@@ -291,14 +288,6 @@ class NetworkConditions:
         self.broker.publish_batch(batch)
         with self._lock:
             self.delivered += len(batch)
-
-    # Duck-type compatibility with Broker for producers that only publish.
-    def subscribe(self, *args, **kwargs):
-        """Subscriptions attach to the destination broker directly."""
-        return self.broker.subscribe(*args, **kwargs)
-
-    def unsubscribe(self, sub_id: int) -> bool:
-        return self.broker.unsubscribe(sub_id)
 
     @property
     def in_flight(self) -> int:

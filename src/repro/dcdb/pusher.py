@@ -224,11 +224,6 @@ class Pusher:
         self.caches.update(zip(sensors, slab.rings(interval_ns)))
         self.sensors.update(sensors)
 
-    def store_reading(self, sensor: Sensor, ts: int, value: float) -> None:
-        """Cache a reading and publish it if the sensor is published:
-        a pass of one through :meth:`store_readings_batch`."""
-        self.store_readings_batch(ts, SensorColumns((sensor,), (value,)))
-
     def store_readings_batch(self, ts, readings: SensorColumns) -> None:
         """Store one pass — sampled readings or operator outputs.
 
@@ -329,9 +324,10 @@ class Pusher:
         )
 
     def _replay_spill(self, ts: int) -> None:
-        """Re-publish spilled readings in order, the head pass one
-        message at a time; on refusal, put back what it did not send
-        and back off.
+        """Re-publish spilled passes in order, one ``publish_batch`` per
+        pass; on refusal, put back at the head what the link refused
+        (what it accepted is delivered, as on the live path) and back
+        off.
 
         At most one replay may drain the queue at a time: a scheduled
         retry racing a ``flush_spill()`` from another thread would
@@ -350,16 +346,17 @@ class Pusher:
                     if head is None:
                         self._backoff.reset()
                         return
-                for sent, msg in enumerate(head):
-                    try:
-                        self.broker.publish(msg.topic, msg.value, msg.timestamp)
-                    except LinkDownError:
-                        self._m_link_refusals.inc()
-                        with self._spill_lock:
-                            self._spill.push_front(head[sent:])
-                        self._schedule_retry()
-                        return
-                    self._m_spill_replayed.inc()
+                try:
+                    self.broker.publish_batch(head)
+                except LinkDownError as exc:
+                    refused = exc.refused or head
+                    self._m_link_refusals.inc(len(refused))
+                    self._m_spill_replayed.inc(len(head) - len(refused))
+                    with self._spill_lock:
+                        self._spill.push_front(refused)
+                    self._schedule_retry()
+                    return
+                self._m_spill_replayed.inc(len(head))
         finally:
             with self._spill_lock:
                 self._replaying = False

@@ -125,17 +125,12 @@ class JobScheduler:
         not_before_ts: int = 0,
         user: str = "hpcuser",
         job_id: Optional[str] = None,
-        probe_step_ns: int = 0,
-        horizon_ns: int = 0,
     ) -> Job:
         """Place a job at the earliest start with ``n_nodes`` free.
 
         A simple backfilling submit: starting from ``not_before_ts``, the
         start time advances to each already-scheduled job end until a
         window with enough free nodes for the full duration is found.
-        ``probe_step_ns``/``horizon_ns`` are accepted for compatibility
-        with step-probing callers but the event-driven search ignores
-        them.
         """
         candidates = sorted(
             {not_before_ts}

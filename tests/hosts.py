@@ -1,8 +1,39 @@
 """The host an operator test binds to: caches the test fills, and a
-record of what the operator stores."""
+record of what the operator stores.  Also the few lines a test needs to
+put one reading on the wire or into a host, and to record what a
+subscriber is handed — passes are the only unit either accepts."""
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
+from repro.dcdb.mqtt import ReadingBatch
+from repro.dcdb.sensor import SensorColumns
+
+
+def one(topic, value, ts):
+    """A pass of one reading, for ``publish_batch``."""
+    return ReadingBatch((topic,), ts, (value,))
+
+
+def store_one(host, sensor, ts, value):
+    """Store one reading of ``sensor`` on ``host``: a pass of one."""
+    host.store_readings_batch(ts, SensorColumns((sensor,), (value,)))
+
+
+def triples(batch):
+    """``(topic, value, timestamp)`` per reading of a pass."""
+    ts = batch.timestamp
+    return [(t, v, ts) for t, v in zip(batch.topics, batch.values.tolist())]
+
+
+class Recorder:
+    """A batch subscriber keeping ``(topic, value, timestamp)`` per
+    reading it is handed, in :attr:`messages`."""
+
+    def __init__(self):
+        self.messages = []
+
+    def __call__(self, batch):
+        self.messages += triples(batch)
 
 
 class RecordingHost:

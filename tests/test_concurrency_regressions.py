@@ -127,12 +127,12 @@ class TestReplaySpillSingleOwner:
             self.pusher = None
             self._fired = False
 
-        def publish(self, topic, value, timestamp):
+        def publish_batch(self, batch):
             if not self._fired:
                 self._fired = True
                 self.pusher.flush_spill()
-            self.order.append(topic)
-            return 1
+            self.order += batch.topics
+            return len(batch)
 
     def test_nested_flush_does_not_reorder_replay(self):
         broker = self.ReentrantBroker()
@@ -156,7 +156,7 @@ class TestReplaySpillSingleOwner:
         from repro.dcdb.network import LinkDownError
 
         class DownBroker(Broker):
-            def publish(self, topic, value, timestamp, retain=False):
+            def publish_batch(self, batch):
                 raise LinkDownError("down")
 
         scheduler = TaskScheduler()

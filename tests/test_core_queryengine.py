@@ -5,8 +5,12 @@ import pytest
 from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.core.queryengine import QueryEngine
+from repro.dcdb import Broker, CollectAgent
 from repro.dcdb.cache import SensorCache
+from repro.dcdb.segments import TieredStorageBackend
 from repro.dcdb.storage import StorageBackend
+from repro.simulator.clock import TaskScheduler
+from tests.hosts import one
 
 
 class FakeHost:
@@ -135,3 +139,56 @@ class TestNavigatorIntegration:
         host = FakeHost()
         host.caches["/a"] = filled_cache()
         assert QueryEngine(host).topics() == ["/a"]
+
+
+class TestStorageViewsArePrivate:
+    """What the engine serves from storage is its own copy: a later
+    expiry, flush or write in the backend never rewrites a view."""
+
+    @staticmethod
+    def agent_with(storage, seconds):
+        """An agent whose 5 s cache leaves ``/n0/a`` at ``seconds``
+        (1 Hz) to storage for anything older."""
+        broker = Broker()
+        agent = CollectAgent(
+            "agent", broker, TaskScheduler(), storage=storage,
+            cache_window_ns=5 * NS_PER_SEC,
+        )
+        publish_seconds(broker, agent, seconds)
+        return broker, agent
+
+    @staticmethod
+    def read(agent):
+        view = QueryEngine(agent).query_absolute(
+            "/n0/a", 16 * NS_PER_SEC, 30 * NS_PER_SEC
+        )
+        assert view.values().tolist() == [float(s) for s in range(16, 31)]
+        return view
+
+    def test_expiry_leaves_a_storage_view_as_it_was(self):
+        _, agent = self.agent_with(
+            StorageBackend(ttl_ns=25 * NS_PER_SEC), range(40)
+        )
+        view = self.read(agent)
+        agent.storage.expire(40 * NS_PER_SEC)
+        assert view.values().tolist() == [float(s) for s in range(16, 31)]
+        assert view.first().timestamp == 16 * NS_PER_SEC
+
+    def test_flush_and_writes_leave_a_tiered_view_as_it_was(self, tmp_path):
+        broker, agent = self.agent_with(
+            TieredStorageBackend(tmp_path / "seg"), range(40)
+        )
+        view = self.read(agent)
+        agent.storage.flush()
+        publish_seconds(broker, agent, range(40, 80))
+        assert view.values().tolist() == [float(s) for s in range(16, 31)]
+        assert view.timestamps().tolist() == [
+            s * NS_PER_SEC for s in range(16, 31)
+        ]
+
+
+def publish_seconds(broker, agent, seconds):
+    """One reading of ``/n0/a`` per second in ``seconds``, drained."""
+    for s in seconds:
+        broker.publish_batch(one("/n0/a", float(s), s * NS_PER_SEC))
+    agent.flush()

@@ -7,6 +7,7 @@ from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import CacheView, SensorCache, default_cache
 from repro.dcdb.sensor import SensorReading
+from tests.hosts import one
 
 
 def fill(cache: SensorCache, n: int, start: int = 0, step: int = NS_PER_SEC):
@@ -374,7 +375,7 @@ class TestIngestCacheSizing:
         n = 400  # 40 s of traffic: all inside the 180 s window
         for i in range(n):
             scheduler.run_until(i * gap)
-            broker.publish(topic, float(i), i * gap)
+            broker.publish_batch(one(topic, float(i), i * gap))
         agent.flush()
         cache = agent.caches[topic]
         # Pre-fix the cache was pinned at 181 slots and dropped the
@@ -407,7 +408,7 @@ class TestIngestCacheSizing:
         topic = "/r0/c0/n0/power"
         for i in range(10):
             scheduler.run_until(i * NS_PER_SEC)
-            broker.publish(topic, float(i), i * NS_PER_SEC)
+            broker.publish_batch(one(topic, float(i), i * NS_PER_SEC))
         agent.flush()
         assert resizes == []
         assert len(agent.caches[topic]) == 10
@@ -419,8 +420,8 @@ class TestIngestCacheSizing:
         broker = Broker()
         agent = CollectAgent("agent", broker, TaskScheduler())
         topic = "/r0/c0/n0/burst"
-        broker.publish(topic, 1.0, 1000)
-        broker.publish(topic, 2.0, 1001)  # 1 ns apart
+        broker.publish_batch(one(topic, 1.0, 1000))
+        broker.publish_batch(one(topic, 2.0, 1001))  # 1 ns apart
         agent.flush()
         cache = agent.caches[topic]
         assert cache.capacity == CollectAgent._MAX_INGEST_CAPACITY
@@ -436,7 +437,7 @@ class TestIngestCacheSizing:
         topic = "/r0/c0/n0/temp"
         for i in range(5):  # 10 s cadence: slower than the 1 Hz guess
             scheduler.run_until(i * 10 * NS_PER_SEC)
-            broker.publish(topic, float(i), i * 10 * NS_PER_SEC)
+            broker.publish_batch(one(topic, float(i), i * 10 * NS_PER_SEC))
         agent.flush()
         # The initial 1 Hz guess (180 s of readings plus the 20% slack
         # every later observation applies too) stays an upper bound; a

@@ -3,84 +3,77 @@
 import pytest
 
 from repro.common.errors import TopicError
-from repro.dcdb.mqtt import Broker, Message, QueuedSubscriber, ReadingBatch
+from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
+from tests.hosts import Recorder, one
 
 
 def readings(passes):
     """The values of drained passes, oldest first."""
-    return [m.value for batch in passes for m in batch]
-
-
-class Recorder:
-    def __init__(self):
-        self.messages = []
-
-    def __call__(self, topic, value, ts):
-        self.messages.append((topic, value, ts))
+    return [v for batch in passes for v in batch.values.tolist()]
 
 
 class TestExactSubscriptions:
     def test_deliver_to_exact_match(self):
         b = Broker()
         rec = Recorder()
-        b.subscribe("/a/b/power", rec)
-        n = b.publish("/a/b/power", 1.5, 10)
+        b.subscribe_batch("/a/b/power", rec)
+        n = b.publish_batch(one("/a/b/power", 1.5, 10))
         assert n == 1
         assert rec.messages == [("/a/b/power", 1.5, 10)]
 
     def test_no_delivery_to_other_topics(self):
         b = Broker()
         rec = Recorder()
-        b.subscribe("/a/b/power", rec)
-        assert b.publish("/a/b/temp", 1.0, 10) == 0
+        b.subscribe_batch("/a/b/power", rec)
+        assert b.publish_batch(one("/a/b/temp", 1.0, 10)) == 0
         assert rec.messages == []
 
     def test_multiple_subscribers(self):
         b = Broker()
         r1, r2 = Recorder(), Recorder()
-        b.subscribe("/x/y", r1)
-        b.subscribe("/x/y", r2)
-        assert b.publish("/x/y", 2.0, 1) == 2
+        b.subscribe_batch("/x/y", r1)
+        b.subscribe_batch("/x/y", r2)
+        assert b.publish_batch(one("/x/y", 2.0, 1)) == 2
 
 
 class TestWildcardSubscriptions:
     def test_plus_matches_single_level(self):
         b = Broker()
         rec = Recorder()
-        b.subscribe("/rack/+/power", rec)
-        b.publish("/rack/n1/power", 1.0, 1)
-        b.publish("/rack/n2/power", 2.0, 2)
-        b.publish("/rack/n1/x/power", 3.0, 3)  # too deep
+        b.subscribe_batch("/rack/+/power", rec)
+        b.publish_batch(one("/rack/n1/power", 1.0, 1))
+        b.publish_batch(one("/rack/n2/power", 2.0, 2))
+        b.publish_batch(one("/rack/n1/x/power", 3.0, 3))  # too deep
         assert [m[1] for m in rec.messages] == [1.0, 2.0]
 
     def test_hash_matches_subtree(self):
         b = Broker()
         rec = Recorder()
-        b.subscribe("/rack/#", rec)
-        b.publish("/rack/n1/power", 1.0, 1)
-        b.publish("/rack/n1/cpu0/cycles", 2.0, 2)
-        b.publish("/other/n1/power", 3.0, 3)
+        b.subscribe_batch("/rack/#", rec)
+        b.publish_batch(one("/rack/n1/power", 1.0, 1))
+        b.publish_batch(one("/rack/n1/cpu0/cycles", 2.0, 2))
+        b.publish_batch(one("/other/n1/power", 3.0, 3))
         assert len(rec.messages) == 2
 
     def test_root_hash_sees_everything(self):
         b = Broker()
         rec = Recorder()
-        b.subscribe("/#", rec)
-        b.publish("/a", 1.0, 1)
-        b.publish("/a/b/c/d", 2.0, 2)
+        b.subscribe_batch("/#", rec)
+        b.publish_batch(one("/a", 1.0, 1))
+        b.publish_batch(one("/a/b/c/d", 2.0, 2))
         assert len(rec.messages) == 2
 
     def test_hash_not_last_rejected(self):
         b = Broker()
         with pytest.raises(TopicError):
-            b.subscribe("/a/#/b", Recorder())
+            b.subscribe_batch("/a/#/b", Recorder())
 
     def test_mixed_wildcards(self):
         b = Broker()
         rec = Recorder()
-        b.subscribe("/+/n1/#", rec)
-        b.publish("/r1/n1/cpu/x", 1.0, 1)
-        b.publish("/r2/n2/cpu/x", 2.0, 2)
+        b.subscribe_batch("/+/n1/#", rec)
+        b.publish_batch(one("/r1/n1/cpu/x", 1.0, 1))
+        b.publish_batch(one("/r2/n2/cpu/x", 2.0, 2))
         assert len(rec.messages) == 1
 
 
@@ -88,9 +81,9 @@ class TestUnsubscribe:
     def test_unsubscribe_stops_delivery(self):
         b = Broker()
         rec = Recorder()
-        sid = b.subscribe("/a", rec)
+        sid = b.subscribe_batch("/a", rec)
         assert b.unsubscribe(sid) is True
-        b.publish("/a", 1.0, 1)
+        b.publish_batch(one("/a", 1.0, 1))
         assert rec.messages == []
 
     def test_unsubscribe_unknown(self):
@@ -99,15 +92,15 @@ class TestUnsubscribe:
     def test_unsubscribe_wildcard(self):
         b = Broker()
         rec = Recorder()
-        sid = b.subscribe("/a/#", rec)
+        sid = b.subscribe_batch("/a/#", rec)
         b.unsubscribe(sid)
-        b.publish("/a/b", 1.0, 1)
+        b.publish_batch(one("/a/b", 1.0, 1))
         assert rec.messages == []
 
     def test_subscription_count(self):
         b = Broker()
-        sid = b.subscribe("/a", Recorder())
-        b.subscribe("/b", Recorder())
+        sid = b.subscribe_batch("/a", Recorder())
+        b.subscribe_batch("/b", Recorder())
         assert b.subscription_count() == 2
         b.unsubscribe(sid)
         assert b.subscription_count() == 1
@@ -122,10 +115,12 @@ class TestRouteMemo:
     def test_subscribe_after_publish_reaches_new_handler(self, pattern):
         b = Broker()
         order = []
-        b.subscribe("/a/b", lambda t, v, ts: order.append(("first", v)))
-        assert b.publish("/a/b", 1.0, 1) == 1  # memoises /a/b -> [first]
-        b.subscribe(pattern, lambda t, v, ts: order.append(("late", v)))
-        assert b.publish("/a/b", 2.0, 2) == 2
+        b.subscribe_batch("/a/b", lambda batch: order.extend(
+            ("first", v) for v in batch.values.tolist()))
+        assert b.publish_batch(one("/a/b", 1.0, 1)) == 1  # memoises /a/b -> [first]
+        b.subscribe_batch(pattern, lambda batch: order.extend(
+            ("late", v) for v in batch.values.tolist()))
+        assert b.publish_batch(one("/a/b", 2.0, 2)) == 2
         assert order == [("first", 1.0), ("first", 2.0), ("late", 2.0)]
 
     def test_delivery_is_in_subscription_order(self):
@@ -133,32 +128,32 @@ class TestRouteMemo:
         order = []
         for name, pattern in [("multi", "/a/#"), ("exact", "/a/b"),
                               ("plus", "/+/b"), ("root", "/#")]:
-            b.subscribe(pattern, lambda t, v, ts, n=name: order.append(n))
-        assert b.publish("/a/b", 1.0, 1) == 4
+            b.subscribe_batch(pattern, lambda batch, n=name: order.append(n))
+        assert b.publish_batch(one("/a/b", 1.0, 1)) == 4
         assert order == ["multi", "exact", "plus", "root"]
 
     @pytest.mark.parametrize("pattern", ["/a/b", "/a/+", "/a/#"])
     def test_unsubscribe_after_publish_stops_delivery(self, pattern):
         b = Broker()
         gone, kept = Recorder(), Recorder()
-        sid = b.subscribe(pattern, gone)
-        b.subscribe("/#", kept)
-        assert b.publish("/a/b", 1.0, 1) == 2  # memoised with both
+        sid = b.subscribe_batch(pattern, gone)
+        b.subscribe_batch("/#", kept)
+        assert b.publish_batch(one("/a/b", 1.0, 1)) == 2  # memoised with both
         assert b.unsubscribe(sid) is True
-        assert b.publish("/a/b", 2.0, 2) == 1
+        assert b.publish_batch(one("/a/b", 2.0, 2)) == 1
         assert [m[1] for m in gone.messages] == [1.0]
         assert [m[1] for m in kept.messages] == [1.0, 2.0]
 
     def test_wildcard_topic_refused_every_time_and_delivers_nothing(self):
         b = Broker()
         rec = Recorder()
-        b.subscribe("/#", rec)
+        b.subscribe_batch("/#", rec)
         batch = ReadingBatch(["/ok", "/a/+", "/ok"], 1, [1.0, 2.0, 3.0])
         for _ in range(3):  # a refusal must not be memoised as valid
             with pytest.raises(TopicError):
                 b.publish_batch(batch)
             with pytest.raises(TopicError):
-                b.publish("/a/#", 1.0, 1)
+                b.publish_batch(one("/a/#", 1.0, 1))
         assert rec.messages == []
         assert b.published_count == 0 and b.delivered_count == 0
 
@@ -166,11 +161,11 @@ class TestRouteMemo:
         b = Broker()
         rec = Recorder()
 
-        def bad(topic, value, ts):
+        def bad(batch):
             raise ValueError("subscriber bug")
 
-        b.subscribe("/#", bad)
-        b.subscribe("/#", rec)
+        b.subscribe_batch("/#", bad)
+        b.subscribe_batch("/#", rec)
         queue = QueuedSubscriber()
         queue.attach(b, "/t/#")
         batch = ReadingBatch(
@@ -185,8 +180,8 @@ class TestRouteMemo:
     def test_mixed_routes_keep_list_order_per_subscriber(self):
         b = Broker()
         everything, only_a = Recorder(), Recorder()
-        b.subscribe("/#", everything)
-        b.subscribe("/a/#", only_a)
+        b.subscribe_batch("/#", everything)
+        b.subscribe_batch("/a/#", only_a)
         topics = ["/a/x", "/a/y", "/b/x", "/a/z", "/b/y"]
         n = b.publish_batch(ReadingBatch(
             topics, 3, [float(i) for i in range(len(topics))]
@@ -200,11 +195,11 @@ class TestRouteMemo:
 class TestTriePruning:
     def test_unsubscribe_prunes_empty_nodes(self):
         b = Broker()
-        keep = b.subscribe("/rack/n0/power", Recorder())
+        keep = b.subscribe_batch("/rack/n0/power", Recorder())
         for i in range(50):  # hot-plug churn
-            sids = [b.subscribe(f"/rack/n{i}/cpu{c}/+/cycles", Recorder())
+            sids = [b.subscribe_batch(f"/rack/n{i}/cpu{c}/+/cycles", Recorder())
                     for c in range(4)]
-            sids.append(b.subscribe(f"/rack/n{i}/#", Recorder()))
+            sids.append(b.subscribe_batch(f"/rack/n{i}/#", Recorder()))
             for sid in sids:
                 assert b.unsubscribe(sid) is True
 
@@ -219,54 +214,24 @@ class TestTriePruning:
     def test_pruning_stops_at_nodes_still_in_use(self):
         b = Broker()
         deep, shallow, multi = Recorder(), Recorder(), Recorder()
-        sid = b.subscribe("/a/b/c", deep)
-        b.subscribe("/a/b", shallow)
-        b.subscribe("/a/#", multi)
+        sid = b.subscribe_batch("/a/b/c", deep)
+        b.subscribe_batch("/a/b", shallow)
+        b.subscribe_batch("/a/#", multi)
         b.unsubscribe(sid)
-        b.publish("/a/b", 1.0, 1)
-        b.publish("/a/b/c", 2.0, 2)
+        b.publish_batch(one("/a/b", 1.0, 1))
+        b.publish_batch(one("/a/b/c", 2.0, 2))
         assert deep.messages == []
         assert [m[1] for m in shallow.messages] == [1.0]
         assert [m[1] for m in multi.messages] == [1.0, 2.0]
 
 
-class TestRetained:
-    def test_retained_replayed_on_subscribe(self):
-        b = Broker()
-        b.publish("/a/conf", 42.0, 5, retain=True)
-        rec = Recorder()
-        b.subscribe("/a/conf", rec, replay_retained=True)
-        assert rec.messages == [("/a/conf", 42.0, 5)]
-
-    def test_retained_replay_honours_wildcards(self):
-        b = Broker()
-        b.publish("/a/x", 1.0, 1, retain=True)
-        b.publish("/b/x", 2.0, 2, retain=True)
-        rec = Recorder()
-        b.subscribe("/a/#", rec, replay_retained=True)
-        assert len(rec.messages) == 1
-
-    def test_retained_lookup(self):
-        b = Broker()
-        b.publish("/a", 1.0, 1, retain=True)
-        assert b.retained("/a") == Message("/a", 1.0, 1)
-        assert b.retained("/b") is None
-
-    def test_no_replay_without_flag(self):
-        b = Broker()
-        b.publish("/a", 1.0, 1, retain=True)
-        rec = Recorder()
-        b.subscribe("/a", rec)
-        assert rec.messages == []
-
-
 class TestCounters:
     def test_published_and_delivered(self):
         b = Broker()
-        b.subscribe("/#", Recorder())
-        b.subscribe("/a", Recorder())
-        b.publish("/a", 1.0, 1)
-        b.publish("/b", 2.0, 2)
+        b.subscribe_batch("/#", Recorder())
+        b.subscribe_batch("/a", Recorder())
+        b.publish_batch(one("/a", 1.0, 1))
+        b.publish_batch(one("/b", 2.0, 2))
         assert b.published_count == 2
         assert b.delivered_count == 3
 
@@ -276,8 +241,8 @@ class TestQueuedSubscriber:
         b = Broker()
         q = QueuedSubscriber()
         q.attach(b, "/#")
-        b.publish("/a", 1.0, 1)
-        b.publish("/b", 2.0, 2)
+        b.publish_batch(one("/a", 1.0, 1))
+        b.publish_batch(one("/b", 2.0, 2))
         assert len(q) == 2
         passes = q.drain()
         assert [(p.topics, p.timestamp) for p in passes] == [
@@ -290,7 +255,7 @@ class TestQueuedSubscriber:
         q = QueuedSubscriber(2)
         q.attach(b, "/#")
         for i in range(4):
-            b.publish("/t", float(i), i)
+            b.publish_batch(one("/t", float(i), i))
         assert len(q) == 2
         assert q.dropped == 2
         # drop-oldest keeps the newest entries
@@ -317,6 +282,6 @@ class TestPublishValidation:
     def test_wildcards_rejected_in_publish_topics(self):
         b = Broker()
         with pytest.raises(TopicError):
-            b.publish("/a/+/b", 1.0, 1)
+            b.publish_batch(one("/a/+/b", 1.0, 1))
         with pytest.raises(TopicError):
-            b.publish("/a/#", 1.0, 1)
+            b.publish_batch(one("/a/#", 1.0, 1))

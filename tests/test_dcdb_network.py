@@ -8,6 +8,7 @@ from repro.dcdb import Broker, CollectAgent, Pusher
 from repro.dcdb.network import NetworkConditions
 from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import Recorder, one
 
 
 class TestOneShotTasks:
@@ -48,21 +49,21 @@ class TestNetworkConditions:
     def rig(self, **kwargs):
         scheduler = TaskScheduler()
         broker = Broker()
-        received = []
-        broker.subscribe("/#", lambda t, v, ts: received.append((t, v, ts)))
+        received = Recorder()
+        broker.subscribe_batch("/#", received)
         link = NetworkConditions(broker, scheduler, **kwargs)
-        return scheduler, broker, link, received
+        return scheduler, broker, link, received.messages
 
     def test_zero_latency_is_synchronous(self):
         _, _, link, received = self.rig()
-        link.publish("/a", 1.0, 7)
+        link.publish_batch(one("/a", 1.0, 7))
         assert received == [("/a", 1.0, 7)]
         assert link.delivered == 1
 
     def test_latency_defers_delivery(self):
         scheduler, _, link, received = self.rig(latency_ns=100 * NS_PER_MS)
         scheduler.run_until(NS_PER_SEC)
-        link.publish("/a", 1.0, NS_PER_SEC)
+        link.publish_batch(one("/a", 1.0, NS_PER_SEC))
         assert received == []
         assert link.in_flight == 1
         scheduler.run_until(2 * NS_PER_SEC)
@@ -75,7 +76,7 @@ class TestNetworkConditions:
             latency_ns=100 * NS_PER_MS, jitter_ns=50 * NS_PER_MS, seed=1
         )
         for i in range(20):
-            link.publish("/a", float(i), 0)
+            link.publish_batch(one("/a", float(i), 0))
         scheduler.run_until(NS_PER_SEC)
         assert len(received) == 20
 
@@ -101,8 +102,10 @@ class TestNetworkConditions:
             if batched:
                 link.publish_batch(messages)
             else:
-                for m in messages:
-                    link.publish(m.topic, m.value, m.timestamp)
+                for topic, value in zip(
+                    messages.topics, messages.values.tolist()
+                ):
+                    link.publish_batch(one(topic, value, messages.timestamp))
             assert link.in_flight == 30 - link.dropped
             scheduler.run_until(NS_PER_SEC)
             assert link.in_flight == 0 and 0 < link.dropped < 30
@@ -118,7 +121,7 @@ class TestNetworkConditions:
             drop_probability=0.5, seed=42
         )
         for i in range(200):
-            link.publish("/a", float(i), i)
+            link.publish_batch(one("/a", float(i), i))
         assert link.dropped + link.delivered == 200
         assert 0.3 < link.loss_rate() < 0.7
         assert len(received) == link.delivered
@@ -134,14 +137,6 @@ class TestNetworkConditions:
             NetworkConditions(
                 broker, scheduler, latency_ns=10, jitter_ns=20
             )
-
-    def test_subscribe_passthrough(self):
-        scheduler, broker, link, _ = self.rig()
-        hits = []
-        sid = link.subscribe("/x", lambda t, v, ts: hits.append(v))
-        broker.publish("/x", 1.0, 1)
-        assert hits == [1.0]
-        assert link.unsubscribe(sid)
 
 
 class TestLossyDeployment:

@@ -10,6 +10,7 @@ from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import store_one
 
 
 @pytest.fixture
@@ -165,20 +166,20 @@ class TestPusherSampling:
 class TestOperatorOutputPath:
     def test_store_reading_creates_lazy_cache(self, rig):
         sensor = Sensor("/r0/c0/n0/derived", is_operator_output=True)
-        rig.pusher.store_reading(sensor, 10, 3.5)
+        store_one(rig.pusher, sensor, 10, 3.5)
         cache = rig.pusher.cache_for("/r0/c0/n0/derived")
         assert cache is not None
         assert cache.latest().value == 3.5
 
     def test_unpublished_sensor_stays_local(self, rig):
         sensor = Sensor("/r0/c0/n0/local", publish=False)
-        rig.pusher.store_reading(sensor, 10, 1.0)
+        store_one(rig.pusher, sensor, 10, 1.0)
         rig.agent.flush()
         assert rig.agent.storage.count("/r0/c0/n0/local") == 0
 
     def test_published_sensor_reaches_agent(self, rig):
         sensor = Sensor("/r0/c0/n0/remote", publish=True)
-        rig.pusher.store_reading(sensor, 10, 1.0)
+        store_one(rig.pusher, sensor, 10, 1.0)
         rig.agent.flush()
         assert rig.agent.storage.count("/r0/c0/n0/remote") == 1
 

@@ -10,6 +10,7 @@ from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.dcdb.plugins.base import MonitoringPlugin
 from repro.dcdb.sensor import Sensor
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import one
 
 
 class FlakyPlugin(MonitoringPlugin):
@@ -138,24 +139,14 @@ class TestBrokerFaultIsolation:
         broker = Broker()
         received = []
 
-        def bad(topic, value, ts):
+        def bad(batch):
             raise ValueError("subscriber bug")
 
-        broker.subscribe("/a", bad)
-        broker.subscribe("/a", lambda t, v, ts: received.append(v))
-        n = broker.publish("/a", 1.0, 1)
+        broker.subscribe_batch("/a", bad)
+        broker.subscribe_batch("/a", lambda batch: received.extend(batch.values.tolist()))
+        n = broker.publish_batch(one("/a", 1.0, 1))
         assert n == 2
         assert received == [1.0]
-        assert broker.handler_errors == 1
-
-    def test_throwing_subscriber_on_retained_replay(self):
-        broker = Broker()
-        broker.publish("/a", 1.0, 1, retain=True)
-
-        def bad(topic, value, ts):
-            raise ValueError("boom")
-
-        broker.subscribe("/a", bad, replay_retained=True)
         assert broker.handler_errors == 1
 
     def test_agent_survives_peer_subscriber_crash(self):
@@ -164,10 +155,10 @@ class TestBrokerFaultIsolation:
         pusher = Pusher("/n0", broker, scheduler)
         pusher.add_plugin(TesterMonitoringPlugin("/n0", n_sensors=1))
 
-        def bad(topic, value, ts):
+        def bad(batch):
             raise RuntimeError("third-party consumer bug")
 
-        broker.subscribe("/#", bad)
+        broker.subscribe_batch("/#", bad)
         agent = CollectAgent("agent", broker, scheduler)
         scheduler.run_until(5 * NS_PER_SEC)
         agent.flush()

@@ -36,7 +36,7 @@ from repro.plugins.smoother import SmootherOperator
 from repro.sanitizer import hooks
 from repro.sanitizer.core import Sanitizer
 from repro.simulator.clock import TaskScheduler
-from tests.hosts import RecordingHost
+from tests.hosts import RecordingHost, triples
 
 WINDOW = 5 * NS_PER_SEC
 NOW = 100 * NS_PER_SEC
@@ -1020,7 +1020,7 @@ class TestBatchedSinks:
     def test_broker_publish_batch_matches_sequential(self):
         seen = []
         broker = Broker()
-        broker.subscribe("/a/#", lambda t, v, ts: seen.append((t, v, ts)))
+        broker.subscribe_batch("/a/#", lambda batch: seen.extend(triples(batch)))
         n = broker.publish_batch(ReadingBatch(
             ["/a/x", "/a/y", "/b/z"],  # no subscriber on /b/z
             10,
@@ -1040,13 +1040,14 @@ class TestBatchedSinks:
         broker = Broker()
         pusher = Pusher("/n0", broker, TaskScheduler())
         seen = []
-        broker.subscribe("/#", lambda t, v, ts: seen.append((t, v)))
+        broker.subscribe_batch("/#", lambda batch: seen.extend(
+            zip(batch.topics, batch.values.tolist())))
         outs = [
             Sensor("/n0/out_a", is_operator_output=True),
             Sensor("/n0/out_b", publish=False, is_operator_output=True),
         ]
         pusher.store_readings_batch(NOW, SensorColumns(tuple(outs), [1.5, 2.5]))
-        # Lazy cache creation + caching match store_reading semantics.
+        # Operator outputs get their caches on first write.
         assert pusher.cache_for("/n0/out_a").latest().value == 1.5
         assert pusher.cache_for("/n0/out_b").latest().value == 2.5
         # Only publishable sensors hit the broker, in order.

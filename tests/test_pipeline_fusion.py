@@ -64,20 +64,17 @@ class Host:
             np.asarray([ts], dtype=np.int64), np.asarray([value])
         )
 
-    def store_reading(self, sensor, ts, value):
-        self.stored.setdefault(sensor.topic, []).append((ts, float(value)))
-        cache = self.caches.get(sensor.topic)
-        if cache is None:
-            cache = self.caches[sensor.topic] = SensorCache.for_duration(
-                self.cache_window_ns, NS_PER_SEC
-            )
-        cache.store_batch(
-            np.asarray([ts], dtype=np.int64), np.asarray([value])
-        )
-
     def store_readings_batch(self, ts, readings):
         for sensor, value in zip(readings.sensors, readings.values.tolist()):
-            self.store_reading(sensor, ts, value)
+            self.stored.setdefault(sensor.topic, []).append((ts, value))
+            cache = self.caches.get(sensor.topic)
+            if cache is None:
+                cache = self.caches[sensor.topic] = SensorCache.for_duration(
+                    self.cache_window_ns, NS_PER_SEC
+                )
+            cache.store_batch(
+                np.asarray([ts], dtype=np.int64), np.asarray([value])
+            )
 
 
 def unit_for(i: int, in_name: str, out_name: str) -> Unit:

@@ -42,6 +42,7 @@ from repro.dcdb.cache import NO_GAP
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import one, store_one
 
 REMOTE = ["/r/a", "/r/b", "/r/c", "/r/d"]
 TOPICS = tuple(REMOTE + ["/r/never"])
@@ -93,7 +94,7 @@ class Rig:
 
     def _arrive(self, topic, *timestamps):
         for ts in timestamps:
-            self.broker.publish(topic, self._next_value(), ts)
+            self.broker.publish_batch(one(topic, self._next_value(), ts))
         self.agent.flush()
 
     def play(self, kind, topic, arg):
@@ -119,8 +120,8 @@ class Rig:
             self.cadence[topic] = max(2, cadence // 2)
         elif kind == "output":
             self.clock[topic] = now + cadence
-            self.agent.store_reading(
-                Sensor(topic), self.clock[topic], self._next_value()
+            store_one(
+                self.agent, Sensor(topic), self.clock[topic], self._next_value()
             )
         else:  # storage-only: the backend has it, no cache was written
             self.clock[topic] = now + cadence

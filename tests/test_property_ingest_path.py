@@ -7,7 +7,10 @@ through a real ``Pusher`` → ``NetworkConditions`` → ``Broker`` →
 ``CollectAgent`` and through :class:`Model`, a deliberately trivial
 reference that handles one message at a time with lists and dicts and
 nothing but the documented drop rules.  The batch is the unit of the
-real path; the answers must be those of the per-message one.
+real path; the answers must be those of the per-message one.  The one
+place the reference knows about passes is the spill: a replay sends the
+head pass by the live rule — what the link accepts goes, what it
+refuses goes back to the head.
 """
 
 from collections import Counter, defaultdict
@@ -32,13 +35,15 @@ HORIZON = 10**18
 
 
 class Model:
-    """The ingest path one message at a time."""
+    """The ingest path one message at a time; a spilled message is
+    kept with the pass it was spilled in."""
 
     def __init__(self, maxlen, queue_policy, spill_capacity, spill_policy):
         self.maxlen, self.queue_policy = maxlen, queue_policy
         self.spill_capacity, self.spill_policy = spill_capacity, spill_policy
         self.now = 0
-        self.spill, self.queue, self.seen = [], [], []
+        self.spill, self.queue, self.seen = [], [], []  # spill: (pass, msg)
+        self.passes = 0
         self.count = Counter()
         self.pusher_cache = defaultdict(list)
         self.cache = defaultdict(list)
@@ -54,7 +59,7 @@ class Model:
             if self.spill_policy == "drop-newest":
                 return
             self.spill.pop(0)
-        self.spill.append(msg)
+        self.spill.append((self.passes, msg))
         self.count["spill_buffered"] += 1
 
     def _send(self, msg):
@@ -73,6 +78,7 @@ class Model:
     def publish(self, ts, readings):
         """One Pusher pass: every reading cached, the batch lining up
         behind a non-empty spill, else each message meeting the link."""
+        self.passes += 1
         behind_spill = bool(self.spill)
         for topic, value in readings:
             cached = self.pusher_cache[topic]
@@ -97,12 +103,20 @@ class Model:
 
     def replay(self):
         while self.spill:
-            if self._down(self.spill[0][0]):
-                self.count["refused"] += 1
-                self.count["link_refusals"] += 1
+            head = self.spill[0][0]
+            refused = []
+            while self.spill and self.spill[0][0] == head:
+                entry = self.spill.pop(0)
+                if self._down(entry[1][0]):
+                    self.count["refused"] += 1
+                    self.count["link_refusals"] += 1
+                    refused.append(entry)
+                else:
+                    self._send(entry[1])
+                    self.count["spill_replayed"] += 1
+            if refused:
+                self.spill[:0] = refused
                 return
-            self._send(self.spill.pop(0))
-            self.count["spill_replayed"] += 1
 
     @staticmethod
     def _capacity(gap):
@@ -146,9 +160,10 @@ class Rig:
             ingest_policy=queue_policy,
         )
         self.seen = []
-        self.broker.subscribe(
-            "/#", lambda topic, value, ts: self.seen.append((topic, ts, value))
-        )
+        self.broker.subscribe_batch("/#", lambda batch: self.seen.extend(
+            (topic, batch.timestamp, value)
+            for topic, value in zip(batch.topics, batch.values.tolist())
+        ))
         self.link = NetworkConditions(self.broker, self.scheduler)
         self.link.schedule_outage(*OUTAGE, destinations=["/down"])
         self.pusher = Pusher(

@@ -10,7 +10,7 @@ from repro.common.topics import join_topic, normalize_topic, split_topic
 from repro.dcdb.mqtt import Broker
 from repro.dcdb.storage import StorageBackend
 from repro.ml.stats import StreamingStats, deciles, window_features
-from tests.hosts import RecordingHost
+from tests.hosts import RecordingHost, one
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9
@@ -89,9 +89,11 @@ class TestBrokerProperties:
         broker = Broker()
         topic = join_topic(parts)
         got = []
-        broker.subscribe(topic, lambda t, v, ts: got.append((t, v)))
-        broker.subscribe("/#", lambda t, v, ts: got.append(("wild", v)))
-        n = broker.publish(topic, value, 1)
+        broker.subscribe_batch(topic, lambda batch: got.extend(
+            zip(batch.topics, batch.values.tolist())))
+        broker.subscribe_batch("/#", lambda batch: got.extend(
+            ("wild", v) for v in batch.values.tolist()))
+        n = broker.publish_batch(one(topic, value, 1))
         assert n == 2
         assert (topic, value) in got
 
@@ -100,10 +102,10 @@ class TestBrokerProperties:
         broker = Broker()
         pattern = join_topic(["+"] * len(parts))
         hits = []
-        broker.subscribe(pattern, lambda t, v, ts: hits.append(t))
+        broker.subscribe_batch(pattern, lambda batch: hits.extend(batch.topics))
         topic = join_topic(parts)
-        broker.publish(topic, 1.0, 1)
-        broker.publish(join_topic(parts + ["extra"]), 1.0, 1)
+        broker.publish_batch(one(topic, 1.0, 1))
+        broker.publish_batch(one(join_topic(parts + ["extra"]), 1.0, 1))
         assert hits == [topic]
 
 

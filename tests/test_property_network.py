@@ -20,6 +20,7 @@ from repro.common.timeutil import NS_PER_MS, NS_PER_SEC
 from repro.dcdb import Broker, CollectAgent
 from repro.dcdb.network import NetworkConditions
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import one
 
 TOPIC = "/r0/c0/n0/power"
 HORIZON = 10**18
@@ -38,7 +39,8 @@ def _run_jittery_session(seed, n_msgs, gap_ms, jitter_ms):
         "agent", broker, scheduler, drain_interval_ns=NS_PER_MS
     )
     arrivals = []
-    broker.subscribe(TOPIC, lambda t, v, ts: arrivals.append((ts, v)))
+    broker.subscribe_batch(TOPIC, lambda batch: arrivals.extend(
+        (batch.timestamp, v) for v in batch.values.tolist()))
     link = NetworkConditions(
         broker,
         scheduler,
@@ -48,7 +50,7 @@ def _run_jittery_session(seed, n_msgs, gap_ms, jitter_ms):
     )
     for i in range(n_msgs):
         scheduler.run_until(i * gap_ms * NS_PER_MS)
-        link.publish(TOPIC, float(i), scheduler.clock.now)
+        link.publish_batch(one(TOPIC, float(i), scheduler.clock.now))
     # Let everything land and drain (latency is bounded by jitter+1 ms).
     scheduler.run_until(n_msgs * gap_ms * NS_PER_MS + NS_PER_SEC)
     agent.flush()
@@ -132,7 +134,7 @@ class TestLateArrivalAccounting:
         )
         for i in range(n_msgs):
             scheduler.run_until(i * gap_ms * NS_PER_MS)
-            link.publish(TOPIC, float(i), scheduler.clock.now)
+            link.publish_batch(one(TOPIC, float(i), scheduler.clock.now))
         scheduler.run_until(n_msgs * gap_ms * NS_PER_MS + NS_PER_SEC)
         agent.flush()
 

@@ -22,6 +22,7 @@ from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
 from repro.spec import OPERATOR
+from tests.hosts import Recorder, one, store_one
 
 
 def metric_value(rest, name, **labels):
@@ -35,10 +36,10 @@ def metric_value(rest, name, **labels):
 def link_rig(**kwargs):
     scheduler = TaskScheduler()
     broker = Broker()
-    received = []
-    broker.subscribe("/#", lambda t, v, ts: received.append((t, v, ts)))
+    received = Recorder()
+    broker.subscribe_batch("/#", received)
     link = NetworkConditions(broker, scheduler, **kwargs)
-    return scheduler, broker, link, received
+    return scheduler, broker, link, received.messages
 
 
 class TestOutages:
@@ -47,7 +48,7 @@ class TestOutages:
         link.schedule_outage(5 * NS_PER_SEC, 10 * NS_PER_SEC)
         scheduler.run_until(6 * NS_PER_SEC)
         with pytest.raises(LinkDownError) as exc:
-            link.publish("/a", 1.0, scheduler.clock.now)
+            link.publish_batch(one("/a", 1.0, scheduler.clock.now))
         assert exc.value.until_ns == 10 * NS_PER_SEC
         assert received == []
         assert link.refused == 1
@@ -57,7 +58,7 @@ class TestOutages:
         scheduler, _, link, received = link_rig()
         link.schedule_outage(5 * NS_PER_SEC, 10 * NS_PER_SEC)
         scheduler.run_until(10 * NS_PER_SEC)
-        link.publish("/a", 1.0, scheduler.clock.now)
+        link.publish_batch(one("/a", 1.0, scheduler.clock.now))
         assert len(received) == 1
 
     def test_partition_refuses_only_matching_destinations(self):
@@ -65,10 +66,10 @@ class TestOutages:
         link.schedule_outage(
             0, 10 * NS_PER_SEC, destinations=["/rack00/chassis01"]
         )
-        link.publish("/rack00/chassis00/node00/power", 1.0, 0)
+        link.publish_batch(one("/rack00/chassis00/node00/power", 1.0, 0))
         assert len(received) == 1
         with pytest.raises(LinkDownError):
-            link.publish("/rack00/chassis01/node00/power", 1.0, 0)
+            link.publish_batch(one("/rack00/chassis01/node00/power", 1.0, 0))
 
     def test_is_up_and_link_state(self):
         scheduler, _, link, _ = link_rig()
@@ -93,7 +94,7 @@ class TestOutages:
     def test_in_flight_messages_survive_outage_start(self):
         scheduler, _, link, received = link_rig(latency_ns=2 * NS_PER_SEC)
         link.schedule_outage(NS_PER_SEC, 10 * NS_PER_SEC)
-        link.publish("/a", 1.0, 0)  # on the wire before the outage
+        link.publish_batch(one("/a", 1.0, 0))  # on the wire before the outage
         scheduler.run_until(5 * NS_PER_SEC)
         assert len(received) == 1
 
@@ -103,7 +104,7 @@ class TestOutages:
         batch = ReadingBatch(["/up/a", "/down/b", "/up/c"], 0, [1.0, 2.0, 3.0])
         with pytest.raises(LinkDownError) as exc:
             link.publish_batch(batch)
-        assert [m.topic for m in exc.value.refused] == ["/down/b"]
+        assert list(exc.value.refused.topics) == ["/down/b"]
         assert [t for t, _, _ in received] == ["/up/a", "/up/c"]
 
     def test_outage_validation(self):
@@ -126,7 +127,7 @@ class TestOutages:
         assert schedule(8) != a
 
 
-def one(topic, ts=0):
+def spilled(topic, ts=0):
     """A pass of one reading, valued ``ts``."""
     return ReadingBatch((topic,), ts, (float(ts),))
 
@@ -141,30 +142,30 @@ class TestSpillQueue:
     def test_fifo(self):
         q = PassQueue(4)
         for i in range(3):
-            assert q.push(one(f"/{i}")) == 0
+            assert q.push(spilled(f"/{i}")) == 0
         assert q.pop().topics == ("/0",)
         assert topics(q.pop_all()) == ["/1", "/2"]
         assert len(q) == 0
 
     def test_drop_oldest_evicts_head(self):
         q = PassQueue(2, policy="drop-oldest")
-        q.push(one("a"))
-        q.push(one("b"))
-        assert q.push(one("c")) == 1 and q.dropped == 1
+        q.push(spilled("a"))
+        q.push(spilled("b"))
+        assert q.push(spilled("c")) == 1 and q.dropped == 1
         assert q.pop().topics == ("b",)
         assert q.pop().topics == ("c",)
 
     def test_drop_newest_refuses_arrival(self):
         q = PassQueue(2, policy="drop-newest")
-        q.push(one("a"))
-        q.push(one("b"))
-        assert q.push(one("c")) == 1 and q.dropped == 1
+        q.push(spilled("a"))
+        q.push(spilled("b"))
+        assert q.push(spilled("c")) == 1 and q.dropped == 1
         assert topics(q.pop_all()) == ["a", "b"]
 
     def test_push_front_restores_order(self):
         q = PassQueue(4)
-        q.push(one("b"))
-        q.push_front(one("a"))
+        q.push(spilled("b"))
+        q.push_front(spilled("a"))
         assert q.pop().topics == ("a",)
 
     def test_empty_pop_returns_none(self):
@@ -270,8 +271,8 @@ class TestExponentialBackoff:
 def pusher_rig(outage=(2, 6), **pusher_kwargs):
     scheduler = TaskScheduler()
     broker = Broker()
-    received = []
-    broker.subscribe("/#", lambda t, v, ts: received.append((t, v, ts)))
+    received = Recorder()
+    broker.subscribe_batch("/#", received)
     link = NetworkConditions(broker, scheduler)
     if outage is not None:
         link.schedule_outage(
@@ -284,7 +285,7 @@ def pusher_rig(outage=(2, 6), **pusher_kwargs):
         **pusher_kwargs,
     )
     sensor = Sensor("/n0/power")
-    return scheduler, pusher, sensor, received, link
+    return scheduler, pusher, sensor, received.messages, link
 
 
 class TestStoreAndForward:
@@ -292,7 +293,7 @@ class TestStoreAndForward:
         scheduler, pusher, sensor, received, _ = pusher_rig()
         for s in range(10):
             scheduler.run_until(s * NS_PER_SEC)
-            pusher.store_reading(sensor, scheduler.clock.now, float(s))
+            store_one(pusher, sensor, scheduler.clock.now, float(s))
         scheduler.run_until(10 * NS_PER_SEC)
         assert pusher.spill_depth == 0
         timestamps = [ts for _, _, ts in received]
@@ -311,7 +312,7 @@ class TestStoreAndForward:
         scheduler, pusher, sensor, _, _ = pusher_rig()
         for s in range(8):
             scheduler.run_until(s * NS_PER_SEC)
-            pusher.store_reading(sensor, scheduler.clock.now, float(s))
+            store_one(pusher, sensor, scheduler.clock.now, float(s))
         assert len(pusher.cache_for("/n0/power")) == 8
 
     def test_overflow_drop_oldest(self):
@@ -320,7 +321,7 @@ class TestStoreAndForward:
         )
         for s in range(4):
             scheduler.run_until(s * NS_PER_SEC)
-            pusher.store_reading(sensor, scheduler.clock.now, float(s))
+            store_one(pusher, sensor, scheduler.clock.now, float(s))
         scheduler.run_until(8 * NS_PER_SEC)
         # Capacity 2: of 4 refused readings the oldest 2 were evicted.
         assert pusher._m_spill_dropped.value == 2
@@ -332,18 +333,18 @@ class TestStoreAndForward:
         )
         for s in range(4):
             scheduler.run_until(s * NS_PER_SEC)
-            pusher.store_reading(sensor, scheduler.clock.now, float(s))
+            store_one(pusher, sensor, scheduler.clock.now, float(s))
         scheduler.run_until(8 * NS_PER_SEC)
         assert pusher._m_spill_dropped.value == 2
         assert [v for _, v, _ in received] == [0.0, 1.0]
 
     def test_new_publishes_queue_behind_pending_spill(self):
         scheduler, pusher, sensor, received, link = pusher_rig(outage=(0, 2))
-        pusher.store_reading(sensor, 0, 0.0)  # refused, spilled
+        store_one(pusher, sensor, 0, 0.0)  # refused, spilled
         assert pusher.spill_depth == 1
         # Publish while the spill is non-empty but before any replay:
         # must line up behind the spilled reading, not overtake it.
-        pusher.store_reading(sensor, 1, 1.0)
+        store_one(pusher, sensor, 1, 1.0)
         assert pusher.spill_depth == 2
         scheduler.run_until(5 * NS_PER_SEC)
         assert [v for _, v, _ in received] == [0.0, 1.0]
@@ -353,7 +354,7 @@ class TestStoreAndForward:
         scheduler = TaskScheduler()
         broker = Broker()
         received = []
-        broker.subscribe("/#", lambda t, v, ts: received.append(t))
+        broker.subscribe_batch("/#", lambda batch: received.extend(batch.topics))
         link = NetworkConditions(broker, scheduler)
         link.schedule_outage(0, 2 * NS_PER_SEC, destinations=["/n0/b"])
         pusher = Pusher("/n0", link, scheduler, retry_base_ns=100 * NS_PER_MS)
@@ -364,12 +365,35 @@ class TestStoreAndForward:
         scheduler.run_until(4 * NS_PER_SEC)
         assert received == ["/n0/a", "/n0/b"]
 
+    def test_replay_delivers_what_a_partition_does_not_refuse(self):
+        # A replayed pass meets the link whole, as a live publish does:
+        # the readings whose destination is up are delivered, and only
+        # the refused ones go back to the head of the spill.
+        scheduler = TaskScheduler()
+        broker = Broker()
+        received = []
+        broker.subscribe_batch("/#", lambda batch: received.extend(batch.topics))
+        link = NetworkConditions(broker, scheduler)
+        link.schedule_outage(0, NS_PER_SEC)
+        link.schedule_outage(0, 10 * NS_PER_SEC, destinations=["/n0/b"])
+        pusher = Pusher(
+            "/n0", link, scheduler,
+            retry_base_ns=NS_PER_SEC, retry_max_ns=NS_PER_SEC,
+        )
+        sensors = (Sensor("/n0/a"), Sensor("/n0/b"), Sensor("/n0/c"))
+        pusher.store_readings_batch(0, SensorColumns(sensors, [1.0, 2.0, 3.0]))
+        assert received == [] and pusher.spill_depth == 3
+        scheduler.run_until(3 * NS_PER_SEC)
+        assert received == ["/n0/a", "/n0/c"]
+        assert pusher.spill_depth == 1
+        assert metric_value(pusher.rest, "spill_replayed_total") == 2
+
     def test_flush_spill_replays_immediately(self):
         scheduler, pusher, sensor, received, _ = pusher_rig(outage=(0, 2))
-        pusher.store_reading(sensor, 0, 1.0)
+        store_one(pusher, sensor, 0, 1.0)
         assert pusher.flush_spill() == 1  # still down: nothing replayed
         scheduler.run_until(3 * NS_PER_SEC)
-        pusher.store_reading(sensor, scheduler.clock.now, 2.0)
+        store_one(pusher, sensor, scheduler.clock.now, 2.0)
         assert pusher.spill_depth == 0
         assert len(received) == 2
 
@@ -385,22 +409,22 @@ class TestBoundedIngestQueue:
     def test_unbounded_by_default(self):
         q = QueuedSubscriber()
         for i in range(100):
-            q.handler(f"/t{i}", float(i), i)
+            q.handle_batch(one(f"/t{i}", float(i), i))
         assert len(q) == 100 and q.dropped == 0
 
     def test_drop_oldest_keeps_newest(self):
         q = QueuedSubscriber(2)
         for i in range(4):
-            q.handler("/t", float(i), i)
+            q.handle_batch(one("/t", float(i), i))
         assert q.dropped == 2
-        assert [m.value for b in q.drain() for m in b] == [2.0, 3.0]
+        assert [v for b in q.drain() for v in b.values.tolist()] == [2.0, 3.0]
 
     def test_drop_newest_keeps_oldest(self):
         q = QueuedSubscriber(2, policy="drop-newest")
         for i in range(4):
-            q.handler("/t", float(i), i)
+            q.handle_batch(one("/t", float(i), i))
         assert q.dropped == 2
-        assert [m.value for b in q.drain() for m in b] == [0.0, 1.0]
+        assert [v for b in q.drain() for v in b.values.tolist()] == [0.0, 1.0]
 
     def test_drop_oldest_eviction_splits_the_head_pass(self):
         q = QueuedSubscriber(5)
@@ -426,7 +450,7 @@ class TestBoundedIngestQueue:
             "agent", broker, scheduler, ingest_queue_capacity=5
         )
         for i in range(12):
-            broker.publish("/n0/s", float(i), i)
+            broker.publish_batch(one("/n0/s", float(i), i))
         agent.flush()
         assert agent.ingest_dropped == 7
         body = agent.rest.get("/stats").body
@@ -444,7 +468,7 @@ class TestBoundedIngestQueue:
         def blast(tid):
             barrier.wait()
             for i in range(per_thread):
-                q.handler(f"/t{tid}", float(i), i)
+                q.handle_batch(one(f"/t{tid}", float(i), i))
 
         threads = [
             threading.Thread(target=blast, args=(t,))

@@ -16,6 +16,7 @@ from repro.runtime import WallClockDriver
 from repro.sanitizer import hooks, make_sanitizer
 from repro.simulator.clock import SimClock, TaskScheduler
 from repro.common.timeutil import NS_PER_SEC
+from tests.hosts import one
 
 
 def codes(diags):
@@ -77,7 +78,7 @@ class TestNetworkPublishLocking:
 
         def blast(k):
             for i in range(per_thread):
-                net.publish(f"/n{k}/s", float(i), i)
+                net.publish_batch(one(f"/n{k}/s", float(i), i))
 
         threads = [
             threading.Thread(target=blast, args=(k,))
@@ -100,10 +101,10 @@ class TestNetworkPublishLocking:
             sched = TaskScheduler(SimClock())
             net = NetworkConditions(broker, sched)
             seen = []
-            broker.subscribe(
-                "#", lambda t, v, ts: seen.append(san.locks.held_locks())
+            broker.subscribe_batch(
+                "#", lambda batch: seen.append(san.locks.held_locks())
             )
-            net.publish("/n0/power", 1.0, 100)
+            net.publish_batch(one("/n0/power", 1.0, 100))
         assert seen == [()]
         assert codes(san.finish()) == []
 
@@ -116,7 +117,7 @@ class TestNetworkPublishLocking:
             sched = TaskScheduler(SimClock())
             net = NetworkConditions(broker, sched)
             with net._lock:  # the pre-audit locking scope
-                broker.publish("/n0/power", 1.0, 100)
+                broker.publish_batch(one("/n0/power", 1.0, 100))
         diags = san.finish()
         assert codes(diags) == ["R002"]
         assert "NetworkConditions" in diags[0].message

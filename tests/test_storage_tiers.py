@@ -18,6 +18,7 @@ from repro.dcdb.segments import (
 )
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import one
 
 
 def _fill(backend, topics=2, seconds=20, seed=7):
@@ -341,7 +342,7 @@ class TestAgentWiring:
         )
         agent = CollectAgent("agent", broker, scheduler, storage=tiered)
         for sec in range(12):
-            broker.publish("/r0/n0/power", sec * NS_PER_SEC, 1.0)
+            broker.publish_batch(one("/r0/n0/power", sec * NS_PER_SEC, 1.0))
         scheduler.run_until(12 * NS_PER_SEC)
         assert tiered.flush_count >= 1  # the maintenance task fired
         from repro.telemetry import render_prometheus

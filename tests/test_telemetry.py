@@ -30,6 +30,7 @@ from repro.telemetry import (
     render_prometheus,
     time_histogram,
 )
+from tests.hosts import one
 
 
 class TestCounter:
@@ -292,7 +293,7 @@ class TestQueryEngineTelemetry:
         per-pass check."""
         agent = CollectAgent("agent", Broker(), TaskScheduler())
         for i in range(6):
-            agent.broker.publish("/n/a", float(i), i * NS_PER_SEC)
+            agent.broker.publish_batch(one("/n/a", float(i), i * NS_PER_SEC))
         agent.flush()
         agent.storage.insert("/n/stored", 0, 1.0)  # no cache: another source
         qe = QueryEngine(agent)
