@@ -1,24 +1,20 @@
 """Fused pipeline execution (pipeline DAG fusion).
 
-PR 4's compiled :class:`~repro.core.queryengine.QueryPlan` stops at
-operator boundaries: a smoother → aggregator → health pipeline still
-round-trips every intermediate result through the sensor cache (and,
-when published, the broker) on every pass, then re-queries it one stage
-later.  This module compiles a *fused group* — consecutive operators the
-planner in :mod:`repro.core.pipeline` proved to form a private linear
-chain — into one executable pass:
+A staged smoother → aggregator → health pipeline round-trips every
+intermediate result through the sensor cache (and, when published, the
+broker) on every pass, then re-queries it one stage later.  This module
+runs a *fused group* — consecutive operators the planner in
+:mod:`repro.core.pipeline` proved to form a private linear chain, each
+member reading only outputs of the one before it — as one pass:
 
-- the first member reads its external inputs through the host's real
-  Query Engine (reusing its cached ``QueryPlan`` ring-buffer bindings
-  and generation-counter invalidation);
+- the first member gathers from the host's Query Engine;
 - each intermediate member's results land in a :class:`FusedChannel`,
   a persistent right-aligned matrix mirroring exactly what the host's
   operator-output caches would have accumulated (one reading per pass,
   1 s host interval hint, capacity-clamped width) — no cache write, no
   publish, no re-query;
-- each downstream member's one gather reads a :class:`FusedEngine`
-  that serves channel topics as zero-copy window views and delegates
-  everything else to the real engine;
+- every later member's one gather reads the channel of the member
+  before it, whose rows it is served zero-copy;
 - only the final member runs its ordinary staged pass, storing through
   ``store_results_batch`` and the operator-output fan-out.
 
@@ -46,9 +42,6 @@ from repro.core.queryengine import BatchWindow, QueryEngine, report_views
 from repro.core.units import same_units
 from repro.sanitizer import hooks
 
-#: Fallback retention window when a host exposes no ``cache_window_ns``.
-DEFAULT_CACHE_WINDOW_NS = 180 * NS_PER_SEC
-
 
 def _window_count(window_ns: int) -> int:
     """Readings a consumer pulls from an operator-output channel.
@@ -73,7 +66,7 @@ class FusedChannel:
 
     __slots__ = (
         "topics", "row_of", "width", "values", "timestamps", "counts",
-        "column_name",
+        "column_name", "_whole",
     )
 
     def __init__(self, units: Sequence, width: int) -> None:
@@ -94,6 +87,10 @@ class FusedChannel:
             if len(names) == 1 and all(len(u.outputs) == 1 for u in units)
             else None
         )
+        #: The last caller tuple found equal to :attr:`topics`: a
+        #: consumer reuses its batch layout's tuple every steady pass,
+        #: so one identity check replaces the string comparison.
+        self._whole: Optional[Tuple[str, ...]] = None
 
     def seed(self, prev: Optional["FusedChannel"], cache_lookup) -> None:
         """Warm rows from a predecessor channel (plan rebuild) or from
@@ -157,152 +154,62 @@ class FusedChannel:
                     vals.append(float(value))
         self.append(ts, rows, vals)
 
-    def serve_count(self, window_ns: int) -> int:
-        """Valid columns a consumer window of ``window_ns`` may read."""
-        return min(_window_count(window_ns), self.width)
-
-
-class FusedEngine:
-    """What a fused member's one gather reads (the ``source`` of
-    :meth:`~repro.core.operator.OperatorBase.run_pass`).
-
-    Topics bound to an upstream :class:`FusedChannel` are answered from
-    the channel matrices as zero-copy views (a kernel reads its window
-    read-only by contract); every other topic (raw sensor inputs of the
-    first stages, out-of-group feeds) delegates to the real engine,
-    keeping its compiled-plan cache and generation invalidation in
-    charge.
-    """
-
-    def __init__(
-        self,
-        real: QueryEngine,
-        channel_of: Dict[str, Tuple[FusedChannel, int]],
-    ) -> None:
-        self._real = real
-        self._channel_of = dict(channel_of)
-        # Dispatch memo: operators reuse their memoized batch layout
-        # (the same topics tuple object every steady-state pass), so
-        # one identity check replaces the per-topic channel scan.
-        self._all_external: Optional[Tuple[str, ...]] = None
-        self._whole_channel_topics: Optional[Tuple[str, ...]] = None
-        self._whole_channel: Optional[FusedChannel] = None
-
-    def _channel_tail(self, entry, count: int):
-        channel, row = entry
-        n = min(count, int(channel.counts[row]))
-        if n <= 0:
-            return None
-        lo = channel.width - n
-        return channel.timestamps[row, lo:], channel.values[row, lo:]
-
     def query_relative_batch(
         self, topics: Sequence[str], window_ns: int, key: object = None
     ) -> BatchWindow:
+        """The next member's one gather (the ``source`` of
+        :meth:`~repro.core.operator.OperatorBase.run_pass`); ``key``
+        only mirrors the engine's signature.
+
+        The channel's own topics are served as the channel matrices
+        themselves (kernels read windows read-only).  Any other
+        selection — staggered or quarantined consumer units, narrowed
+        kernel inputs — is copied out by one fancy index, and a topic
+        the channel does not hold is an empty row, as the engine serves
+        an intermediate that writes no cache.
+        """
+        n = min(_window_count(window_ns), self.width)
         topics = tuple(topics)  # identity-preserving when already a tuple
-        if topics is self._all_external:
-            return self._real.query_relative_batch(topics, window_ns, key=key)
-        if topics is self._whole_channel_topics:
-            window = self._serve_whole_channel(topics, window_ns)
+        if topics is self._whole or topics == self.topics:
+            self._whole = topics
+            window = BatchWindow(
+                topics, self.values, self.timestamps,
+                np.minimum(self.counts, n),
+            )
         else:
-            channel_of = self._channel_of
-            entries = [channel_of.get(t) for t in topics]
-            if all(e is None for e in entries):
-                self._all_external = topics
-                return self._real.query_relative_batch(
-                    topics, window_ns, key=key
-                )
-            first = entries[0]
-            if first is not None and topics == first[0].topics:
-                # Whole-channel identity read: the dominant shape (a
-                # stage consuming exactly its upstream's outputs,
-                # unit-aligned).
-                self._whole_channel = first[0]
-                self._whole_channel_topics = topics
-                window = self._serve_whole_channel(topics, window_ns)
-            else:
-                window = self._gather(topics, entries, window_ns, key)
+            rows = np.array(
+                [self.row_of.get(t, -1) for t in topics], dtype=np.intp
+            )
+            held = rows >= 0
+            values = np.full((len(rows), self.width), np.nan)
+            timestamps = np.zeros((len(rows), self.width), dtype=np.int64)
+            counts = np.zeros(len(rows), dtype=np.int64)
+            values[held] = self.values[rows[held]]
+            timestamps[held] = self.timestamps[rows[held]]
+            counts[held] = np.minimum(self.counts[rows[held]], n)
+            window = BatchWindow(topics, values, timestamps, counts)
         san = hooks.CURRENT
         if san is not None:
             report_views(san, window)
         return window
 
-    def _serve_whole_channel(
-        self, topics: Tuple[str, ...], window_ns: int
-    ) -> BatchWindow:
-        channel = self._whole_channel
-        counts = np.minimum(channel.counts, channel.serve_count(window_ns))
-        return BatchWindow(topics, channel.values, channel.timestamps, counts)
-
-    def _gather(
-        self,
-        topics: Tuple[str, ...],
-        entries: List[Optional[tuple]],
-        window_ns: int,
-        key: object,
-    ) -> BatchWindow:
-        """Mixed channel/external batch: assemble a right-aligned matrix
-        row by row, delegating the external subset as one sub-batch."""
-        ext_topics = [t for t, e in zip(topics, entries) if e is None]
-        ext = None
-        if ext_topics:
-            ext_key = ("fused-ext", key) if key is not None else None
-            ext = self._real.query_relative_batch(
-                ext_topics, window_ns, key=ext_key
-            )
-        width = ext.width if ext is not None else 1
-        tails: List[Optional[tuple]] = []
-        for entry in entries:
-            if entry is None:
-                tails.append(None)
-                continue
-            channel, row = entry
-            tail = self._channel_tail(entry, channel.serve_count(window_ns))
-            tails.append(tail)
-            if tail is not None:
-                width = max(width, len(tail[0]))
-        u = len(topics)
-        values = np.full((u, width), np.nan, dtype=np.float64)
-        timestamps = np.zeros((u, width), dtype=np.int64)
-        counts = np.zeros(u, dtype=np.int64)
-        ext_row = 0
-        for i, (entry, tail) in enumerate(zip(entries, tails)):
-            if entry is None:
-                if ext is not None:
-                    n = int(ext.counts[ext_row])
-                    if n:
-                        timestamps[i, width - n:] = ext.row_timestamps(ext_row)
-                        values[i, width - n:] = ext.row_values(ext_row)
-                        counts[i] = n
-                    ext_row += 1
-                continue
-            if tail is not None:
-                ts, val = tail
-                n = len(ts)
-                timestamps[i, width - n:] = ts
-                values[i, width - n:] = val
-                counts[i] = n
-        return BatchWindow(topics, values, timestamps, counts)
-
 
 class FusedPlan:
     """The compiled binding of one fused group.
 
-    Holds the per-intermediate channels and the per-member sources,
-    stamped with the navigator generation and the producer unit
-    identity it was compiled against — either moving (hot-plugged
-    sensors, re-resolved units) invalidates the plan, exactly like a
-    :class:`~repro.core.queryengine.QueryPlan`.
+    Holds the per-intermediate channels, stamped with the navigator
+    generation and the producer unit identity it was compiled against —
+    either moving (hot-plugged sensors, re-resolved units) invalidates
+    the plan, exactly like a :class:`~repro.core.queryengine.QueryPlan`.
     """
 
-    __slots__ = ("generation", "units", "channels", "engines")
+    __slots__ = ("generation", "units", "channels")
 
-    def __init__(self, generation, units, channels, engines) -> None:
+    def __init__(self, generation, units, channels) -> None:
         self.generation = generation
         #: The producer units themselves (see ``same_units``).
         self.units: List = units
         self.channels: List[FusedChannel] = channels
-        self.engines: List[Optional[FusedEngine]] = engines
 
 
 class FusedGroup:
@@ -344,21 +251,15 @@ class FusedGroup:
         return self._compile(gen, units)
 
     def _compile(self, generation, units) -> FusedPlan:
-        cache_window_ns = getattr(
-            self.host, "cache_window_ns", DEFAULT_CACHE_WINDOW_NS
-        )
         capacity = SensorCache.capacity_for_duration(
-            cache_window_ns, NS_PER_SEC
+            self.host.cache_window_ns, NS_PER_SEC
         )
         old = self._plan
         channels: List[FusedChannel] = []
         for i, op in enumerate(self.ops[:-1]):
-            width = 1
-            for consumer in self.ops[i + 1:]:
-                width = max(
-                    width,
-                    min(_window_count(consumer.config.window_ns), capacity),
-                )
+            # Only the next member reads this channel.
+            consumer = self.ops[i + 1]
+            width = min(_window_count(consumer.config.window_ns), capacity)
             channel = FusedChannel(op.units, width)
             prev = (
                 old.channels[i]
@@ -367,15 +268,7 @@ class FusedGroup:
             )
             channel.seed(prev, self.host.cache_for)
             channels.append(channel)
-        engines: List[Optional[FusedEngine]] = [None]
-        channel_of: Dict[str, Tuple[FusedChannel, int]] = {}
-        for i in range(1, len(self.ops)):
-            channel = channels[i - 1]
-            channel_of = dict(channel_of)
-            for row, topic in enumerate(channel.topics):
-                channel_of[topic] = (channel, row)
-            engines.append(FusedEngine(self.engine, channel_of))
-        plan = FusedPlan(generation, units, channels, engines)
+        plan = FusedPlan(generation, units, channels)
         self._plan = plan
         return plan
 
@@ -384,14 +277,17 @@ class FusedGroup:
     # ------------------------------------------------------------------
 
     def run(self, ts: int) -> None:
-        """One scheduled pass over the chain: every member after the
-        first gathers from the channels upstream of it, every
-        intermediate member sinks its result into its channel, the final
-        member runs its ordinary storing pass."""
-        plan = self._ensure_plan()
+        """One scheduled pass over the chain: the first member gathers
+        from the host's engine, every later one from the channel of the
+        member before it; every intermediate member sinks its result
+        into its channel, the final member runs its ordinary storing
+        pass."""
+        channels = self._ensure_plan().channels
         last = len(self.ops) - 1
+        source = None
         for i, op in enumerate(self.ops):
             if i < last:
-                op.run_pass(ts, plan.channels[i].append_pass, plan.engines[i])
+                op.run_pass(ts, channels[i].append_pass, source)
+                source = channels[i]
             else:
-                op.run(ts, plan.engines[i])
+                op.run(ts, source)

@@ -17,7 +17,7 @@ from repro.common.errors import ConfigError, PluginError
 from repro.core.configurator import Configurator
 from repro.core.fusion import FusedGroup
 from repro.core.operator import JobOperatorBase, OperatorBase
-from repro.core.pipeline import FusionSpec, has_kernel, plan_fusion
+from repro.core.pipeline import FusionSpec, plan_fusion
 from repro.core.queryengine import QueryEngine
 from repro.dcdb.restapi import RestResponse
 from repro.telemetry import MetricRegistry
@@ -156,24 +156,13 @@ class OperatorManager:
 
     def _fusion_specs(self) -> List[FusionSpec]:
         """Planner input for the live operators, registration order."""
-        specs = []
-        for op in self._operators.values():
-            specs.append(
-                FusionSpec(
-                    name=op.name,
-                    label=f"{self._plugin_of.get(op.name, '?')}/{op.name}",
-                    config=op.config,
-                    has_kernel=has_kernel(type(op)),
-                    is_job_plugin=isinstance(op, JobOperatorBase),
-                    input_topics=frozenset(
-                        t for u in op.units for t in u.inputs
-                    ),
-                    output_topics=frozenset(
-                        s.topic for u in op.units for s in u.outputs
-                    ),
-                )
+        return [
+            FusionSpec.of(
+                op.name, f"{self._plugin_of.get(op.name, '?')}/{op.name}",
+                op.config, type(op), op.units,
             )
-        return specs
+            for op in self._operators.values()
+        ]
 
     def refresh_fusion(self) -> List[List[str]]:
         """(Re)plan fused groups over the currently loaded operators.

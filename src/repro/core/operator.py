@@ -524,11 +524,11 @@ class OperatorBase:
 
         Every pass comes through here.  A staged pass reads the host's
         engine and sinks into the host (:meth:`run`); a member of a
-        fused group reads its group's channels
-        (:class:`~repro.core.fusion.FusedEngine`), and an intermediate
-        one sinks into the channel feeding the next stage — where the
-        window comes from and where the result goes are the only
-        differences between the two.
+        fused group after the first reads the channel of the member
+        before it (:class:`~repro.core.fusion.FusedChannel`), and an
+        intermediate one sinks into the channel feeding the next stage —
+        where the window comes from and where the result goes are the
+        only differences between the two.
         """
         if not self.enabled:
             return PassResult([])

@@ -146,30 +146,20 @@ class ResolvedPipeline:
     def fusion_plan(self, host_has_storage: bool = False) -> "FusionPlan":
         """Run the fusion planner over this resolved pipeline.
 
-        Builds one :class:`FusionSpec` per resolved operator (whether
-        the plugin class defines a window kernel is looked up without
-        instantiation) and plans the same groups the runtime manager
-        would form, so the static flow analyzer and the live deployment
-        agree on eligibility.
+        Builds one :class:`FusionSpec` per resolved operator (the
+        plugin class is looked up without instantiation) and plans the
+        same groups the runtime manager would form, so the static flow
+        analyzer and the live deployment agree on eligibility.
         """
         from repro.core.registry import get_plugin_class
 
-        specs = []
-        for op in self.operators:
-            cls = get_plugin_class(op.plugin)
-            specs.append(
-                FusionSpec(
-                    name=op.name,
-                    label=op.label,
-                    config=op.config,
-                    has_kernel=isinstance(cls, type) and has_kernel(cls),
-                    is_job_plugin=op.is_job_plugin,
-                    input_topics=frozenset(
-                        t for u in op.units for t in u.inputs
-                    ),
-                    output_topics=frozenset(op.output_topics()),
-                )
+        specs = [
+            FusionSpec.of(
+                op.name, op.label, op.config, get_plugin_class(op.plugin),
+                op.units,
             )
+            for op in self.operators
+        ]
         return plan_fusion(specs, host_has_storage=host_has_storage)
 
 
@@ -258,6 +248,7 @@ def add_topic(tree: SensorTree, topic: str) -> None:
 REPORTABLE_FUSION_BLOCKS = (
     "no-kernel",
     "period-mismatch",
+    "mixed-inputs",
     "external-subscriber",
 )
 
@@ -277,6 +268,22 @@ class FusionSpec:
     def __post_init__(self) -> None:
         if not self.label:
             self.label = self.name
+
+    @classmethod
+    def of(cls, name, label, config, plugin_cls, units) -> "FusionSpec":
+        """The summary of one operator, runtime or static: its plugin
+        class says whether it has a kernel or is a job plugin, its
+        units which topics it reads and writes."""
+        is_class = isinstance(plugin_cls, type)
+        return cls(
+            name=name,
+            label=label,
+            config=config,
+            has_kernel=is_class and has_kernel(plugin_cls),
+            is_job_plugin=is_class and issubclass(plugin_cls, JobOperatorBase),
+            input_topics=frozenset(t for u in units for t in u.inputs),
+            output_topics=frozenset(s.topic for u in units for s in u.outputs),
+        )
 
 
 @dataclass
@@ -347,6 +354,11 @@ def _chain_verdict(
             f"{consumer.config.interval_ns}ns "
             f"(delay {consumer.config.delay_ns}ns)",
         )
+    # A fused member's one gather reads the channel of the member before
+    # it, and nothing else.
+    if not consumer.input_topics <= tail.output_topics:
+        return ("mixed-inputs", f"{consumer.label} also reads inputs "
+                f"{tail.label} does not produce")
     # ``tail`` would become an intermediate: its per-pass outputs must
     # have no subscriber outside the group, or skipping the cache write
     # and broker publish changes observable behavior.

@@ -372,8 +372,8 @@ class QueryEngine:
             host.sensor_topics()
         )
         # Shares the host's metric registry when it has one (Pusher /
-        # Collect Agent); standalone engines get a private registry so
-        # instrumentation is unconditional.
+        # Collect Agent); an engine over any other host gets a private
+        # registry, so instrumentation is unconditional.
         host_registry = getattr(host, "telemetry", None)
         self.telemetry: MetricRegistry = (
             host_registry if host_registry is not None else MetricRegistry()

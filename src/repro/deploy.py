@@ -226,10 +226,12 @@ class Deployment:
         self.scheduler.run_until(self.now + int(seconds * NS_PER_SEC))
 
     def series(self, topic: str):
-        """(timestamps_s, values) of a topic from the agent's storage."""
+        """(timestamps_s, values) of a topic from the agent's storage,
+        both the caller's own (``storage.query`` returns views that a
+        later expiry or flush overwrites)."""
         self.agent.flush()
         ts, val = self.agent.storage.query(topic, 0, 2**62)
-        return np.asarray(ts) / NS_PER_SEC, np.asarray(val)
+        return np.asarray(ts) / NS_PER_SEC, np.array(val)
 
     def latest(self, topic: str):
         """Most recent reading of a topic from the agent's view."""

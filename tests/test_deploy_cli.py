@@ -64,6 +64,23 @@ class TestDeployment:
         assert reading is not None
         assert reading.timestamp == dep.now
 
+    def test_series_is_the_callers_own(self):
+        # Storage serves a range as views into its own chunks; after an
+        # expiry those chunks hold newer readings.
+        dep = build_deployment({
+            "cluster": {"nodes": 1, "cpus": 1, "seed": 3},
+            "monitoring": {"plugins": ["sysfs"], "interval_ms": 1000},
+            "storage": {"ttl_s": 20},
+        })
+        dep.run(40)
+        topic = f"{dep.sim.node_paths[0]}/energy"
+        ts, values = dep.series(topic)
+        before = values.copy()
+        assert ts[0] == 20.0
+        dep.run(60)
+        assert values.tolist() == before.tolist()
+        assert dep.series(topic)[1][0] != before[0]  # it did expire
+
     def test_tester_monitoring(self):
         dep = Deployment(
             ClusterSpec.small(nodes=1, cpus=1),

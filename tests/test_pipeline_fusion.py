@@ -135,17 +135,21 @@ def build_chain(n_units: int = N_UNITS, middle=AggregatorOperator):
 
 def run_both(
     ticks, feed=None, skip=(), n_units: int = N_UNITS,
-    middle=AggregatorOperator,
+    middle=AggregatorOperator, configure=None,
 ):
     """Run staged and fused executions over one input stream.
 
     ``feed(tick, i)`` produces unit ``i``'s reading (None = no reading);
-    ``skip`` unit indices never produce at all (missing-data parity).
+    ``skip`` unit indices never produce at all (missing-data parity);
+    ``configure(ops)`` adjusts each chain before the first tick.
     Returns (staged_host, fused_host, staged_ops, fused_ops, group).
     """
     rng = np.random.default_rng(7)
     staged_host, _, staged_ops = build_chain(n_units, middle)
     fused_host, fused_engine, fused_ops = build_chain(n_units, middle)
+    if configure is not None:
+        configure(staged_ops)
+        configure(fused_ops)
     group = FusedGroup(
         name="t:fused", ops=fused_ops, host=fused_host, engine=fused_engine
     )
@@ -330,6 +334,24 @@ class TestFusionPlanner:
         plan = plan_fusion([a, b])
         assert plan.groups == [] and plan.blocked == []
 
+    def test_raw_input_beside_upstream_is_mixed(self):
+        a = spec("a", inputs=["/p"], outputs=["/x"])
+        b = spec("b", inputs=["/x", "/p"], outputs=["/y"])
+        plan = plan_fusion([a, b])
+        assert plan.groups == []
+        assert [blk.reason for blk in plan.blocked] == ["mixed-inputs"]
+
+    def test_stage_two_back_is_mixed(self):
+        a, b = self.chain()
+        c = spec("c", inputs=["/y", "/x"], outputs=["/z"])
+        plan = plan_fusion([a, b, c])
+        # c reads a's outputs: a -> b would hide them from c, and b -> c
+        # would leave c a second source.
+        assert plan.groups == []
+        assert [blk.reason for blk in plan.blocked] == [
+            "external-subscriber", "mixed-inputs",
+        ]
+
     def test_group_restarts_after_block(self):
         a, b = self.chain(kernel=False)
         c = spec("c", inputs=["/y"], outputs=["/z"])
@@ -434,6 +456,46 @@ class TestFusedParity:
             group.run(ts)
         assert s_ops[1].quarantined_units() == f_ops[1].quarantined_units()
         assert final_series(staged) == final_series(fused)
+
+    def test_staggered_consumer_parity(self):
+        # The middle stage computes half its units a pass, so it reads
+        # half of the smoother's channel: rows copied out, not the
+        # channel itself.
+        def stagger(ops):
+            ops[1].config.unit_cadence = 2
+
+        staged, fused, s_ops, f_ops, _ = run_both(25, configure=stagger)
+        assert final_series(staged) == final_series(fused)
+        assert all(final_series(fused).values())
+
+    def test_staggered_producer_parity(self):
+        # The smoother computes half its units a pass: each pass shifts
+        # only the channel rows it produced.
+        def stagger(ops):
+            ops[0].config.unit_cadence = 2
+
+        staged, fused, s_ops, f_ops, _ = run_both(25, configure=stagger)
+        assert final_series(staged) == final_series(fused)
+        assert all(final_series(fused).values())
+
+    def test_dropped_producer_unit_parity(self):
+        # The smoother has no unit 3, yet the middle stage reads
+        # /n3/sm: an empty row, counted as that unit's error on every
+        # pass, fused as staged — and the pass goes on.
+        def drop(ops):
+            ops[0].set_units(
+                [unit_for(i, "power", "sm") for i in range(N_UNITS) if i != 3]
+            )
+
+        staged, fused, s_ops, f_ops, _ = run_both(12, configure=drop)
+        assert final_series(staged) == final_series(fused)
+        assert final_series(fused)["/n3/mx"] is None
+        assert final_series(fused)["/n2/mx"]
+        for s_op, f_op in zip(s_ops, f_ops):
+            assert s_op.error_count == f_op.error_count
+            assert s_op.last_errors == f_op.last_errors
+        assert f_ops[1].error_count == 12
+        assert all(e.startswith("/n3: ") for e in f_ops[1].last_errors)
 
     def test_health_terminal_parity(self):
         def stack():
@@ -587,6 +649,20 @@ def deployment_spec(fusion_mode):
     }
 
 
+def mixed_block(name):
+    """A second stage reading raw power beside the first stage's ``ps``."""
+    return {
+        "plugin": "aggregator",
+        "operators": {name: {
+            "interval_s": 1,
+            "window_s": 5,
+            "inputs": ["<bottomup>ps", "<bottomup>power"],
+            "outputs": ["<bottomup>pss"],
+            "params": {"op": "max"},
+        }},
+    }
+
+
 class TestManagerFusion:
     def test_deployment_forms_groups_and_matches_staged(self):
         stores = {}
@@ -652,6 +728,29 @@ class TestManagerFusion:
             dep.agent_manager._fusion_specs(), host_has_storage=True
         ).blocked
         assert [b.reason for b in blocked] == ["external-subscriber"]
+
+    def test_mixed_inputs_chain_stays_staged(self):
+        # The second stage reads raw power beside the smoother's output:
+        # no group forms, and its series are the fusion: false run's.
+        def mixed(fusion_mode):
+            doc = deployment_spec(fusion_mode)
+            doc["analytics"]["pushers"][1] = mixed_block("ag")
+            return doc
+
+        stores = {}
+        for mode in ("auto", False):
+            dep = build_deployment(mixed(mode))
+            assert not [g for m in dep.managers.values()
+                        for g in m.fused_groups()]
+            dep.run(20)
+            dep.agent.flush()
+            stores[mode] = {
+                topic: [a.tolist() for a in dep.series(topic)]
+                for topic in dep.agent.storage.topics()
+                if topic.endswith("pss")
+            }
+        assert stores["auto"] == stores[False]
+        assert stores["auto"]
 
     def test_unload_dissolves_group(self):
         dep = build_deployment(deployment_spec("auto"))
@@ -747,6 +846,17 @@ class TestFlowFusion:
         ]
         report = render_flow_report(model)
         assert "fusion: [pushers] smoother/s1 + smoother/s2" in report
+
+    def test_mixed_inputs_reports_f013(self):
+        from repro.analysis.flow import build_flow_model, render_flow_report
+
+        spec_doc = flow_spec()
+        spec_doc["analytics"]["pushers"][1] = mixed_block("s2")
+        f013 = [d for d in analyze_flow(spec_doc) if d.code == "F013"]
+        assert len(f013) == 1 and "mixed-inputs" in f013[0].message
+        model = build_flow_model(spec_doc)
+        assert model.fused_groups == []
+        assert "stays staged (mixed-inputs)" in render_flow_report(model)
 
     def test_report_shows_blocked_chains(self):
         from repro.analysis.flow import build_flow_model, render_flow_report
