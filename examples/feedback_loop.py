@@ -72,13 +72,12 @@ def main() -> None:
 
     # The "knob": scale the node's dynamic power (a stand-in for a CPU
     # frequency cap acting on the same model the sensors read).
-    state = sim._states[node]
     cap_history = []
 
     def set_power_cap(fraction: float) -> None:
         if not cap_history or cap_history[-1] != fraction:
             cap_history.append(fraction)
-        state.model.power_anomaly = fraction
+        sim.set_power_factor(node, fraction)
 
     manager = OperatorManager(context={"knob": set_power_cap})
     pusher.attach_analytics(manager)

@@ -72,9 +72,9 @@ class MonitoringPlugin:
 
 
 class NodePlugin(MonitoringPlugin):
-    """A plugin of node-level sensors read one by one from the
-    simulator: ``SENSORS`` is its table of ``(name, unit, is_delta)``,
-    ``NAME`` the plugin's name."""
+    """A plugin of node-level sensors, read as its node's columns of the
+    simulator's sensor matrix: ``SENSORS`` is its table of ``(name,
+    unit, is_delta)``, ``NAME`` the plugin's name."""
 
     NAME = ""
     SENSORS: Tuple[Tuple[str, str, bool], ...] = ()
@@ -86,14 +86,13 @@ class NodePlugin(MonitoringPlugin):
     def __init__(self, simulator, node_path: str, interval_ns: int = NS_PER_SEC) -> None:
         super().__init__(self.NAME, interval_ns)
         self._sim = simulator
-        self._node_path = node_path
+        self._row = simulator.row(node_path)
+        self._cols = simulator.node_columns([name for name, _, _ in self.SENSORS])
         for name, unit, is_delta in self.SENSORS:
             self._register(
                 Sensor(topic=f"{node_path}/{name}", unit=unit, is_delta=is_delta)
             )
 
     def sample(self, ts: int) -> np.ndarray:
-        read, node = self._sim.read_node, self._node_path
-        return np.array(
-            [read(node, name, ts) for name, _, _ in self.SENSORS], dtype=np.float64
-        )
+        self._sim.advance(ts)
+        return self._sim.node_values[self._row, self._cols]

@@ -56,7 +56,14 @@ class PerfeventPlugin(MonitoringPlugin):
         if unknown:
             raise ValueError(f"unknown perfevent counters: {sorted(unknown)}")
         self._sim = simulator
-        self._node_path = node_path
+        self._row = simulator.row(node_path)
+        # The sensors are cpu-major: flat positions in the node's
+        # cpus x counters matrix, read in that order.
+        cols = [CPU_COUNTERS.index(name) for name in counters]
+        self._flat = (
+            np.arange(simulator.spec.cpus_per_node)[:, None] * len(CPU_COUNTERS)
+            + np.array(cols, dtype=np.intp)
+        ).ravel()
         for cpu in range(simulator.spec.cpus_per_node):
             for counter in counters:
                 self._register(
@@ -66,12 +73,7 @@ class PerfeventPlugin(MonitoringPlugin):
                         is_delta=True,
                     )
                 )
-        self._counter_names = list(counters)
 
     def sample(self, ts: int) -> np.ndarray:
-        # One vectorised advance per node; the sensors are cpu-major,
-        # so the cpus x counters matrix read row by row is their order.
-        read, node = self._sim.read_cpu_counters, self._node_path
-        return np.stack(
-            [read(node, name, ts) for name in self._counter_names], axis=1
-        ).ravel()
+        self._sim.advance(ts)
+        return self._sim.counters[self._row].take(self._flat)

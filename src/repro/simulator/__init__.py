@@ -2,10 +2,11 @@
 
 The paper's experiments ran on CooLMUC-3 (148 Knights Landing nodes, 64
 cores each).  This package provides the closest synthetic equivalent: a
-configurable cluster topology, per-node power/thermal/performance models
-with manufacturing variability and plantable anomalies, phase-structured
-workload generators for the CORAL-2 applications used in the paper, and a
-job scheduler supplying the job table the persyst case study queries.
+configurable cluster topology, one power/thermal/performance state for
+all nodes (advanced at once per timestamp) with manufacturing variability
+and plantable anomalies, phase-structured workload generators for the
+CORAL-2 applications used in the paper, and a job scheduler supplying the
+job table the persyst case study queries.
 
 All components share a :class:`~repro.simulator.clock.SimClock`, so a
 whole experiment is a deterministic function of its seed.
@@ -13,7 +14,7 @@ whole experiment is a deterministic function of its seed.
 
 from repro.simulator.clock import SimClock, PeriodicTask, TaskScheduler
 from repro.simulator.cluster import ClusterSpec, ClusterTopology
-from repro.simulator.node import NodeModel, NodePowerParams
+from repro.simulator.node import NodePowerParams, PowerModel
 from repro.simulator.workload import (
     AppProfile,
     IdleProfile,
@@ -35,8 +36,8 @@ __all__ = [
     "TaskScheduler",
     "ClusterSpec",
     "ClusterTopology",
-    "NodeModel",
     "NodePowerParams",
+    "PowerModel",
     "AppProfile",
     "IdleProfile",
     "HplProfile",

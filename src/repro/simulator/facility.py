@@ -12,7 +12,7 @@ Model (deliberately first-order, like the node thermal model):
   plus a load-dependent offset — a loaded loop cannot quite hold its
   setpoint;
 - node ambient temperatures follow the inlet temperature through
-  :attr:`NodeModel.ambient_offset_c`, so facility decisions feed back
+  :attr:`PowerModel.ambient_offset_c`, so facility decisions feed back
   into every node's thermal state (and hence Fig-8-style analyses);
 - the *chiller power* needed to remove the IT heat load falls as the
   setpoint rises (warm-water cooling's efficiency argument): the
@@ -96,30 +96,27 @@ class CoolingSystem:
     # Dynamics
     # ------------------------------------------------------------------
 
-    def _total_it_power(self) -> float:
-        return float(
-            sum(state.model.power_w for state in self.sim._states.values())
-        )
-
     def update(self, ts: int) -> None:
-        """Advance the loop to ``ts`` and push ambients into the nodes."""
+        """Advance the loop to ``ts`` and push ambients into the nodes.
+
+        A ``ts`` before the last update raises ``ValueError`` and
+        changes nothing."""
+        if ts < self._last_ts:
+            raise ValueError("cooling model time moved backwards")
         p = self.params
-        self.it_power_w = self._total_it_power()
+        power = self.sim.power
+        self.it_power_w = float(power.power_w.sum())
         target = self.setpoint_c + p.load_c_per_w * self.it_power_w
         if self._last_ts < 0:
             self.inlet_temp_c = target
         else:
             dt_s = (ts - self._last_ts) / NS_PER_SEC
-            if dt_s < 0:
-                raise ValueError("cooling model time moved backwards")
             alpha = 1.0 - np.exp(-dt_s / p.tau_s)
             self.inlet_temp_c += alpha * (target - self.inlet_temp_c)
         self._last_ts = ts
         cop = p.cop_base + p.cop_slope * (self.setpoint_c - 30.0)
         self.chiller_power_w = self.it_power_w / max(cop, 0.5)
-        offset = self.inlet_temp_c - self.nominal_ambient_c
-        for state in self.sim._states.values():
-            state.model.ambient_offset_c = offset
+        power.ambient_offset_c = self.inlet_temp_c - self.nominal_ambient_c
 
     @property
     def total_facility_power_w(self) -> float:

@@ -51,8 +51,8 @@ class JobScheduler:
 
     Jobs can be placed explicitly (:meth:`add_job`, fixed node list) or
     through FCFS allocation (:meth:`submit`, which picks the first nodes
-    free for the job's whole time range).  Lookups used on hot paths
-    (``job_on_node``) go through a per-node index.
+    free for the job's whole time range).  ``job_on_node`` goes through a
+    per-node index; ``revision`` counts the jobs added.
     """
 
     def __init__(self, node_paths: Sequence[str]) -> None:
@@ -62,6 +62,8 @@ class JobScheduler:
         # node path -> jobs touching it, kept sorted by start time.
         self._by_node: Dict[str, List[Job]] = {p: [] for p in self.node_paths}
         self._ids = itertools.count(1000)
+        #: Bumped by every added job, so a reader can tell the table moved.
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # Placement
@@ -84,6 +86,7 @@ class JobScheduler:
         if job.job_id in self._jobs:
             raise ConfigError(f"duplicate job id {job.job_id}")
         self._jobs[job.job_id] = job
+        self.revision += 1
         for path in job.node_paths:
             bucket = self._by_node[path]
             bucket.append(job)

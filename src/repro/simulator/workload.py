@@ -36,16 +36,13 @@ import numpy as np
 #: Nominal KNL core clock in cycles per second (1.3 GHz).
 CORE_FREQ_HZ = 1.3e9
 
-#: Cache line size used to convert miss rates into memory bandwidth.
-CACHE_LINE_BYTES = 64
-
 
 @dataclass
 class CoreRates:
     """Instantaneous per-core rates of a running application.
 
     All array attributes have one entry per core.  ``net_bytes_per_s``
-    is a node-level aggregate (a scalar), since the OPA fabric is shared
+    is every node's aggregate (a scalar), since the OPA fabric is shared
     by all cores of a node.
     """
 
@@ -59,15 +56,12 @@ class CoreRates:
     vector_ops_per_s: np.ndarray
     net_bytes_per_s: float
 
-    @property
-    def mem_bw_bytes_per_s(self) -> np.ndarray:
-        """Per-core memory bandwidth implied by cache misses."""
-        return self.cache_miss_per_s * CACHE_LINE_BYTES
 
-
-#: Bin draws memoised.  About four per simulated node are live at once
-#: (a 24-node facility thrashes below 128); a draw is one value per core.
-BIN_MEMO_SIZE = 512
+#: Bin draws memoised.  Noise is keyed per running job, per idle pool
+#: and per power model, each with up to five streams of two live bins:
+#: a few dozen draws are live at once for the benchmarks' job mixes.  A
+#: draw is one value per core of its job (one per node for power).
+BIN_MEMO_SIZE = 128
 
 
 @lru_cache(maxsize=BIN_MEMO_SIZE)
@@ -119,7 +113,7 @@ def binned_uniform(
 
 
 class AppInstance:
-    """One application running on one node's cores.
+    """One application running on the cores of its nodes, node-major.
 
     Subclass instances freeze their random per-core parameters at
     construction; :meth:`rates` is then a pure function of elapsed time.
@@ -155,14 +149,19 @@ class AppInstance:
     # -- common machinery ----------------------------------------------
 
     def activity(self, t_s: float) -> float:
-        """Scalar activity in [0, 1] driving the node power model.
+        """Activity in [0, 1] of all the instance's cores at ``t_s``."""
+        return float(self.node_activity(self.rates(t_s), 1)[0])
+
+    def node_activity(self, rates: CoreRates, n_nodes: int) -> np.ndarray:
+        """Per-node activity in [0, 1] driving the node power model, with
+        ``rates``' cores split into ``n_nodes`` equal rows.
 
         Mean utilisation modulated by the app's power intensity; high-CPI
         (stalled) phases draw slightly less dynamic power.
         """
-        cpi, util = self._cpi_utilization(t_s)
-        stall_discount = np.clip(1.0 - 0.004 * (cpi - 1.0), 0.7, 1.0)
-        return float(np.mean(util * stall_discount) * self.power_intensity)
+        stall = np.clip(1.0 - 0.004 * (rates.cpi - 1.0), 0.7, 1.0)
+        busy = (rates.utilization * stall).reshape(n_nodes, -1)
+        return busy.mean(axis=1) * self.power_intensity
 
     def _cpi_utilization(self, t_s: float):
         """Per-core CPI and utilisation, clamped to their ranges."""
@@ -319,7 +318,7 @@ class LammpsProfile(AppProfile):
 class AmgInstance(AppInstance):
     power_intensity = 0.85
 
-    #: Fraction of cores that may spike in any 5 s window.
+    #: Mean fraction of cores that spike in a 5 s window.
     SPIKE_FRACTION = 0.12
     SPIKE_BIN_S = 5.0
 
@@ -331,12 +330,14 @@ class AmgInstance(AppInstance):
         base = 2.3 + self._core_offset
         base = base + 0.2 * value_noise(self.seed, t_s, 6.0, self.n_cores)
         # Spikes: in each window a random subset of cores stalls on
-        # network latency, pushing CPI up to ~30.
+        # network latency, pushing CPI up to ~30.  Congestion makes the
+        # subset grow with the window's network burst, from none to
+        # twice the mean fraction, so the upper deciles spike together.
         roll = binned_uniform(self.seed, t_s, self.SPIKE_BIN_S, self.n_cores, 2)
         magnitude = binned_uniform(
             self.seed, t_s, self.SPIKE_BIN_S, self.n_cores, 3
         )
-        spiking = roll < self.SPIKE_FRACTION
+        spiking = roll < 2.0 * self.SPIKE_FRACTION * self._burst(t_s)
         spike_cpi = 8.0 + 24.0 * magnitude
         return np.where(spiking, spike_cpi, base)
 
@@ -349,9 +350,12 @@ class AmgInstance(AppInstance):
     def _vector_fraction(self, t_s: float) -> float:
         return 0.35
 
+    def _burst(self, t_s: float) -> float:
+        """The window's network burst level in [0, 1)."""
+        return binned_uniform(self.seed, t_s, self.SPIKE_BIN_S, 1, 4)[0]
+
     def _net_bytes_per_s(self, t_s: float) -> float:
-        burst = binned_uniform(self.seed, t_s, self.SPIKE_BIN_S, 1, 4)[0]
-        return 3e9 * (0.6 + 0.8 * burst)
+        return 3e9 * (0.6 + 0.8 * self._burst(t_s))
 
 
 class AmgProfile(AppProfile):

@@ -1,76 +1,86 @@
-"""Tests for the node model and job scheduler."""
+"""Tests for the node power model and job scheduler."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC
-from repro.simulator.node import NodeModel, NodePowerParams
+from repro.simulator.node import NodePowerParams, PowerModel
 from repro.simulator.scheduler import Job, JobScheduler
 
 
 class TestNodeModel:
+    """The power model of one node: a one-row :class:`PowerModel`."""
+
     def make(self, seed=1, anomaly=1.0):
-        return NodeModel("/r0/c0/n0", 64, seed, power_anomaly=anomaly)
+        return PowerModel(64, [seed], seed, power_factor=[anomaly])
+
+    @staticmethod
+    def power(m, t_s, activity):
+        return float(m.instantaneous_power(t_s, np.array([activity]))[0])
+
+    @staticmethod
+    def update(m, ts, activity, mean_util):
+        m.update(ts, np.array([activity]), np.array([mean_util]))
 
     def test_idle_power_near_idle_constant(self):
         m = self.make()
-        p = m.instantaneous_power(10.0, activity=0.0)
+        p = self.power(m, 10.0, activity=0.0)
         assert 0.8 * 75 < p < 1.2 * 75
 
     def test_power_rises_with_activity(self):
         m = self.make()
-        idle = np.mean([m.instantaneous_power(t, 0.0) for t in range(50)])
-        busy = np.mean([m.instantaneous_power(t, 0.9) for t in range(50)])
+        idle = np.mean([self.power(m, t, 0.0) for t in range(50)])
+        busy = np.mean([self.power(m, t, 0.9) for t in range(50)])
         assert busy > idle + 100
 
     def test_anomaly_scales_power(self):
-        base = self.make(seed=1).instantaneous_power(5.0, 0.5)
-        hot = self.make(seed=1, anomaly=1.2).instantaneous_power(5.0, 0.5)
+        base = self.power(self.make(seed=1), 5.0, 0.5)
+        hot = self.power(self.make(seed=1, anomaly=1.2), 5.0, 0.5)
         assert hot == pytest.approx(base * 1.2)
 
     def test_efficiency_varies_between_nodes(self):
-        effs = {NodeModel("/n", 64, s).efficiency for s in range(20)}
+        effs = set(PowerModel(64, range(20), 0).efficiency)
         assert len(effs) > 10
         assert all(0.9 <= e <= 1.1 for e in effs)
 
     def test_update_integrates_energy(self):
         m = self.make()
-        m.update(0, 0.5, 0.5)
-        m.update(10 * NS_PER_SEC, 0.5, 0.5)
-        assert m.energy_j > 0
+        self.update(m, 0, 0.5, 0.5)
+        self.update(m, 10 * NS_PER_SEC, 0.5, 0.5)
+        assert m.energy_j[0] > 0
         # Energy ≈ power * 10 s within noise.
-        assert m.energy_j == pytest.approx(m.power_w * 10, rel=0.3)
+        assert m.energy_j[0] == pytest.approx(m.power_w[0] * 10, rel=0.3)
 
     def test_update_accumulates_idle_time(self):
         m = self.make()
-        m.update(0, 0.0, 0.0)
-        m.update(10 * NS_PER_SEC, 0.0, 0.0)
+        self.update(m, 0, 0.0, 0.0)
+        self.update(m, 10 * NS_PER_SEC, 0.0, 0.0)
         # Fully idle: 64 cores * 10 s of idle time.
-        assert m.idle_time_s == pytest.approx(640.0)
+        assert m.idle_time_s[0] == pytest.approx(640.0)
 
     def test_temperature_lags_toward_target(self):
         params = NodePowerParams()
         m = self.make()
-        m.update(0, 0.9, 0.9)
-        t0 = m.temperature_c
+        self.update(m, 0, 0.9, 0.9)
+        t0 = m.temperature_c[0]
         for k in range(1, 60):
-            m.update(k * 10 * NS_PER_SEC, 0.9, 0.9)
+            self.update(m, k * 10 * NS_PER_SEC, 0.9, 0.9)
         # After ~10 thermal time constants the temperature approaches
         # ambient + c * power.
-        target = params.ambient_c + params.c_per_watt * m.power_w
-        assert abs(m.temperature_c - target) < 3.0
-        assert m.temperature_c > t0
+        target = params.ambient_c + params.c_per_watt * m.power_w[0]
+        assert abs(m.temperature_c[0] - target) < 3.0
+        assert m.temperature_c[0] > t0
 
     def test_update_rejects_backwards_time(self):
         m = self.make()
-        m.update(10, 0.5, 0.5)
+        self.update(m, 10, 0.5, 0.5)
         with pytest.raises(ValueError):
-            m.update(5, 0.5, 0.5)
+            self.update(m, 5, 0.5, 0.5)
 
     def test_turbo_spikes_occur_under_load(self):
         m = self.make()
-        powers = [m.instantaneous_power(t * 1.0, 0.9) for t in range(400)]
+        powers = [self.power(m, t * 1.0, 0.9) for t in range(400)]
         base = np.median(powers)
         assert max(powers) > base + 15  # occasional turbo burst
 
