@@ -29,8 +29,7 @@ returns for ``topics[i]`` at that instant, bit for bit.
 from __future__ import annotations
 
 import time
-from operator import attrgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,24 +55,22 @@ _ROW_MISS = 2     # unresolvable at compile time: always empty
 #: and is re-read alone, at its exact length.
 _MAX_SPECULATIVE_READ = 4096
 
-#: ``QueryPlan.reach`` of a row whose window is a reading count: further
-#: back than any timestamp, so the time cut keeps all it gathered.
-_ANY_AGE = 1 << 62
-
 #: Fewest ring rows of one slab and one count worth a slab gather; a
 #: smaller group is read ring by ring with ``SensorCache.tail_into``.
-#: The gather pays a fixed handful of array operations, the loop ~1.1 us
-#: a row.  One ``_execute_plan`` over N hinted rings of one lock-step
-#: slab, count 11 (us, best of 7 x 3000 on 2 Xeon vCPUs; loop /
-#: gather):
-#:     1 row      5.0 /  11.0        12 rows    17.2 /  13.4
-#:     4 rows     8.4 /  11.6        16 rows    21.9 /  13.5
-#:     6 rows    10.6 /  12.0        64 rows    73.0 /  19.1
-#:     8 rows    12.7 /  11.9      1024 rows  1065   / 123
-#: Even between 6 and 8, so the first size that is ahead.
-_SLAB_GATHER_MIN_ROWS = 8
-
-_gap_of = attrgetter("gap_ns")
+#: The gather pays a fixed handful of slice copies whatever the number
+#: of rows, the loop ~2 us a row.  One ``_execute_plan`` over N hinted
+#: rings of one lock-step slab, count 11, capacity 32 (us, best of
+#: 7 x 3000, the two interleaved, on a 2-vCPU Intel Xeon VM; loop /
+#: gather, the window in one span | wrapped into two):
+#:        1 row      9.1 / 11.2  |     9.8 / 12.8
+#:        2 rows    11.3 / 11.1  |    13.2 / 12.9
+#:        3 rows    14.4 / 11.8  |    17.1 / 13.2
+#:        4 rows    17.5 / 12.3  |    21.2 / 13.7
+#:        8 rows    16.0 /  8.6  |    35.3 / 13.7
+#:       64 rows   142   / 13.1  |   239   / 16.7
+#:     1024 rows  1419   / 31.1  |  2384   / 43.0
+#: Even at 2 rows, so the first size that is ahead.
+_SLAB_GATHER_MIN_ROWS = 3
 
 
 class BatchWindow:
@@ -171,61 +168,102 @@ def _longest(rows) -> int:
 
 
 class SlabGroup(NamedTuple):
-    """Ring rows of a plan that one index operation gathers: rings of
-    one :class:`CacheSlab` read at one ``count`` (0: a time window, read
-    at the pass's ``k``)."""
+    """Ring rows of a plan gathered together: rings of one
+    :class:`CacheSlab` read at one ``count`` (0: a time window, read at
+    the pass's ``k`` and cut once for all of them)."""
 
     slab: CacheSlab
-    epoch: int            # the slab's when grouped: it moves when a ring leaves
     count: int
-    index: np.ndarray     # rows of the plan ...
-    rows: np.ndarray      # ... and, as a column, the slab rows they read
-    caches: Tuple[SensorCache, ...]
+    dst: Union[slice, np.ndarray]   # rows of the plan ...
+    rows: Union[slice, np.ndarray]  # ... and the slab rows they read
+    row: int                        # one slab row a ring is bound to
+    plan_rows: List[int]
+
+
+def _rows_index(rows: List[int]) -> Union[slice, np.ndarray]:
+    """``rows`` as a slice when they are evenly spaced and ascending (so
+    indexing by them is basic slicing), else as a 1-D index."""
+    first, step = rows[0], rows[1] - rows[0] if len(rows) > 1 else 1
+    if step > 0 and rows == list(range(first, rows[-1] + 1, step)):
+        return slice(first, rows[-1] + 1, step)
+    return np.array(rows, dtype=np.intp)
+
+
+def _window_count(group: SlabGroup, k: int, window_ns: int) -> int:
+    """How many of its newest readings every ring of ``group`` holds in
+    its window (0: the rings are empty).
+
+    A time window is cut once for the whole group: the rings of a slab
+    hold the same timestamps in the same slots, so one bound row's
+    newest ``k`` say for every row how many lie in ``[newest - window,
+    newest]`` — the bound inclusive, like ``view_absolute``'s.
+    """
+    slab, count = group.slab, group.count
+    cap = slab.ts.shape[1]
+    held = min(slab.size, count or k, cap)  # a ring holds no more than cap
+    if count or not held:
+        return held
+    tail = slab.ts[group.row]
+    bound = slab.newest - window_ns
+    return sum(
+        b - a - int(tail[a:b].searchsorted(bound, side="left"))
+        for a, b in slab.newest_spans(held)
+    )
 
 
 def _gather_slab(
-    group: SlabGroup, k: int,
+    group: SlabGroup, n: int,
     timestamps: np.ndarray, values: np.ndarray, counts: np.ndarray,
-) -> List[int]:
-    """Copy the newest readings of every ring of ``group`` into their
-    right-aligned rows of the result matrices — what ``tail_into`` does
-    for one ring — and return the plan rows whose ring is empty.
+) -> None:
+    """Copy the newest ``n`` readings of every ring of ``group`` into
+    their right-aligned rows of the result matrices — what ``tail_into``
+    does for one ring.
 
-    The rings of a slab advance in lock step, so one head and one size
-    serve them all: the slot of reading ``j`` of the newest ``held``,
-    oldest first, is ``(head - held + j) mod cap`` in every row.
+    The rings of a slab advance in lock step, so one head serves them
+    all: the window is at most two column spans of the slab
+    (:meth:`CacheSlab.newest_spans`), and the rows are a slice or one
+    1-D index on either side, so every copy is basic slicing on at
+    least one axis.
     """
-    slab, _, count, index, rows, _ = group
-    cap = slab.ts.shape[1]
-    held = min(slab.size, count or k, cap)  # a ring holds no more than cap
-    if not held:
-        return index.tolist()
-    cols = (slab.head + np.arange(cap - held, cap)) % cap
-    lo = timestamps.shape[1] - held
-    timestamps[index, lo:] = slab.ts[rows, cols]
-    values[index, lo:] = slab.val[rows, cols]
-    counts[index] = held
-    return []
+    slab = group.slab
+    slab.copy_newest(
+        n, group.rows, timestamps, values, group.dst, timestamps.shape[1] - n
+    )
+    counts[group.dst] = n
 
 
 def _cut_to_windows(
     timestamps: np.ndarray, values: np.ndarray, counts: np.ndarray,
-    reach: np.ndarray,
+    window_ns: int,
 ) -> np.ndarray:
-    """Cut right-aligned gathered rows to ``[newest - reach, newest]``.
+    """Cut right-aligned gathered rows to ``[newest - window, newest]``.
 
     One comparison of the timestamp matrix against its last column, for
     every row at once; slots that fall out of their window go back to
     NaN / 0 in place and the surviving counts are returned.  The bound
-    is inclusive, like ``view_absolute``'s.
+    is inclusive, like ``view_absolute``'s.  Serves the time-window rows
+    read one ring at a time (a slab group is cut by
+    :func:`_window_count`).
     """
     width = timestamps.shape[1]
-    keep = timestamps >= (timestamps[:, -1] - reach)[:, None]
+    keep = timestamps >= (timestamps[:, -1] - window_ns)[:, None]
     keep &= np.arange(width) >= (width - counts)[:, None]  # the filled slots
     drop = ~keep
     timestamps[drop] = 0
     values[drop] = np.nan
     return keep.sum(axis=1)
+
+
+def _ring_count(cache: SensorCache, window_ns: int) -> int:
+    """Readings a ring row reads: ``window // interval + 1``, up to the
+    ring's capacity, where the cache has an interval hint; the latest
+    for a 0 window; 0 (a time window, sized when the plan runs) where
+    there is no hint."""
+    if not window_ns:
+        return 1  # the latest reading, whatever the cadence
+    if cache.interval_ns > 0:
+        return min(int(window_ns // cache.interval_ns + 1), cache.capacity)
+    return 0
 
 
 class QueryPlan:
@@ -242,7 +280,7 @@ class QueryPlan:
     - *cache* (ring-bound): any topic the host has a cache for.  The
       tick path copies the ring's tail straight into the result matrix:
       rings that share a slab and a count, as one :class:`SlabGroup`
-      with one index operation (``_gather_slab``); rings with fewer
+      copied by basic slicing (``_gather_slab``); rings with fewer
       than ``_SLAB_GATHER_MIN_ROWS`` such neighbours, one at a time with
       :meth:`SensorCache.tail_into`.  How long that tail is depends on
       which of two window definitions the cache carries:
@@ -250,14 +288,17 @@ class QueryPlan:
       - a **count** — ``window // interval + 1`` readings, the paper's
         O(1) relative arithmetic — when the cache has an interval hint
         (every Pusher cache) or the window is 0 (the latest reading);
-        fixed at compile time, stored as the row's ``count``;
+        fixed at compile time from the ring's capacity, derived again
+        when the ring leaves its slab (a ``resize``), stored as the
+        row's ``count``;
       - **timestamps** — everything within ``window`` of the newest
         reading — when it has none (every Collect Agent cache; the row's
-        ``count`` is 0).  The host's observed arrival gap bounds how
-        many readings that can be, ``window // gap + 2``, read when the
-        plan *runs* so a faster cadence or a ``resize`` needs no
-        recompile; the gathered rows are then cut to their windows in
-        one vectorised step and every one of them is verified.
+        ``count`` is 0).  The observed arrival gap of the rings' slabs
+        (one per slab) bounds how many readings that can be,
+        ``window // gap + 2``, read when the plan *runs* so a faster
+        cadence or a ``resize`` needs no recompile.  A slab group is cut
+        to its window once, on one row, and checked once; the rows read
+        ring by ring are cut in one vectorised step and each checked.
 
     - *scalar*: virtual sensors and topics only a storage backend can
       serve; executed through the scalar query path (correct, not fast).
@@ -274,21 +315,20 @@ class QueryPlan:
     __slots__ = (
         "topics", "window_ns", "width", "rows", "generation",
         "cache_rows", "scalar_rows", "miss_rows", "unbound",
-        "timed", "timed_caches", "reach", "slab_groups", "ring_rows",
+        "epochs", "slab_groups", "ring_rows", "timed_rings", "timed_slabs",
     )
 
     def __init__(
         self,
         topics: Tuple[str, ...],
         window_ns: int,
-        width: int,
         rows: List[tuple],
         generation: int,
         unbound: List[int],
     ) -> None:
         self.topics = topics
         self.window_ns = window_ns
-        self.width = width
+        self.width = 1  # widened to the longest count by group_rings
         self.rows = rows
         self.generation = generation
         #: Rows no cache is bound to although the host may yet have one.
@@ -299,30 +339,29 @@ class QueryPlan:
         self.cache_rows: List[tuple] = []
         self.scalar_rows: List[tuple] = []
         self.miss_rows: List[int] = []
-        timed: List[int] = []
         for i, (kind, payload, count) in enumerate(rows):
             if kind == _ROW_CACHE:
                 self.cache_rows.append((i, payload, count))
-                if not count:
-                    timed.append(i)
             elif kind == _ROW_SCALAR:
                 self.scalar_rows.append((i, payload))
             else:
                 self.miss_rows.append(i)
-        #: The time-window rows: their indices, their caches (whose
-        #: ``gap_ns`` sizes the gather) and, per row of the plan, how
-        #: far back from its newest reading the window reaches.
-        self.timed = np.array(timed, dtype=np.intp)
-        self.timed_caches = tuple(rows[i][1] for i in timed)
-        self.reach = np.full(len(rows), _ANY_AGE, dtype=np.int64)
-        self.reach[self.timed] = window_ns
         self.group_rings()
 
     def group_rings(self) -> None:
         """Split :attr:`cache_rows` by how a pass gathers them: into
         :attr:`slab_groups`, and :attr:`ring_rows` for the rest.  Run
-        again when a grouped slab's epoch has moved — the ring that left
-        it is then found on its new slab."""
+        again when the epoch of a slab the rows were on has moved — a
+        ring that left it is then found on its new slab, its count
+        derived again from its capacity there."""
+        window_ns = self.window_ns
+        self.cache_rows = [
+            (i, cache, _ring_count(cache, window_ns))
+            for i, cache, _ in self.cache_rows
+        ]
+        self.width = max(
+            [self.width] + [count for _, _, count in self.cache_rows]
+        )
         by_slab: Dict[tuple, List[tuple]] = {}
         for entry in self.cache_rows:
             _, cache, count = entry
@@ -335,12 +374,21 @@ class QueryPlan:
                 continue
             caches = tuple(cache for _, cache, _ in entries)
             rows = [cache.row for cache in caches]
+            plan_rows = [i for i, _, _ in entries]
             self.slab_groups.append(SlabGroup(
-                slab, slab.epoch, count,
-                np.array([i for i, _, _ in entries], dtype=np.intp),
-                np.array(rows, dtype=np.intp)[:, None],
-                caches,
+                slab, count, _rows_index(plan_rows), _rows_index(rows),
+                rows[0], plan_rows,
             ))
+        #: Where the rows read ring by ring have a time window.
+        self.timed_rings = np.array(
+            [i for i, _, count in self.ring_rows if not count], dtype=np.intp
+        )
+        #: The slabs whose observed gap sizes a pass's time windows.
+        self.timed_slabs = tuple(
+            dict.fromkeys(slab for slab, count in by_slab if not count)
+        )
+        #: Every slab a ring row is on, with its epoch when grouped.
+        self.epochs = [(slab, slab.epoch) for slab, _ in by_slab]
 
     @property
     def n_cache_rows(self) -> int:
@@ -412,7 +460,7 @@ class QueryEngine:
         self.telemetry.gauge(
             "qe_plan_slab_rows",
             fn=lambda: sum(
-                len(group.caches)
+                len(group.plan_rows)
                 for plan in list(self._plans.values())
                 for group in plan.slab_groups
             ),
@@ -636,7 +684,6 @@ class QueryEngine:
         gen = self._navigator.generation
         rows: List[tuple] = []
         unbound: List[int] = []
-        width = 1
         has_storage = self._host.storage is not None
         for topic in topics:
             if self.virtual.get(topic) is not None:
@@ -648,16 +695,9 @@ class QueryEngine:
                 kind = _ROW_SCALAR if has_storage else _ROW_MISS
                 rows.append((kind, topic, 0))
                 continue
-            if not window_ns:
-                count = 1  # the latest reading, whatever the cadence
-            elif cache.interval_ns > 0:
-                count = min(int(window_ns // cache.interval_ns + 1), cache.capacity)
-            else:
-                count = 0  # no hint: a time window, sized when the plan runs
-            rows.append((_ROW_CACHE, cache, count))
-            width = max(width, count)
+            rows.append((_ROW_CACHE, cache, _ring_count(cache, window_ns)))
         self._m_plan_compiles.inc()
-        return QueryPlan(tuple(topics), int(window_ns), width, rows, gen, unbound)
+        return QueryPlan(tuple(topics), int(window_ns), rows, gen, unbound)
 
     def plan_for(
         self, key: object, topics: Sequence[str], window_ns: int
@@ -740,14 +780,17 @@ class QueryEngine:
         exact: Dict[int, Optional[tuple]] = {
             i: self._read_row(topic, window_ns) for i, topic in plan.scalar_rows
         }
+        if any(slab.epoch != epoch for slab, epoch in plan.epochs):
+            plan.group_rings()
         width = max(plan.width, _longest(exact.values()))
         k = 0
-        if plan.timed_caches:
+        if plan.timed_slabs:
             # At most window // gap + 1 readings one gap or more apart
             # fit a window; one more shows where it ends.  The smallest
-            # gap of the plan serves all its rows: gathering more than a
-            # row needs is never wrong, the cut below drops the excess.
-            gap = min(map(_gap_of, plan.timed_caches))
+            # gap of the plan's slabs serves all its rows: gathering
+            # more than a row needs is never wrong, the cut drops the
+            # excess.
+            gap = min([slab.gap for slab in plan.timed_slabs])
             k = min(window_ns // gap + 2, _MAX_SPECULATIVE_READ)
             width = max(width, k)
         if plan.miss_rows:
@@ -757,10 +800,18 @@ class QueryEngine:
         timestamps = np.zeros((u, width), dtype=np.int64)
         counts = np.zeros(u, dtype=np.int64)
         reread: List[int] = []
-        if any(g.slab.epoch != g.epoch for g in plan.slab_groups):
-            plan.group_rings()
+        violations: List[int] = []
         for group in plan.slab_groups:
-            reread += _gather_slab(group, k, timestamps, values, counts)
+            n = _window_count(group, k, window_ns)
+            if not n:
+                reread += group.plan_rows  # emptied since compile time
+            elif not group.count and n == k and group.slab.size > k:
+                # Exact iff its oldest gathered reading fell outside the
+                # window (fewer than k are left) or the rings hold
+                # nothing older: here neither, so every row is re-read.
+                violations += group.plan_rows
+            else:
+                _gather_slab(group, n, timestamps, values, counts)
         for i, cache, count in plan.ring_rows:
             # Direct ring read: the cache writes its tail slices into
             # the result row without intermediate view objects.
@@ -769,22 +820,23 @@ class QueryEngine:
                 counts[i] = n
             else:
                 reread.append(i)  # emptied since compile time
-        if k:
-            counts = _cut_to_windows(timestamps, values, counts, plan.reach)
-            # Checked on every pass, on data the pass already holds: a
-            # time row is exact iff its oldest gathered reading fell
-            # outside the window (it was cut: fewer than k are left) or
-            # the ring holds nothing older.
-            timed = plan.timed
-            violations = [
+        timed = plan.timed_rings
+        if len(timed):
+            ts, val = timestamps[timed], values[timed]
+            counts[timed] = _cut_to_windows(ts, val, counts[timed], window_ns)
+            timestamps[timed], values[timed] = ts, val
+            # The same check, row by row, on data the pass already holds.
+            cut = [
                 i for i in timed[counts[timed] == k].tolist()
                 if plan.rows[i][1]._size > k
             ]
-            if violations:
-                self._m_violations.inc(len(violations))
-                timestamps[violations] = 0
-                values[violations] = np.nan
-                reread += violations
+            if cut:
+                timestamps[cut] = 0
+                values[cut] = np.nan
+                violations += cut
+        if violations:
+            self._m_violations.inc(len(violations))
+            reread += violations
         hits = len(plan.cache_rows) - len(reread)
         if hits:
             self._m_hits.inc(hits)

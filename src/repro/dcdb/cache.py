@@ -19,7 +19,8 @@ invariant: **all live rows of a slab share one history of timestamps**.
 Storage follows the sampling group — sensors a host writes together (one
 monitoring plugin, one operator pass, one first-arrival batch) share a
 slab — so a pass lands as one column (two NumPy writes) and a compiled
-query plan reads those rings with one index operation.
+query plan reads those rings by basic slicing, one or two column spans
+(:meth:`CacheSlab.newest_spans`) for all of them.
 
 The lock step is not the caches' alone: a :class:`LockStep` group —
 its members, ``epoch``, fill, newest timestamp, the order guard and the
@@ -45,7 +46,7 @@ arrays it may keep.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -266,15 +267,39 @@ class CacheSlab(LockStep):
         keep = min(n, cap)  # a batch longer than the ring keeps its newest
         self.head = (self.head + n) % cap
         self.size = min(cap, self.size + n)
-        cols = self._newest_columns(keep)
-        self.ts[:, cols] = ts[:, n - keep:]
-        self.val[:, cols] = val[:, n - keep:]
+        j = n - keep
+        for a, b in self.newest_spans(keep):
+            self.ts[:, a:b] = ts[:, j:j + b - a]
+            self.val[:, a:b] = val[:, j:j + b - a]
+            j += b - a
         self.newest = int(ts[0, -1])
 
-    def _newest_columns(self, keep: int) -> np.ndarray:
-        """Slots of the newest ``keep`` readings, oldest first."""
+    def newest_spans(self, n: int) -> Tuple[Tuple[int, int], ...]:
+        """Column spans ``(start, stop)`` of the newest ``n`` readings
+        (``1 <= n <= capacity``), oldest first: one, or two when they
+        wrap the end of the ring — never more, so a window is copied by
+        basic slicing, whatever its length."""
+        head = self.head
+        if n <= head:
+            return ((head - n, head),)
         cap = self.ts.shape[1]
-        return (self.head + np.arange(cap - keep, cap)) % cap
+        start = (head - n) % cap  # the window wraps the ring
+        if not head:
+            return ((start, cap),)
+        return ((start, cap), (0, head))
+
+    def copy_newest(
+        self, n: int, rows, dst_ts: np.ndarray, dst_val: np.ndarray,
+        dst_rows, lo: int,
+    ) -> None:
+        """Copy the newest ``n`` readings of ``rows`` (a slice or a 1-D
+        index) into columns ``[lo, lo + n)`` of ``dst_rows`` of the
+        destination matrices, oldest first: two copies a span."""
+        for a, b in self.newest_spans(n):
+            hi = lo + b - a
+            dst_ts[dst_rows, lo:hi] = self.ts[rows, a:b]
+            dst_val[dst_rows, lo:hi] = self.val[rows, a:b]
+            lo = hi
 
     def _copy(self, rings, capacity: Optional[int] = None) -> "CacheSlab":
         """A slab of ``capacity`` (default: this one's; <= 0 is refused)
@@ -284,9 +309,7 @@ class CacheSlab(LockStep):
         keep = min(self.size, capacity)
         if keep:
             rows = np.array([ring.row for ring in rings], dtype=np.intp)
-            cols = self._newest_columns(keep)
-            slab.ts[:, :keep] = self.ts[rows[:, None], cols]
-            slab.val[:, :keep] = self.val[rows[:, None], cols]
+            self.copy_newest(keep, rows, slab.ts, slab.val, slice(None), 0)
         slab.head = keep % capacity
         slab.size = keep
         slab.newest = self.newest
@@ -298,11 +321,11 @@ class CacheSlab(LockStep):
         contents kept: the rings keep their slab and row and are rebound
         to the new matrices, so no plan that reads them goes stale."""
         keep = self.size
-        cols = self._newest_columns(keep)
         ts = np.zeros((len(self.ts), int(capacity)), dtype=np.int64)
         val = np.zeros((len(self.ts), int(capacity)), dtype=np.float64)
-        ts[:, :keep] = self.ts[:, cols]
-        val[:, :keep] = self.val[:, cols]
+        if keep:
+            everyone = slice(None)
+            self.copy_newest(keep, everyone, ts, val, everyone, 0)
         self.ts, self.val = ts, val
         self.head = keep % capacity
         for row, ring in self.bound.items():
@@ -702,7 +725,7 @@ class SensorCache(Member):
         This is the one-ring window primitive — behind the fused
         pipeline channels' seeding and the rows a compiled query plan
         reads one at a time (rings that share a slab with too few others
-        to be worth one index operation, see
+        to be worth a slab gather, see
         ``QueryEngine._execute_plan``): the ring's one or two live
         segments are sliced straight into the caller's right-aligned row
         storage, with no per-reading loop and no temporary

@@ -6,7 +6,7 @@ from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.core.queryengine import QueryEngine
 from repro.dcdb import Broker, CollectAgent
-from repro.dcdb.cache import SensorCache
+from repro.dcdb.cache import CacheSlab, SensorCache
 from repro.dcdb.segments import TieredStorageBackend
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
@@ -70,6 +70,36 @@ class TestRelativeQueries:
         with pytest.raises(QueryError):
             qe.query_relative("/nope", 0)
         assert qe.misses == 1
+
+
+class TestBatchedQueries:
+    def test_a_resized_hinted_ring_is_read_at_its_new_capacity(self):
+        """Failing-before: a plan compiled while a hinted ring held 5
+        readings kept reading 5 after the ring was resized to 20, where
+        ``query_relative`` returns the 11 of its 10 s window."""
+        slab = CacheSlab(8, 5)
+        rings = slab.rings(interval_ns=NS_PER_SEC)
+        host = FakeHost()
+        topics = [f"/s/r{j}" for j in range(8)]
+        host.caches.update(zip(topics, rings))
+        qe = QueryEngine(host)
+        window_ns = 10 * NS_PER_SEC
+        win = qe.query_relative_batch(topics, window_ns, key="op")
+        assert win.width == 5 and not win.counts.any()
+        for s in range(1, 6):
+            slab.store_column(s * NS_PER_SEC, [float(s)] * 8)
+        rings[0].resize(20)
+        assert rings[0].slab is not slab
+        for s in range(6, 21):
+            slab.store_column(s * NS_PER_SEC, [float(s)] * 8)
+            rings[0].store(s * NS_PER_SEC, float(s))
+        win = qe.query_relative_batch(topics, window_ns, key="op")
+        assert win.counts.tolist() == [11] + [5] * 7 and win.width == 11
+        for i, topic in enumerate(topics):
+            view = qe.query_relative(topic, window_ns)
+            assert win.row_timestamps(i).tobytes() == view.timestamps().tobytes()
+            assert win.row_values(i).tobytes() == view.values().tobytes()
+        assert qe.telemetry.counter("qe_plan_compiles_total").value == 1
 
 
 class TestAbsoluteQueries:

@@ -144,3 +144,29 @@ class TestBatchEquivalence:
         assert list(a.view_absolute(0, 10**18)) == list(b.view_absolute(0, 10**18))
         assert a.stale_drops == b.stale_drops
         assert len(a) == len(b) and a.newest_ts == b.newest_ts
+
+
+class TestNewestSpans:
+    @given(
+        readings=reading_lists,
+        capacity=st.integers(1, 32),
+        data=st.data(),
+    )
+    def test_spans_are_the_newest_readings(self, readings, capacity, data):
+        """The newest ``n`` readings of a ring are one column span of its
+        slab, or two where they wrap the end — oldest first, none empty."""
+        cache, ref = build(readings, capacity)
+        if not ref:
+            return
+        n = data.draw(st.integers(1, len(ref)))
+        spans = cache.slab.newest_spans(n)
+        assert 1 <= len(spans) <= 2
+        assert all(0 <= a < b <= capacity for a, b in spans)
+        got = np.concatenate([cache.slab.ts[0, a:b] for a, b in spans])
+        assert got.tolist() == [t for t, _ in ref[-n:]]
+        dst_ts = np.zeros((1, n + 2), dtype=np.int64)
+        dst_val = np.full((1, n + 2), np.nan)
+        cache.slab.copy_newest(n, slice(None), dst_ts, dst_val, slice(None), 2)
+        assert dst_ts[0, 2:].tolist() == [t for t, _ in ref[-n:]]
+        assert dst_val[0, 2:].tolist() == [v for _, v in ref[-n:]]
+        assert not dst_ts[0, :2].any() and np.isnan(dst_val[0, :2]).all()

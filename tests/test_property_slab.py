@@ -4,19 +4,22 @@ Two vectorised steps replace two per-row Python loops on a pass, and in
 both the old loop is the reference:
 
 - ``QueryEngine._execute_plan`` gathers the rings of one
-  :class:`~repro.dcdb.cache.CacheSlab` with one index operation
-  (``_gather_slab``).  Random slabs of 1–40 rings written column by
-  column with staggered histories (empty, partial, wrapped, exactly
-  full — rings a column misses leave together, so every fill level is a
-  slab of its own; one ring cleared, one resized mid-run so it leaves
-  its slab — or resized to its own capacity so it does not —, one stale
-  store), counts of 1..cap+3, hinted and timed rows in one plan: the
-  matrix, timestamps and counts are ``tobytes()``-equal to
-  :func:`frozen_execute` — the per-row ``tail_into`` loop as it stood
-  before the slab, held here — and to ``query_relative`` per topic.
-  Four seeded source mutations must fail that (modulo dropped, the
-  slab's size ignored, ``epoch`` ignored after a ring left, group rows
-  in the wrong order).
+  :class:`~repro.dcdb.cache.CacheSlab` by basic slicing, at most two
+  column spans for all of them (``_gather_slab``), and cuts a time
+  window once per slab (``_window_count``).  Random slabs of 1–40 rings
+  written column by column with staggered histories (empty, partial,
+  wrapped, exactly full — rings a column misses leave together, so
+  every fill level is a slab of its own; one ring cleared, one resized
+  mid-run so it leaves its slab — or resized to its own capacity so it
+  does not —, hinted or not, one stale store), counts of 1..cap+3,
+  hinted and timed rows in one plan: the matrix, timestamps and counts
+  are ``tobytes()``-equal to :func:`frozen_execute` — the per-row
+  ``tail_into`` loop as it stood before the slab, held here — and to
+  ``query_relative`` per topic.  Six seeded source mutations must fail
+  that: the wrap into the second span computed without its modulo, the
+  second span dropped, the slab's size ignored, the cut's bound taken
+  from the row's last slot rather than its newest reading, ``epoch``
+  ignored after a ring left, group rows in the wrong order.
 - ``AggregatorOperator.compute_batch`` pools a unit's ``m`` inputs by
   reshaping the gathered block.  For every aggregate, ``m`` 1..5,
   ``n`` 1..20, 1..6 units the pass equals ``compute_ragged`` on the same
@@ -39,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
+from repro.core import queryengine
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import (
     _MAX_SPECULATIVE_READ,
@@ -46,15 +50,17 @@ from repro.core.queryengine import (
     BatchWindow,
     QueryEngine,
     _cut_to_windows,
-    _gap_of,
     _longest,
 )
 from repro.core.units import Unit
+from repro.dcdb import cache as cache_module
 from repro.dcdb.cache import CacheSlab, SensorCache, plan_columns
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
 from repro.plugins.aggregator import AggregatorOperator
-from tests.test_property_gather import agent_with_engine, mutant_engine
+from tests.test_property_gather import (
+    agent_with_engine, mutant_engine, mutant_module,
+)
 
 STEP = 10  # ns between two readings of a ring
 
@@ -89,8 +95,11 @@ def frozen_execute(engine, plan) -> BatchWindow:
     }
     width = max(plan.width, _longest(exact.values()))
     k = 0
-    if plan.timed_caches:
-        gap = min(map(_gap_of, plan.timed_caches))
+    timed = np.array(
+        [i for i, _, count in plan.cache_rows if not count], dtype=np.intp
+    )
+    if len(timed):
+        gap = min(plan.rows[i][1].gap_ns for i in timed.tolist())
         k = min(window_ns // gap + 2, _MAX_SPECULATIVE_READ)
         width = max(width, k)
     u = len(plan.rows)
@@ -105,8 +114,9 @@ def frozen_execute(engine, plan) -> BatchWindow:
         else:
             reread.append(i)
     if k:
-        counts = _cut_to_windows(timestamps, values, counts, plan.reach)
-        timed = plan.timed
+        reach = np.full(u, 1 << 62, dtype=np.int64)  # a count row: all of it
+        reach[timed] = window_ns
+        counts = _cut_to_windows(timestamps, values, counts, reach)
         violations = [
             i for i in timed[counts[timed] == k].tolist()
             if plan.rows[i][1]._size > k
@@ -173,11 +183,8 @@ class SlabRig:
         rows, cap = scenario["rows"], scenario["cap"]
         self.slab = CacheSlab(rows, cap)
         self.rings = self.slab.rings()
-        for j, (ring, hinted) in enumerate(zip(self.rings, scenario["hinted"])):
-            # Only rings without a hint are ever resized (the agent's):
-            # a hinted row's count is clamped to the capacity it was
-            # compiled at.
-            ring.interval_ns = STEP if hinted and j != scenario["resize"] else 0
+        for ring, hinted in zip(self.rings, scenario["hinted"]):
+            ring.interval_ns = STEP if hinted else 0
         self.topics = [f"/s/r{j:02d}" for j in range(rows)]
         self.host = Host(zip(self.topics, self.rings))
         self.engine = engine_cls(self.host)
@@ -264,24 +271,51 @@ def test_slab_gather_is_the_per_row_loop(scenario):
 # ----------------------------------------------------------------------
 
 
+#: name -> (module, old, new): one source edit of the Query Engine or
+#: of ``CacheSlab``'s span helper.
 MUTATIONS = {
     "modulo-dropped": (
-        "cols = (slab.head + np.arange(cap - held, cap)) % cap",
-        "cols = slab.head + np.arange(cap - held, cap)",
+        cache_module,
+        "start = (head - n) % cap  # the window wraps the ring",
+        "start = head - n  # the window wraps the ring",
+    ),
+    "second-slice-dropped": (
+        cache_module,
+        "return ((start, cap), (0, head))",
+        "return ((start, cap),)",
     ),
     "size-ignored": (
+        queryengine,
         "held = min(slab.size, count or k, cap)",
         "held = min(count or k, cap)",
     ),
+    "cut-from-the-last-slot": (
+        queryengine,
+        "bound = slab.newest - window_ns",
+        "bound = int(tail[-1]) - window_ns",
+    ),
     "epoch-ignored": (
-        "if any(g.slab.epoch != g.epoch for g in plan.slab_groups):",
+        queryengine,
+        "if any(slab.epoch != epoch for slab, epoch in plan.epochs):",
         "if False:",
     ),
     "rows-in-the-wrong-order": (
+        queryengine,
         "rows = [cache.row for cache in caches]",
         "rows = sorted(cache.row for cache in caches)",
     ),
 }
+
+
+def mutant(monkeypatch, module, old, new):
+    """The engine class a mutation runs with: a mutant ``QueryEngine``,
+    or the real one over ``CacheSlab`` with a mutant span helper."""
+    if module is queryengine:
+        return mutant_engine((old, new))
+    spans = mutant_module(module, (old, new)).CacheSlab.newest_spans
+    monkeypatch.setattr(CacheSlab, "newest_spans", spans)
+    return QueryEngine
+
 
 #: Twelve rings in reverse order, four fills, one resized.
 WRAPPED = {
@@ -296,8 +330,8 @@ def test_the_unmutated_copy_passes():
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_seeded_mutation_fails_the_property(name):
-    engine_cls = mutant_engine(MUTATIONS[name])
+def test_seeded_mutation_fails_the_property(name, monkeypatch):
+    engine_cls = mutant(monkeypatch, *MUTATIONS[name])
 
     @settings(
         max_examples=120, deadline=None, database=None,
@@ -307,8 +341,9 @@ def test_seeded_mutation_fails_the_property(name):
     def prop(scenario):
         run_scenario(engine_cls, scenario)
 
-    # Without its modulo the index runs off the ring: IndexError.
-    with pytest.raises((AssertionError, IndexError)):
+    # Without its modulo a span runs off the ring, and its copy does not
+    # fit the columns it is meant for: ValueError.
+    with pytest.raises((AssertionError, ValueError)):
         prop()
 
 
@@ -374,7 +409,7 @@ class TestSlab:
 
     def test_a_timed_group_never_reads_past_the_ring(self):
         """``k`` may exceed what a ring can hold; ``tail_into`` clamped
-        to the size, the index form clamps to the capacity."""
+        to the size, the slab gather clamps to the capacity."""
         rows, cap = _SLAB_GATHER_MIN_ROWS, 3
         slab = CacheSlab(rows, cap)
         topics = [f"/s/{j}" for j in range(rows)]
