@@ -22,11 +22,14 @@ bench measures exactly those properties:
 - **Query/insert throughput**: memory-only vs tiered on identical
   workloads, so the disk tier's overhead is a number, not a feeling.
 - **Maintenance**: what one sweep costs at fan-in width (1 480 topics x
-  10 readings per flush, the shape ``tiered_query_mix`` has) — flush,
-  raw -> 10 s and 10 s -> 1 min compaction, open, bytes on disk per
-  reading — each beside the per-topic loop and JSON-header file
-  (WMSEG01) it replaced, kept here as the reference and run in the same
-  process on the same data.
+  10 readings per flush, the shape ``tiered_query_mix`` has, landed as
+  the Collect Agent's drain lands it: one ``insert_columns`` per reading
+  step) — flush, raw -> 10 s and 10 s -> 1 min compaction, open, bytes
+  on disk per reading — each beside the per-topic loop and JSON-header
+  file (WMSEG01) it replaced, kept here as the reference and run in the
+  same process on the same data.  The flush is also timed beside its
+  own gather one topic at a time (``per_topic_gather``), writing through
+  the same ``SegmentStore.write``: the file bytes must be the same.
 - **Range reads**: a store aged to the shape ``tiered_query_mix`` ends
   with (1 480 topics in 3 raw, 9 x 10 s and 34 x 1 min segments, plus a
   memory tier) answers the probe's reads — last 30 s, 60 s at a past
@@ -70,6 +73,7 @@ from repro.dcdb.segments import (
     LEVEL_RAW,
     ROLLUP_BUCKET_NS,
     ROLLUP_COLUMNS,
+    Columnar,
     Segment,
     TieredStorageBackend,
 )
@@ -416,6 +420,33 @@ class _ReferenceSegment:
         return new
 
 
+def _per_topic_gather_flush(backend, now_ns):
+    """``TieredStorageBackend.flush`` with the gather it had before
+    runs: one ``parts`` call and one part pair per topic, then one
+    ``concatenate`` per column — kept here as the flush's reference."""
+    topics = sorted(t for t, row in backend._series.items() if row.slab.size)
+    if not topics:
+        return 0
+    rows = [backend._series[topic] for topic in topics]
+    parts = [
+        part for row in rows for part in row.slab.parts(row.row)
+    ]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([row.slab.size for row in rows], out=offsets[1:])
+    seg = backend.store.write(
+        Columnar(topics, offsets, {
+            "ts": np.concatenate([ts for ts, _ in parts]),
+            "val": np.concatenate([val for _, val in parts]),
+        }),
+        LEVEL_RAW, created_ns=now_ns,
+    )
+    backend._sealed.update(zip(topics, seg.seal_ts.tolist()))
+    for block in dict.fromkeys(row.slab for row in rows):
+        block.empty()
+    backend.flush_count += 1
+    return seg.points
+
+
 def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dict:
     """One sweep's costs, columnar path vs per-topic reference."""
     names = [
@@ -430,7 +461,8 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
     steps = np.arange(readings, dtype=np.int64) * (17 * NS_PER_SEC // readings)
     ms = {k: {"columnar": [], "per_topic_reference": []} for k in (
         "flush_ms", "compact_10s_ms", "compact_1min_ms", "open_ms")}
-    identical = True
+    ms["flush_ms"]["per_topic_gather"] = []
+    identical = flush_identical = True
     sizes = {}
 
     def timed(key, side, fn):
@@ -448,11 +480,14 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
                 rollup_after_ns=100 * NS_PER_SEC,
                 rollup_minute_after_ns=1000 * NS_PER_SEC,
             )
+            gathered = TieredStorageBackend(tmp / f"gather-{r}", flush_mb=64)
             reference = StorageBackend()
-            for i, topic in enumerate(names):
-                ts = steps + int(phase[i])
-                backend.insert_batch(topic, ts, values[i])
-                reference.insert_batch(topic, ts, values[i])
+            # As the agent's drain lands readings: every topic's reading
+            # of one step in one write, each node at its phase.
+            for j, step in enumerate(steps.tolist()):
+                ts = (phase + step).tolist()
+                for store in (backend, gathered, reference):
+                    store.insert_columns(names, ts, values[:, j])
             ref_dir = tmp / f"reference-{r}"
             ref_dir.mkdir()
 
@@ -465,19 +500,24 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
                     ref_dir / "segment-000000-l0.seg", 0, LEVEL_RAW, data
                 )
 
-            def both(key, columnar, per_topic):
-                """Time both sides, alternating which goes first so
-                neither always runs warm."""
+            def both(key, columnar, per_topic, gather=None):
+                """Time both sides (the flush: all three), alternating
+                which goes first so neither always runs warm."""
                 sides = [("columnar", columnar), ("per_topic_reference", per_topic)]
+                if gather is not None:
+                    sides.append(("per_topic_gather", gather))
                 if r % 2:
                     sides.reverse()
                 return {side: timed(key, side, fn) for side, fn in sides}
 
             done = both(
-                "flush_ms", lambda: backend.flush(20 * NS_PER_SEC), reference_flush
+                "flush_ms", lambda: backend.flush(20 * NS_PER_SEC), reference_flush,
+                lambda: _per_topic_gather_flush(gathered, 20 * NS_PER_SEC),
             )
             ref = done["per_topic_reference"]
             (seg,) = backend.store.segments
+            (twin,) = gathered.store.segments
+            flush_identical &= seg.path.read_bytes() == twin.path.read_bytes()
             sizes = {
                 "columnar": seg.disk_bytes,
                 "per_topic_reference": ref.path.stat().st_size,
@@ -511,6 +551,7 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
         out = {
             "topics": len(names), "readings_per_flush": points,
             "rounds": rounds, "rollup_identical_to_reference": bool(identical),
+            "flush_identical_to_per_topic_gather": bool(flush_identical),
         }
         for key, sides in ms.items():
             col = statistics.median(sides["columnar"])
@@ -519,6 +560,11 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
                 "columnar": col, "per_topic_reference": ref_ms,
                 "speedup": ref_ms / col,
             }
+        gather = statistics.median(ms["flush_ms"]["per_topic_gather"])
+        out["flush_ms"]["per_topic_gather"] = gather
+        out["flush_ms"]["speedup_over_per_topic_gather"] = (
+            gather / out["flush_ms"]["columnar"]
+        )
         out["disk_bytes_per_reading"] = {
             "columnar": sizes["columnar"] / points,
             "per_topic_reference": sizes["per_topic_reference"] / points,
@@ -825,6 +871,12 @@ def main(argv=None) -> int:
         )
         for key in ("flush_ms", "compact_10s_ms", "compact_1min_ms", "open_ms")
     ]
+    flush = maintenance["flush_ms"]
+    rows.insert(1, (
+        "flush, gather", f"{flush['columnar']:.2f}",
+        f"{flush['per_topic_gather']:.2f}",
+        f"{flush['speedup_over_per_topic_gather']:.2f}x",
+    ))
     per_reading = maintenance["disk_bytes_per_reading"]
     rows.append((
         "B/reading", f"{per_reading['columnar']:.1f}",
@@ -837,6 +889,15 @@ def main(argv=None) -> int:
     ok &= shape_check(
         "whole-segment rollup equals the per-topic loop bit for bit",
         maintenance["rollup_identical_to_reference"],
+    )
+    ok &= shape_check(
+        "block-run flush writes the per-topic gather's file, byte for byte",
+        maintenance["flush_identical_to_per_topic_gather"],
+    )
+    ok &= shape_check(
+        "block-run flush is faster than the per-topic gather",
+        flush["per_topic_gather"] > flush["columnar"],
+        f"{flush['per_topic_gather']:.2f} ms vs {flush['columnar']:.2f} ms",
     )
     for key in ("compact_10s_ms", "compact_1min_ms"):
         ok &= shape_check(
@@ -923,6 +984,7 @@ class TestStorageTiersBench:
     def test_maintenance_matches_the_reference_loop(self, benchmark):
         r = run_maintenance(nodes=8, sensors=4, readings=10, rounds=2)
         assert r["rollup_identical_to_reference"], r
+        assert r["flush_identical_to_per_topic_gather"], r
         assert r["index_bytes"]["columnar"] < r["index_bytes"]["per_topic_reference"]
         benchmark(lambda: None)
 

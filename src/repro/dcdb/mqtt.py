@@ -238,6 +238,9 @@ class Broker:
                 raise TopicError(
                     f"wildcards not allowed in publish topic {topic!r}"
                 )
+            if "\0" in topic:
+                # MQTT forbids U+0000 in topic names (3.1.1 §4.7.3).
+                raise TopicError(f"NUL not allowed in publish topic {topic!r}")
             def under(nodes, key):
                 return [n.children[key] for n in nodes if key in n.children]
 

@@ -14,12 +14,13 @@ reading through it and has the byte layout.
   table, one ``int64`` offsets array (series ``i`` owns rows
   ``offsets[i]:offsets[i + 1]`` of every column) and one array per
   column.  The three things the maintenance sweep does are each one
-  pass over those arrays: :meth:`TieredStorageBackend.flush`
-  concatenates the live series once, rollup compaction is one
-  :func:`rollup_segment` call (four ``reduceat`` per *segment*), and
-  the writer emits each column block with one ``write``.  The
-  ``{topic: {column: array}}`` form is converted at the boundary
-  (:meth:`Columnar.of`).
+  pass over those arrays: :meth:`TieredStorageBackend.flush` gathers
+  the live series once per run of sorted topics that share a memory
+  block (one fancy index per chunk; no per-topic array operation),
+  rollup compaction is one :func:`rollup_segment` call (four
+  ``reduceat`` per *segment*), and the writer emits each column block
+  with one ``write``.  The ``{topic: {column: array}}`` form is
+  converted at the boundary (:meth:`Columnar.of`).
 - **Segment files (WMSEG02)** — immutable: magic, a fixed little-endian
   header, a deflated index block (per-topic ``offset``, ``count``,
   ``min_ts``, ``max_ts``, ``last_val``, ``seal_ts`` arrays and the name
@@ -807,26 +808,40 @@ class TieredStorageBackend(StorageBackend):
         """Seal every in-memory series into one raw segment.
 
         Returns the number of readings sealed (0 when the memory tier
-        is empty).  The sealed blocks are emptied in place: they keep
-        their rows, first chunk and newest timestamp — the seal floor of
-        every row — so write plans stay valid across the flush.
+        is empty).  The sorted topics are cut into *runs*, maximal
+        stretches stored in one block; a run is gathered with one fancy
+        index per chunk of its block, rows in sorted-topic order, so its
+        ``(rows, size)`` pair ravels into its stretch of the columns —
+        which a single run is, with no second copy.  The sealed blocks
+        are emptied in place: they keep their rows, first chunk and
+        newest timestamp — the seal floor of every row — so write plans
+        stay valid across the flush.
         """
-        topics = sorted(t for t, row in self._series.items() if row.slab.size)
+        series = self._series
+        topics = sorted(t for t, row in series.items() if row.slab.size)
         if not topics:
             return 0
-        rows = [self._series[topic] for topic in topics]
-        parts = [
-            part for row in rows for part in row.slab.parts(row.row)
-        ]
+        blocks, runs = [], []
+        for topic in topics:
+            row = series[topic]
+            if blocks and row.slab is blocks[-1]:
+                runs[-1].append(row.row)
+            else:
+                blocks.append(row.slab)
+                runs.append([row.row])
+        ts, val = _joined([
+            (ts.ravel(), val.ravel()) for ts, val in (
+                _joined(block.parts(np.array(run, dtype=np.intp)))
+                for block, run in zip(blocks, runs)
+            )
+        ])
+        sizes = np.repeat([block.size for block in blocks], [len(run) for run in runs])
         seg = self.store.write(
-            Columnar(topics, _bounds([row.slab.size for row in rows]), {
-                "ts": np.concatenate([ts for ts, _ in parts]),
-                "val": np.concatenate([val for _, val in parts]),
-            }),
+            Columnar(topics, _bounds(sizes), {"ts": ts, "val": val}),
             LEVEL_RAW, created_ns=now_ns,
         )
         self._sealed.update(zip(topics, seg.seal_ts.tolist()))
-        for block in dict.fromkeys(row.slab for row in rows):
+        for block in dict.fromkeys(blocks):
             block.empty()
         self.flush_count += 1
         return seg.points

@@ -277,7 +277,11 @@ class StorageBackend:
         return None
 
     def _open(self, topics: List[str], floor: Optional[int]) -> List[_Row]:
-        """Rows for ``topics``, together in a fresh block."""
+        """Rows for ``topics``, together in a fresh block.  A topic with
+        a NUL in it is refused: no segment could name it."""
+        for topic in topics:
+            if "\0" in topic:
+                raise StorageError(f"NUL in topic {topic!r}")
         block = _Block(len(topics), floor)
         rows = [_Row(topic) for topic in topics]
         for i, row in enumerate(rows):

@@ -285,3 +285,16 @@ class TestPublishValidation:
             b.publish_batch(one("/a/+/b", 1.0, 1))
         with pytest.raises(TopicError):
             b.publish_batch(one("/a/#", 1.0, 1))
+
+    def test_nul_rejected_in_publish_topics(self):
+        """MQTT forbids U+0000 in a topic name: the batch is refused,
+        every time, and no subscriber sees any of it."""
+        b = Broker()
+        rec = Recorder()
+        b.subscribe_batch("#", rec)
+        batch = ReadingBatch(["/n0/ok", "/n0/bad\0x"], 1, [1.0, 2.0])
+        for _ in range(2):  # a refusal must not be memoised as valid
+            with pytest.raises(TopicError):
+                b.publish_batch(batch)
+        assert rec.messages == []
+        assert b.published_count == 0 and b.delivered_count == 0

@@ -18,6 +18,15 @@ time, with the tiered backend's seal floor kept beside it.
 - Three seeded mutations must fail it: a missed row not moved out (in
   ``dcdb/cache.py``'s plan, which storage shares), a chunk boundary
   that loses a reading and a flush that forgets the floor.
+- A flush gathers per *run* — the sorted topics stored in one block —
+  and the ``Columnar`` it hands to ``SegmentStore.write`` must be
+  bit-equal to what :func:`per_topic_columnar`, the gather one topic at
+  a time as it was, builds from the state just before: the machine's
+  ``flush`` rule asserts it (through a wrapped ``store.write``), one
+  deterministic case covers alternating blocks, a two-chunk block, a
+  moved-out row and rows out of sorted order, and two more seeded
+  mutations (a run taken in block order, one size for every run) must
+  fail the machine.
 """
 
 import inspect
@@ -230,6 +239,60 @@ class Reference:
         return sum(s.memory_bytes() for s in self.series.values())
 
 
+def per_topic_columnar(backend):
+    """``TieredStorageBackend.flush``'s gather one topic at a time, as
+    it was: ``(topics, offsets, ts, val)`` for what the memory tier
+    holds, or None when it holds nothing."""
+    topics = sorted(t for t, row in backend._series.items() if row.slab.size)
+    if not topics:
+        return None
+    rows = [backend._series[topic] for topic in topics]
+    parts = [
+        part for row in rows for part in row.slab.parts(row.row)
+    ]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([row.slab.size for row in rows], out=offsets[1:])
+    return (
+        topics, offsets,
+        np.concatenate([ts for ts, _ in parts]),
+        np.concatenate([val for _, val in parts]),
+    )
+
+
+def expect_per_topic_write(backend):
+    """Wrap ``backend.store.write`` so that it asserts its ``Columnar``
+    is bit-equal to :func:`per_topic_columnar` of the state now — before
+    the file is written, so a wrong one fails as an ``AssertionError``.
+    Returns the check to run after the flush: it puts the store's own
+    ``write`` back and asserts one write when there was anything to
+    seal, none otherwise."""
+    store = backend.store
+    want = per_topic_columnar(backend)
+    written = []
+    write = store.write
+
+    def checked(columnar, *args, **kwargs):
+        assert want is not None
+        topics, offsets, columns, seal_ts = columnar
+        assert list(topics) == want[0] and seal_ts is None
+        assert sorted(columns) == ["ts", "val"]
+        for got, expected in zip(
+            (offsets, columns["ts"], columns["val"]), want[1:]
+        ):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        written.append(columnar)
+        return write(columnar, *args, **kwargs)
+
+    store.write = checked
+
+    def check():
+        del store.write
+        assert len(written) == (want is not None)
+
+    return check
+
+
 # ----------------------------------------------------------------------
 # The machine, over a build of the storage modules
 # ----------------------------------------------------------------------
@@ -373,7 +436,9 @@ def machine_for(storage_cls, tiered_cls):
         @rule()
         def flush(self):
             tiered, ref = self.pairs[1]
+            check = expect_per_topic_write(tiered)
             tiered.flush(self.clock)
+            check()
             ref.flush()
 
         @rule(ago=st.integers(-50, 200))
@@ -446,15 +511,16 @@ def _build(module, edits=(), **names):
     return mutant
 
 
-def backends(storage_edits=(), cache_edits=()):
+def backends(storage_edits=(), cache_edits=(), segments_edits=()):
     """The two backend classes over a mutant ``dcdb/storage.py`` (and
-    ``dcdb/cache.py``'s plan)."""
+    ``dcdb/cache.py``'s plan, and ``dcdb/segments.py``)."""
     storage = _build(storage_module, storage_edits)
     if cache_edits:
         storage.plan_columns = _build(cache_module, cache_edits).plan_columns
     segments = _build(
         segments_module,
-        [("from repro.dcdb.storage import StorageBackend\n", "")],
+        [("from repro.dcdb.storage import StorageBackend\n", ""),
+         *segments_edits],
         StorageBackend=storage.StorageBackend,
     )
     return storage.StorageBackend, segments.TieredStorageBackend
@@ -474,6 +540,14 @@ MUTATIONS = {
         "        self.capacity = min(self.capacity, CHUNK)\n        self._rewind()\n"
         "        self.newest = None",
     )]},
+    "flush-run-in-block-order": {"segments_edits": [(
+        "block.parts(np.array(run, dtype=np.intp))",
+        "block.parts(np.sort(np.array(run, dtype=np.intp)))",
+    )]},
+    "flush-one-size-for-every-run": {"segments_edits": [(
+        "[block.size for block in blocks]",
+        "[blocks[0].size] * len(blocks)",
+    )]},
 }
 
 
@@ -492,3 +566,49 @@ def test_seeded_mutation_fails_the_machine(name):
             SETTINGS, max_examples=300, database=None,
             phases=[Phase.generate],  # found is enough: no shrinking
         ))
+
+
+# ----------------------------------------------------------------------
+# The flush's gather by run, against the per-topic twin
+# ----------------------------------------------------------------------
+
+
+def test_flush_gathers_by_run_what_the_per_topic_twin_gathers(tmp_path):
+    """Sorted topics alternating between two blocks, one of them two
+    chunks wide with a row moved out, and a block whose rows are not in
+    sorted order: the sealed columns equal the per-topic twin's."""
+    tiered = segments_module.TieredStorageBackend(tmp_path, flush_mb=64)
+    wide, narrow, reversed_ = ["/a", "/c", "/e", "/g"], ["/b", "/d", "/f"], [
+        "/z2", "/z1", "/z0"
+    ]
+    clock = [0]
+
+    def write(topics, k=1):
+        start = clock[0] + STEP
+        clock[0] += k * STEP
+        stamps = [start + j * STEP for j in range(k) for _ in topics]
+        tiered.insert_columns(
+            topics * k, stamps, [float(i) for i in range(len(stamps))]
+        )
+
+    write(wide + narrow)  # one block, then split by the next writes
+    write(wide, k=300)  # across the first chunk: two chunks wide
+    write(narrow, k=3)
+    write(wide[:3], k=2)  # "/g" misses: moved out
+    write(reversed_, k=5)
+    blocks = {t: tiered._series[t].slab for t in tiered.topics()}
+    topics = sorted(blocks)
+    a, b = blocks["/a"], blocks["/b"]
+    assert a is not b
+    assert [blocks[t] for t in topics[:6]] == [a, b] * 3
+    assert len(a.firsts) == 2 and a.size == 303
+    assert len(a.bound) == 3 < a.rows and blocks["/g"] not in (a, b)
+    z = blocks["/z0"]
+    assert [tiered._series[t].row for t in ("/z0", "/z1", "/z2")] == [2, 1, 0]
+    assert len({blocks[t].size for t in topics}) == 4
+
+    check = expect_per_topic_write(tiered)
+    sealed = tiered.flush(clock[0])
+    check()
+    assert sealed == sum(len(tiered.query(t, 0, HORIZON)[0]) for t in topics)
+    assert not any(block.size for block in (a, b, z, blocks["/g"]))

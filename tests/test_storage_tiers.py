@@ -246,6 +246,27 @@ class TestTieredBackend:
         assert super(TieredStorageBackend, tiered).total_readings() == 0
         assert tiered.total_readings() == 60
 
+    def test_a_nul_topic_is_refused_and_the_sweeps_go_on(self, tmp_path):
+        """No segment can name a topic with a NUL in it: every insert
+        path of both backends refuses it on its first arrival, instead
+        of every later flush failing with the good topics held."""
+        tiered = TieredStorageBackend(tmp_path, flush_mb=0)
+        bad = "/n0/bad\0x"
+        for backend in (StorageBackend(), tiered):
+            with pytest.raises(StorageError):
+                backend.insert_columns(["/n0/ok", bad], [NS_PER_SEC] * 2, [1.0, 2.0])
+            with pytest.raises(StorageError):
+                backend.insert(bad, NS_PER_SEC, 2.0)
+            with pytest.raises(StorageError):
+                backend.insert_batch(bad, np.array([NS_PER_SEC]), np.array([2.0]))
+            assert bad not in backend
+        tiered.insert_columns(["/n0/ok"], [2 * NS_PER_SEC], [3.0])
+        stats = tiered.maintain(10 * NS_PER_SEC)
+        assert stats["errors"] == 0 and stats["flushed"] == 1
+        (seg,) = tiered.store.segments
+        assert seg.topics == ["/n0/ok"]
+        assert tiered.query("/n0/ok", 0, 2**62)[1].tolist() == [3.0]
+
     def test_rollup_and_retention_lifecycle(self, tmp_path):
         tiered = TieredStorageBackend(
             tmp_path, flush_mb=64,
