@@ -578,9 +578,8 @@ def test_flush_gathers_by_run_what_the_per_topic_twin_gathers(tmp_path):
     chunks wide with a row moved out, and a block whose rows are not in
     sorted order: the sealed columns equal the per-topic twin's."""
     tiered = segments_module.TieredStorageBackend(tmp_path, flush_mb=64)
-    wide, narrow, reversed_ = ["/a", "/c", "/e", "/g"], ["/b", "/d", "/f"], [
-        "/z2", "/z1", "/z0"
-    ]
+    wide, narrow = ["/a", "/c", "/e", "/g"], ["/b", "/d", "/f"]
+    backwards = ["/z2", "/z1", "/z0"]
     clock = [0]
 
     def write(topics, k=1):
@@ -595,7 +594,7 @@ def test_flush_gathers_by_run_what_the_per_topic_twin_gathers(tmp_path):
     write(wide, k=300)  # across the first chunk: two chunks wide
     write(narrow, k=3)
     write(wide[:3], k=2)  # "/g" misses: moved out
-    write(reversed_, k=5)
+    write(backwards, k=5)
     blocks = {t: tiered._series[t].slab for t in tiered.topics()}
     topics = sorted(blocks)
     a, b = blocks["/a"], blocks["/b"]
