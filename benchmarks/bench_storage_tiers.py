@@ -30,13 +30,17 @@ bench measures exactly those properties:
   same process on the same data.  The flush is also timed beside its
   own gather one topic at a time (``per_topic_gather``), writing through
   the same ``SegmentStore.write``: the file bytes must be the same.
-- **Range reads**: a store aged to the shape ``tiered_query_mix`` ends
-  with (1 480 topics in 3 raw, 9 x 10 s and 34 x 1 min segments, plus a
-  memory tier) answers the probe's reads — last 30 s, 60 s at a past
-  offset, the whole history, 60 s means over the whole history — through
-  the one-pass read, beside the per-segment read it replaced (every
-  overlapping segment's whole file loaded, both bounds searched), kept
-  here as the reference; every answer is compared bit for bit.
+- **Range reads**: a store aged as ``tiered_query_mix`` ages one (46
+  flushes of 1 480 topics, rolled up and folded per window into 3 raw,
+  3 x 10 s and 1 x 1 min files, plus a memory tier) answers the probe's
+  reads — last 30 s, 60 s at a past offset, the whole history, 60 s
+  means over the whole history — through the one-pass read, beside the
+  per-segment read it replaced (every overlapping segment's whole file
+  loaded, both bounds searched), kept here as the reference; every
+  answer is compared bit for bit.  A store aged 10x (460 flushes) must
+  answer a whole-history read within 1.5x of the young store's p50 —
+  a read meets one file per window, not one per flush — and its sweeps
+  report what a fold into a nearly full hour file costs beside a flush.
 
 Run standalone (``python benchmarks/bench_storage_tiers.py [--smoke]``)
 or under pytest.
@@ -84,7 +88,7 @@ CONFIG = {
     "rollup": {"topics": 3, "seconds": 1800, "flush_chunks": 6},
     "throughput": {"topics": 4, "readings": 25_000},
     "maintenance": {"nodes": 148, "sensors": 10, "readings": 10, "rounds": 9},
-    "reads": {"nodes": 148, "sensors": 10, "topics_read": 64, "rounds": 5},
+    "reads": {"nodes": 148, "sensors": 10, "topics_read": 64, "rounds": 5, "age": 10},
 }
 
 
@@ -583,10 +587,14 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
 # Range reads: the one-pass read beside the per-segment read it replaced
 # ----------------------------------------------------------------------
 
-#: The segment shape ``tiered_query_mix`` ends a 15 s run with: one
-#: flush per 10 s sweep, raw for 30 s, 10 s buckets until 120 s.
+#: The store ``tiered_query_mix`` ends a 15 s run with: one flush per
+#: 10 s sweep, raw for 30 s, 10 s buckets until 120 s.  The aged store
+#: runs ``age`` times as many sweeps.
 _READ_FLUSHES, _READ_FLUSH_S = 46, 10
 _READ_ROLLUP_S, _READ_MINUTE_S = 30, 120
+#: The shape that store has: three raw files, the 10 s buckets folded
+#: per minute, the 1 min buckets into one file per hour.
+_READ_SHAPE = {"raw": 3, "rollup_10s": 3, "rollup_1min": 1}
 
 
 class _ReferenceReader:
@@ -653,10 +661,12 @@ class _ReferenceReader:
         )
 
 
-def _aged_store(directory, nodes: int, sensors: int):
-    """A tiered backend after ``_READ_FLUSHES`` sweeps of 1 Hz readings
-    from ``nodes x sensors`` topics, flushed every sweep and rolled up
-    by age, with 5 s more readings left in memory."""
+def _aged_store(directory, nodes: int, sensors: int, flushes: int = _READ_FLUSHES):
+    """A tiered backend after ``flushes`` sweeps of 1 Hz readings from
+    ``nodes x sensors`` topics, flushed every sweep and rolled up by
+    age, with 5 s more readings left in memory.  Also returns what each
+    sweep cost: (flush ms, maintain ms, points of the 1 min file a
+    maintain folded into, else 0)."""
     names = [
         f"/rack{n // 37:02d}/chassis{n % 37 // 4:02d}/node{n % 4:02d}"
         f"/tester{s:04d}"
@@ -670,73 +680,148 @@ def _aged_store(directory, nodes: int, sensors: int):
         rollup_minute_after_ns=_READ_MINUTE_S * NS_PER_SEC,
     )
     seconds = np.arange(_READ_FLUSH_S, dtype=np.int64) * NS_PER_SEC
-    for k in range(_READ_FLUSHES + 1):
+    sweeps = []
+    for k in range(flushes + 1):
         start = k * _READ_FLUSH_S * NS_PER_SEC
-        span = seconds if k < _READ_FLUSHES else seconds[:5]
+        span = seconds if k < flushes else seconds[:5]
         values = rng.normal(100.0, 5.0, size=(len(names), len(span)))
         for i, topic in enumerate(names):
             backend.insert_batch(topic, start + span + int(phase[i]), values[i])
-        if k < _READ_FLUSHES:
+        if k < flushes:
             now = start + _READ_FLUSH_S * NS_PER_SEC
+            t0 = time.perf_counter()
             backend.flush(now)
+            t1 = time.perf_counter()
+            before = {seg.path for seg in backend.store.segments}
             backend.maintain(now)
-    return backend, names, start + 5 * NS_PER_SEC
+            t2 = time.perf_counter()
+            folded = [
+                seg.points for seg in backend.store.segments
+                if seg.level == LEVEL_1MIN and seg.first < seg.seq
+                and seg.path not in before
+            ]
+            sweeps.append(((t1 - t0) * 1e3, (t2 - t1) * 1e3, sum(folded)))
+    return backend, names, start + 5 * NS_PER_SEC, sweeps
 
 
-def run_reads(nodes: int, sensors: int, topics_read: int, rounds: int) -> dict:
-    """The probe's four range-read kinds, one-pass vs per-segment."""
+def _read_kinds(now: int) -> dict:
+    """The probe's four range-read kinds on a store read at ``now``."""
+    return {
+        "recent_30s": lambda q, t, off: q.query(t, now - 30 * NS_PER_SEC, now),
+        "range_60s": lambda q, t, off: q.query(t, off, off + 60 * NS_PER_SEC),
+        "history": lambda q, t, off: q.query(t, 0, now),
+        "aggregate_60s": lambda q, t, off: q.query_aggregate(
+            t, 0, now, 60 * NS_PER_SEC, "mean"
+        ),
+    }
+
+
+def _time_sides(sides: dict, topics, offsets, rounds: int):
+    """Each side's read of every topic, the sides in alternating order,
+    round 0 untimed (it loads every block once): (side -> microsecond
+    samples, whether every side answered alike, bit for bit)."""
+    us = {side: [] for side in sides}
+    same = True
+    for r in range(rounds + 1):
+        order = list(sides.items())
+        if r % 2:
+            order.reverse()
+        for topic, off in zip(topics, offsets):
+            got = []
+            for side, read in order:
+                t0 = time.perf_counter_ns()
+                got.append(read(topic, off))
+                if r:
+                    us[side].append((time.perf_counter_ns() - t0) / 1e3)
+            (a_ts, a_val), (b_ts, b_val) = got
+            same &= (
+                a_ts.tobytes() == b_ts.tobytes() and a_val.tobytes() == b_val.tobytes()
+            )
+    return us, bool(same)
+
+
+def _percentiles(us: dict) -> dict:
+    row = {}
+    for side, samples in us.items():
+        row[f"{side}_us_p50"] = float(np.percentile(samples, 50))
+        row[f"{side}_us_p95"] = float(np.percentile(samples, 95))
+    return row
+
+
+def _one_pass_vs_reference(backend, read, topics, offsets, rounds: int):
+    """``read`` through the one-pass query and the per-segment reference:
+    (p50/p95 row with the speedup, identical?)."""
+    reference = _ReferenceReader(backend)
+    us, identical = _time_sides({
+        "one_pass": lambda t, off: read(backend, t, off),
+        "per_segment_reference": lambda t, off: read(reference, t, off),
+    }, topics, offsets, rounds)
+    row = _percentiles(us)
+    row["speedup_p50"] = row["per_segment_reference_us_p50"] / row["one_pass_us_p50"]
+    return row, identical
+
+
+def run_reads(
+    nodes: int, sensors: int, topics_read: int, rounds: int, age: int = 10
+) -> dict:
+    """The probe's four range-read kinds, one-pass vs per-segment, on the
+    ``tiered_query_mix`` store; then the whole-history read on a store
+    ``age`` times older beside the young one, and what its sweeps cost."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-tiers-"))
     try:
-        backend, names, now = _aged_store(tmp, nodes, sensors)
-        reference = _ReferenceReader(backend)
+        backend, names, now, _ = _aged_store(tmp / "1x", nodes, sensors)
         rng = np.random.default_rng(0x7EAD)
         topics = [names[i] for i in rng.choice(len(names), topics_read, replace=False)]
-        kinds = {
-            "recent_30s": lambda q, t, off: q.query(t, now - 30 * NS_PER_SEC, now),
-            "range_60s": lambda q, t, off: q.query(t, off, off + 60 * NS_PER_SEC),
-            "history": lambda q, t, off: q.query(t, 0, now),
-            "aggregate_60s": lambda q, t, off: q.query_aggregate(
-                t, 0, now, 60 * NS_PER_SEC, "mean"
-            ),
-        }
-        offsets = rng.integers(0, now // NS_PER_SEC - 60, size=topics_read) * NS_PER_SEC
-        sides = {"one_pass": backend, "per_segment_reference": reference}
-        us = {kind: {side: [] for side in sides} for kind in kinds}
-        identical = True
-        for r in range(rounds + 1):  # round 0 reads every block once: untimed
-            order = list(sides.items())
-            if r % 2:
-                order.reverse()
-            for kind, read in kinds.items():
-                for topic, off in zip(topics, offsets.tolist()):
-                    got = {}
-                    for side, q in order:
-                        t0 = time.perf_counter_ns()
-                        got[side] = read(q, topic, off)
-                        if r:
-                            us[kind][side].append((time.perf_counter_ns() - t0) / 1e3)
-                    (a_ts, a_val), (b_ts, b_val) = got.values()
-                    identical &= (
-                        a_ts.tobytes() == b_ts.tobytes()
-                        and a_val.tobytes() == b_val.tobytes()
-                    )
-        levels = backend.store.level_counts()
+        offsets = (
+            rng.integers(0, now // NS_PER_SEC - 60, size=topics_read) * NS_PER_SEC
+        ).tolist()
         out = {
-            "topics": len(names), "segments": levels,
+            "topics": len(names), "segments": backend.store.level_counts(),
             "segment_points": backend.store.total_points(),
             "memory_readings": backend.tier_stats()["memory_readings"],
             "reads_per_kind": topics_read * rounds,
-            "identical_to_reference": bool(identical),
+            "identical_to_reference": True,
         }
-        for kind, by_side in us.items():
-            row = {}
-            for side, samples in by_side.items():
-                row[f"{side}_us_p50"] = float(np.percentile(samples, 50))
-                row[f"{side}_us_p95"] = float(np.percentile(samples, 95))
-            row["speedup_p50"] = (
-                row["per_segment_reference_us_p50"] / row["one_pass_us_p50"]
+        for kind, read in _read_kinds(now).items():
+            out[kind], identical = _one_pass_vs_reference(
+                backend, read, topics, offsets, rounds
             )
-            out[kind] = row
+            out["identical_to_reference"] &= identical
+        aged, _, aged_now, sweeps = _aged_store(
+            tmp / f"{age}x", nodes, sensors, _READ_FLUSHES * age
+        )
+        history, aged_identical = _one_pass_vs_reference(
+            aged, _read_kinds(aged_now)["history"], topics, offsets, rounds
+        )
+        # Young and aged whole-history reads side by side, alternating.
+        young_vs_aged, _ = _time_sides({
+            "young": lambda t, off: backend.query(t, 0, now),
+            "aged": lambda t, off: aged.query(t, 0, aged_now),
+        }, topics, offsets, rounds)
+        young_vs_aged = _percentiles(young_vs_aged)
+        flush_ms, maintain_ms, folded = zip(*sweeps)
+        # Sweeps that folded into an hour file of >= 55 buckets a topic:
+        # the last minutes of a full window, its costliest rewrites.
+        full = [m for m, points in zip(maintain_ms, folded) if points >= 55 * len(names)]
+        out["aged"] = {
+            "age": age, "flushes": len(sweeps),
+            "segments": aged.store.level_counts(),
+            "segment_points": aged.store.total_points(),
+            "identical_to_reference": aged_identical,
+            "history": history,
+            "young_vs_aged_history": young_vs_aged,
+            "history_p50_over_young": (
+                young_vs_aged["aged_us_p50"] / young_vs_aged["young_us_p50"]
+            ),
+            "sweep_ms": {
+                "flush_p50": statistics.median(flush_ms),
+                "maintain_p50": statistics.median(maintain_ms),
+                "maintain_p95": float(np.percentile(maintain_ms, 95)),
+                "full_hour_folds": len(full),
+                "full_hour_fold_p50": statistics.median(full) if full else 0.0,
+                "full_hour_fold_max": max(full, default=0.0),
+            },
+        }
         return out
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -760,7 +845,7 @@ def main(argv=None) -> int:
             # Full width (the shape checks are about width), fewer rounds.
             "maintenance": {**CONFIG["maintenance"], "rounds": 3},
             # The same segment shape over a quarter of the topics.
-            "reads": {"nodes": 37, "sensors": 10, "topics_read": 16, "rounds": 2},
+            "reads": {"nodes": 37, "sensors": 10, "topics_read": 16, "rounds": 2, "age": 10},
         }
 
     print_header("Storage tiers - memory vs tiered identity")
@@ -930,20 +1015,62 @@ def main(argv=None) -> int:
         ],
         fmt="{:>14}",
     )
+    aged = reads["aged"]
+    sweep = aged["sweep_ms"]
+    print(f"  aged store: {aged['age']}x the flushes, whole-history read "
+          f"one-pass {aged['history']['one_pass_us_p50']:.1f} us p50 vs "
+          f"per-segment {aged['history']['per_segment_reference_us_p50']:.1f} us")
+    side_by_side = aged["young_vs_aged_history"]
+    print_table(
+        ["history (us)", "flushes", "files", "p50", "p95"],
+        [
+            (side, flushes, sum(levels.values()),
+             f"{side_by_side[side + '_us_p50']:.1f}",
+             f"{side_by_side[side + '_us_p95']:.1f}")
+            for side, flushes, levels in (
+                ("young", _READ_FLUSHES, reads["segments"]),
+                ("aged", aged["flushes"], aged["segments"]),
+            )
+        ],
+        fmt="{:>14}",
+    )
+    print_table(
+        ["sweep (ms)", "flush p50", "maintain p50", "maintain p95",
+         "full-hour fold p50", "max"],
+        [(
+            f"{aged['age']}x store", f"{sweep['flush_p50']:.2f}",
+            f"{sweep['maintain_p50']:.2f}", f"{sweep['maintain_p95']:.2f}",
+            f"{sweep['full_hour_fold_p50']:.2f} ({sweep['full_hour_folds']})",
+            f"{sweep['full_hour_fold_max']:.2f}",
+        )],
+        fmt="{:>20}",
+    )
     ok &= shape_check(
-        "the store has the tiered_query_mix shape",
-        reads["segments"] == {"raw": 3, "rollup_10s": 9, "rollup_1min": 34},
-        str(reads["segments"]),
+        "the store has the tiered_query_mix shape, folded per window",
+        reads["segments"] == _READ_SHAPE, str(reads["segments"]),
     )
     ok &= shape_check(
         "one-pass reads equal the per-segment reference bit for bit",
-        reads["identical_to_reference"],
+        reads["identical_to_reference"] and aged["identical_to_reference"],
     )
     assert reads["identical_to_reference"], "range read differs from the reference"
+    assert aged["identical_to_reference"], "aged read differs from the reference"
     ok &= shape_check(
         "a whole-history read is faster than the per-segment read",
         reads["history"]["speedup_p50"] > 1.0,
         f"{reads['history']['speedup_p50']:.1f}x",
+    )
+    ok &= shape_check(
+        f"whole-history read p50 at {aged['age']}x the age <= 1.5x at 1x",
+        aged["history_p50_over_young"] <= 1.5,
+        f"{aged['history_p50_over_young']:.2f}x, "
+        f"{sum(aged['segments'].values())} files {aged['segments']}",
+    )
+    ok &= shape_check(
+        "the aged store reached a full hour window and folded into it",
+        sweep["full_hour_folds"] > 0,
+        f"{sweep['full_hour_folds']} folds, p50 {sweep['full_hour_fold_p50']:.2f} ms "
+        f"beside a {sweep['flush_p50']:.2f} ms flush",
     )
 
     write_bench_artifact(
@@ -991,7 +1118,9 @@ class TestStorageTiersBench:
     def test_reads_match_the_per_segment_reference(self, benchmark):
         r = run_reads(nodes=4, sensors=2, topics_read=4, rounds=1)
         assert r["identical_to_reference"], r
-        assert r["segments"] == {"raw": 3, "rollup_10s": 9, "rollup_1min": 34}
+        assert r["aged"]["identical_to_reference"], r
+        assert r["segments"] == _READ_SHAPE
+        assert r["aged"]["sweep_ms"]["full_hour_folds"] > 0
         benchmark(lambda: None)
 
 

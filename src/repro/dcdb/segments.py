@@ -18,9 +18,11 @@ reading through it and has the byte layout.
   the live series once per run of sorted topics that share a memory
   block (one fancy index per chunk; no per-topic array operation),
   rollup compaction is one :func:`rollup_segment` call (four
-  ``reduceat`` per *segment*), and the writer emits each column block
-  with one ``write``.  The ``{topic: {column: array}}`` form is
-  converted at the boundary (:meth:`Columnar.of`).
+  ``reduceat`` per *segment*) and, within the level's window, one
+  :func:`fold_segment` call (one scatter per column), and the writer
+  emits each column block with one ``write``.  The
+  ``{topic: {column: array}}`` form is converted at the boundary
+  (:meth:`Columnar.of`).
 - **Segment files (WMSEG02)** — immutable: magic, a fixed little-endian
   header, a deflated index block (per-topic ``offset``, ``count``,
   ``min_ts``, ``max_ts``, ``last_val``, ``seal_ts`` arrays and the name
@@ -36,10 +38,11 @@ reading through it and has the byte layout.
   ``fsync``-ed, atomically renamed and the directory synced, so readers
   and recovery only ever see complete files.  :class:`SegmentStore`
   removes the ``*.tmp`` a crash before the rename leaves, resolves the
-  two files a crash inside a compaction leaves (highest level per
-  sequence number wins) and quarantines a file whose magic, header or
-  index is bad (renamed ``*.corrupt``, counted) instead of refusing to
-  start.
+  files a crash inside a compaction leaves (highest level per sequence
+  number wins, and a fold's ``…-from<first>.seg`` file wins over every
+  file whose sequence number lies in ``first..seq``) and quarantines a
+  file whose magic, header or index is bad (renamed ``*.corrupt``,
+  counted) instead of refusing to start.
 - **Flush policy and seal floor** — :class:`TieredStorageBackend` seals
   its in-memory series into a new raw segment whenever the memory tier
   exceeds ``flush_mb``, and records per topic the newest raw timestamp
@@ -57,7 +60,12 @@ reading through it and has the byte layout.
   segments past a second horizon as 1-minute aggregates, mirroring the
   age-based downsampling production DCDB configures in Cassandra.
   Counts are preserved so aggregate mass (``sum = mean x count``) is
-  exact across compactions.
+  exact across compactions.  The result folds into the level's previous
+  file while the two span less than the level's window
+  (:data:`ROLLUP_WINDOW_NS`: a minute of 10 s buckets, an hour of 1 min
+  buckets) — Cassandra's time-window compaction — so a read meets one
+  file per window, not one per flush, however old the store; a bucket
+  both files hold becomes one count-weighted row.
 - **Transparent query planning** — ``query``/``query_readings``/
   ``query_aggregate`` make one pass over the segments, oldest first:
   segment bounds, the topic's index row, its bounds, then two column
@@ -97,6 +105,13 @@ LEVEL_RAW, LEVEL_10S, LEVEL_1MIN = 0, 1, 2
 ROLLUP_BUCKET_NS = {
     LEVEL_10S: 10 * NS_PER_SEC,
     LEVEL_1MIN: 60 * NS_PER_SEC,
+}
+
+#: Time window per rollup level: a compaction folds its buckets into the
+#: level's previous file while the two together span less than this.
+ROLLUP_WINDOW_NS = {
+    LEVEL_10S: 60 * NS_PER_SEC,
+    LEVEL_1MIN: 3600 * NS_PER_SEC,
 }
 
 #: Column sets: raw segments store readings, rollup segments store
@@ -224,6 +239,68 @@ def rollup_columns(
     return rollup_segment(bounds, ts, vmin, vmean, vmax, count, bucket_ns)[1]
 
 
+def fold_segment(older: Columnar, newer: Columnar) -> Columnar:
+    """Two rollups of one level as one: per topic, ``older``'s rows,
+    then ``newer``'s.
+
+    The name table is the sorted union; a topic held by one input keeps
+    its rows.  A bucket both hold — ``older``'s last, ``newer``'s first
+    — becomes one row: min of the mins, max of the maxes, the counts
+    summed, the means combined count-weighted.  Every other row is
+    copied bit for bit.  The seal floor (both inputs carry ``seal_ts``)
+    is the per-topic max.  Offsets are arithmetic on the per-topic
+    counts and each input column lands with one scatter: nothing is
+    sorted or reduced.
+    """
+    a, b = older.columns, newer.columns
+    a_off, b_off = older.offsets, newer.offsets
+    if list(older.topics) == list(newer.topics):
+        # The common case — an agent's topics rarely change — without
+        # the union and its lookups (0.6 ms at 1 480 topics).
+        topics = older.topics
+        ia = ib = np.arange(len(topics))
+    else:
+        topics = sorted(set(older.topics).union(newer.topics))
+        row = dict(zip(topics, range(len(topics))))
+        ia = np.fromiter(map(row.__getitem__, older.topics), np.intp)
+        ib = np.fromiter(map(row.__getitem__, newer.topics), np.intp)
+    a_of = np.full(len(topics), -1, dtype=np.intp)
+    a_of[ia] = np.arange(len(ia))
+    # Per topic of ``newer``: the row of ``older`` (-1: none) and whether
+    # their boundary bucket is one.
+    k = a_of[ib]
+    last = a["ts"][a_off[1:] - 1]
+    shared = (k >= 0) & (last[k] == b["ts"][b_off[:-1]])
+    held = np.zeros(len(topics), dtype=np.int64)
+    held[ia] = np.diff(a_off)
+    sizes = held.copy()
+    sizes[ib] += np.diff(b_off) - shared
+    offsets = _bounds(sizes)
+    # Each input row's place: its topic's start in the merged file, the
+    # newer rows behind the older ones, a shared bucket on the older row.
+    a_at = np.arange(len(a["ts"])) + np.repeat(
+        offsets[ia] - a_off[:-1], np.diff(a_off)
+    )
+    b_at = np.arange(len(b["ts"])) + np.repeat(
+        offsets[ib] + held[ib] - shared - b_off[:-1], np.diff(b_off)
+    )
+    columns = {}
+    for col in ROLLUP_COLUMNS:
+        out = columns[col] = np.empty(int(offsets[-1]), _COLUMN_DTYPES[col])
+        out[a_at] = a[col]
+        out[b_at] = b[col]
+    ra, rb = a_off[1:][k[shared]] - 1, b_off[:-1][shared]
+    at, ca, cb = b_at[rb], a["count"][ra], b["count"][rb]
+    columns["min"][at] = np.minimum(a["min"][ra], b["min"][rb])
+    columns["max"][at] = np.maximum(a["max"][ra], b["max"][rb])
+    columns["mean"][at] = (a["mean"][ra] * ca + b["mean"][rb] * cb) / (ca + cb)
+    columns["count"][at] = ca + cb
+    seal_ts = np.full(len(topics), np.iinfo(np.int64).min)
+    seal_ts[ia] = older.seal_ts
+    seal_ts[ib] = np.maximum(seal_ts[ib], newer.seal_ts)
+    return Columnar(topics, offsets, columns, seal_ts)
+
+
 def _pad(index_bytes: int) -> int:
     """Zero bytes behind the index block: the column blocks start
     8-byte aligned."""
@@ -264,7 +341,7 @@ class Segment:
     """
 
     __slots__ = (
-        "path", "level", "seq", "created_ns", "bucket_ns", "columns",
+        "path", "level", "seq", "first", "created_ns", "bucket_ns", "columns",
         "value_column", "min_ts", "max_ts", "points", "topics", "series",
         "offsets", "seal_ts", "data_offset", "disk_bytes", "_offset",
         "_count", "_min_ts", "_max_ts", "_last_val", "_crcs", "_data",
@@ -283,6 +360,10 @@ class Segment:
         self.path = Path(path)
         (self.level, self.seq, self.created_ns, self.bucket_ns,
          self.min_ts, self.max_ts, self.points) = meta
+        #: The oldest sequence number this file covers: a fold's file
+        #: is named ``…-from<first>.seg`` and stands for ``first..seq``.
+        _, folded, first = self.path.stem.rpartition("-from")
+        self.first = int(first) if folded and first.isdigit() else self.seq
         self.columns = _columns_of(self.level)
         #: What a range read answers with: the raw readings, or the
         #: bucket means once they have aged into a rollup.
@@ -525,10 +606,12 @@ class Segment:
 class SegmentStore:
     """The segment files of one directory, ordered by sequence number.
 
-    Files are named ``segment-<seq>-l<level>.seg``.  Compaction writes
-    the higher-level file before removing the raw one, so a crash in
-    between leaves both; :meth:`_scan` resolves the duplicate by
-    keeping the highest level per sequence number.
+    Files are named ``segment-<seq>-l<level>.seg``, or
+    ``segment-<seq>-l<level>-from<first>.seg`` for a fold covering the
+    sequence numbers ``first..seq``.  Compaction writes its file before
+    removing its inputs, so a crash in between leaves both; :meth:`_scan`
+    keeps the file that covers the others: the highest level per
+    sequence number, and a fold over the files inside its range.
     """
 
     def __init__(self, directory) -> None:
@@ -545,7 +628,7 @@ class SegmentStore:
         for orphan in self.directory.glob("segment-*.tmp"):
             # A crash between write and rename; never part of the tier.
             os.unlink(orphan)
-        by_seq: Dict[int, Segment] = {}
+        opened: List[Segment] = []
         previous = None
         for path in sorted(self.directory.glob("segment-*.seg")):
             try:
@@ -553,25 +636,26 @@ class SegmentStore:
             except StorageError:
                 os.replace(path, path.with_suffix(".corrupt"))
                 continue
-            other = by_seq.get(seg.seq)
-            if other is None:
-                by_seq[seg.seq] = seg
+            opened.append(seg)
+        # Newest first, the higher level first within a sequence number:
+        # a file whose seq a kept file covers is an interrupted
+        # compaction's input — the lower level of one seq, or a file a
+        # fold took in — and is removed.
+        kept: List[Segment] = []
+        for seg in sorted(opened, key=lambda s: (s.seq, s.level), reverse=True):
+            if kept and seg.seq >= kept[-1].first:
+                seg.path.unlink(missing_ok=True)
             else:
-                # Interrupted compaction: keep the higher level, the
-                # lower one is the superseded source.
-                keep, drop = (
-                    (seg, other) if seg.level > other.level else (other, seg)
-                )
-                by_seq[seg.seq] = keep
-                drop.path.unlink(missing_ok=True)
-        self.segments = [by_seq[seq] for seq in sorted(by_seq)]
-        self._next_seq = max(by_seq, default=-1) + 1
+                kept.append(seg)
+        self.segments = kept[::-1]
+        self._next_seq = kept[0].seq + 1 if kept else 0
         self.quarantined = len(list(self.directory.glob("segment-*.corrupt")))
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _path_for(self, seq: int, level: int) -> Path:
-        return self.directory / f"segment-{seq:06d}-l{level}.seg"
+    def _path_for(self, seq: int, level: int, first: Optional[int] = None) -> Path:
+        folded = "" if first in (None, seq) else f"-from{first:06d}"
+        return self.directory / f"segment-{seq:06d}-l{level}{folded}.seg"
 
     def write(
         self,
@@ -598,14 +682,30 @@ class SegmentStore:
         level: int,
         created_ns: int = 0,
         bucket_ns: int = 0,
+        into: Optional[Segment] = None,
     ) -> Segment:
-        """Rewrite ``old`` at a higher rollup level (same seq slot)."""
+        """Rewrite ``old`` at a higher rollup level (same seq slot).
+
+        With ``into`` — the segment just before ``old``, of ``level`` —
+        ``series_data`` is folded behind its rows (:func:`fold_segment`)
+        and the one file, covering both inputs' sequence numbers,
+        replaces the two.
+        """
+        inputs = [old]
+        if into is not None:
+            series_data = fold_segment(into.content(), Columnar.of(series_data, level))
+            inputs.insert(0, into)
         seg = Segment.write(
-            self._path_for(old.seq, level), old.seq, level, series_data,
-            created_ns=created_ns, bucket_ns=bucket_ns, names_of=old,
+            self._path_for(old.seq, level, inputs[0].first), old.seq, level,
+            series_data, created_ns=created_ns, bucket_ns=bucket_ns,
+            names_of=inputs[0],
         )
-        old.path.unlink(missing_ok=True)
-        self.segments[self.segments.index(old)] = seg
+        at = self.segments.index(inputs[0])
+        self.segments[at : at + len(inputs)] = [seg]
+        for segment in inputs:
+            # A file left behind is covered by ``seg``: the next scan
+            # removes it.
+            segment.path.unlink(missing_ok=True)
         return seg
 
     def remove(self, segment: Segment) -> None:
@@ -858,9 +958,19 @@ class TieredStorageBackend(StorageBackend):
         offsets, rolled = rollup_segment(
             offsets, cols["ts"], vmin, vmean, vmax, count, bucket_ns
         )
+        # The level's previous file takes the buckets in while the two
+        # together span less than the level's window.
+        at = self.store.segments.index(seg)
+        into = self.store.segments[at - 1] if at else None
+        if into is not None and (
+            into.level != level
+            or seg.max_ts // bucket_ns * bucket_ns - into.min_ts
+            >= ROLLUP_WINDOW_NS[level]
+        ):
+            into = None
         self.store.replace(
             seg, Columnar(topics, offsets, rolled, seal_ts), level,
-            created_ns=now_ns, bucket_ns=bucket_ns,
+            created_ns=now_ns, bucket_ns=bucket_ns, into=into,
         )
         self.rollup_compactions += 1
 

@@ -4,17 +4,24 @@
   a segment's arrays) against the per-series loop it replaced — a
   frozen copy of PR 10's `rollup_columns`, kept here — bit for bit, on
   random ragged segments; two seeded source mutations must be noticed.
+- **Fold**: `fold_segment` (two rollups of one level as one file)
+  against a twin that concatenates per topic and re-buckets with a
+  frozen copy of the rollup pass, bit for bit, on drawn pairs with
+  different name tables, one-sided topics and shared or unshared
+  boundary buckets; three seeded mutations must be noticed.
 - **Format**: WMSEG02 round-trips, a WMSEG01 file written by a frozen
   copy of the old writer is read, compacted and reopened with the same
   answers, and every single-bit flip of a file is detected.
-- **Crash points**: a fault at each boundary of `flush` and of a
-  compaction (write, fsync, rename, directory sync, unlink), under
-  three models of what the crash leaves on disk; each ends in "reopen,
-  zero loss of sealed data, no duplicate, sorted".
+- **Crash points**: a fault at each boundary of `flush`, of a
+  compaction and of a merge (write, fsync, rename, directory sync,
+  unlink), under three models of what the crash leaves on disk; each
+  ends in "reopen, zero loss of sealed data, no duplicate, sorted".
+  Stale inputs beside the fold that covers them are removed at scan.
 - **Range read**: the backend's one-pass read against a frozen twin of
   the per-segment read it replaced, bit for bit and tier hit for tier
   hit, over drawn flush and compaction schedules; three seeded
-  mutations must be noticed.  A rollup read loads two column blocks.
+  mutations must be noticed; a drawn schedule reaches a fold.  A
+  rollup read loads two column blocks.
 """
 
 import inspect
@@ -298,6 +305,187 @@ def test_seeded_mutation_fails_the_property(name):
 
 
 # ----------------------------------------------------------------------
+# The fold: two rollups of one level as one file
+# ----------------------------------------------------------------------
+
+
+def frozen_rollup_segment(offsets, ts, vmin, vmean, vmax, count, bucket_ns):
+    """``rollup_segment`` as it was when the fold was written, frozen."""
+    bucket = (ts // bucket_ns) * bucket_ns
+    change = np.empty(len(ts), dtype=bool)
+    change[0] = True
+    np.not_equal(bucket[1:], bucket[:-1], out=change[1:])
+    change[offsets[:-1]] = True
+    starts = np.flatnonzero(change)
+    counts = np.add.reduceat(count, starts)
+    sums = np.add.reduceat(vmean * count, starts)
+    return np.searchsorted(starts, offsets, side="left"), {
+        "ts": bucket[starts].astype(np.int64, copy=False),
+        "min": np.minimum.reduceat(vmin, starts),
+        "mean": sums / counts,
+        "max": np.maximum.reduceat(vmax, starts),
+        "count": counts.astype(np.int64, copy=False),
+    }
+
+
+def twin_fold(older, newer, bucket_ns):
+    """The fold the long way: per topic of the sorted union, ``older``'s
+    rows then ``newer``'s re-bucketed by the frozen pass; a bucket one
+    row holds keeps that row's bits.  The floor is the larger one."""
+    inputs = [
+        (as_series(c), dict(zip(c.topics, c.seal_ts.tolist())))
+        for c in (older, newer)
+    ]
+    topics = sorted(set(older.topics) | set(newer.topics))
+    parts, seal = [], []
+    for topic in topics:
+        held = [series[topic] for series, _ in inputs if topic in series]
+        rows = {c: np.concatenate([h[c] for h in held]) for c in ROLLUP_COLUMNS}
+        bounds = np.array([0, len(rows["ts"])], dtype=np.int64)
+        _, cols = frozen_rollup_segment(
+            bounds, rows["ts"], *(rows[c] for c in ROLLUP_COLUMNS[1:]), bucket_ns
+        )
+        _, first, size = np.unique(
+            rows["ts"] // bucket_ns, return_index=True, return_counts=True
+        )
+        for c in ROLLUP_COLUMNS:
+            cols[c][size == 1] = rows[c][first[size == 1]]
+        parts.append(cols)
+        seal.append(max(floors[topic] for _, floors in inputs if topic in floors))
+    offsets = np.zeros(len(topics) + 1, dtype=np.int64)
+    np.cumsum([len(p["ts"]) for p in parts], out=offsets[1:])
+    return Columnar(topics, offsets, {
+        c: np.concatenate([p[c] for p in parts]) for c in ROLLUP_COLUMNS
+    }, np.array(seal, dtype=np.int64))
+
+
+#: One topic of a fold: its raw series (as ``SERIES``) and where it is
+#: cut between the two files — 0: only in the newer, past the end: only
+#: in the older; inside a bucket, the bucket is in both.
+FOLD_TOPIC = st.tuples(SERIES, st.floats(min_value=0.0, max_value=1.0))
+FOLDS = st.tuples(
+    st.lists(FOLD_TOPIC, min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from((TEN_S, MINUTE)),
+)
+
+
+def fold_inputs(drawn):
+    """(older, newer, bucket_ns): each topic's raw series cut in two,
+    each side rolled up to ``bucket_ns`` (through 10 s for a minute, so
+    counts and means are rollups' own), its floor the newest raw
+    reading of that side.  ``None`` when a side holds no topic."""
+    shape, seed, bucket_ns = drawn
+    raw = build([series for series, _ in shape], seed)
+    bounds = zip(raw.topics, raw.offsets[:-1].tolist(), raw.offsets[1:].tolist())
+    edges = [
+        (topic, (lo, lo + round(at * (hi - lo)), hi))
+        for (_, at), (topic, lo, hi) in zip(shape, bounds)
+    ]
+    sides = []
+    for start, stop in ((0, 1), (1, 2)):
+        held = [(topic, np.arange(e[start], e[stop])) for topic, e in edges]
+        held = [(topic, rows) for topic, rows in held if len(rows)]
+        if not held:
+            return None
+        rows = np.concatenate([r for _, r in held])
+        offsets = np.zeros(len(held) + 1, dtype=np.int64)
+        np.cumsum([len(r) for _, r in held], out=offsets[1:])
+        cols = {c: raw.columns[c][rows] for c in ("ts", "val")}
+        seal = cols["ts"][offsets[1:] - 1]
+        for width in (TEN_S, MINUTE)[: 1 + (bucket_ns == MINUTE)]:
+            offsets, cols = rolled(rollup_segment, offsets, cols, width)
+        sides.append(Columnar([topic for topic, _ in held], offsets, cols, seal))
+    return (*sides, bucket_ns)
+
+
+def check_fold(kernel, drawn):
+    inputs = fold_inputs(drawn)
+    if inputs is None:
+        return
+    older, newer, bucket_ns = inputs
+    got, want = kernel(older, newer), twin_fold(*inputs)
+    assert list(got.topics) == list(want.topics)
+    assert got.offsets.dtype == np.int64
+    assert got.offsets.tolist() == want.offsets.tolist()
+    assert_same_bits(got.columns, want.columns)
+    assert got.seal_ts.tolist() == want.seal_ts.tolist()
+    assert int(got.columns["count"].sum()) == int(
+        older.columns["count"].sum() + newer.columns["count"].sum()
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(drawn=FOLDS)
+def test_fold_is_the_per_topic_rebucketing(drawn):
+    check_fold(segments.fold_segment, drawn)
+
+
+def test_fold_covers_its_cases():
+    """One deterministic pair holds every case the property draws: two
+    name tables, a topic in one input only (either one), a shared and
+    an unshared boundary bucket, counts above one."""
+    shape = [
+        ((30, 0, "1hz", False), 0.5),    # cut at 15 s: bucket 10 s shared
+        ((30, 0, "1hz", False), 2 / 3),  # cut at 20 s: on a bucket edge
+        ((20, 7, "dense", False), 0.0),  # newer only
+        ((20, 7, "1hz", False), 1.0),    # older only
+    ]
+    older, newer, _ = fold_inputs((shape, 3, TEN_S))
+    assert older.topics != newer.topics
+    got = segments.fold_segment(older, newer)
+    assert got.columns["ts"][got.offsets[0]:got.offsets[1]].tolist() == [
+        0, TEN_S, 2 * TEN_S
+    ]
+    assert got.columns["count"][got.offsets[0]:got.offsets[1]].tolist() == [10] * 3
+    check_fold(segments.fold_segment, (shape, 3, TEN_S))
+
+
+FOLD_MUTATIONS = {
+    "new-rows-before-old": (
+        ("offsets[ia] - a_off[:-1], np.diff(a_off)",
+         "offsets[ia] + sizes[ia] - held[ia] - a_off[:-1], np.diff(a_off)"),
+        ("offsets[ib] + held[ib] - shared - b_off[:-1], np.diff(b_off)",
+         "offsets[ib] - b_off[:-1], np.diff(b_off)"),
+    ),
+    "shared-bucket-not-combined": (
+        ('shared = (k >= 0) & (last[k] == b["ts"][b_off[:-1]])',
+         "shared = np.zeros(len(ib), dtype=bool)"),
+    ),
+    "mean-not-count-weighted": (
+        ('(a["mean"][ra] * ca + b["mean"][rb] * cb) / (ca + cb)',
+         '(a["mean"][ra] + b["mean"][rb]) / 2'),
+    ),
+}
+
+
+def mutant_fold(*edits):
+    """``fold_segment`` of a copy of the module with ``edits`` made."""
+    return mutant_kernel(*edits).__globals__["fold_segment"]
+
+
+def test_the_unmutated_fold_passes():
+    shape = [((30, 0, "1hz", False), 0.5), ((20, 7, "dense", False), 0.0)]
+    check_fold(mutant_fold(), (shape, 1, TEN_S))
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_MUTATIONS))
+def test_seeded_mutation_fails_the_fold_property(name):
+    kernel = mutant_fold(*FOLD_MUTATIONS[name])
+
+    @settings(
+        max_examples=250, deadline=None, database=None,
+        phases=[Phase.generate],  # found is enough: no shrinking
+    )
+    @given(drawn=FOLDS)
+    def prop(drawn):
+        check_fold(kernel, drawn)
+
+    with pytest.raises(AssertionError):
+        prop()
+
+
+# ----------------------------------------------------------------------
 # Format
 # ----------------------------------------------------------------------
 
@@ -397,7 +585,12 @@ class TestFormat:
                     seg_b.level, seg_b.min_ts, seg_b.max_ts, seg_b.points)
             for backend in (from_v1, from_v2):
                 backend.maintain((1 + step) * 1000 * NS_PER_SEC)
-        assert [s.level for s in from_v1.store.segments] == [LEVEL_1MIN] * 2
+        # The two 1-minute rollups span less than an hour: one folded file.
+        (folded,) = from_v1.store.segments
+        assert (folded.level, folded.first, folded.seq) == (LEVEL_1MIN, 0, 1)
+        assert [p.name for p in v1.glob("*.seg")] == [
+            "segment-000001-l2-from000000.seg"
+        ]
         for path in v1.glob("*.seg"):
             assert path.read_bytes()[:8] == b"WMSEG02\n"
         # A WMSEG01 rollup had no seal_ts: the floor it hands on is the
@@ -726,6 +919,96 @@ def test_crash_at_each_boundary_of_a_compaction(tmp_path, model, minute):
     )
 
 
+def joined(*batches):
+    return {
+        topic: tuple(np.concatenate([b[topic][i] for b in batches]) for i in (0, 1))
+        for topic in TOPICS
+    }
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_crash_at_each_boundary_of_a_merge(tmp_path, model):
+    """A raw segment rolled up and folded into the 10 s file before it
+    (0-24 s, then 25-59 s: the 20 s bucket is in both); the merged file
+    is written, then both inputs are unlinked."""
+    older, newer = readings(0, 25), readings(25, 35)
+    batch = joined(older, newer)
+    now = 500 * NS_PER_SEC
+
+    def prepare(backend):
+        insert(backend, older)
+        backend.flush(25 * NS_PER_SEC)
+        backend.maintain(200 * NS_PER_SEC)
+        insert(backend, newer)
+        backend.flush(60 * NS_PER_SEC)
+        assert [s.level for s in backend.store.segments] == [LEVEL_10S, LEVEL_RAW]
+
+    boundaries = []
+    for directory, boundary in crash_points(
+        tmp_path, model, prepare, lambda b: b.maintain(now)
+    ):
+        boundaries.append(boundary)
+        reopened = reopen(directory)
+        assert [s.level for s in reopened.store.segments] in (
+            [LEVEL_10S, LEVEL_RAW], [LEVEL_10S]
+        )
+        for topic in TOPICS:
+            count, mass, stamps = sealed_counts(reopened, topic)
+            assert count == 60 and stamps == sorted(stamps)
+            assert mass == pytest.approx(batch[topic][1].sum(), rel=1e-12)
+        assert_replay_refused(reopened, batch)
+        # The interrupted sweep completes on the next one.
+        reopened.maintain(now)
+        (seg,) = reopened.store.segments
+        assert (seg.level, seg.first, seg.seq) == (LEVEL_10S, 0, 1)
+        assert [p.name for p in directory.iterdir()] == [
+            "segment-000001-l1-from000000.seg"
+        ]
+        want = readings_rolled(batch, minute=False)
+        for topic in TOPICS:
+            got = seg.topic_columns(topic, 0, FOREVER)
+            assert_same_bits(
+                {c: got[c] for c in ("ts", "min", "max", "count")},
+                {c: want[topic][c] for c in ("ts", "min", "max", "count")},
+            )
+            assert got["mean"] == pytest.approx(want[topic]["mean"], rel=1e-12)
+    assert boundaries == (
+        ["write"] * 6 + ["fsync", "replace", "fsync-dir", "unlink", "unlink"]
+    )
+
+
+def test_scan_removes_stale_inputs_beside_the_fold_that_covers_them(tmp_path):
+    """Three flushes within a minute fold into one 10 s file, twice; the
+    files each fold took in — a 10 s file, the first fold, the raw input
+    of the second — are put back as a crash would have left them.  The
+    scan keeps the fold that covers their sequence numbers and removes
+    them."""
+    backend = tiered(tmp_path)
+    stale = {}
+    for k, start_s in enumerate((0, 20, 40)):
+        insert(backend, readings(start_s, 20))
+        backend.flush((start_s + 20) * NS_PER_SEC)
+        if k == 2:
+            (raw,) = backend.store.segments[1:]
+            stale[raw.path.name] = raw.path.read_bytes()
+        backend.maintain((start_s + 200) * NS_PER_SEC)
+        (seg,) = backend.store.segments
+        stale[seg.path.name] = seg.path.read_bytes()
+    assert sorted(stale) == [
+        "segment-000000-l1.seg", "segment-000001-l1-from000000.seg",
+        "segment-000002-l0.seg", "segment-000002-l1-from000000.seg",
+    ]
+    want = answers(backend, TOPICS)
+    for name, blob in stale.items():
+        (tmp_path / name).write_bytes(blob)
+    reopened = reopen(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [seg.path.name]
+    assert [s.path.name for s in reopened.store.segments] == [seg.path.name]
+    assert answers(reopened, TOPICS) == want
+    for topic in TOPICS:
+        assert sealed_counts(reopened, topic)[0] == 60
+
+
 def readings_rolled(batch, minute):
     out = {}
     for topic, (ts, val) in batch.items():
@@ -897,19 +1180,48 @@ def test_schedules_reach_every_level_and_split_a_minute(tmp_path):
     """The drawn shapes the property needs do occur: raw, 10 s and
     1 min segments side by side, topics missing from some, and one
     1-minute bucket split over two segments (two entries, one
-    timestamp)."""
+    timestamp).  Within an hour 1-minute rollups fold into one file, so
+    the split minute is drawn across the hour window's edge: the first
+    file starts at 0 s and holds the minute at 3 540 s, and the next
+    one's buckets reach 3 600 s."""
     topics = set(READ_TOPICS[:2])
     drawn = (
-        [(25, NS_PER_SEC, topics, None), (20, NS_PER_SEC, topics, 200),
-         (40, NS_PER_SEC, {READ_TOPICS[0]}, 15), (5, 7 * NS_PER_SEC, topics, None)],
+        [(30, NS_PER_SEC, topics, 3515), (30, NS_PER_SEC, topics, None),
+         (35, NS_PER_SEC, topics, 200), (40, NS_PER_SEC, {READ_TOPICS[0]}, 15),
+         (5, 7 * NS_PER_SEC, topics, None)],
         (10, NS_PER_SEC // 4, topics, None), 10, 120, 1,
     )
     backend, _ = aged_store(TieredStorageBackend, tmp_path, drawn)
     assert [s.level for s in backend.store.segments] == [2, 2, 1, 0]
+    assert [(s.first, s.seq) for s in backend.store.segments[:2]] == [(0, 1), (2, 2)]
     assert READ_TOPICS[1] not in backend.store.segments[2].series
-    ts, _ = backend.query(READ_TOPICS[0], 0, MINUTE)
-    assert ts[:2].tolist() == [0, 0]
+    ts, _ = backend.query(READ_TOPICS[0], 59 * MINUTE, 60 * MINUTE - 1)
+    assert ts.tolist() == [59 * MINUTE, 59 * MINUTE]
     assert backend.count(READ_TOPICS[0]) > backend.store.count(READ_TOPICS[0])
+
+
+def test_a_drawn_schedule_reaches_a_fold(tmp_path):
+    """A schedule ``SCHEDULE`` draws folds: two flushes, 0-24 s and
+    25-49 s, rolled up in one sweep are one 10 s file whose 20 s bucket
+    both held; the range reads over it hold."""
+    topics = set(READ_TOPICS)
+    drawn = (
+        [(25, NS_PER_SEC, topics, None), (25, NS_PER_SEC, topics, 40)],
+        (5, NS_PER_SEC, topics, None), 10, 120, 4,
+    )
+    backend, _ = aged_store(TieredStorageBackend, tmp_path / "fold", drawn)
+    (folded,) = backend.store.segments
+    assert (folded.level, folded.first, folded.seq) == (LEVEL_10S, 0, 1)
+    ts, _ = backend.query(READ_TOPICS[0], 0, 49 * NS_PER_SEC)
+    assert ts.tolist() == [k * TEN_S for k in range(5)]
+
+    @settings(max_examples=5, deadline=None, database=None)
+    @given(data=st.data())
+    def prop(data):
+        directory = tmp_path / f"d{len(list(tmp_path.iterdir()))}"
+        check_schedule(TieredStorageBackend, directory, drawn, data)
+
+    prop()
 
 
 READ_MUTATIONS = {

@@ -286,6 +286,29 @@ class TestTieredBackend:
         assert len(tiered.store.segments) == 0
         assert tiered.segments_expired == 1
 
+    def test_a_minute_two_flushes_split_is_one_count_weighted_entry(self, tmp_path):
+        """Readings 0-19 s and 20-59 s sealed by two sweeps: once rolled
+        up, the minute is one entry whose mean weights each part by its
+        count (29.5), not the mean of the two partial means (24.5)."""
+        tiered = TieredStorageBackend(
+            tmp_path, flush_mb=0, rollup_after_ns=30 * NS_PER_SEC,
+            rollup_minute_after_ns=120 * NS_PER_SEC,
+        )
+        ts = np.arange(60, dtype=np.int64) * NS_PER_SEC
+        val = np.arange(60, dtype=np.float64)
+        tiered.insert_batch("/a", ts[:20], val[:20])
+        assert tiered.maintain(20 * NS_PER_SEC)["flushed"] == 20
+        tiered.insert_batch("/a", ts[20:], val[20:])
+        assert tiered.maintain(60 * NS_PER_SEC)["flushed"] == 40
+        tiered.maintain(200 * NS_PER_SEC)
+        (seg,) = tiered.store.segments
+        cols = seg.topic_columns("/a", 0, 2**62)
+        assert cols["ts"].tolist() == [0] and cols["count"].tolist() == [60]
+        assert cols["mean"].tolist() == [29.5]
+        assert tiered.query("/a", 0, 59 * NS_PER_SEC)[1].tolist() == [29.5]
+        _, means = tiered.query_aggregate("/a", 0, 59 * NS_PER_SEC, 60 * NS_PER_SEC, "mean")
+        assert means.tolist() == [29.5]
+
     @pytest.mark.parametrize("minute", [False, True])
     def test_seal_floor_survives_rollup_and_restart(self, tmp_path, minute):
         """A rollup's ``max_ts`` is the start of its last bucket; the
