@@ -88,7 +88,7 @@ CONFIG = {
     "rollup": {"topics": 3, "seconds": 1800, "flush_chunks": 6},
     "throughput": {"topics": 4, "readings": 25_000},
     "maintenance": {"nodes": 148, "sensors": 10, "readings": 10, "rounds": 9},
-    "reads": {"nodes": 148, "sensors": 10, "topics_read": 64, "rounds": 5, "age": 10},
+    "reads": {"nodes": 148, "sensors": 10, "topics_read": 64, "rounds": 5},
 }
 
 
@@ -589,9 +589,13 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
 
 #: The store ``tiered_query_mix`` ends a 15 s run with: one flush per
 #: 10 s sweep, raw for 30 s, 10 s buckets until 120 s.  The aged store
-#: runs ``age`` times as many sweeps.
-_READ_FLUSHES, _READ_FLUSH_S = 46, 10
+#: runs ``_READ_AGE`` times as many sweeps.
+_READ_FLUSHES, _READ_FLUSH_S, _READ_AGE = 46, 10, 10
 _READ_ROLLUP_S, _READ_MINUTE_S = 30, 120
+#: Bound on the sweep that folds into a nearly full hour file, in flushes
+#: of one sweep of the same store (both are a write and its ``fsync``).
+#: Full width measures 1.0-1.7x, a quarter of the width about 2x.
+_FOLD_OVER_FLUSH = 3.0
 #: The shape that store has: three raw files, the 10 s buckets folded
 #: per minute, the 1 min buckets into one file per hour.
 _READ_SHAPE = {"raw": 3, "rollup_10s": 3, "rollup_1min": 1}
@@ -761,12 +765,11 @@ def _one_pass_vs_reference(backend, read, topics, offsets, rounds: int):
     return row, identical
 
 
-def run_reads(
-    nodes: int, sensors: int, topics_read: int, rounds: int, age: int = 10
-) -> dict:
+def run_reads(nodes: int, sensors: int, topics_read: int, rounds: int) -> dict:
     """The probe's four range-read kinds, one-pass vs per-segment, on the
     ``tiered_query_mix`` store; then the whole-history read on a store
-    ``age`` times older beside the young one, and what its sweeps cost."""
+    ``_READ_AGE`` times older beside the young one, and what its sweeps
+    cost."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-tiers-"))
     try:
         backend, names, now, _ = _aged_store(tmp / "1x", nodes, sensors)
@@ -788,7 +791,7 @@ def run_reads(
             )
             out["identical_to_reference"] &= identical
         aged, _, aged_now, sweeps = _aged_store(
-            tmp / f"{age}x", nodes, sensors, _READ_FLUSHES * age
+            tmp / "aged", nodes, sensors, _READ_FLUSHES * _READ_AGE
         )
         history, aged_identical = _one_pass_vs_reference(
             aged, _read_kinds(aged_now)["history"], topics, offsets, rounds
@@ -804,7 +807,7 @@ def run_reads(
         # the last minutes of a full window, its costliest rewrites.
         full = [m for m, points in zip(maintain_ms, folded) if points >= 55 * len(names)]
         out["aged"] = {
-            "age": age, "flushes": len(sweeps),
+            "age": _READ_AGE, "flushes": len(sweeps),
             "segments": aged.store.level_counts(),
             "segment_points": aged.store.total_points(),
             "identical_to_reference": aged_identical,
@@ -845,7 +848,7 @@ def main(argv=None) -> int:
             # Full width (the shape checks are about width), fewer rounds.
             "maintenance": {**CONFIG["maintenance"], "rounds": 3},
             # The same segment shape over a quarter of the topics.
-            "reads": {"nodes": 37, "sensors": 10, "topics_read": 16, "rounds": 2, "age": 10},
+            "reads": {"nodes": 37, "sensors": 10, "topics_read": 16, "rounds": 2},
         }
 
     print_header("Storage tiers - memory vs tiered identity")
@@ -1068,9 +1071,13 @@ def main(argv=None) -> int:
     )
     ok &= shape_check(
         "the aged store reached a full hour window and folded into it",
-        sweep["full_hour_folds"] > 0,
-        f"{sweep['full_hour_folds']} folds, p50 {sweep['full_hour_fold_p50']:.2f} ms "
-        f"beside a {sweep['flush_p50']:.2f} ms flush",
+        sweep["full_hour_folds"] > 0, f"{sweep['full_hour_folds']} folds",
+    )
+    ok &= shape_check(
+        f"a full-hour fold sweep p50 <= {_FOLD_OVER_FLUSH:g}x a flush p50",
+        sweep["full_hour_fold_p50"] <= _FOLD_OVER_FLUSH * sweep["flush_p50"],
+        f"{sweep['full_hour_fold_p50']:.2f} ms beside a "
+        f"{sweep['flush_p50']:.2f} ms flush",
     )
 
     write_bench_artifact(

@@ -254,16 +254,10 @@ def fold_segment(older: Columnar, newer: Columnar) -> Columnar:
     """
     a, b = older.columns, newer.columns
     a_off, b_off = older.offsets, newer.offsets
-    if list(older.topics) == list(newer.topics):
-        # The common case — an agent's topics rarely change — without
-        # the union and its lookups (0.6 ms at 1 480 topics).
-        topics = older.topics
-        ia = ib = np.arange(len(topics))
-    else:
-        topics = sorted(set(older.topics).union(newer.topics))
-        row = dict(zip(topics, range(len(topics))))
-        ia = np.fromiter(map(row.__getitem__, older.topics), np.intp)
-        ib = np.fromiter(map(row.__getitem__, newer.topics), np.intp)
+    topics = sorted(set(older.topics).union(newer.topics))
+    row = dict(zip(topics, range(len(topics))))
+    ia = np.fromiter(map(row.__getitem__, older.topics), np.intp)
+    ib = np.fromiter(map(row.__getitem__, newer.topics), np.intp)
     a_of = np.full(len(topics), -1, dtype=np.intp)
     a_of[ia] = np.arange(len(ia))
     # Per topic of ``newer``: the row of ``older`` (-1: none) and whether
@@ -968,6 +962,13 @@ class TieredStorageBackend(StorageBackend):
             >= ROLLUP_WINDOW_NS[level]
         ):
             into = None
+        if into is not None:
+            try:
+                into.content()
+            except StorageError:
+                # A bad block holds back only its own file: the buckets
+                # take their segment's place.
+                into = None
         self.store.replace(
             seg, Columnar(topics, offsets, rolled, seal_ts), level,
             created_ns=now_ns, bucket_ns=bucket_ns, into=into,

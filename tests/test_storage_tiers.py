@@ -309,6 +309,34 @@ class TestTieredBackend:
         _, means = tiered.query_aggregate("/a", 0, 59 * NS_PER_SEC, 60 * NS_PER_SEC, "mean")
         assert means.tolist() == [29.5]
 
+    def test_a_bad_block_in_the_older_file_holds_back_only_that_file(self, tmp_path):
+        """A flipped bit in a 10 s file's ``min`` block: the next raw
+        segment rolls up into a file of its own instead of folding."""
+        tiered = TieredStorageBackend(
+            tmp_path, flush_mb=0, rollup_after_ns=30 * NS_PER_SEC
+        )
+        ts = np.arange(20, dtype=np.int64) * NS_PER_SEC
+        val = np.arange(20, dtype=np.float64)
+        tiered.insert_batch("/a", ts[:10], val[:10])
+        tiered.maintain(10 * NS_PER_SEC)
+        tiered.insert_batch("/a", ts[10:], val[10:])
+        tiered.maintain(20 * NS_PER_SEC)
+        tiered.maintain(45 * NS_PER_SEC)  # the 0-9 s segment rolls up
+        bad, raw = tiered.store.segments
+        assert (bad.level, raw.level) == (LEVEL_10S, LEVEL_RAW)
+        blob = bytearray(bad.path.read_bytes())
+        blob[bad.data_offset + bad.points * 8 + 3] ^= 0x01  # in ``min``
+        bad.path.write_bytes(bytes(blob))
+        bad.release()
+        stats = tiered.maintain(55 * NS_PER_SEC)
+        assert stats["compacted"] == 1 and stats["errors"] == 0
+        assert tiered.store.segments[0] is bad and bad.path.exists()
+        assert [s.level for s in tiered.store.segments] == [LEVEL_10S, LEVEL_10S]
+        assert [s.first for s in tiered.store.segments] == [0, 1]
+        got_ts, got_val = tiered.query("/a", 0, 2**62)
+        assert got_ts.tolist() == [0, 10 * NS_PER_SEC]
+        assert got_val.tolist() == [4.5, 14.5]
+
     @pytest.mark.parametrize("minute", [False, True])
     def test_seal_floor_survives_rollup_and_restart(self, tmp_path, minute):
         """A rollup's ``max_ts`` is the start of its last bucket; the
