@@ -80,6 +80,7 @@ from repro.dcdb.segments import (
     Columnar,
     Segment,
     TieredStorageBackend,
+    fold_segment,
 )
 from repro.dcdb.storage import StorageBackend
 
@@ -466,6 +467,7 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
     ms = {k: {"columnar": [], "per_topic_reference": []} for k in (
         "flush_ms", "compact_10s_ms", "compact_1min_ms", "open_ms")}
     ms["flush_ms"]["per_topic_gather"] = []
+    fold_ms = {"same_topics": [], "changed_topics": []}
     identical = flush_identical = True
     sizes = {}
 
@@ -551,6 +553,18 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
                         got[c].tobytes() == want[c].tobytes()
                         for c in ROLLUP_COLUMNS
                     )
+            # A fold of the next minute's buckets into this file: the
+            # topics as they were, then with the last one renamed.
+            older = seg.content()
+            newer = older._replace(columns={
+                **older.columns, "ts": older.columns["ts"] + 60 * NS_PER_SEC
+            })
+            changed = newer._replace(topics=[*older.topics[:-1], "/zz"])
+            folds = [("same_topics", newer), ("changed_topics", changed)]
+            for side, other in folds[:: -1 if r % 2 else 1]:
+                t0 = time.perf_counter()
+                fold_segment(older, other)
+                fold_ms[side].append((time.perf_counter() - t0) * 1e3)
         points = len(names) * readings
         out = {
             "topics": len(names), "readings_per_flush": points,
@@ -574,6 +588,9 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
             "per_topic_reference": sizes["per_topic_reference"] / points,
         }
         out["data_bytes"] = sizes["data_bytes"]
+        out["fold_ms"] = {
+            side: statistics.median(times) for side, times in fold_ms.items()
+        }
         out["index_bytes"] = {
             side: sizes[side] - sizes["data_bytes"]
             for side in ("columnar", "per_topic_reference")
@@ -993,6 +1010,14 @@ def main(argv=None) -> int:
             maintenance[key]["speedup"] >= 5.0,
             f"{maintenance[key]['speedup']:.1f}x",
         )
+    fold = maintenance["fold_ms"]
+    print(f"  fold into a 1 min file: {fold['same_topics']:.2f} ms over one "
+          f"name table, {fold['changed_topics']:.2f} ms with one topic changed")
+    ok &= shape_check(
+        "a fold over one name table skips the union of two",
+        fold["same_topics"] < fold["changed_topics"],
+        f"{fold['same_topics']:.2f} ms vs {fold['changed_topics']:.2f} ms",
+    )
     index_bytes = maintenance["index_bytes"]["columnar"]
     ok &= shape_check(
         "index bytes < 1/4 data bytes in a raw segment",
