@@ -16,7 +16,11 @@ input stream at ≥ 500 units and checks:
   staged passes (relaxed under ``--smoke``, which runs a small fraction
   of the units for CI);
 - **parity**: the final stage's stored series must be bit-for-bit
-  identical between the two executions — every pass, every unit.
+  identical between the two executions — every pass, every unit;
+- **flat channel append**: a :class:`~repro.core.fusion.FusedChannel`
+  pass writes one column of its ring, so the cheapest append at window
+  width 31 costs at most 1.5x the one at width 1 (min of
+  ``APPEND_ROUNDS`` rounds, the same under ``--smoke``).
 
 Run standalone (``python benchmarks/bench_pipeline_fusion.py [--smoke]``)
 or under pytest.
@@ -40,7 +44,7 @@ from benchmarks.harness import (
     write_bench_artifact,
 )
 from repro.common.timeutil import NS_PER_SEC
-from repro.core.fusion import FusedGroup
+from repro.core.fusion import FusedChannel, FusedGroup
 from repro.core.operator import OperatorConfig
 from repro.core.pipeline import FusionSpec, plan_fusion
 from repro.core.queryengine import QueryEngine
@@ -54,6 +58,11 @@ FULL_UNITS, FULL_PASSES = 520, 40
 SMOKE_UNITS, SMOKE_PASSES = 96, 12
 WARM_PASSES = 8  # untimed leading ticks: fill windows, compile plans
 CACHE_WINDOW_NS = 180 * NS_PER_SEC
+#: Channel-append micro-benchmark: rows (one per-cpu chain's units on
+#: a 64-cpu node), the widths timed, and min-of-N rounds of appends.
+APPEND_ROWS, APPEND_WIDTHS = 64, (1, 21, 31)
+APPEND_ROUNDS, APPEND_PER_ROUND = 15, 248
+MAX_APPEND_RATIO = 1.5
 
 
 class MiniPusher:
@@ -238,6 +247,40 @@ def run_fusion_bench(n_units: int, passes: int) -> dict:
     }
 
 
+def time_channel_append(width: int) -> float:
+    """Cheapest per-append cost (us) of a steady full pass into a
+    channel of ``APPEND_ROWS`` rows and window ``width``: min over
+    ``APPEND_ROUNDS`` rounds of ``APPEND_PER_ROUND`` appends (eight
+    ring wraps at width 31), so the wraps' block moves are in it."""
+    units = [
+        Unit(
+            name=f"/n{i}", level=0, inputs=[],
+            outputs=[Sensor(f"/n{i}/x", is_operator_output=True)],
+        )
+        for i in range(APPEND_ROWS)
+    ]
+    channel = FusedChannel(units, width)
+    column = np.random.default_rng(width).random(APPEND_ROWS)
+    append = channel.append
+    ts, best = 0, float("inf")
+    for _ in range(APPEND_ROUNDS):
+        t0 = time.perf_counter_ns()
+        for _ in range(APPEND_PER_ROUND):
+            ts += NS_PER_SEC
+            append(ts, None, column)
+        best = min(best, (time.perf_counter_ns() - t0) / APPEND_PER_ROUND)
+    return best / 1e3
+
+
+def run_append_bench() -> dict:
+    costs = {width: time_channel_append(width) for width in APPEND_WIDTHS}
+    return {
+        "append_rows": APPEND_ROWS,
+        "append_us_by_width": costs,
+        "append_ratio_w31_w1": costs[31] / costs[1],
+    }
+
+
 def main(argv=None) -> int:
     import argparse
 
@@ -254,6 +297,7 @@ def main(argv=None) -> int:
 
     print_header("Pipeline fusion - fused vs staged 3-stage pipeline")
     r = run_fusion_bench(n_units, passes)
+    r.update(run_append_bench())
     print_table(
         ["units", "staged us", "fused us", "speedup", "parity"],
         [(
@@ -264,7 +308,15 @@ def main(argv=None) -> int:
             r["parity"],
         )],
     )
-    config = {"n_units": n_units, "passes": passes, "smoke": args.smoke}
+    print_table(
+        ["width", "append us"],
+        [(w, us) for w, us in r["append_us_by_width"].items()],
+    )
+    config = {
+        "n_units": n_units, "passes": passes, "smoke": args.smoke,
+        "append": [APPEND_ROWS, list(APPEND_WIDTHS), APPEND_ROUNDS,
+                   APPEND_PER_ROUND],
+    }
     write_bench_artifact(
         "fusion",
         {"bench": "bench_pipeline_fusion", **r},
@@ -285,6 +337,12 @@ def main(argv=None) -> int:
         r["speedup"] >= min_speedup,
         f"{r['speedup']:.2f}x at {n_units} units",
     )
+    ok &= shape_check(
+        f"channel append flat in width: width 31 <= {MAX_APPEND_RATIO:g}x "
+        "width 1",
+        r["append_ratio_w31_w1"] <= MAX_APPEND_RATIO,
+        f"{r['append_ratio_w31_w1']:.2f}x at {APPEND_ROWS} rows",
+    )
     return 0 if ok else 1
 
 
@@ -293,6 +351,10 @@ class TestPipelineFusionBench:
         r = run_fusion_bench(SMOKE_UNITS, SMOKE_PASSES)
         assert r["planner_groups"] == [["sm", "ag", "mx"]]
         assert r["parity"] and r["final_readings"] > 0
+
+    def test_channel_append_is_flat_in_width(self):
+        r = run_append_bench()
+        assert r["append_ratio_w31_w1"] <= MAX_APPEND_RATIO, r
 
     def test_fused_is_faster(self):
         # The standalone run asserts the full 2x claim; under pytest on

@@ -9,10 +9,10 @@ member reading only outputs of the one before it — as one pass:
 
 - the first member gathers from the host's Query Engine;
 - each intermediate member's results land in a :class:`FusedChannel`,
-  a persistent right-aligned matrix mirroring exactly what the host's
-  operator-output caches would have accumulated (one reading per pass,
-  1 s host interval hint, capacity-clamped width) — no cache write, no
-  publish, no re-query;
+  a persistent ring whose right-aligned window mirrors exactly what the
+  host's operator-output caches would have accumulated (one reading per
+  pass, 1 s host interval hint, capacity-clamped width) — one column
+  written per pass, no cache write, no publish, no re-query;
 - every later member's one gather reads the channel of the member
   before it, whose rows it is served zero-copy;
 - only the final member runs its ordinary staged pass, storing through
@@ -25,13 +25,14 @@ preservation is strict: per-pass results are bit-for-bit identical to
 the staged path (same kernel on the same right-aligned tails),
 missing-data and short-window error accounting is unchanged (empty
 channel rows mirror empty caches), and breaker-quarantined units simply
-leave their channel rows unshifted exactly as they leave caches
+keep their channel windows verbatim exactly as they leave caches
 unwritten.  The runtime sanitizer instruments fused passes like any
 other: channel rows served to a kernel are fingerprinted (rule R007).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,18 +56,24 @@ def _window_count(window_ns: int) -> int:
 
 
 class FusedChannel:
-    """Persistent window matrix for one intermediate member's outputs.
+    """Persistent window ring for one intermediate member's outputs.
 
     One row per (unit, output sensor) in emission order; ``width``
-    columns, right-aligned like a :class:`BatchWindow`.  A pass appends
-    one column worth of produced values (a vectorized shift-left) and
-    leaves non-produced rows untouched, mirroring how a staged pass
-    leaves their caches unwritten.
+    columns, right-aligned like a :class:`BatchWindow`.  The rows live
+    in ``(rows, 2 * width)`` buffers: :attr:`values` and
+    :attr:`timestamps` are the zero-copy views of the ``width`` columns
+    ending at ``_head``.  A pass writes one column and advances the
+    head; when the head reaches the end of the buffers, the newest
+    ``width - 1`` columns move to the front in one block move — once
+    every ``width`` passes.  Rows a pass did not produce keep their
+    (older) window verbatim, as a staged pass leaves their caches
+    unwritten: their window is copied one slot right, which only a
+    partial pass pays for.
     """
 
     __slots__ = (
-        "topics", "row_of", "width", "values", "timestamps", "counts",
-        "column_name", "_whole",
+        "topics", "row_of", "width", "counts", "column_name", "_whole",
+        "_values", "_timestamps", "_head", "_full",
     )
 
     def __init__(self, units: Sequence, width: int) -> None:
@@ -75,9 +82,13 @@ class FusedChannel:
         self.topics: Tuple[str, ...] = tuple(s.topic for s in outputs)
         self.row_of: Dict[str, int] = {t: i for i, t in enumerate(self.topics)}
         self.width = max(1, int(width))
-        self.values = np.full((rows, self.width), np.nan, dtype=np.float64)
-        self.timestamps = np.zeros((rows, self.width), dtype=np.int64)
+        self._values = np.full((rows, 2 * self.width), np.nan, dtype=np.float64)
+        self._timestamps = np.zeros((rows, 2 * self.width), dtype=np.int64)
+        self._head = self.width
         self.counts = np.zeros(rows, dtype=np.int64)
+        #: Every row holds ``width`` readings: :attr:`counts` can no
+        #: longer move, so appends stop updating it.
+        self._full = False
         #: The output name all rows share when every unit has exactly
         #: one output (row ``j`` is then unit ``j``): a uniform pass's
         #: column of that name is the channel's next column as it is.
@@ -92,44 +103,79 @@ class FusedChannel:
         #: so one identity check replaces the string comparison.
         self._whole: Optional[Tuple[str, ...]] = None
 
+    @property
+    def values(self) -> np.ndarray:
+        """The ``rows x width`` window matrix (a view of the ring)."""
+        return self._values[:, self._head - self.width:self._head]
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        """The window's timestamps, laid out like :attr:`values`."""
+        return self._timestamps[:, self._head - self.width:self._head]
+
+    def _note_counts(self) -> None:
+        counts = self.counts
+        self._full = bool(len(counts)) and bool((counts == self.width).all())
+
     def seed(self, prev: Optional["FusedChannel"], cache_lookup) -> None:
         """Warm rows from a predecessor channel (plan rebuild) or from
         the host's caches (fusion enabled after staged passes ran), so
         switching execution modes never loses window history."""
+        values, timestamps = self.values, self.timestamps
         for r, topic in enumerate(self.topics):
             if prev is not None:
                 pr = prev.row_of.get(topic)
                 if pr is not None:
                     n = min(int(prev.counts[pr]), self.width)
                     if n:
-                        self.timestamps[r, -n:] = (
-                            prev.timestamps[pr, prev.width - n:]
-                        )
-                        self.values[r, -n:] = prev.values[pr, prev.width - n:]
+                        timestamps[r, -n:] = prev.timestamps[pr, prev.width - n:]
+                        values[r, -n:] = prev.values[pr, prev.width - n:]
                         self.counts[r] = n
                     continue
             cache = cache_lookup(topic)
             if cache is not None and len(cache):
                 self.counts[r] = cache.tail_into(
-                    self.timestamps[r], self.values[r], self.width
+                    timestamps[r], values[r], self.width
                 )
+        self._note_counts()
 
     def append(self, ts: int, rows: Optional[List[int]], vals) -> None:
-        """Shift the produced rows left by one slot and write the new
-        column; unproduced rows keep their (older) window verbatim.
-        ``rows=None`` means every row produced, ``vals`` in row order."""
-        if rows is None or len(rows) == len(self.counts):
+        """Write the new column of the produced rows; unproduced rows
+        keep their (older) window verbatim.  ``rows=None`` means every
+        row produced, ``vals`` in row order; a list, complete or not,
+        names the row of each value."""
+        if rows is None:
             idx = slice(None)  # the steady state: no index array
-        elif rows:
+            stale = None
+        elif len(rows):
             idx = np.asarray(rows, dtype=np.intp)
+            stale = np.ones(len(self.counts), dtype=bool)
+            stale[idx] = False
+            if not stale.any():
+                stale = None
         else:
             return
-        if self.width > 1:
-            self.values[idx, :-1] = self.values[idx, 1:]
-            self.timestamps[idx, :-1] = self.timestamps[idx, 1:]
-        self.values[idx, -1] = vals
-        self.timestamps[idx, -1] = ts
-        self.counts[idx] = np.minimum(self.counts[idx] + 1, self.width)
+        width, head = self.width, self._head
+        lo = head - width  # the window's first column before this pass
+        if head == 2 * width:
+            # Wrap: the newest width - 1 columns move to the front, the
+            # new column lands right after them.
+            head = width - 1
+            if head:
+                self._values[:, :head] = self._values[:, width + 1:]
+                self._timestamps[:, :head] = self._timestamps[:, width + 1:]
+        if stale is not None:
+            # Unproduced rows: the whole old window, one slot on (the
+            # fancy-indexed read copies, so the ranges may overlap).
+            dst = slice(head + 1 - width, head + 1)
+            self._values[stale, dst] = self._values[stale, lo:lo + width]
+            self._timestamps[stale, dst] = self._timestamps[stale, lo:lo + width]
+        self._values[idx, head] = vals
+        self._timestamps[idx, head] = ts
+        self._head = head + 1
+        if not self._full:
+            self.counts[idx] = np.minimum(self.counts[idx] + 1, width)
+            self._note_counts()
 
     def append_pass(self, ts: int, result) -> None:
         """Sink of an intermediate member's pass (emission order)."""
@@ -174,7 +220,7 @@ class FusedChannel:
             self._whole = topics
             window = BatchWindow(
                 topics, self.values, self.timestamps,
-                np.minimum(self.counts, n),
+                np.minimum(self.counts, n), n if self._full else None,
             )
         else:
             rows = np.array(
@@ -207,8 +253,11 @@ class FusedPlan:
 
     def __init__(self, generation, units, channels) -> None:
         self.generation = generation
-        #: The producer units themselves (see ``same_units``).
-        self.units: List = units
+        #: Each producer's ``units`` list, the very object the plan was
+        #: checked against last (see ``same_units``): installed unit
+        #: lists are replaced, never mutated, so a steady pass finds
+        #: the same objects and compares nothing else.
+        self.units: List[list] = units
         self.channels: List[FusedChannel] = channels
 
 
@@ -237,17 +286,17 @@ class FusedGroup:
 
     def _ensure_plan(self) -> FusedPlan:
         gen = self.engine.navigator.generation
-        # Every producer unit, by identity (terminal units may churn
-        # freely — job operators rebuild theirs each pass — without
-        # invalidating the channels, which never carry them).
-        units = [u for op in self.ops[:-1] for u in op.units]
+        # Every producer's units (terminal units may churn freely — job
+        # operators rebuild theirs each pass — without invalidating the
+        # channels, which never carry them).
+        units = [op.units for op in self.ops[:-1]]
         plan = self._plan
-        if (
-            plan is not None
-            and plan.generation == gen
-            and same_units(plan.units, units)
-        ):
-            return plan
+        if plan is not None and plan.generation == gen:
+            if all(map(operator.is_, plan.units, units)):
+                return plan
+            if all(map(same_units, plan.units, units)):
+                plan.units = units  # the same units in new lists
+                return plan
         return self._compile(gen, units)
 
     def _compile(self, generation, units) -> FusedPlan:

@@ -264,11 +264,15 @@ class OperatorBase:
         self._breakers: Dict[str, UnitBreaker] = {}
         self._breaker_lock = hooks.make_lock("OperatorBase.breaker")
         # Memoized batch-query layout: (units, topics, slices, m) from
-        # the last batch_window call (see same_units, rows_per_unit).
+        # the last batch_window call (see rows_per_unit).
         self._batch_layout: Optional[tuple] = None
         # Memoized output layout of a uniform pass: (units, sensors,
-        # output names, index) — see _output_columns.
+        # output names, index) — see _output_columns.  Both memos hold
+        # the units list object they were built for: installed lists
+        # are replaced, never mutated in place, so a steady pass is one
+        # identity check and same_units runs only on a new list.
         self._output_layout: Optional[tuple] = None
+        self._plan_key = f"operator:{config.name}"
         # Unbound operators instrument against a private registry; bind()
         # migrates the accrued values into the host's registry so every
         # operator shows up under the host's GET /metrics.
@@ -587,8 +591,9 @@ class OperatorBase:
 
         Open breakers age toward their next probe here (skipped passes
         are the quarantine clock).  With no breakers allocated and
-        automatic tripping disabled this is a no-op returning ``units``
-        unchanged.
+        automatic tripping disabled this is a no-op.  A pass that drops
+        no unit gets ``units`` itself back, so the layout memos see the
+        list they hold.
         """
         if not self._breakers:  # unguarded: emptiness fast-path; a stale read only delays quarantine by one pass
             return units
@@ -598,7 +603,7 @@ class OperatorBase:
                 breaker = self._breakers.get(unit.name)
                 if breaker is None or breaker.allow():
                     allowed.append(unit)
-        return allowed
+        return units if len(allowed) == len(units) else allowed
 
     def _record_unit_successes(self, result: PassResult) -> None:
         """Close/clear breakers of units that produced results."""
@@ -770,8 +775,11 @@ class OperatorBase:
         # The layout (flattened topics + per-unit row slices) depends
         # only on the unit identities; steady-state passes reuse it.
         cached = self._batch_layout
-        if cached is not None and same_units(cached[0], units):
+        if cached is not None and cached[0] is units:
             _, topics, slices, m = cached
+        elif cached is not None and same_units(cached[0], units):
+            _, topics, slices, m = cached
+            self._batch_layout = (units, topics, slices, m)
         else:
             flat: List[str] = []
             slices = []
@@ -786,9 +794,9 @@ class OperatorBase:
                 if len(sizes) == 1 and all(unit.outputs for unit in units)
                 else 0
             )
-            self._batch_layout = (list(units), topics, slices, m)
+            self._batch_layout = (units, topics, slices, m)
         window = (source or self.engine).query_relative_batch(
-            topics, self.config.window_ns, key=f"operator:{self.name}"
+            topics, self.config.window_ns, key=self._plan_key
         )
         return window, slices, window.uniform_count() if m == 1 else 0
 
@@ -880,7 +888,11 @@ class OperatorBase:
             return SensorColumns(tuple(sensors), values)
         units = result.units
         layout = self._output_layout
-        if layout is None or not same_units(layout[0], units):
+        if layout is not None and layout[0] is not units:
+            layout = self._output_layout = (
+                (units,) + layout[1:] if same_units(layout[0], units) else None
+            )
+        if layout is None:
             outputs = [(j, s) for j, unit in enumerate(units) for s in unit.outputs]
             names = list(dict.fromkeys(s.name for _, s in outputs))
             index = None
@@ -891,7 +903,7 @@ class OperatorBase:
                     np.array([j for j, _ in outputs], dtype=np.intp),
                 )
             layout = self._output_layout = (
-                list(units), tuple(s for _, s in outputs), names, index
+                units, tuple(s for _, s in outputs), names, index
             )
         _, sensors, names, index = layout
         if index is None:  # one output per unit, all of one name
@@ -1040,7 +1052,10 @@ class JobOperatorBase(OperatorBase):
         self._unit_models = {
             name: m for name, m in self._unit_models.items() if name in kept
         }
-        self._install_units(units)
+        # An unchanged job set keeps its list: the pass's memos then
+        # find the very object they hold.
+        if not same_units(self.units, units):
+            self._install_units(units)
 
     def run(self, ts: int, source=None) -> PassResult:
         if self.enabled:

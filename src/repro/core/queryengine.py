@@ -91,7 +91,7 @@ class BatchWindow:
     fingerprints every row, rule R007).
     """
 
-    __slots__ = ("topics", "values", "timestamps", "counts", "width")
+    __slots__ = ("topics", "values", "timestamps", "counts", "width", "_uniform")
 
     def __init__(
         self,
@@ -99,12 +99,15 @@ class BatchWindow:
         values: np.ndarray,
         timestamps: np.ndarray,
         counts: np.ndarray,
+        uniform: Optional[int] = None,
     ) -> None:
         self.topics = tuple(topics)
         self.values = values
         self.timestamps = timestamps
         self.counts = counts
         self.width = int(values.shape[1])
+        #: :meth:`uniform_count`, when the source already knows it.
+        self._uniform = uniform
 
     def __len__(self) -> int:
         return len(self.topics)
@@ -117,12 +120,16 @@ class BatchWindow:
     def uniform_count(self) -> int:
         """The reading count every row shares, or 0 when rows differ,
         any is empty or there are none — the precondition for reducing
-        ``values[:, width - n:]`` along axis 1 in one go."""
-        counts = self.counts
-        if not len(counts):
-            return 0
-        n = int(counts[0])
-        return n if n and (counts == n).all() else 0
+        ``values[:, width - n:]`` along axis 1 in one go.  Computed
+        once per window."""
+        n = self._uniform
+        if n is None:
+            counts = self.counts
+            n = int(counts[0]) if len(counts) else 0
+            if n and not (counts == n).all():
+                n = 0
+            self._uniform = n
+        return n
 
     def row_values(self, i: int) -> np.ndarray:
         """The valid value segment of row ``i``, oldest-first (a view)."""

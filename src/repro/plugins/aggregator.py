@@ -17,6 +17,7 @@ Params:
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -34,49 +35,70 @@ from repro.core.units import Unit
 
 _QUANTILE_RE = re.compile(r"^q(100|\d{1,2})$")
 
+#: ``kernel(pooled, first, first_ts)``: one aggregate of every row, U×n
+#: matrices in, U values out (see :func:`_resolve`).
+Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
 # One aggregate per row (axis 1).  NumPy applies the same pairwise
 # reduction to a row of a matrix as to a 1-D array of that row, so a
 # unit's value is the same whether its window sits in a stacked pass
-# matrix or is handed over alone as a 1×n view.
+# matrix or is handed over alone as a 1×n view.  The reductions are the
+# ufunc ones ``ndarray.mean``/``max``/... wrap, called without the
+# wrappers' per-call dispatch.
 _ROW_OPS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "mean": lambda m: m.mean(axis=1),
+    "mean": lambda m: np.add.reduce(m, axis=1) / m.shape[1],
     "std": lambda m: m.std(axis=1),
-    "min": lambda m: m.min(axis=1),
-    "max": lambda m: m.max(axis=1),
-    "sum": lambda m: m.sum(axis=1),
+    "min": lambda m: np.minimum.reduce(m, axis=1),
+    "max": lambda m: np.maximum.reduce(m, axis=1),
+    "sum": lambda m: np.add.reduce(m, axis=1),
     "median": lambda m: np.median(m, axis=1),
     "count": lambda m: np.full(m.shape[0], float(m.shape[1])),
     "last": lambda m: m[:, -1].copy(),
 }
 
 
-def _kernel(
-    op: str, pooled: np.ndarray, first: np.ndarray, first_ts: np.ndarray
-) -> np.ndarray:
-    """Aggregate ``op`` of every row: U×n matrices in, U values out.
+def _pooled(row_op: Callable[[np.ndarray], np.ndarray]) -> Kernel:
+    """``row_op`` over each unit's readings pooled over its inputs."""
 
-    ``pooled`` holds each unit's readings pooled over its inputs;
-    ``delta``/``rate`` read ``first``/``first_ts``, the window of the
-    unit's first input (they are counter-oriented and pooling counters
-    is meaningless).
-    """
-    if op in ("delta", "rate"):
+    def kernel(pooled, first, first_ts):
+        if pooled.shape[1] == 0:
+            return np.full(pooled.shape[0], np.nan)
+        return row_op(pooled)
+
+    return kernel
+
+
+def _counter(rate: bool) -> Kernel:
+    """``delta`` (last - first) or ``rate`` (delta per second) of each
+    unit's first input: they are counter-oriented, and pooling counters
+    is meaningless."""
+
+    def kernel(pooled, first, first_ts):
         if first.shape[1] < 2:
             return np.full(first.shape[0], np.nan)
         diff = first[:, -1] - first[:, 0]
-        if op == "delta":
+        if not rate:
             return diff
         out = np.full(first.shape[0], np.nan)
         span_s = (first_ts[:, -1] - first_ts[:, 0]) / 1e9
         ok = span_s > 0
         out[ok] = diff[ok] / span_s[ok]
         return out
-    if pooled.shape[1] == 0:
-        return np.full(pooled.shape[0], np.nan)
-    match = _QUANTILE_RE.match(op)
-    if match:
-        return np.percentile(pooled, int(match.group(1)), axis=1)
-    return _ROW_OPS[op](pooled)
+
+    return kernel
+
+
+def _resolve(op: str) -> Kernel:
+    """The kernel of aggregate ``op``, or :class:`ConfigError`."""
+    if op in ("delta", "rate"):
+        return _counter(op == "rate")
+    row_op = _ROW_OPS.get(op)
+    if row_op is None:
+        match = _QUANTILE_RE.match(op)
+        if match is None:
+            raise ConfigError(f"unknown aggregate {op!r}")
+        row_op = partial(np.percentile, q=int(match.group(1)), axis=1)
+    return _pooled(row_op)
 
 
 @operator_plugin("aggregator")
@@ -119,18 +141,11 @@ class AggregatorOperator(OperatorBase):
             ops["*"] = single
         if not ops:
             raise ConfigError(f"{config.name}: params.ops (or op) is required")
-        self._ops: Dict[str, str] = {}
-        for out_name, op in ops.items():
-            self._validate_op(op)
-            self._ops[out_name] = op
-
-    @staticmethod
-    def _validate_op(op: str) -> None:
-        if op in _ROW_OPS or op in ("delta", "rate"):
-            return
-        if _QUANTILE_RE.match(op):
-            return
-        raise ConfigError(f"unknown aggregate {op!r}")
+        self._ops: Dict[str, str] = dict(ops)
+        #: One kernel per distinct aggregate, resolved once.
+        self._kernels: Dict[str, Kernel] = {
+            op: _resolve(op) for op in dict.fromkeys(ops.values())
+        }
 
     def _op_for(self, sensor_name: str) -> str:
         op = self._ops.get(sensor_name) or self._ops.get("*")
@@ -157,9 +172,10 @@ class AggregatorOperator(OperatorBase):
         values = window.values[:, window.width - n:]
         timestamps = window.timestamps[:, window.width - n:]
         pooled = values.reshape(len(units), m * n)
+        first, first_ts = values[::m], timestamps[::m]
         columns = {
-            op: _kernel(op, pooled, values[::m], timestamps[::m])
-            for op in set(self._ops.values())
+            op: kernel(pooled, first, first_ts)
+            for op, kernel in self._kernels.items()
         }
         return PassResult(
             units=units, column_of=lambda name: columns[self._op_for(name)]
@@ -174,8 +190,7 @@ class AggregatorOperator(OperatorBase):
         first_ts = rows[0][1] if rows else np.empty(0, dtype=np.int64)
         return {
             sensor.name: float(
-                _kernel(
-                    self._op_for(sensor.name),
+                self._kernels[self._op_for(sensor.name)](
                     pooled[None, :], first[None, :], first_ts[None, :],
                 )[0]
             )

@@ -20,6 +20,7 @@ import pytest
 from repro.common.errors import QueryError, TopicError
 from repro.common.timeutil import NS_PER_SEC
 from repro.analysis.diagnostics import DiagnosticCollector
+from repro.core import operator
 from repro.core.operator import OperatorBase, OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.tree import SensorTree
@@ -1099,3 +1100,146 @@ class TestCacheViewReadings:
             for r in readings
         )
         assert [r.value for r in readings] == view.values().tolist()
+
+
+# ----------------------------------------------------------------------
+# Identity-checked memos: a steady pass compares no units
+# ----------------------------------------------------------------------
+
+
+def same_units_refused(a, b):
+    raise AssertionError("same_units compared units on a steady pass")
+
+
+class RunningJobs:
+    """A job source: ``jobs`` maps job id -> node paths, all running."""
+
+    class Job:
+        def __init__(self, job_id, node_paths):
+            self.job_id, self.node_paths = job_id, node_paths
+
+    def __init__(self, jobs):
+        self.jobs = dict(jobs)
+
+    def running_jobs(self, ts):
+        return [self.Job(j, nodes) for j, nodes in self.jobs.items()]
+
+
+class TestIdentityMemos:
+    TOPICS = {
+        f"/n{i}/{x}": series(10, scale=1.0 + i + 10 * (x == "b"))
+        for i in range(4) for x in "ab"
+    }
+
+    def rig(self, **cfg):
+        host = Host(self.TOPICS)
+        op = bound(
+            AggregatorOperator,
+            OperatorConfig(
+                name="agg", window_ns=WINDOW, params={"op": "mean"}, **cfg
+            ),
+            host,
+        )
+        op.start()
+        return host, op
+
+    def want(self, units):
+        reference = ref_aggregator({"*": "mean"})
+        return [
+            (u.name, reference(u, [window_of(self.TOPICS[u.inputs[0]], WINDOW)]))
+            for u in units
+        ]
+
+    def test_new_units_of_the_same_length_recompile_both_layouts(self):
+        host, op = self.rig()
+        op.set_units([make_unit(f"/n{i}", [f"/n{i}/a"], ["m"]) for i in range(4)])
+        op.compute(NOW)
+        second = [make_unit(f"/n{i}", [f"/n{i}/b"], ["m"]) for i in range(4)]
+        op.set_units(second)
+        results = op.compute(NOW + NS_PER_SEC)
+        assert [(r.unit.name, r.values) for r in results] == self.want(second)
+        assert op._batch_layout[0] is op.units
+        assert op._batch_layout[1] == tuple(f"/n{i}/b" for i in range(4))
+        assert op._output_layout[0] is op.units
+        assert op._output_layout[1] == tuple(u.outputs[0] for u in second)
+        assert [t for t, _, _ in host.stored[-4:]] == [
+            u.outputs[0].topic for u in second
+        ]
+
+    def test_steady_staged_passes_never_compare_units(self, monkeypatch):
+        host, op = self.rig()
+        units = [make_unit(f"/n{i}", [f"/n{i}/a"], ["m"]) for i in range(4)]
+        op.set_units(units)
+        op.compute(NOW)
+        monkeypatch.setattr(operator, "same_units", same_units_refused)
+        for k in range(1, 21):
+            results = op.compute(NOW + k * NS_PER_SEC)
+            assert [(r.unit.name, r.values) for r in results] == self.want(units)
+        assert op.error_count == 0 and len(host.stored) == 21 * 4
+
+    def test_a_steady_job_set_keeps_its_units_list(self):
+        topics = {
+            f"/r0/n{i}/cpu{c}/cpi": series(10, scale=0.1 + c)
+            for i in range(3) for c in range(2)
+        }
+        host = Host(topics)
+        op = bound(
+            PerSystOperator,
+            OperatorConfig(
+                name="ps", window_ns=WINDOW,
+                inputs=["<bottomup, filter cpu>cpi"],
+            ),
+            host,
+            job_source=RunningJobs({"j1": ["/r0/n0"], "j2": ["/r0/n1"]}),
+        )
+        op.init_units(SensorTree.from_topics(list(topics)))
+        op.start()
+        op.compute(NOW)
+        units = op.units
+        assert [u.tag for u in units] == ["j1", "j2"]
+        for k in range(1, 4):
+            assert len(op.compute(NOW + k * NS_PER_SEC)) == 2
+            assert op.units is units and op._batch_layout[0] is units
+        op.job_source.jobs["j3"] = ["/r0/n2"]
+        assert len(op.compute(NOW + 4 * NS_PER_SEC)) == 3
+        assert op.units is not units and op._batch_layout[0] is op.units
+        assert [u.tag for u in op.units] == ["j1", "j2", "j3"]
+        assert [u.tag for u in units] == ["j1", "j2"]  # replaced, not mutated
+
+    def test_installed_unit_lists_are_never_mutated_in_place(self):
+        """The memos trust a list they hold to still hold the same
+        units: nothing may change one after it is installed."""
+        host, op = self.rig(unit_cadence=2, breaker_threshold=1)
+        units = [make_unit(f"/n{i}", [f"/n{i}/a"], ["m"]) for i in range(4)]
+        op.set_units(units)
+        installed = op.units
+        assert installed is not units  # the caller keeps its own list
+        units.pop()
+        held = list(installed)
+        op.set_breaker("/n1", "trip")
+        for k in range(6):
+            op.compute(NOW + k * NS_PER_SEC)
+        assert op.units is installed
+        assert len(installed) == 4
+        assert all(a is b for a, b in zip(installed, held))
+        op.set_units(units)
+        assert op.units is not installed
+        assert all(a is b for a, b in zip(installed, held))
+
+    def test_mid_run_quarantine_gets_its_layout_and_recovers(self):
+        host, op = self.rig(breaker_threshold=1, breaker_cooldown=2)
+        units = [make_unit(f"/n{i}", [f"/n{i}/a"], ["m"]) for i in range(4)]
+        op.set_units(units)
+        op.compute(NOW)
+        op.set_breaker("/n2", "trip")
+        passes = []
+        for k in range(1, 8):
+            results = op.compute(NOW + k * NS_PER_SEC)
+            due = [u for u in units if u.name in {r.unit.name for r in results}]
+            assert [(r.unit.name, r.values) for r in results] == self.want(due)
+            assert op._batch_layout[1] == tuple(u.inputs[0] for u in due)
+            passes.append(len(results))
+        # Quarantined, probed, closed: the full list again, by identity.
+        assert passes[0] == 3 and passes[-1] == 4
+        assert op.quarantined_units() == []
+        assert op._batch_layout[0] is op.units

@@ -19,7 +19,8 @@ import pytest
 from repro.analysis.flow import analyze_flow
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC
-from repro.core.fusion import FusedGroup
+from repro.core import fusion, operator
+from repro.core.fusion import FusedChannel, FusedGroup
 from repro.core.operator import OperatorConfig
 from repro.core.pipeline import FusionSpec, plan_fusion
 from repro.core.queryengine import QueryEngine
@@ -865,3 +866,93 @@ class TestFlowFusion:
         assert model.fused_groups == []
         assert [b[3] for b in model.fusion_blocked] == ["external-subscriber"]
         assert "stays staged (external-subscriber)" in render_flow_report(model)
+
+
+# ----------------------------------------------------------------------
+# The ring channel and the identity-checked memos
+# ----------------------------------------------------------------------
+
+
+def same_units_refused(a, b):
+    raise AssertionError("same_units compared units on a steady pass")
+
+
+class TestChannelAppend:
+    def test_a_complete_permuted_pass_lands_each_value_on_its_row(self):
+        """Regression: a complete row list took the row-order path, so
+        a permuted one wrote each value on the wrong row."""
+        channel = FusedChannel([unit_for(i, "x", "y") for i in range(2)], 3)
+        channel.append(NS_PER_SEC, [1, 0], [10.0, 20.0])
+        assert channel.values[:, -1].tolist() == [20.0, 10.0]
+        assert channel.counts.tolist() == [1, 1]
+
+
+class TestIdentityMemos:
+    def test_steady_fused_passes_never_compare_units(self, monkeypatch):
+        monkeypatch.setattr(fusion, "same_units", same_units_refused)
+        monkeypatch.setattr(operator, "same_units", same_units_refused)
+        staged, fused, s_ops, f_ops, group = run_both(20)
+        assert final_series(staged) == final_series(fused)
+        assert all(f_op.error_count == 0 for f_op in f_ops)
+        assert len(final_series(fused)["/n0/mx"]) == 20
+
+    def test_new_units_of_the_same_length_recompile_every_memo(self):
+        staged, fused, s_ops, f_ops, group = run_both(8)
+        plan_before = group._plan
+        # Every stage gets new units in a new order: the same length,
+        # other objects — each memo must notice and recompile.
+        for ops in (s_ops, f_ops):
+            for op, (in_name, out_name) in zip(
+                ops, (("power", "sm"), ("sm", "ag"), ("ag", "mx"))
+            ):
+                op.set_units([
+                    unit_for(i, in_name, out_name)
+                    for i in reversed(range(N_UNITS))
+                ])
+        rng = np.random.default_rng(11)
+        for tick in range(9, 20):
+            ts = tick * NS_PER_SEC
+            for i in range(N_UNITS):
+                v = float(rng.random())
+                staged.feed(ts, f"/n{i}/power", v)
+                fused.feed(ts, f"/n{i}/power", v)
+            for op in s_ops:
+                op.compute(ts)
+            group.run(ts)
+        assert group._plan is not plan_before
+        assert all(a is op.units for a, op in zip(group._plan.units, f_ops))
+        for op in f_ops:
+            assert op._batch_layout[0] is op.units
+        terminal = f_ops[-1]
+        assert terminal._output_layout[0] is terminal.units
+        assert terminal._output_layout[1] == tuple(
+            u.outputs[0] for u in terminal.units
+        )
+        assert final_series(staged) == final_series(fused)
+
+    def test_mid_run_quarantine_gets_its_layout_and_recovers(self):
+        def configure(ops):
+            ops[1].config.breaker_cooldown = 2
+
+        staged, fused, s_ops, f_ops, group = run_both(6, configure=configure)
+        rng = np.random.default_rng(17)
+        seen = []
+        for tick in range(7, 20):
+            if tick == 9:
+                for ops in (s_ops, f_ops):
+                    ops[1].set_breaker("/n3", "trip")
+            ts = tick * NS_PER_SEC
+            for i in range(N_UNITS):
+                v = float(rng.random())
+                staged.feed(ts, f"/n{i}/power", v)
+                fused.feed(ts, f"/n{i}/power", v)
+            for op in s_ops:
+                op.compute(ts)
+            group.run(ts)
+            seen.append(len(f_ops[1]._batch_layout[0]))
+        # Quarantined passes gathered the seven other units; the probe
+        # brought the full list back, the operator's own by identity.
+        assert N_UNITS - 1 in seen and seen[-1] == N_UNITS
+        assert f_ops[1]._batch_layout[0] is f_ops[1].units
+        assert f_ops[1].quarantined_units() == []
+        assert final_series(staged) == final_series(fused)
