@@ -61,7 +61,7 @@ CACHE_WINDOW_NS = 180 * NS_PER_SEC
 #: Channel-append micro-benchmark: rows (one per-cpu chain's units on
 #: a 64-cpu node), the widths timed, and min-of-N rounds of appends.
 APPEND_ROWS, APPEND_WIDTHS = 64, (1, 21, 31)
-APPEND_ROUNDS, APPEND_PER_ROUND = 15, 248
+APPEND_ROUNDS, APPEND_PER_ROUND = 30, 248
 MAX_APPEND_RATIO = 1.5
 
 
@@ -247,11 +247,13 @@ def run_fusion_bench(n_units: int, passes: int) -> dict:
     }
 
 
-def time_channel_append(width: int) -> float:
+def run_append_bench() -> dict:
     """Cheapest per-append cost (us) of a steady full pass into a
-    channel of ``APPEND_ROWS`` rows and window ``width``: min over
-    ``APPEND_ROUNDS`` rounds of ``APPEND_PER_ROUND`` appends (eight
-    ring wraps at width 31), so the wraps' block moves are in it."""
+    channel of ``APPEND_ROWS`` rows, per window width: min over
+    ``APPEND_ROUNDS`` rounds of ``APPEND_PER_ROUND`` appends (eight ring
+    wraps at width 31, so the wraps' block moves are in it).  The widths
+    take turns round by round, so a change in machine speed during the
+    run hits them alike."""
     units = [
         Unit(
             name=f"/n{i}", level=0, inputs=[],
@@ -259,21 +261,20 @@ def time_channel_append(width: int) -> float:
         )
         for i in range(APPEND_ROWS)
     ]
-    channel = FusedChannel(units, width)
-    column = np.random.default_rng(width).random(APPEND_ROWS)
-    append = channel.append
-    ts, best = 0, float("inf")
+    column = np.random.default_rng(0xF051).random(APPEND_ROWS)
+    channels = {width: FusedChannel(units, width) for width in APPEND_WIDTHS}
+    best = dict.fromkeys(APPEND_WIDTHS, float("inf"))
+    ts = 0
     for _ in range(APPEND_ROUNDS):
-        t0 = time.perf_counter_ns()
-        for _ in range(APPEND_PER_ROUND):
-            ts += NS_PER_SEC
-            append(ts, None, column)
-        best = min(best, (time.perf_counter_ns() - t0) / APPEND_PER_ROUND)
-    return best / 1e3
-
-
-def run_append_bench() -> dict:
-    costs = {width: time_channel_append(width) for width in APPEND_WIDTHS}
+        for width, channel in channels.items():
+            append = channel.append
+            t0 = time.perf_counter_ns()
+            for _ in range(APPEND_PER_ROUND):
+                ts += NS_PER_SEC
+                append(ts, None, column)
+            elapsed = time.perf_counter_ns() - t0
+            best[width] = min(best[width], elapsed / APPEND_PER_ROUND)
+    costs = {width: ns / 1e3 for width, ns in best.items()}
     return {
         "append_rows": APPEND_ROWS,
         "append_us_by_width": costs,
