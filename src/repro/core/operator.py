@@ -775,11 +775,12 @@ class OperatorBase:
         # The layout (flattened topics + per-unit row slices) depends
         # only on the unit identities; steady-state passes reuse it.
         cached = self._batch_layout
-        if cached is not None and cached[0] is units:
+        if cached is not None and cached[0] is not units:
+            cached = self._batch_layout = (
+                (units,) + cached[1:] if same_units(cached[0], units) else None
+            )
+        if cached is not None:
             _, topics, slices, m = cached
-        elif cached is not None and same_units(cached[0], units):
-            _, topics, slices, m = cached
-            self._batch_layout = (units, topics, slices, m)
         else:
             flat: List[str] = []
             slices = []
