@@ -20,7 +20,10 @@ input stream at ≥ 500 units and checks:
 - **flat channel append**: a :class:`~repro.core.fusion.FusedChannel`
   pass writes one column of its ring, so the cheapest append at window
   width 31 costs at most 1.5x the one at width 1 (min of
-  ``APPEND_ROUNDS`` rounds, the same under ``--smoke``).
+  ``APPEND_ROUNDS`` rounds, the same under ``--smoke``);
+- **staggered append**: a partial pass (a ``unit_cadence=4`` rotation)
+  costs the ring no more than it cost the shift-left channel it
+  replaced, at every width.
 
 Run standalone (``python benchmarks/bench_pipeline_fusion.py [--smoke]``)
 or under pytest.
@@ -53,16 +56,21 @@ from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.plugins.aggregator import AggregatorOperator
 from repro.plugins.smoother import SmootherOperator
+from tests.shift_channel import ShiftChannel
 
 FULL_UNITS, FULL_PASSES = 520, 40
 SMOKE_UNITS, SMOKE_PASSES = 96, 12
 WARM_PASSES = 8  # untimed leading ticks: fill windows, compile plans
 CACHE_WINDOW_NS = 180 * NS_PER_SEC
 #: Channel-append micro-benchmark: rows (one per-cpu chain's units on
-#: a 64-cpu node), the widths timed, and min-of-N rounds of appends.
+#: a 64-cpu node), the widths timed, min-of-N rounds of appends, and the
+#: unit cadence of the staggered passes.
 APPEND_ROWS, APPEND_WIDTHS = 64, (1, 21, 31)
 APPEND_ROUNDS, APPEND_PER_ROUND = 30, 248
+APPEND_CADENCE = 4
 MAX_APPEND_RATIO = 1.5
+#: Staggered ring append / staggered shift-left append, at worst.
+MAX_STAGGERED_RATIO = 1.0
 
 
 class MiniPusher:
@@ -248,12 +256,18 @@ def run_fusion_bench(n_units: int, passes: int) -> dict:
 
 
 def run_append_bench() -> dict:
-    """Cheapest per-append cost (us) of a steady full pass into a
-    channel of ``APPEND_ROWS`` rows, per window width: min over
-    ``APPEND_ROUNDS`` rounds of ``APPEND_PER_ROUND`` appends (eight ring
-    wraps at width 31, so the wraps' block moves are in it).  The widths
-    take turns round by round, so a change in machine speed during the
-    run hits them alike."""
+    """Cheapest per-append cost (us) into a channel of ``APPEND_ROWS``
+    rows, per window width, for the ring :class:`FusedChannel` and the
+    shift-left :class:`~tests.shift_channel.ShiftChannel` it replaced:
+    min over ``APPEND_ROUNDS`` rounds of ``APPEND_PER_ROUND`` appends
+    (eight ring wraps at width 31, so the wraps' block moves are in it).
+
+    Two pass kinds: *full* (every row, ``rows=None``) and *staggered*
+    (a ``unit_cadence=APPEND_CADENCE`` rotation: pass ``k`` produces
+    the rows ``i % APPEND_CADENCE == k % APPEND_CADENCE``, given as
+    lists like ``FusedChannel.append_pass`` gives them).  The
+    (kind, width, channel) cases take turns round by round, so a change
+    in machine speed during the run hits them alike."""
     units = [
         Unit(
             name=f"/n{i}", level=0, inputs=[],
@@ -261,24 +275,53 @@ def run_append_bench() -> dict:
         )
         for i in range(APPEND_ROWS)
     ]
+    topics = [u.outputs[0].topic for u in units]
     column = np.random.default_rng(0xF051).random(APPEND_ROWS)
-    channels = {width: FusedChannel(units, width) for width in APPEND_WIDTHS}
-    best = dict.fromkeys(APPEND_WIDTHS, float("inf"))
+    full = [(None, column)] * APPEND_CADENCE
+    staggered = [
+        (rows, column[rows].tolist())
+        for rows in (
+            list(range(phase, APPEND_ROWS, APPEND_CADENCE))
+            for phase in range(APPEND_CADENCE)
+        )
+    ]
+    makers = {"ring": lambda w: FusedChannel(units, w),
+              "shift": lambda w: ShiftChannel(topics, w)}
+    cases = {
+        (kind, width, name): (make(width), passes)
+        for kind, passes in (("full", full), ("staggered", staggered))
+        for width in APPEND_WIDTHS
+        for name, make in makers.items()
+    }
+    best = dict.fromkeys(cases, float("inf"))
     ts = 0
     for _ in range(APPEND_ROUNDS):
-        for width, channel in channels.items():
+        for case, (channel, passes) in cases.items():
             append = channel.append
             t0 = time.perf_counter_ns()
-            for _ in range(APPEND_PER_ROUND):
+            for k in range(APPEND_PER_ROUND):
+                rows, vals = passes[k % APPEND_CADENCE]
                 ts += NS_PER_SEC
-                append(ts, None, column)
+                append(ts, rows, vals)
             elapsed = time.perf_counter_ns() - t0
-            best[width] = min(best[width], elapsed / APPEND_PER_ROUND)
-    costs = {width: ns / 1e3 for width, ns in best.items()}
+            best[case] = min(best[case], elapsed / APPEND_PER_ROUND)
+
+    def costs(kind, name):
+        return {w: best[kind, w, name] / 1e3 for w in APPEND_WIDTHS}
+
+    ring, staggered = costs("full", "ring"), costs("staggered", "ring")
+    shift_staggered = costs("staggered", "shift")
     return {
         "append_rows": APPEND_ROWS,
-        "append_us_by_width": costs,
-        "append_ratio_w31_w1": costs[31] / costs[1],
+        "append_cadence": APPEND_CADENCE,
+        "append_us_by_width": ring,
+        "append_ratio_w31_w1": ring[31] / ring[1],
+        "shift_append_us_by_width": costs("full", "shift"),
+        "staggered_append_us_by_width": staggered,
+        "shift_staggered_append_us_by_width": shift_staggered,
+        "staggered_ratio_ring_shift": max(
+            staggered[w] / shift_staggered[w] for w in APPEND_WIDTHS
+        ),
     }
 
 
@@ -310,13 +353,19 @@ def main(argv=None) -> int:
         )],
     )
     print_table(
-        ["width", "append us"],
-        [(w, us) for w, us in r["append_us_by_width"].items()],
+        ["width", "full ring us", "full shift us", "staggered ring us",
+         "staggered shift us"],
+        [
+            (w, r["append_us_by_width"][w], r["shift_append_us_by_width"][w],
+             r["staggered_append_us_by_width"][w],
+             r["shift_staggered_append_us_by_width"][w])
+            for w in APPEND_WIDTHS
+        ],
     )
     config = {
         "n_units": n_units, "passes": passes, "smoke": args.smoke,
         "append": [APPEND_ROWS, list(APPEND_WIDTHS), APPEND_ROUNDS,
-                   APPEND_PER_ROUND],
+                   APPEND_PER_ROUND, APPEND_CADENCE],
     }
     write_bench_artifact(
         "fusion",
@@ -344,6 +393,12 @@ def main(argv=None) -> int:
         r["append_ratio_w31_w1"] <= MAX_APPEND_RATIO,
         f"{r['append_ratio_w31_w1']:.2f}x at {APPEND_ROWS} rows",
     )
+    ok &= shape_check(
+        f"staggered append (cadence {APPEND_CADENCE}) no dearer than the "
+        "shift-left channel at any width",
+        r["staggered_ratio_ring_shift"] <= MAX_STAGGERED_RATIO,
+        f"ring/shift {r['staggered_ratio_ring_shift']:.2f}x at worst",
+    )
     return 0 if ok else 1
 
 
@@ -356,6 +411,7 @@ class TestPipelineFusionBench:
     def test_channel_append_is_flat_in_width(self):
         r = run_append_bench()
         assert r["append_ratio_w31_w1"] <= MAX_APPEND_RATIO, r
+        assert r["staggered_ratio_ring_shift"] <= MAX_STAGGERED_RATIO, r
 
     def test_fused_is_faster(self):
         # The standalone run asserts the full 2x claim; under pytest on

@@ -32,7 +32,6 @@ other: channel rows served to a kernel are fingerprinted (rule R007).
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
 from repro.core.queryengine import BatchWindow, QueryEngine, report_views
-from repro.core.units import same_units
+from repro.core.units import kept_units
 from repro.sanitizer import hooks
 
 
@@ -67,8 +66,8 @@ class FusedChannel:
     ``width - 1`` columns move to the front in one block move — once
     every ``width`` passes.  Rows a pass did not produce keep their
     (older) window verbatim, as a staged pass leaves their caches
-    unwritten: their window is copied one slot right, which only a
-    partial pass pays for.
+    unwritten; a partial pass copies the windows of whichever side,
+    produced or not, has fewer rows (see :meth:`append`).
     """
 
     __slots__ = (
@@ -143,20 +142,36 @@ class FusedChannel:
         """Write the new column of the produced rows; unproduced rows
         keep their (older) window verbatim.  ``rows=None`` means every
         row produced, ``vals`` in row order; a list, complete or not,
-        names the row of each value."""
-        if rows is None:
-            idx = slice(None)  # the steady state: no index array
-            stale = None
-        elif len(rows):
-            idx = np.asarray(rows, dtype=np.intp)
-            stale = np.ones(len(self.counts), dtype=bool)
-            stale[idx] = False
-            if not stale.any():
-                stale = None
-        else:
-            return
+        names the row of each value.
+
+        A partial pass copies whichever side has fewer rows: when most
+        rows are produced the head advances and each unproduced row's
+        window is copied one slot right; otherwise the head stays and
+        each produced row's window shifts one slot left, its new value
+        last."""
         width, head = self.width, self._head
         lo = head - width  # the window's first column before this pass
+        stale = None
+        if rows is None:
+            idx = slice(None)  # the steady state: no index array
+        elif not len(rows):
+            return
+        else:
+            idx = np.asarray(rows, dtype=np.intp)
+            n = len(self.counts)
+            if 2 * len(idx) <= n:
+                # Few produced rows: shift their windows, the head stays.
+                values, timestamps = self._values, self._timestamps
+                if width > 1:
+                    values[idx, lo:head - 1] = values[idx, lo + 1:head]
+                    timestamps[idx, lo:head - 1] = timestamps[idx, lo + 1:head]
+                values[idx, head - 1] = vals
+                timestamps[idx, head - 1] = ts
+                self._count(idx)
+                return
+            if len(idx) < n:
+                stale = np.ones(n, dtype=bool)
+                stale[idx] = False
         if head == 2 * width:
             # Wrap: the newest width - 1 columns move to the front, the
             # new column lands right after them.
@@ -173,8 +188,11 @@ class FusedChannel:
         self._values[idx, head] = vals
         self._timestamps[idx, head] = ts
         self._head = head + 1
+        self._count(idx)
+
+    def _count(self, idx) -> None:
         if not self._full:
-            self.counts[idx] = np.minimum(self.counts[idx] + 1, width)
+            self.counts[idx] = np.minimum(self.counts[idx] + 1, self.width)
             self._note_counts()
 
     def append_pass(self, ts: int, result) -> None:
@@ -220,7 +238,7 @@ class FusedChannel:
             self._whole = topics
             window = BatchWindow(
                 topics, self.values, self.timestamps,
-                np.minimum(self.counts, n), n if self._full else None,
+                np.minimum(self.counts, n),
             )
         else:
             rows = np.array(
@@ -254,9 +272,7 @@ class FusedPlan:
     def __init__(self, generation, units, channels) -> None:
         self.generation = generation
         #: Each producer's ``units`` list, the very object the plan was
-        #: checked against last (see ``same_units``): installed unit
-        #: lists are replaced, never mutated, so a steady pass finds
-        #: the same objects and compares nothing else.
+        #: checked against last (see ``kept_units``).
         self.units: List[list] = units
         self.channels: List[FusedChannel] = channels
 
@@ -292,10 +308,9 @@ class FusedGroup:
         units = [op.units for op in self.ops[:-1]]
         plan = self._plan
         if plan is not None and plan.generation == gen:
-            if all(map(operator.is_, plan.units, units)):
-                return plan
-            if all(map(same_units, plan.units, units)):
-                plan.units = units  # the same units in new lists
+            held = list(map(kept_units, plan.units, units))
+            if None not in held:
+                plan.units = held
                 return plan
         return self._compile(gen, units)
 

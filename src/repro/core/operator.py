@@ -35,7 +35,7 @@ from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.core.breaker import CLOSED, OPEN, UnitBreaker, default_snapshot
 from repro.core.queryengine import BatchWindow, QueryEngine
 from repro.core.tree import SensorTree
-from repro.core.units import Unit, UnitResolver, same_units
+from repro.core.units import Unit, UnitResolver, kept_units, same_units
 from repro.sanitizer import hooks
 from repro.telemetry import Histogram, MetricRegistry
 
@@ -268,9 +268,7 @@ class OperatorBase:
         self._batch_layout: Optional[tuple] = None
         # Memoized output layout of a uniform pass: (units, sensors,
         # output names, index) — see _output_columns.  Both memos hold
-        # the units list object they were built for: installed lists
-        # are replaced, never mutated in place, so a steady pass is one
-        # identity check and same_units runs only on a new list.
+        # the units list object they were built for (see kept_units).
         self._output_layout: Optional[tuple] = None
         self._plan_key = f"operator:{config.name}"
         # Unbound operators instrument against a private registry; bind()
@@ -775,9 +773,10 @@ class OperatorBase:
         # The layout (flattened topics + per-unit row slices) depends
         # only on the unit identities; steady-state passes reuse it.
         cached = self._batch_layout
-        if cached is not None and cached[0] is not units:
+        if cached is not None:
+            held = kept_units(cached[0], units)
             cached = self._batch_layout = (
-                (units,) + cached[1:] if same_units(cached[0], units) else None
+                None if held is None else (held,) + cached[1:]
             )
         if cached is not None:
             _, topics, slices, m = cached
@@ -889,9 +888,10 @@ class OperatorBase:
             return SensorColumns(tuple(sensors), values)
         units = result.units
         layout = self._output_layout
-        if layout is not None and layout[0] is not units:
+        if layout is not None:
+            held = kept_units(layout[0], units)
             layout = self._output_layout = (
-                (units,) + layout[1:] if same_units(layout[0], units) else None
+                None if held is None else (held,) + layout[1:]
             )
         if layout is None:
             outputs = [(j, s) for j, unit in enumerate(units) for s in unit.outputs]

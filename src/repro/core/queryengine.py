@@ -99,15 +99,13 @@ class BatchWindow:
         values: np.ndarray,
         timestamps: np.ndarray,
         counts: np.ndarray,
-        uniform: Optional[int] = None,
     ) -> None:
         self.topics = tuple(topics)
         self.values = values
         self.timestamps = timestamps
         self.counts = counts
         self.width = int(values.shape[1])
-        #: :meth:`uniform_count`, when the source already knows it.
-        self._uniform = uniform
+        self._uniform: Optional[int] = None  # see uniform_count
 
     def __len__(self) -> int:
         return len(self.topics)

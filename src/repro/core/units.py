@@ -78,6 +78,24 @@ def same_units(a: Sequence[Unit], b: Sequence[Unit]) -> bool:
     return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
+def kept_units(
+    held: Sequence[Unit], units: Sequence[Unit]
+) -> Optional[Sequence[Unit]]:
+    """The units list a memo built for the list ``held`` goes on to
+    hold when asked about ``units``, or ``None`` when it must be
+    rebuilt.
+
+    Installed unit lists are replaced, never mutated in place, so a
+    steady pass hands a memo the very list it holds: one identity
+    check.  :func:`same_units` runs only on a new list; when that holds
+    the same units, the memo keeps the new list, so the next pass is an
+    identity check again.
+    """
+    if held is units:
+        return held
+    return units if same_units(held, units) else None
+
+
 class UnitResolver:
     """Resolves a pattern unit against a sensor tree.
 

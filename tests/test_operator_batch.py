@@ -20,7 +20,7 @@ import pytest
 from repro.common.errors import QueryError, TopicError
 from repro.common.timeutil import NS_PER_SEC
 from repro.analysis.diagnostics import DiagnosticCollector
-from repro.core import operator
+from repro.core import operator, units as units_module
 from repro.core.operator import OperatorBase, OperatorConfig
 from repro.core.queryengine import QueryEngine
 from repro.core.tree import SensorTree
@@ -1171,6 +1171,7 @@ class TestIdentityMemos:
         units = [make_unit(f"/n{i}", [f"/n{i}/a"], ["m"]) for i in range(4)]
         op.set_units(units)
         op.compute(NOW)
+        monkeypatch.setattr(units_module, "same_units", same_units_refused)
         monkeypatch.setattr(operator, "same_units", same_units_refused)
         for k in range(1, 21):
             results = op.compute(NOW + k * NS_PER_SEC)

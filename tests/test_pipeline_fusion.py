@@ -19,8 +19,9 @@ import pytest
 from repro.analysis.flow import analyze_flow
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC
-from repro.core import fusion, operator
-from repro.core.fusion import FusedChannel, FusedGroup
+from repro.core import operator, units as units_module
+from repro.core.fusion import FusedGroup
+from repro.core.fusion import FusedChannel
 from repro.core.operator import OperatorConfig
 from repro.core.pipeline import FusionSpec, plan_fusion
 from repro.core.queryengine import QueryEngine
@@ -889,7 +890,7 @@ class TestChannelAppend:
 
 class TestIdentityMemos:
     def test_steady_fused_passes_never_compare_units(self, monkeypatch):
-        monkeypatch.setattr(fusion, "same_units", same_units_refused)
+        monkeypatch.setattr(units_module, "same_units", same_units_refused)
         monkeypatch.setattr(operator, "same_units", same_units_refused)
         staged, fused, s_ops, f_ops, group = run_both(20)
         assert final_series(staged) == final_series(fused)

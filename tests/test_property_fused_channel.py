@@ -2,19 +2,17 @@
 
 A :class:`~repro.core.fusion.FusedChannel` keeps an intermediate fused
 member's outputs in ``(rows, 2 * width)`` ring buffers and serves the
-``width`` columns ending at its head.  :class:`ShiftChannel` below is
-the channel it replaced — every pass shifts each produced row's whole
-window left by one slot and writes the new column at the end — kept
-here as the reference model.  Its ``append`` is the replaced body with
-one fix: only ``rows=None`` means "every row, in row order"; a list,
-complete or not, names the row of each value.
+``width`` columns ending at its head.  The reference model is
+:class:`~tests.shift_channel.ShiftChannel`, the channel it replaced —
+every pass shifts each produced row's whole window left by one slot and
+writes the new column at the end.
 
 Random programs of full, partial, empty and permuted passes, long
 enough to wrap the ring at least three times, run on both, optionally
 after seeding from a predecessor channel and the host's caches.  After
 every append ``values``, ``timestamps``, ``counts`` and every served
 :class:`~repro.core.queryengine.BatchWindow` (whole and sub-selected,
-``uniform_count`` included) are bit-equal.  Three seeded mutations of
+``uniform_count`` included) are bit-equal.  Four seeded mutations of
 ``core/fusion.py`` must fail the same property.
 """
 
@@ -28,75 +26,10 @@ from hypothesis import strategies as st
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.core import fusion
-from repro.core.queryengine import BatchWindow
 from repro.core.units import Unit
 from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
-
-
-class ShiftChannel:
-    """The reference: one ``(rows, width)`` matrix shifted left on
-    every pass."""
-
-    def __init__(self, topics, width):
-        self.topics = tuple(topics)
-        self.row_of = {t: i for i, t in enumerate(self.topics)}
-        self.width = max(1, int(width))
-        rows = len(self.topics)
-        self.values = np.full((rows, self.width), np.nan, dtype=np.float64)
-        self.timestamps = np.zeros((rows, self.width), dtype=np.int64)
-        self.counts = np.zeros(rows, dtype=np.int64)
-
-    def seed(self, prev, cache_lookup):
-        for r, topic in enumerate(self.topics):
-            if prev is not None:
-                pr = prev.row_of.get(topic)
-                if pr is not None:
-                    n = min(int(prev.counts[pr]), self.width)
-                    if n:
-                        self.timestamps[r, -n:] = (
-                            prev.timestamps[pr, prev.width - n:]
-                        )
-                        self.values[r, -n:] = prev.values[pr, prev.width - n:]
-                        self.counts[r] = n
-                    continue
-            cache = cache_lookup(topic)
-            if cache is not None and len(cache):
-                self.counts[r] = cache.tail_into(
-                    self.timestamps[r], self.values[r], self.width
-                )
-
-    def append(self, ts, rows, vals):
-        if rows is None:
-            idx = slice(None)
-        elif rows:
-            idx = np.asarray(rows, dtype=np.intp)
-        else:
-            return
-        if self.width > 1:
-            self.values[idx, :-1] = self.values[idx, 1:]
-            self.timestamps[idx, :-1] = self.timestamps[idx, 1:]
-        self.values[idx, -1] = vals
-        self.timestamps[idx, -1] = ts
-        self.counts[idx] = np.minimum(self.counts[idx] + 1, self.width)
-
-    def window(self, topics, window_ns):
-        """What the channel serves, as the replaced code built it."""
-        n = min(fusion._window_count(window_ns), self.width)
-        if tuple(topics) == self.topics:
-            return BatchWindow(
-                topics, self.values, self.timestamps,
-                np.minimum(self.counts, n),
-            )
-        rows = np.array([self.row_of.get(t, -1) for t in topics], dtype=np.intp)
-        held = rows >= 0
-        values = np.full((len(rows), self.width), np.nan)
-        timestamps = np.zeros((len(rows), self.width), dtype=np.int64)
-        counts = np.zeros(len(rows), dtype=np.int64)
-        values[held] = self.values[rows[held]]
-        timestamps[held] = self.timestamps[rows[held]]
-        counts[held] = np.minimum(self.counts[rows[held]], n)
-        return BatchWindow(topics, values, timestamps, counts)
+from tests.shift_channel import ShiftChannel
 
 
 def units_for(topics):
@@ -236,9 +169,26 @@ def test_a_steady_channel_wraps_once_every_width_passes():
         [12.0, 13.0, 14.0, 15.0, 16.0], [-12.0, -13.0, -14.0, -15.0, -16.0],
     ]
     assert channel._full and channel.counts.tolist() == [5, 5]
-    # A full channel hands its window the count it already knows.
     window = channel.query_relative_batch(channel.topics, 3 * NS_PER_SEC)
-    assert window._uniform == 4 and window.uniform_count() == 4
+    assert window.uniform_count() == 4
+
+
+def test_a_partial_pass_copies_the_side_with_fewer_rows():
+    channel = fusion.FusedChannel(units_for([f"/n{i}/o" for i in range(4)]), 3)
+    channel.append(1, None, [1.0, 2.0, 3.0, 4.0])
+    head = channel._head
+    # One row produced: its window shifts, the head stays.
+    channel.append(2, [2], [30.0])
+    assert channel._head == head
+    # Three produced: the head moves, row 1's window is copied along.
+    channel.append(3, [3, 0, 2], [40.0, 10.0, 300.0])
+    assert channel._head == head + 1
+    nan = np.nan
+    assert np.array_equal(channel.values, [
+        [nan, 1.0, 10.0], [nan, nan, 2.0], [3.0, 30.0, 300.0],
+        [nan, 4.0, 40.0],
+    ], equal_nan=True)
+    assert channel.counts.tolist() == [2, 1, 3, 2]
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +220,11 @@ MUTATIONS = {
     # A row the pass did not produce slides with the head.
     "unproduced-row-advances": [
         ("        if stale is not None:\n", "        if False:\n"),
+    ],
+    # A pass producing few rows writes their new value over the newest
+    # reading instead of shifting their windows first.
+    "sparse-pass-skips-the-shift": [
+        ("                if width > 1:\n", "                if False:\n"),
     ],
     # The counts stop moving as soon as any row is full.
     "counts-frozen-early": [
