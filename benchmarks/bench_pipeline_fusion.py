@@ -353,8 +353,7 @@ def main(argv=None) -> int:
         )],
     )
     print_table(
-        ["width", "full ring us", "full shift us", "staggered ring us",
-         "staggered shift us"],
+        ["width", "ring us", "shift us", "stag. ring", "stag. shift"],
         [
             (w, r["append_us_by_width"][w], r["shift_append_us_by_width"][w],
              r["staggered_append_us_by_width"][w],
