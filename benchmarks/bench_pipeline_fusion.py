@@ -21,9 +21,9 @@ input stream at ≥ 500 units and checks:
   pass writes one column of its ring, so the cheapest append at window
   width 31 costs at most 1.5x the one at width 1 (min of
   ``APPEND_ROUNDS`` rounds, the same under ``--smoke``);
-- **staggered append**: a partial pass (a ``unit_cadence=4`` rotation)
-  costs the ring no more than it cost the shift-left channel it
-  replaced, at every width.
+- **partial append**: a partial pass (a ``unit_cadence=4`` rotation,
+  or four of the rows quarantined) costs the ring no more than it cost
+  the shift-left channel it replaced, at every width.
 
 Run standalone (``python benchmarks/bench_pipeline_fusion.py [--smoke]``)
 or under pytest.
@@ -63,14 +63,14 @@ SMOKE_UNITS, SMOKE_PASSES = 96, 12
 WARM_PASSES = 8  # untimed leading ticks: fill windows, compile plans
 CACHE_WINDOW_NS = 180 * NS_PER_SEC
 #: Channel-append micro-benchmark: rows (one per-cpu chain's units on
-#: a 64-cpu node), the widths timed, min-of-N rounds of appends, and the
-#: unit cadence of the staggered passes.
+#: a 64-cpu node), the widths timed, min-of-N rounds of appends, the
+#: unit cadence of the staggered passes and the quarantined rows' stride.
 APPEND_ROWS, APPEND_WIDTHS = 64, (1, 21, 31)
 APPEND_ROUNDS, APPEND_PER_ROUND = 30, 248
-APPEND_CADENCE = 4
+APPEND_CADENCE, APPEND_QUARANTINE_EVERY = 4, 16
 MAX_APPEND_RATIO = 1.5
-#: Staggered ring append / staggered shift-left append, at worst.
-MAX_STAGGERED_RATIO = 1.0
+#: Partial ring append / the same partial shift-left append, at worst.
+MAX_PARTIAL_RATIO = 1.0
 
 
 class MiniPusher:
@@ -257,17 +257,21 @@ def run_fusion_bench(n_units: int, passes: int) -> dict:
 
 def run_append_bench() -> dict:
     """Cheapest per-append cost (us) into a channel of ``APPEND_ROWS``
-    rows, per window width, for the ring :class:`FusedChannel` and the
-    shift-left :class:`~tests.shift_channel.ShiftChannel` it replaced:
-    min over ``APPEND_ROUNDS`` rounds of ``APPEND_PER_ROUND`` appends
-    (eight ring wraps at width 31, so the wraps' block moves are in it).
+    rows, per pass kind and window width, for the ring
+    :class:`FusedChannel` and the shift-left
+    :class:`~tests.shift_channel.ShiftChannel` it replaced: min over
+    ``APPEND_ROUNDS`` rounds of ``APPEND_PER_ROUND`` appends (eight ring
+    wraps at width 31, so the wraps' block moves are in it).
 
-    Two pass kinds: *full* (every row, ``rows=None``) and *staggered*
-    (a ``unit_cadence=APPEND_CADENCE`` rotation: pass ``k`` produces
-    the rows ``i % APPEND_CADENCE == k % APPEND_CADENCE``, given as
-    lists like ``FusedChannel.append_pass`` gives them).  The
-    (kind, width, channel) cases take turns round by round, so a change
-    in machine speed during the run hits them alike."""
+    Pass kinds: *full* (every row, ``rows=None``); *staggered* (a
+    ``unit_cadence=APPEND_CADENCE`` rotation: pass ``k`` produces the
+    rows ``i % APPEND_CADENCE == k % APPEND_CADENCE``); *quarantined*
+    (every row but each ``APPEND_QUARANTINE_EVERY``-th).  Partial passes
+    name their rows in lists, as ``FusedChannel.append_pass`` does.
+    Each round times new channels that start full, as a running one is
+    when its operator staggers or quarantines.  The (kind, width,
+    channel) cases take turns round by round, so a change in machine
+    speed during the run hits them alike."""
     units = [
         Unit(
             name=f"/n{i}", level=0, inputs=[],
@@ -277,50 +281,62 @@ def run_append_bench() -> dict:
     ]
     topics = [u.outputs[0].topic for u in units]
     column = np.random.default_rng(0xF051).random(APPEND_ROWS)
-    full = [(None, column)] * APPEND_CADENCE
-    staggered = [
-        (rows, column[rows].tolist())
-        for rows in (
-            list(range(phase, APPEND_ROWS, APPEND_CADENCE))
+
+    def given(rows):
+        return rows, column[rows].tolist()
+
+    every = list(range(APPEND_ROWS))
+    kinds = {
+        "full": [(None, column)],
+        "staggered": [
+            given(every[phase::APPEND_CADENCE])
             for phase in range(APPEND_CADENCE)
-        )
-    ]
+        ],
+        "quarantined": [
+            given([i for i in every if i % APPEND_QUARANTINE_EVERY])
+        ],
+    }
     makers = {"ring": lambda w: FusedChannel(units, w),
               "shift": lambda w: ShiftChannel(topics, w)}
-    cases = {
-        (kind, width, name): (make(width), passes)
-        for kind, passes in (("full", full), ("staggered", staggered))
-        for width in APPEND_WIDTHS
-        for name, make in makers.items()
-    }
+    cases = [
+        (kind, name, width)
+        for kind in kinds for name in makers for width in APPEND_WIDTHS
+    ]
     best = dict.fromkeys(cases, float("inf"))
     ts = 0
     for _ in range(APPEND_ROUNDS):
-        for case, (channel, passes) in cases.items():
-            append = channel.append
+        for case in cases:
+            kind, name, width = case
+            # A new channel each round: the min then does not hang on
+            # one allocation's cache luck.
+            channel = makers[name](width)
+            for _ in range(width):
+                ts += NS_PER_SEC
+                channel.append(ts, None, column)
+            append, passes = channel.append, kinds[kind]
             t0 = time.perf_counter_ns()
             for k in range(APPEND_PER_ROUND):
-                rows, vals = passes[k % APPEND_CADENCE]
+                rows, vals = passes[k % len(passes)]
                 ts += NS_PER_SEC
                 append(ts, rows, vals)
             elapsed = time.perf_counter_ns() - t0
             best[case] = min(best[case], elapsed / APPEND_PER_ROUND)
-
-    def costs(kind, name):
-        return {w: best[kind, w, name] / 1e3 for w in APPEND_WIDTHS}
-
-    ring, staggered = costs("full", "ring"), costs("staggered", "ring")
-    shift_staggered = costs("staggered", "shift")
+    us = {
+        kind: {
+            name: {w: best[kind, name, w] / 1e3 for w in APPEND_WIDTHS}
+            for name in makers
+        }
+        for kind in kinds
+    }
+    ring = us["full"]["ring"]
     return {
         "append_rows": APPEND_ROWS,
-        "append_cadence": APPEND_CADENCE,
-        "append_us_by_width": ring,
+        "append_us": us,
         "append_ratio_w31_w1": ring[31] / ring[1],
-        "shift_append_us_by_width": costs("full", "shift"),
-        "staggered_append_us_by_width": staggered,
-        "shift_staggered_append_us_by_width": shift_staggered,
-        "staggered_ratio_ring_shift": max(
-            staggered[w] / shift_staggered[w] for w in APPEND_WIDTHS
+        "partial_ratio_ring_shift": max(
+            us[kind]["ring"][w] / us[kind]["shift"][w]
+            for kind in ("staggered", "quarantined")
+            for w in APPEND_WIDTHS
         ),
     }
 
@@ -353,18 +369,17 @@ def main(argv=None) -> int:
         )],
     )
     print_table(
-        ["width", "ring us", "shift us", "stag. ring", "stag. shift"],
+        ["kind", "channel"] + [f"w{w} us" for w in APPEND_WIDTHS],
         [
-            (w, r["append_us_by_width"][w], r["shift_append_us_by_width"][w],
-             r["staggered_append_us_by_width"][w],
-             r["shift_staggered_append_us_by_width"][w])
-            for w in APPEND_WIDTHS
+            (kind, name, *by_width.values())
+            for kind, channels in r["append_us"].items()
+            for name, by_width in channels.items()
         ],
     )
     config = {
         "n_units": n_units, "passes": passes, "smoke": args.smoke,
         "append": [APPEND_ROWS, list(APPEND_WIDTHS), APPEND_ROUNDS,
-                   APPEND_PER_ROUND, APPEND_CADENCE],
+                   APPEND_PER_ROUND, APPEND_CADENCE, APPEND_QUARANTINE_EVERY],
     }
     write_bench_artifact(
         "fusion",
@@ -393,10 +408,10 @@ def main(argv=None) -> int:
         f"{r['append_ratio_w31_w1']:.2f}x at {APPEND_ROWS} rows",
     )
     ok &= shape_check(
-        f"staggered append (cadence {APPEND_CADENCE}) no dearer than the "
-        "shift-left channel at any width",
-        r["staggered_ratio_ring_shift"] <= MAX_STAGGERED_RATIO,
-        f"ring/shift {r['staggered_ratio_ring_shift']:.2f}x at worst",
+        f"partial append (staggered, quarantined) <= {MAX_PARTIAL_RATIO:g}x "
+        "the shift-left channel at every width",
+        r["partial_ratio_ring_shift"] <= MAX_PARTIAL_RATIO,
+        f"ring/shift {r['partial_ratio_ring_shift']:.2f}x at worst",
     )
     return 0 if ok else 1
 
@@ -410,7 +425,7 @@ class TestPipelineFusionBench:
     def test_channel_append_is_flat_in_width(self):
         r = run_append_bench()
         assert r["append_ratio_w31_w1"] <= MAX_APPEND_RATIO, r
-        assert r["staggered_ratio_ring_shift"] <= MAX_STAGGERED_RATIO, r
+        assert r["partial_ratio_ring_shift"] <= MAX_PARTIAL_RATIO, r
 
     def test_fused_is_faster(self):
         # The standalone run asserts the full 2x claim; under pytest on

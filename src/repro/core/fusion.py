@@ -66,8 +66,8 @@ class FusedChannel:
     ``width - 1`` columns move to the front in one block move — once
     every ``width`` passes.  Rows a pass did not produce keep their
     (older) window verbatim, as a staged pass leaves their caches
-    unwritten; a partial pass copies the windows of whichever side,
-    produced or not, has fewer rows (see :meth:`append`).
+    unwritten: a partial pass leaves the head alone and shifts the
+    produced rows' windows instead (see :meth:`append`).
     """
 
     __slots__ = (
@@ -144,23 +144,20 @@ class FusedChannel:
         row produced, ``vals`` in row order; a list, complete or not,
         names the row of each value.
 
-        A partial pass copies whichever side has fewer rows: when most
-        rows are produced the head advances and each unproduced row's
-        window is copied one slot right; otherwise the head stays and
-        each produced row's window shifts one slot left, its new value
-        last."""
+        A pass that produces every row advances the head.  A partial
+        pass leaves the head where it is and shifts each produced row's
+        window one slot left, its new value last: what the shift-left
+        channel did on every pass, so a partial pass costs what it cost
+        there."""
         width, head = self.width, self._head
-        lo = head - width  # the window's first column before this pass
-        stale = None
         if rows is None:
             idx = slice(None)  # the steady state: no index array
         elif not len(rows):
             return
         else:
             idx = np.asarray(rows, dtype=np.intp)
-            n = len(self.counts)
-            if 2 * len(idx) <= n:
-                # Few produced rows: shift their windows, the head stays.
+            if len(idx) < len(self.counts):
+                lo = head - width
                 values, timestamps = self._values, self._timestamps
                 if width > 1:
                     values[idx, lo:head - 1] = values[idx, lo + 1:head]
@@ -169,9 +166,6 @@ class FusedChannel:
                 timestamps[idx, head - 1] = ts
                 self._count(idx)
                 return
-            if len(idx) < n:
-                stale = np.ones(n, dtype=bool)
-                stale[idx] = False
         if head == 2 * width:
             # Wrap: the newest width - 1 columns move to the front, the
             # new column lands right after them.
@@ -179,12 +173,6 @@ class FusedChannel:
             if head:
                 self._values[:, :head] = self._values[:, width + 1:]
                 self._timestamps[:, :head] = self._timestamps[:, width + 1:]
-        if stale is not None:
-            # Unproduced rows: the whole old window, one slot on (the
-            # fancy-indexed read copies, so the ranges may overlap).
-            dst = slice(head + 1 - width, head + 1)
-            self._values[stale, dst] = self._values[stale, lo:lo + width]
-            self._timestamps[stale, dst] = self._timestamps[stale, lo:lo + width]
         self._values[idx, head] = vals
         self._timestamps[idx, head] = ts
         self._head = head + 1

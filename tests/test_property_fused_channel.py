@@ -173,22 +173,22 @@ def test_a_steady_channel_wraps_once_every_width_passes():
     assert window.uniform_count() == 4
 
 
-def test_a_partial_pass_copies_the_side_with_fewer_rows():
+def test_a_partial_pass_shifts_its_rows_and_leaves_the_head():
     channel = fusion.FusedChannel(units_for([f"/n{i}/o" for i in range(4)]), 3)
     channel.append(1, None, [1.0, 2.0, 3.0, 4.0])
     head = channel._head
-    # One row produced: its window shifts, the head stays.
     channel.append(2, [2], [30.0])
-    assert channel._head == head
-    # Three produced: the head moves, row 1's window is copied along.
     channel.append(3, [3, 0, 2], [40.0, 10.0, 300.0])
-    assert channel._head == head + 1
+    assert channel._head == head
     nan = np.nan
     assert np.array_equal(channel.values, [
         [nan, 1.0, 10.0], [nan, nan, 2.0], [3.0, 30.0, 300.0],
         [nan, 4.0, 40.0],
     ], equal_nan=True)
     assert channel.counts.tolist() == [2, 1, 3, 2]
+    channel.append(4, [2, 1, 0, 3], [5.0, 6.0, 7.0, 8.0])  # complete
+    assert channel._head == head + 1
+    assert channel.values[:, -1].tolist() == [7.0, 6.0, 5.0, 8.0]
 
 
 # ----------------------------------------------------------------------
@@ -217,13 +217,15 @@ MUTATIONS = {
         ("self._timestamps[:, :head] = self._timestamps[:, width + 1:]",
          "self._timestamps[:, :width] = self._timestamps[:, width:]"),
     ],
-    # A row the pass did not produce slides with the head.
+    # A partial pass advances the head: the rows it did not produce
+    # slide with it.
     "unproduced-row-advances": [
-        ("        if stale is not None:\n", "        if False:\n"),
+        ("            if len(idx) < len(self.counts):\n",
+         "            if False:\n"),
     ],
-    # A pass producing few rows writes their new value over the newest
-    # reading instead of shifting their windows first.
-    "sparse-pass-skips-the-shift": [
+    # A partial pass writes the new values over the newest readings
+    # instead of shifting the produced rows' windows first.
+    "partial-pass-skips-the-shift": [
         ("                if width > 1:\n", "                if False:\n"),
     ],
     # The counts stop moving as soon as any row is full.
