@@ -226,7 +226,7 @@ class FusedChannel:
             self._whole = topics
             window = BatchWindow(
                 topics, self.values, self.timestamps,
-                np.minimum(self.counts, n),
+                np.minimum(self.counts, n), n if self._full else None,
             )
         else:
             rows = np.array(

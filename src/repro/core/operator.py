@@ -775,9 +775,10 @@ class OperatorBase:
         cached = self._batch_layout
         if cached is not None:
             held = kept_units(cached[0], units)
-            cached = self._batch_layout = (
-                None if held is None else (held,) + cached[1:]
-            )
+            if held is not cached[0]:
+                cached = self._batch_layout = (
+                    None if held is None else (held,) + cached[1:]
+                )
         if cached is not None:
             _, topics, slices, m = cached
         else:
@@ -890,9 +891,10 @@ class OperatorBase:
         layout = self._output_layout
         if layout is not None:
             held = kept_units(layout[0], units)
-            layout = self._output_layout = (
-                None if held is None else (held,) + layout[1:]
-            )
+            if held is not layout[0]:
+                layout = self._output_layout = (
+                    None if held is None else (held,) + layout[1:]
+                )
         if layout is None:
             outputs = [(j, s) for j, unit in enumerate(units) for s in unit.outputs]
             names = list(dict.fromkeys(s.name for _, s in outputs))

@@ -99,13 +99,16 @@ class BatchWindow:
         values: np.ndarray,
         timestamps: np.ndarray,
         counts: np.ndarray,
+        uniform: Optional[int] = None,
     ) -> None:
         self.topics = tuple(topics)
         self.values = values
         self.timestamps = timestamps
         self.counts = counts
         self.width = int(values.shape[1])
-        self._uniform: Optional[int] = None  # see uniform_count
+        #: :meth:`uniform_count`, when the source already knows it (a
+        #: full fused channel does).
+        self._uniform = uniform
 
     def __len__(self) -> int:
         return len(self.topics)
