@@ -133,7 +133,8 @@ class OperatorManager:
         self._m_busy.inc(time.perf_counter_ns() - t0)
 
     def unload_operator(self, name: str) -> None:
-        """Stop and forget one operator (its task is disabled)."""
+        """Stop and forget one operator: its task is retired from the
+        scheduler, so nothing keeps the operator alive."""
         op = self._operators.pop(name, None)
         if op is None:
             raise PluginError(f"no operator {name!r}")
@@ -141,7 +142,7 @@ class OperatorManager:
         op.stop()
         task = self._tasks.pop(name, None)
         if task is not None:
-            task.enabled = False
+            self.host.scheduler.retire(task)
         self._plugin_of.pop(name, None)
         if replan:
             self.refresh_fusion()

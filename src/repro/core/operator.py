@@ -22,6 +22,7 @@ Configuration knobs follow the paper's workflow options:
 from __future__ import annotations
 
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -294,9 +295,12 @@ class OperatorBase:
         self._m_breaker_recoveries = registry.counter(
             "breaker_recoveries_total", **labels
         )
+        # Weakly: the host's registry outlives an unloaded operator and
+        # must not keep it alive (the gauge reads 0 once it is gone).
+        ref = weakref.ref(self)
         registry.gauge(
             "operator_quarantined_units",
-            fn=lambda: len(self.quarantined_units()),
+            fn=lambda: 0 if (op := ref()) is None else len(op.quarantined_units()),
             **labels,
         )
 

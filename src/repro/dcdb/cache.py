@@ -31,7 +31,9 @@ shared group; a column some rows miss or are brought to twice) first
 moves the members that fall out of step into a fresh group and bumps
 the ``epoch`` of the one they left.  :func:`plan_columns` is that rule
 for a whole write, and :func:`plan_write` / :func:`write_columns` are
-the one memoised writer every host's write path goes through.  A
+the one memoised writer every host's write path goes through — in a
+one-timestamp form (``timestamps=None``, :func:`write_columns_at`) for
+a pass, which is what every hop but a drain of mixed passes writes.  A
 stand-alone ``SensorCache(capacity)`` is a slab of one row, so every
 scalar path is what it was.
 
@@ -121,7 +123,8 @@ class LockStep:
     def store_column(self, timestamp: int, values) -> bool:
         """Append one reading to every row: ``values`` in row order (or
         one for all), all at ``timestamp``; False for a stale column."""
-        if self.stale(timestamp):
+        newest = self.newest
+        if newest is not None and timestamp < newest:  # (stale, inlined)
             self._refused()
             return False
         self._append(timestamp, values)
@@ -376,10 +379,14 @@ class Column(NamedTuple):
     first: int            # a position of the column: its timestamp is the column's
 
 
-def first_arrivals(known, topics, timestamps) -> Dict[int, List[str]]:
+def first_arrivals(known, topics, timestamps=None) -> Dict[int, List[str]]:
     """The topics of a write that ``known`` holds no row for, grouped by
     the timestamp each first arrives at, in order of first arrival:
-    what is first heard together is written and read together."""
+    what is first heard together is written and read together.
+    ``timestamps`` ``None``: the write is at one timestamp, one group."""
+    if timestamps is None:
+        new = [topic for topic in dict.fromkeys(topics) if topic not in known]
+        return {0: new} if new else {}
     first: Dict[str, int] = {}
     for topic, ts in zip(topics, timestamps):
         if topic not in known and topic not in first:
@@ -391,10 +398,11 @@ def first_arrivals(known, topics, timestamps) -> Dict[int, List[str]]:
 
 
 def plan_columns(
-    caches: Sequence[Member], timestamps: Sequence[int]
+    caches: Sequence[Member], timestamps: Optional[Sequence[int]] = None
 ) -> List[Column]:
-    """How reading ``i`` — for ``caches[i]`` at ``timestamps[i]`` — is
-    written, as columns that keep every group in lock step.
+    """How reading ``i`` — for ``caches[i]`` at ``timestamps[i]`` (all at
+    one timestamp when ``None``) — is written, as columns that keep
+    every group in lock step.
 
     Per group, its live members are grouped by the timestamps this
     write brings them, in order (none, for a member it misses).  The
@@ -412,7 +420,10 @@ def plan_columns(
         positions.setdefault(cache, []).append(i)
     by_slab: Dict[LockStep, Dict[tuple, List[Member]]] = {}
     for cache, where in positions.items():
-        pattern = tuple(timestamps[i] for i in where)
+        if timestamps is None:  # one timestamp: a pattern is a count
+            pattern = (0,) * len(where)
+        else:
+            pattern = tuple(timestamps[i] for i in where)
         by_slab.setdefault(cache.slab, {}).setdefault(pattern, []).append(cache)
     homes = []
     for slab, groups in by_slab.items():
@@ -443,14 +454,17 @@ def plan_columns(
     return columns
 
 
-def plan_fits(columns: Sequence[Column], timestamps: List[int]) -> bool:
-    """Whether ``columns`` still write a sequence of these timestamps:
-    no planned group lost a member since, and each column's readings
-    share one timestamp (trivially, when the whole sequence does)."""
+def plan_fits(
+    columns: Sequence[Column], timestamps: Optional[List[int]] = None
+) -> bool:
+    """Whether ``columns`` still write a sequence of these timestamps
+    (``None``: all one): no planned group lost a member since, and each
+    column's readings share one timestamp (trivially, when the whole
+    sequence does)."""
     for col in columns:  # (a loop: no generator to build on every write)
         if col.slab.epoch != col.epoch:
             return False
-    if timestamps.count(timestamps[0]) == len(timestamps):
+    if timestamps is None or timestamps.count(timestamps[0]) == len(timestamps):
         return True
     stamps = np.asarray(timestamps, dtype=np.int64)
     for col in columns:
@@ -467,21 +481,36 @@ class WritePlan(NamedTuple):
     columns: List[Column]
 
 
-def plan_write(plans: dict, compile, seq: tuple, timestamps: List[int], key=None):
-    """The plan ``plans`` holds for ``seq`` under ``key`` (default:
-    ``seq``) while it was made for it and fits ``timestamps``, else
-    ``compile(seq, timestamps)`` — the host's: rows opened for what
-    ``seq`` brings first, a plan with ``seq`` and ``columns`` — kept."""
-    if key is None:
-        key = seq
-    plan = plans.get(key)
-    if (
-        plan is None
-        or (key is not seq and plan.seq != seq)
-        or not plan_fits(plan.columns, timestamps)
-    ):
+def plan_write(
+    plans: dict, compile, seq: tuple,
+    timestamps: Optional[List[int]] = None, key=None,
+):
+    """The plan ``plans`` holds for ``seq`` while it fits ``timestamps``
+    (``None``: the write is at one timestamp, and a plan fits while no
+    planned group's ``epoch`` moved), else ``compile(seq, timestamps)``
+    — the host's: rows opened for what ``seq`` brings first, a plan with
+    ``seq`` and ``columns`` — kept.
+
+    A plan is found by the identity of ``seq`` first: a steady producer
+    hands over the same tuple every pass (a plugin's sensors, an
+    operator's outputs, a Pusher plan's topics), and the plan holding
+    that tuple keeps its ``id`` from naming anything else.  A new object
+    is looked up under ``key`` (default: ``seq`` itself, hashed) and
+    compared whole — what a producer that builds its sequence afresh
+    every pass pays, and nobody else.
+    """
+    plan = plans.get(id(seq))
+    if plan is None or plan.seq is not seq:
+        if key is None:
+            key = seq
+        plan = plans.get(key)
+        if plan is not None and key is not seq and plan.seq != seq:
+            plan = None
+    if plan is None or not plan_fits(plan.columns, timestamps):
         plan = compile(seq, timestamps)
-        remember(plans, key, plan)
+        # Two entries a plan: by content, and by identity.
+        remember(plans, seq if key is None else key, plan, 2 * PLAN_MEMO_SIZE)
+        remember(plans, id(seq), plan, 2 * PLAN_MEMO_SIZE)
     return plan
 
 
@@ -492,6 +521,20 @@ def write_columns(columns, timestamps, values: np.ndarray, advance=None) -> int:
     refused = 0
     for col in columns:
         ts = timestamps[col.first]
+        group = col.slab
+        if advance is not None:
+            advance(group, ts)
+        if not group.store_column(
+            ts, values if col.index is None else values[col.index]
+        ):
+            refused += len(group.bound)
+    return refused
+
+
+def write_columns_at(columns, ts: int, values: np.ndarray, advance=None) -> int:
+    """:func:`write_columns` for a sequence all at one timestamp ``ts``."""
+    refused = 0
+    for col in columns:
         group = col.slab
         if advance is not None:
             advance(group, ts)

@@ -12,20 +12,22 @@ lookup order the Query Engine implements.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import (
     CacheSlab,
+    Column,
     SensorCache,
-    WritePlan,
     first_arrivals,
     plan_columns,
     plan_write,
     register_cache_gauges,
     write_columns,
+    write_columns_at,
 )
 from repro.dcdb.mqtt import Broker, QueuedSubscriber
 from repro.dcdb.restapi import RestApi, RestResponse
@@ -33,6 +35,15 @@ from repro.dcdb.sensor import SensorColumns
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import MetricRegistry, register_metrics_route
+
+
+class _IngestPlan(NamedTuple):
+    """How the agent writes one sequence: a drain's passes (their topics
+    tuples) or an operator's output sensors."""
+
+    seq: tuple
+    columns: List[Column]
+    topics: Tuple[str, ...]  # in order: what storage is handed
 
 
 class CollectAgent:
@@ -74,8 +85,12 @@ class CollectAgent:
         self._storage = storage if storage is not None else StorageBackend()
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
-        #: Write plans by topic sequence (see ``_ingest``).
-        self._plans: Dict[tuple, WritePlan] = {}
+        #: Write plans by the sequence written (see ``_ingest``) ...
+        self._plans: Dict[object, _IngestPlan] = {}
+        #: ... and a drain's by its passes' topics tuples (``_drain``):
+        #: apart, so that drains of passes cut anew every time (by a
+        #: link, or a subscriber on part of the topics) churn only these.
+        self._drain_plans: Dict[object, _IngestPlan] = {}
         self.rest = RestApi()
         self.telemetry = MetricRegistry()
         self._m_forwarded = self.telemetry.counter("forwarded_readings_total")
@@ -183,14 +198,17 @@ class CollectAgent:
 
     def _ingest(self, topics, timestamps, values) -> None:
         """Scatter readings given as three parallel columns (``values``
-        float64) into caches and storage: the agent's one write path,
-        for drained MQTT passes and operator outputs alike.
+        float64) into caches and storage: the agent's write path in its
+        per-reading form, what a drain of passes at several timestamps
+        takes.  :meth:`_ingest_at` is the same for readings at one
+        timestamp — a steady drain and an operator pass.
 
-        They land as columns — one per slab and timestamp, two
-        NumPy writes each — by the write plan memoised for its topic
-        sequence (:func:`plan_write`, compiled by :meth:`_write_plan`).
-        Storage takes it the same way, by a plan of its own over its
-        blocks (``insert_columns``).
+        They land as columns — one per slab and timestamp, two NumPy
+        writes each — by the write plan memoised for their sequence
+        (:func:`plan_write`, compiled by :meth:`_write_plan`).  Storage
+        takes the plan's topics tuple the same way, by a plan of its own
+        over its blocks (``insert_columns``): found by that tuple's
+        identity, as steady as the agent's plan.
 
         Interval is unknown for remote sensors, so an ingest cache
         carries no ``interval_ns`` and a relative window over it is a
@@ -205,11 +223,37 @@ class CollectAgent:
         if not len(topics):
             return
         topics = tuple(topics)
-        plan = plan_write(self._plans, self._write_plan, topics, timestamps)
+        plan = plan_write(self._plans, self._topics_plan, topics, timestamps)
         write_columns(plan.columns, timestamps, values, self._advance)
-        self._storage.insert_columns(topics, timestamps, values)
+        self._storage.insert_columns(plan.topics, timestamps, values)
 
-    def _write_plan(self, topics: tuple, timestamps) -> WritePlan:
+    def _ingest_at(self, plan: _IngestPlan, ts: int, values) -> None:
+        """:meth:`_ingest` for readings all at ``ts``, by ``plan`` — a
+        steady drain's or an operator pass's."""
+        write_columns_at(plan.columns, ts, values, self._advance)
+        self._storage.insert_columns_at(plan.topics, ts, values)
+
+    def _topics_plan(self, topics: tuple, timestamps=None) -> _IngestPlan:
+        """The plan of a sequence of topics."""
+        return self._write_plan(topics, topics, timestamps)
+
+    def _drain_plan(self, parts: tuple, timestamps=None) -> _IngestPlan:
+        """The plan of a drain of passes with these topics tuples: the
+        columns of the topic sequence they join into, found by content
+        (one compile per sequence, however its passes were cut)."""
+        plan = plan_write(
+            self._plans, self._topics_plan,
+            tuple(chain.from_iterable(parts)), timestamps,
+        )
+        return _IngestPlan(parts, plan.columns, plan.topics)
+
+    def _output_plan(self, sensors: tuple, timestamps=None) -> _IngestPlan:
+        """The plan of an operator pass with these output sensors."""
+        return self._write_plan(
+            sensors, tuple(sensor.topic for sensor in sensors), timestamps
+        )
+
+    def _write_plan(self, seq: tuple, topics: tuple, timestamps) -> _IngestPlan:
         """The columns of a batch (:func:`plan_columns`), once the topics
         it is the first to bring have rings: one slab per first-arrival
         timestamp (:func:`first_arrivals`)."""
@@ -217,8 +261,10 @@ class CollectAgent:
         for group in first_arrivals(caches, topics, timestamps).values():
             slab = CacheSlab(len(group), self._ingest_capacity(NS_PER_SEC))
             caches.update(zip(group, slab.rings()))
-        return WritePlan(
-            topics, plan_columns([caches[topic] for topic in topics], timestamps)
+        return _IngestPlan(
+            seq,
+            plan_columns([caches[topic] for topic in topics], timestamps),
+            topics,
         )
 
     def _advance(self, slab: CacheSlab, ts: int) -> None:
@@ -249,17 +295,33 @@ class CollectAgent:
 
     def _drain(self, ts: int) -> None:
         """Flush queued MQTT passes into caches and storage, joined into
-        one run of columns."""
+        one run of columns.
+
+        The drain is planned by the passes' topics tuples — each the one
+        a Pusher's write plan publishes every pass — so a steady drain
+        finds its plan by their identities, flattening and hashing no
+        topic.  Passes at one timestamp (the steady case) are written at
+        it; passes at several (a spill replay, a slow link) carry one
+        timestamp per reading."""
         t0 = time.perf_counter_ns()
         passes = self._queue.drain()
         if passes:
-            topics, timestamps = [], []
-            for batch in passes:
-                topics += batch.topics
-                timestamps += [batch.timestamp] * len(batch)
+            parts = tuple([batch.topics for batch in passes])
+            stamps = [batch.timestamp for batch in passes]
             values = np.concatenate([batch.values for batch in passes])
-            self._ingest(topics, timestamps, values)
-            self._m_forwarded.inc(len(topics))
+            if stamps.count(stamps[0]) == len(stamps):
+                plan = plan_write(
+                    self._drain_plans, self._drain_plan, parts, None,
+                    tuple(map(id, parts)),
+                )
+                self._ingest_at(plan, stamps[0], values)
+            else:
+                per_reading = np.repeat(stamps, list(map(len, parts)))
+                self._ingest(
+                    tuple(chain.from_iterable(parts)), per_reading.tolist(),
+                    values,
+                )
+            self._m_forwarded.inc(len(values))
         self._sync_ingest_dropped()
         self._m_drain_latency.observe(time.perf_counter_ns() - t0)
 
@@ -281,11 +343,12 @@ class CollectAgent:
         ingest queue and be stored twice.
         """
         sensors = readings.sensors
-        self._ingest(
-            tuple(sensor.topic for sensor in sensors),
-            [ts] * len(sensors),
-            readings.values,
-        )
+        if sensors:
+            plan = plan_write(
+                self._plans, self._output_plan, sensors, None,
+                (id(sensors[0]), len(sensors)),
+            )
+            self._ingest_at(plan, ts, readings.values)
 
     def cache_for(self, topic: str) -> Optional[SensorCache]:
         """The agent-side cache for ``topic``, if any traffic was seen."""

@@ -104,9 +104,10 @@ class Broker:
         # topic -> its subscribers' handlers in subscription order.
         # *Replaced* by subscribe_batch/unsubscribe, never cleared in place.
         self._routes: Dict[str, Tuple[BatchHandler, ...]] = {}
-        # topics tuple -> its route runs, and the routes table they
-        # were cut against (see _runs).
-        self._runs_memo: Dict[tuple, list] = {}
+        # id of a topics tuple -> (it, its route runs), topics tuple ->
+        # its route runs; and the routes table they were cut against
+        # (see _runs).
+        self._runs_memo: Dict[object, object] = {}
         self._runs_of_routes = self._routes
         self.published_count = 0
         self.delivered_count = 0
@@ -201,15 +202,20 @@ class Broker:
         """``topics`` cut into runs of consecutive readings with one
         route: ``(start, end, handlers)``.  Memoised per topics *tuple*
         (what a Pusher's write plan hands over every pass) for as long as
-        the routes table they were resolved against is the live one.
-        Every Pusher publishes through one broker, so the memo holds as
-        many tuples as there are routed topics (steady sequences — one
-        per plugin or operator of each Pusher — do not share topics)."""
+        the routes table they were resolved against is the live one —
+        found by the tuple's identity (the entry holds the tuple, so its
+        ``id`` names nothing else), a new tuple by its content.  Every
+        Pusher publishes through one broker, so the memo holds as many
+        tuples as there are routed topics (steady sequences — one per
+        plugin or operator of each Pusher — do not share topics)."""
         routes_table = self._routes
         if self._runs_of_routes is not routes_table:
             self._runs_memo = {}
             self._runs_of_routes = routes_table
         memo = self._runs_memo
+        known = memo.get(id(topics))
+        if known is not None and known[0] is topics:
+            return known[1]
         runs = memo.get(topics) if type(topics) is tuple else None
         if runs is None:
             routes = [self._route(topic) for topic in topics]
@@ -220,7 +226,9 @@ class Broker:
                 for start, end in zip([0] + cuts, cuts + [n])
             ]
             if type(topics) is tuple:
-                remember(memo, topics, runs, max(PLAN_MEMO_SIZE, len(routes_table)))
+                size = 2 * max(PLAN_MEMO_SIZE, len(routes_table))
+                remember(memo, topics, runs, size)
+                remember(memo, id(topics), (topics, runs), size)
         return runs
 
     def _route(self, topic: str) -> Tuple[BatchHandler, ...]:
@@ -300,10 +308,13 @@ class PassQueue:
     def push(self, batch: ReadingBatch) -> int:
         """Append a pass; returns the readings shed for it."""
         n = len(batch)
-        shed = 0
-        if self.capacity is not None:
-            # One reading at a time, each arrival at capacity sheds one.
-            shed = min(n, max(0, self._size + n - self.capacity))
+        if self.capacity is None:  # unbounded: nothing to weigh
+            if n:
+                self._passes.append(batch)
+                self._size += n
+            return 0
+        # One reading at a time, each arrival at capacity sheds one.
+        shed = min(n, max(0, self._size + n - self.capacity))
         if shed and self.policy == "drop-newest":
             batch = batch[: n - shed]
         if len(batch):

@@ -19,6 +19,7 @@ from these counters.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.dcdb.cache import (
     plan_columns,
     plan_write,
     register_cache_gauges,
-    write_columns,
+    write_columns_at,
 )
 from repro.dcdb.mqtt import Broker, PassQueue, ReadingBatch
 from repro.dcdb.plugins.base import MonitoringPlugin
@@ -101,9 +102,9 @@ class Pusher:
         self._replaying = False
         self.caches: Dict[str, SensorCache] = {}
         self.sensors: Dict[str, Sensor] = {}
-        #: Write plans by (first sensor, length), checked against the
-        #: sensors they were planned for (see ``store_readings_batch``).
-        self._plans: Dict[tuple, _WritePlan] = {}
+        #: Write plans by the sensors tuple they were planned for (see
+        #: ``_store_pass``).
+        self._plans: Dict[object, _WritePlan] = {}
         self._plugins: Dict[str, MonitoringPlugin] = {}
         self._tasks: Dict[str, object] = {}
         self.rest = RestApi()
@@ -164,7 +165,7 @@ class Pusher:
         )
         task = self.scheduler.add_callback(
             f"{self.name}:{plugin.name}",
-            lambda ts, p=plugin: self._sample_plugin(p, group, ts),
+            partial(self._sample_plugin, plugin, group),
             plugin.interval_ns,
         )
         self._tasks[plugin.name] = task
@@ -198,7 +199,7 @@ class Pusher:
                 raise PluginError(
                     f"sampled {len(values)} values for {len(sensors)} sensors"
                 )
-            self.store_readings_batch(ts, SensorColumns(sensors, values))
+            self._store_pass(ts, sensors, np.asarray(values, dtype=np.float64))
         except Exception as exc:
             # A faulty plugin must not take down the sampling loop (or
             # the other plugins sharing it): count and continue.
@@ -227,32 +228,37 @@ class Pusher:
     def store_readings_batch(self, ts, readings: SensorColumns) -> None:
         """Store one pass — sampled readings or operator outputs.
 
-        ``readings`` are :class:`SensorColumns`, all at one timestamp: a
-        plugin's sensors tuple and sampled array, or an operator's
-        outputs.  The pass lands as one column per slab and its
-        publishable readings leave as one :class:`ReadingBatch` — the
-        plan's topics, ``ts`` and their values — both by the write plan
-        memoised for this sequence of sensors (:meth:`_write_plan`).
-        Operator outputs flow through the same call, which is what makes
+        ``readings`` are :class:`SensorColumns`, all at one timestamp: an
+        operator's outputs.  A monitoring plugin's sampling pass takes
+        the same path without the wrapper (:meth:`_store_pass`).
+        Operator outputs flow through the same code, which is what makes
         them "identical to all other sensor data" (Section IV-d) and
         thus usable as pipeline inputs downstream.
         """
-        sensors = readings.sensors
+        self._store_pass(ts, readings.sensors, readings.values)
+
+    def _store_pass(self, ts: int, sensors: tuple, values: np.ndarray) -> None:
+        """Store ``values`` (float64) of ``sensors``, all at ``ts``.
+
+        The pass lands as one column per slab and its publishable
+        readings leave as one :class:`ReadingBatch` — the plan's topics,
+        ``ts`` and their values — both by the write plan memoised for
+        this sensors tuple (:meth:`_write_plan`): found by the tuple's
+        identity, or by its first sensor and length and then compared.
+        """
         if not sensors:
             return
-        stamps = [ts] * len(sensors)
         plan = plan_write(
-            self._plans, self._write_plan, sensors, stamps,
+            self._plans, self._write_plan, sensors,
             key=(id(sensors[0]), len(sensors)),
         )
-        values = readings.values
-        write_columns(plan.columns, stamps, values)
+        write_columns_at(plan.columns, ts, values)
         if plan.topics:
             if plan.published is not None:
                 values = values[plan.published]
             self._publish_batch(ReadingBatch(plan.topics, ts, values))
 
-    def _write_plan(self, sensors: tuple, timestamps) -> "_WritePlan":
+    def _write_plan(self, sensors: tuple, timestamps=None) -> "_WritePlan":
         """Where a pass of ``sensors`` lands: caches for the sensors that
         have none yet — operator outputs, registered with the host cache
         window the first time they are written, one slab per interval

@@ -38,6 +38,7 @@ from repro.dcdb.cache import (
     plan_columns,
     plan_write,
     write_columns,
+    write_columns_at,
 )
 from repro.dcdb.sensor import SensorReading
 
@@ -263,8 +264,9 @@ class StorageBackend:
     def __init__(self, ttl_ns: int = 0) -> None:
         #: topic -> its row.
         self._series: Dict[str, _Row] = {}
-        #: Write plans by topic sequence (see :meth:`insert_columns`).
-        self._plans: Dict[tuple, WritePlan] = {}
+        #: Write plans by topic sequence, and by the identity of the
+        #: tuple they were made for (see :meth:`insert_columns`).
+        self._plans: Dict[object, WritePlan] = {}
         self.ttl_ns = int(ttl_ns)
         self.insert_count = 0
         self.query_count = 0
@@ -331,7 +333,20 @@ class StorageBackend:
         self.insert_count += len(topics) - dropped
         self.ooo_dropped += dropped
 
-    def _write_plan(self, topics: tuple, timestamps) -> WritePlan:
+    def insert_columns_at(self, topics, ts: int, values) -> None:
+        """:meth:`insert_columns` for readings all at one timestamp
+        ``ts``.  A steady writer (the Collect Agent) hands over the same
+        topics tuple every pass, so its plan is found by identity."""
+        if not len(topics):
+            return
+        plan = plan_write(self._plans, self._write_plan, tuple(topics))
+        dropped = write_columns_at(
+            plan.columns, ts, np.asarray(values, dtype=np.float64)
+        )
+        self.insert_count += len(topics) - dropped
+        self.ooo_dropped += dropped
+
+    def _write_plan(self, topics: tuple, timestamps=None) -> WritePlan:
         """The columns of a batch (:func:`plan_columns`), once the topics
         it is the first to bring have rows: a block per first-arrival
         timestamp, split by floor so each block starts at one."""

@@ -7,13 +7,24 @@ registered as a :class:`PeriodicTask` on a :class:`TaskScheduler` driven
 by a shared :class:`SimClock`.  ``run_until`` fires due tasks in strict
 timestamp order (ties broken by registration order), which makes an
 entire multi-component experiment deterministic.
+
+The order contract: tasks fire by (due instant, time of (re)queueing).
+A task is queued when added and again after each firing, so among the
+tasks due at one instant the one queued first fires first; a task
+added from a callback at the current instant fires after every task
+already due then.  The scheduler keeps one FIFO bucket per distinct
+due instant under a heap of those instants: a firing costs a bucket
+append, and a heap push only for an instant nobody is due at yet
+(a cluster of tasks sharing a period and phase shares every bucket).
+Fusion relies on this order: a fused group runs at its leader's slot
+(see ``core.pipeline``).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Callable, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.common.timeutil import NS_PER_SEC
 
@@ -63,6 +74,8 @@ class PeriodicTask:
             how stopped operators behave in the manager.
         once: one-shot tasks fire a single time and then retire
             (used e.g. for delayed network deliveries).
+        done: retired — a one-shot that fired, or a task taken off its
+            scheduler (:meth:`TaskScheduler.retire`); never queued again.
     """
 
     __slots__ = (
@@ -106,24 +119,35 @@ class PeriodicTask:
         finally:
             # A one-shot retires at its due time: fired, raised or
             # disabled.
-            self.done = self.once
+            if self.once:
+                self.done = True
             self.next_due += self.interval_ns
 
 
 class TaskScheduler:
-    """Priority-queue scheduler for periodic tasks on a shared clock."""
+    """Scheduler for periodic tasks on a shared clock: one FIFO bucket of
+    tasks per due instant, a heap of the instants (see the module
+    docstring for the order this keeps)."""
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self._heap: List = []
-        self._counter = itertools.count()
+        self._instants: List[int] = []  # heap, each due instant once
+        self._buckets: Dict[int, Deque[PeriodicTask]] = {}
         self._tasks: List[PeriodicTask] = []
+
+    def _queue(self, task: PeriodicTask) -> None:
+        due = task.next_due
+        bucket = self._buckets.get(due)
+        if bucket is None:
+            bucket = self._buckets[due] = deque()
+            heapq.heappush(self._instants, due)
+        bucket.append(task)
 
     def add(self, task: PeriodicTask) -> PeriodicTask:
         """Register a task; its first firing is at ``task.next_due``."""
         if task.next_due < self.clock.now:
             task.next_due = self.clock.now
-        heapq.heappush(self._heap, (task.next_due, next(self._counter), task))
+        self._queue(task)
         if not task.once:
             # One-shot tasks are fire-and-forget; keeping them out of the
             # registry keeps high-rate uses (per-message network delays)
@@ -145,6 +169,19 @@ class TaskScheduler:
             PeriodicTask(name, fn, interval_ns=1, first_due=due_ns, once=True)
         )
 
+    def retire(self, task: PeriodicTask) -> None:
+        """Take ``task`` off the schedule for good: it fires no more and
+        the scheduler lets go of it (and so of what its callback holds).
+        Disabling is for a task that may run again; this is for one that
+        will not."""
+        task.done = True
+        if task in self._tasks:
+            self._tasks.remove(task)
+        bucket = self._buckets.get(task.next_due)
+        if bucket is not None and task in bucket:
+            # (Not there while it fires: a callback may retire its task.)
+            bucket.remove(task)
+
     def tasks(self) -> List[PeriodicTask]:
         """All registered tasks (including disabled ones)."""
         return list(self._tasks)
@@ -152,25 +189,38 @@ class TaskScheduler:
     def run_until(self, end_ns: int) -> int:
         """Fire all tasks due up to and including ``end_ns``.
 
-        Advances the clock task by task (so callbacks observe the nominal
-        fire time as "now") and leaves it at ``end_ns``.  Returns the
-        number of task firings.
+        Advances the clock instant by instant (so callbacks observe the
+        nominal fire time as "now") and leaves it at ``end_ns``.  Returns
+        the number of task firings.
         """
         fired = 0
-        while self._heap and self._heap[0][0] <= end_ns:
-            due, _, task = heapq.heappop(self._heap)
-            self.clock.advance_to(max(due, self.clock.now))
-            try:
-                task.fire(due)
-            finally:
-                # Re-queued even when the callback raised: one failing
-                # firing must not retire a periodic task.
-                if not task.done:
-                    heapq.heappush(
-                        self._heap, (task.next_due, next(self._counter), task)
-                    )
-            fired += 1
-        self.clock.advance_to(max(end_ns, self.clock.now))
+        instants, buckets, clock = self._instants, self._buckets, self.clock
+        while instants and instants[0] <= end_ns:
+            due = instants[0]
+            bucket = buckets[due]
+            if due > clock.now:
+                clock.advance_to(due)
+            while bucket:
+                task = bucket.popleft()
+                try:
+                    task.fire(due)
+                finally:
+                    # Re-queued even when the callback raised: one failing
+                    # firing must not retire a periodic task.  (What a
+                    # raise leaves of this bucket fires on the next run.)
+                    if not task.done:
+                        later = buckets.get(task.next_due)
+                        if later is None:
+                            self._queue(task)
+                        else:
+                            later.append(task)
+                fired += 1
+            if buckets.get(due) is bucket:  # (a nested run may have)
+                # Tasks only ever queue at or after now, so ``due`` is
+                # still the earliest instant.
+                heapq.heappop(instants)
+                del buckets[due]
+        clock.advance_to(max(end_ns, clock.now))
         return fired
 
     def run_for(self, duration_ns: int) -> int:

@@ -1,5 +1,8 @@
 """Tests for the Operator Manager (lifecycle, scheduling, REST)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import ConfigError, PluginError
@@ -7,6 +10,7 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core.manager import OperatorManager
 from repro.dcdb import Broker, Pusher
 from repro.dcdb.plugins import TesterMonitoringPlugin
+from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
 
 
@@ -249,3 +253,49 @@ class TestJobOperatorOnDemand:
         # No stream output was stored.
         agent.flush()
         assert agent.storage.count("/jobs/j1/decile5") == 0
+
+
+class TestUnloadFreesTheOperator:
+    """An unloaded operator leaves the schedule and is freed: neither its
+    task (its callback holds the operator) nor a telemetry gauge of the
+    host's registry may keep it."""
+
+    BLOCK = {
+        "plugin": "aggregator",
+        "operators": {
+            "rack-avg": {
+                "interval_s": 1,
+                "window_s": 5,
+                "inputs": ["<bottomup>power"],
+                "outputs": ["<bottomup>avg-power"],
+                "params": {"op": "mean"},
+            }
+        },
+    }
+
+    def test_load_unload_cycles_return_to_baseline(self):
+        dep = build_deployment({
+            "cluster": {"nodes": 2, "cpus": 2, "seed": 3},
+            "monitoring": {"plugins": ["sysfs"], "interval_ms": 1000},
+            "analytics": {"pushers": [], "agent": []},
+        })
+        dep.run(2)
+        scheduler, manager = dep.agent.scheduler, dep.agent_manager
+        tasks = len(scheduler.tasks())
+        firings = scheduler.run_for(NS_PER_SEC)
+        unloaded = []
+        for _ in range(20):
+            (op,) = manager.load_plugin(self.BLOCK)
+            dep.run(1)
+            assert op.compute_count > 0
+            unloaded.append(weakref.ref(op))
+            manager.unload_operator(op.name)
+            del op
+        assert len(scheduler.tasks()) == tasks
+        assert scheduler.run_for(NS_PER_SEC) == firings
+        gc.collect()
+        assert [ref for ref in unloaded if ref() is not None] == []
+        # The operator's series stay in /metrics; its gauge reads 0.
+        body = dep.agent.rest.get("/metrics", format="prometheus").body
+        lines = body["exposition"].splitlines()
+        assert 'operator_quarantined_units{operator="rack-avg"} 0' in lines

@@ -1,5 +1,8 @@
 """Tests for the Pusher and Collect Agent data paths."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -263,3 +266,88 @@ class TestPusherRest:
 
     def test_malformed_action_400(self, rig):
         assert rig.pusher.rest.put("/plugins/tester/explode").status == 400
+
+
+class TestConstantWorkPerPass:
+    """A steady hop costs the same Python work whatever its width: the
+    calls a sampled pass and a drain make, counted by ``sys.setprofile``
+    (no timing), are equal at 40 and at 400 sensors per Pusher."""
+
+    PUSHERS = 3
+
+    @staticmethod
+    def calls_of(fn, *args):
+        """Python and C function calls ``fn(*args)`` makes."""
+        counts = Counter()
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                counts[event] += 1
+
+        sys.setprofile(profile)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
+        return dict(counts)
+
+    def steady_hops(self, sensors):
+        scheduler = TaskScheduler()
+        broker = Broker()
+        agent = CollectAgent("agent", broker, scheduler)
+        pushers = []
+        for i in range(self.PUSHERS):
+            pusher = Pusher(f"/r0/c0/n{i}", broker, scheduler)
+            pusher.add_plugin(
+                TesterMonitoringPlugin(f"/r0/c0/n{i}", n_sensors=sensors)
+            )
+            pushers.append(pusher)
+        scheduler.run_until(5 * NS_PER_SEC)  # plans, routes, rings exist
+        agent.flush()
+        agent._drain_task.enabled = False
+        for pusher in pushers:
+            pusher._tasks["tester"].enabled = False
+        ts = 6 * NS_PER_SEC
+        scheduler.run_until(ts)
+        plugin = pushers[0].plugin("tester")
+        group = tuple(plugin.sensors())
+        sampled = self.calls_of(pushers[0]._sample_plugin, plugin, group, ts)
+        for pusher in pushers[1:]:
+            pusher._sample_plugin(pusher.plugin("tester"), tuple(
+                pusher.plugin("tester").sensors()), ts)
+        stored = agent.storage.insert_count
+        drained = self.calls_of(agent.flush, ts)
+        assert agent.storage.insert_count - stored == self.PUSHERS * sensors
+        assert pushers[0].sampling_errors == 0
+        return sampled, drained
+
+    def test_a_steady_pass_and_drain_cost_the_same_at_any_width(self):
+        narrow, wide = self.steady_hops(40), self.steady_hops(400)
+        assert narrow == wide
+
+    def test_passes_cut_anew_every_pass_compile_no_plan(self, monkeypatch):
+        """A subscriber on one topic cuts every pass of its Pusher into
+        runs, new tuples each pass: the drain then finds its columns by
+        content, and neither the agent nor storage compiles a plan."""
+        scheduler = TaskScheduler()
+        broker = Broker()
+        agent = CollectAgent("agent", broker, scheduler)
+        for i in range(2):
+            Pusher(f"/r0/c0/n{i}", broker, scheduler).add_plugin(
+                TesterMonitoringPlugin(f"/r0/c0/n{i}", n_sensors=10)
+            )
+        broker.subscribe_batch("/r0/c0/n0/tester0003", lambda batch: None)
+        scheduler.run_until(5 * NS_PER_SEC)
+        compiles = []
+        for host in (CollectAgent, type(agent.storage)):
+            compile = host._write_plan
+
+            def counting(self, *args, compile=compile):
+                compiles.append(self)
+                return compile(self, *args)
+
+            monkeypatch.setattr(host, "_write_plan", counting)
+        stored = agent.storage.insert_count
+        scheduler.run_until(15 * NS_PER_SEC)
+        assert agent.storage.insert_count - stored == 10 * 2 * 10
+        assert compiles == []

@@ -32,6 +32,8 @@ OUTAGE = (10, 20)  # [start, end) of the partition on "/down", in ns
 WINDOW_NS = 40  # agent cache window: small, so rings grow *and* wrap
 NEVER = 10**15  # periodic drains and spill retries are program steps
 HORIZON = 10**18
+#: The topics of the steady producers (see ``Rig.publish_steady``).
+STEADY = (TOPICS, ["/down/b", "/up/a"], ["/up/b", "/down/a"])
 
 
 class Model:
@@ -171,6 +173,13 @@ class Rig:
             spill_policy=spill_policy, retry_base_ns=NEVER, retry_max_ns=NEVER,
         )
         self.sensors = {topic: Sensor(topic) for topic in TOPICS}
+        # The steady producers: two Pusher sequences and a raw topics
+        # tuple, each the same object every pass.
+        self.steady = [
+            tuple(self.sensors[topic] for topic in STEADY[0]),
+            tuple(self.sensors[topic] for topic in STEADY[1]),
+        ]
+        self.raw_topics = tuple(STEADY[2])
         self.scheduler.run_until(0)  # the drain task's firing at t=0
 
     def publish(self, ts, readings):
@@ -189,6 +198,21 @@ class Rig:
                 ))
             except LinkDownError:
                 pass
+
+    def publish_steady(self, ts, passes, fresh):
+        """Every producer at one shared ``ts``: the Pusher's steady
+        sequences, then the raw producer's pass — each the same tuple as
+        last time, or (``fresh``) an equal one built anew."""
+        *pushed, raw = passes
+        for seq, values in zip(self.steady, pushed):
+            if fresh:
+                seq = tuple(list(seq))
+            self.pusher.store_readings_batch(ts, SensorColumns(seq, values))
+        topics = tuple(list(self.raw_topics)) if fresh else self.raw_topics
+        try:
+            self.link.publish_batch(ReadingBatch(topics, ts, raw))
+        except LinkDownError:
+            pass
 
     def counters(self):
         telemetry = self.pusher.telemetry
@@ -227,6 +251,8 @@ _steps = st.lists(
         st.tuples(st.just("advance"), st.integers(1, 6)),
         st.tuples(st.just("replay")),
         st.tuples(st.just("drain")),
+        st.tuples(st.just("steady"), st.integers(0, 30), st.just(False)),
+        st.tuples(st.just("steady"), st.integers(0, 30), st.booleans()),
     ),
     min_size=1, max_size=40,
 )
@@ -264,6 +290,17 @@ def test_batched_path_matches_per_message_reference(
         elif step[0] == "advance":
             model.now += step[1]
             rig.scheduler.run_until(model.now)
+        elif step[0] == "steady":
+            passes = []
+            for topics in STEADY:
+                passes.append([value + 1.0 + i for i in range(len(topics))])
+                value += len(topics)
+            rig.publish_steady(step[1], passes, step[2])
+            for topics, values in zip(STEADY[:2], passes):
+                model.publish(step[1], list(zip(topics, values)))
+            model.publish_raw([
+                (topic, step[1], v) for topic, v in zip(STEADY[2], passes[2])
+            ])
         elif step[0] == "replay":
             model.replay()
             assert rig.pusher.flush_spill() == len(model.spill)
