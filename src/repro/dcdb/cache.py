@@ -515,24 +515,18 @@ def plan_write(
 
 
 def write_columns(columns, timestamps, values: np.ndarray, advance=None) -> int:
-    """Store ``values`` (float64, in sequence order) by a plan's
-    ``columns``, each seen first by ``advance(group, timestamp)`` when
-    given; returns the readings refused as stale."""
+    """:func:`write_columns_at` for a sequence of these ``timestamps``:
+    each column at its readings' one timestamp."""
     refused = 0
     for col in columns:
-        ts = timestamps[col.first]
-        group = col.slab
-        if advance is not None:
-            advance(group, ts)
-        if not group.store_column(
-            ts, values if col.index is None else values[col.index]
-        ):
-            refused += len(group.bound)
+        refused += write_columns_at((col,), timestamps[col.first], values, advance)
     return refused
 
 
 def write_columns_at(columns, ts: int, values: np.ndarray, advance=None) -> int:
-    """:func:`write_columns` for a sequence all at one timestamp ``ts``."""
+    """Store ``values`` (float64, in sequence order), all at ``ts``, by a
+    plan's ``columns``, each seen first by ``advance(group, ts)`` when
+    given; returns the readings refused as stale."""
     refused = 0
     for col in columns:
         group = col.slab

@@ -22,6 +22,7 @@ from repro.dcdb.cache import (
     CacheSlab,
     Column,
     SensorCache,
+    WritePlan,
     first_arrivals,
     plan_columns,
     plan_write,
@@ -37,13 +38,15 @@ from repro.simulator.clock import TaskScheduler
 from repro.telemetry import MetricRegistry, register_metrics_route
 
 
-class _IngestPlan(NamedTuple):
-    """How the agent writes one sequence: a drain's passes (their topics
-    tuples) or an operator's output sensors."""
+class _PassPlan(NamedTuple):
+    """A write plan found by the sequence a producer hands over every
+    pass — a drain's tuple of per-pass topics tuples, an operator's
+    output sensors: the columns of the topic sequence it joins into,
+    and that sequence (what storage is handed)."""
 
     seq: tuple
     columns: List[Column]
-    topics: Tuple[str, ...]  # in order: what storage is handed
+    topics: Tuple[str, ...]
 
 
 class CollectAgent:
@@ -85,12 +88,13 @@ class CollectAgent:
         self._storage = storage if storage is not None else StorageBackend()
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
-        #: Write plans by the sequence written (see ``_ingest``) ...
-        self._plans: Dict[object, _IngestPlan] = {}
-        #: ... and a drain's by its passes' topics tuples (``_drain``):
-        #: apart, so that drains of passes cut anew every time (by a
-        #: link, or a subscriber on part of the topics) churn only these.
-        self._drain_plans: Dict[object, _IngestPlan] = {}
+        #: Write plans by topic sequence (see ``_ingest``) ...
+        self._plans: Dict[object, WritePlan] = {}
+        #: ... and in front of them, by the sequence a producer hands
+        #: over (see ``_pass_plan``): apart, so that passes cut anew
+        #: every time (by a link, or a subscriber on part of the topics)
+        #: churn only these.
+        self._pass_plans: Dict[object, _PassPlan] = {}
         self.rest = RestApi()
         self.telemetry = MetricRegistry()
         self._m_forwarded = self.telemetry.counter("forwarded_readings_total")
@@ -223,37 +227,36 @@ class CollectAgent:
         if not len(topics):
             return
         topics = tuple(topics)
-        plan = plan_write(self._plans, self._topics_plan, topics, timestamps)
+        plan = plan_write(self._plans, self._write_plan, topics, timestamps)
         write_columns(plan.columns, timestamps, values, self._advance)
-        self._storage.insert_columns(plan.topics, timestamps, values)
+        self._storage.insert_columns(plan.seq, timestamps, values)
 
-    def _ingest_at(self, plan: _IngestPlan, ts: int, values) -> None:
+    def _ingest_at(self, plan: _PassPlan, ts: int, values) -> None:
         """:meth:`_ingest` for readings all at ``ts``, by ``plan`` — a
         steady drain's or an operator pass's."""
         write_columns_at(plan.columns, ts, values, self._advance)
         self._storage.insert_columns_at(plan.topics, ts, values)
 
-    def _topics_plan(self, topics: tuple, timestamps=None) -> _IngestPlan:
-        """The plan of a sequence of topics."""
-        return self._write_plan(topics, topics, timestamps)
+    def _pass_plan(self, seq: tuple, topics: tuple, timestamps=None) -> _PassPlan:
+        """The plan of ``seq``, a sequence written as ``topics``: the
+        columns of the plan for ``topics``, found by content (one compile
+        per topic sequence, however a producer cuts or builds it)."""
+        plan = plan_write(self._plans, self._write_plan, topics, timestamps)
+        return _PassPlan(seq, plan.columns, plan.seq)
 
-    def _drain_plan(self, parts: tuple, timestamps=None) -> _IngestPlan:
-        """The plan of a drain of passes with these topics tuples: the
-        columns of the topic sequence they join into, found by content
-        (one compile per sequence, however its passes were cut)."""
-        plan = plan_write(
-            self._plans, self._topics_plan,
-            tuple(chain.from_iterable(parts)), timestamps,
+    def _drain_plan(self, parts: tuple, timestamps=None) -> _PassPlan:
+        """The plan of a drain of passes with these topics tuples."""
+        return self._pass_plan(
+            parts, tuple(chain.from_iterable(parts)), timestamps
         )
-        return _IngestPlan(parts, plan.columns, plan.topics)
 
-    def _output_plan(self, sensors: tuple, timestamps=None) -> _IngestPlan:
+    def _output_plan(self, sensors: tuple, timestamps=None) -> _PassPlan:
         """The plan of an operator pass with these output sensors."""
-        return self._write_plan(
+        return self._pass_plan(
             sensors, tuple(sensor.topic for sensor in sensors), timestamps
         )
 
-    def _write_plan(self, seq: tuple, topics: tuple, timestamps) -> _IngestPlan:
+    def _write_plan(self, topics: tuple, timestamps) -> WritePlan:
         """The columns of a batch (:func:`plan_columns`), once the topics
         it is the first to bring have rings: one slab per first-arrival
         timestamp (:func:`first_arrivals`)."""
@@ -261,10 +264,8 @@ class CollectAgent:
         for group in first_arrivals(caches, topics, timestamps).values():
             slab = CacheSlab(len(group), self._ingest_capacity(NS_PER_SEC))
             caches.update(zip(group, slab.rings()))
-        return _IngestPlan(
-            seq,
-            plan_columns([caches[topic] for topic in topics], timestamps),
-            topics,
+        return WritePlan(
+            topics, plan_columns([caches[topic] for topic in topics], timestamps)
         )
 
     def _advance(self, slab: CacheSlab, ts: int) -> None:
@@ -311,7 +312,7 @@ class CollectAgent:
             values = np.concatenate([batch.values for batch in passes])
             if stamps.count(stamps[0]) == len(stamps):
                 plan = plan_write(
-                    self._drain_plans, self._drain_plan, parts, None,
+                    self._pass_plans, self._drain_plan, parts, None,
                     tuple(map(id, parts)),
                 )
                 self._ingest_at(plan, stamps[0], values)
@@ -345,7 +346,7 @@ class CollectAgent:
         sensors = readings.sensors
         if sensors:
             plan = plan_write(
-                self._plans, self._output_plan, sensors, None,
+                self._pass_plans, self._output_plan, sensors, None,
                 (id(sensors[0]), len(sensors)),
             )
             self._ingest_at(plan, ts, readings.values)
