@@ -123,8 +123,7 @@ class LockStep:
     def store_column(self, timestamp: int, values) -> bool:
         """Append one reading to every row: ``values`` in row order (or
         one for all), all at ``timestamp``; False for a stale column."""
-        newest = self.newest
-        if newest is not None and timestamp < newest:  # (stale, inlined)
+        if self.stale(timestamp):
             self._refused()
             return False
         self._append(timestamp, values)

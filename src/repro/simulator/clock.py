@@ -209,11 +209,7 @@ class TaskScheduler:
                     # firing must not retire a periodic task.  (What a
                     # raise leaves of this bucket fires on the next run.)
                     if not task.done:
-                        later = buckets.get(task.next_due)
-                        if later is None:
-                            self._queue(task)
-                        else:
-                            later.append(task)
+                        self._queue(task)
                 fired += 1
             if buckets.get(due) is bucket:  # (a nested run may have)
                 # Tasks only ever queue at or after now, so ``due`` is
