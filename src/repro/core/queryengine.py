@@ -184,7 +184,6 @@ class SlabGroup(NamedTuple):
     count: int
     dst: Union[slice, np.ndarray]   # rows of the plan ...
     rows: Union[slice, np.ndarray]  # ... and the slab rows they read
-    row: int                        # one slab row a ring is bound to
     plan_rows: List[int]
 
 
@@ -202,16 +201,16 @@ def _window_count(group: SlabGroup, k: int, window_ns: int) -> int:
     its window (0: the rings are empty).
 
     A time window is cut once for the whole group: the rings of a slab
-    hold the same timestamps in the same slots, so one bound row's
-    newest ``k`` say for every row how many lie in ``[newest - window,
-    newest]`` — the bound inclusive, like ``view_absolute``'s.
+    share its one timestamp vector, so its newest ``k`` say for every
+    row how many lie in ``[newest - window, newest]`` — the bound
+    inclusive, like ``view_absolute``'s.
     """
     slab, count = group.slab, group.count
-    cap = slab.ts.shape[1]
+    cap = len(slab.ts)
     held = min(slab.size, count or k, cap)  # a ring holds no more than cap
     if count or not held:
         return held
-    tail = slab.ts[group.row]
+    tail = slab.ts
     bound = slab.newest - window_ns
     return sum(
         b - a - int(tail[a:b].searchsorted(bound, side="left"))
@@ -228,10 +227,11 @@ def _gather_slab(
     does for one ring.
 
     The rings of a slab advance in lock step, so one head serves them
-    all: the window is at most two column spans of the slab
-    (:meth:`CacheSlab.newest_spans`), and the rows are a slice or one
-    1-D index on either side, so every copy is basic slicing on at
-    least one axis.
+    all: the window is at most two slot spans of the slab
+    (:meth:`CacheSlab.newest_spans`) — the slab's timestamps broadcast
+    into every row, its time-major values copied transposed — and the
+    rows are a slice or one 1-D index on either side, so every copy is
+    basic slicing on at least one axis.
     """
     slab = group.slab
     slab.copy_newest(
@@ -385,7 +385,7 @@ class QueryPlan:
             plan_rows = [i for i, _, _ in entries]
             self.slab_groups.append(SlabGroup(
                 slab, count, _rows_index(plan_rows), _rows_index(rows),
-                rows[0], plan_rows,
+                plan_rows,
             ))
         #: Where the rows read ring by ring have a time window.
         self.timed_rings = np.array(

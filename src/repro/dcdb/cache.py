@@ -12,15 +12,16 @@ these caches in two modes (Section V-B of the paper):
   located with binary search in O(log N).
 
 The cache is a fixed-capacity ring buffer over two parallel NumPy arrays
-(int64 timestamps, float64 values).  Those arrays are always one *row*
-of a :class:`CacheSlab`, and the ring's state — head, size, newest
-timestamp, observed gap — is the slab's, shared by every live row.  The
-invariant: **all live rows of a slab share one history of timestamps**.
+(int64 timestamps, float64 values): a :class:`CacheSlab`'s timestamp
+vector and one row of its time-major values.  The ring's state — head,
+size, newest timestamp, observed gap — is the slab's, shared by every
+live row.  The invariant: **the group holds its history of timestamps
+once**.
 Storage follows the sampling group — sensors a host writes together (one
 monitoring plugin, one operator pass, one first-arrival batch) share a
-slab — so a pass lands as one column (two NumPy writes) and a compiled
-query plan reads those rings by basic slicing, one or two column spans
-(:meth:`CacheSlab.newest_spans`) for all of them.
+slab — so a pass lands as one column (a timestamp and one contiguous row
+of values) and a compiled query plan reads those rings by basic slicing,
+one or two slot spans (:meth:`CacheSlab.newest_spans`) for all of them.
 
 The lock step is not the caches' alone: a :class:`LockStep` group —
 its members, ``epoch``, fill, newest timestamp, the order guard and the
@@ -83,16 +84,16 @@ class LockStep:
     """``rows`` rows advancing in lock step, row -> :class:`Member` in
     ``bound``: the group under a :class:`CacheSlab` and a storage block.
 
-    Every live row holds the same timestamps in the same positions, so
-    ``size`` and ``newest`` are plain ints here.  ``newest`` is the order
-    guard (:meth:`stale`, :meth:`keep`).  A member that leaves (moved
+    Every live row holds the same timestamps in the same positions, so a
+    layout stores them once, and ``size`` and ``newest`` are plain ints
+    here.  ``newest`` is the order guard (:meth:`stale`, :meth:`keep`).  A member that leaves (moved
     out or dropped: :meth:`hand_over`) moves ``epoch``, which is how a
     reader that indexes the rows by number (a write plan, a
     ``QueryPlan``) learns it; the row left behind stays allocated and
-    keeps being written with the column.  A layout supplies
-    ``_append`` (one column), ``_extend`` (``[rows, n]`` columns, sets
-    ``newest``) and ``_copy`` (a fresh group holding some members'
-    readings and ``newest``).
+    keeps being written with the column.  A layout supplies ``_append``
+    (one column), ``_extend`` (``(n,)`` timestamps, ``[rows, n]``
+    values; sets ``newest``) and ``_copy`` (a fresh group holding some
+    members' readings and ``newest``).
     """
 
     __slots__ = ("rows", "bound", "epoch", "size", "newest")
@@ -182,15 +183,15 @@ class Member:
         if kept:
             if kept < len(keep):
                 timestamps, values = timestamps[keep], values[keep]
-            self.alone()._extend(timestamps[None, :], values[None, :])
+            self.alone()._extend(timestamps, values[None, :])
         return len(keep) - kept
 
 
 class CacheSlab(LockStep):
-    """``rows`` rings of one capacity advancing in lock step: two
-    matrices, the next write slot ``head`` and the observed :attr:`gap`.
-    A ring that leaves (resized, written alone, missed by a column)
-    moves into a fresh slab."""
+    """``rows`` rings of one capacity in lock step: ``ts[capacity]``,
+    time-major ``val[capacity, rows]``, the next write slot ``head`` and
+    the observed :attr:`gap`.  A ring that leaves (resized, written
+    alone, missed by a column) moves into a fresh slab."""
 
     __slots__ = ("ts", "val", "head", "gap")
 
@@ -198,8 +199,8 @@ class CacheSlab(LockStep):
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive: {capacity}")
         super().__init__(rows)
-        self.ts = np.zeros((rows, int(capacity)), dtype=np.int64)
-        self.val = np.zeros((rows, int(capacity)), dtype=np.float64)
+        self.ts = np.zeros(int(capacity), dtype=np.int64)
+        self.val = np.zeros((int(capacity), rows), dtype=np.float64)
         self.head = 0  # index of the next write slot
         #: Smallest gap between two successive distinct timestamps, as
         #: measured by a host that cannot know the sensors' interval
@@ -232,17 +233,17 @@ class CacheSlab(LockStep):
     @property
     def capacity(self) -> int:
         """Readings each row retains."""
-        return self.ts.shape[1]
+        return len(self.ts)
 
     def oldest(self) -> Optional[int]:
         """Timestamp of the oldest retained reading (``None`` when empty);
         every row holds it, the rows a ring left included."""
         if not self.size:
             return None
-        return int(self.ts[0, self.head - self.size])
+        return int(self.ts[self.head - self.size])
 
     def memory_bytes(self) -> int:
-        """Resident size of both matrices in bytes."""
+        """Resident size of both arrays in bytes."""
         return self.ts.nbytes + self.val.nbytes
 
     # ------------------------------------------------------------------
@@ -251,9 +252,9 @@ class CacheSlab(LockStep):
 
     def _append(self, timestamp: int, values) -> None:
         head = self.head
-        self.ts[:, head] = timestamp
-        self.val[:, head] = values
-        cap = self.ts.shape[1]
+        self.ts[head] = timestamp
+        self.val[head] = values
+        cap = len(self.ts)
         self.head = (head + 1) % cap
         if self.size < cap:
             self.size += 1
@@ -264,27 +265,27 @@ class CacheSlab(LockStep):
             ring.stale_drops += 1
 
     def _extend(self, ts: np.ndarray, val: np.ndarray) -> None:
-        n = ts.shape[1]
-        cap = self.ts.shape[1]
+        n = len(ts)
+        cap = len(self.ts)
         keep = min(n, cap)  # a batch longer than the ring keeps its newest
         self.head = (self.head + n) % cap
         self.size = min(cap, self.size + n)
         j = n - keep
         for a, b in self.newest_spans(keep):
-            self.ts[:, a:b] = ts[:, j:j + b - a]
-            self.val[:, a:b] = val[:, j:j + b - a]
+            self.ts[a:b] = ts[j:j + b - a]
+            self.val[a:b] = val[:, j:j + b - a].T
             j += b - a
-        self.newest = int(ts[0, -1])
+        self.newest = int(ts[-1])
 
     def newest_spans(self, n: int) -> Tuple[Tuple[int, int], ...]:
-        """Column spans ``(start, stop)`` of the newest ``n`` readings
+        """Slot spans ``(start, stop)`` of the newest ``n`` readings
         (``1 <= n <= capacity``), oldest first: one, or two when they
         wrap the end of the ring — never more, so a window is copied by
         basic slicing, whatever its length."""
         head = self.head
         if n <= head:
             return ((head - n, head),)
-        cap = self.ts.shape[1]
+        cap = len(self.ts)
         start = (head - n) % cap  # the window wraps the ring
         if not head:
             return ((start, cap),)
@@ -295,12 +296,12 @@ class CacheSlab(LockStep):
         dst_rows, lo: int,
     ) -> None:
         """Copy the newest ``n`` readings of ``rows`` (a slice or a 1-D
-        index) into columns ``[lo, lo + n)`` of ``dst_rows`` of the
-        destination matrices, oldest first: two copies a span."""
+        index) into columns ``[lo, lo + n)`` of ``dst_rows`` of topic-major
+        destinations (a slab's: ``ts[None]``, ``val.T``), oldest first."""
         for a, b in self.newest_spans(n):
             hi = lo + b - a
-            dst_ts[dst_rows, lo:hi] = self.ts[rows, a:b]
-            dst_val[dst_rows, lo:hi] = self.val[rows, a:b]
+            dst_ts[dst_rows, lo:hi] = self.ts[a:b]
+            dst_val[dst_rows, lo:hi] = self.val[a:b, rows].T
             lo = hi
 
     def _copy(self, rings, capacity: Optional[int] = None) -> "CacheSlab":
@@ -311,7 +312,7 @@ class CacheSlab(LockStep):
         keep = min(self.size, capacity)
         if keep:
             rows = np.array([ring.row for ring in rings], dtype=np.intp)
-            self.copy_newest(keep, rows, slab.ts, slab.val, slice(None), 0)
+            self.copy_newest(keep, rows, slab.ts[None], slab.val.T, slice(None), 0)
         slab.head = keep % capacity
         slab.size = keep
         slab.newest = self.newest
@@ -321,13 +322,13 @@ class CacheSlab(LockStep):
     def grow(self, capacity: int) -> None:
         """Re-allocate every row at a larger ``capacity`` in place,
         contents kept: the rings keep their slab and row and are rebound
-        to the new matrices, so no plan that reads them goes stale."""
+        to the new arrays, so no plan that reads them goes stale."""
         keep = self.size
-        ts = np.zeros((len(self.ts), int(capacity)), dtype=np.int64)
-        val = np.zeros((len(self.ts), int(capacity)), dtype=np.float64)
+        ts = np.zeros(int(capacity), dtype=np.int64)
+        val = np.zeros((int(capacity), self.rows), dtype=np.float64)
         if keep:
             everyone = slice(None)
-            self.copy_newest(keep, everyone, ts, val, everyone, 0)
+            self.copy_newest(keep, everyone, ts[None], val.T, everyone, 0)
         self.ts, self.val = ts, val
         self.head = keep % capacity
         for row, ring in self.bound.items():
@@ -623,8 +624,8 @@ class SensorCache(Member):
 
     def _bind(self, slab: CacheSlab, row: int) -> None:
         super()._bind(slab, row)
-        self._ts = slab.ts[row]  # the row's views, for the readers
-        self._val = slab.val[row]
+        self._ts = slab.ts  # the group's one vector, for the readers
+        self._val = slab.val[:, row]  # the row's values: a strided view
 
     def _init_on(self, slab: CacheSlab, row: int, interval_ns: int) -> None:
         self._bind(slab, row)
@@ -866,9 +867,9 @@ class SensorCache(Member):
         return [(ts[start:], val[start:]), (ts[:head], val[:head])]
 
     def memory_bytes(self) -> int:
-        """Size of this ring's slab row in bytes (what a host has
+        """Size of this ring's value row in bytes (what a host has
         allocated is :func:`slab_memory_bytes` of its caches)."""
-        return self._ts.nbytes + self._val.nbytes
+        return self._val.nbytes
 
 
 def default_cache(interval_ns: int, window_seconds: float = 180.0) -> SensorCache:

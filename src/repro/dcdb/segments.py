@@ -914,8 +914,9 @@ class TieredStorageBackend(StorageBackend):
         is empty).  The sorted topics are cut into *runs*, maximal
         stretches stored in one block; a run is gathered with one fancy
         index per chunk of its block, rows in sorted-topic order, so its
-        ``(rows, size)`` pair ravels into its stretch of the columns —
-        which a single run is, with no second copy.  The sealed blocks
+        ``(rows, size)`` values ravel into its stretch of the columns —
+        which a single run is, with no second copy — and its block's one
+        timestamp vector is tiled once per row beside them.  The sealed blocks
         are emptied in place: they keep their rows, first chunk and
         newest timestamp — the seal floor of every row — so write plans
         stay valid across the flush.
@@ -932,12 +933,11 @@ class TieredStorageBackend(StorageBackend):
             else:
                 blocks.append(row.slab)
                 runs.append([row.row])
-        ts, val = _joined([
-            (ts.ravel(), val.ravel()) for ts, val in (
-                _joined(block.parts(np.array(run, dtype=np.intp)))
-                for block, run in zip(blocks, runs)
-            )
-        ])
+        parts = []
+        for block, run in zip(blocks, runs):
+            ts, val = _joined(block.parts(np.array(run, dtype=np.intp)))
+            parts.append((np.tile(ts, len(run)), val.ravel()))
+        ts, val = _joined(parts)
         sizes = np.repeat([block.size for block in blocks], [len(run) for run in runs])
         seg = self.store.write(
             Columnar(topics, _bounds(sizes), {"ts": ts, "val": val}),

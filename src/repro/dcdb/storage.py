@@ -7,10 +7,9 @@ and TTL-based expiry.
 
 Readings are held in *blocks*, the second layout of the caches'
 lock-step group (:class:`~repro.dcdb.cache.LockStep`): the topics first
-stored together (one batch's first arrivals) are the rows of
-``ts[rows, w]`` / ``val[rows, w]`` chunk matrices whose rows advance in
-lock step — every live row holds the same timestamps at the same
-positions — so a batch lands as one column per block and timestamp, two
+stored together (one batch's first arrivals) are the rows of ``val[rows,
+w]`` chunk matrices beside one ``ts[w]`` vector a chunk, which the rows
+share — so a batch lands as one column per block and timestamp, two
 NumPy writes each, through the hosts' one memoised writer.  Membership,
 the order guard and the hand-over are the group's: a write that would
 break the lock step first moves the rows that fall out of step into a
@@ -19,7 +18,8 @@ its chunks, :meth:`_Block.empty` and :meth:`_Block.expire_before`.  A
 block grows by appending a chunk as wide as the block so far (256, 256,
 512, …), so no stored reading is copied to grow, a row spans O(log n)
 chunks, and a range query copies only when it spans two.  Timestamps
-are located by binary search.
+are located by binary search.  Values stay topic-major: a block is read
+a topic's history at a time (DESIGN.md, "How a reading is written").
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ from repro.dcdb.sensor import SensorReading
 #: Readings per row of a block's first chunk; every later chunk is as
 #: wide as the block so far.
 CHUNK = 256
-
-#: Bytes one reading takes: an int64 timestamp and a float64 value.
-_READING_BYTES = 16
 
 
 def _empty() -> Tuple[np.ndarray, np.ndarray]:
@@ -78,8 +75,8 @@ class _Row(Member):
 
 
 class _Block(LockStep):
-    """``rows`` stored topics advancing in lock step: chunk matrices
-    that grow instead of wrapping, the
+    """``rows`` stored topics advancing in lock step: ``(ts[w], val[rows,
+    w])`` chunks that grow instead of wrapping, the
     :class:`~repro.dcdb.cache.LockStep` group's other layout.
 
     ``newest`` — the order guard — outlives :meth:`empty`, so after a
@@ -90,7 +87,7 @@ class _Block(LockStep):
 
     def __init__(self, rows: int, newest: Optional[int] = None) -> None:
         super().__init__(rows, newest)
-        #: ``(ts, val)`` matrix pairs of ``rows`` rows, oldest first.
+        #: ``(ts, val)`` chunk pairs, oldest first.
         self.chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         self.capacity = 0  # readings per row the chunks have room for
         self._rewind()
@@ -105,8 +102,10 @@ class _Block(LockStep):
         self._start = self._end = 0
 
     def memory_bytes(self) -> int:
-        """What the live rows hold allocated."""
-        return len(self.bound) * self.capacity * _READING_BYTES
+        """The live rows' slots at 16 bytes (a timestamp and a value), the
+        flush budget's input: about 2x what chunks holding their
+        timestamps once allocate, kept so flushes fall on the same sweeps."""
+        return len(self.bound) * self.capacity * 16
 
     # ------------------------------------------------------------------
     # Writing
@@ -115,7 +114,7 @@ class _Block(LockStep):
     def _add_chunk(self) -> None:
         width = self.capacity or CHUNK
         self.chunks.append((
-            np.empty((self.rows, width), dtype=np.int64),
+            np.empty(width, dtype=np.int64),
             np.empty((self.rows, width), dtype=np.float64),
         ))
         self.capacity += width
@@ -128,7 +127,7 @@ class _Block(LockStep):
             self._add_chunk()
         self._ts, self._val = self.chunks[k]
         self._start = self._end
-        self._end += self._ts.shape[1]
+        self._end += len(self._ts)
         self.firsts.append(timestamp)
 
     def _append(self, timestamp: int, values) -> None:
@@ -136,27 +135,27 @@ class _Block(LockStep):
         if size == self._end:
             self._enter(timestamp)
         at = size - self._start
-        self._ts[:, at] = timestamp
+        self._ts[at] = timestamp
         self._val[:, at] = values
         self.size = size + 1
 
     def _extend(self, ts: np.ndarray, val: np.ndarray) -> None:
-        """Append the columns of ``ts`` / ``val`` (``[rows, n]``, or
-        ``[1, n]`` for every row): in order, none older than
+        """Append the columns of ``ts`` (``(n,)``) / ``val`` (``[rows,
+        n]``, or ``[1, n]`` for every row): in order, none older than
         :attr:`newest`."""
-        n = ts.shape[1]
+        n = len(ts)
         done = 0
         while done < n:
             if self.size == self._end:
-                self._enter(int(ts[0, done]))
+                self._enter(int(ts[done]))
             at = self.size - self._start
             take = min(n - done, self._end - self.size)
-            self._ts[:, at:at + take] = ts[:, done:done + take]
+            self._ts[at:at + take] = ts[done:done + take]
             self._val[:, at:at + take] = val[:, done:done + take]
             self.size += take
             done += take
         if n:
-            self.newest = int(ts[0, -1])
+            self.newest = int(ts[-1])
 
     def _copy(self, rows: List[_Row]) -> "_Block":
         """A fresh block with this one's chunk widths, the readings of
@@ -187,7 +186,7 @@ class _Block(LockStep):
         if not self.size or self.firsts[0] >= cutoff:
             return 0
         ts, val = _joined(self.parts(slice(None)))
-        lo = int(ts[0].searchsorted(cutoff))  # every row has the timestamps
+        lo = int(ts.searchsorted(cutoff))
         keep = self.size - lo
         if self.capacity > CHUNK and keep < self.capacity / 4:
             capacity = CHUNK
@@ -197,7 +196,7 @@ class _Block(LockStep):
             self.capacity = capacity
         self._rewind()
         if keep:
-            self._extend(ts[:, lo:], val[:, lo:])
+            self._extend(ts[lo:], val[:, lo:])
         return lo
 
     # ------------------------------------------------------------------
@@ -209,7 +208,7 @@ class _Block(LockStep):
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """The readings of ``row`` — one row, or an index or a slice of
         rows — in chunks ``first:last`` (default: to the newest), oldest
-        first."""
+        first: each chunk's timestamps, and the rows' values."""
         newest = len(self.firsts) - 1
         if last is None:
             last = newest + 1
@@ -217,10 +216,10 @@ class _Block(LockStep):
         for k in range(first, last):
             ts, val = self.chunks[k]
             if k < newest:  # full
-                out.append((ts[row], val[row]))
+                out.append((ts, val[row]))
             else:
                 n = self.size - self._start
-                out.append((ts[row, :n], val[row, :n]))
+                out.append((ts[:n], val[row, :n]))
         return out
 
     def range(
@@ -233,7 +232,7 @@ class _Block(LockStep):
         firsts = self.firsts
         if firsts and (firsts[-1] < start_ts or len(firsts) == 1):
             # Nothing at or after start_ts before the newest chunk.
-            ts = self._ts[row, :self.size - self._start]
+            ts = self._ts[:self.size - self._start]
             lo = ts.searchsorted(start_ts, "left")
             hi = ts.searchsorted(end_ts, "right")
             return ts[lo:hi], self._val[row, lo:hi]

@@ -217,7 +217,8 @@ class TestSizing:
 
     def test_memory_bytes_counts_both_arrays(self):
         c = SensorCache(100)
-        assert c.memory_bytes() == 100 * (8 + 8)
+        assert c.memory_bytes() == 100 * 8  # the ring's value row
+        assert c.slab.memory_bytes() == 100 * (8 + 8)  # and the slab's ts
 
 
 class TestViewSnapshotSemantics:

@@ -137,7 +137,8 @@ class TestPusherSampling:
         gauge = pusher.telemetry.gauge("cache_memory_bytes")
         cache = pusher.cache_for("/r0/c0/n0/tester0000")
         slab = cache.slab
-        assert gauge.value == slab.memory_bytes() == 4 * cache.memory_bytes()
+        # One timestamp vector and four value rows.
+        assert gauge.value == slab.memory_bytes() == (1 + 4) * cache.memory_bytes()
         # A resized ring moves out; the row it left is still allocated.
         cache.resize(cache.capacity * 2)
         assert cache.slab is not slab and slab.epoch == 1

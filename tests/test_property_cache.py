@@ -162,7 +162,7 @@ class TestNewestSpans:
         spans = cache.slab.newest_spans(n)
         assert 1 <= len(spans) <= 2
         assert all(0 <= a < b <= capacity for a, b in spans)
-        got = np.concatenate([cache.slab.ts[0, a:b] for a, b in spans])
+        got = np.concatenate([cache.slab.ts[a:b] for a, b in spans])
         assert got.tolist() == [t for t, _ in ref[-n:]]
         dst_ts = np.zeros((1, n + 2), dtype=np.int64)
         dst_val = np.full((1, n + 2), np.nan)

@@ -14,7 +14,8 @@ time, with the tiered backend's seal floor kept beside it.
   across chunk boundaries; ``flush`` (tiered), ``expire`` and ``drop``.
   After every step each backend equals its reference on contents,
   ``insert_count``, ``ooo_dropped``, ``topics()``, ``count``, ``latest``
-  and ``memory_bytes()``.
+  and ``memory_bytes()``, and every bound row's timestamps are its
+  block's one vector a chunk.
 - Three seeded mutations must fail it: a missed row not moved out (in
   ``dcdb/cache.py``'s plan, which storage shares), a chunk boundary
   that loses a reading and a flush that forgets the floor.
@@ -26,13 +27,16 @@ time, with the tiered backend's seal floor kept beside it.
   deterministic case covers alternating blocks, a two-chunk block, a
   moved-out row and rows out of sorted order, and two more seeded
   mutations (a run taken in block order, one size for every run) must
-  fail the machine.
+  fail the machine.  Once a block holds readings in two chunks or more,
+  a flush's segment file must be byte-equal to the file the same writer
+  seals from the per-topic gather.
 """
 
 import inspect
 import shutil
 import tempfile
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +320,8 @@ def machine_for(storage_cls, tiered_cls):
 
         def teardown(self):
             shutil.rmtree(self.directory, ignore_errors=True)
+            if hasattr(self, "twin_directory"):
+                shutil.rmtree(self.twin_directory, ignore_errors=True)
 
         def _tick(self, steps=1):
             self.clock += steps * STEP
@@ -441,6 +447,35 @@ def machine_for(storage_cls, tiered_cls):
             check()
             ref.flush()
 
+        @precondition(lambda self: any(
+            len(block.firsts) > 1 for block in self.pairs[1][0]._blocks()
+        ))
+        @rule()
+        def flush_across_chunks(self):
+            """A block holding readings in two chunks or more, flushed:
+            the segment file's bytes equal those of the per-topic
+            reference flush, sealed by the same writer at the same
+            sequence."""
+            tiered, ref = self.pairs[1]
+            want = per_topic_columnar(tiered)
+            store = tiered.store
+            before = store.segments[-1] if store.segments else None
+            check = expect_per_topic_write(tiered)
+            tiered.flush(self.clock)
+            check()
+            ref.flush()
+            seg = store.segments[-1]
+            if not hasattr(self, "twin_directory"):
+                self.twin_directory = tempfile.mkdtemp(prefix="memory-tier-twin-")
+            topics, offsets, ts, val = want
+            twin = segments_module.Segment.write(
+                Path(self.twin_directory) / seg.path.name, seg.seq,
+                segments_module.LEVEL_RAW,
+                segments_module.Columnar(topics, offsets, {"ts": ts, "val": val}),
+                created_ns=self.clock, names_of=before,
+            )
+            assert seg.path.read_bytes() == twin.path.read_bytes()
+
         @rule(ago=st.integers(-50, 200))
         def expire(self, ago):
             now = self.clock - ago * STEP + TTL
@@ -473,6 +508,21 @@ def machine_for(storage_cls, tiered_cls):
                     for topic in TOPICS:
                         ts, _ = storage_cls.query(backend, topic, -HORIZON, HORIZON)
                         assert ts.tobytes() == ref.memory(topic)[0].tobytes()
+
+        @invariant()
+        def members_read_their_group_vector(self):
+            """Every bound member's timestamps are its block's one vector
+            a chunk, whole: no copy, no row of a matrix."""
+            for backend, _ in self.pairs:
+                for block in backend._blocks():
+                    for ts, val in block.chunks:
+                        assert ts.shape == (val.shape[1],)
+                        assert val.shape[0] == block.rows
+                    for row in block.bound.values():
+                        for (ts, _), (vector, _) in zip(
+                            block.parts(row.row), block.chunks
+                        ):
+                            assert np.shares_memory(ts, vector)
 
     return MemoryTier
 
@@ -532,8 +582,8 @@ MUTATIONS = {
         "if False:\n            pass",
     )]},
     "chunk-boundary-loses-a-reading": {"storage_edits": [(
-        "out.append((ts[row], val[row]))",
-        "out.append((ts[row, :-1], val[row, :-1]))",
+        "out.append((ts, val[row]))",
+        "out.append((ts[:-1], val[row, :-1]))",
     )]},
     "flush-forgets-the-floor": {"storage_edits": [(
         "        self.capacity = min(self.capacity, CHUNK)\n        self._rewind()",

@@ -359,15 +359,18 @@ class TestSlab:
         assert [r.row for r in rings] == [0, 1, 2]
         assert all(r.slab is slab and r.capacity == 4 for r in rings)
         slab.store_column(5, [1.5, 2.5, 3.5])
-        assert slab.ts[:, 0].tolist() == [5, 5, 5]
-        assert slab.val[:, 0].tolist() == [1.5, 2.5, 3.5]
+        assert slab.ts.shape == (4,) and slab.ts[0] == 5  # one vector
+        assert slab.val[0].tolist() == [1.5, 2.5, 3.5]  # one contiguous row
         assert [len(r) for r in rings] == [1, 1, 1]  # one ring state
         assert rings[1].latest() == (5, 2.5) and rings[1].newest_ts == 5
-        assert slab.memory_bytes() == 3 * rings[0].memory_bytes() == 3 * 4 * 16
+        assert all(r._ts is slab.ts for r in rings)
+        assert rings[0].memory_bytes() == 4 * 8  # its value row
+        assert slab.memory_bytes() == 4 * 8 + 3 * rings[0].memory_bytes()
 
     def test_a_stand_alone_cache_is_a_one_row_slab(self):
         cache = SensorCache(6, interval_ns=STEP)
-        assert cache.row == 0 and cache.slab.ts.shape == (1, 6)
+        assert cache.row == 0 and cache.slab.ts.shape == (6,)
+        assert cache.slab.val.shape == (6, 1)
         assert cache.slab.epoch == 0
 
     def test_resize_leaves_the_slab_and_moves_its_epoch(self):
@@ -379,7 +382,7 @@ class TestSlab:
         assert ring.slab is not slab and ring.row == 0 and slab.epoch == 1
         assert ring.view_absolute(0, 100).timestamps().tolist() == [3, 4, 5, 6]
         ring.store(7, 7.0)
-        assert slab.ts[0].max() == 6  # the row left behind is nobody's
+        assert slab.ts.max() == 6 and slab.val[:, 0].max() == 6.0  # nobody's row
         assert other.slab is slab and slab.bound == {1: other}
         assert other.view_absolute(0, 100).values().tolist() == [-3.0, -4.0, -5.0, -6.0]
 

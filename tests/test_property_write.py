@@ -14,8 +14,9 @@ reading one ``store`` at a time.
   grows one.  After every step every ring's ``len``, ``newest_ts``,
   ``stale_drops``, ``view_relative`` and ``view_absolute`` are
   byte-equal to its reference, and every slab holds its invariant: the
-  live rows share one history of timestamps, each ring's views alias
-  its slab.  Four seeded mutations of ``dcdb/cache.py`` must fail it.
+  live rows share one history of timestamps — the slab's one vector,
+  which every ring reads as its own — and each ring's views alias its
+  slab.  Four seeded mutations of ``dcdb/cache.py`` must fail it.
 - ``StorageBackend.insert_columns`` is ``insert`` per reading, on both
   backends, the tiered one below a seal floor included.
 - Exact counts on steady ticks, stated beforehand: no per-reading call,
@@ -300,18 +301,30 @@ def machine_for(module):
 
         @invariant()
         def live_rows_share_one_history(self):
+            """The one history is the slab's vector: every live row's
+            timestamps are it, in order, its newest in the slot before
+            the head."""
             for slab in {ring.slab for ring in self.rings}:
+                assert slab.ts.shape == (slab.capacity,)
+                assert slab.val.shape == (slab.capacity, slab.rows)
                 for row, ring in slab.bound.items():
                     assert ring.slab is slab and ring.row == row
-                    assert np.shares_memory(ring._ts, slab.ts)
                     assert np.shares_memory(ring._val, slab.val)
                 cap, size = slab.capacity, slab.size
                 slots = (slab.head + np.arange(cap - size, cap)) % cap
-                rows = np.array(sorted(slab.bound), dtype=np.intp)
-                history = slab.ts[rows[:, None], slots]
-                assert (history == history[:1]).all()
+                history = slab.ts[slots]
+                assert (np.diff(history) >= 0).all()
                 if size:
-                    assert slab.newest == int(history[0, -1])
+                    assert slab.newest == int(history[-1])
+
+        @invariant()
+        def members_read_their_group_vector(self):
+            """Every bound member's timestamps are its group's one vector,
+            whole: no copy, no row of a matrix."""
+            for slab in {ring.slab for ring in self.rings}:
+                for ring in slab.bound.values():
+                    assert np.shares_memory(ring._ts, slab.ts)
+                    assert ring._ts.shape == slab.ts.shape
 
     return SlabWrites
 
@@ -576,7 +589,8 @@ def test_crossing_a_chunk_allocates_one_and_copies_nothing(monkeypatch):
     assert storage.count(topic) == storage_module.CHUNK + 1
     assert counts(calls) == {**NO_WRITE_SETUP, "chunks": 1}
     assert block.chunks[0] is first  # the stored readings stay where they are
-    chunk_bytes = 592 * storage_module.CHUNK * 16
+    # One chunk: 592 value rows and one timestamp vector.
+    chunk_bytes = 592 * storage_module.CHUNK * 8 + storage_module.CHUNK * 8
     assert peak < 1.5 * chunk_bytes, (peak, chunk_bytes)
 
 
