@@ -915,9 +915,9 @@ class TieredStorageBackend(StorageBackend):
         stretches stored in one block; a run is gathered with one fancy
         index per chunk of its block, rows in sorted-topic order, so its
         ``(rows, size)`` values ravel into its stretch of the columns —
-        which a single run is, with no second copy — and its block's one
-        timestamp vector is tiled once per row beside them.  The sealed blocks
-        are emptied in place: they keep their rows, first chunk and
+        which a single run is, with no second copy — beside its block's
+        timestamp vector tiled once a row.  The sealed blocks are
+        emptied in place: they keep their rows, first chunk and
         newest timestamp — the seal floor of every row — so write plans
         stay valid across the flush.
         """

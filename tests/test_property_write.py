@@ -569,7 +569,8 @@ def first_topic(dep):
 def test_crossing_a_chunk_allocates_one_and_copies_nothing(monkeypatch):
     """Failing before: the tick that brought reading 257 doubled every
     ``_Series`` (592 new 8 KiB pairs, their 4 KiB contents copied) —
-    5.06 MB traced against one 2.42 MB chunk here."""
+    5.06 MB traced against one chunk here, 1.21 MB since a chunk holds
+    its timestamps once (2.42 MB as a timestamp matrix)."""
     dep = build_deployment(ingest_fanin_spec())
     storage = dep.agent.storage
     dep.run(1)
