@@ -23,7 +23,13 @@ input stream at ≥ 500 units and checks:
   ``APPEND_ROUNDS`` rounds, the same under ``--smoke``);
 - **partial append**: a partial pass (a ``unit_cadence=4`` rotation,
   or four of the rows quarantined) costs the ring no more than it cost
-  the shift-left channel it replaced, at every width.
+  the shift-left channel it replaced, at every width;
+- **stacked lanes**: ``STACK_LANES`` congruent copies of the chain, one
+  per-cpu pipeline of a node each (``STACK_UNITS`` units), run as one
+  stacked group — one gather and one kernel call per stage — against
+  one group per chain: the planner stacks them, the final series are
+  bit-for-bit identical, and the stack is >= 1.5x cheaper (relaxed
+  under ``--smoke``).
 
 Run standalone (``python benchmarks/bench_pipeline_fusion.py [--smoke]``)
 or under pytest.
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 if __package__ in (None, ""):  # script invocation: make repo-root imports work
@@ -52,7 +59,7 @@ from repro.core.operator import OperatorConfig
 from repro.core.pipeline import FusionSpec, plan_fusion
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import SensorCache
+from repro.dcdb.cache import CacheSlab, SensorCache
 from repro.dcdb.sensor import Sensor
 from repro.plugins.aggregator import AggregatorOperator
 from repro.plugins.smoother import SmootherOperator
@@ -71,6 +78,10 @@ APPEND_CADENCE, APPEND_QUARANTINE_EVERY = 4, 16
 MAX_APPEND_RATIO = 1.5
 #: Partial ring append / the same partial shift-left append, at worst.
 MAX_PARTIAL_RATIO = 1.0
+#: Stacked-lanes case: congruent chains, units per chain (a 64-cpu
+#: node's per-cpu chain), the passes timed (full, smoke).
+STACK_LANES, STACK_UNITS, STACK_PASSES = 4, 64, (200, 40)
+MIN_STACK_SPEEDUP = 1.5
 
 
 class MiniPusher:
@@ -122,6 +133,37 @@ class MiniPusher:
             self._record(sensor, ts, value)
 
 
+class BatchRecorder(MiniPusher):
+    """A :class:`MiniPusher` whose inputs share one lock-step slab, as a
+    Pusher's sampled sensors do (one column written per tick, one slab
+    gathered per plan), and that keeps each stored pass as its columns
+    in one append, as a Pusher's write plan takes a pass in one go: the
+    stacked-lanes case compares two fused executions, so per-ring
+    gathers and per-reading stores would mostly time this host."""
+
+    def __init__(self, name: str, input_topics, rng_seed: int) -> None:
+        super().__init__(name, (), rng_seed)
+        self.slab = CacheSlab.sized_for(
+            len(input_topics), self.cache_window_ns, NS_PER_SEC
+        )
+        self.caches = dict(zip(input_topics, self.slab.rings(NS_PER_SEC)))
+        self.batches = []
+
+    def feed(self, ts: int, topics, values) -> None:
+        assert list(topics) == list(self.caches)
+        self.slab.store_column(ts, values)
+
+    def store_readings_batch(self, ts, readings):
+        self.batches.append((ts, readings.sensors, readings.values.copy()))
+
+    def series(self) -> dict:
+        out: dict = {}
+        for ts, sensors, values in self.batches:
+            for sensor, value in zip(sensors, values.tolist()):
+                out.setdefault(sensor.topic, []).append((ts, value))
+        return out
+
+
 def _configs(n_units: int):
     """The 3-stage chain: private intermediates, published terminal."""
     return [
@@ -154,14 +196,33 @@ def _configs(n_units: int):
     ]
 
 
-def _build_stack(label: str, n_units: int):
-    """(host, engine, ops) — one independent pipeline instance."""
+def _build_stack(label: str, n_units: int, lanes: int = 1):
+    """(host, engine, ops) — one independent pipeline instance; with
+    ``lanes`` > 1, that many congruent copies of it on one host (copy
+    ``j`` reads ``/n<i>/power<j>``), ``ops`` then one chain per copy."""
+    if lanes > 1:
+        host = BatchRecorder(label, _stack_inputs(n_units, lanes), 0xF051)
+        engine = QueryEngine(host)
+        return host, engine, [
+            _chain(host, engine, n_units, f"{j}") for j in range(lanes)
+        ]
     input_topics = [f"/n{i}/power" for i in range(n_units)]
     host = MiniPusher(label, input_topics, rng_seed=0xF051)
     engine = QueryEngine(host)
+    return host, engine, _chain(host, engine, n_units, "")
+
+
+def _stack_inputs(n_units: int, lanes: int):
+    return [f"/n{i}/power{j}" for j in range(lanes) for i in range(n_units)]
+
+
+def _chain(host, engine, n_units: int, suffix: str):
+    """One copy of the chain, its sensor and operator names ending in
+    ``suffix``."""
     ops = []
     for cls, _plugin, config, in_name, out_name in _configs(n_units):
-        op = cls(config)
+        op = cls(replace(config, name=config.name + suffix))
+        in_name, out_name = in_name + suffix, out_name + suffix
         op.bind(host, engine)
         op.set_units(
             [
@@ -178,28 +239,33 @@ def _build_stack(label: str, n_units: int):
         )
         op.start()
         ops.append(op)
-    return host, engine, ops
+    return ops
 
 
-def _planner_groups(n_units: int):
-    """Run the real fusion planner over the bench pipeline's specs."""
+def _planner_groups(n_units: int, lanes: int = 1, stacks: bool = False):
+    """Run the real fusion planner over the bench pipeline's specs
+    (``lanes`` copies of it); its groups, or its stacks."""
     specs = []
-    for _cls, plugin, config, in_name, out_name in _configs(n_units):
-        specs.append(
-            FusionSpec(
-                name=config.name,
-                label=f"{plugin}/{config.name}",
-                config=config,
-                has_kernel=True,
-                input_topics=frozenset(
-                    f"/n{i}/{in_name}" for i in range(n_units)
-                ),
-                output_topics=frozenset(
-                    f"/n{i}/{out_name}" for i in range(n_units)
-                ),
+    for j in range(lanes):
+        suffix = f"{j}" if lanes > 1 else ""
+        for cls, plugin, config, in_name, out_name in _configs(n_units):
+            specs.append(
+                FusionSpec(
+                    name=config.name + suffix,
+                    label=f"{plugin}/{config.name}{suffix}",
+                    config=config,
+                    has_kernel=True,
+                    input_topics=frozenset(
+                        f"/n{i}/{in_name}{suffix}" for i in range(n_units)
+                    ),
+                    output_topics=frozenset(
+                        f"/n{i}/{out_name}{suffix}" for i in range(n_units)
+                    ),
+                    plugin=cls,
+                )
             )
-        )
-    return plan_fusion(specs, host_has_storage=False).groups
+    plan = plan_fusion(specs, host_has_storage=False)
+    return plan.stacks if stacks else plan.groups
 
 
 def run_fusion_bench(n_units: int, passes: int) -> dict:
@@ -252,6 +318,50 @@ def run_fusion_bench(n_units: int, passes: int) -> dict:
         "speedup": staged_ns / fused_ns if fused_ns else float("nan"),
         "parity": parity,
         "final_readings": readings,
+    }
+
+
+def run_stack_bench(n_units: int, passes: int, lanes: int = STACK_LANES) -> dict:
+    """``lanes`` congruent chains as one stacked group against one group
+    per chain, each on a host of its own fed the same stream; the two
+    take turns every tick."""
+    stacks = _planner_groups(n_units, lanes, stacks=True)
+    stack_host, stack_engine, stack_chains = _build_stack("stack", n_units, lanes)
+    lone_host, lone_engine, lone_chains = _build_stack("lone", n_units, lanes)
+    stack = FusedGroup("bench:stack", stack_chains, stack_host, stack_engine)
+    lone = [
+        FusedGroup(f"bench:lane{j}", chain, lone_host, lone_engine)
+        for j, chain in enumerate(lone_chains)
+    ]
+    topics = _stack_inputs(n_units, lanes)
+    rng = np.random.default_rng(0xF051)
+    stack_ns = lone_ns = 0
+    for tick in range(1, WARM_PASSES + passes + 1):
+        ts = tick * NS_PER_SEC
+        values = rng.random(len(topics))
+        stack_host.feed(ts, topics, values)
+        lone_host.feed(ts, topics, values)
+        t0 = time.perf_counter_ns()
+        stack.run(ts)
+        t1 = time.perf_counter_ns()
+        for group in lone:
+            group.run(ts)
+        t2 = time.perf_counter_ns()
+        if tick > WARM_PASSES:
+            stack_ns += t1 - t0
+            lone_ns += t2 - t1
+    final = [f"/n{i}/mx{j}" for j in range(lanes) for i in range(n_units)]
+    stacked, separate = stack_host.series(), lone_host.series()
+    return {
+        "stack_lanes": lanes,
+        "stack_units": n_units,
+        "stack_passes": passes,
+        "planner_stacks": stacks,
+        "lone_ns_per_pass": lone_ns / passes,
+        "stacked_ns_per_pass": stack_ns / passes,
+        "stack_speedup": lone_ns / stack_ns if stack_ns else float("nan"),
+        "stack_parity": all(stacked.get(t) == separate.get(t) for t in final),
+        "stack_final_readings": sum(len(stacked.get(t, ())) for t in final),
     }
 
 
@@ -354,10 +464,13 @@ def main(argv=None) -> int:
         (SMOKE_UNITS, SMOKE_PASSES) if args.smoke else (FULL_UNITS, FULL_PASSES)
     )
     min_speedup = 1.2 if args.smoke else 2.0
+    stack_passes = STACK_PASSES[1] if args.smoke else STACK_PASSES[0]
+    min_stack_speedup = 1.2 if args.smoke else MIN_STACK_SPEEDUP
 
     print_header("Pipeline fusion - fused vs staged 3-stage pipeline")
     r = run_fusion_bench(n_units, passes)
     r.update(run_append_bench())
+    r.update(run_stack_bench(STACK_UNITS, stack_passes))
     print_table(
         ["units", "staged us", "fused us", "speedup", "parity"],
         [(
@@ -366,6 +479,18 @@ def main(argv=None) -> int:
             r["fused_ns_per_pass"] / 1e3,
             f"{r['speedup']:.2f}x",
             r["parity"],
+        )],
+    )
+    print_table(
+        ["lanes", "units", "per-chain us", "stacked us", "speedup",
+         "parity"],
+        [(
+            r["stack_lanes"],
+            r["stack_units"],
+            r["lone_ns_per_pass"] / 1e3,
+            r["stacked_ns_per_pass"] / 1e3,
+            f"{r['stack_speedup']:.2f}x",
+            r["stack_parity"],
         )],
     )
     print_table(
@@ -380,6 +505,7 @@ def main(argv=None) -> int:
         "n_units": n_units, "passes": passes, "smoke": args.smoke,
         "append": [APPEND_ROWS, list(APPEND_WIDTHS), APPEND_ROUNDS,
                    APPEND_PER_ROUND, APPEND_CADENCE, APPEND_QUARANTINE_EVERY],
+        "stack": [STACK_LANES, STACK_UNITS, stack_passes],
     }
     write_bench_artifact(
         "fusion",
@@ -413,6 +539,23 @@ def main(argv=None) -> int:
         r["partial_ratio_ring_shift"] <= MAX_PARTIAL_RATIO,
         f"ring/shift {r['partial_ratio_ring_shift']:.2f}x at worst",
     )
+    ok &= shape_check(
+        f"planner stacks the {STACK_LANES} congruent chains",
+        len(r["planner_stacks"]) == 1
+        and len(r["planner_stacks"][0]) == STACK_LANES,
+        str(r["planner_stacks"]),
+    )
+    ok &= shape_check(
+        "stacked and one-group-per-chain stores are bit-for-bit identical",
+        r["stack_parity"] and r["stack_final_readings"] > 0,
+        f"{r['stack_final_readings']} final-stage readings",
+    )
+    ok &= shape_check(
+        f"stacked pass >= {min_stack_speedup:g}x cheaper than one group "
+        "per chain",
+        r["stack_speedup"] >= min_stack_speedup,
+        f"{r['stack_speedup']:.2f}x at {STACK_LANES} x {STACK_UNITS} units",
+    )
     return 0 if ok else 1
 
 
@@ -426,6 +569,11 @@ class TestPipelineFusionBench:
         r = run_append_bench()
         assert r["append_ratio_w31_w1"] <= MAX_APPEND_RATIO, r
         assert r["partial_ratio_ring_shift"] <= MAX_PARTIAL_RATIO, r
+
+    def test_stack_parity_and_planner(self):
+        r = run_stack_bench(STACK_UNITS, STACK_PASSES[1])
+        assert [len(s) for s in r["planner_stacks"]] == [STACK_LANES]
+        assert r["stack_parity"] and r["stack_final_readings"] > 0
 
     def test_fused_is_faster(self):
         # The standalone run asserts the full 2x claim; under pytest on

@@ -1002,7 +1002,8 @@ def main(argv=None) -> int:
     ok &= shape_check(
         "block-run flush is faster than the per-topic gather",
         flush["per_topic_gather"] > flush["columnar"],
-        f"{flush['per_topic_gather']:.2f} ms vs {flush['columnar']:.2f} ms",
+        f"block-run {flush['columnar']:.2f} ms vs per-topic gather "
+        f"{flush['per_topic_gather']:.2f} ms",
     )
     for key in ("compact_10s_ms", "compact_1min_ms"):
         ok &= shape_check(

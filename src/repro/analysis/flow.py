@@ -44,7 +44,7 @@ F009  error     worst outage × publish rate overflows the spill queue
 F010  warning   breaker backoff shorter than the worst outage (flap)
 F011  warning   downstream stage fires before upstream's first output
 F012  warning   post-outage replay burst overflows the ingest queue
-F013  info      fusable operator chain blocked from fusing
+F013  info      fusable chain blocked from fusing; chains that stack
 ====  ========  =====================================================
 """
 
@@ -461,7 +461,8 @@ def _analyze_fusion(
     """Run the fusion planner over one resolved context.
 
     Records the would-be fused groups and blocked chains on the model,
-    emits F013 for the reportable blocks, and returns each member's set
+    emits F013 for each stack of chains and the reportable blocks, and
+    returns each member's set
     of co-fused upstream producer labels — used to refine F011: members
     of one fused group execute in order within a single pass, so a
     same-tick first fire genuinely sees the upstream's fresh output.
@@ -476,6 +477,12 @@ def _analyze_fusion(
             fused_upstreams[name] = {
                 f"{context}/{label}" for label in labels[:i]
             }
+    for stack in (stack for stack in plan.stacks if len(stack) > 1):
+        lanes = " | ".join("+".join(label_of.get(n, n) for n in lane) for lane in stack)
+        out.at("analytics", context).info("F013", (
+            f"fused chains {lanes} stack into one pass of {len(stack)} "
+            f"lanes: one gather and one kernel call per stage"
+        ))
     for block in plan.blocked:
         model.fusion_blocked.append(
             (context, block.upstream, block.downstream, block.reason)

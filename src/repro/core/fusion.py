@@ -3,20 +3,21 @@
 A staged smoother → aggregator → health pipeline round-trips every
 intermediate result through the sensor cache (and, when published, the
 broker) on every pass, then re-queries it one stage later.  This module
-runs a *fused group* — consecutive operators the planner in
-:mod:`repro.core.pipeline` proved to form a private linear chain, each
-member reading only outputs of the one before it — as one pass:
+runs a *fused group* — a stack of one or more congruent private linear
+chains the planner in :mod:`repro.core.pipeline` found, its *lanes* —
+as one pass, stage by stage, each stage one gather and one kernel call
+over all lanes' units laid end to end:
 
-- the first member gathers from the host's Query Engine;
-- each intermediate member's results land in a :class:`FusedChannel`,
+- the first stage gathers from the host's Query Engine;
+- each intermediate stage's results land in a :class:`FusedChannel`,
   a persistent ring whose right-aligned window mirrors exactly what the
   host's operator-output caches would have accumulated (one reading per
   pass, 1 s host interval hint, capacity-clamped width) — one column
   written per pass, no cache write, no publish, no re-query;
-- every later member's one gather reads the channel of the member
+- every later stage's one gather reads the channel of the stage
   before it, whose rows it is served zero-copy;
-- only the final member runs its ordinary staged pass, storing through
-  ``store_results_batch`` and the operator-output fan-out.
+- only the final stage stores, each lane through its own operator
+  (``store_results_batch`` and the operator-output fan-out).
 
 Every member runs the same pass a staged operator runs
 (:meth:`~repro.core.operator.OperatorBase.run_pass`); fused and staged
@@ -32,13 +33,16 @@ other: channel rows served to a kernel are fingerprinted (rule R007).
 
 from __future__ import annotations
 
+import operator
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
-from repro.core.queryengine import BatchWindow, QueryEngine, report_views
+from repro.core.operator import UNIT_ERRORS, PassResult
+from repro.core.queryengine import BatchWindow, report_views
 from repro.core.units import kept_units
 from repro.sanitizer import hooks
 
@@ -55,9 +59,11 @@ def _window_count(window_ns: int) -> int:
 
 
 class FusedChannel:
-    """Persistent window ring for one intermediate member's outputs.
+    """Persistent window ring for one intermediate stage's outputs.
 
-    One row per (unit, output sensor) in emission order; ``width``
+    One row per (unit, output sensor) in emission order, then one per
+    ``frozen`` topic the next stage reads but no unit writes (as staged,
+    it keeps serving what it last held); ``width``
     columns, right-aligned like a :class:`BatchWindow`.  The rows live
     in ``(rows, 2 * width)`` buffers: :attr:`values` and
     :attr:`timestamps` are the zero-copy views of the ``width`` columns
@@ -71,14 +77,14 @@ class FusedChannel:
     """
 
     __slots__ = (
-        "topics", "row_of", "width", "counts", "column_name", "_whole",
+        "topics", "row_of", "width", "counts", "column_names", "_whole",
         "_values", "_timestamps", "_head", "_full",
     )
 
-    def __init__(self, units: Sequence, width: int) -> None:
+    def __init__(self, units: Sequence, width: int, frozen: Sequence[str] = ()) -> None:
         outputs = [s for u in units for s in u.outputs]
-        rows = len(outputs)
-        self.topics: Tuple[str, ...] = tuple(s.topic for s in outputs)
+        self.topics = tuple(s.topic for s in outputs) + tuple(frozen)
+        rows = len(self.topics)
         self.row_of: Dict[str, int] = {t: i for i, t in enumerate(self.topics)}
         self.width = max(1, int(width))
         self._values = np.full((rows, 2 * self.width), np.nan, dtype=np.float64)
@@ -88,13 +94,12 @@ class FusedChannel:
         #: Every row holds ``width`` readings: :attr:`counts` can no
         #: longer move, so appends stop updating it.
         self._full = False
-        #: The output name all rows share when every unit has exactly
-        #: one output (row ``j`` is then unit ``j``): a uniform pass's
-        #: column of that name is the channel's next column as it is.
-        names = {s.name for s in outputs}
-        self.column_name: Optional[str] = (
-            names.pop()
-            if len(names) == 1 and all(len(u.outputs) == 1 for u in units)
+        #: The rows' output names when every unit has exactly one output
+        #: (row ``j`` is then unit ``j``): a uniform pass whose columns of
+        #: those names are one array appends that array as it is.
+        self.column_names: Optional[Tuple[str, ...]] = (
+            tuple(dict.fromkeys(s.name for s in outputs))
+            if outputs and all(len(u.outputs) == 1 for u in units)
             else None
         )
         #: The last caller tuple found equal to :attr:`topics`: a
@@ -185,13 +190,16 @@ class FusedChannel:
 
     def append_pass(self, ts: int, result) -> None:
         """Sink of an intermediate member's pass (emission order)."""
+        names = self.column_names
         if (
             result.column_of is not None
-            and self.column_name is not None
+            and names is not None
             and len(result.units) == len(self.counts)
         ):
-            self.append(ts, None, result.column_of(self.column_name))
-            return
+            column = result.column_of(names[0])
+            if all(result.column_of(n) is column for n in names[1:]):
+                self.append(ts, None, column)
+                return
         rows: List[int] = []
         vals: List[float] = []
         row_of = self.row_of
@@ -266,20 +274,25 @@ class FusedPlan:
 
 
 class FusedGroup:
-    """One scheduled fused pass over an ordered operator chain."""
+    """One scheduled fused pass over one chain, or over the congruent
+    chains (*lanes*) the planner stacked.  A stage the one kernel call
+    cannot take whole (unequal rows, a kernel error, a result that is
+    not columnar) runs each lane's own ``run_pass`` over the same
+    source; each member keeps its own bookkeeping either way."""
 
-    def __init__(
-        self,
-        name: str,
-        ops: Sequence,
-        host,
-        engine: QueryEngine,
-    ) -> None:
+    def __init__(self, name: str, ops: Sequence, host, engine) -> None:
+        ops = list(ops)
         self.name = name
-        self.ops = list(ops)
+        flat = not ops or not isinstance(ops[0], (list, tuple))
+        self.lanes = [list(lane) for lane in ([ops] if flat else ops)]
+        #: Stage ``i``: every lane's ``i``-th member, in lane order.
+        self.stages = [tuple(s) for s in zip(*self.lanes)]
+        self.ops = [op for lane in self.lanes for op in lane]
         self.host = host
         self.engine = engine
         self._plan: Optional[FusedPlan] = None
+        self._plan_key = f"fused:{name}"
+        self._stacks: List[Optional[tuple]] = [None] * len(self.stages)
 
     def members(self) -> List[str]:
         return [op.name for op in self.ops]
@@ -293,7 +306,7 @@ class FusedGroup:
         # Every producer's units (terminal units may churn freely — job
         # operators rebuild theirs each pass — without invalidating the
         # channels, which never carry them).
-        units = [op.units for op in self.ops[:-1]]
+        units = [op.units for stage in self.stages[:-1] for op in stage]
         plan = self._plan
         if plan is not None and plan.generation == gen:
             held = list(map(kept_units, plan.units, units))
@@ -308,11 +321,17 @@ class FusedGroup:
         )
         old = self._plan
         channels: List[FusedChannel] = []
-        for i, op in enumerate(self.ops[:-1]):
-            # Only the next member reads this channel.
-            consumer = self.ops[i + 1]
-            width = min(_window_count(consumer.config.window_ns), capacity)
-            channel = FusedChannel(op.units, width)
+        for i, producers in enumerate(self.stages[:-1]):
+            # Only the next stage reads this channel.
+            consumers = self.stages[i + 1]
+            width = min(_window_count(consumers[0].config.window_ns), capacity)
+            produced = [u for op in producers for u in op.units]
+            made = {s.topic for u in produced for s in u.outputs}
+            channel = FusedChannel(produced, width, [
+                t for t in dict.fromkeys(t for op in consumers for u in op.units
+                                         for t in op.kernel_inputs(u))
+                if t not in made
+            ])
             prev = (
                 old.channels[i]
                 if old is not None and i < len(old.channels)
@@ -329,17 +348,71 @@ class FusedGroup:
     # ------------------------------------------------------------------
 
     def run(self, ts: int) -> None:
-        """One scheduled pass over the chain: the first member gathers
-        from the host's engine, every later one from the channel of the
-        member before it; every intermediate member sinks its result
-        into its channel, the final member runs its ordinary storing
-        pass."""
+        """One scheduled pass over the stack, stage by stage."""
         channels = self._ensure_plan().channels
-        last = len(self.ops) - 1
+        last = len(self.stages) - 1
         source = None
-        for i, op in enumerate(self.ops):
-            if i < last:
-                op.run_pass(ts, channels[i].append_pass, source)
-                source = channels[i]
+        for i, stage in enumerate(self.stages):
+            sink = channels[i].append_pass if i < last else None
+            if len(stage) > 1:
+                self._run_stage(i, ts, stage, source, sink)
+            elif sink is not None:
+                stage[0].run_pass(ts, sink, source)
             else:
-                op.run(ts, source)
+                stage[0].run(ts, source)
+            source = channels[i] if i < last else None
+
+    def _run_stage(self, i: int, ts: int, stage, source, sink) -> None:
+        t0 = time.perf_counter_ns()
+        live = [op for op in stage if op.enabled]
+        dues = [op._due_units() for op in live]
+        _, units, topics, slices, m, bounds = self._stack(
+            i, [op._layout(due) for op, due in zip(live, dues)]
+        )
+        result = None
+        if m:  # the one gather and kernel call, if that kernel takes it
+            lead = next(op for op, due in zip(live, dues) if due)
+            window = (source or self.engine).query_relative_batch(
+                topics, lead.config.window_ns, key=self._plan_key
+            )
+            try:
+                if window.uniform_count():
+                    result = lead.compute_batch(units, window, slices)
+            except UNIT_ERRORS:
+                result = None
+        if not (isinstance(result, PassResult) and result.column_of
+                and len(result.units) == len(units)):
+            for op, due in zip(live, dues):
+                op.run_pass(ts, sink or op._store, source, due)
+            return
+        if sink is not None:
+            sink(ts, result)  # the stacked channel's one append
+        column_of = result.column_of
+        share = (time.perf_counter_ns() - t0) // len(live)  # equal shares
+        san = hooks.CURRENT
+        for op, due, (lo, hi) in zip(live, dues, bounds):
+            part = PassResult([]) if hi == lo else PassResult(
+                units=due, column_of=lambda name, lo=lo, hi=hi: column_of(name)[lo:hi])
+            if san is not None:
+                san.begin_pass(op)
+            op.close_pass(ts, part, None if sink else op._store, time.perf_counter_ns() - share)
+
+    def _stack(self, i: int, layouts: List[tuple]) -> tuple:
+        """``(layouts, units, topics, slices, m, bounds)``: the lanes'
+        layouts end to end, ``bounds[j]`` lane ``j``'s units, ``m`` the
+        rows per unit they share (else 0); memoised per stage."""
+        memo = self._stacks[i]
+        if memo is None or len(memo[0]) != len(layouts) or not all(
+            map(operator.is_, memo[0], layouts)
+        ):
+            units, topics, bounds = [], [], []
+            for held, lane_topics, _, _ in layouts:
+                bounds.append((len(units), len(units) + len(held)))
+                units += held
+                topics += lane_topics
+            ms = {layout[3] for layout in layouts if layout[0]}
+            m = ms.pop() if len(ms) == 1 else 0
+            # Every unit has m rows: unit j is rows [j * m, (j + 1) * m).
+            slices = [range(j * m, j * m + m) for j in range(len(units))]
+            memo = self._stacks[i] = (layouts, units, tuple(topics), slices, m, bounds)
+        return memo

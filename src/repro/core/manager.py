@@ -47,6 +47,8 @@ class OperatorManager:
         self._m_busy = registry.counter("analytics_busy_ns_total")
         self._m_fusion_pass = registry.histogram("fusion_pass_seconds")
         registry.gauge("fused_groups", fn=lambda: len(self._fused_groups))
+        registry.gauge("fused_chains", fn=lambda: sum(
+            len(g.lanes) for g in self._fused_groups.values()))
 
     @property
     def analytics_busy_ns(self) -> int:
@@ -152,7 +154,7 @@ class OperatorManager:
     # ------------------------------------------------------------------
 
     def fused_groups(self) -> List[FusedGroup]:
-        """The live fused groups, in registration order."""
+        """The live fused groups (one per stack), in registration order."""
         return list(self._fused_groups.values())
 
     def _fusion_specs(self) -> List[FusionSpec]:
@@ -161,6 +163,7 @@ class OperatorManager:
             FusionSpec.of(
                 op.name, f"{self._plugin_of.get(op.name, '?')}/{op.name}",
                 op.config, type(op), op.units,
+                phase=getattr(self._tasks.get(op.name), "next_due", None),
             )
             for op in self._operators.values()
         ]
@@ -171,10 +174,11 @@ class OperatorManager:
         Dissolves any existing groups first — member tasks were only
         *disabled* (they stay in the scheduler heap with their phase
         preserved), so dissolving re-enables them and restores the
-        leader's per-operator callback.  Each planned group then runs
-        as one scheduled pass at its leader's slot: the leader task's
-        callback is rebound to the group driver and the other members'
-        tasks are disabled.  Returns the planned member-name groups.
+        leader's per-operator callback.  Each planned stack then runs
+        as one scheduled pass at its first leader's slot: the leader
+        task's callback is rebound to the group driver and the other
+        members' tasks are disabled.  Returns the planned member-name
+        groups.
         """
         self._require_host()
         assert self.engine is not None
@@ -192,23 +196,23 @@ class OperatorManager:
             self._fusion_specs(),
             host_has_storage=getattr(self.host, "storage", None) is not None,
         )
-        for names in plan.groups:
-            ops = [self._operators[n] for n in names]
-            leader_task = self._tasks.get(ops[0].name)
-            if leader_task is None:
-                continue  # leader lost its schedule slot; skip the group
+        for stack in plan.stacks:
+            # A lane whose leader lost its schedule slot stays staged.
+            lanes = [[self._operators[n] for n in names]
+                     for names in stack if names[0] in self._tasks]
+            if not lanes:
+                continue
             group = FusedGroup(
-                name=f"{self.host.name}:fused:{'+'.join(names)}",
-                ops=ops,
-                host=self.host,
-                engine=self.engine,
+                f"{self.host.name}:fused:{'+'.join(op.name for op in lanes[0])}",
+                lanes, self.host, self.engine,
             )
-            leader_task.fn = lambda ts, g=group: self._run_fused_group(g, ts)
-            for member in ops[1:]:
+            leader = group.ops[0]
+            self._tasks[leader.name].fn = lambda ts, g=group: self._run_fused_group(g, ts)
+            for member in group.ops[1:]:
                 task = self._tasks.get(member.name)
                 if task is not None:
                     task.enabled = False
-            self._fused_groups[ops[0].name] = group
+            self._fused_groups[leader.name] = group
         return plan.groups
 
     def _run_fused_group(self, group: FusedGroup, ts: int) -> None:

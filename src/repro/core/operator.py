@@ -221,6 +221,11 @@ class OperatorBase:
     result storage and bookkeeping.
     """
 
+    #: :meth:`compute_batch` reads a uniform pass's rows and the params
+    #: only (no model, nothing across units): congruent fused chains
+    #: then share one kernel call per stage (:mod:`repro.core.fusion`).
+    row_wise_kernel = False
+
     @classmethod
     def flow_transforms(cls, params: dict) -> Dict[str, object]:
         """Declarative output-unit metadata for the static dataflow
@@ -523,7 +528,8 @@ class OperatorBase:
         return self.run_pass(ts, self._store, source)
 
     def run_pass(
-        self, ts: int, sink: Callable[[int, PassResult], None], source=None
+        self, ts: int, sink: Callable[[int, PassResult], None], source=None,
+        units: Optional[List[Unit]] = None,
     ) -> PassResult:
         """Gather from ``source``, run the kernel, hand the result to
         ``sink``.
@@ -534,7 +540,8 @@ class OperatorBase:
         before it (:class:`~repro.core.fusion.FusedChannel`), and an
         intermediate one sinks into the channel feeding the next stage —
         where the window comes from and where the result goes are the
-        only differences between the two.
+        only differences between the two.  ``units``: the due units, if
+        the caller took them already.
         """
         if not self.enabled:
             return PassResult([])
@@ -542,19 +549,26 @@ class OperatorBase:
         if san is not None:
             san.begin_pass(self)
         t0 = time.perf_counter_ns()
-        result = self._compute_results(ts, source)
+        result = (self._compute_results(ts, source) if units is None
+                  else self._compute_over(units, ts, source))
         if not isinstance(result, PassResult):
             result = PassResult(result)
+        self.close_pass(ts, result, sink, t0)
+        return result
+
+    def close_pass(self, ts: int, result: PassResult, sink, t0: int) -> None:
+        """Settle a pass begun at ``t0``: breakers, sink, counters."""
         self._record_unit_successes(result)
-        sink(ts, result)
+        if sink is not None:
+            sink(ts, result)
         elapsed = time.perf_counter_ns() - t0
         self._m_computes.inc()
         self._m_busy.inc(elapsed)
         self._m_latency.observe(elapsed)
         self._m_unit_results.inc(len(result))
+        san = hooks.CURRENT
         if san is not None:
             san.end_pass(self)
-        return result
 
     def _due_units(self) -> List[Unit]:
         """Units owed a computation this pass (cadence staggering,
@@ -678,7 +692,10 @@ class OperatorBase:
         of its own queries for itself: its pass skips the gather and
         runs :meth:`compute_per_unit`.
         """
-        units = self._due_units()
+        return self._compute_over(self._due_units(), ts, source)
+
+    def _compute_over(self, units: List[Unit], ts: int, source):
+        """:meth:`_compute_results` over the pass's due ``units``."""
         cls = type(self)
         if (
             cls.compute_unit is not OperatorBase.compute_unit
@@ -774,8 +791,15 @@ class OperatorBase:
         by sensor-space generation moves, so steady-state passes resolve
         zero topic names.
         """
-        # The layout (flattened topics + per-unit row slices) depends
-        # only on the unit identities; steady-state passes reuse it.
+        _, topics, slices, m = self._layout(units)
+        window = (source or self.engine).query_relative_batch(
+            topics, self.config.window_ns, key=self._plan_key
+        )
+        return window, slices, window.uniform_count() if m == 1 else 0
+
+    def _layout(self, units: Sequence[Unit]) -> tuple:
+        """``(units, topics, slices, m)`` of a gather over ``units``,
+        memoised on the unit identities."""
         cached = self._batch_layout
         if cached is not None:
             held = kept_units(cached[0], units)
@@ -783,27 +807,21 @@ class OperatorBase:
                 cached = self._batch_layout = (
                     None if held is None else (held,) + cached[1:]
                 )
-        if cached is not None:
-            _, topics, slices, m = cached
-        else:
+        if cached is None:
             flat: List[str] = []
             slices = []
             for unit in units:
                 lo = len(flat)
                 flat.extend(self.kernel_inputs(unit))
                 slices.append(range(lo, len(flat)))
-            topics = tuple(flat)
             sizes = {len(rows) for rows in slices}
             m = (
                 sizes.pop()
                 if len(sizes) == 1 and all(unit.outputs for unit in units)
                 else 0
             )
-            self._batch_layout = (units, topics, slices, m)
-        window = (source or self.engine).query_relative_batch(
-            topics, self.config.window_ns, key=self._plan_key
-        )
-        return window, slices, window.uniform_count() if m == 1 else 0
+            cached = self._batch_layout = (units, tuple(flat), slices, m)
+        return cached
 
     def rows_per_unit(self) -> int:
         """The number ``m >= 1`` of kernel rows every unit of the last

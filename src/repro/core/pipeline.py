@@ -240,6 +240,7 @@ def add_topic(tree: SensorTree, topic: str) -> None:
 # the staged passes only when nothing else was registered in between.
 # The planner is pure (no runtime state) so the manager and the static
 # flow analyzer (F013) share one source of eligibility truth.
+# Consecutive congruent chains then form one *stack* (see _stacks_onto).
 
 #: Blocked-chain reasons surfaced as F013 info diagnostics.  Other
 #: reasons (explicit ``fusion: false``, on-demand mode, job-plugin
@@ -264,13 +265,18 @@ class FusionSpec:
     input_topics: frozenset = frozenset()
     output_topics: frozenset = frozenset()
     label: str = ""
+    plugin: object = None
+    #: When it is due: its task's next instant at run time, else delay.
+    phase: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.label:
             self.label = self.name
+        if self.phase is None:
+            self.phase = self.config.delay_ns
 
     @classmethod
-    def of(cls, name, label, config, plugin_cls, units) -> "FusionSpec":
+    def of(cls, name, label, config, plugin_cls, units, phase=None):
         """The summary of one operator, runtime or static: its plugin
         class says whether it has a kernel or is a job plugin, its
         units which topics it reads and writes."""
@@ -283,6 +289,8 @@ class FusionSpec:
             is_job_plugin=is_class and issubclass(plugin_cls, JobOperatorBase),
             input_topics=frozenset(t for u in units for t in u.inputs),
             output_topics=frozenset(s.topic for u in units for s in u.outputs),
+            plugin=plugin_cls,
+            phase=phase,
         )
 
 
@@ -298,10 +306,12 @@ class FusionBlock:
 
 @dataclass
 class FusionPlan:
-    """Planner output: fused groups plus reportable blocked chains."""
+    """Planner output: fused groups (``stacks`` partitions them into
+    lanes) plus reportable blocked chains."""
 
     groups: List[List[str]] = field(default_factory=list)
     blocked: List[FusionBlock] = field(default_factory=list)
+    stacks: List[List[List[str]]] = field(default_factory=list)
 
 
 def has_kernel(cls: type) -> bool:
@@ -400,6 +410,7 @@ def plan_fusion(
     surfacing (:data:`REPORTABLE_FUSION_BLOCKS`).
     """
     plan = FusionPlan()
+    chains: List[List[FusionSpec]] = []
     current: List[FusionSpec] = []
     for spec in specs:
         if current:
@@ -420,11 +431,44 @@ def plan_fusion(
                     )
                 )
             if len(current) >= 2:
-                plan.groups.append([s.name for s in current])
+                chains.append(current)
         current = [spec] if _can_lead(spec) else []
     if len(current) >= 2:
-        plan.groups.append([s.name for s in current])
+        chains.append(current)
+    plan.groups = [[s.name for s in chain] for chain in chains]
+    at = {id(s): i for i, s in enumerate(specs)}
+    stacks: List[List[List[FusionSpec]]] = []
+    for chain in chains:
+        if stacks and _stacks_onto(stacks[-1], chain, at):
+            stacks[-1].append(chain)
+        else:
+            stacks.append([chain])
+    plan.stacks = [[[s.name for s in lane] for lane in st] for st in stacks]
     return plan
+
+
+def _stacks_onto(stack, chain: List[FusionSpec], at) -> bool:
+    """Whether ``chain`` joins ``stack`` as its next lane: it directly
+    follows the last lane in registration order (no task runs between
+    them), its leader is due with the first lane's, it matches that lane
+    stage by stage — the same row-wise plugin, params, window, interval,
+    cadence, mode and publish_outputs — and no lane reads what another
+    writes."""
+    def key(s: FusionSpec) -> tuple:
+        c = s.config
+        return (s.plugin, c.params, c.window_ns, c.interval_ns,
+                c.unit_cadence, c.mode, c.publish_outputs)
+
+    reads = frozenset().union(*(s.input_topics for s in chain))
+    writes = frozenset().union(*(s.output_topics for s in chain))
+    return (
+        at[id(chain[0])] == at[id(stack[-1][-1])] + 1
+        and chain[0].phase == stack[0][0].phase
+        and list(map(key, chain)) == list(map(key, stack[0]))
+        and all(getattr(s.plugin, "row_wise_kernel", False) for s in chain)
+        and not any(s.output_topics & reads or s.input_topics & writes
+                    for lane in stack for s in lane)
+    )
 
 
 def replicate_topic(

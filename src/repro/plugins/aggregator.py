@@ -105,6 +105,8 @@ def _resolve(op: str) -> Kernel:
 class AggregatorOperator(OperatorBase):
     """Window aggregates over each unit's pooled input readings."""
 
+    row_wise_kernel = True
+
     @classmethod
     def flow_transforms(cls, params: dict) -> Dict[str, object]:
         # Derived from the configured aggregates: counts are pure

@@ -33,6 +33,8 @@ from repro.core.units import Unit
 class SmootherOperator(OperatorBase):
     """Window-mean or EWMA smoothing of a sensor stream."""
 
+    row_wise_kernel = True
+
     @classmethod
     def flow_transforms(cls, params: dict) -> Dict[str, object]:
         # Smoothing is a weighted mean: units pass straight through.

@@ -957,3 +957,255 @@ class TestIdentityMemos:
         assert f_ops[1]._batch_layout[0] is f_ops[1].units
         assert f_ops[1].quarantined_units() == []
         assert final_series(staged) == final_series(fused)
+
+
+# ----------------------------------------------------------------------
+# A producer that drops a unit mid-run
+# ----------------------------------------------------------------------
+
+
+class TestProducerDropsAUnit:
+    def test_consumer_reads_the_last_window_as_staged_reads_the_cache(self):
+        """Regression: after a fused producer's ``set_units`` dropped a
+        unit, the recompiled channel lost that unit's row, so the
+        consumer got an empty row and a unit error on every pass, while
+        staged keeps serving the cache the producer last wrote."""
+        staged, fused, s_ops, f_ops, group = run_both(12)
+        for ops in (s_ops, f_ops):
+            ops[0].set_units([
+                unit_for(i, "power", "sm") for i in range(1, N_UNITS)
+            ])
+        rng = np.random.default_rng(5)
+        for tick in range(13, 40):
+            ts = tick * NS_PER_SEC
+            for i in range(N_UNITS):
+                v = float(rng.random())
+                staged.feed(ts, f"/n{i}/power", v)
+                fused.feed(ts, f"/n{i}/power", v)
+            for op in s_ops:
+                op.compute(ts)
+            group.run(ts)
+        assert final_series(staged) == final_series(fused)
+        assert len(final_series(fused)["/n0/mx"]) == 39
+        for s_op, f_op in zip(s_ops, f_ops):
+            assert f_op.error_count == s_op.error_count == 0
+            assert f_op.last_errors == s_op.last_errors
+            assert f_op.unit_results_count == s_op.unit_results_count
+
+
+# ----------------------------------------------------------------------
+# Stacks: congruent chains side by side
+# ----------------------------------------------------------------------
+
+
+def lane(tag, window=5, params=None, interval=1, delay=0, cadence=1,
+         plugin=AggregatorOperator, phase=None):
+    """A two-stage private chain ``/p<tag> -> /x<tag> -> /y<tag>`` whose
+    first stage takes the given settings."""
+    first = FusionSpec(
+        name=f"a{tag}", plugin=plugin, phase=phase, has_kernel=True,
+        config=OperatorConfig(
+            name=f"a{tag}", window_ns=window * NS_PER_SEC,
+            interval_ns=interval * NS_PER_SEC, delay_ns=delay * NS_PER_SEC,
+            unit_cadence=cadence, publish_outputs=False,
+            params=params or {"op": "mean"},
+        ),
+        input_topics=frozenset({f"/p{tag}"}),
+        output_topics=frozenset({f"/x{tag}"}),
+    )
+    second = FusionSpec(
+        name=f"b{tag}", plugin=AggregatorOperator, phase=phase,
+        has_kernel=True,
+        config=OperatorConfig(
+            name=f"b{tag}", window_ns=10 * NS_PER_SEC,
+            interval_ns=interval * NS_PER_SEC, delay_ns=delay * NS_PER_SEC,
+            params={"op": "max"},
+        ),
+        input_topics=frozenset({f"/x{tag}"}),
+        output_topics=frozenset({f"/y{tag}"}),
+    )
+    return [first, second]
+
+
+class TestStackPlanner:
+    def test_congruent_adjacent_chains_stack(self):
+        plan = plan_fusion(lane(1) + lane(2) + lane(3))
+        assert plan.groups == [["a1", "b1"], ["a2", "b2"], ["a3", "b3"]]
+        assert plan.stacks == [[["a1", "b1"], ["a2", "b2"], ["a3", "b3"]]]
+
+    def test_a_lone_chain_is_a_stack_of_one_lane(self):
+        assert plan_fusion(lane(1)).stacks == [[["a1", "b1"]]]
+        assert plan_fusion([]).stacks == []
+
+    @pytest.mark.parametrize("differs", [
+        {"window": 6},
+        {"params": {"op": "sum"}},
+        {"interval": 2},
+        {"delay": 1},
+        {"phase": 7 * NS_PER_SEC},
+        {"cadence": 2},
+        {"plugin": SmootherOperator},
+    ], ids=["window", "params", "interval", "phase", "due", "cadence",
+            "plugin"])
+    def test_chains_that_differ_never_stack(self, differs):
+        plan = plan_fusion(lane(1) + lane(2, **differs) + lane(3))
+        assert len(plan.groups) == 3
+        assert plan.stacks == [[["a1", "b1"]], [["a2", "b2"]], [["a3", "b3"]]]
+
+    def test_a_plugin_whose_kernel_is_not_row_wise_never_stacks(self):
+        # Health keeps a trip counter per unit in its model.
+        plan = plan_fusion(
+            lane(1, plugin=HealthOperator) + lane(2, plugin=HealthOperator)
+        )
+        assert plan.stacks == [[["a1", "b1"]], [["a2", "b2"]]]
+
+    def test_chains_with_an_operator_between_them_do_not_stack(self):
+        between = spec("x", inputs=["/q"], outputs=["/r"], publish=True)
+        plan = plan_fusion(lane(1) + [between] + lane(2))
+        assert plan.stacks == [[["a1", "b1"]], [["a2", "b2"]]]
+
+    def test_a_lane_reading_another_lanes_output_does_not_stack(self):
+        second = lane(2)
+        second[0].input_topics = frozenset({"/y1"})
+        plan = plan_fusion(lane(1) + second)
+        assert plan.stacks == [[["a1", "b1"]], [["a2", "b2"]]]
+
+    def test_the_static_default_phase_is_the_delay(self):
+        assert lane(1, delay=3)[0].phase == 3 * NS_PER_SEC
+        assert lane(1, phase=5)[0].phase == 5
+
+
+EXAMPLE = "examples/fused_pipeline.json"
+
+
+def example_spec():
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    return json.loads((root / EXAMPLE).read_text())
+
+
+class TestExampleStack:
+    def test_static_stacks_equal_the_runtime_stacks(self):
+        from repro.analysis.config import resolve_deployment
+        from repro.spec import read_deployment
+
+        doc = example_spec()
+        static = resolve_deployment(read_deployment(doc)).pushers.fusion_plan()
+        assert static.stacks == [[
+            ["smooth-power", "avg-power", "peak-power"],
+            ["smooth-temp", "avg-temp", "peak-temp"],
+        ]]
+        dep = build_deployment(doc)
+        for pusher, manager in dep.managers.items():
+            runtime = [
+                [[op.name for op in lane] for lane in group.lanes]
+                for group in manager.fused_groups()
+            ]
+            assert runtime == static.stacks
+            registry = dep.pushers[pusher].telemetry
+            assert registry.gauge("fused_groups").value == 1
+            assert registry.gauge("fused_chains").value == 2
+
+    def test_f013_names_the_stack(self):
+        f013 = [d for d in analyze_flow(example_spec()) if d.code == "F013"]
+        assert len(f013) == 1 and f013[0].severity == "info"
+        assert "2 lanes" in f013[0].message
+        assert "smoother/smooth-temp" in f013[0].message
+
+    def test_the_stack_stores_what_staged_stores(self):
+        def series(fusion_mode):
+            doc = example_spec()
+            for block in doc["analytics"]["pushers"]:
+                for op in block["operators"].values():
+                    op["fusion"] = fusion_mode
+            dep = build_deployment(doc)
+            dep.run(40)
+            storage = dep.agent.storage
+            topics = sorted(
+                t for t in storage.topics() if t.endswith(("peak-power", "peak-temp"))
+            )
+            return {t: storage.query(t, 0, dep.now) for t in topics}, dep
+
+        staged, _ = series(False)
+        stacked, dep = series("auto")
+        assert all(len(m.fused_groups()) == 1 for m in dep.managers.values())
+        assert len(staged) == 8 and staged.keys() == stacked.keys()
+        for topic, (ts, vals) in staged.items():
+            assert ts.tobytes() == stacked[topic][0].tobytes()
+            assert vals.tobytes() == stacked[topic][1].tobytes()
+
+
+def build_stack(lanes: int, n_units: int = N_UNITS):
+    """``lanes`` copies of :func:`build_chain`'s pipeline on one host,
+    lane ``j`` reading ``/n<i>/p<j>``."""
+    host = Host([f"/n{i}/p{j}" for j in range(lanes) for i in range(n_units)])
+    engine = QueryEngine(host)
+    chains = []
+    for j in range(lanes):
+        stages = [
+            (SmootherOperator, dict(window_ns=5 * NS_PER_SEC,
+                                    publish_outputs=False), f"p{j}", f"sm{j}"),
+            (AggregatorOperator, dict(window_ns=10 * NS_PER_SEC,
+                                      publish_outputs=False,
+                                      params={"ops": {"*": "mean"}}),
+             f"sm{j}", f"ag{j}"),
+            (AggregatorOperator, dict(window_ns=20 * NS_PER_SEC,
+                                      params={"ops": {"*": "max"}}),
+             f"ag{j}", f"mx{j}"),
+        ]
+        chain = []
+        for cls, fields, in_name, out_name in stages:
+            op = cls(OperatorConfig(name=out_name, **fields))
+            op.bind(host, engine)
+            op.set_units([unit_for(i, in_name, out_name) for i in range(n_units)])
+            op.start()
+            chain.append(op)
+        chains.append(chain)
+    return host, engine, chains
+
+
+class TestStackUnderTheSanitizer:
+    def test_every_lane_passes_and_the_stacked_window_is_fingerprinted(self):
+        host, engine, chains = build_stack(2)
+        group = FusedGroup("t:stack", chains, host, engine)
+        rng = np.random.default_rng(3)
+        san = Sanitizer(track_wall_clock=False)
+        with san.activate():
+            for tick in range(1, 5):
+                ts = tick * NS_PER_SEC
+                for topic in list(host.caches):
+                    if "/p" in topic:
+                        host.feed(ts, topic, float(rng.random()))
+                group.run(ts)
+        events = san.event_summary()
+        # One begin/end per lane and stage; one view per gathered row.
+        assert events["compute_passes"] == 4 * 2 * 3
+        assert events["views_tracked"] == 4 * 3 * 2 * N_UNITS
+        assert all(op.compute_count == 4 for chain in chains for op in chain)
+        assert san.finish() == []
+
+    def test_a_kernel_writing_into_the_stacked_window_is_r007(self):
+        class Scribbling(AggregatorOperator):
+            def compute_batch(self, units, window, slices):
+                result = super().compute_batch(units, window, slices)
+                window.values[:, -1] += 1.0
+                return result
+
+        host, engine, chains = build_stack(2)
+        for chain in chains:
+            scribbler = Scribbling(chain[1].config)
+            scribbler.bind(host, engine)
+            scribbler.set_units(chain[1].units)
+            scribbler.start()
+            chain[1] = scribbler
+        group = FusedGroup("t:scribble", chains, host, engine)
+        san = Sanitizer(track_wall_clock=False)
+        with san.activate():
+            for tick in range(1, 3):
+                for topic in list(host.caches):
+                    if "/p" in topic:
+                        host.feed(tick * NS_PER_SEC, topic, 1.0)
+                group.run(tick * NS_PER_SEC)
+        assert {d.code for d in san.finish()} == {"R007"}

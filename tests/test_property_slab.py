@@ -533,6 +533,8 @@ def test_the_layout_remembers_rows_per_unit():
 NODES, CPUS = 2, 8
 COUNTERS = ["cpu-cycles", "instructions", "cache-misses", "cache-references"]
 CHAINS = 2 * len(COUNTERS)
+#: The chains of one window variant are congruent: one stack each.
+STACKS = 2
 
 
 def inband_fused_spec():
@@ -633,14 +635,16 @@ def test_no_row_is_touched_in_python_on_a_steady_state_tick(monkeypatch):
     dep.run(ticks)
     # Stated beforehand.  Per Pusher and tick, plans over raw counters:
     # 8 first-stage smoothers x 8 cpus + cpi 2 x 8 + node-instr 8 = 88
-    # ring rows in 10 plan runs (the parent: one tail_into each) ...
+    # ring rows in 4 plan runs — one per stack of 4 chains, cpi and
+    # node-instr (the parent: one tail_into each) ...
     per_pusher = CHAINS * CPUS + 2 * CPUS + CPUS
-    assert gather.outer_calls == ticks * NODES * (CHAINS + 2)
+    assert gather.outer_calls == ticks * NODES * (STACKS + 2)
     assert sum(ring_rows) == ticks * NODES * per_pusher == 880
     assert gather.inner_calls == 0
-    # ... and 8 node-peak units + 1 node-instr unit of 8 inputs each
-    # (the parent: one BatchWindow.rows each, 90 here).
-    assert pool.outer_calls == ticks * NODES * (3 * CHAINS + 1)
+    # ... and 8 node-peak units + 1 node-instr unit of 8 inputs each,
+    # a stack's 3 aggregator stages one kernel call each (the parent:
+    # one BatchWindow.rows each, 90 here).
+    assert pool.outer_calls == ticks * NODES * (3 * STACKS + 1)
     assert pool.inner_calls == 0
     for pusher in dep.pushers.values():
         slab_rows = pusher.telemetry.gauge("qe_plan_slab_rows").value
