@@ -461,8 +461,7 @@ def _analyze_fusion(
     """Run the fusion planner over one resolved context.
 
     Records the would-be fused groups and blocked chains on the model,
-    emits F013 for each stack of chains and the reportable blocks, and
-    returns each member's set
+    emits F013 for stacks and reportable blocks, and returns each member's set
     of co-fused upstream producer labels — used to refine F011: members
     of one fused group execute in order within a single pass, so a
     same-tick first fire genuinely sees the upstream's fresh output.

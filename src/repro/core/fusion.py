@@ -3,10 +3,9 @@
 A staged smoother → aggregator → health pipeline round-trips every
 intermediate result through the sensor cache (and, when published, the
 broker) on every pass, then re-queries it one stage later.  This module
-runs a *fused group* — a stack of one or more congruent private linear
-chains the planner in :mod:`repro.core.pipeline` found, its *lanes* —
-as one pass, stage by stage, each stage one gather and one kernel call
-over all lanes' units laid end to end:
+runs a *fused group* — one private linear chain, or a stack of congruent
+ones (its *lanes*), as the planner in :mod:`repro.core.pipeline` found —
+as one pass, each stage one gather and one kernel call over all lanes:
 
 - the first stage gathers from the host's Query Engine;
 - each intermediate stage's results land in a :class:`FusedChannel`,
@@ -41,7 +40,7 @@ import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
-from repro.core.operator import UNIT_ERRORS, PassResult
+from repro.core.operator import UNIT_ERRORS, PassResult, unit_rows
 from repro.core.queryengine import BatchWindow, report_views
 from repro.core.units import kept_units
 from repro.sanitizer import hooks
@@ -281,7 +280,6 @@ class FusedGroup:
     source; each member keeps its own bookkeeping either way."""
 
     def __init__(self, name: str, ops: Sequence, host, engine) -> None:
-        ops = list(ops)
         self.name = name
         flat = not ops or not isinstance(ops[0], (list, tuple))
         self.lanes = [list(lane) for lane in ([ops] if flat else ops)]
@@ -398,9 +396,8 @@ class FusedGroup:
             op.close_pass(ts, part, None if sink else op._store, time.perf_counter_ns() - share)
 
     def _stack(self, i: int, layouts: List[tuple]) -> tuple:
-        """``(layouts, units, topics, slices, m, bounds)``: the lanes'
-        layouts end to end, ``bounds[j]`` lane ``j``'s units, ``m`` the
-        rows per unit they share (else 0); memoised per stage."""
+        """``(layouts, units, topics, slices, m, bounds)`` of the lanes'
+        layouts laid end to end, memoised per stage."""
         memo = self._stacks[i]
         if memo is None or len(memo[0]) != len(layouts) or not all(
             map(operator.is_, memo[0], layouts)
@@ -412,7 +409,6 @@ class FusedGroup:
                 topics += lane_topics
             ms = {layout[3] for layout in layouts if layout[0]}
             m = ms.pop() if len(ms) == 1 else 0
-            # Every unit has m rows: unit j is rows [j * m, (j + 1) * m).
-            slices = [range(j * m, j * m + m) for j in range(len(units))]
-            memo = self._stacks[i] = (layouts, units, tuple(topics), slices, m, bounds)
+            memo = self._stacks[i] = (
+                layouts, units, tuple(topics), unit_rows(len(units), m), m, bounds)
         return memo

@@ -25,6 +25,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -132,6 +133,12 @@ _NO_VALUES = np.empty(0, dtype=np.float64)
 #: What a unit's computation may raise and stay one unit's failure: it
 #: is counted against that unit and the pass goes on.
 UNIT_ERRORS = (QueryError, PluginError, ValueError, KeyError)
+
+
+@lru_cache(maxsize=16)
+def unit_rows(units: int, m: int) -> Tuple[range, ...]:
+    """Each unit's rows when every unit has ``m``, one tuple per shape."""
+    return tuple(range(j * m, j * m + m) for j in range(units))
 
 
 def require_data(row: WindowRow) -> np.ndarray:
@@ -540,8 +547,7 @@ class OperatorBase:
         before it (:class:`~repro.core.fusion.FusedChannel`), and an
         intermediate one sinks into the channel feeding the next stage —
         where the window comes from and where the result goes are the
-        only differences between the two.  ``units``: the due units, if
-        the caller took them already.
+        only differences between the two (``units``: due units already taken).
         """
         if not self.enabled:
             return PassResult([])
@@ -820,6 +826,8 @@ class OperatorBase:
                 if len(sizes) == 1 and all(unit.outputs for unit in units)
                 else 0
             )
+            if m:  # shared by every layout of this shape
+                slices = unit_rows(len(units), m)
             cached = self._batch_layout = (units, tuple(flat), slices, m)
         return cached
 

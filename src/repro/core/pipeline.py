@@ -306,8 +306,7 @@ class FusionBlock:
 
 @dataclass
 class FusionPlan:
-    """Planner output: fused groups (``stacks`` partitions them into
-    lanes) plus reportable blocked chains."""
+    """Planner output: fused groups, their stacks, blocked chains."""
 
     groups: List[List[str]] = field(default_factory=list)
     blocked: List[FusionBlock] = field(default_factory=list)
@@ -448,12 +447,10 @@ def plan_fusion(
 
 
 def _stacks_onto(stack, chain: List[FusionSpec], at) -> bool:
-    """Whether ``chain`` joins ``stack`` as its next lane: it directly
-    follows the last lane in registration order (no task runs between
-    them), its leader is due with the first lane's, it matches that lane
-    stage by stage — the same row-wise plugin, params, window, interval,
-    cadence, mode and publish_outputs — and no lane reads what another
-    writes."""
+    """Whether ``chain`` joins ``stack``: it directly follows the last
+    lane (no task runs between them), is due with the first and matches
+    it stage by stage — the same row-wise plugin, params, window,
+    interval, cadence, mode, publish_outputs — and no lane reads another."""
     def key(s: FusionSpec) -> tuple:
         c = s.config
         return (s.plugin, c.params, c.window_ns, c.interval_ns,
