@@ -325,11 +325,10 @@ class FusedGroup:
             width = min(_window_count(consumers[0].config.window_ns), capacity)
             produced = [u for op in producers for u in op.units]
             made = {s.topic for u in produced for s in u.outputs}
-            channel = FusedChannel(produced, width, [
-                t for t in dict.fromkeys(t for op in consumers for u in op.units
-                                         for t in op.kernel_inputs(u))
-                if t not in made
-            ])
+            reads = (t for op in consumers for u in op.units for t in op.kernel_inputs(u))
+            # What the next stage reads and no unit writes stays, frozen.
+            frozen = [t for t in dict.fromkeys(reads) if t not in made]
+            channel = FusedChannel(produced, width, frozen)
             prev = (
                 old.channels[i]
                 if old is not None and i < len(old.channels)

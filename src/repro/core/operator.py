@@ -547,7 +547,7 @@ class OperatorBase:
         before it (:class:`~repro.core.fusion.FusedChannel`), and an
         intermediate one sinks into the channel feeding the next stage —
         where the window comes from and where the result goes are the
-        only differences between the two (``units``: due units already taken).
+        only differences between the two.  ``units`` are due units taken already.
         """
         if not self.enabled:
             return PassResult([])
