@@ -91,6 +91,9 @@ class MiniPusher:
     ``Pusher._write_plan`` would make them — ``for_duration`` of
     the retention window with the 1 s host interval hint — so the
     staged pipeline's downstream stages re-query real ring buffers.
+    Unlike a Pusher, whose write plan stores a pass as one column per
+    slab, it stores one reading at a time, in a Python loop: the
+    staged-vs-fused speedup measured over it also times that loop.
     """
 
     def __init__(self, name: str, input_topics, rng_seed: int) -> None:
@@ -125,7 +128,8 @@ class MiniPusher:
             cache = self.caches[sensor.topic] = SensorCache.for_duration(
                 self.cache_window_ns, NS_PER_SEC
             )
-        # Scalar append, exactly like ``Pusher.store_readings_batch``.
+        # One scalar append per reading (a Pusher writes a pass as
+        # columns; see the class docstring).
         cache.store(ts, value)
 
     def store_readings_batch(self, ts, readings):

@@ -289,7 +289,7 @@ class FusedGroup:
         self.host = host
         self.engine = engine
         self._plan: Optional[FusedPlan] = None
-        self._plan_key = f"fused:{name}"
+        self.plan_key = f"fused:{name}"
         self._stacks: List[Optional[tuple]] = [None] * len(self.stages)
 
     def members(self) -> List[str]:
@@ -370,7 +370,7 @@ class FusedGroup:
         if m:  # the one gather and kernel call, if that kernel takes it
             lead = next(op for op, due in zip(live, dues) if due)
             window = (source or self.engine).query_relative_batch(
-                topics, lead.config.window_ns, key=self._plan_key
+                topics, lead.config.window_ns, key=self.plan_key
             )
             try:
                 if window.uniform_count():

@@ -136,7 +136,8 @@ class OperatorManager:
 
     def unload_operator(self, name: str) -> None:
         """Stop and forget one operator: its task is retired from the
-        scheduler, so nothing keeps the operator alive."""
+        scheduler and its query plan dropped, so nothing keeps the
+        operator, or the rings it read, alive."""
         op = self._operators.pop(name, None)
         if op is None:
             raise PluginError(f"no operator {name!r}")
@@ -146,6 +147,7 @@ class OperatorManager:
         if task is not None:
             self.host.scheduler.retire(task)
         self._plugin_of.pop(name, None)
+        self.engine.forget_plan(op.plan_key)
         if replan:
             self.refresh_fusion()
 
@@ -191,6 +193,7 @@ class OperatorManager:
                 task = self._tasks.get(member.name)
                 if task is not None:
                     task.enabled = True
+        dissolved = {g.plan_key for g in self._fused_groups.values()}
         self._fused_groups.clear()
         plan = plan_fusion(
             self._fusion_specs(),
@@ -213,6 +216,9 @@ class OperatorManager:
                 if task is not None:
                     task.enabled = False
             self._fused_groups[leader.name] = group
+        # A group not planned again leaves its query plan behind.
+        for key in dissolved - {g.plan_key for g in self._fused_groups.values()}:
+            self.engine.forget_plan(key)
         return plan.groups
 
     def _run_fused_group(self, group: FusedGroup, ts: int) -> None:

@@ -283,7 +283,7 @@ class OperatorBase:
         # output names, index) — see _output_columns.  Both memos hold
         # the units list object they were built for (see kept_units).
         self._output_layout: Optional[tuple] = None
-        self._plan_key = f"operator:{config.name}"
+        self.plan_key = f"operator:{config.name}"
         # Unbound operators instrument against a private registry; bind()
         # migrates the accrued values into the host's registry so every
         # operator shows up under the host's GET /metrics.
@@ -799,7 +799,7 @@ class OperatorBase:
         """
         _, topics, slices, m = self._layout(units)
         window = (source or self.engine).query_relative_batch(
-            topics, self.config.window_ns, key=self._plan_key
+            topics, self.config.window_ns, key=self.plan_key
         )
         return window, slices, window.uniform_count() if m == 1 else 0
 

@@ -24,6 +24,12 @@ on a Pusher, where the sampling interval is known, and on a Collect
 Agent, where only the observed arrival gap is.  The scalar
 :meth:`query_relative` is the reference: row ``i`` of a batch is what it
 returns for ``topics[i]`` at that instant, bit for bit.
+
+A pass over a plan is three steps: the rows of another data source
+through the scalar path; every ring row as a member of a
+:class:`SlabGroup` — the rings of one cache slab, which advance in lock
+step, copied in a few slices however many there are; then, through the
+scalar path again, the rows that emptied or failed their window check.
 """
 
 from __future__ import annotations
@@ -54,23 +60,6 @@ _ROW_MISS = 2     # unresolvable at compile time: always empty
 #: that really holds more than this inside its window fails the check
 #: and is re-read alone, at its exact length.
 _MAX_SPECULATIVE_READ = 4096
-
-#: Fewest ring rows of one slab and one count worth a slab gather; a
-#: smaller group is read ring by ring with ``SensorCache.tail_into``.
-#: The gather pays a fixed handful of slice copies whatever the number
-#: of rows, the loop ~2 us a row.  One ``_execute_plan`` over N hinted
-#: rings of one lock-step slab, count 11, capacity 32 (us, best of
-#: 7 x 3000, the two interleaved, on a 2-vCPU Intel Xeon VM; loop /
-#: gather, the window in one span | wrapped into two):
-#:        1 row      9.1 / 11.2  |     9.8 / 12.8
-#:        2 rows    11.3 / 11.1  |    13.2 / 12.9
-#:        3 rows    14.4 / 11.8  |    17.1 / 13.2
-#:        4 rows    17.5 / 12.3  |    21.2 / 13.7
-#:        8 rows    16.0 /  8.6  |    35.3 / 13.7
-#:       64 rows   142   / 13.1  |   239   / 16.7
-#:     1024 rows  1419   / 31.1  |  2384   / 43.0
-#: Even at 2 rows, so the first size that is ahead.
-_SLAB_GATHER_MIN_ROWS = 3
 
 
 class BatchWindow:
@@ -178,7 +167,8 @@ def _longest(rows) -> int:
 class SlabGroup(NamedTuple):
     """Ring rows of a plan gathered together: rings of one
     :class:`CacheSlab` read at one ``count`` (0: a time window, read at
-    the pass's ``k`` and cut once for all of them)."""
+    the pass's ``k`` and cut once for all of them).  Every ring row of a
+    plan is in one; a ring alone on its slab is a group of one."""
 
     slab: CacheSlab
     count: int
@@ -240,28 +230,6 @@ def _gather_slab(
     counts[group.dst] = n
 
 
-def _cut_to_windows(
-    timestamps: np.ndarray, values: np.ndarray, counts: np.ndarray,
-    window_ns: int,
-) -> np.ndarray:
-    """Cut right-aligned gathered rows to ``[newest - window, newest]``.
-
-    One comparison of the timestamp matrix against its last column, for
-    every row at once; slots that fall out of their window go back to
-    NaN / 0 in place and the surviving counts are returned.  The bound
-    is inclusive, like ``view_absolute``'s.  Serves the time-window rows
-    read one ring at a time (a slab group is cut by
-    :func:`_window_count`).
-    """
-    width = timestamps.shape[1]
-    keep = timestamps >= (timestamps[:, -1] - window_ns)[:, None]
-    keep &= np.arange(width) >= (width - counts)[:, None]  # the filled slots
-    drop = ~keep
-    timestamps[drop] = 0
-    values[drop] = np.nan
-    return keep.sum(axis=1)
-
-
 def _ring_count(cache: SensorCache, window_ns: int) -> int:
     """Readings a ring row reads: ``window // interval + 1``, up to the
     ring's capacity, where the cache has an interval hint; the latest
@@ -286,12 +254,11 @@ class QueryPlan:
     Rows come in three kinds, by **data source**:
 
     - *cache* (ring-bound): any topic the host has a cache for.  The
-      tick path copies the ring's tail straight into the result matrix:
-      rings that share a slab and a count, as one :class:`SlabGroup`
-      copied by basic slicing (``_gather_slab``); rings with fewer
-      than ``_SLAB_GATHER_MIN_ROWS`` such neighbours, one at a time with
-      :meth:`SensorCache.tail_into`.  How long that tail is depends on
-      which of two window definitions the cache carries:
+      tick path copies the ring's tail straight into the result matrix,
+      a :class:`SlabGroup` at a time — the rings that share a slab and
+      a count, copied by basic slicing (``_gather_slab``).  How long
+      that tail is depends on which of two window definitions the cache
+      carries:
 
       - a **count** — ``window // interval + 1`` readings, the paper's
         O(1) relative arithmetic — when the cache has an interval hint
@@ -305,8 +272,8 @@ class QueryPlan:
         (one per slab) bounds how many readings that can be,
         ``window // gap + 2``, read when the plan *runs* so a faster
         cadence or a ``resize`` needs no recompile.  A slab group is cut
-        to its window once, on one row, and checked once; the rows read
-        ring by ring are cut in one vectorised step and each checked.
+        to its window once, on the slab's one timestamp vector, and
+        checked once.
 
     - *scalar*: virtual sensors and topics only a storage backend can
       serve; executed through the scalar query path (correct, not fast).
@@ -323,7 +290,7 @@ class QueryPlan:
     __slots__ = (
         "topics", "window_ns", "width", "rows", "generation",
         "cache_rows", "scalar_rows", "miss_rows", "unbound",
-        "epochs", "slab_groups", "ring_rows", "timed_rings", "timed_slabs",
+        "epochs", "slab_groups", "timed_slabs",
     )
 
     def __init__(
@@ -357,11 +324,10 @@ class QueryPlan:
         self.group_rings()
 
     def group_rings(self) -> None:
-        """Split :attr:`cache_rows` by how a pass gathers them: into
-        :attr:`slab_groups`, and :attr:`ring_rows` for the rest.  Run
-        again when the epoch of a slab the rows were on has moved — a
-        ring that left it is then found on its new slab, its count
-        derived again from its capacity there."""
+        """Split :attr:`cache_rows` into :attr:`slab_groups`, one per
+        slab and count.  Run again when the epoch of a slab the rows
+        were on has moved — a ring that left it is then found on its new
+        slab, its count derived again from its capacity there."""
         window_ns = self.window_ns
         self.cache_rows = [
             (i, cache, _ring_count(cache, window_ns))
@@ -375,11 +341,7 @@ class QueryPlan:
             _, cache, count = entry
             by_slab.setdefault((cache.slab, count), []).append(entry)
         self.slab_groups: List[SlabGroup] = []
-        self.ring_rows: List[tuple] = []
         for (slab, count), entries in by_slab.items():
-            if len(entries) < _SLAB_GATHER_MIN_ROWS:
-                self.ring_rows += entries
-                continue
             caches = tuple(cache for _, cache, _ in entries)
             rows = [cache.row for cache in caches]
             plan_rows = [i for i, _, _ in entries]
@@ -387,10 +349,6 @@ class QueryPlan:
                 slab, count, _rows_index(plan_rows), _rows_index(rows),
                 plan_rows,
             ))
-        #: Where the rows read ring by ring have a time window.
-        self.timed_rings = np.array(
-            [i for i, _, count in self.ring_rows if not count], dtype=np.intp
-        )
         #: The slabs whose observed gap sizes a pass's time windows.
         self.timed_slabs = tuple(
             dict.fromkeys(slab for slab, count in by_slab if not count)
@@ -465,14 +423,6 @@ class QueryEngine:
                 ),
                 kind=kind,
             )
-        self.telemetry.gauge(
-            "qe_plan_slab_rows",
-            fn=lambda: sum(
-                len(group.plan_rows)
-                for plan in list(self._plans.values())
-                for group in plan.slab_groups
-            ),
-        )
         self.virtual = VirtualSensorRegistry()
         self._virtual_in_flight: set = set()
 
@@ -733,6 +683,13 @@ class QueryEngine:
         self._plans[key] = plan
         return plan
 
+    def forget_plan(self, key: object) -> None:
+        """Drop the cached plan under ``key``, if any: an unloaded
+        operator's or a dissolved fused group's, which would otherwise
+        keep its rings (and their slabs) alive and count in
+        ``qe_plan_rows``."""
+        self._plans.pop(key, None)
+
     def _unbound_healed(self, plan: QueryPlan) -> bool:
         """Whether the host now caches a topic ``plan`` bound to none:
         one ``cache_for`` per unbound row, nothing for a fully bound
@@ -820,28 +777,6 @@ class QueryEngine:
                 violations += group.plan_rows
             else:
                 _gather_slab(group, n, timestamps, values, counts)
-        for i, cache, count in plan.ring_rows:
-            # Direct ring read: the cache writes its tail slices into
-            # the result row without intermediate view objects.
-            n = cache.tail_into(timestamps[i], values[i], count or k)
-            if n:
-                counts[i] = n
-            else:
-                reread.append(i)  # emptied since compile time
-        timed = plan.timed_rings
-        if len(timed):
-            ts, val = timestamps[timed], values[timed]
-            counts[timed] = _cut_to_windows(ts, val, counts[timed], window_ns)
-            timestamps[timed], values[timed] = ts, val
-            # The same check, row by row, on data the pass already holds.
-            cut = [
-                i for i in timed[counts[timed] == k].tolist()
-                if plan.rows[i][1]._size > k
-            ]
-            if cut:
-                timestamps[cut] = 0
-                values[cut] = np.nan
-                violations += cut
         if violations:
             self._m_violations.inc(len(violations))
             reread += violations

@@ -1,6 +1,9 @@
 """Tests for the Operator Manager (lifecycle, scheduling, REST)."""
 
+import copy
 import gc
+import json
+import pathlib
 import weakref
 
 import pytest
@@ -13,6 +16,7 @@ from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
 
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 AGG_CONFIG = {
     "plugin": "aggregator",
@@ -299,3 +303,44 @@ class TestUnloadFreesTheOperator:
         body = dep.agent.rest.get("/metrics", format="prometheus").body
         lines = body["exposition"].splitlines()
         assert 'operator_quarantined_units{operator="rack-avg"} 0' in lines
+
+    def test_unloaded_operators_leave_no_query_plan(self):
+        """An unloaded operator's plan, and a dissolved fused group's,
+        go with it: a plan keeps its rings (and their slabs) alive and
+        counts in ``qe_plan_rows``."""
+        spec = json.loads((EXAMPLES / "fused_pipeline.json").read_text())
+        dep = build_deployment(spec)
+        dep.run(5)
+        manager = next(iter(dep.managers.values()))
+        engine = manager.engine
+        ring_rows = engine.telemetry.gauge("qe_plan_rows", kind="ring")
+        baseline = (len(engine._plans), ring_rows.value)
+        assert baseline[1] > 0
+        # The power chain again under other names, and one staged
+        # operator beside it.
+        chain = copy.deepcopy(spec["analytics"]["pushers"][:3])
+        chain.append({"plugin": "aggregator", "operators": {"lone-power": {
+            "interval_s": 1, "window_s": 5, "inputs": ["<bottomup>power"],
+            "outputs": ["<bottomup>lone-power"], "params": {"op": "mean"},
+        }}})
+        for block in chain:
+            (name, config), = block["operators"].items()
+            block["operators"] = {f"{name}-x": config}
+            config["outputs"] = [f"{t}-x" for t in config["outputs"]]
+            config["inputs"] = [
+                f"{t}-x" if t.endswith("-power") else t for t in config["inputs"]
+            ]
+        names = [next(iter(block["operators"])) for block in chain]
+        for _ in range(20):
+            for block in chain:
+                manager.load_plugin(block)
+            dep.run(1)
+            assert any("smooth-power-x" in g.members() for g in manager.fused_groups())
+            assert len(engine._plans) == baseline[0] + 2
+            for name in names:
+                manager.unload_operator(name)
+            assert (len(engine._plans), ring_rows.value) == baseline
+        # A manager whose every operator is gone holds no plan at all.
+        for op in manager.operators():
+            manager.unload_operator(op.name)
+        assert engine._plans == {} and ring_rows.value == 0

@@ -13,11 +13,10 @@ topics, topics that first arrive long after the plans were compiled — a
 several gaps and more than a ring holds.  After every step every window
 is gathered both ways and compared.
 
-Two seeded mutations of ``core/queryengine.py`` must fail the same
-property, run with every ring row a slab group of its own so the slab
-kernel reads them all (the per-slab cut made exclusive; ``k`` short by
-two with the per-group verification off), and two deployments pin it
-end to end: a cold-built
+Two seeded mutations of the slab kernel of ``core/queryengine.py``,
+which reads every ring row (the per-slab cut made exclusive; ``k``
+short by two with the per-group verification off), must fail the same
+property, and two deployments pin it end to end: a cold-built
 agent pipeline, and an ``agent_holistic``-shaped spec through a network
 outage with spill replay, against a twin whose agent operators run the
 per-unit reference (``OperatorBase.compute_per_unit``: plain
@@ -205,24 +204,22 @@ def test_contract_holds_when_the_speculative_read_is_capped(steps):
 # ----------------------------------------------------------------------
 
 
-def mutant_module(module, *edits, **names):
+def mutant_module(module, *edits):
     """A fresh copy of ``module`` with each ``(old, new)`` source edit
-    applied (each ``old`` must occur exactly once) and ``names`` set in
-    it."""
+    applied (each ``old`` must occur exactly once)."""
     source = inspect.getsource(module)
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
     mutant = types.ModuleType(module.__name__.rpartition(".")[2] + "_mutant")
     exec(compile(source, module.__file__, "exec"), mutant.__dict__)
-    mutant.__dict__.update(names)
     return mutant
 
 
-def mutant_engine(*edits, **names):
+def mutant_engine(*edits):
     """``QueryEngine`` from ``core/queryengine.py`` with each ``(old,
-    new)`` source edit applied and ``names`` set in its module."""
-    return mutant_module(queryengine, *edits, **names).QueryEngine
+    new)`` source edit applied."""
+    return mutant_module(queryengine, *edits).QueryEngine
 
 
 MUTATIONS = {
@@ -238,30 +235,30 @@ MUTATIONS = {
     ],
 }
 
-#: Every ring row a slab group of its own, so the slab kernel — where
-#: the mutations are — gathers every row of the random programs.
-EVERY_RING_A_GROUP = {"_SLAB_GATHER_MIN_ROWS": 1}
-
 STEADY = [("steady", topic, 4) for topic in REMOTE] * 3
 
 
 def test_the_unmutated_copy_passes():
-    run_program(mutant_engine(**EVERY_RING_A_GROUP), STEADY)
+    run_program(mutant_engine(), STEADY)
 
 
-@settings(max_examples=120, deadline=None)
-@given(steps=PROGRAM)
-def test_contract_holds_when_every_ring_is_a_slab_group(steps):
-    """The control of the mutations below: the slab kernel alone, one
-    group per ring, meets the contract."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(queryengine, "_SLAB_GATHER_MIN_ROWS", 1)
-        run_program(QueryEngine, steps)
+def test_contract_holds_when_every_ring_is_a_slab_group():
+    """The control of the mutations below: the copy they are made from,
+    unmutated, meets the contract — the slab kernel reads every ring
+    row, a ring alone on its slab as a group of one."""
+    engine_cls = mutant_engine()
+
+    @settings(max_examples=120, deadline=None)
+    @given(steps=PROGRAM)
+    def prop(steps):
+        run_program(engine_cls, steps)
+
+    prop()
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_seeded_mutation_fails_the_property(name):
-    engine_cls = mutant_engine(*MUTATIONS[name], **EVERY_RING_A_GROUP)
+    engine_cls = mutant_engine(*MUTATIONS[name])
 
     @settings(
         max_examples=250, deadline=None, database=None,

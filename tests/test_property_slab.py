@@ -14,12 +14,14 @@ both the old loop is the reference:
   does not —, hinted or not, one stale store), counts of 1..cap+3,
   hinted and timed rows in one plan: the matrix, timestamps and counts
   are ``tobytes()``-equal to :func:`frozen_execute` — the per-row
-  ``tail_into`` loop as it stood before the slab, held here — and to
+  ``tail_into`` loop as it stood before the slab, held here with its
+  vectorised cut (``_cut_to_windows``) — and to
   ``query_relative`` per topic.  Six seeded source mutations must fail
   that: the wrap into the second span computed without its modulo, the
   second span dropped, the slab's size ignored, the cut's bound taken
   from the row's last slot rather than its newest reading, ``epoch``
-  ignored after a ring left, group rows in the wrong order.
+  ignored after a ring left, group rows in the wrong order.  A ring
+  alone on its slab, or one of two, is a group too, read the same.
 - ``AggregatorOperator.compute_batch`` pools a unit's ``m`` inputs by
   reshaping the gathered block.  For every aggregate, ``m`` 1..5,
   ``n`` 1..20, 1..6 units the pass equals ``compute_ragged`` on the same
@@ -46,10 +48,8 @@ from repro.core import queryengine
 from repro.core.operator import OperatorConfig
 from repro.core.queryengine import (
     _MAX_SPECULATIVE_READ,
-    _SLAB_GATHER_MIN_ROWS,
     BatchWindow,
     QueryEngine,
-    _cut_to_windows,
     _longest,
 )
 from repro.core.units import Unit
@@ -83,6 +83,28 @@ class Host:
 # ----------------------------------------------------------------------
 # The reference: the per-row loop, frozen
 # ----------------------------------------------------------------------
+
+
+def _cut_to_windows(
+    timestamps: np.ndarray, values: np.ndarray, counts: np.ndarray,
+    window_ns: int,
+) -> np.ndarray:
+    """Cut right-aligned gathered rows to ``[newest - window, newest]``.
+
+    One comparison of the timestamp matrix against its last column, for
+    every row at once; slots that fall out of their window go back to
+    NaN / 0 in place and the surviving counts are returned.  The bound
+    is inclusive, like ``view_absolute``'s.  Serves the time-window rows
+    read one ring at a time (a slab group is cut by
+    :func:`_window_count`).
+    """
+    width = timestamps.shape[1]
+    keep = timestamps >= (timestamps[:, -1] - window_ns)[:, None]
+    keep &= np.arange(width) >= (width - counts)[:, None]  # the filled slots
+    drop = ~keep
+    timestamps[drop] = 0
+    values[drop] = np.nan
+    return keep.sum(axis=1)
 
 
 def frozen_execute(engine, plan) -> BatchWindow:
@@ -400,20 +422,33 @@ class TestSlab:
             ring.resize(0)
         assert ring.slab is slab and slab.epoch == 0
 
-    def test_groups_below_the_break_even_stay_on_tail_into(self):
-        for rows in (_SLAB_GATHER_MIN_ROWS - 1, _SLAB_GATHER_MIN_ROWS):
-            slab = CacheSlab(rows, 4)
-            topics = [f"/s/{j}" for j in range(rows)]
-            engine = QueryEngine(Host(zip(topics, slab.rings(STEP))))
-            plan = engine.compile_plan(topics, 2 * STEP)
-            grouped = rows >= _SLAB_GATHER_MIN_ROWS
-            assert len(plan.slab_groups) == grouped
-            assert len(plan.ring_rows) == (0 if grouped else rows)
+    def test_a_ring_group_of_1_to_4_rows_is_one_slab_group(self):
+        """However few rings share a slab and a count, hinted or timed,
+        they are one :class:`SlabGroup`, read as the per-row loop reads
+        them."""
+        for rows in range(1, 5):
+            for interval_ns in (STEP, 0):
+                slab = CacheSlab(rows, 4)
+                topics = [f"/s/{j}" for j in range(rows)]
+                rings = slab.rings(interval_ns)
+                engine = QueryEngine(Host(zip(topics, rings)))
+                for i in range(1, 7):  # wrapped
+                    slab.store_column(i * STEP, float(i) + np.arange(rows))
+                rings[0].gap_ns = STEP  # what the agent's ingest loop measures
+                plan = engine.compile_plan(topics[::-1], 2 * STEP)
+                (group,) = plan.slab_groups
+                assert group.slab is slab
+                assert group.plan_rows == list(range(rows))
+                win = engine._execute_plan(plan)
+                ref = frozen_execute(engine, plan)
+                assert win.timestamps.tobytes() == ref.timestamps.tobytes()
+                assert win.values.tobytes() == ref.values.tobytes()
+                assert win.counts.tolist() == ref.counts.tolist() == [3] * rows
 
     def test_a_timed_group_never_reads_past_the_ring(self):
         """``k`` may exceed what a ring can hold; ``tail_into`` clamped
         to the size, the slab gather clamps to the capacity."""
-        rows, cap = _SLAB_GATHER_MIN_ROWS, 3
+        rows, cap = 3, 3
         slab = CacheSlab(rows, cap)
         topics = [f"/s/{j}" for j in range(rows)]
         rings = slab.rings()
@@ -647,7 +682,11 @@ def test_no_row_is_touched_in_python_on_a_steady_state_tick(monkeypatch):
     assert pool.outer_calls == ticks * NODES * (3 * STACKS + 1)
     assert pool.inner_calls == 0
     for pusher in dep.pushers.values():
-        slab_rows = pusher.telemetry.gauge("qe_plan_slab_rows").value
+        slab_rows = sum(
+            len(group.plan_rows)
+            for plan in pusher.analytics.engine._plans.values()
+            for group in plan.slab_groups
+        )
         assert slab_rows == per_pusher
         assert slab_rows == pusher.telemetry.gauge("qe_plan_rows", kind="ring").value
         assert pusher.analytics.operator("node-instr").error_count == 0
@@ -689,10 +728,10 @@ def test_a_first_arrival_batch_shares_a_slab_and_a_ring_may_outgrow_it():
     ingest(agent, [
         (t, i * NS_PER_SEC) for i in range(2, 30) for t in topics
     ])
-    slab_rows = engine.telemetry.gauge("qe_plan_slab_rows")
     win = engine.query_relative_batch(topics, window_ns, key="op")
     assert win.counts.tolist() == [11] * 10 and win.width == 12
-    assert slab_rows.value == 10
+    plan = engine._plans["op"]
+    assert [group.plan_rows for group in plan.slab_groups] == [list(range(10))]
     memory = agent.telemetry.gauge("cache_memory_bytes")
     before = memory.value
     # One topic speeds up to 10 Hz: brought alone, it leaves the slab
@@ -708,7 +747,7 @@ def test_a_first_arrival_batch_shares_a_slab_and_a_ring_may_outgrow_it():
     assert win.counts.tolist() == [11] * 3 + [101] + [11] * 6
     assert win.width == 102
     assert_rows_are_scalar(engine, win, window_ns)
-    assert slab_rows.value == 9  # the ring that left is read alone
+    assert len(plan.slab_groups) == 2  # the ring that left is a group of one
     telemetry = engine.telemetry
     assert telemetry.counter("qe_plan_compiles_total").value == 1
     assert telemetry.counter("qe_hint_violations_total").value == 0

@@ -2,7 +2,9 @@
 exposition, the ``GET /metrics`` REST route, and end-to-end agreement
 between component-level statistics and the registry they are backed by."""
 
+import json
 import math
+import pathlib
 import re
 
 import pytest
@@ -17,6 +19,7 @@ from repro.dcdb.cache import SensorCache
 from repro.dcdb.plugins import TesterMonitoringPlugin
 from repro.dcdb.restapi import RestApi
 from repro.dcdb.storage import StorageBackend
+from repro.deploy import build_deployment
 from repro.plugins.tester import TesterOperator
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import (
@@ -425,3 +428,40 @@ class TestEndToEnd:
         assert report["sampling_busy_ns"] > 0
         assert 0 < report["sampling_overhead_pct"] < 100
         assert report["gauges"]["cache_sensor_count"] == 5
+
+
+# ----------------------------------------------------------------------
+# The metric inventory of docs/CONFIGURATION.md
+# ----------------------------------------------------------------------
+
+REPO_ROOT = pathlib.Path(__file__).parent.parent
+
+
+def documented_metrics():
+    """Every metric name the inventory table has a row for (one row may
+    name several: ``a`` / ``b``)."""
+    doc = (REPO_ROOT / "docs" / "CONFIGURATION.md").read_text()
+    table = doc.split("### Metric inventory", 1)[1].split("\n### ", 1)[0]
+    names = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            first_cell = line.split(" | ", 1)[0]
+            names.update(re.findall(r"`([a-z0-9_]+)", first_cell))
+    return names
+
+
+def test_metric_inventory_is_what_the_hosts_register(tmp_path):
+    """Every metric a host of a shipped example registers has a row in
+    the inventory, and every row names one that some host registers."""
+    registered = set()
+    for path in sorted((REPO_ROOT / "examples").glob("*.json")):
+        spec = json.loads(path.read_text())
+        if "storage" in spec:
+            spec["storage"]["dir"] = str(tmp_path / path.stem)
+        dep = build_deployment(spec)
+        dep.run(3)
+        for host in [dep.agent, *dep.pushers.values()]:
+            registered.update(m.name for m in host.telemetry.collect())
+    documented = documented_metrics()
+    assert sorted(registered - documented) == [], "registered, not documented"
+    assert sorted(documented - registered) == [], "documented, not registered"
