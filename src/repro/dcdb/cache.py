@@ -49,6 +49,7 @@ arrays it may keep.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,12 +73,76 @@ NO_GAP = 1 << 62
 PLAN_MEMO_SIZE = 64
 
 
-def remember(memo: dict, key, plan, size: int = PLAN_MEMO_SIZE) -> None:
-    """``memo[key] = plan``, forgetting the oldest entry of a memo that
-    holds ``size`` already."""
-    if len(memo) >= size and key not in memo:
-        del memo[next(iter(memo))]
-    memo[key] = plan
+def first_and_length(seq) -> tuple:
+    """Content key of a tuple of unhashable ``Sensor`` objects."""
+    return id(seq[0]), len(seq)
+
+
+def element_ids(seq) -> tuple:
+    """Content key of a tuple of kept objects (a drain's topics tuples)."""
+    return tuple(map(id, seq))
+
+
+class PlanMemo:
+    """Plans by the sequence they were made for: how every write plan and
+    broker route run is found.
+
+    *Identity first*: an entry holds its sequence, so its ``id`` names
+    nothing else while kept.  A new object is looked up by content, the
+    memo's ``key`` function (default ``tuple``: a tuple is its own key),
+    and compared whole; a content hit adds no entry, and a key names the
+    newest sequence put under it.  At most ``size`` plans, the oldest
+    put forgotten first (a plan put again for one object keeps its
+    place).  ``compiles`` and ``evictions`` are plain ints, read by
+    collection-time gauges (:func:`register_memo_gauges`).
+    """
+
+    __slots__ = ("key", "size", "compiles", "evictions", "_plans", "_keyed")
+
+    def __init__(self, key=tuple, size: int = PLAN_MEMO_SIZE) -> None:
+        self.key, self.size = key, size
+        self.compiles = self.evictions = 0
+        self._plans: Dict[int, tuple] = {}  # id(seq) -> (seq, plan), oldest first
+        self._keyed: Dict[object, tuple] = {}  # key(seq) -> the newest entry
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, seq):
+        """The plan kept for ``seq``, or ``None``."""
+        entry = self._plans.get(id(seq))
+        if entry is None:
+            entry = self._keyed.get(self.key(seq))
+            if entry is None or entry[0] != seq:
+                return None
+        return entry[1]
+
+    def put(self, seq, plan):
+        """Keep ``plan`` for ``seq`` and return it."""
+        self.compiles += 1
+        plans, keyed, key = self._plans, self._keyed, self.key
+        if id(seq) not in plans and len(plans) >= self.size:
+            oldest = plans.pop(next(iter(plans)))
+            if keyed.get(key(oldest[0])) is oldest:
+                del keyed[key(oldest[0])]
+            self.evictions += 1
+        plans[id(seq)] = keyed[key(seq)] = (seq, plan)
+        return plan
+
+    def clear(self) -> None:
+        self._plans.clear()
+        self._keyed.clear()
+
+
+def register_memo_gauges(telemetry, memos: Dict[str, PlanMemo]) -> None:
+    """``plan_memo_compiles{memo=}`` and ``plan_memo_evictions{memo=}``
+    over a host's memos, by name: after warm-up a steady deployment
+    compiles nothing, so a count that keeps moving is a recompile storm."""
+    for name, memo in memos.items():
+        for count in ("compiles", "evictions"):
+            telemetry.gauge(
+                f"plan_memo_{count}", fn=partial(getattr, memo, count), memo=name
+            )
 
 
 class LockStep:
@@ -454,17 +519,11 @@ def plan_columns(
     return columns
 
 
-def plan_fits(
-    columns: Sequence[Column], timestamps: Optional[List[int]] = None
-) -> bool:
-    """Whether ``columns`` still write a sequence of these timestamps
-    (``None``: all one): no planned group lost a member since, and each
-    column's readings share one timestamp (trivially, when the whole
-    sequence does)."""
-    for col in columns:  # (a loop: no generator to build on every write)
-        if col.slab.epoch != col.epoch:
-            return False
-    if timestamps is None or timestamps.count(timestamps[0]) == len(timestamps):
+def stamps_fit(columns: Sequence[Column], timestamps: List[int]) -> bool:
+    """Whether each of ``columns`` still takes readings that share one
+    timestamp in a sequence of these ``timestamps`` (trivially, when the
+    whole sequence does)."""
+    if timestamps.count(timestamps[0]) == len(timestamps):
         return True
     stamps = np.asarray(timestamps, dtype=np.int64)
     for col in columns:
@@ -475,43 +534,34 @@ def plan_fits(
 
 
 class WritePlan(NamedTuple):
-    """How a host writes one sequence (of topics): its columns."""
+    """How a host writes one sequence: its columns, and the topics it
+    hands on — the agent's to storage, a Pusher's published ones (at
+    ``published`` positions; ``None``: all) to the broker."""
 
-    seq: tuple
+    topics: Tuple[str, ...]
     columns: List[Column]
+    published: Optional[np.ndarray] = None
 
 
 def plan_write(
-    plans: dict, compile, seq: tuple,
-    timestamps: Optional[List[int]] = None, key=None,
+    memo: PlanMemo, compile, seq: tuple,
+    timestamps: Optional[List[int]] = None,
 ):
-    """The plan ``plans`` holds for ``seq`` while it fits ``timestamps``
-    (``None``: the write is at one timestamp, and a plan fits while no
-    planned group's ``epoch`` moved), else ``compile(seq, timestamps)``
-    — the host's: rows opened for what ``seq`` brings first, a plan with
-    ``seq`` and ``columns`` — kept.
-
-    A plan is found by the identity of ``seq`` first: a steady producer
-    hands over the same tuple every pass (a plugin's sensors, an
-    operator's outputs, a Pusher plan's topics), and the plan holding
-    that tuple keeps its ``id`` from naming anything else.  A new object
-    is looked up under ``key`` (default: ``seq`` itself, hashed) and
-    compared whole — what a producer that builds its sequence afresh
-    every pass pays, and nobody else.
+    """The plan ``memo`` finds for ``seq`` (:class:`PlanMemo`) while it
+    fits — no planned group's ``epoch`` moved and, for a write of several
+    ``timestamps`` (``None``: all one), each column's readings share one
+    (:func:`stamps_fit`) — else ``compile(seq, timestamps)``, the host's
+    (rows opened for what ``seq`` brings first, then ``columns``), kept.
     """
-    plan = plans.get(id(seq))
-    if plan is None or plan.seq is not seq:
-        if key is None:
-            key = seq
-        plan = plans.get(key)
-        if plan is not None and key is not seq and plan.seq != seq:
-            plan = None
-    if plan is None or not plan_fits(plan.columns, timestamps):
-        plan = compile(seq, timestamps)
-        # Two entries a plan: by content, and by identity.
-        remember(plans, seq if key is None else key, plan, 2 * PLAN_MEMO_SIZE)
-        remember(plans, id(seq), plan, 2 * PLAN_MEMO_SIZE)
-    return plan
+    plan = memo.get(seq)
+    if plan is not None:
+        for col in plan.columns:  # (a loop: no generator to build on every write)
+            if col.slab.epoch != col.epoch:
+                break
+        else:
+            if timestamps is None or stamps_fit(plan.columns, timestamps):
+                return plan
+    return memo.put(seq, compile(seq, timestamps))
 
 
 def write_columns(columns, timestamps, values: np.ndarray, advance=None) -> int:

@@ -13,20 +13,22 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import (
     CacheSlab,
-    Column,
+    PlanMemo,
     SensorCache,
     WritePlan,
+    element_ids,
     first_arrivals,
     plan_columns,
     plan_write,
     register_cache_gauges,
+    register_memo_gauges,
     write_columns,
     write_columns_at,
 )
@@ -36,17 +38,6 @@ from repro.dcdb.sensor import SensorColumns
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import MetricRegistry, register_metrics_route
-
-
-class _PassPlan(NamedTuple):
-    """A write plan found by the sequence a producer hands over every
-    pass — a drain's tuple of per-pass topics tuples, an operator's
-    output sensors: the columns of the topic sequence it joins into,
-    and that sequence (what storage is handed)."""
-
-    seq: tuple
-    columns: List[Column]
-    topics: Tuple[str, ...]
 
 
 class CollectAgent:
@@ -89,12 +80,12 @@ class CollectAgent:
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
         #: Write plans by topic sequence (see ``_ingest``) ...
-        self._plans: Dict[object, WritePlan] = {}
+        self._plans = PlanMemo()
         #: ... and in front of them, by the sequence a producer hands
-        #: over (see ``_pass_plan``): apart, so that passes cut anew
-        #: every time (by a link, or a subscriber on part of the topics)
-        #: churn only these.
-        self._pass_plans: Dict[object, _PassPlan] = {}
+        #: over (a drain's topics tuples, an operator's outputs): apart,
+        #: so that passes cut anew every time (by a link, or a
+        #: subscriber on part of the topics) churn only these.
+        self._passes = PlanMemo(element_ids)
         self.rest = RestApi()
         self.telemetry = MetricRegistry()
         self._m_forwarded = self.telemetry.counter("forwarded_readings_total")
@@ -130,34 +121,25 @@ class CollectAgent:
         footprint.  Evaluated by the /metrics scraper, not the hot path."""
         self.telemetry.gauge("ingest_queue_depth", fn=lambda: len(self._queue))
         register_cache_gauges(self.telemetry, self.caches)
+        register_memo_gauges(self.telemetry, {
+            "ingest": self._plans, "pass": self._passes,
+            "storage": self._storage.plans, "broker": self.broker.run_plans,
+        })
         self.telemetry.gauge(
             "storage_stored_readings",
             fn=lambda: self._storage.total_readings(),
         )
         if hasattr(self._storage, "tier_stats"):
             storage = self._storage  # tiered backend: per-tier visibility
-            self.telemetry.gauge(
-                "storage_disk_bytes", fn=lambda: storage.disk_bytes()
-            )
-            self.telemetry.gauge(
-                "storage_segments",
-                fn=lambda: len(storage.store.segments),
-            )
-            self.telemetry.gauge(
-                "storage_flushes", fn=lambda: storage.flush_count
-            )
-            self.telemetry.gauge(
-                "storage_rollup_compactions",
-                fn=lambda: storage.rollup_compactions,
-            )
-            self.telemetry.gauge(
-                "storage_segments_quarantined",
-                fn=lambda: storage.store.quarantined,
-            )
-            self.telemetry.gauge(
-                "storage_maintenance_errors",
-                fn=lambda: storage.maintenance_errors,
-            )
+            for name, fn in (
+                ("storage_disk_bytes", storage.disk_bytes),
+                ("storage_segments", lambda: len(storage.store.segments)),
+                ("storage_flushes", lambda: storage.flush_count),
+                ("storage_rollup_compactions", lambda: storage.rollup_compactions),
+                ("storage_segments_quarantined", lambda: storage.store.quarantined),
+                ("storage_maintenance_errors", lambda: storage.maintenance_errors),
+            ):
+                self.telemetry.gauge(name, fn=fn)
             for tier in ("memory", "segment", "rollup"):
                 self.telemetry.gauge(
                     "storage_tier_hits",
@@ -204,11 +186,10 @@ class CollectAgent:
         """Scatter readings given as three parallel columns (``values``
         float64) into caches and storage: the agent's write path in its
         per-reading form, what a drain of passes at several timestamps
-        takes.  :meth:`_ingest_at` is the same for readings at one
-        timestamp — a steady drain and an operator pass.
+        takes.
 
         They land as columns — one per slab and timestamp, two NumPy
-        writes each — by the write plan memoised for their sequence
+        writes each — by the write plan kept for their topic sequence
         (:func:`plan_write`, compiled by :meth:`_write_plan`).  Storage
         takes the plan's topics tuple the same way, by a plan of its own
         over its blocks (``insert_columns``): found by that tuple's
@@ -229,32 +210,17 @@ class CollectAgent:
         topics = tuple(topics)
         plan = plan_write(self._plans, self._write_plan, topics, timestamps)
         write_columns(plan.columns, timestamps, values, self._advance)
-        self._storage.insert_columns(plan.seq, timestamps, values)
+        self._storage.insert_columns(plan.topics, timestamps, values)
 
-    def _ingest_at(self, plan: _PassPlan, ts: int, values) -> None:
-        """:meth:`_ingest` for readings all at ``ts``, by ``plan`` — a
-        steady drain's or an operator pass's."""
-        write_columns_at(plan.columns, ts, values, self._advance)
-        self._storage.insert_columns_at(plan.topics, ts, values)
+    def _drain_plan(self, parts: tuple, timestamps=None) -> WritePlan:
+        """The plan of a drain's joined topic sequence, however cut."""
+        topics = tuple(chain.from_iterable(parts))
+        return plan_write(self._plans, self._write_plan, topics, timestamps)
 
-    def _pass_plan(self, seq: tuple, topics: tuple, timestamps=None) -> _PassPlan:
-        """The plan of ``seq``, a sequence written as ``topics``: the
-        columns of the plan for ``topics``, found by content (one compile
-        per topic sequence, however a producer cuts or builds it)."""
-        plan = plan_write(self._plans, self._write_plan, topics, timestamps)
-        return _PassPlan(seq, plan.columns, plan.seq)
-
-    def _drain_plan(self, parts: tuple, timestamps=None) -> _PassPlan:
-        """The plan of a drain of passes with these topics tuples."""
-        return self._pass_plan(
-            parts, tuple(chain.from_iterable(parts)), timestamps
-        )
-
-    def _output_plan(self, sensors: tuple, timestamps=None) -> _PassPlan:
-        """The plan of an operator pass with these output sensors."""
-        return self._pass_plan(
-            sensors, tuple(sensor.topic for sensor in sensors), timestamps
-        )
+    def _output_plan(self, sensors: tuple, timestamps=None) -> WritePlan:
+        """The plan of an operator pass's topic sequence."""
+        topics = tuple(sensor.topic for sensor in sensors)
+        return plan_write(self._plans, self._write_plan, topics, timestamps)
 
     def _write_plan(self, topics: tuple, timestamps) -> WritePlan:
         """The columns of a batch (:func:`plan_columns`), once the topics
@@ -298,12 +264,13 @@ class CollectAgent:
         """Flush queued MQTT passes into caches and storage, joined into
         one run of columns.
 
-        The drain is planned by the passes' topics tuples — each the one
-        a Pusher's write plan publishes every pass — so a steady drain
-        finds its plan by their identities, flattening and hashing no
-        topic.  Passes at one timestamp (the steady case) are written at
-        it; passes at several (a spill replay, a slow link) carry one
-        timestamp per reading."""
+        Passes at one timestamp (the steady case) are written at it, by
+        the plan of the tuple of their topics tuples — each the one a
+        Pusher's write plan publishes every pass — found by content, the
+        tuples' identities (:func:`element_ids`): a steady drain flattens
+        and hashes no topic, and hands storage the same topics tuple
+        every time.  Passes at several timestamps (a spill replay, a
+        slow link) carry one timestamp per reading."""
         t0 = time.perf_counter_ns()
         passes = self._queue.drain()
         if passes:
@@ -311,11 +278,9 @@ class CollectAgent:
             stamps = [batch.timestamp for batch in passes]
             values = np.concatenate([batch.values for batch in passes])
             if stamps.count(stamps[0]) == len(stamps):
-                plan = plan_write(
-                    self._pass_plans, self._drain_plan, parts, None,
-                    tuple(map(id, parts)),
-                )
-                self._ingest_at(plan, stamps[0], values)
+                plan = plan_write(self._passes, self._drain_plan, parts)
+                write_columns_at(plan.columns, stamps[0], values, self._advance)
+                self._storage.insert_columns_at(plan.topics, stamps[0], values)
             else:
                 per_reading = np.repeat(stamps, list(map(len, parts)))
                 self._ingest(
@@ -341,15 +306,14 @@ class CollectAgent:
         In a Collect Agent they go to the cache and are written to the
         Storage Backend directly (Section IV-a), never published: with a
         catch-all subscription they would loop back into the agent's own
-        ingest queue and be stored twice.
+        ingest queue and be stored twice.  They are written as a drain
+        is, by the plan of the output sensors tuple.
         """
         sensors = readings.sensors
         if sensors:
-            plan = plan_write(
-                self._pass_plans, self._output_plan, sensors, None,
-                (id(sensors[0]), len(sensors)),
-            )
-            self._ingest_at(plan, ts, readings.values)
+            plan = plan_write(self._passes, self._output_plan, sensors)
+            write_columns_at(plan.columns, ts, readings.values, self._advance)
+            self._storage.insert_columns_at(plan.topics, ts, readings.values)
 
     def cache_for(self, topic: str) -> Optional[SensorCache]:
         """The agent-side cache for ``topic``, if any traffic was seen."""

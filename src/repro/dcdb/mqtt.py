@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError, TopicError
 from repro.common.topics import split_topic
-from repro.dcdb.cache import PLAN_MEMO_SIZE, remember
+from repro.dcdb.cache import PlanMemo
 from repro.sanitizer import hooks
 
 #: Subscribers take whole runs of a pass, as a :class:`ReadingBatch`.
@@ -104,11 +104,9 @@ class Broker:
         # topic -> its subscribers' handlers in subscription order.
         # *Replaced* by subscribe_batch/unsubscribe, never cleared in place.
         self._routes: Dict[str, Tuple[BatchHandler, ...]] = {}
-        # id of a topics tuple -> (it, its route runs), topics tuple ->
-        # its route runs; and the routes table they were cut against
-        # (see _runs).
-        self._runs_memo: Dict[object, object] = {}
-        self._runs_of_routes = self._routes
+        #: Route runs by topics tuple (:meth:`_runs`), cleared by a
+        #: subscription change.
+        self.run_plans = PlanMemo()
         self.published_count = 0
         self.delivered_count = 0
         self.handler_errors = 0
@@ -133,6 +131,7 @@ class Broker:
         node.handlers.append((sub_id, handler))
         self._pattern_by_id[sub_id] = parts
         self._routes = {}
+        self.run_plans.clear()
         return sub_id
 
     def unsubscribe(self, sub_id: int) -> bool:
@@ -152,6 +151,7 @@ class Broker:
             path.pop()
             del path[-1].children[parts[len(path) - 1]]
         self._routes = {}
+        self.run_plans.clear()
         return True
 
     def subscription_count(self) -> int:
@@ -175,7 +175,10 @@ class Broker:
         n = len(topics)
         if not n:
             return 0
-        runs = self._runs(topics)
+        plan = self.run_plans.get(topics)
+        if plan is None or plan[0] is not self._routes:
+            plan = self._runs(topics)
+        runs = plan[1]
         # Fan-out runs arbitrary subscriber callbacks of unbounded cost
         # — the in-process stand-in for a network send.  Holding a lock
         # across it is the classic lock-across-I/O hazard (rule R002).
@@ -198,38 +201,27 @@ class Broker:
         self.delivered_count += delivered
         return delivered
 
-    def _runs(self, topics) -> List[Tuple[int, int, Tuple[BatchHandler, ...]]]:
+    def _runs(self, topics) -> tuple:
         """``topics`` cut into runs of consecutive readings with one
-        route: ``(start, end, handlers)``.  Memoised per topics *tuple*
-        (what a Pusher's write plan hands over every pass) for as long as
-        the routes table they were resolved against is the live one —
-        found by the tuple's identity (the entry holds the tuple, so its
-        ``id`` names nothing else), a new tuple by its content.  Every
-        Pusher publishes through one broker, so the memo holds as many
-        tuples as there are routed topics (steady sequences — one per
-        plugin or operator of each Pusher — do not share topics)."""
+        route, ``(start, end, handlers)``, beside the routes table they
+        were resolved against (a run cut while another thread
+        subscribes is never used), kept in :attr:`run_plans` for a
+        topics tuple.  Every Pusher publishes through one broker, so
+        that memo grows to the routed topics (steady sequences do not
+        share topics)."""
         routes_table = self._routes
-        if self._runs_of_routes is not routes_table:
-            self._runs_memo = {}
-            self._runs_of_routes = routes_table
-        memo = self._runs_memo
-        known = memo.get(id(topics))
-        if known is not None and known[0] is topics:
-            return known[1]
-        runs = memo.get(topics) if type(topics) is tuple else None
-        if runs is None:
-            routes = [self._route(topic) for topic in topics]
-            n = len(topics)
-            cuts = [i for i in range(1, n) if routes[i] != routes[i - 1]]
-            runs = [
-                (start, end, routes[start])
-                for start, end in zip([0] + cuts, cuts + [n])
-            ]
-            if type(topics) is tuple:
-                size = 2 * max(PLAN_MEMO_SIZE, len(routes_table))
-                remember(memo, topics, runs, size)
-                remember(memo, id(topics), (topics, runs), size)
-        return runs
+        routes = [self._route(topic) for topic in topics]
+        n = len(topics)
+        cuts = [i for i in range(1, n) if routes[i] != routes[i - 1]]
+        plan = (routes_table, [
+            (start, end, routes[start])
+            for start, end in zip([0] + cuts, cuts + [n])
+        ])
+        if type(topics) is tuple:
+            memo = self.run_plans
+            memo.size = max(memo.size, len(routes_table))
+            memo.put(topics, plan)
+        return plan
 
     def _route(self, topic: str) -> Tuple[BatchHandler, ...]:
         """The handlers ``topic`` reaches, resolved once per topic."""
@@ -307,7 +299,7 @@ class PassQueue:
 
     def push(self, batch: ReadingBatch) -> int:
         """Append a pass; returns the readings shed for it."""
-        n = len(batch)
+        n = len(batch.topics)  # (not len(batch): one Python call a pass less)
         if self.capacity is None:  # unbounded: nothing to weigh
             if n:
                 self._passes.append(batch)
@@ -316,10 +308,11 @@ class PassQueue:
         # One reading at a time, each arrival at capacity sheds one.
         shed = min(n, max(0, self._size + n - self.capacity))
         if shed and self.policy == "drop-newest":
-            batch = batch[: n - shed]
-        if len(batch):
+            n -= shed
+            batch = batch[:n]
+        if n:
             self._passes.append(batch)
-            self._size += len(batch)
+            self._size += n
         if shed and self.policy == "drop-oldest":
             self._evict(shed)
         self.dropped += shed

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,11 +28,14 @@ from repro.common.errors import ConfigError, LinkDownError, PluginError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import (
     CacheSlab,
-    Column,
+    PlanMemo,
     SensorCache,
+    WritePlan,
+    first_and_length,
     plan_columns,
     plan_write,
     register_cache_gauges,
+    register_memo_gauges,
     write_columns_at,
 )
 from repro.dcdb.mqtt import Broker, PassQueue, ReadingBatch
@@ -43,15 +46,6 @@ from repro.dcdb.sensor import Sensor, SensorColumns
 from repro.sanitizer import hooks
 from repro.simulator.clock import TaskScheduler
 from repro.telemetry import Histogram, MetricRegistry, register_metrics_route
-
-
-class _WritePlan(NamedTuple):
-    """How one sequence of sensors is stored and published."""
-
-    seq: tuple                       # the sensors
-    columns: List[Column]
-    topics: Tuple[str, ...]          # of the published sensors, in order
-    published: Optional[np.ndarray]  # their positions; None: all of them
 
 
 class Pusher:
@@ -104,7 +98,7 @@ class Pusher:
         self.sensors: Dict[str, Sensor] = {}
         #: Write plans by the sensors tuple they were planned for (see
         #: ``_store_pass``).
-        self._plans: Dict[object, _WritePlan] = {}
+        self._plans = PlanMemo(first_and_length)
         self._plugins: Dict[str, MonitoringPlugin] = {}
         self._tasks: Dict[str, object] = {}
         self.rest = RestApi()
@@ -120,6 +114,7 @@ class Pusher:
         self._m_link_refusals = self.telemetry.counter("link_refusals_total")
         self.telemetry.gauge("spill_queue_depth", fn=lambda: len(self._spill))
         register_cache_gauges(self.telemetry, self.caches)
+        register_memo_gauges(self.telemetry, {"pass": self._plans})
         self.last_sampling_errors: List[str] = []
         self.analytics: Optional[object] = None  # OperatorManager, if attached
         self._register_routes()
@@ -242,23 +237,21 @@ class Pusher:
 
         The pass lands as one column per slab and its publishable
         readings leave as one :class:`ReadingBatch` — the plan's topics,
-        ``ts`` and their values — both by the write plan memoised for
-        this sensors tuple (:meth:`_write_plan`): found by the tuple's
-        identity, or by its first sensor and length and then compared.
+        ``ts`` and their values — both by the write plan of this sensors
+        tuple (:meth:`_write_plan`): a plugin's group and an operator's
+        outputs are one tuple every pass, found by identity; a new tuple
+        by its first sensor and length, then compared.
         """
         if not sensors:
             return
-        plan = plan_write(
-            self._plans, self._write_plan, sensors,
-            key=(id(sensors[0]), len(sensors)),
-        )
+        plan = plan_write(self._plans, self._write_plan, sensors)
         write_columns_at(plan.columns, ts, values)
         if plan.topics:
             if plan.published is not None:
                 values = values[plan.published]
             self._publish_batch(ReadingBatch(plan.topics, ts, values))
 
-    def _write_plan(self, sensors: tuple, timestamps=None) -> "_WritePlan":
+    def _write_plan(self, sensors: tuple, timestamps=None) -> WritePlan:
         """Where a pass of ``sensors`` lands: caches for the sensors that
         have none yet — operator outputs, registered with the host cache
         window the first time they are written, one slab per interval
@@ -276,9 +269,8 @@ class Pusher:
             [caches[sensor.topic] for sensor in sensors], timestamps
         )
         published = [i for i, sensor in enumerate(sensors) if sensor.publish]
-        return _WritePlan(
-            sensors, columns,
-            tuple(sensors[i].topic for i in published),
+        return WritePlan(
+            tuple(sensors[i].topic for i in published), columns,
             None if len(published) == len(sensors) else np.array(published, dtype=np.intp),
         )
 

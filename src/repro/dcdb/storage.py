@@ -33,6 +33,7 @@ from repro.common.errors import StorageError
 from repro.dcdb.cache import (
     LockStep,
     Member,
+    PlanMemo,
     WritePlan,
     first_arrivals,
     plan_columns,
@@ -263,9 +264,8 @@ class StorageBackend:
     def __init__(self, ttl_ns: int = 0) -> None:
         #: topic -> its row.
         self._series: Dict[str, _Row] = {}
-        #: Write plans by topic sequence, and by the identity of the
-        #: tuple they were made for (see :meth:`insert_columns`).
-        self._plans: Dict[object, WritePlan] = {}
+        #: Write plans by topics tuple (see :meth:`insert_columns`).
+        self.plans = PlanMemo()
         self.ttl_ns = int(ttl_ns)
         self.insert_count = 0
         self.query_count = 0
@@ -320,12 +320,12 @@ class StorageBackend:
         """Insert readings given as three parallel columns (``topics`` and
         ``timestamps`` lists), in order: what :meth:`insert` does for
         each — same order, same out-of-order drops — as one column per
-        block and timestamp, by the write plan memoised for this topic
-        sequence (:func:`~repro.dcdb.cache.plan_write`).
+        block and timestamp, by the write plan :attr:`plans` keeps for
+        this topics tuple (:func:`~repro.dcdb.cache.plan_write`).
         """
         if not len(topics):
             return
-        plan = plan_write(self._plans, self._write_plan, tuple(topics), timestamps)
+        plan = plan_write(self.plans, self._write_plan, tuple(topics), timestamps)
         dropped = write_columns(
             plan.columns, timestamps, np.asarray(values, dtype=np.float64)
         )
@@ -334,11 +334,10 @@ class StorageBackend:
 
     def insert_columns_at(self, topics, ts: int, values) -> None:
         """:meth:`insert_columns` for readings all at one timestamp
-        ``ts``.  A steady writer (the Collect Agent) hands over the same
-        topics tuple every pass, so its plan is found by identity."""
+        ``ts``, by the same plans."""
         if not len(topics):
             return
-        plan = plan_write(self._plans, self._write_plan, tuple(topics))
+        plan = plan_write(self.plans, self._write_plan, tuple(topics))
         dropped = write_columns_at(
             plan.columns, ts, np.asarray(values, dtype=np.float64)
         )

@@ -12,6 +12,7 @@ three seconds, and keeps the four rule catalogs, the docs and what
 import json
 import pathlib
 import re
+import tempfile
 import time
 
 import pytest
@@ -469,9 +470,12 @@ class TestCatalogDrift:
             for code in retired & set(re.findall(r"\b[WLSFR]\d{3}\b", line)):
                 assert line.startswith(f"| `{code}` |"), (code, line)
 
-    def test_check_emits_no_retired_code(self, capsys):
+    def test_check_emits_no_retired_code(self, capsys, tmp_path, monkeypatch):
         """Over src/repro, every shipped spec and every tests/data
         fixture, through all five passes at once."""
+        # A --runtime run of a tiered example makes a scratch segment
+        # tier that deploy keeps for replay: make it under tmp_path.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         rows = _doc_rows()
         retired = {c for c, where in rows.items() if self.RETIRED in where}
         specs = sorted(

@@ -143,7 +143,7 @@ class Writer:
 
     def __init__(self, module):
         self.module = module
-        self.plans = {}
+        self.plans = module.PlanMemo()
 
     def compile(self, rings, timestamps):
         return self.module.WritePlan(

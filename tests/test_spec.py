@@ -11,6 +11,7 @@ table exists for: ``build_deployment`` refuses exactly what the walk
 import copy
 import json
 import pathlib
+import tempfile
 
 import pytest
 
@@ -129,6 +130,9 @@ class TestGeneratedFromTheTable:
         self, case, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)  # "dir" mutations land here
+        # ... and a scratch tier (storage.dir=null) too: deploy keeps it
+        # for replay, so it must not be made in the system temp dir.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         spec = mutated(*case)
         # The analyzer returns for every input; it never raises.
         found = analyze_deployment(spec)
