@@ -59,7 +59,15 @@ from repro.core.operator import OperatorConfig
 from repro.core.pipeline import FusionSpec, plan_fusion
 from repro.core.queryengine import QueryEngine
 from repro.core.units import Unit
-from repro.dcdb.cache import CacheSlab, SensorCache
+from repro.dcdb.cache import (
+    CacheSlab,
+    PlanMemo,
+    WritePlan,
+    first_and_length,
+    plan_columns,
+    plan_write,
+    write_columns_at,
+)
 from repro.dcdb.sensor import Sensor
 from repro.plugins.aggregator import AggregatorOperator
 from repro.plugins.smoother import SmootherOperator
@@ -85,26 +93,29 @@ MIN_STACK_SPEEDUP = 1.5
 
 
 class MiniPusher:
-    """A Pusher-shaped host: caches, no storage, batched store fan-out.
+    """A Pusher-shaped host: caches, no storage, no broker.
 
-    Operator outputs land in lazily created caches exactly as
-    ``Pusher._write_plan`` would make them — ``for_duration`` of
-    the retention window with the 1 s host interval hint — so the
-    staged pipeline's downstream stages re-query real ring buffers.
-    Unlike a Pusher, whose write plan stores a pass as one column per
-    slab, it stores one reading at a time, in a Python loop: the
-    staged-vs-fused speedup measured over it also times that loop.
+    Its inputs share one lock-step slab, as a Pusher's sampled sensors
+    do (one column written per tick, one slab gathered per plan), and
+    it stores a pass as a Pusher's write plan does: operator outputs
+    land in caches made the first time they are written — one slab per
+    pass, ``for_duration`` of the retention window at the 1 s host
+    interval hint — one column per slab, so the staged pipeline's later
+    stages re-query real rings.  Each stored pass is also kept as its
+    columns (:meth:`series`), for the parity checks.  The ratios
+    measured over it then time fusion, not this host's loops.
     """
 
-    def __init__(self, name: str, input_topics, rng_seed: int) -> None:
+    def __init__(self, name: str, input_topics) -> None:
         self.name = name
         self.cache_window_ns = CACHE_WINDOW_NS
-        self.caches = {}
-        for topic in input_topics:
-            self.caches[topic] = SensorCache.for_duration(
-                self.cache_window_ns, NS_PER_SEC
-            )
-        self.stored: dict = {}
+        self.slab = CacheSlab.sized_for(
+            len(input_topics), self.cache_window_ns, NS_PER_SEC
+        )
+        self.inputs = list(input_topics)
+        self.caches = dict(zip(self.inputs, self.slab.rings(NS_PER_SEC)))
+        self._plans = PlanMemo(first_and_length)
+        self.batches = []
 
     @property
     def storage(self):
@@ -117,48 +128,21 @@ class MiniPusher:
         return self.caches.get(topic)
 
     def feed(self, ts: int, topics, values) -> None:
-        one_ts = np.asarray([ts], dtype=np.int64)
-        for topic, value in zip(topics, values):
-            self.caches[topic].store_batch(one_ts, np.asarray([value]))
-
-    def _record(self, sensor, ts: int, value: float) -> None:
-        self.stored.setdefault(sensor.topic, []).append((ts, value))
-        cache = self.caches.get(sensor.topic)
-        if cache is None:
-            cache = self.caches[sensor.topic] = SensorCache.for_duration(
-                self.cache_window_ns, NS_PER_SEC
-            )
-        # One scalar append per reading (a Pusher writes a pass as
-        # columns; see the class docstring).
-        cache.store(ts, value)
-
-    def store_readings_batch(self, ts, readings):
-        for sensor, value in zip(readings.sensors, readings.values.tolist()):
-            self._record(sensor, ts, value)
-
-
-class BatchRecorder(MiniPusher):
-    """A :class:`MiniPusher` whose inputs share one lock-step slab, as a
-    Pusher's sampled sensors do (one column written per tick, one slab
-    gathered per plan), and that keeps each stored pass as its columns
-    in one append, as a Pusher's write plan takes a pass in one go: the
-    stacked-lanes case compares two fused executions, so per-ring
-    gathers and per-reading stores would mostly time this host."""
-
-    def __init__(self, name: str, input_topics, rng_seed: int) -> None:
-        super().__init__(name, (), rng_seed)
-        self.slab = CacheSlab.sized_for(
-            len(input_topics), self.cache_window_ns, NS_PER_SEC
-        )
-        self.caches = dict(zip(input_topics, self.slab.rings(NS_PER_SEC)))
-        self.batches = []
-
-    def feed(self, ts: int, topics, values) -> None:
-        assert list(topics) == list(self.caches)
+        assert list(topics) == self.inputs
         self.slab.store_column(ts, values)
 
     def store_readings_batch(self, ts, readings):
+        plan = plan_write(self._plans, self._write_plan, readings.sensors)
+        write_columns_at(plan.columns, ts, readings.values)
         self.batches.append((ts, readings.sensors, readings.values.copy()))
+
+    def _write_plan(self, sensors: tuple, timestamps=None) -> WritePlan:
+        new = [s.topic for s in sensors if s.topic not in self.caches]
+        if new:
+            slab = CacheSlab.sized_for(len(new), self.cache_window_ns, NS_PER_SEC)
+            self.caches.update(zip(new, slab.rings(NS_PER_SEC)))
+        caches = [self.caches[s.topic] for s in sensors]
+        return WritePlan((), plan_columns(caches, timestamps))
 
     def series(self) -> dict:
         out: dict = {}
@@ -205,13 +189,12 @@ def _build_stack(label: str, n_units: int, lanes: int = 1):
     ``lanes`` > 1, that many congruent copies of it on one host (copy
     ``j`` reads ``/n<i>/power<j>``), ``ops`` then one chain per copy."""
     if lanes > 1:
-        host = BatchRecorder(label, _stack_inputs(n_units, lanes), 0xF051)
+        host = MiniPusher(label, _stack_inputs(n_units, lanes))
         engine = QueryEngine(host)
         return host, engine, [
             _chain(host, engine, n_units, f"{j}") for j in range(lanes)
         ]
-    input_topics = [f"/n{i}/power" for i in range(n_units)]
-    host = MiniPusher(label, input_topics, rng_seed=0xF051)
+    host = MiniPusher(label, [f"/n{i}/power" for i in range(n_units)])
     engine = QueryEngine(host)
     return host, engine, _chain(host, engine, n_units, "")
 
@@ -286,7 +269,6 @@ def run_fusion_bench(n_units: int, passes: int) -> dict:
     input_topics = [f"/n{i}/power" for i in range(n_units)]
     rng = np.random.default_rng(0xF051)
     staged_ns = fused_ns = 0
-    parity = True
     total = WARM_PASSES + passes
     for tick in range(1, total + 1):
         ts = tick * NS_PER_SEC
@@ -308,11 +290,9 @@ def run_fusion_bench(n_units: int, passes: int) -> dict:
             fused_ns += fused_dt
 
     final_topics = [f"/n{i}/mx" for i in range(n_units)]
-    for topic in final_topics:
-        if staged_host.stored.get(topic) != fused_host.stored.get(topic):
-            parity = False
-            break
-    readings = sum(len(fused_host.stored.get(t, ())) for t in final_topics)
+    staged, fused = staged_host.series(), fused_host.series()
+    parity = all(staged.get(t) == fused.get(t) for t in final_topics)
+    readings = sum(len(fused.get(t, ())) for t in final_topics)
     return {
         "n_units": n_units,
         "passes": passes,

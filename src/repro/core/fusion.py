@@ -15,8 +15,15 @@ as one pass, each stage one gather and one kernel call over all lanes:
   written per pass, no cache write, no publish, no re-query;
 - every later stage's one gather reads the channel of the stage
   before it, whose rows it is served zero-copy;
-- only the final stage stores, each lane through its own operator
-  (``store_results_batch`` and the operator-output fan-out).
+- only the final stage stores: a stack once per pass, one
+  :class:`~repro.dcdb.sensor.SensorColumns` of every lane's outputs
+  (one write plan, one published batch), then each lane's
+  operator-level outputs through its own operator.
+
+A stacked stage settles each lane's counters
+(:meth:`~repro.core.operator.OperatorBase.settle`) in one loop over
+its memo when no lane has a breaker and no sanitizer runs, and closes
+each lane's pass on its own (breakers, sanitizer) otherwise.
 
 Every member runs the same pass a staged operator runs
 (:meth:`~repro.core.operator.OperatorBase.run_pass`); fused and staged
@@ -41,6 +48,7 @@ import numpy as np
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
 from repro.core.operator import UNIT_ERRORS, PassResult, unit_rows
+from repro.dcdb.sensor import SensorColumns
 from repro.core.queryengine import BatchWindow, report_views
 from repro.core.units import kept_units
 from repro.sanitizer import hooks
@@ -96,11 +104,7 @@ class FusedChannel:
         #: The rows' output names when every unit has exactly one output
         #: (row ``j`` is then unit ``j``): a uniform pass whose columns of
         #: those names are one array appends that array as it is.
-        self.column_names: Optional[Tuple[str, ...]] = (
-            tuple(dict.fromkeys(s.name for s in outputs))
-            if outputs and all(len(u.outputs) == 1 for u in units)
-            else None
-        )
+        self.column_names = _column_names(units)
         #: The last caller tuple found equal to :attr:`topics`: a
         #: consumer reuses its batch layout's tuple every steady pass,
         #: so one identity check replaces the string comparison.
@@ -189,14 +193,9 @@ class FusedChannel:
 
     def append_pass(self, ts: int, result) -> None:
         """Sink of an intermediate member's pass (emission order)."""
-        names = self.column_names
-        if (
-            result.column_of is not None
-            and names is not None
-            and len(result.units) == len(self.counts)
-        ):
-            column = result.column_of(names[0])
-            if all(result.column_of(n) is column for n in names[1:]):
+        if len(result.units) == len(self.counts):
+            column = _one_column(result, self.column_names)
+            if column is not None:
                 self.append(ts, None, column)
                 return
         rows: List[int] = []
@@ -290,7 +289,7 @@ class FusedGroup:
         self.engine = engine
         self._plan: Optional[FusedPlan] = None
         self.plan_key = f"fused:{name}"
-        self._stacks: List[Optional[tuple]] = [None] * len(self.stages)
+        self._stages: List[Optional[_Stage]] = [None] * len(self.stages)
 
     def members(self) -> List[str]:
         return [op.name for op in self.ops]
@@ -361,53 +360,146 @@ class FusedGroup:
 
     def _run_stage(self, i: int, ts: int, stage, source, sink) -> None:
         t0 = time.perf_counter_ns()
-        live = [op for op in stage if op.enabled]
-        dues = [op._due_units() for op in live]
-        _, units, topics, slices, m, bounds = self._stack(
-            i, [op._layout(due) for op, due in zip(live, dues)]
-        )
+        san = hooks.CURRENT
+        memo = self._stages[i]
+        # Steady: the lanes, due units and layouts of the last pass, found
+        # by identity, and nothing to settle lane by lane.
+        steady = san is None and memo is not None and memo.holds(stage)
+        if not steady:
+            memo = self._stage(i, stage)
+            steady = san is None and not any(op._breakers for op in memo.live)
         result = None
-        if m:  # the one gather and kernel call, if that kernel takes it
-            lead = next(op for op, due in zip(live, dues) if due)
+        if memo.m:  # the one gather and kernel call, if that kernel takes it
             window = (source or self.engine).query_relative_batch(
-                topics, lead.config.window_ns, key=self.plan_key
+                memo.topics, memo.lead.config.window_ns, key=self.plan_key
             )
             try:
                 if window.uniform_count():
-                    result = lead.compute_batch(units, window, slices)
+                    result = memo.lead.compute_batch(memo.units, window, memo.slices)
             except UNIT_ERRORS:
                 result = None
         if not (isinstance(result, PassResult) and result.column_of
-                and len(result.units) == len(units)):
-            for op, due in zip(live, dues):
+                and len(result.units) == len(memo.units)):
+            for op, due in zip(memo.live, memo.dues):
                 op.run_pass(ts, sink or op._store, source, due)
             return
         if sink is not None:
             sink(ts, result)  # the stacked channel's one append
-        column_of = result.column_of
-        share = (time.perf_counter_ns() - t0) // len(live)  # equal shares
-        san = hooks.CURRENT
-        for op, due, (lo, hi) in zip(live, dues, bounds):
-            part = PassResult([]) if hi == lo else PassResult(
-                units=due, column_of=lambda name, lo=lo, hi=hi: column_of(name)[lo:hi])
+        else:
+            self._store_stack(ts, memo, result)
+        share = (time.perf_counter_ns() - t0) // len(memo.live)  # equal shares
+        if steady:
+            for settle, produced in memo.settles:
+                settle(produced, share)
+            return
+        for op, due, (lo, hi) in zip(memo.live, memo.dues, memo.bounds):
             if san is not None:
                 san.begin_pass(op)
-            op.close_pass(ts, part, None if sink else op._store, time.perf_counter_ns() - share)
+            op.close_pass(ts, _lane(result.column_of, due, lo, hi), None,
+                          time.perf_counter_ns() - share)
 
-    def _stack(self, i: int, layouts: List[tuple]) -> tuple:
-        """``(layouts, units, topics, slices, m, bounds)`` of the lanes'
-        layouts laid end to end, memoised per stage."""
-        memo = self._stacks[i]
-        if memo is None or len(memo[0]) != len(layouts) or not all(
-            map(operator.is_, memo[0], layouts)
+    def _store_stack(self, ts: int, memo: "_Stage", result: PassResult) -> None:
+        """A final stage's one store: every lane's outputs as one
+        :class:`SensorColumns` — the stacked column itself when every
+        output name maps to it, else the lanes' columns laid end to end
+        — then each lane's operator-level outputs through its operator."""
+        values = _one_column(result, memo.names)
+        if values is None:
+            values = np.concatenate([
+                op._output_columns(_lane(result.column_of, due, lo, hi)).values
+                for op, due, (lo, hi) in zip(memo.live, memo.dues, memo.bounds)
+            ])
+        if memo.sensors:
+            self.host.store_readings_batch(ts, SensorColumns(memo.sensors, values))
+        for op, due, (lo, hi) in memo.aggregating:
+            op.store_operator_outputs(ts, _lane(result.column_of, due, lo, hi))
+
+    def _stage(self, i: int, stage) -> "_Stage":
+        """The memo of stage ``i`` for its live lanes' due units: kept
+        while each lane's layout is the one it was built from."""
+        live = [op for op in stage if op.enabled]
+        dues = [op._due_units() for op in live]
+        layouts = [op._layout(due) for op, due in zip(live, dues)]
+        memo = self._stages[i]
+        if memo is None or len(memo.layouts) != len(layouts) or not all(
+            map(operator.is_, memo.layouts, layouts)
         ):
-            units, topics, bounds = [], [], []
-            for held, lane_topics, _, _ in layouts:
-                bounds.append((len(units), len(units) + len(held)))
-                units += held
-                topics += lane_topics
-            ms = {layout[3] for layout in layouts if layout[0]}
-            m = ms.pop() if len(ms) == 1 else 0
-            memo = self._stacks[i] = (
-                layouts, units, tuple(topics), unit_rows(len(units), m), m, bounds)
+            memo = self._stages[i] = _Stage(live, layouts)
+        memo.dues = [layout[0] for layout in layouts]
+        memo.steady = len(live) == len(stage) and all(
+            map(operator.is_, memo.dues, (op.units for op in live)))
         return memo
+
+
+def _lane(column_of, units, lo: int, hi: int) -> PassResult:
+    """Lane ``[lo, hi)`` of a stacked columnar pass, as its own pass."""
+    if hi == lo:
+        return PassResult([])
+    return PassResult(units=units, column_of=lambda name: column_of(name)[lo:hi])
+
+
+def _column_names(units) -> Optional[Tuple[str, ...]]:
+    """The units' output names when every unit has exactly one output
+    (row ``j`` of a column is then unit ``j``'s one reading)."""
+    if units and all(len(u.outputs) == 1 for u in units):
+        return tuple(dict.fromkeys(u.outputs[0].name for u in units))
+    return None
+
+
+def _one_column(result: PassResult, names) -> Optional[np.ndarray]:
+    """The column of ``result`` that every one of ``names`` maps to, if
+    there is one: a uniform pass whose units have one output each is
+    then that column as it is."""
+    if result.column_of is None or names is None:
+        return None
+    column = result.column_of(names[0])
+    for name in names[1:]:
+        if result.column_of(name) is not column:
+            return None
+    return column
+
+
+class _Stage:
+    """A stacked stage's lanes laid end to end: the live lanes and their
+    due units, the gather's topics and slices, each lane's rows
+    (``bounds``), the final stage's sensors, and each lane's ``settle``
+    with the unit results it counts."""
+
+    __slots__ = (
+        "live", "dues", "layouts", "units", "topics", "slices", "m", "bounds",
+        "lead", "steady", "sensors", "names", "settles", "aggregating",
+    )
+
+    def __init__(self, live: list, layouts: List[tuple]) -> None:
+        self.live, self.layouts = live, layouts
+        units: list = []
+        topics: list = []
+        self.bounds = []
+        for held, lane_topics, _, _ in layouts:
+            self.bounds.append((len(units), len(units) + len(held)))
+            units += held
+            topics += lane_topics
+        ms = {layout[3] for layout in layouts if layout[0]}
+        self.m = ms.pop() if len(ms) == 1 else 0
+        self.units, self.topics = units, tuple(topics)
+        self.slices = unit_rows(len(units), self.m)
+        self.lead = next((op for op, layout in zip(live, layouts) if layout[0]), None)
+        self.sensors = tuple(s for u in units for s in u.outputs)
+        self.names = _column_names(units)
+        self.settles = [(op.settle, len(layout[0])) for op, layout in zip(live, layouts)]
+        self.aggregating = [
+            (op, layout[0], bounds) for op, layout, bounds in zip(live, layouts, self.bounds)
+            if op._operator_output_sensors
+        ]
+        self.dues: list = []
+        self.steady = False
+
+    def holds(self, stage) -> bool:
+        """Whether every lane of ``stage`` is live, due its whole
+        ``units`` list — the one this memo holds — and has no breaker."""
+        if not self.steady:
+            return False
+        for op, due in zip(stage, self.dues):
+            if not op.enabled or op.units is not due or op._breakers:
+                return False
+        return True

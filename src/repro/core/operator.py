@@ -563,18 +563,23 @@ class OperatorBase:
         return result
 
     def close_pass(self, ts: int, result: PassResult, sink, t0: int) -> None:
-        """Settle a pass begun at ``t0``: breakers, sink, counters."""
+        """Close a pass begun at ``t0``: breakers, sink, counters."""
         self._record_unit_successes(result)
         if sink is not None:
             sink(ts, result)
-        elapsed = time.perf_counter_ns() - t0
-        self._m_computes.inc()
-        self._m_busy.inc(elapsed)
-        self._m_latency.observe(elapsed)
-        self._m_unit_results.inc(len(result))
+        self.settle(len(result), time.perf_counter_ns() - t0)
         san = hooks.CURRENT
         if san is not None:
             san.end_pass(self)
+
+    def settle(self, produced: int, elapsed: int) -> None:
+        """Count one pass of ``produced`` unit results that took
+        ``elapsed`` ns: every pass's counters, a staged one's and a
+        stacked fused lane's alike."""
+        self._m_computes.inc()
+        self._m_busy.inc(elapsed)
+        self._m_latency.observe(elapsed)
+        self._m_unit_results.inc(produced)
 
     def _due_units(self) -> List[Unit]:
         """Units owed a computation this pass (cadence staggering,
@@ -880,6 +885,11 @@ class OperatorBase:
         if self.host is None:
             return
         self.store_results_batch(ts, result)
+        self.store_operator_outputs(ts, result)
+
+    def store_operator_outputs(self, ts: int, result: PassResult) -> None:
+        """The operator-level aggregates of a pass, if the operator has
+        any, in one ``store_readings_batch``."""
         if self._operator_output_sensors:
             aggregates = self.compute_operator_outputs(ts, result.results())
             sensors = tuple(

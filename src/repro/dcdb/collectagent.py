@@ -12,7 +12,8 @@ lookup order the Query Engine implements.
 from __future__ import annotations
 
 import time
-from itertools import chain
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.dcdb.cache import (
     write_columns,
     write_columns_at,
 )
-from repro.dcdb.mqtt import Broker, QueuedSubscriber
+from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
 from repro.dcdb.restapi import RestApi, RestResponse
 from repro.dcdb.sensor import SensorColumns
 from repro.dcdb.storage import StorageBackend
@@ -185,8 +186,8 @@ class CollectAgent:
     def _ingest(self, topics, timestamps, values) -> None:
         """Scatter readings given as three parallel columns (``values``
         float64) into caches and storage: the agent's write path in its
-        per-reading form, what a drain of passes at several timestamps
-        takes.
+        per-reading form (a drain writes each run of one timestamp at
+        it instead, :meth:`_drain`).
 
         They land as columns — one per slab and timestamp, two NumPy
         writes each — by the write plan kept for their topic sequence
@@ -261,35 +262,40 @@ class CollectAgent:
                 slab.grow(needed)
 
     def _drain(self, ts: int) -> None:
-        """Flush queued MQTT passes into caches and storage, joined into
-        one run of columns.
+        """Flush queued MQTT passes into caches and storage, each run of
+        consecutive passes at one timestamp joined into one write at it.
 
-        Passes at one timestamp (the steady case) are written at it, by
-        the plan of the tuple of their topics tuples — each the one a
-        Pusher's write plan publishes every pass — found by content, the
-        tuples' identities (:func:`element_ids`): a steady drain flattens
-        and hashes no topic, and hands storage the same topics tuple
-        every time.  Passes at several timestamps (a spill replay, a
-        slow link) carry one timestamp per reading."""
+        A run is written by the plan of the tuple of its passes' topics
+        tuples — each the one a Pusher's write plan publishes every pass
+        — found by content, the tuples' identities (:func:`element_ids`):
+        a steady drain flattens and hashes no topic, and hands storage
+        the same topics tuple every time.  The steady drain is one run
+        (the samples of one instant) or two (an in-band host's operator
+        outputs, published after the last drain, ahead of this instant's
+        samples); a spill replay or a slow link makes more.  Runs are
+        written in queue order, so each topic sees its readings in the
+        order it would one at a time: the same stale and out-of-order
+        drops."""
         t0 = time.perf_counter_ns()
         passes = self._queue.drain()
         if passes:
-            parts = tuple([batch.topics for batch in passes])
             stamps = [batch.timestamp for batch in passes]
-            values = np.concatenate([batch.values for batch in passes])
             if stamps.count(stamps[0]) == len(stamps):
-                plan = plan_write(self._passes, self._drain_plan, parts)
-                write_columns_at(plan.columns, stamps[0], values, self._advance)
-                self._storage.insert_columns_at(plan.topics, stamps[0], values)
+                self._write_run(passes, stamps[0])
             else:
-                per_reading = np.repeat(stamps, list(map(len, parts)))
-                self._ingest(
-                    tuple(chain.from_iterable(parts)), per_reading.tolist(),
-                    values,
-                )
-            self._m_forwarded.inc(len(values))
+                for stamp, run in groupby(passes, key=attrgetter("timestamp")):
+                    self._write_run(list(run), stamp)
         self._sync_ingest_dropped()
         self._m_drain_latency.observe(time.perf_counter_ns() - t0)
+
+    def _write_run(self, passes: List[ReadingBatch], ts: int) -> None:
+        """Write ``passes``, all at ``ts``, as one run of columns."""
+        parts = tuple([batch.topics for batch in passes])
+        values = np.concatenate([batch.values for batch in passes])
+        plan = plan_write(self._passes, self._drain_plan, parts)
+        write_columns_at(plan.columns, ts, values, self._advance)
+        self._storage.insert_columns_at(plan.topics, ts, values)
+        self._m_forwarded.inc(len(values))
 
     def flush(self, ts: Optional[int] = None) -> None:
         """Drain immediately (used by on-demand REST handlers/tests)."""

@@ -39,17 +39,42 @@ _QUANTILE_RE = re.compile(r"^q(100|\d{1,2})$")
 #: matrices in, U values out (see :func:`_resolve`).
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+def _extreme(ufunc: np.ufunc) -> Callable[[np.ndarray], np.ndarray]:
+    """``min``/``max`` of each row, reduced along the contiguous axis.
+
+    Reducing a row is slow where the matrix is tall and its rows short
+    (256 units of 31 readings): there the transposed copy is reduced
+    along axis 0, elementwise across whole rows of units; a wide matrix
+    (a unit's 1×n window among them) keeps axis 1.  The extreme does not
+    depend on the order it is met in, but which of ±0.0 or of two NaNs
+    is kept does: a zero extreme is +0.0 and a NaN one ``np.nan``, so
+    both axes give a unit the same bits.
+    """
+
+    def reduce(m: np.ndarray) -> np.ndarray:
+        if m.shape[0] > m.shape[1]:
+            out = ufunc.reduce(m.T.copy(), axis=0)
+        else:
+            out = ufunc.reduce(m, axis=1)
+        out += 0.0  # -0.0 + 0.0 is +0.0
+        out[np.isnan(out)] = np.nan
+        return out
+
+    return reduce
+
+
 # One aggregate per row (axis 1).  NumPy applies the same pairwise
 # reduction to a row of a matrix as to a 1-D array of that row, so a
 # unit's value is the same whether its window sits in a stacked pass
-# matrix or is handed over alone as a 1×n view.  The reductions are the
-# ufunc ones ``ndarray.mean``/``max``/... wrap, called without the
-# wrappers' per-call dispatch.
+# matrix or is handed over alone as a 1×n view (``min`` and ``max``,
+# whose axis depends on the shape, are exact either way).  The
+# reductions are the ufunc ones ``ndarray.mean``/``max``/... wrap,
+# called without the wrappers' per-call dispatch.
 _ROW_OPS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "mean": lambda m: np.add.reduce(m, axis=1) / m.shape[1],
     "std": lambda m: m.std(axis=1),
-    "min": lambda m: np.minimum.reduce(m, axis=1),
-    "max": lambda m: np.maximum.reduce(m, axis=1),
+    "min": _extreme(np.minimum),
+    "max": _extreme(np.maximum),
     "sum": lambda m: np.add.reduce(m, axis=1),
     "median": lambda m: np.median(m, axis=1),
     "count": lambda m: np.full(m.shape[0], float(m.shape[1])),

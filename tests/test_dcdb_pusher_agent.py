@@ -326,6 +326,57 @@ class TestConstantWorkPerPass:
         narrow, wide = self.steady_hops(40), self.steady_hops(400)
         assert narrow == wide
 
+    def two_instant_drain(self, sensors, monkeypatch):
+        """The calls of a drain whose queue holds every Pusher's operator
+        outputs at t - 1 ahead of its samples at t — an in-band host's
+        steady drain — and the pass-plan compiles it made."""
+        scheduler = TaskScheduler()
+        broker = Broker()
+        agent = CollectAgent("agent", broker, scheduler)
+        agent._drain_task.enabled = False
+        pushers = []
+        for i in range(self.PUSHERS):
+            pusher = Pusher(f"/r0/c0/n{i}", broker, scheduler)
+            pusher.add_plugin(
+                TesterMonitoringPlugin(f"/r0/c0/n{i}", n_sensors=sensors)
+            )
+            pusher._tasks["tester"].enabled = False
+            outputs = tuple(
+                Sensor(f"/r0/c0/n{i}/out{k:04d}") for k in range(sensors)
+            )
+            pushers.append((pusher, tuple(pusher.plugin("tester").sensors()),
+                            outputs))
+
+        def queue(ts):
+            for pusher, group, outputs in pushers:
+                pusher.store_readings_batch(ts - NS_PER_SEC, SensorColumns(
+                    outputs, np.full(len(outputs), float(ts))
+                ))
+            for pusher, group, _ in pushers:
+                pusher._sample_plugin(pusher.plugin("tester"), group, ts)
+
+        def refused(*args):
+            raise AssertionError("a drain took the per-reading path")
+
+        monkeypatch.setattr(CollectAgent, "_ingest", refused)
+        compiles = agent.telemetry.get("plan_memo_compiles", memo="pass")
+        for second in (5, 6):  # plans, routes, rings exist
+            queue(second * NS_PER_SEC)
+            agent.flush(second * NS_PER_SEC)
+        warm = compiles.value
+        queue(7 * NS_PER_SEC)
+        stored = agent.storage.insert_count
+        drained = self.calls_of(agent.flush, 7 * NS_PER_SEC)
+        assert agent.storage.insert_count - stored == 2 * self.PUSHERS * sensors
+        assert compiles.value == warm
+        assert agent.storage.ooo_dropped == 0
+        return drained
+
+    def test_a_drain_of_two_instants_costs_the_same_at_any_width(self, monkeypatch):
+        narrow = self.two_instant_drain(40, monkeypatch)
+        wide = self.two_instant_drain(400, monkeypatch)
+        assert narrow == wide
+
     def test_passes_cut_anew_every_pass_compile_no_plan(self, monkeypatch):
         """A subscriber on one topic cuts every pass of its Pusher into
         runs, new tuples each pass: the drain then finds its columns by

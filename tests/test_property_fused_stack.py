@@ -29,9 +29,11 @@ POISON = 500.0
 EVENTS = ("trip", "poison", "stop", "start", "churn")
 
 
-def build(lane_units, cadence):
+def build(lane_units, cadence, aggregating=()):
     """One host running ``len(lane_units)`` chains, lane ``j`` of
-    ``lane_units[j]`` units: smoother -> poisonable mean -> max."""
+    ``lane_units[j]`` units: smoother -> poisonable mean -> max; the
+    max of each lane in ``aggregating`` also stores the mean of its
+    units' outputs as an operator-level output."""
     host = Host([
         f"/n{i}/p{j}" for j, n in enumerate(lane_units) for i in range(n)
     ])
@@ -47,9 +49,13 @@ def build(lane_units, cadence):
         ]
         chain = []
         for cls, fields, in_name, out_name in stages:
+            extra = (
+                {"operator_outputs": [f"mx{j}"]}
+                if out_name == "mx" and j in aggregating else {}
+            )
             op = cls(OperatorConfig(
                 name=f"{out_name}{j}", unit_cadence=cadence,
-                publish_outputs=out_name == "mx", **fields,
+                publish_outputs=out_name == "mx", **fields, **extra,
             ))
             op.bind(host, engine)
             op.set_units([
@@ -106,13 +112,12 @@ def scenarios(draw):
     return lane_units, draw(st.integers(1, 3)), ticks, events
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios(), st.integers(0, 2**32 - 1))
-def test_a_stack_is_its_lanes_run_one_group_each(scenario, seed):
+def run_both(scenario, seed, aggregating=()):
+    """The scenario on a stack and on one group per lane; the two hosts
+    and the two sets of chains."""
     lane_units, cadence, ticks, events = scenario
-    stacked_host, stacked_engine, stacked = build(lane_units, cadence)
-    lone_host, lone_engine, lone = build(lane_units, cadence)
+    stacked_host, stacked_engine, stacked = build(lane_units, cadence, aggregating)
+    lone_host, lone_engine, lone = build(lane_units, cadence, aggregating)
     stack = FusedGroup("t:stack", stacked, stacked_host, stacked_engine)
     groups = [
         FusedGroup(f"t:lane{j}", chain, lone_host, lone_engine)
@@ -137,7 +142,59 @@ def test_a_stack_is_its_lanes_run_one_group_each(scenario, seed):
         stack.run(ts)
         for group in groups:
             group.run(ts)
+    return stacked_host, lone_host, stacked, lone
+
+
+def assert_same(stacked_host, lone_host, stacked, lone):
     assert stored(stacked_host) == stored(lone_host)
     for s_chain, l_chain in zip(stacked, lone):
         for s_op, l_op in zip(s_chain, l_chain):
             assert bookkeeping(s_op) == bookkeeping(l_op), s_op.name
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.integers(0, 2**32 - 1))
+def test_a_stack_is_its_lanes_run_one_group_each(scenario, seed):
+    assert_same(*run_both(scenario, seed))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.integers(0, 2**32 - 1), st.data())
+def test_a_lanes_operator_outputs_are_its_lone_chains(scenario, seed, data):
+    """A lane whose final operator has operator-level outputs stores
+    them through its own operator, as its lone chain does."""
+    lanes = len(scenario[0])
+    aggregating = data.draw(st.sets(st.integers(0, lanes - 1), min_size=1))
+    stacked_host, lone_host, stacked, lone = run_both(scenario, seed, aggregating)
+    assert_same(stacked_host, lone_host, stacked, lone)
+    for j in aggregating:  # a lane whose max produced stored its mean
+        if lone[j][-1].unit_results_count:
+            assert f"/analytics/mx{j}/mx{j}" in stored(stacked_host)
+
+
+def test_a_steady_stacked_final_stage_stores_once_a_pass():
+    """Four lanes, no event: once the windows are full every pass of
+    the final stage is one host store, and a lane with operator-level
+    outputs adds its one."""
+    for aggregating, per_pass in (((), 1), ((2,), 2)):
+        host, engine, chains = build([3, 3, 3, 3], 1, aggregating)
+        stack = FusedGroup("t:stack", chains, host, engine)
+        rng = np.random.default_rng(5)
+        stores = []
+        record = host.store_readings_batch
+
+        def counting(ts, readings, record=record):
+            stores.append(ts)
+            record(ts, readings)
+
+        host.store_readings_batch = counting
+        for tick in range(1, 16):
+            ts = tick * NS_PER_SEC
+            for j in range(4):
+                for i in range(3):
+                    host.feed(ts, f"/n{i}/p{j}", float(rng.random()))
+            stack.run(ts)
+        steady = [ts for ts in stores if ts > 8 * NS_PER_SEC]
+        assert len(steady) == 7 * per_pass

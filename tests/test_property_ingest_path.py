@@ -310,6 +310,12 @@ def test_batched_path_matches_per_message_reference(
         assert rig.pusher.spill_depth == len(model.spill)
         assert len(rig.agent._queue) == len(model.queue)
 
+    assert_matches(rig, model)
+
+
+def assert_matches(rig, model):
+    """Counters, broker arrivals, storage and both hosts' caches are the
+    reference's."""
     expected = {name: model.count[name] for name in rig.counters()}
     assert rig.counters() == expected
     assert rig.seen == model.seen  # broker arrival order, per message
@@ -324,3 +330,50 @@ def test_batched_path_matches_per_message_reference(
         assert _contents(cache) == model.cache[topic]
     for topic, cached in model.pusher_cache.items():
         assert _contents(rig.pusher.cache_for(topic)) == cached
+
+
+#: A round: producer ``k`` of ``STEADY`` publishes its pass at ``ts``, in
+#: list order — instants interleaved, repeated and out of order.
+_rounds = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 30)),
+                 min_size=2, max_size=8),
+        st.booleans(),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rounds=_rounds,
+    maxlen=st.sampled_from([None, 5]),
+    queue_policy=st.sampled_from(["drop-oldest", "drop-newest"]),
+)
+def test_a_drain_of_interleaved_instants_matches_the_reference(
+    rounds, maxlen, queue_policy
+):
+    """Each round queues passes at several timestamps, then drains: the
+    drain writes each run of one timestamp at it, and what caches and
+    storage hold, and the stale and out-of-order drops, are what one
+    reading at a time gives."""
+    knobs = (maxlen, queue_policy, 100, "drop-oldest")
+    rig, model = Rig(*knobs), Model(*knobs)
+    value = 0.0
+    for publishes, fresh in rounds:
+        for k, ts in publishes:
+            values = [value + 1.0 + i for i in range(len(STEADY[k]))]
+            value += len(values)
+            if k < 2:
+                seq = tuple(list(rig.steady[k])) if fresh else rig.steady[k]
+                rig.pusher.store_readings_batch(ts, SensorColumns(seq, values))
+                model.publish(ts, list(zip(STEADY[k], values)))
+            else:
+                topics = tuple(list(rig.raw_topics)) if fresh else rig.raw_topics
+                rig.link.publish_batch(ReadingBatch(topics, ts, values))
+                model.publish_raw([
+                    (topic, ts, v) for topic, v in zip(STEADY[2], values)
+                ])
+        rig.agent.flush()
+        model.drain()
+    assert_matches(rig, model)

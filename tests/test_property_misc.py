@@ -3,14 +3,21 @@
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.timeutil import NS_PER_SEC
 from repro.common.topics import join_topic, normalize_topic, split_topic
+from repro.core.operator import OperatorConfig
+from repro.core.queryengine import QueryEngine
+from repro.core.units import Unit
+from repro.dcdb.sensor import Sensor
 from repro.dcdb.mqtt import Broker
 from repro.dcdb.storage import StorageBackend
 from repro.ml.stats import StreamingStats, deciles, window_features
+from repro.plugins.aggregator import AggregatorOperator
 from tests.hosts import RecordingHost, one
+from tests.test_pipeline_fusion import Host, final_series, run_both
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9
@@ -196,3 +203,80 @@ class TestUnitCadenceProperty:
         for tick in range(cadence):
             seen.extend(r.unit.name for r in op.compute(tick))
         assert sorted(seen) == sorted(f"/u{i}" for i in range(n_units))
+
+
+#: Readings whose extreme depends on the order a reduction meets them
+#: in, when it keeps the wrong one of two equal values: ±0.0 and NaN.
+extreme_readings = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def pass_shapes(draw):
+    """``(units, readings)``: tall (more units than readings, the
+    transposed reduction) or not, ``readings`` 1 included."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return draw(st.integers(n + 1, n + 24)), n
+    return draw(st.integers(1, n)), n
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestExtremeKernels:
+    """``min`` and ``max`` reduce a tall pass along the other axis: a
+    unit's value is the bits of its window reduced alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(shape=pass_shapes(), data=st.data())
+    def test_a_pass_is_each_units_window_alone(self, shape, data):
+        units, n = shape
+        topics = [f"/n{i}/p" for i in range(units)]
+        host = Host(topics)
+        op = AggregatorOperator(OperatorConfig(
+            name="ext", window_ns=(n - 1) * NS_PER_SEC,
+            params={"ops": {"lo": "min", "hi": "max"}},
+        ))
+        op.bind(host, QueryEngine(host))
+        op.set_units([
+            Unit(name=f"/n{i}", level=0, inputs=[topic],
+                 outputs=[Sensor(f"/n{i}/lo"), Sensor(f"/n{i}/hi")])
+            for i, topic in enumerate(topics)
+        ])
+        values = data.draw(st.lists(
+            extreme_readings, min_size=units * n, max_size=units * n))
+        for k in range(n):
+            for i, topic in enumerate(topics):
+                host.feed((k + 1) * NS_PER_SEC, topic, values[i * n + k])
+        window, slices, uniform = op.batch_window(op.units)
+        assert uniform == n
+        result = op.compute_batch(op.units, window, slices)
+        for j, unit in enumerate(op.units):
+            alone = op.compute_window(unit, window.rows(slices[j]))
+            for name in ("lo", "hi"):
+                assert bits(result.column_of(name)[j]) == bits(alone[name])
+
+    @settings(max_examples=15, deadline=None)
+    @given(units=st.sampled_from([6, 30]), data=st.data())
+    def test_staged_is_fused(self, units, data):
+        """The chain's final max reads 21 readings a unit: 30 units are
+        a tall pass, 6 a wide one."""
+        ticks = 24
+        values = data.draw(st.lists(
+            extreme_readings, min_size=ticks * units, max_size=ticks * units))
+        staged, fused, *_ = run_both(
+            ticks, feed=lambda tick, i: values[(tick - 1) * units + i],
+            n_units=units,
+        )
+
+        def series(host):
+            return {
+                topic: [(ts, bits(v)) for ts, v in readings or ()]
+                for topic, readings in final_series(host, units).items()
+            }
+
+        assert series(staged) == series(fused)
