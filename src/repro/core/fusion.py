@@ -360,14 +360,9 @@ class FusedGroup:
 
     def _run_stage(self, i: int, ts: int, stage, source, sink) -> None:
         t0 = time.perf_counter_ns()
-        san = hooks.CURRENT
         memo = self._stages[i]
-        # Steady: the lanes, due units and layouts of the last pass, found
-        # by identity, and nothing to settle lane by lane.
-        steady = san is None and memo is not None and memo.holds(stage)
-        if not steady:
+        if memo is None or not memo.holds(stage):
             memo = self._stage(i, stage)
-            steady = san is None and not any(op._breakers for op in memo.live)
         result = None
         if memo.m:  # the one gather and kernel call, if that kernel takes it
             window = (source or self.engine).query_relative_batch(
@@ -388,8 +383,9 @@ class FusedGroup:
         else:
             self._store_stack(ts, memo, result)
         share = (time.perf_counter_ns() - t0) // len(memo.live)  # equal shares
-        if steady:
-            for settle, produced in memo.settles:
+        san = hooks.CURRENT
+        if san is None and not any(op._breakers for op in memo.live):
+            for settle, produced in memo.settles:  # no breaker to record
                 settle(produced, share)
             return
         for op, due, (lo, hi) in zip(memo.live, memo.dues, memo.bounds):
@@ -424,10 +420,7 @@ class FusedGroup:
         if memo is None or len(memo.layouts) != len(layouts) or not all(
             map(operator.is_, memo.layouts, layouts)
         ):
-            memo = self._stages[i] = _Stage(live, layouts)
-        memo.dues = [layout[0] for layout in layouts]
-        memo.steady = len(live) == len(stage) and all(
-            map(operator.is_, memo.dues, (op.units for op in live)))
+            memo = self._stages[i] = _Stage(stage, live, layouts)
         return memo
 
 
@@ -463,15 +456,22 @@ class _Stage:
     """A stacked stage's lanes laid end to end: the live lanes and their
     due units, the gather's topics and slices, each lane's rows
     (``bounds``), the final stage's sensors, and each lane's ``settle``
-    with the unit results it counts."""
+    with the unit results it counts.  Built from each live lane's
+    layout (``OperatorBase._layout``), whose first field is the lane's
+    due units list itself."""
 
     __slots__ = (
         "live", "dues", "layouts", "units", "topics", "slices", "m", "bounds",
         "lead", "steady", "sensors", "names", "settles", "aggregating",
     )
 
-    def __init__(self, live: list, layouts: List[tuple]) -> None:
+    def __init__(self, stage, live: list, layouts: List[tuple]) -> None:
         self.live, self.layouts = live, layouts
+        self.dues = [layout[0] for layout in layouts]
+        #: Every lane live and due its whole ``units``: what :meth:`holds`
+        #: can confirm by identity alone.
+        self.steady = len(live) == len(stage) and all(
+            map(operator.is_, self.dues, (op.units for op in live)))
         units: list = []
         topics: list = []
         self.bounds = []
@@ -486,17 +486,17 @@ class _Stage:
         self.lead = next((op for op, layout in zip(live, layouts) if layout[0]), None)
         self.sensors = tuple(s for u in units for s in u.outputs)
         self.names = _column_names(units)
-        self.settles = [(op.settle, len(layout[0])) for op, layout in zip(live, layouts)]
+        self.settles = [(op.settle, len(due)) for op, due in zip(live, self.dues)]
         self.aggregating = [
-            (op, layout[0], bounds) for op, layout, bounds in zip(live, layouts, self.bounds)
+            (op, due, bounds) for op, due, bounds in zip(live, self.dues, self.bounds)
             if op._operator_output_sensors
         ]
-        self.dues: list = []
-        self.steady = False
 
     def holds(self, stage) -> bool:
         """Whether every lane of ``stage`` is live, due its whole
-        ``units`` list — the one this memo holds — and has no breaker."""
+        ``units`` list — the one this memo holds — and has no breaker
+        (whose filter a pass must run: it ages open breakers), so that
+        the pass may skip ``_due_units`` and ``_layout``."""
         if not self.steady:
             return False
         for op, due in zip(stage, self.dues):
