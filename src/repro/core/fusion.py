@@ -47,8 +47,8 @@ import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
-from repro.core.operator import UNIT_ERRORS, PassResult, unit_rows
 from repro.dcdb.sensor import SensorColumns
+from repro.core.operator import UNIT_ERRORS, PassResult, unit_rows
 from repro.core.queryengine import BatchWindow, report_views
 from repro.core.units import kept_units
 from repro.sanitizer import hooks
@@ -497,9 +497,7 @@ class _Stage:
         ``units`` list — the one this memo holds — and has no breaker
         (whose filter a pass must run: it ages open breakers), so that
         the pass may skip ``_due_units`` and ``_layout``."""
-        if not self.steady:
-            return False
-        for op, due in zip(stage, self.dues):
-            if not op.enabled or op.units is not due or op._breakers:
-                return False
-        return True
+        return self.steady and all(
+            op.enabled and op.units is due and not op._breakers
+            for op, due in zip(stage, self.dues)
+        )

@@ -185,7 +185,7 @@ def test_a_steady_stacked_final_stage_stores_once_a_pass():
         stores = []
         record = host.store_readings_batch
 
-        def counting(ts, readings, record=record):
+        def counting(ts, readings, record=record, stores=stores):
             stores.append(ts)
             record(ts, readings)
 
