@@ -72,20 +72,23 @@ class FusedChannel:
     ``frozen`` topic the next stage reads but no unit writes (as staged,
     it keeps serving what it last held); ``width``
     columns, right-aligned like a :class:`BatchWindow`.  The rows live
-    in ``(rows, 2 * width)`` buffers: :attr:`values` and
-    :attr:`timestamps` are the zero-copy views of the ``width`` columns
-    ending at ``_head``.  A pass writes one column and advances the
-    head; when the head reaches the end of the buffers, the newest
-    ``width - 1`` columns move to the front in one block move — once
-    every ``width`` passes.  Rows a pass did not produce keep their
-    (older) window verbatim, as a staged pass leaves their caches
-    unwritten: a partial pass leaves the head alone and shifts the
-    produced rows' windows instead (see :meth:`append`).
+    in ``(rows, 2 * width)`` buffers: :attr:`values` is the zero-copy
+    view of the ``width`` columns ending at ``_head``.  A pass writes one
+    column and advances the head; when the head reaches the end of the
+    buffers, the newest ``width - 1`` columns move to the front in one
+    block move — once every ``width`` passes.  Rows a pass did not
+    produce keep their (older) window verbatim, as a staged pass leaves
+    their caches unwritten: a partial pass leaves the head alone and
+    shifts the produced rows' windows instead (see :meth:`append`).
+    A full pass stamps every row alike, so ``_times`` holds one time
+    ring per group of rows in step and ``_group`` each row's, as in a
+    :class:`BatchWindow`: one group, split into one per row by a partial
+    pass or a seeded history and joined again by ``width`` full passes.
     """
 
     __slots__ = (
         "topics", "row_of", "width", "counts", "column_names", "_whole",
-        "_values", "_timestamps", "_head", "_full",
+        "_values", "_times", "_group", "_steady", "_head", "_full",
     )
 
     def __init__(self, units: Sequence, width: int, frozen: Sequence[str] = ()) -> None:
@@ -95,7 +98,10 @@ class FusedChannel:
         self.row_of: Dict[str, int] = {t: i for i, t in enumerate(self.topics)}
         self.width = max(1, int(width))
         self._values = np.full((rows, 2 * self.width), np.nan, dtype=np.float64)
-        self._timestamps = np.zeros((rows, 2 * self.width), dtype=np.int64)
+        self._times = np.zeros((1, 2 * self.width), dtype=np.int64)
+        self._group = np.zeros(rows, dtype=np.intp)
+        #: Full passes since the channel was last split.
+        self._steady = 0
         self._head = self.width
         self.counts = np.zeros(rows, dtype=np.int64)
         #: Every row holds ``width`` readings: :attr:`counts` can no
@@ -118,7 +124,7 @@ class FusedChannel:
     @property
     def timestamps(self) -> np.ndarray:
         """The window's timestamps, laid out like :attr:`values`."""
-        return self._timestamps[:, self._head - self.width:self._head]
+        return self._times[self._group, self._head - self.width:self._head]
 
     def _note_counts(self) -> None:
         counts = self.counts
@@ -128,14 +134,17 @@ class FusedChannel:
         """Warm rows from a predecessor channel (plan rebuild) or from
         the host's caches (fusion enabled after staged passes ran), so
         switching execution modes never loses window history."""
-        values, timestamps = self.values, self.timestamps
+        values, lo = self.values, self._head - self.width
+        times = np.zeros((len(self.topics), 2 * self.width), dtype=np.int64)
+        timestamps = times[:, lo:lo + self.width]
+        held = prev.timestamps if prev is not None else None
         for r, topic in enumerate(self.topics):
             if prev is not None:
                 pr = prev.row_of.get(topic)
                 if pr is not None:
                     n = min(int(prev.counts[pr]), self.width)
                     if n:
-                        timestamps[r, -n:] = prev.timestamps[pr, prev.width - n:]
+                        timestamps[r, -n:] = held[pr, prev.width - n:]
                         values[r, -n:] = prev.values[pr, prev.width - n:]
                         self.counts[r] = n
                     continue
@@ -144,6 +153,8 @@ class FusedChannel:
                 self.counts[r] = cache.tail_into(
                     timestamps[r], values[r], self.width
                 )
+        if self.counts.any():  # seeded rows keep their own stamps
+            self._times, self._group = times, np.arange(len(times))
         self._note_counts()
 
     def append(self, ts: int, rows: Optional[List[int]], vals) -> None:
@@ -165,13 +176,18 @@ class FusedChannel:
         else:
             idx = np.asarray(rows, dtype=np.intp)
             if len(idx) < len(self.counts):
+                times = self._times
+                if len(times) < len(self.counts):  # split: a group per row
+                    times = self._times = times.repeat(len(self.counts), axis=0)
+                    self._group = np.arange(len(times))
+                self._steady = 0
                 lo = head - width
-                values, timestamps = self._values, self._timestamps
+                values = self._values
                 if width > 1:
                     values[idx, lo:head - 1] = values[idx, lo + 1:head]
-                    timestamps[idx, lo:head - 1] = timestamps[idx, lo + 1:head]
+                    times[idx, lo:head - 1] = times[idx, lo + 1:head]
                 values[idx, head - 1] = vals
-                timestamps[idx, head - 1] = ts
+                times[idx, head - 1] = ts
                 self._count(idx)
                 return
         if head == 2 * width:
@@ -180,10 +196,14 @@ class FusedChannel:
             head = width - 1
             if head:
                 self._values[:, :head] = self._values[:, width + 1:]
-                self._timestamps[:, :head] = self._timestamps[:, width + 1:]
+                self._times[:, :head] = self._times[:, width + 1:]
         self._values[idx, head] = vals
-        self._timestamps[idx, head] = ts
+        self._times[:, head] = ts
         self._head = head + 1
+        self._steady += 1
+        if self._steady == width:  # every window holds full passes only
+            self._times = self._times[:1].copy()
+            self._group = np.zeros(len(self.counts), dtype=np.intp)
         self._count(idx)
 
     def _count(self, idx) -> None:
@@ -228,24 +248,22 @@ class FusedChannel:
         """
         n = min(_window_count(window_ns), self.width)
         topics = tuple(topics)  # identity-preserving when already a tuple
+        times = self._times[:, self._head - self.width:self._head]
         if topics is self._whole or topics == self.topics:
             self._whole = topics
             window = BatchWindow(
-                topics, self.values, self.timestamps,
-                np.minimum(self.counts, n), n if self._full else None,
+                topics, self.values, times, np.minimum(self.counts, n),
+                n if self._full else None, self._group,
             )
-        else:
-            rows = np.array(
-                [self.row_of.get(t, -1) for t in topics], dtype=np.intp
-            )
+        else:  # a topic the channel lacks: NaN, count 0, time vector 0
+            rows = np.array([self.row_of.get(t, -1) for t in topics], dtype=np.intp)
             held = rows >= 0
             values = np.full((len(rows), self.width), np.nan)
-            timestamps = np.zeros((len(rows), self.width), dtype=np.int64)
-            counts = np.zeros(len(rows), dtype=np.int64)
             values[held] = self.values[rows[held]]
-            timestamps[held] = self.timestamps[rows[held]]
-            counts[held] = np.minimum(self.counts[rows[held]], n)
-            window = BatchWindow(topics, values, timestamps, counts)
+            counts = np.where(held, np.minimum(self.counts, n)[rows], 0)
+            group = np.where(held, self._group[rows] + 1, 0)
+            times = np.vstack([np.zeros((1, self.width), dtype=np.int64), times])
+            window = BatchWindow(topics, values, times, counts, group=group)
         san = hooks.CURRENT
         if san is not None:
             report_views(san, window)

@@ -71,36 +71,49 @@ class BatchWindow:
     zero timestamps.  The arrays are freshly allocated per query, so a
     window is a snapshot in the same sense a :class:`CacheView` is.
 
+    Row ``i``'s timestamps are the ``W``-slot vector ``times[group[i]]``
+    (``times`` is per row when ``group`` is not given): a slab group
+    gathered in lock step shares one, a scalar-path row has its own, an
+    empty row the zero one.  The ``U x W`` :attr:`timestamps` matrix is
+    built only when asked for; kernels read the stamps they need.
+
     A row with ``counts[i] == 0`` means
     :meth:`QueryEngine.query_relative` would have raised
     :class:`QueryError` for that topic at the same instant.
 
     Consumers treat the arrays as **read-only**: a fused pipeline stage
     is served live channel matrices, not copies (the runtime sanitizer
-    fingerprints every row, rule R007).
+    fingerprints every row, time vectors included, rule R007).
     """
 
-    __slots__ = ("topics", "values", "timestamps", "counts", "width", "_uniform")
+    __slots__ = ("topics", "values", "counts", "width", "_uniform", "_times", "_group")
 
     def __init__(
         self,
         topics: Sequence[str],
         values: np.ndarray,
-        timestamps: np.ndarray,
+        times: np.ndarray,
         counts: np.ndarray,
         uniform: Optional[int] = None,
+        group: Optional[np.ndarray] = None,
     ) -> None:
         self.topics = tuple(topics)
         self.values = values
-        self.timestamps = timestamps
         self.counts = counts
         self.width = int(values.shape[1])
         #: :meth:`uniform_count`, when the source already knows it (a
         #: full fused channel does).
         self._uniform = uniform
+        self._times = times
+        self._group = np.arange(len(times)) if group is None else group
 
     def __len__(self) -> int:
         return len(self.topics)
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        """The timestamp matrix, laid out like :attr:`values` (a copy)."""
+        return self._times[self._group]
 
     @property
     def mask(self) -> np.ndarray:
@@ -126,16 +139,18 @@ class BatchWindow:
         return self.values[i, self.width - int(self.counts[i]):]
 
     def row_timestamps(self, i: int) -> np.ndarray:
-        """The valid timestamp segment of row ``i``, oldest-first."""
-        return self.timestamps[i, self.width - int(self.counts[i]):]
+        """The valid timestamp segment of row ``i``, oldest-first (a view
+        of its group's time vector)."""
+        return self._times[self._group[i], self.width - int(self.counts[i]):]
 
     def rows(self, indices: Sequence[int]) -> List[tuple]:
         """``(topic, timestamps, values)`` of each row in ``indices``,
         valid segments only — what one unit's computation is handed."""
+        times, group = self._times, self._group
         out = []
         for i in indices:
             lo = self.width - int(self.counts[i])
-            out.append((self.topics[i], self.timestamps[i, lo:], self.values[i, lo:]))
+            out.append((self.topics[i], times[group[i], lo:], self.values[i, lo:]))
         return out
 
     def last_values(self) -> np.ndarray:
@@ -144,7 +159,14 @@ class BatchWindow:
 
     def newest_timestamps(self) -> np.ndarray:
         """Newest timestamp per row (0 where a row is empty)."""
-        return self.timestamps[:, -1]
+        return self._times[self._group, -1]
+
+    def spans(self, rows=slice(None)) -> np.ndarray:
+        """Newest minus oldest valid timestamp of each of ``rows`` (0 for
+        a row of one reading; ``rows`` must hold at least one)."""
+        group = self._group[rows]
+        oldest = self.width - self.counts[rows]
+        return self._times[group, -1] - self._times[group, oldest]
 
 
 def report_views(san, window: BatchWindow) -> None:
@@ -210,22 +232,22 @@ def _window_count(group: SlabGroup, k: int, window_ns: int) -> int:
 
 def _gather_slab(
     group: SlabGroup, n: int,
-    timestamps: np.ndarray, values: np.ndarray, counts: np.ndarray,
+    times: np.ndarray, values: np.ndarray, counts: np.ndarray,
 ) -> None:
     """Copy the newest ``n`` readings of every ring of ``group`` into
-    their right-aligned rows of the result matrices — what ``tail_into``
+    their right-aligned rows of the value matrix, and their timestamps
+    once into the group's time vector ``times`` — what ``tail_into``
     does for one ring.
 
     The rings of a slab advance in lock step, so one head serves them
     all: the window is at most two slot spans of the slab
-    (:meth:`CacheSlab.newest_spans`) — the slab's timestamps broadcast
-    into every row, its time-major values copied transposed — and the
-    rows are a slice or one 1-D index on either side, so every copy is
-    basic slicing on at least one axis.
+    (:meth:`CacheSlab.newest_spans`) — the slab's time vector copied
+    once, its time-major values copied transposed — and the rows are a
+    slice or one 1-D index on either side, so every copy is basic
+    slicing on at least one axis.
     """
-    slab = group.slab
-    slab.copy_newest(
-        n, group.rows, timestamps, values, group.dst, timestamps.shape[1] - n
+    group.slab.copy_newest(
+        n, group.rows, times, values, group.dst, len(times) - n
     )
     counts[group.dst] = n
 
@@ -290,7 +312,7 @@ class QueryPlan:
     __slots__ = (
         "topics", "window_ns", "width", "rows", "generation",
         "cache_rows", "scalar_rows", "miss_rows", "unbound",
-        "epochs", "slab_groups", "timed_slabs",
+        "epochs", "slab_groups", "timed_slabs", "group_of",
     )
 
     def __init__(
@@ -341,6 +363,8 @@ class QueryPlan:
             _, cache, count = entry
             by_slab.setdefault((cache.slab, count), []).append(entry)
         self.slab_groups: List[SlabGroup] = []
+        #: Each row's time vector in a window: slab group ``g``'s is g + 1.
+        self.group_of = np.zeros(len(self.rows), dtype=np.intp)
         for (slab, count), entries in by_slab.items():
             caches = tuple(cache for _, cache, _ in entries)
             rows = [cache.row for cache in caches]
@@ -349,6 +373,7 @@ class QueryPlan:
                 slab, count, _rows_index(plan_rows), _rows_index(rows),
                 plan_rows,
             ))
+            self.group_of[plan_rows] = len(self.slab_groups)
         #: The slabs whose observed gap sizes a pass's time windows.
         self.timed_slabs = tuple(
             dict.fromkeys(slab for slab, count in by_slab if not count)
@@ -740,15 +765,14 @@ class QueryEngine:
     def _execute_plan(self, plan: QueryPlan) -> BatchWindow:
         """Run a compiled plan: zero lookups on the ring-bound rows."""
         window_ns = plan.window_ns
-        # Rows of another data source first — their exact length can
-        # exceed the planned width (storage is not capacity-bounded).
+        # Rows of another data source, and below the rows re-read, go
+        # through the scalar path, each with stamps of its own.
         exact: Dict[int, Optional[tuple]] = {
             i: self._read_row(topic, window_ns) for i, topic in plan.scalar_rows
         }
         if any(slab.epoch != epoch for slab, epoch in plan.epochs):
             plan.group_rings()
-        width = max(plan.width, _longest(exact.values()))
-        k = 0
+        width, k = plan.width, 0
         if plan.timed_slabs:
             # At most window // gap + 1 readings one gap or more apart
             # fit a window; one more shows where it ends.  The smallest
@@ -760,13 +784,10 @@ class QueryEngine:
             width = max(width, k)
         if plan.miss_rows:
             self._m_misses.inc(len(plan.miss_rows))
-        u = len(plan.rows)
-        values = np.full((u, width), np.nan, dtype=np.float64)
-        timestamps = np.zeros((u, width), dtype=np.int64)
-        counts = np.zeros(u, dtype=np.int64)
+        gathered: List[tuple] = []
         reread: List[int] = []
         violations: List[int] = []
-        for group in plan.slab_groups:
+        for g, group in enumerate(plan.slab_groups, 1):
             n = _window_count(group, k, window_ns)
             if not n:
                 reread += group.plan_rows  # emptied since compile time
@@ -776,28 +797,29 @@ class QueryEngine:
                 # nothing older: here neither, so every row is re-read.
                 violations += group.plan_rows
             else:
-                _gather_slab(group, n, timestamps, values, counts)
+                gathered.append((g, group, n))
         if violations:
             self._m_violations.inc(len(violations))
             reread += violations
         hits = len(plan.cache_rows) - len(reread)
         if hits:
             self._m_hits.inc(hits)
-        if reread:
-            # Whatever the scalar path finds (and counts) for each; a
-            # row longer than the matrix widens it.
-            for i in reread:
-                exact[i] = self._read_row(plan.topics[i], window_ns)
-            pad = _longest(exact.values()) - width
-            if pad > 0:
-                values = np.hstack([np.full((u, pad), np.nan), values])
-                timestamps = np.hstack(
-                    [np.zeros((u, pad), dtype=np.int64), timestamps]
-                )
-                width += pad
-        for i, row in exact.items():
+        for i in reread:  # whatever the scalar path finds (and counts)
+            exact[i] = self._read_row(plan.topics[i], window_ns)
+        # A scalar row can be longer than the plan is wide: storage is
+        # not capacity-bounded.
+        width = max(width, _longest(exact.values()))
+        u, own = len(plan.rows), len(plan.slab_groups) + 1
+        values = np.full((u, width), np.nan, dtype=np.float64)
+        times = np.zeros((own + len(exact), width), dtype=np.int64)
+        counts = np.zeros(u, dtype=np.int64)
+        for g, group, n in gathered:
+            _gather_slab(group, n, times[g], values, counts)
+        group_of = plan.group_of.copy() if exact else plan.group_of
+        for j, (i, row) in enumerate(exact.items(), own):
+            group_of[i] = j
             n = len(row[0]) if row else 0
             if n:
-                timestamps[i, width - n:], values[i, width - n:] = row
+                times[j, width - n:], values[i, width - n:] = row
             counts[i] = n
-        return BatchWindow(plan.topics, values, timestamps, counts)
+        return BatchWindow(plan.topics, values, times, counts, group=group_of)

@@ -361,11 +361,13 @@ class CacheSlab(LockStep):
         dst_rows, lo: int,
     ) -> None:
         """Copy the newest ``n`` readings of ``rows`` (a slice or a 1-D
-        index) into columns ``[lo, lo + n)`` of ``dst_rows`` of topic-major
-        destinations (a slab's: ``ts[None]``, ``val.T``), oldest first."""
+        index) into columns ``[lo, lo + n)`` of ``dst_rows`` of a
+        topic-major value destination (a slab's: ``val.T``), and their
+        timestamps once into slots ``[lo, lo + n)`` of the time vector
+        ``dst_ts``, oldest first."""
         for a, b in self.newest_spans(n):
             hi = lo + b - a
-            dst_ts[dst_rows, lo:hi] = self.ts[a:b]
+            dst_ts[..., lo:hi] = self.ts[a:b]
             dst_val[dst_rows, lo:hi] = self.val[a:b, rows].T
             lo = hi
 
@@ -377,7 +379,7 @@ class CacheSlab(LockStep):
         keep = min(self.size, capacity)
         if keep:
             rows = np.array([ring.row for ring in rings], dtype=np.intp)
-            self.copy_newest(keep, rows, slab.ts[None], slab.val.T, slice(None), 0)
+            self.copy_newest(keep, rows, slab.ts, slab.val.T, slice(None), 0)
         slab.head = keep % capacity
         slab.size = keep
         slab.newest = self.newest
@@ -393,7 +395,7 @@ class CacheSlab(LockStep):
         val = np.zeros((int(capacity), self.rows), dtype=np.float64)
         if keep:
             everyone = slice(None)
-            self.copy_newest(keep, everyone, ts[None], val.T, everyone, 0)
+            self.copy_newest(keep, everyone, ts, val.T, everyone, 0)
         self.ts, self.val = ts, val
         self.head = keep % capacity
         for row, ring in self.bound.items():

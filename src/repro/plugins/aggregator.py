@@ -35,9 +35,11 @@ from repro.core.units import Unit
 
 _QUANTILE_RE = re.compile(r"^q(100|\d{1,2})$")
 
-#: ``kernel(pooled, first, first_ts)``: one aggregate of every row, U×n
-#: matrices in, U values out (see :func:`_resolve`).
-Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+#: ``kernel(pooled, first, span)``: one aggregate of every row, U×n
+#: matrices in, U values out (see :func:`_resolve`).  ``span()`` is each
+#: unit's first input's newest minus oldest timestamp, computed only by
+#: the kernel that reads time (``rate``), so no other pays for stamps.
+Kernel = Callable[[np.ndarray, np.ndarray, Callable[[], np.ndarray]], np.ndarray]
 
 def _extreme(ufunc: np.ufunc) -> Callable[[np.ndarray], np.ndarray]:
     """``min``/``max`` of each row, reduced along the contiguous axis.
@@ -85,7 +87,7 @@ _ROW_OPS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
 def _pooled(row_op: Callable[[np.ndarray], np.ndarray]) -> Kernel:
     """``row_op`` over each unit's readings pooled over its inputs."""
 
-    def kernel(pooled, first, first_ts):
+    def kernel(pooled, first, span):
         if pooled.shape[1] == 0:
             return np.full(pooled.shape[0], np.nan)
         return row_op(pooled)
@@ -98,14 +100,14 @@ def _counter(rate: bool) -> Kernel:
     unit's first input: they are counter-oriented, and pooling counters
     is meaningless."""
 
-    def kernel(pooled, first, first_ts):
+    def kernel(pooled, first, span):
         if first.shape[1] < 2:
             return np.full(first.shape[0], np.nan)
         diff = first[:, -1] - first[:, 0]
         if not rate:
             return diff
         out = np.full(first.shape[0], np.nan)
-        span_s = (first_ts[:, -1] - first_ts[:, 0]) / 1e9
+        span_s = span() / 1e9
         ok = span_s > 0
         out[ok] = diff[ok] / span_s[ok]
         return out
@@ -197,11 +199,10 @@ class AggregatorOperator(OperatorBase):
         # laid end to end — its pooled readings; every m-th row is a
         # unit's first input.  One kernel per aggregate over that.
         values = window.values[:, window.width - n:]
-        timestamps = window.timestamps[:, window.width - n:]
         pooled = values.reshape(len(units), m * n)
-        first, first_ts = values[::m], timestamps[::m]
+        span = partial(window.spans, slice(None, None, m))
         columns = {
-            op: kernel(pooled, first, first_ts)
+            op: kernel(pooled, values[::m], span)
             for op, kernel in self._kernels.items()
         }
         return PassResult(
@@ -218,7 +219,8 @@ class AggregatorOperator(OperatorBase):
         return {
             sensor.name: float(
                 self._kernels[self._op_for(sensor.name)](
-                    pooled[None, :], first[None, :], first_ts[None, :],
+                    pooled[None, :], first[None, :],
+                    lambda: first_ts[-1:] - first_ts[:1],
                 )[0]
             )
             for sensor in unit.outputs

@@ -25,7 +25,7 @@ output name      derived metric
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,28 +45,21 @@ _METRICS = {
 }
 
 
-def _moved(
-    values: np.ndarray, timestamps: np.ndarray, first
-) -> Tuple[np.ndarray, np.ndarray]:
-    """How far each row's counter moved over its window and the seconds
-    that took, read off two columns only: ``first`` (per row, its oldest
-    reading) and the last."""
-    rows = np.arange(len(values))
-    return (
-        values[:, -1] - values[rows, first],
-        (timestamps[:, -1] - timestamps[rows, first]) / 1e9,
-    )
+def _moved(values: np.ndarray, first) -> np.ndarray:
+    """How far each row's counter moved over its window, read off two
+    columns only: ``first`` (per row, its oldest reading) and the last."""
+    return values[:, -1] - values[np.arange(len(values)), first]
 
 
 def _terms(
-    name: str, moved: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    name: str, moved: Dict[str, np.ndarray], seconds: Callable[[str], np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator columns of metric ``name``, from each
-    counter's ``(delta, span)`` columns; a unit has the metric where the
-    denominator is > 0."""
+    counter's delta column; ``seconds(counter)`` is the time its window
+    spans, asked for by a per-second rate only.  A unit has the metric
+    where the denominator is > 0."""
     num, den = _METRICS[name]
-    delta, span = moved[num]
-    return delta, span if den is None else moved[den][0]
+    return moved[num], seconds(num) if den is None else moved[den]
 
 
 @operator_plugin("perfmetrics")
@@ -132,13 +125,15 @@ class PerfMetricsOperator(OperatorBase):
             return self.compute_ragged(units, window, slices)
         counters, names = shared
         m = len(counters)
-        delta, span = _moved(
-            window.values, window.timestamps, window.width - window.counts
-        )
-        moved = {c: (delta[k::m], span[k::m]) for k, c in enumerate(counters)}
+        delta = _moved(window.values, window.width - window.counts)
+        moved = {c: delta[k::m] for k, c in enumerate(counters)}
+
+        def seconds(counter: str) -> np.ndarray:
+            return window.spans(slice(counters.index(counter), None, m)) / 1e9
+
         columns = {}
         for name in names:
-            top, below = _terms(name, moved)
+            top, below = _terms(name, moved, seconds)
             if not (below > 0).all():  # a unit would leave it out
                 return self.compute_ragged(units, window, slices)
             columns[name] = top / below
@@ -159,11 +154,11 @@ class PerfMetricsOperator(OperatorBase):
                 for c in needed
             ):
                 continue
-            moved = {
-                c: _moved(counters[c][2][None, :], counters[c][1][None, :], 0)
-                for c in needed
-            }
-            top, below = _terms(sensor.name, moved)
+            moved = {c: _moved(counters[c][2][None, :], 0) for c in needed}
+            top, below = _terms(
+                sensor.name, moved,
+                lambda c: (counters[c][1][-1:] - counters[c][1][:1]) / 1e9,
+            )
             if below[0] > 0:
                 out[sensor.name] = float(top[0] / below[0])
         return out

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC
-from repro.core.operator import OperatorConfig
-from repro.core.queryengine import QueryEngine
+from repro.core.operator import OperatorConfig, PassResult
+from repro.core.queryengine import BatchWindow, QueryEngine
 from repro.core.tree import SensorTree
+from repro.core.units import Unit
+from repro.dcdb.sensor import Sensor
+from repro.ml.stats import quantiles
 from repro.plugins.persyst import PerSystOperator, quantile_output_name
 from tests.hosts import RecordingHost
 
@@ -322,3 +327,101 @@ class TestJobUnitsPersist:
             assert op.error_count == parent.error_count == step + 1
             assert op.last_errors == parent.last_errors
         assert "bad: job bad: unknown node /r0/nope" in op.last_errors
+
+
+# ----------------------------------------------------------------------
+# One quantile call per pass: bit-equal to one call per job
+# ----------------------------------------------------------------------
+
+
+def per_job_reference(op, last, live, slices):
+    """Each job's outputs as one ``ml.stats.quantiles`` call per job made
+    them: the live rows' newest values, quantiles over the finite ones,
+    ``mean``/``std`` over all of them; a job with no live row left out."""
+    out = []
+    for rows in slices:
+        samples = last[rows.start:rows.stop][live[rows.start:rows.stop]]
+        if not samples.size:
+            continue
+        values = dict(zip(
+            [quantile_output_name(q) for q in op.quantiles],
+            (float(v) for v in quantiles(samples, op.quantiles)),
+        ))
+        if "mean" in op.extra_stats:
+            values["mean"] = float(samples.mean())
+        if "std" in op.extra_stats:
+            values["std"] = float(samples.std())
+        out.append(values)
+    return out
+
+
+SAMPLE = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, width=64),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+)
+
+
+@st.composite
+def persyst_passes(draw):
+    """``(quantiles, statistics, per-job values, per-job counts)``: jobs
+    of one row count or of several, rows live or empty, finite or not."""
+    jobs = draw(st.integers(1, 5))
+    ragged = draw(st.booleans())
+    lengths = draw(st.lists(
+        st.integers(1, 12), min_size=jobs, max_size=jobs,
+    )) if ragged else [draw(st.integers(1, 12))] * jobs
+    finite = draw(st.booleans())
+    sample = st.floats(-1e6, 1e6, allow_nan=False, width=64) if finite else SAMPLE
+    values = [draw(st.lists(sample, min_size=n, max_size=n)) for n in lengths]
+    all_live = draw(st.booleans())
+    counts = [
+        [1] * n if all_live else draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        for n in lengths
+    ]
+    qs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    stats = draw(st.lists(st.sampled_from(["mean", "std"]), unique=True))
+    return qs, stats, values, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=persyst_passes())
+def test_one_quantile_call_is_one_call_per_job(case):
+    qs, stats, values, counts = case
+    op = make_op(FakeJobSource([]), quantiles=qs, statistics=stats)
+    names = op.job_output_names()
+    units, slices, row = [], [], 0
+    for j, job in enumerate(values):
+        units.append(Unit(
+            name=f"/jobs/j{j}", level=0,
+            inputs=[f"/n/cpu{k}/cpi" for k in range(len(job))],
+            outputs=[Sensor(f"/jobs/j{j}/{name}", is_operator_output=True)
+                     for name in names],
+        ))
+        slices.append(range(row, row + len(job)))
+        row += len(job)
+    lengths = {len(job) for job in values}
+    m = lengths.pop() if len(lengths) == 1 else 0
+    op.rows_per_unit = lambda: m  # the layout a gather would have left
+    flat_counts = np.array([c for job in counts for c in job], dtype=np.int64)
+    newest = np.array([v for job in values for v in job], dtype=np.float64)
+    last = np.where(flat_counts > 0, newest, np.nan)
+    window = BatchWindow(
+        [f"/t{i}" for i in range(row)], last[:, None],
+        np.zeros((row, 1), dtype=np.int64), np.minimum(flat_counts, 1),
+    )
+    result = op.compute_batch(units, window, slices)
+    got = result.results() if isinstance(result, PassResult) else result
+    want = per_job_reference(op, last, flat_counts > 0, slices)
+    assert len(got) == len(want)
+    for (unit, produced), expected in zip(got, want):
+        assert sorted(produced) == sorted(expected)  # stored in output order
+        assert all(
+            np.float64(produced[k]).tobytes() == np.float64(v).tobytes()
+            for k, v in expected.items()
+        ), unit.name
+    held = (flat_counts > 0).reshape(len(units), -1) if m else None
+    uniform = (
+        m and np.isfinite(last).sum() == (flat_counts > 0).sum()
+        and len({int(h.sum()) for h in held}) == 1 and held[0].any()
+    )
+    assert isinstance(result, PassResult) == bool(uniform)

@@ -215,8 +215,23 @@ MUTATIONS = {
     "wrap-moves-width-columns": [
         ("self._values[:, :head] = self._values[:, width + 1:]",
          "self._values[:, :width] = self._values[:, width:]"),
-        ("self._timestamps[:, :head] = self._timestamps[:, width + 1:]",
-         "self._timestamps[:, :width] = self._timestamps[:, width:]"),
+        ("self._times[:, :head] = self._times[:, width + 1:]",
+         "self._times[:, :width] = self._times[:, width:]"),
+    ],
+    # The same wrap error on the time vector alone: the values are
+    # right, every full-pass stamp after a wrap one slot off.
+    "vector-wrap-moves-width-columns": [
+        ("self._times[:, :head] = self._times[:, width + 1:]",
+         "self._times[:, :width] = self._times[:, width:]"),
+    ],
+    # The per-row stamps are dropped one full pass too early, while a
+    # window still holds a stamp of a partial pass.
+    "stamps-dropped-early": [
+        ("if self._steady == width:", "if self._steady == width - 1:"),
+    ],
+    # A seeded history is served as if the rows were in lock step.
+    "seed-stays-in-step": [
+        ("if self.counts.any():", "if False:"),
     ],
     # A partial pass advances the head: the rows it did not produce
     # slide with it.

@@ -35,6 +35,7 @@ times; on the agent, the topics of one first-arrival batch share a slab
 and a ring that speeds up leaves it and keeps exact windows.
 """
 
+import tracemalloc
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -55,7 +56,7 @@ from repro.core.queryengine import (
 from repro.core.units import Unit
 from repro.dcdb import cache as cache_module
 from repro.dcdb.cache import CacheSlab, SensorCache, plan_columns
-from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import Sensor, SensorReading
 from repro.deploy import build_deployment
 from repro.plugins.aggregator import AggregatorOperator
 from tests.test_property_gather import (
@@ -751,3 +752,132 @@ def test_a_first_arrival_batch_shares_a_slab_and_a_ring_may_outgrow_it():
     telemetry = engine.telemetry
     assert telemetry.counter("qe_plan_compiles_total").value == 1
     assert telemetry.counter("qe_hint_violations_total").value == 0
+
+
+# ----------------------------------------------------------------------
+# One time vector per group: every stamp accessor is the frozen matrix
+# ----------------------------------------------------------------------
+
+
+class Store:
+    """A storage backend over fixed series: what the scalar path reads
+    for a topic the host has no cache for."""
+
+    def __init__(self, series):
+        self.series = series  # topic -> (timestamps, values)
+
+    def __contains__(self, topic):
+        return topic in self.series
+
+    def latest(self, topic):
+        ts, val = self.series.get(topic, ((), ()))
+        return SensorReading(int(ts[-1]), float(val[-1])) if len(ts) else None
+
+    def query(self, topic, start, end):
+        ts, val = self.series[topic]
+        keep = (ts >= start) & (ts <= end)
+        return ts[keep], val[keep]
+
+
+def assert_stamps_are_the_matrix(win, ref, where):
+    """The lazy matrix, each row's segment, ``rows()``, the newest stamp
+    and the spans of a window against the frozen loop's matrix."""
+    matrix, width = ref.timestamps, ref.width
+    assert win.timestamps.tobytes() == matrix.tobytes(), where
+    assert win.newest_timestamps().tobytes() == matrix[:, -1].tobytes(), where
+    got = win.rows(range(len(win)))
+    for i, (topic, ts, values) in enumerate(got):
+        lo = width - int(ref.counts[i])
+        assert topic == ref.topics[i], where
+        assert ts.tobytes() == matrix[i, lo:].tobytes(), (where, i)
+        assert win.row_timestamps(i).tobytes() == ts.tobytes(), (where, i)
+        assert values.tobytes() == ref.values[i, lo:].tobytes(), (where, i)
+    full = np.flatnonzero(ref.counts > 0)
+    if len(full):
+        oldest = matrix[full, width - ref.counts[full]]
+        assert win.spans(full).tolist() == (matrix[full, -1] - oldest).tolist()
+
+
+@st.composite
+def stamp_scenarios(draw):
+    """A slab scenario plus storage-only topics (scalar rows, some longer
+    than any ring) and an observed gap 1-3 steps wide: a gap wider than
+    the true one makes timed groups fail their check and be re-read."""
+    scenario = draw(scenarios())
+    scenario["stored"] = draw(st.lists(st.integers(0, 30), max_size=3))
+    scenario["gap"] = draw(st.integers(1, 3)) * STEP
+    return scenario
+
+
+@settings(max_examples=120, deadline=None)
+@given(scenario=stamp_scenarios())
+def test_every_stamp_accessor_is_the_per_row_matrix(scenario):
+    rig = SlabRig(QueryEngine, scenario)
+    series = {}
+    for j, n in enumerate(scenario["stored"]):
+        ts = np.arange(1, n + 1, dtype=np.int64) * STEP + 2000
+        series[f"/s/stored{j}"] = (ts, ts.astype(np.float64) / 7)
+    rig.host.storage = Store(series)
+    rig.asked += tuple(series)  # scalar rows after the ring rows
+    rig.store(scenario["history"])
+    rig.rings[scenario["clear"]].clear()  # emptied: re-read
+    rig.store(scenario["more"])
+    for ring in rig.rings:
+        if not ring.interval_ns and len(ring) > 1:
+            ring.gap_ns = scenario["gap"]
+    for count in range(1, scenario["cap"] + 4):
+        window_ns = (count - 1) * STEP
+        plan = rig.engine.plan_for(("stamps", count), rig.asked, window_ns)
+        win = rig.engine._execute_plan(plan)
+        ref = frozen_execute(rig.engine, plan)
+        assert win.values.tobytes() == ref.values.tobytes(), count
+        assert win.counts.tolist() == ref.counts.tolist(), count
+        assert_stamps_are_the_matrix(win, ref, count)
+
+
+def test_a_scalar_row_wider_than_the_plan_pads_every_vector():
+    """A storage row longer than the rings widens the window: the ring
+    group's vector is padded on the left like its values."""
+    slab = CacheSlab(2, 3)
+    rings = slab.rings(interval_ns=STEP)
+    for i in range(1, 5):
+        slab.store_column(i * STEP, [float(i), -float(i)])
+    host = Host(zip(["/s/a", "/s/b"], rings))
+    ts = np.arange(1, 9, dtype=np.int64) * STEP
+    host.storage = Store({"/s/far": (ts, ts / 3.0)})
+    engine = QueryEngine(host)
+    plan = engine.compile_plan(["/s/a", "/s/far", "/s/b"], 7 * STEP)
+    win = engine._execute_plan(plan)
+    assert win.width == 8 and win.counts.tolist() == [3, 8, 3]
+    assert win.row_timestamps(0).tolist() == [20, 30, 40]
+    assert_stamps_are_the_matrix(win, frozen_execute(engine, plan), "pad")
+
+
+@pytest.mark.parametrize("hinted", [True, False], ids=["count", "time"])
+def test_a_steady_gather_allocates_no_per_row_timestamp_matrix(hinted):
+    """384 rings of one slab read 12 readings each: the gather allocates
+    the value matrix and one time vector, never a rows x width int64
+    matrix beside it (a Collect Agent's time window the same)."""
+    rows, width = 384, 12
+    slab = CacheSlab(rows, 32)
+    rings = slab.rings(interval_ns=STEP if hinted else 0)
+    topics = [f"/n/c{j}" for j in range(rows)]
+    engine = QueryEngine(Host(zip(topics, rings)))
+    for i in range(1, 40):
+        slab.store_column(i * STEP, np.arange(rows) + float(i))
+    slab.gap = STEP
+    window_ns = (width - 1) * STEP
+    plan = engine.plan_for("steady", topics, window_ns)
+    engine._execute_plan(plan)  # warm: nothing compiled or grouped below
+    matrix = rows * (width if hinted else width + 1) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        win = engine._execute_plan(plan)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        held = [t.size for t in tracemalloc.take_snapshot().traces if t.size >= matrix]
+    finally:
+        tracemalloc.stop()
+    assert win.counts.tolist() == [width] * rows
+    assert held == [matrix]  # the values, and nothing of their size beside
+    assert peak < 1.5 * matrix
