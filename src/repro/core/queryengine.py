@@ -806,16 +806,18 @@ class QueryEngine:
             self._m_hits.inc(hits)
         for i in reread:  # whatever the scalar path finds (and counts)
             exact[i] = self._read_row(plan.topics[i], window_ns)
-        # A scalar row can be longer than the plan is wide: storage is
-        # not capacity-bounded.
-        width = max(width, _longest(exact.values()))
+        group_of = plan.group_of
+        if exact:
+            # A scalar row can be longer than the plan is wide (storage
+            # is not capacity-bounded), and it has stamps of its own.
+            width = max(width, _longest(exact.values()))
+            group_of = group_of.copy()
         u, own = len(plan.rows), len(plan.slab_groups) + 1
         values = np.full((u, width), np.nan, dtype=np.float64)
         times = np.zeros((own + len(exact), width), dtype=np.int64)
         counts = np.zeros(u, dtype=np.int64)
         for g, group, n in gathered:
             _gather_slab(group, n, times[g], values, counts)
-        group_of = plan.group_of.copy() if exact else plan.group_of
         for j, (i, row) in enumerate(exact.items(), own):
             group_of[i] = j
             n = len(row[0]) if row else 0

@@ -47,7 +47,10 @@ _METRICS = {
 
 def _moved(values: np.ndarray, first) -> np.ndarray:
     """How far each row's counter moved over its window, read off two
-    columns only: ``first`` (per row, its oldest reading) and the last."""
+    columns only: the last and ``first``, its oldest reading's — one
+    column for every row, or one per row."""
+    if isinstance(first, int):
+        return values[:, -1] - values[:, first]
     return values[:, -1] - values[np.arange(len(values)), first]
 
 
@@ -121,11 +124,12 @@ class PerfMetricsOperator(OperatorBase):
 
     def compute_batch(self, units: Sequence[Unit], window, slices):
         shared = self._shared()
-        if shared is None or window.counts.min() < 2:
+        n = window.uniform_count()
+        if shared is None or n < 2 and window.counts.min() < 2:
             return self.compute_ragged(units, window, slices)
         counters, names = shared
         m = len(counters)
-        delta = _moved(window.values, window.width - window.counts)
+        delta = _moved(window.values, window.width - (n or window.counts))
         moved = {c: delta[k::m] for k, c in enumerate(counters)}
 
         def seconds(counter: str) -> np.ndarray:

@@ -12,8 +12,10 @@ enough to wrap the ring at least three times, run on both, optionally
 after seeding from a predecessor channel and the host's caches.  After
 every append ``values``, ``timestamps``, ``counts`` and every served
 :class:`~repro.core.queryengine.BatchWindow` (whole and sub-selected,
-``uniform_count`` included) are bit-equal.  Four seeded mutations of
-``core/fusion.py`` must fail the same property.
+``uniform_count`` included) are bit-equal.  Seven seeded mutations of
+``core/fusion.py`` must fail the same property, three of them in the
+channel's one time ring: its wrap, its split by a seeded history and
+its join after ``width`` full passes.
 """
 
 import inspect

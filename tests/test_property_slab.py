@@ -56,7 +56,8 @@ from repro.core.queryengine import (
 from repro.core.units import Unit
 from repro.dcdb import cache as cache_module
 from repro.dcdb.cache import CacheSlab, SensorCache, plan_columns
-from repro.dcdb.sensor import Sensor, SensorReading
+from repro.dcdb.sensor import Sensor
+from repro.dcdb.sensor import SensorReading
 from repro.deploy import build_deployment
 from repro.plugins.aggregator import AggregatorOperator
 from tests.test_property_gather import (
