@@ -67,9 +67,11 @@ class BatchWindow:
 
     Rows are **right-aligned**: the newest reading of topic ``i`` sits in
     column ``W - 1`` and its ``counts[i]`` valid readings occupy the
-    columns ``[W - counts[i], W)``.  Invalid slots hold NaN values and
-    zero timestamps.  The arrays are freshly allocated per query, so a
-    window is a snapshot in the same sense a :class:`CacheView` is.
+    columns ``[W - counts[i], W)``.  A gathered window's invalid slots
+    hold NaN values and zero timestamps (a fused channel's keep its older
+    readings: kernels read valid segments only).  The arrays are freshly
+    allocated per query, so a window is a snapshot in the same sense a
+    :class:`CacheView` is.
 
     Row ``i``'s timestamps are the ``W``-slot vector ``times[group[i]]``
     (``times`` is per row when ``group`` is not given): a slab group
