@@ -82,13 +82,13 @@ class FusedChannel:
     shifts the produced rows' windows instead (see :meth:`append`).
     A full pass stamps every row alike, so ``_times`` holds one time
     ring per group of rows in step and ``_group`` each row's, as in a
-    :class:`BatchWindow`: one group, split into one per row by a partial
-    pass or a seeded history and joined again by ``width`` full passes.
+    :class:`BatchWindow`: one group, split into one per row for good by
+    the first partial pass or seeded history (see :meth:`_split`).
     """
 
     __slots__ = (
         "topics", "row_of", "width", "counts", "column_names", "_whole",
-        "_values", "_times", "_group", "_steady", "_head", "_full",
+        "_values", "_times", "_group", "_head", "_full",
     )
 
     def __init__(self, units: Sequence, width: int, frozen: Sequence[str] = ()) -> None:
@@ -100,8 +100,6 @@ class FusedChannel:
         self._values = np.full((rows, 2 * self.width), np.nan, dtype=np.float64)
         self._times = np.zeros((1, 2 * self.width), dtype=np.int64)
         self._group = np.zeros(rows, dtype=np.intp)
-        #: Full passes since the channel was last split.
-        self._steady = 0
         self._head = self.width
         self.counts = np.zeros(rows, dtype=np.int64)
         #: Every row holds ``width`` readings: :attr:`counts` can no
@@ -130,31 +128,35 @@ class FusedChannel:
         counts = self.counts
         self._full = bool(len(counts)) and bool((counts == self.width).all())
 
+    def _split(self) -> np.ndarray:
+        """Give every row a time ring of its own, once: a partial pass
+        or a seeded history leaves the rows out of step."""
+        if len(self._times) < len(self.counts):
+            self._times = self._times.repeat(len(self.counts), axis=0)
+            self._group = np.arange(len(self.counts))
+        return self._times
+
     def seed(self, prev: Optional["FusedChannel"], cache_lookup) -> None:
         """Warm rows from a predecessor channel (plan rebuild) or from
         the host's caches (fusion enabled after staged passes ran), so
         switching execution modes never loses window history."""
-        values, lo = self.values, self._head - self.width
-        times = np.zeros((len(self.topics), 2 * self.width), dtype=np.int64)
-        timestamps = times[:, lo:lo + self.width]
-        held = prev.timestamps if prev is not None else None
+        values, head = self.values, self._head
+        stamps = np.zeros(self.width, dtype=np.int64)
         for r, topic in enumerate(self.topics):
-            if prev is not None:
-                pr = prev.row_of.get(topic)
-                if pr is not None:
-                    n = min(int(prev.counts[pr]), self.width)
-                    if n:
-                        timestamps[r, -n:] = held[pr, prev.width - n:]
-                        values[r, -n:] = prev.values[pr, prev.width - n:]
-                        self.counts[r] = n
-                    continue
-            cache = cache_lookup(topic)
-            if cache is not None and len(cache):
-                self.counts[r] = cache.tail_into(
-                    timestamps[r], values[r], self.width
-                )
-        if self.counts.any():  # seeded rows keep their own stamps
-            self._times, self._group = times, np.arange(len(times))
+            pr = prev.row_of.get(topic) if prev is not None else None
+            if pr is not None:
+                n = min(int(prev.counts[pr]), self.width)
+                if n:
+                    stamps[-n:] = prev._times[prev._group[pr], prev._head - n:prev._head]
+                    values[r, -n:] = prev.values[pr, prev.width - n:]
+            else:
+                cache = cache_lookup(topic)
+                n = 0
+                if cache is not None and len(cache):
+                    n = cache.tail_into(stamps, values[r], self.width)
+            if n:  # a seeded row keeps stamps of its own
+                self._split()[r, head - n:head] = stamps[-n:]
+                self.counts[r] = n
         self._note_counts()
 
     def append(self, ts: int, rows: Optional[List[int]], vals) -> None:
@@ -176,11 +178,7 @@ class FusedChannel:
         else:
             idx = np.asarray(rows, dtype=np.intp)
             if len(idx) < len(self.counts):
-                times = self._times
-                if len(times) < len(self.counts):  # split: a group per row
-                    times = self._times = times.repeat(len(self.counts), axis=0)
-                    self._group = np.arange(len(times))
-                self._steady = 0
+                times = self._split()
                 lo = head - width
                 values = self._values
                 if width > 1:
@@ -200,10 +198,6 @@ class FusedChannel:
         self._values[idx, head] = vals
         self._times[:, head] = ts
         self._head = head + 1
-        self._steady += 1
-        if self._steady == width:  # every window holds full passes only
-            self._times = self._times[:1].copy()
-            self._group = np.zeros(len(self.counts), dtype=np.intp)
         self._count(idx)
 
     def _count(self, idx) -> None:

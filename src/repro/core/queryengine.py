@@ -163,13 +163,10 @@ class BatchWindow:
         """Newest timestamp per row (0 where a row is empty)."""
         return self._times[self._group, -1]
 
-    def spans(self, rows=slice(None), n: int = 0) -> np.ndarray:
+    def spans(self, rows=slice(None)) -> np.ndarray:
         """Newest minus oldest valid timestamp of each of ``rows`` (each
-        must hold a reading); given the ``n`` readings every row holds,
-        read once per time vector."""
+        must hold a reading)."""
         times, group = self._times, self._group[rows]
-        if n:
-            return (times[:, -1] - times[:, self.width - n])[group]
         return times[group, -1] - times[group, self.width - self.counts[rows]]
 
 

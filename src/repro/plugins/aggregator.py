@@ -200,7 +200,7 @@ class AggregatorOperator(OperatorBase):
         # unit's first input.  One kernel per aggregate over that.
         values = window.values[:, window.width - n:]
         pooled = values.reshape(len(units), m * n)
-        span = partial(window.spans, slice(None, None, m), n)
+        span = partial(window.spans, slice(None, None, m))
         columns = {
             op: kernel(pooled, values[::m], span)
             for op, kernel in self._kernels.items()

@@ -133,7 +133,7 @@ class PerfMetricsOperator(OperatorBase):
         moved = {c: delta[k::m] for k, c in enumerate(counters)}
 
         def seconds(counter: str) -> np.ndarray:
-            return window.spans(slice(counters.index(counter), None, m), n) / 1e9
+            return window.spans(slice(counters.index(counter), None, m)) / 1e9
 
         columns = {}
         for name in names:

@@ -383,10 +383,10 @@ def persyst_passes(draw):
     return qs, stats, values, counts
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=persyst_passes())
-def test_one_quantile_call_is_one_call_per_job(case):
-    qs, stats, values, counts = case
+def check_one_call(qs, stats, values, counts):
+    """One pass over jobs of ``values`` (rows live where ``counts`` > 0)
+    is bit-equal to :func:`per_job_reference`, and takes the one-call
+    path exactly when every job holds as many live samples, all finite."""
     op = make_op(FakeJobSource([]), quantiles=qs, statistics=stats)
     names = op.job_output_names()
     units, slices, row = [], [], 0
@@ -425,3 +425,25 @@ def test_one_quantile_call_is_one_call_per_job(case):
         and len({int(h.sum()) for h in held}) == 1 and held[0].any()
     )
     assert isinstance(result, PassResult) == bool(uniform)
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=persyst_passes())
+def test_one_quantile_call_is_one_call_per_job(case):
+    check_one_call(*case)
+
+
+@pytest.mark.parametrize("jobs, cpus", [(3, 128), (2, 129), (3, 300), (1, 1000)])
+def test_one_quantile_call_at_the_served_shapes(jobs, cpus):
+    """``agent_holistic``'s 3 jobs x 128 cpus, and jobs past NumPy's
+    128-element summation blocks, with ``mean`` and ``std``: the
+    row-wise reductions are bit-equal to the per-job ones."""
+    rng = np.random.default_rng(cpus)
+    values = (rng.standard_normal((jobs, cpus)) * 1e3 + 2.5).tolist()
+    qs = [i / 10 for i in range(11)] + [0.25, 0.333]
+    counts = [[1] * cpus] * jobs
+    result = check_one_call(qs, ["mean", "std"], values, counts)
+    assert isinstance(result, PassResult)
+    values[-1][cpus // 2] = np.nan  # one NaN sample: per job again
+    assert not isinstance(check_one_call(qs, ["mean", "std"], values, counts), PassResult)

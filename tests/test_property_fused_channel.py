@@ -12,10 +12,9 @@ enough to wrap the ring at least three times, run on both, optionally
 after seeding from a predecessor channel and the host's caches.  After
 every append ``values``, ``timestamps``, ``counts`` and every served
 :class:`~repro.core.queryengine.BatchWindow` (whole and sub-selected,
-``uniform_count`` included) are bit-equal.  Seven seeded mutations of
-``core/fusion.py`` must fail the same property, three of them in the
-channel's one time ring: its wrap, its split by a seeded history and
-its join after ``width`` full passes.
+``uniform_count`` included) are bit-equal.  Six seeded mutations of
+``core/fusion.py`` must fail the same property, two of them in the
+channel's one time ring: its wrap and its split by a seeded history.
 """
 
 import inspect
@@ -226,14 +225,10 @@ MUTATIONS = {
         ("self._times[:, :head] = self._times[:, width + 1:]",
          "self._times[:, :width] = self._times[:, width:]"),
     ],
-    # The per-row stamps are dropped one full pass too early, while a
-    # window still holds a stamp of a partial pass.
-    "stamps-dropped-early": [
-        ("if self._steady == width:", "if self._steady == width - 1:"),
-    ],
     # A seeded history is served as if the rows were in lock step.
     "seed-stays-in-step": [
-        ("if self.counts.any():", "if False:"),
+        ("self._split()[r, head - n:head] = stamps[-n:]",
+         "self._times[0, head - n:head] = stamps[-n:]"),
     ],
     # A partial pass advances the head: the rows it did not produce
     # slide with it.

@@ -797,9 +797,6 @@ def assert_stamps_are_the_matrix(win, ref, where):
     if len(full):
         oldest = matrix[full, width - ref.counts[full]]
         assert win.spans(full).tolist() == (matrix[full, -1] - oldest).tolist()
-        for n in set(ref.counts[full].tolist()):  # read once per vector
-            rows = np.flatnonzero(ref.counts == n)
-            assert win.spans(rows, n).tolist() == win.spans(rows).tolist()
 
 
 @st.composite
