@@ -19,7 +19,12 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.harness import print_header, print_table, shape_check
+from benchmarks.harness import (
+    print_header,
+    print_table,
+    shape_check,
+    store_passes,
+)
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import SensorCache
 
@@ -34,7 +39,7 @@ def build_caches(window_s):
     values = ts.astype(np.float64)
     for _ in range(8):  # a sample of the 1000; memory extrapolates
         cache = SensorCache.for_duration(window_s * NS_PER_SEC, NS_PER_SEC)
-        cache.store_batch(ts, values)
+        store_passes(zip([cache] * len(ts), ts, values))
         caches.append(cache)
     return caches
 

@@ -136,13 +136,13 @@ class MiniPusher:
         write_columns_at(plan.columns, ts, readings.values)
         self.batches.append((ts, readings.sensors, readings.values.copy()))
 
-    def _write_plan(self, sensors: tuple, timestamps=None) -> WritePlan:
+    def _write_plan(self, sensors: tuple) -> WritePlan:
         new = [s.topic for s in sensors if s.topic not in self.caches]
         if new:
             slab = CacheSlab.sized_for(len(new), self.cache_window_ns, NS_PER_SEC)
             self.caches.update(zip(new, slab.rings(NS_PER_SEC)))
         caches = [self.caches[s.topic] for s in sensors]
-        return WritePlan((), plan_columns(caches, timestamps))
+        return WritePlan((), plan_columns(caches))
 
     def series(self) -> dict:
         out: dict = {}

@@ -23,7 +23,7 @@ bench measures exactly those properties:
   workloads, so the disk tier's overhead is a number, not a feeling.
 - **Maintenance**: what one sweep costs at fan-in width (1 480 topics x
   10 readings per flush, the shape ``tiered_query_mix`` has, landed as
-  the Collect Agent's drain lands it: one ``insert_columns`` per reading
+  the Collect Agent's drain lands it: one pass per node and reading
   step) — flush, raw -> 10 s and 10 s -> 1 min compaction, open, bytes
   on disk per reading — each beside the per-topic loop and JSON-header
   file (WMSEG01) it replaced, kept here as the reference and run in the
@@ -65,6 +65,7 @@ if __package__ in (None, ""):  # script invocation: make repo-root imports work
 import numpy as np
 
 from benchmarks.harness import (
+    insert_passes,
     print_header,
     print_table,
     shape_check,
@@ -122,13 +123,9 @@ def run_identity(topics: int, seconds: int, ooo_every: int) -> dict:
         for i, (topic, ts, val) in enumerate(
             _stream(topics, seconds, ooo_every)
         ):
-            if i % 2:
-                mem.insert_batch(topic, ts, val)
-                tiered.insert_batch(topic, ts, val)
-            else:
-                for t, v in zip(ts, val):
-                    mem.insert(topic, int(t), float(v))
-                    tiered.insert(topic, int(t), float(v))
+            readings = list(zip([topic] * len(ts), ts, val))
+            insert_passes(mem, readings)
+            insert_passes(tiered, readings)
             # Seal mid-stream so queries span segments AND memory.
             if i and i % (topics * (seconds // 3)) == 0:
                 tiered.flush(int(ts[-1]))
@@ -165,13 +162,13 @@ def run_restart_replay(topics: int, seconds: int) -> dict:
         first = TieredStorageBackend(tmp, flush_mb=64)
         last_ts = 0
         for topic, ts, val in _stream(topics, seconds, ooo_every=0):
-            first.insert_batch(topic, ts, val)
+            insert_passes(first, zip([topic] * len(ts), ts, val))
             last_ts = max(last_ts, int(ts[-1]))
         mid = seconds * NS_PER_SEC // 2
         first.flush(mid)  # two generations of segments
         for topic, ts, val in _stream(topics, seconds, ooo_every=0,
                                       seed=0xB007):
-            first.insert_batch(topic, ts + mid + NS_PER_SEC, val)
+            insert_passes(first, zip([topic] * len(ts), ts + mid + NS_PER_SEC, val))
             last_ts = max(last_ts, int(ts[-1]) + mid + NS_PER_SEC)
         flushed = first.total_readings()
         expected = {
@@ -191,9 +188,9 @@ def run_restart_replay(topics: int, seconds: int) -> dict:
                 mismatched += 1
         probe = first.topics()[0]
         before = second.count(probe)
-        second.insert(probe, last_ts + NS_PER_SEC, 1.0)
+        insert_passes(second, [(probe, last_ts + NS_PER_SEC, 1.0)])
         insert_ok = second.count(probe) == before + 1
-        second.insert(probe, 0, 1.0)  # stale replay: must be refused
+        insert_passes(second, [(probe, 0, 1.0)])  # stale replay: must be refused
         ooo_refused = second.ooo_dropped == 1
         return {
             "flushed_readings": flushed,
@@ -230,7 +227,7 @@ def run_rollup(topics: int, seconds: int, flush_chunks: int) -> dict:
                     * NS_PER_SEC
                 )
                 val = rng.normal(200.0, 20.0, size=len(ts))
-                backend.insert_batch(topic, ts, val)
+                insert_passes(backend, zip([topic] * len(ts), ts, val))
                 raw_sum += float(val.sum())
                 raw_readings += len(ts)
             backend.flush((c + 1) * chunk * NS_PER_SEC)
@@ -270,14 +267,15 @@ def run_throughput(topics: int, readings: int) -> dict:
     rng = np.random.default_rng(0xBE7)
     vals = {t: rng.normal(100.0, 5.0, size=per_topic) for t in names}
 
+    # One pass a timestamp, every topic in it: what a drain writes.
+    readings = [
+        (topic, t, vals[topic][i])
+        for i, t in enumerate(ts.tolist()) for topic in names
+    ]
+
     def _drive(backend) -> dict:
         t0 = time.perf_counter()
-        for topic in names:
-            # Chunked batches: the realistic drain-interval granularity.
-            for lo in range(0, per_topic, 1000):
-                backend.insert_batch(
-                    topic, ts[lo : lo + 1000], vals[topic][lo : lo + 1000]
-                )
+        insert_passes(backend, readings)
         insert_s = time.perf_counter() - t0
         flush = getattr(backend, "flush", None)
         if flush is not None:
@@ -488,12 +486,17 @@ def run_maintenance(nodes: int, sensors: int, readings: int, rounds: int) -> dic
             )
             gathered = TieredStorageBackend(tmp / f"gather-{r}", flush_mb=64)
             reference = StorageBackend()
-            # As the agent's drain lands readings: every topic's reading
-            # of one step in one write, each node at its phase.
-            for j, step in enumerate(steps.tolist()):
-                ts = (phase + step).tolist()
-                for store in (backend, gathered, reference):
-                    store.insert_columns(names, ts, values[:, j])
+            # As the agent's drain lands readings: a pass per node and
+            # step, at the node's phase — node by node, so each node's
+            # topics tuple is planned once.
+            stream = [
+                (names[i], int(phase[i]) + step, values[i, j])
+                for lo in range(0, len(names), sensors)
+                for j, step in enumerate(steps.tolist())
+                for i in range(lo, lo + sensors)
+            ]
+            for store in (backend, gathered, reference):
+                insert_passes(store, stream)
             ref_dir = tmp / f"reference-{r}"
             ref_dir.mkdir()
 
@@ -701,13 +704,26 @@ def _aged_store(directory, nodes: int, sensors: int, flushes: int = _READ_FLUSHE
         rollup_minute_after_ns=_READ_MINUTE_S * NS_PER_SEC,
     )
     seconds = np.arange(_READ_FLUSH_S, dtype=np.int64) * NS_PER_SEC
+    nodes_topics = [
+        (lo, tuple(names[lo:lo + sensors])) for lo in range(0, len(names), sensors)
+    ]
     sweeps = []
     for k in range(flushes + 1):
         start = k * _READ_FLUSH_S * NS_PER_SEC
         span = seconds if k < flushes else seconds[:5]
         values = rng.normal(100.0, 5.0, size=(len(names), len(span)))
-        for i, topic in enumerate(names):
-            backend.insert_batch(topic, start + span + int(phase[i]), values[i])
+        # A pass per node and second, at the node's phase: node by node,
+        # so each node's topics tuple is planned once a sweep.
+        for lo, topics in nodes_topics:
+            stamps = (start + span + int(phase[lo])).tolist()
+            for j, ts in enumerate(stamps):
+                if k == j == 0:
+                    # Each topic's first reading alone: one block per
+                    # topic, the layout these sweep costs were set on.
+                    for i, topic in enumerate(topics, lo):
+                        backend.insert_columns_at((topic,), ts, values[i:i + 1, 0])
+                    continue
+                backend.insert_columns_at(topics, ts, values[lo:lo + sensors, j])
         if k < flushes:
             now = start + _READ_FLUSH_S * NS_PER_SEC
             t0 = time.perf_counter()

@@ -13,24 +13,30 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.dcdb import cache as cache_module
 from repro.deploy import Deployment
 
 __all__ = [
     "Deployment",
+    "insert_passes",
+    "passes",
     "print_header",
     "print_table",
     "print_heatmap",
     "shape_check",
+    "store_passes",
     "write_bench_artifact",
 ]
 
-#: Where ``write_bench_artifact`` drops its JSON files (the repo root,
-#: next to RESULTS.txt consumers; ``BENCH_*.json`` is gitignored).
+#: Where ``write_bench_artifact`` drops its JSON files (the repo root;
+#: ``BENCH_*.json`` is gitignored).
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent
 
 #: Artifact schema: 1 = bare payload, 2 = payload + ``provenance`` key.
@@ -62,6 +68,38 @@ def _config_digest(config: Optional[dict]) -> str:
         return ""
     canonical = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def passes(readings):
+    """``(ts, keys, values)`` per run of consecutive ``(key, ts, value)``
+    readings at one timestamp, in order — a sequence cut into one-instant
+    passes as the Collect Agent's drain cuts its queue."""
+    for ts, run in groupby(readings, key=itemgetter(1)):
+        keys, _, values = zip(*run)
+        yield int(ts), keys, np.array(values, dtype=np.float64)
+
+
+def insert_passes(storage, readings) -> None:
+    """Write ``(topic, ts, value)`` readings into ``storage`` one pass at
+    a time (``insert_columns_at``)."""
+    for ts, topics, values in passes(readings):
+        storage.insert_columns_at(topics, ts, values)
+
+
+def store_passes(readings) -> int:
+    """Write ``(cache, ts, value)`` readings one pass at a time, by the
+    hosts' memoised writer (``plan_write`` + ``write_columns_at``);
+    returns how many were refused as stale."""
+    memo = cache_module.PlanMemo()
+
+    def compile(caches):
+        return cache_module.WritePlan(caches, cache_module.plan_columns(caches))
+
+    refused = 0
+    for ts, caches, values in passes(readings):
+        plan = cache_module.plan_write(memo, compile, caches)
+        refused += cache_module.write_columns_at(plan.columns, ts, values)
+    return refused
 
 
 def print_header(title: str) -> None:

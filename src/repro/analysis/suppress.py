@@ -52,8 +52,5 @@ class InlineSuppressions:
             return True
         return False
 
-    def codes_on(self, line: int) -> Set[str]:
-        return set(self._by_line.get(line, ()))
-
     def __bool__(self) -> bool:
         return bool(self._by_line)

@@ -26,17 +26,17 @@ one or two slot spans (:meth:`CacheSlab.newest_spans`) for all of them.
 The lock step is not the caches' alone: a :class:`LockStep` group —
 its members, ``epoch``, fill, newest timestamp, the order guard and the
 hand-over of members to a fresh group — is the base of a slab and of the
-storage backend's blocks, each a :class:`Member` of it.  A write that
-would break the lock step (a scalar store, a batch or a clear on a
-shared group; a column some rows miss or are brought to twice) first
-moves the members that fall out of step into a fresh group and bumps
-the ``epoch`` of the one they left.  :func:`plan_columns` is that rule
-for a whole write, and :func:`plan_write` / :func:`write_columns` are
-the one memoised writer every host's write path goes through — in a
-one-timestamp form (``timestamps=None``, :func:`write_columns_at`) for
-a pass, which is what every hop but a drain of mixed passes writes.  A
-stand-alone ``SensorCache(capacity)`` is a slab of one row, so every
-scalar path is what it was.
+storage backend's blocks, each a :class:`Member` of it.  A change that
+would break the lock step (a clear or a resize on a shared group; a
+column some rows miss or are brought to twice) first moves the members
+that fall out of step into a fresh group and bumps the ``epoch`` of the
+one they left.  :func:`plan_columns` is that rule for a whole write, and
+:func:`plan_write` / :func:`write_columns_at` are the one memoised
+writer every host's write path goes through.  A write is a pass: a
+sequence of readings all at one timestamp — a sampled group, an
+operator's outputs, a drain's run of passes.  A stand-alone
+``SensorCache(capacity)`` is a slab of one row, written as a pass of
+one.
 
 **Snapshot semantics.**  Views handed out by a :class:`SensorCache` are
 *snapshots*: the (at most two) window slices are materialised into one
@@ -151,14 +151,13 @@ class LockStep:
 
     Every live row holds the same timestamps in the same positions, so a
     layout stores them once, and ``size`` and ``newest`` are plain ints
-    here.  ``newest`` is the order guard (:meth:`stale`, :meth:`keep`).  A member that leaves (moved
-    out or dropped: :meth:`hand_over`) moves ``epoch``, which is how a
-    reader that indexes the rows by number (a write plan, a
-    ``QueryPlan``) learns it; the row left behind stays allocated and
-    keeps being written with the column.  A layout supplies ``_append``
-    (one column), ``_extend`` (``(n,)`` timestamps, ``[rows, n]``
-    values; sets ``newest``) and ``_copy`` (a fresh group holding some
-    members' readings and ``newest``).
+    here.  ``newest`` is the order guard (:meth:`stale`).  A member
+    that leaves (moved out or dropped: :meth:`hand_over`) moves
+    ``epoch``, which is how a reader that indexes the rows by number (a
+    write plan, a ``QueryPlan``) learns it; the row left behind stays
+    allocated and keeps being written with the column.  A layout
+    supplies ``_append`` (one column) and ``_copy`` (a fresh group
+    holding some members' readings and ``newest``).
     """
 
     __slots__ = ("rows", "bound", "epoch", "size", "newest")
@@ -175,16 +174,6 @@ class LockStep:
         reading, and so refused (equal is in order)."""
         newest = self.newest
         return newest is not None and timestamp < newest
-
-    def keep(self, timestamps: np.ndarray) -> np.ndarray:
-        """Which of ``timestamps``, in order, one :meth:`stale` check each
-        would keep: those not older than the newest nor than the running
-        maximum (a reading not older than all before it is kept)."""
-        keep = timestamps >= np.maximum.accumulate(timestamps)
-        newest = self.newest
-        if newest is not None:
-            keep &= timestamps >= newest
-        return keep
 
     def store_column(self, timestamp: int, values) -> bool:
         """Append one reading to every row: ``values`` in row order (or
@@ -226,30 +215,12 @@ class Member:
         group.bound[row] = self
 
     def alone(self) -> LockStep:
-        """This member's group, once it is alone on it: a write of one
+        """This member's group, once it is alone on it: a change to one
         member moves it out of a group it shares first."""
         group = self.slab
         if len(group.bound) > 1:
             group = group.move([self])
         return group
-
-    def _write(self, timestamp: int, value: float) -> bool:
-        """One reading of this member alone; False (nothing moved) when
-        stale."""
-        return not self.slab.stale(timestamp) and self.alone().store_column(
-            timestamp, value
-        )
-
-    def _write_batch(self, timestamps: np.ndarray, values: np.ndarray) -> int:
-        """What one :meth:`_write` each would store; returns how many
-        were refused."""
-        keep = self.slab.keep(timestamps)
-        kept = int(np.count_nonzero(keep))
-        if kept:
-            if kept < len(keep):
-                timestamps, values = timestamps[keep], values[keep]
-            self.alone()._extend(timestamps, values[None, :])
-        return len(keep) - kept
 
 
 class CacheSlab(LockStep):
@@ -269,11 +240,12 @@ class CacheSlab(LockStep):
         self.head = 0  # index of the next write slot
         #: Smallest gap between two successive distinct timestamps, as
         #: measured by a host that cannot know the sensors' interval
-        #: (the Collect Agent's ingest loop; :data:`NO_GAP` until it has
-        #: seen two).  It is an observation, not a contract: the Query
-        #: Engine reads it to decide how many readings a time window can
-        #: hold at most — the window itself stays a matter of timestamps
-        #: (``interval_ns`` is the claim that turns it into a count).
+        #: (the Collect Agent, on every write: ``_advance``;
+        #: :data:`NO_GAP` until it has seen two).  It is an observation,
+        #: not a contract: the Query Engine reads it to decide how many
+        #: readings a time window can hold at most — the window itself
+        #: stays a matter of timestamps (``interval_ns`` is the claim
+        #: that turns it into a count).
         self.gap = NO_GAP
 
     @classmethod
@@ -328,19 +300,6 @@ class CacheSlab(LockStep):
         # One drop on every live ring, as one store per ring would count.
         for ring in self.bound.values():
             ring.stale_drops += 1
-
-    def _extend(self, ts: np.ndarray, val: np.ndarray) -> None:
-        n = len(ts)
-        cap = len(self.ts)
-        keep = min(n, cap)  # a batch longer than the ring keeps its newest
-        self.head = (self.head + n) % cap
-        self.size = min(cap, self.size + n)
-        j = n - keep
-        for a, b in self.newest_spans(keep):
-            self.ts[a:b] = ts[j:j + b - a]
-            self.val[a:b] = val[:, j:j + b - a].T
-            j += b - a
-        self.newest = int(ts[-1])
 
     def newest_spans(self, n: int) -> Tuple[Tuple[int, int], ...]:
         """Slot spans ``(start, stop)`` of the newest ``n`` readings
@@ -443,72 +402,52 @@ class Column(NamedTuple):
     slab: LockStep
     epoch: int            # the group's when planned: a member leaving moves it
     index: Optional[np.ndarray]
-    first: int            # a position of the column: its timestamp is the column's
 
 
-def first_arrivals(known, topics, timestamps=None) -> Dict[int, List[str]]:
-    """The topics of a write that ``known`` holds no row for, grouped by
-    the timestamp each first arrives at, in order of first arrival:
-    what is first heard together is written and read together.
-    ``timestamps`` ``None``: the write is at one timestamp, one group."""
-    if timestamps is None:
-        new = [topic for topic in dict.fromkeys(topics) if topic not in known]
-        return {0: new} if new else {}
-    first: Dict[str, int] = {}
-    for topic, ts in zip(topics, timestamps):
-        if topic not in known and topic not in first:
-            first[topic] = ts
-    groups: Dict[int, List[str]] = {}
-    for topic, ts in first.items():
-        groups.setdefault(ts, []).append(topic)
-    return groups
+def first_arrivals(known, topics) -> List[str]:
+    """The topics of a write that ``known`` holds no row for, in order:
+    what is first heard together is written and read together."""
+    return [topic for topic in dict.fromkeys(topics) if topic not in known]
 
 
-def plan_columns(
-    caches: Sequence[Member], timestamps: Optional[Sequence[int]] = None
-) -> List[Column]:
-    """How reading ``i`` — for ``caches[i]`` at ``timestamps[i]`` (all at
-    one timestamp when ``None``) — is written, as columns that keep
-    every group in lock step.
+def plan_columns(caches: Sequence[Member]) -> List[Column]:
+    """How reading ``i`` — for ``caches[i]``, all at one timestamp — is
+    written, as columns that keep every group in lock step.
 
-    Per group, its live members are grouped by the timestamps this
-    write brings them, in order (none, for a member it misses).  The
-    largest group stays (the first of equals; the missed members count
-    last); every other group moves together into a fresh one.  Each
-    group then takes one column per timestamp it was brought — a
-    member's ``k``-th reading in its group's ``k``-th column, so each
-    sees its readings in the order a loop of scalar stores would.  Run
-    before anything is stored; the plan is valid for as long as no
-    planned group's ``epoch`` moves.  The rule of every layout: ring
-    slabs and the storage backend's blocks alike.
+    Per group, its live members are grouped by how many readings this
+    write brings them (none, for a member it misses).  The largest group
+    stays (the first of equals; the missed members count last); every
+    other group moves together into a fresh one.  Each group then takes
+    one column per reading it was brought — a member's ``k``-th reading
+    in its group's ``k``-th column, so each sees its readings in the
+    order a loop of one-reading writes would.  Run before anything is
+    stored; the plan is valid for as long as no planned group's
+    ``epoch`` moves.  The rule of every layout: ring slabs and the
+    storage backend's blocks alike.
     """
     positions: Dict[Member, List[int]] = {}
     for i, cache in enumerate(caches):
         positions.setdefault(cache, []).append(i)
-    by_slab: Dict[LockStep, Dict[tuple, List[Member]]] = {}
+    by_slab: Dict[LockStep, Dict[int, List[Member]]] = {}
     for cache, where in positions.items():
-        if timestamps is None:  # one timestamp: a pattern is a count
-            pattern = (0,) * len(where)
-        else:
-            pattern = tuple(timestamps[i] for i in where)
-        by_slab.setdefault(cache.slab, {}).setdefault(pattern, []).append(cache)
+        by_slab.setdefault(cache.slab, {}).setdefault(len(where), []).append(cache)
     homes = []
     for slab, groups in by_slab.items():
         missed = [r for r in slab.bound.values() if r not in positions]
         if missed:
-            groups.setdefault((), []).extend(missed)
-        stay = max(groups, key=lambda pattern: len(groups[pattern]))
-        for pattern, rings in groups.items():
-            if pattern:
-                homes.append((rings, pattern))
-            if pattern != stay:
+            groups.setdefault(0, []).extend(missed)
+        stay = max(groups, key=lambda count: len(groups[count]))
+        for count, rings in groups.items():
+            if count:
+                homes.append((rings, count))
+            if count != stay:
                 slab.move(rings)
     columns = []
     n = len(caches)
-    for rings, pattern in homes:
+    for rings, count in homes:
         slab = rings[0].slab
         rows = slab.rows
-        for k in range(len(pattern)):
+        for k in range(count):
             index = [positions[rings[0]][k]] * rows  # rows no ring is on
             for ring in rings:
                 index[ring.row] = positions[ring][k]
@@ -516,23 +455,8 @@ def plan_columns(
             columns.append(Column(
                 slab, slab.epoch,
                 None if identity else np.array(index, dtype=np.intp),
-                index[rings[0].row],
             ))
     return columns
-
-
-def stamps_fit(columns: Sequence[Column], timestamps: List[int]) -> bool:
-    """Whether each of ``columns`` still takes readings that share one
-    timestamp in a sequence of these ``timestamps`` (trivially, when the
-    whole sequence does)."""
-    if timestamps.count(timestamps[0]) == len(timestamps):
-        return True
-    stamps = np.asarray(timestamps, dtype=np.int64)
-    for col in columns:
-        column = stamps if col.index is None else stamps[col.index]
-        if (column != stamps[col.first]).any():
-            return False
-    return True
 
 
 class WritePlan(NamedTuple):
@@ -545,14 +469,9 @@ class WritePlan(NamedTuple):
     published: Optional[np.ndarray] = None
 
 
-def plan_write(
-    memo: PlanMemo, compile, seq: tuple,
-    timestamps: Optional[List[int]] = None,
-):
-    """The plan ``memo`` finds for ``seq`` (:class:`PlanMemo`) while it
-    fits — no planned group's ``epoch`` moved and, for a write of several
-    ``timestamps`` (``None``: all one), each column's readings share one
-    (:func:`stamps_fit`) — else ``compile(seq, timestamps)``, the host's
+def plan_write(memo: PlanMemo, compile, seq: tuple):
+    """The plan ``memo`` finds for ``seq`` (:class:`PlanMemo`) while no
+    planned group's ``epoch`` moved, else ``compile(seq)``, the host's
     (rows opened for what ``seq`` brings first, then ``columns``), kept.
     """
     plan = memo.get(seq)
@@ -561,18 +480,8 @@ def plan_write(
             if col.slab.epoch != col.epoch:
                 break
         else:
-            if timestamps is None or stamps_fit(plan.columns, timestamps):
-                return plan
-    return memo.put(seq, compile(seq, timestamps))
-
-
-def write_columns(columns, timestamps, values: np.ndarray, advance=None) -> int:
-    """:func:`write_columns_at` for a sequence of these ``timestamps``:
-    each column at its readings' one timestamp."""
-    refused = 0
-    for col in columns:
-        refused += write_columns_at((col,), timestamps[col.first], values, advance)
-    return refused
+            return plan
+    return memo.put(seq, compile(seq))
 
 
 def write_columns_at(columns, ts: int, values: np.ndarray, advance=None) -> int:
@@ -739,22 +648,6 @@ class SensorCache(Member):
     # Writing
     # ------------------------------------------------------------------
 
-    def store(self, timestamp: int, value: float) -> None:
-        """Append one reading.  Timestamps must be non-decreasing; stale
-        (out-of-order) readings are dropped, matching DCDB semantics."""
-        if not self._write(timestamp, value):
-            self.stale_drops += 1
-
-    def store_batch(self, timestamps, values) -> None:
-        """Append many readings at once, in order: what one :meth:`store`
-        each would keep and drop, so a stale or unsorted batch can never
-        corrupt the sorted timestamp order that :meth:`view_absolute`'s
-        binary search relies on."""
-        self.stale_drops += self._write_batch(
-            np.asarray(timestamps, dtype=np.int64),
-            np.asarray(values, dtype=np.float64),
-        )
-
     def clear(self) -> None:
         """Drop all readings."""
         slab = self.alone()
@@ -811,14 +704,12 @@ class SensorCache(Member):
         of the destination arrays, oldest-first, and return how many
         were written.
 
-        This is the one-ring window primitive — behind the fused
-        pipeline channels' seeding and the rows a compiled query plan
-        reads one at a time (rings that share a slab with too few others
-        to be worth a slab gather, see
-        ``QueryEngine._execute_plan``): the ring's one or two live
-        segments are sliced straight into the caller's right-aligned row
-        storage, with no per-reading loop and no temporary
-        concatenation.  The destinations must be at least
+        What a fused pipeline channel is seeded from
+        (``FusedChannel.seed``): the ring's one or two live segments are
+        sliced straight into the caller's right-aligned row storage,
+        with no per-reading loop and no temporary concatenation.  (A
+        compiled query plan reads its rings a slab at a time:
+        :meth:`CacheSlab.copy_newest`.)  The destinations must be at least
         ``min(count, size)`` long.
         """
         slab = self.slab

@@ -30,7 +30,6 @@ from repro.dcdb.cache import (
     plan_write,
     register_cache_gauges,
     register_memo_gauges,
-    write_columns,
     write_columns_at,
 )
 from repro.dcdb.mqtt import Broker, QueuedSubscriber, ReadingBatch
@@ -80,7 +79,7 @@ class CollectAgent:
         self._storage = storage if storage is not None else StorageBackend()
         self.cache_window_ns = int(cache_window_ns)
         self.caches: Dict[str, SensorCache] = {}
-        #: Write plans by topic sequence (see ``_ingest``) ...
+        #: Write plans by topic sequence (see :meth:`_write_plan`) ...
         self._plans = PlanMemo()
         #: ... and in front of them, by the sequence a producer hands
         #: over (a drain's topics tuples, an operator's outputs): apart,
@@ -183,18 +182,33 @@ class CollectAgent:
         ) // (gap_ns * self._SIZING_SLACK_DEN) + 2
         return min(max(2, needed), self._MAX_INGEST_CAPACITY)
 
-    def _ingest(self, topics, timestamps, values) -> None:
-        """Scatter readings given as three parallel columns (``values``
-        float64) into caches and storage: the agent's write path in its
-        per-reading form (a drain writes each run of one timestamp at
-        it instead, :meth:`_drain`).
+    def _drain_plan(self, parts: tuple) -> WritePlan:
+        """The plan of a drain's joined topic sequence, however cut."""
+        topics = tuple(chain.from_iterable(parts))
+        return plan_write(self._plans, self._write_plan, topics)
 
-        They land as columns — one per slab and timestamp, two NumPy
-        writes each — by the write plan kept for their topic sequence
-        (:func:`plan_write`, compiled by :meth:`_write_plan`).  Storage
-        takes the plan's topics tuple the same way, by a plan of its own
-        over its blocks (``insert_columns``): found by that tuple's
-        identity, as steady as the agent's plan.
+    def _output_plan(self, sensors: tuple) -> WritePlan:
+        """The plan of an operator pass's topic sequence."""
+        topics = tuple(sensor.topic for sensor in sensors)
+        return plan_write(self._plans, self._write_plan, topics)
+
+    def _write_plan(self, topics: tuple) -> WritePlan:
+        """The columns of a pass (:func:`plan_columns`), once the topics
+        it is the first to bring have rings: one slab for them all
+        (:func:`first_arrivals`)."""
+        caches = self.caches
+        new = first_arrivals(caches, topics)
+        if new:
+            slab = CacheSlab(len(new), self._ingest_capacity(NS_PER_SEC))
+            caches.update(zip(new, slab.rings()))
+        return WritePlan(
+            topics, plan_columns([caches[topic] for topic in topics])
+        )
+
+    def _advance(self, slab: CacheSlab, ts: int) -> None:
+        """Track the cadence of ``slab`` and size it for a column at
+        ``ts``: every write of the agent sees each of its slabs here
+        first.
 
         Interval is unknown for remote sensors, so an ingest cache
         carries no ``interval_ns`` and a relative window over it is a
@@ -204,40 +218,7 @@ class CollectAgent:
         many readings a time window can hold, which is what lets a
         compiled plan read these rings directly (see
         ``core.queryengine``); it is never published as the interval.
-        Here it sizes the rings (:meth:`_advance`).
-        """
-        if not len(topics):
-            return
-        topics = tuple(topics)
-        plan = plan_write(self._plans, self._write_plan, topics, timestamps)
-        write_columns(plan.columns, timestamps, values, self._advance)
-        self._storage.insert_columns(plan.topics, timestamps, values)
-
-    def _drain_plan(self, parts: tuple, timestamps=None) -> WritePlan:
-        """The plan of a drain's joined topic sequence, however cut."""
-        topics = tuple(chain.from_iterable(parts))
-        return plan_write(self._plans, self._write_plan, topics, timestamps)
-
-    def _output_plan(self, sensors: tuple, timestamps=None) -> WritePlan:
-        """The plan of an operator pass's topic sequence."""
-        topics = tuple(sensor.topic for sensor in sensors)
-        return plan_write(self._plans, self._write_plan, topics, timestamps)
-
-    def _write_plan(self, topics: tuple, timestamps) -> WritePlan:
-        """The columns of a batch (:func:`plan_columns`), once the topics
-        it is the first to bring have rings: one slab per first-arrival
-        timestamp (:func:`first_arrivals`)."""
-        caches = self.caches
-        for group in first_arrivals(caches, topics, timestamps).values():
-            slab = CacheSlab(len(group), self._ingest_capacity(NS_PER_SEC))
-            caches.update(zip(group, slab.rings()))
-        return WritePlan(
-            topics, plan_columns([caches[topic] for topic in topics], timestamps)
-        )
-
-    def _advance(self, slab: CacheSlab, ts: int) -> None:
-        """Track the cadence of ``slab`` and size it for a column at
-        ``ts``.
+        Here it sizes the rings.
 
         The retention window is a time contract and a ring is sized in
         readings, so a ring starts at the 1 Hz guess and grows to what

@@ -251,7 +251,7 @@ class Pusher:
                 values = values[plan.published]
             self._publish_batch(ReadingBatch(plan.topics, ts, values))
 
-    def _write_plan(self, sensors: tuple, timestamps=None) -> WritePlan:
+    def _write_plan(self, sensors: tuple) -> WritePlan:
         """Where a pass of ``sensors`` lands: caches for the sensors that
         have none yet — operator outputs, registered with the host cache
         window the first time they are written, one slab per interval
@@ -265,9 +265,7 @@ class Pusher:
         for interval, group in new.items():
             self._allocate_caches(group, interval)
         caches = self.caches
-        columns = plan_columns(
-            [caches[sensor.topic] for sensor in sensors], timestamps
-        )
+        columns = plan_columns([caches[sensor.topic] for sensor in sensors])
         published = [i for i, sensor in enumerate(sensors) if sensor.publish]
         return WritePlan(
             tuple(sensors[i].topic for i in published), columns,

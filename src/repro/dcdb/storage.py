@@ -7,10 +7,10 @@ and TTL-based expiry.
 
 Readings are held in *blocks*, the second layout of the caches'
 lock-step group (:class:`~repro.dcdb.cache.LockStep`): the topics first
-stored together (one batch's first arrivals) are the rows of ``val[rows,
+stored together (one pass's first arrivals) are the rows of ``val[rows,
 w]`` chunk matrices beside one ``ts[w]`` vector a chunk, which the rows
-share — so a batch lands as one column per block and timestamp, two
-NumPy writes each, through the hosts' one memoised writer.  Membership,
+share — so a pass lands as one column per block, two NumPy writes
+each, through the hosts' one memoised writer.  Membership,
 the order guard and the hand-over are the group's: a write that would
 break the lock step first moves the rows that fall out of step into a
 fresh block, and a lone topic is a one-row block.  The block's own are
@@ -38,7 +38,6 @@ from repro.dcdb.cache import (
     first_arrivals,
     plan_columns,
     plan_write,
-    write_columns,
     write_columns_at,
 )
 from repro.dcdb.sensor import SensorReading
@@ -264,7 +263,7 @@ class StorageBackend:
     def __init__(self, ttl_ns: int = 0) -> None:
         #: topic -> its row.
         self._series: Dict[str, _Row] = {}
-        #: Write plans by topics tuple (see :meth:`insert_columns`).
+        #: Write plans by topics tuple (see :meth:`insert_columns_at`).
         self.plans = PlanMemo()
         self.ttl_ns = int(ttl_ns)
         self.insert_count = 0
@@ -290,12 +289,6 @@ class StorageBackend:
         self._series.update(zip(topics, rows))
         return rows
 
-    def _row(self, topic: str) -> _Row:
-        row = self._series.get(topic)
-        if row is None:
-            (row,) = self._open([topic], self._floor(topic))
-        return row
-
     def _blocks(self) -> List[_Block]:
         """Every block a topic is stored in, once."""
         return list(dict.fromkeys(row.slab for row in self._series.values()))
@@ -304,37 +297,15 @@ class StorageBackend:
     # Inserts
     # ------------------------------------------------------------------
 
-    def insert(self, topic: str, timestamp: int, value: float) -> None:
-        """Insert one reading for ``topic``.
+    def insert_columns_at(self, topics, ts: int, values) -> None:
+        """Insert a pass: ``values`` of ``topics``, all at one timestamp
+        ``ts``, as one column per block, by the write plan :attr:`plans`
+        keeps for this topics tuple (:func:`~repro.dcdb.cache.plan_write`).
 
         Time order is kept per topic: DCDB rejects out-of-order inserts
         at the same key; they are dropped and counted in
         :attr:`ooo_dropped`, like the sensor cache does.
         """
-        if self._row(topic)._write(timestamp, value):
-            self.insert_count += 1
-        else:
-            self.ooo_dropped += 1
-
-    def insert_columns(self, topics, timestamps, values) -> None:
-        """Insert readings given as three parallel columns (``topics`` and
-        ``timestamps`` lists), in order: what :meth:`insert` does for
-        each — same order, same out-of-order drops — as one column per
-        block and timestamp, by the write plan :attr:`plans` keeps for
-        this topics tuple (:func:`~repro.dcdb.cache.plan_write`).
-        """
-        if not len(topics):
-            return
-        plan = plan_write(self.plans, self._write_plan, tuple(topics), timestamps)
-        dropped = write_columns(
-            plan.columns, timestamps, np.asarray(values, dtype=np.float64)
-        )
-        self.insert_count += len(topics) - dropped
-        self.ooo_dropped += dropped
-
-    def insert_columns_at(self, topics, ts: int, values) -> None:
-        """:meth:`insert_columns` for readings all at one timestamp
-        ``ts``, by the same plans."""
         if not len(topics):
             return
         plan = plan_write(self.plans, self._write_plan, tuple(topics))
@@ -344,37 +315,19 @@ class StorageBackend:
         self.insert_count += len(topics) - dropped
         self.ooo_dropped += dropped
 
-    def _write_plan(self, topics: tuple, timestamps=None) -> WritePlan:
-        """The columns of a batch (:func:`plan_columns`), once the topics
-        it is the first to bring have rows: a block per first-arrival
-        timestamp, split by floor so each block starts at one."""
-        for group in first_arrivals(self._series, topics, timestamps).values():
-            floors: Dict[Optional[int], List[str]] = {}
-            for topic in group:
-                floors.setdefault(self._floor(topic), []).append(topic)
-            for floor, opened in floors.items():
-                self._open(opened, floor)
+    def _write_plan(self, topics: tuple) -> WritePlan:
+        """The columns of a pass (:func:`plan_columns`), once the topics
+        it is the first to bring have rows: one block, split by floor so
+        each block starts at one."""
+        floors: Dict[Optional[int], List[str]] = {}
+        for topic in first_arrivals(self._series, topics):
+            floors.setdefault(self._floor(topic), []).append(topic)
+        for floor, opened in floors.items():
+            self._open(opened, floor)
         series = self._series
         return WritePlan(
-            topics, plan_columns([series[topic] for topic in topics], timestamps)
+            topics, plan_columns([series[topic] for topic in topics])
         )
-
-    def insert_batch(
-        self, topic: str, timestamps: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Insert a batch for ``topic`` under the same out-of-order-drop
-        semantics as scalar :meth:`insert` (the guard over a batch,
-        :meth:`~repro.dcdb.cache.LockStep.keep`)."""
-        if len(timestamps) != len(values):
-            raise StorageError(
-                f"batch length mismatch: {len(timestamps)} != {len(values)}"
-            )
-        dropped = self._row(topic)._write_batch(
-            np.asarray(timestamps, dtype=np.int64),
-            np.asarray(values, dtype=np.float64),
-        )
-        self.insert_count += len(timestamps) - dropped
-        self.ooo_dropped += dropped
 
     # ------------------------------------------------------------------
     # Queries
@@ -534,12 +487,29 @@ class StorageBackend:
 
     @classmethod
     def load(cls, path: str, ttl_ns: int = 0) -> "StorageBackend":
-        """Restore a backend from a :meth:`save` snapshot."""
+        """Restore a backend from a :meth:`save` snapshot.
+
+        A snapshot is outside input: a series whose columns differ in
+        length, or whose timestamps go back, is refused with a
+        :class:`StorageError` naming its topic, never stored in part.
+        """
         storage = cls(ttl_ns=ttl_ns)
         with np.load(path) as data:
             n = int(data["n_series"])
             for i in range(n):
                 topic = bytes(data[f"topic_{i}"]).decode("utf-8")
-                storage.insert_batch(topic, data[f"ts_{i}"], data[f"val_{i}"])
-        storage.insert_count = 0  # snapshot restore is not "inserts"
+                ts = np.asarray(data[f"ts_{i}"], dtype=np.int64)
+                val = np.asarray(data[f"val_{i}"], dtype=np.float64)
+                if len(ts) != len(val):
+                    raise StorageError(
+                        f"snapshot series {topic!r}: {len(ts)} timestamps,"
+                        f" {len(val)} values"
+                    )
+                if (np.diff(ts) < 0).any():
+                    raise StorageError(
+                        f"snapshot series {topic!r}: timestamps go back"
+                    )
+                (row,) = storage._open([topic], storage._floor(topic))
+                if len(ts):
+                    row.slab._extend(ts, val[None, :])
         return storage

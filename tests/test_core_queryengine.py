@@ -10,7 +10,7 @@ from repro.dcdb.cache import CacheSlab, SensorCache
 from repro.dcdb.segments import TieredStorageBackend
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
-from tests.hosts import one
+from tests.hosts import insert_passes, one, store
 
 
 class FakeHost:
@@ -37,7 +37,7 @@ class FakeHost:
 def filled_cache(n=10, interval=NS_PER_SEC):
     c = SensorCache(64, interval_ns=interval)
     for i in range(n):
-        c.store(i * interval, float(i))
+        store(c, i * interval, float(i))
     return c
 
 
@@ -59,7 +59,7 @@ class TestRelativeQueries:
     def test_storage_fallback_when_no_cache(self):
         storage = StorageBackend()
         for i in range(5):
-            storage.insert("/a", i * NS_PER_SEC, float(i))
+            insert_passes(storage, [("/a", i * NS_PER_SEC, float(i))])
         qe = QueryEngine(FakeHost(storage))
         view = qe.query_relative("/a", 2 * NS_PER_SEC)
         assert list(view.values()) == [2.0, 3.0, 4.0]
@@ -92,7 +92,7 @@ class TestBatchedQueries:
         assert rings[0].slab is not slab
         for s in range(6, 21):
             slab.store_column(s * NS_PER_SEC, [float(s)] * 8)
-            rings[0].store(s * NS_PER_SEC, float(s))
+            store(rings[0], s * NS_PER_SEC, float(s))
         win = qe.query_relative_batch(topics, window_ns, key="op")
         assert win.counts.tolist() == [11] + [5] * 7 and win.width == 11
         for i, topic in enumerate(topics):
@@ -115,12 +115,12 @@ class TestAbsoluteQueries:
     def test_storage_serves_uncovered_range(self):
         storage = StorageBackend()
         for i in range(100):
-            storage.insert("/a", i * NS_PER_SEC, float(i))
+            insert_passes(storage, [("/a", i * NS_PER_SEC, float(i))])
         host = FakeHost(storage)
         # Cache only holds the newest 5 readings.
         cache = SensorCache(5, interval_ns=NS_PER_SEC)
         for i in range(95, 100):
-            cache.store(i * NS_PER_SEC, float(i))
+            store(cache, i * NS_PER_SEC, float(i))
         host.caches["/a"] = cache
         qe = QueryEngine(host)
         view = qe.query_absolute("/a", 0, 10 * NS_PER_SEC)
@@ -132,7 +132,7 @@ class TestAbsoluteQueries:
         host = FakeHost()
         cache = SensorCache(5, interval_ns=NS_PER_SEC)
         for i in range(95, 100):
-            cache.store(i * NS_PER_SEC, float(i))
+            store(cache, i * NS_PER_SEC, float(i))
         host.caches["/a"] = cache
         qe = QueryEngine(host)
         view = qe.query_absolute("/a", 0, 97 * NS_PER_SEC)

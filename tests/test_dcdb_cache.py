@@ -7,12 +7,13 @@ from repro.common.errors import QueryError
 from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb.cache import CacheView, SensorCache, default_cache
 from repro.dcdb.sensor import SensorReading
-from tests.hosts import one
+from tests.hosts import one, store, store_series
 
 
 def fill(cache: SensorCache, n: int, start: int = 0, step: int = NS_PER_SEC):
-    for i in range(n):
-        cache.store(start + i * step, float(i))
+    store_series(
+        cache, [start + i * step for i in range(n)], [float(i) for i in range(n)]
+    )
 
 
 class TestStore:
@@ -38,15 +39,15 @@ class TestStore:
 
     def test_out_of_order_dropped(self):
         c = SensorCache(4)
-        c.store(100, 1.0)
-        c.store(50, 2.0)  # stale, dropped
+        store(c, 100, 1.0)
+        store(c, 50, 2.0)  # stale, dropped
         assert len(c) == 1
         assert c.latest().value == 1.0
 
     def test_equal_timestamp_kept(self):
         c = SensorCache(4)
-        c.store(100, 1.0)
-        c.store(100, 2.0)
+        store(c, 100, 1.0)
+        store(c, 100, 2.0)
         assert len(c) == 2
 
     def test_invalid_capacity(self):
@@ -65,7 +66,7 @@ class TestStoreBatch:
     def test_simple_batch(self):
         c = SensorCache(8)
         ts = np.arange(5, dtype=np.int64)
-        c.store_batch(ts, ts.astype(float))
+        store_series(c, ts, ts.astype(float))
         assert len(c) == 5
         assert c.latest().value == 4.0
 
@@ -73,20 +74,20 @@ class TestStoreBatch:
         c = SensorCache(4)
         fill(c, 3)
         ts = np.array([10, 11, 12], dtype=np.int64) * NS_PER_SEC
-        c.store_batch(ts, np.array([10.0, 11.0, 12.0]))
+        store_series(c, ts, np.array([10.0, 11.0, 12.0]))
         assert len(c) == 4
         assert c.latest().value == 12.0
 
     def test_batch_larger_than_capacity(self):
         c = SensorCache(3)
         ts = np.arange(10, dtype=np.int64)
-        c.store_batch(ts, ts.astype(float))
+        store_series(c, ts, ts.astype(float))
         assert len(c) == 3
         assert list(c.view_relative(10**9).values()) == [7.0, 8.0, 9.0]
 
     def test_empty_batch(self):
         c = SensorCache(3)
-        c.store_batch(np.empty(0, dtype=np.int64), np.empty(0))
+        store_series(c, np.empty(0, dtype=np.int64), np.empty(0))
         assert len(c) == 0
 
 
@@ -264,15 +265,16 @@ class TestViewSnapshotSemantics:
 
 
 class TestStoreBatchOrdering:
-    """store_batch must enforce the same non-decreasing-timestamp
-    invariant as store() (regression: it used to append stale batches
-    wholesale, leaving timestamps unsorted and breaking binary search)."""
+    """A sequence written as its passes keeps the non-decreasing-timestamp
+    invariant a pass of one keeps (regression: a batch form used to
+    append stale batches wholesale, leaving timestamps unsorted and
+    breaking binary search)."""
 
     def test_stale_batch_prefix_dropped(self):
         c = SensorCache(8)
-        c.store(5 * NS_PER_SEC, 5.0)
+        store(c, 5 * NS_PER_SEC, 5.0)
         ts = np.array([3, 4, 5, 6]) * NS_PER_SEC
-        c.store_batch(ts, np.array([3.0, 4.0, 5.0, 6.0]))
+        store_series(c, ts, np.array([3.0, 4.0, 5.0, 6.0]))
         # 3 and 4 predate the newest reading and are dropped; 5 (equal
         # timestamp) and 6 are kept, matching store()'s guard.
         assert list(c.view_relative(100 * NS_PER_SEC).values()) == \
@@ -281,21 +283,17 @@ class TestStoreBatchOrdering:
 
     def test_fully_stale_batch_dropped(self):
         c = SensorCache(8)
-        c.store(10 * NS_PER_SEC, 1.0)
-        c.store_batch(
-            np.array([1, 2]) * NS_PER_SEC, np.array([9.0, 9.0])
-        )
+        store(c, 10 * NS_PER_SEC, 1.0)
+        store_series(c, np.array([1, 2]) * NS_PER_SEC, np.array([9.0, 9.0]))
         assert len(c) == 1
         assert c.stale_drops == 2
 
     def test_mixed_store_and_batch_stays_sorted(self):
         c = SensorCache(16)
-        c.store(2 * NS_PER_SEC, 2.0)
-        c.store_batch(
-            np.array([1, 3, 4]) * NS_PER_SEC, np.array([1.0, 3.0, 4.0])
-        )
-        c.store(5 * NS_PER_SEC, 5.0)
-        c.store_batch(np.array([4, 6]) * NS_PER_SEC, np.array([9.0, 6.0]))
+        store(c, 2 * NS_PER_SEC, 2.0)
+        store_series(c, np.array([1, 3, 4]) * NS_PER_SEC, np.array([1.0, 3.0, 4.0]))
+        store(c, 5 * NS_PER_SEC, 5.0)
+        store_series(c, np.array([4, 6]) * NS_PER_SEC, np.array([9.0, 6.0]))
         ts = c.view_relative(100 * NS_PER_SEC).timestamps()
         assert list(ts) == sorted(ts)
         # Absolute views rely on sorted timestamps for binary search.
@@ -304,9 +302,9 @@ class TestStoreBatchOrdering:
 
     def test_stale_drop_counter_shared_with_store(self):
         c = SensorCache(8)
-        c.store(100, 1.0)
-        c.store(50, 2.0)  # stale single store
-        c.store_batch(np.array([10, 20]), np.array([0.0, 0.0]))
+        store(c, 100, 1.0)
+        store(c, 50, 2.0)  # stale single store
+        store_series(c, np.array([10, 20]), np.array([0.0, 0.0]))
         assert c.stale_drops == 3
 
 
@@ -314,20 +312,20 @@ class TestResize:
     def test_grow_preserves_contents(self):
         c = SensorCache(4)
         for i in range(4):
-            c.store(i * NS_PER_SEC, float(i))
+            store(c, i * NS_PER_SEC, float(i))
         c.resize(16)
         assert c.capacity == 16
         v = c.view_relative(100 * NS_PER_SEC)
         assert list(v.values()) == [0.0, 1.0, 2.0, 3.0]
         # Newly freed slots are writable and ordering survives.
-        c.store(4 * NS_PER_SEC, 4.0)
+        store(c, 4 * NS_PER_SEC, 4.0)
         assert len(c) == 5
         assert c.latest().value == 4.0
 
     def test_grow_preserves_wrapped_ring(self):
         c = SensorCache(4)
         for i in range(7):  # wraps: slots hold 3,4,5,6
-            c.store(i * NS_PER_SEC, float(i))
+            store(c, i * NS_PER_SEC, float(i))
         c.resize(8)
         v = c.view_relative(100 * NS_PER_SEC)
         assert list(v.values()) == [3.0, 4.0, 5.0, 6.0]
@@ -337,7 +335,7 @@ class TestResize:
     def test_shrink_keeps_newest(self):
         c = SensorCache(8)
         for i in range(8):
-            c.store(i * NS_PER_SEC, float(i))
+            store(c, i * NS_PER_SEC, float(i))
         c.resize(3)
         assert c.capacity == 3
         v = c.view_relative(100 * NS_PER_SEC)
@@ -345,7 +343,7 @@ class TestResize:
 
     def test_same_capacity_is_noop(self):
         c = SensorCache(4)
-        c.store(NS_PER_SEC, 1.0)
+        store(c, NS_PER_SEC, 1.0)
         c.resize(4)
         assert len(c) == 1
 

@@ -326,7 +326,7 @@ class TestConstantWorkPerPass:
         narrow, wide = self.steady_hops(40), self.steady_hops(400)
         assert narrow == wide
 
-    def two_instant_drain(self, sensors, monkeypatch):
+    def two_instant_drain(self, sensors):
         """The calls of a drain whose queue holds every Pusher's operator
         outputs at t - 1 ahead of its samples at t — an in-band host's
         steady drain — and the pass-plan compiles it made."""
@@ -355,10 +355,6 @@ class TestConstantWorkPerPass:
             for pusher, group, _ in pushers:
                 pusher._sample_plugin(pusher.plugin("tester"), group, ts)
 
-        def refused(*args):
-            raise AssertionError("a drain took the per-reading path")
-
-        monkeypatch.setattr(CollectAgent, "_ingest", refused)
         compiles = agent.telemetry.get("plan_memo_compiles", memo="pass")
         for second in (5, 6):  # plans, routes, rings exist
             queue(second * NS_PER_SEC)
@@ -372,9 +368,9 @@ class TestConstantWorkPerPass:
         assert agent.storage.ooo_dropped == 0
         return drained
 
-    def test_a_drain_of_two_instants_costs_the_same_at_any_width(self, monkeypatch):
-        narrow = self.two_instant_drain(40, monkeypatch)
-        wide = self.two_instant_drain(400, monkeypatch)
+    def test_a_drain_of_two_instants_costs_the_same_at_any_width(self):
+        narrow = self.two_instant_drain(40)
+        wide = self.two_instant_drain(400)
         assert narrow == wide
 
     def test_passes_cut_anew_every_pass_compile_no_plan(self, monkeypatch):

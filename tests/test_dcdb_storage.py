@@ -6,13 +6,14 @@ import pytest
 from repro.common.errors import StorageError
 from repro.dcdb.sensor import SensorReading
 from repro.dcdb.storage import StorageBackend
+from tests.hosts import insert_passes, series
 
 
 class TestInsertQuery:
     def test_roundtrip(self):
         s = StorageBackend()
-        s.insert("/a/power", 10, 1.0)
-        s.insert("/a/power", 20, 2.0)
+        insert_passes(s, [("/a/power", 10, 1.0)])
+        insert_passes(s, [("/a/power", 20, 2.0)])
         ts, val = s.query("/a/power", 0, 100)
         assert list(ts) == [10, 20]
         assert list(val) == [1.0, 2.0]
@@ -20,7 +21,7 @@ class TestInsertQuery:
     def test_range_bounds_inclusive(self):
         s = StorageBackend()
         for t in (10, 20, 30):
-            s.insert("/a", t, float(t))
+            insert_passes(s, [("/a", t, float(t))])
         ts, _ = s.query("/a", 10, 20)
         assert list(ts) == [10, 20]
 
@@ -36,32 +37,32 @@ class TestInsertQuery:
 
     def test_out_of_order_insert_dropped(self):
         s = StorageBackend()
-        s.insert("/a", 100, 1.0)
-        s.insert("/a", 50, 2.0)
+        insert_passes(s, [("/a", 100, 1.0)])
+        insert_passes(s, [("/a", 50, 2.0)])
         assert s.count("/a") == 1
 
     def test_latest(self):
         s = StorageBackend()
         assert s.latest("/a") is None
-        s.insert("/a", 10, 1.0)
-        s.insert("/a", 20, 2.0)
+        insert_passes(s, [("/a", 10, 1.0)])
+        insert_passes(s, [("/a", 20, 2.0)])
         assert s.latest("/a") == SensorReading(20, 2.0)
 
     def test_query_readings(self):
         s = StorageBackend()
-        s.insert("/a", 10, 1.0)
+        insert_passes(s, [("/a", 10, 1.0)])
         assert s.query_readings("/a", 0, 100) == [SensorReading(10, 1.0)]
 
     def test_contains(self):
         s = StorageBackend()
         assert "/a" not in s
-        s.insert("/a", 1, 1.0)
+        insert_passes(s, [("/a", 1, 1.0)])
         assert "/a" in s
 
     def test_growth_beyond_initial_capacity(self):
         s = StorageBackend()
         for i in range(1000):
-            s.insert("/a", i, float(i))
+            insert_passes(s, [("/a", i, float(i))])
         assert s.count("/a") == 1000
         ts, _ = s.query("/a", 500, 509)
         assert len(ts) == 10
@@ -71,20 +72,26 @@ class TestBatch:
     def test_insert_batch(self):
         s = StorageBackend()
         ts = np.arange(100, dtype=np.int64)
-        s.insert_batch("/a", ts, ts.astype(float))
+        insert_passes(s, series("/a", ts, ts.astype(float)))
         assert s.count("/a") == 100
 
-    def test_batch_length_mismatch(self):
-        s = StorageBackend()
-        with pytest.raises(StorageError):
-            s.insert_batch("/a", np.arange(3), np.arange(2).astype(float))
+    def test_batch_length_mismatch(self, tmp_path):
+        """A snapshot series with more timestamps than values is refused
+        by ``load``."""
+        path = str(tmp_path / "bad.npz")
+        np.savez(
+            path, n_series=np.int64(1), topic_0=np.frombuffer(b"/a", np.uint8),
+            ts_0=np.arange(3), val_0=np.arange(2).astype(float),
+        )
+        with pytest.raises(StorageError, match="/a"):
+            StorageBackend.load(path)
 
 
 class TestMaintenance:
     def test_ttl_expiry(self):
         s = StorageBackend(ttl_ns=100)
         for t in (0, 50, 150, 200):
-            s.insert("/a", t, float(t))
+            insert_passes(s, [("/a", t, float(t))])
         dropped = s.expire(now_ns=200)
         assert dropped == 2  # 0 and 50 are older than 200-100
         ts, _ = s.query("/a", 0, 1000)
@@ -92,20 +99,20 @@ class TestMaintenance:
 
     def test_no_ttl_no_expiry(self):
         s = StorageBackend()
-        s.insert("/a", 0, 1.0)
+        insert_passes(s, [("/a", 0, 1.0)])
         assert s.expire(10**12) == 0
 
     def test_drop(self):
         s = StorageBackend()
-        s.insert("/a", 1, 1.0)
+        insert_passes(s, [("/a", 1, 1.0)])
         assert s.drop("/a") is True
         assert s.drop("/a") is False
         assert s.count("/a") == 0
 
     def test_counters_and_totals(self):
         s = StorageBackend()
-        s.insert("/a", 1, 1.0)
-        s.insert("/b", 2, 2.0)
+        insert_passes(s, [("/a", 1, 1.0)])
+        insert_passes(s, [("/b", 2, 2.0)])
         s.query("/a", 0, 10)
         assert s.insert_count == 2
         assert s.query_count == 1
@@ -118,8 +125,8 @@ class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         s = StorageBackend()
         for i in range(50):
-            s.insert("/a/power", i * 10, float(i))
-            s.insert("/b/temp", i * 10, float(-i))
+            insert_passes(s, [("/a/power", i * 10, float(i))])
+            insert_passes(s, [("/b/temp", i * 10, float(-i))])
         path = str(tmp_path / "snap.npz")
         assert s.save(path) == 2
         restored = StorageBackend.load(path)
@@ -136,9 +143,23 @@ class TestPersistence:
         restored = StorageBackend.load(path)
         assert restored.total_readings() == 0
 
+    def test_a_snapshot_whose_stamps_rewind_is_refused(self, tmp_path):
+        """Failing before: the reading at 15 was dropped as out of order
+        and the rest loaded as if nothing was wrong."""
+        path = str(tmp_path / "rewind.npz")
+        np.savez(
+            path, n_series=np.int64(2),
+            topic_0=np.frombuffer(b"/ok", np.uint8),
+            ts_0=np.array([10, 20]), val_0=np.array([1.0, 2.0]),
+            topic_1=np.frombuffer(b"/rewinds", np.uint8),
+            ts_1=np.array([10, 20, 15, 30]), val_1=np.array([1.0, 2.0, 3.0, 4.0]),
+        )
+        with pytest.raises(StorageError, match="/rewinds"):
+            StorageBackend.load(path)
+
     def test_restore_does_not_count_as_inserts(self, tmp_path):
         s = StorageBackend()
-        s.insert("/a", 1, 1.0)
+        insert_passes(s, [("/a", 1, 1.0)])
         path = str(tmp_path / "snap.npz")
         s.save(path)
         restored = StorageBackend.load(path)
@@ -147,16 +168,15 @@ class TestPersistence:
 
 
 class TestBatchOrderingRegression:
-    """Regression: a misordered ``insert_batch`` used to bypass the
-    out-of-order guard that scalar ``insert`` enforces, breaking the
-    sorted-timestamp invariant every binary-search ``range()`` relies
-    on — queries silently returned wrong windows."""
+    """Regression: a misordered batch used to bypass the out-of-order
+    guard a single reading meets, breaking the sorted-timestamp
+    invariant every binary-search ``range()`` relies on — queries
+    silently returned wrong windows.  Written as its passes, a batch
+    meets the guard reading by reading."""
 
     def test_intra_batch_disorder_dropped(self):
         s = StorageBackend()
-        s.insert_batch(
-            "/a", np.array([10, 30, 20, 40]), np.array([1.0, 3.0, 2.0, 4.0])
-        )
+        insert_passes(s, series("/a", np.array([10, 30, 20, 40]), np.array([1.0, 3.0, 2.0, 4.0])))
         ts, val = s.query("/a", 0, 100)
         assert list(ts) == [10, 30, 40]
         assert list(val) == [1.0, 3.0, 4.0]
@@ -164,8 +184,8 @@ class TestBatchOrderingRegression:
 
     def test_batch_vs_tail_disorder_dropped(self):
         s = StorageBackend()
-        s.insert("/a", 100, 1.0)
-        s.insert_batch("/a", np.array([50, 150]), np.array([0.5, 1.5]))
+        insert_passes(s, [("/a", 100, 1.0)])
+        insert_passes(s, series("/a", np.array([50, 150]), np.array([0.5, 1.5])))
         ts, _ = s.query("/a", 0, 1000)
         assert list(ts) == [100, 150]
         assert s.ooo_dropped == 1
@@ -175,9 +195,7 @@ class TestBatchOrderingRegression:
         # located range(0, 50) as an empty window even though 10 and 20
         # were "stored".  Now the offenders are dropped instead.
         s = StorageBackend()
-        s.insert_batch(
-            "/a", np.array([100, 10, 20]), np.array([1.0, 2.0, 3.0])
-        )
+        insert_passes(s, series("/a", np.array([100, 10, 20]), np.array([1.0, 2.0, 3.0])))
         ts, _ = s.query("/a", 0, 50)
         assert list(ts) == []  # nothing below the kept tail survived
         ts, _ = s.query("/a", 0, 200)
@@ -189,11 +207,9 @@ class TestBatchOrderingRegression:
         stream_val = [float(t) for t in stream_ts]
         scalar = StorageBackend()
         for t, v in zip(stream_ts, stream_val):
-            scalar.insert("/a", t, v)
+            insert_passes(scalar, [("/a", t, v)])
         batched = StorageBackend()
-        batched.insert_batch(
-            "/a", np.array(stream_ts), np.array(stream_val)
-        )
+        insert_passes(batched, series("/a", np.array(stream_ts), np.array(stream_val)))
         assert list(scalar.query("/a", 0, 100)[0]) == list(
             batched.query("/a", 0, 100)[0]
         )
@@ -202,7 +218,7 @@ class TestBatchOrderingRegression:
 
     def test_equal_timestamps_kept(self):
         s = StorageBackend()
-        s.insert_batch("/a", np.array([10, 10, 10]), np.array([1.0, 2.0, 3.0]))
+        insert_passes(s, series("/a", np.array([10, 10, 10]), np.array([1.0, 2.0, 3.0])))
         assert s.count("/a") == 3 and s.ooo_dropped == 0
 
 
@@ -214,9 +230,7 @@ class TestExpiryReclamation:
     def test_memory_released_after_mass_expiry(self):
         s = StorageBackend(ttl_ns=10)
         n = 100_000
-        s.insert_batch(
-            "/a", np.arange(n, dtype=np.int64), np.ones(n)
-        )
+        insert_passes(s, series("/a", np.arange(n, dtype=np.int64), np.ones(n)))
         before = s.memory_bytes()
         dropped = s.expire(n + 9)  # keep only the last handful
         assert dropped == n - 1
@@ -224,13 +238,13 @@ class TestExpiryReclamation:
         # Still correct after the reallocation.
         ts, _ = s.query("/a", 0, 2**62)
         assert list(ts) == [n - 1]
-        s.insert("/a", n + 50, 1.0)
+        insert_passes(s, [("/a", n + 50, 1.0)])
         assert s.count("/a") == 2
 
     def test_partial_expiry_keeps_buffers(self):
         s = StorageBackend(ttl_ns=100)
         n = 4096
-        s.insert_batch("/a", np.arange(n, dtype=np.int64), np.ones(n))
+        insert_passes(s, series("/a", np.arange(n, dtype=np.int64), np.ones(n)))
         before = s.memory_bytes()
         s.expire(n // 2)  # drops less than 3/4: shift in place
         assert s.memory_bytes() == before
@@ -238,7 +252,7 @@ class TestExpiryReclamation:
     def test_shrink_never_below_initial_capacity(self):
         s = StorageBackend(ttl_ns=1)
         n = 10_000
-        s.insert_batch("/a", np.arange(n, dtype=np.int64), np.ones(n))
+        insert_passes(s, series("/a", np.arange(n, dtype=np.int64), np.ones(n)))
         s.expire(n + 100)  # expire everything
         assert s.count("/a") == 0
         floor = 256 * (8 + 8)  # the first chunk: storage.CHUNK int64+float64 pairs

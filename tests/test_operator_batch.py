@@ -37,7 +37,7 @@ from repro.plugins.smoother import SmootherOperator
 from repro.sanitizer import hooks
 from repro.sanitizer.core import Sanitizer
 from repro.simulator.clock import TaskScheduler
-from tests.hosts import RecordingHost, triples
+from tests.hosts import RecordingHost, store, triples
 
 WINDOW = 5 * NS_PER_SEC
 NOW = 100 * NS_PER_SEC
@@ -320,7 +320,7 @@ class TestQueryRelativeBatch:
         host = Host({})
         host.caches["/a/x"] = cache
         for ts, v in series(20):  # wraps the 8-slot ring twice
-            cache.store(ts, v)
+            store(cache, ts, v)
         engine = QueryEngine(host)
         win = engine.query_relative_batch(["/a/x"], WINDOW)
         view = engine.query_relative("/a/x", WINDOW)
@@ -352,7 +352,7 @@ class TestQueryPlans:
         # Hot-plug the sensor on the host, then refresh the sensor space.
         cache = SensorCache(64, interval_ns=NS_PER_SEC)
         for ts, v in series(10):
-            cache.store(ts, v)
+            store(cache, ts, v)
         host.caches["/a/new"] = cache
         engine.refresh_navigator()
         win = engine.query_relative_batch(["/a/x", "/a/new"], WINDOW, key="op")
@@ -1091,7 +1091,7 @@ class TestCacheViewReadings:
     def test_readings_fast_path_and_iter(self):
         cache = SensorCache(8, interval_ns=NS_PER_SEC)
         for ts, v in series(5):
-            cache.store(ts, v)
+            store(cache, ts, v)
         view = cache.view_relative(WINDOW)
         readings = view.readings()
         assert readings == list(view)

@@ -34,6 +34,7 @@ from repro.plugins.health import HealthOperator
 from repro.plugins.persyst import PerSystOperator
 from repro.plugins.smoother import SmootherOperator
 from repro.sanitizer.core import Sanitizer
+from tests.hosts import store
 
 N_UNITS = 8
 CACHE_WINDOW_NS = 180 * NS_PER_SEC
@@ -62,9 +63,7 @@ class Host:
         return self.caches.get(topic)
 
     def feed(self, ts, topic, value):
-        self.caches[topic].store_batch(
-            np.asarray([ts], dtype=np.int64), np.asarray([value])
-        )
+        store(self.caches[topic], ts, value)
 
     def store_readings_batch(self, ts, readings):
         for sensor, value in zip(readings.sensors, readings.values.tolist()):
@@ -74,9 +73,7 @@ class Host:
                 cache = self.caches[sensor.topic] = SensorCache.for_duration(
                     self.cache_window_ns, NS_PER_SEC
                 )
-            cache.store_batch(
-                np.asarray([ts], dtype=np.int64), np.asarray([value])
-            )
+            store(cache, ts, value)
 
 
 def unit_for(i: int, in_name: str, out_name: str) -> Unit:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dcdb.cache import SensorCache
+from tests.hosts import store, store_series
 
 # Monotone-ish timestamp deltas (>= 0) and arbitrary float values.
 reading_lists = st.lists(
@@ -23,7 +24,7 @@ def build(readings, capacity, interval=0):
     ts = 0
     for delta, value in readings:
         ts += delta
-        cache.store(ts, value)
+        store(cache, ts, value)
         reference.append((ts, value))
         reference = reference[-capacity:]
     return cache, reference
@@ -108,6 +109,10 @@ class TestCacheModel:
 
 
 class TestBatchEquivalence:
+    """A sequence written as its passes (``store_series``: a run of one
+    timestamp is one pass) stores and drops what one pass per reading
+    does."""
+
     @given(
         n=st.integers(0, 200),
         capacity=st.integers(1, 64),
@@ -116,10 +121,10 @@ class TestBatchEquivalence:
         ts = np.arange(n, dtype=np.int64) * 7
         values = np.arange(n, dtype=np.float64)
         a = SensorCache(capacity)
-        a.store_batch(ts, values)
+        store_series(a, ts, values)
         b = SensorCache(capacity)
         for t, v in zip(ts, values):
-            b.store(int(t), float(v))
+            store(b, int(t), float(v))
         va = list(a.view_absolute(0, 10**18))
         vb = list(b.view_absolute(0, 10**18))
         assert va == vb
@@ -136,11 +141,11 @@ class TestBatchEquivalence:
         a, b = SensorCache(capacity), SensorCache(capacity)
         for cache in (a, b):
             for t in before:
-                cache.store(t, float(t))
+                store(cache, t, float(t))
         values = [float(-i) for i in range(len(batch))]
-        a.store_batch(np.array(batch, dtype=np.int64), np.array(values))
+        store_series(a, np.array(batch, dtype=np.int64), np.array(values))
         for t, v in zip(batch, values):
-            b.store(t, v)
+            store(b, t, v)
         assert list(a.view_absolute(0, 10**18)) == list(b.view_absolute(0, 10**18))
         assert a.stale_drops == b.stale_drops
         assert len(a) == len(b) and a.newest_ts == b.newest_ts

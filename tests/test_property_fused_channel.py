@@ -31,6 +31,7 @@ from repro.core.units import Unit
 from repro.dcdb.cache import SensorCache
 from repro.dcdb.sensor import Sensor
 from tests.shift_channel import ShiftChannel
+from tests.hosts import store
 
 
 def units_for(topics):
@@ -127,7 +128,7 @@ def run_program(channel_cls, program):
             if rng.random() < 0.7:
                 cache = caches[topic] = SensorCache(64, interval_ns=NS_PER_SEC)
                 for k in range(int(rng.integers(1, 50))):
-                    cache.store(k * NS_PER_SEC, float(rng.random()))
+                    store(cache, k * NS_PER_SEC, float(rng.random()))
         ring.seed(prev_ring, caches.get)
         twin.seed(prev_twin, caches.get)
         assert_same(ring, twin, "seeded")

@@ -43,7 +43,9 @@ from repro.dcdb.cache import NO_GAP
 from repro.dcdb.sensor import Sensor
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
-from tests.hosts import one, store_one
+from tests.hosts import (
+    ingest_passes, insert_passes, one, series, store, store_one,
+)
 
 REMOTE = ["/r/a", "/r/b", "/r/c", "/r/d"]
 TOPICS = tuple(REMOTE + ["/r/never"])
@@ -126,8 +128,9 @@ class Rig:
             )
         else:  # storage-only: the backend has it, no cache was written
             self.clock[topic] = now + cadence
-            self.agent.storage.insert(
-                topic, self.clock[topic], self._next_value()
+            insert_passes(
+                self.agent.storage,
+                [(topic, self.clock[topic], self._next_value())],
             )
 
     def counters(self):
@@ -287,10 +290,7 @@ def agent_with_engine(cache_window_ns):
 
 
 def ingest(agent, topic, timestamps):
-    agent._ingest(
-        [topic] * len(timestamps), list(timestamps),
-        np.array(timestamps, dtype=np.float64),
-    )
+    ingest_passes(agent, series(topic, timestamps, timestamps))
 
 
 def assert_row_is_scalar(engine, win, i, window_ns):
@@ -367,7 +367,7 @@ class TestTimeWindowRows:
         agent, engine = agent_with_engine(180 * NS_PER_SEC)
         ingest(agent, "/n/x", [0])
         for i in range(1, 8):
-            agent.caches["/n/x"].store(i * NS_PER_SEC, float(i))
+            store(agent.caches["/n/x"], i * NS_PER_SEC, float(i))
         win = engine.query_relative_batch(["/n/x"], 4 * NS_PER_SEC, key="op")
         assert win.counts.tolist() == [5]
         assert_row_is_scalar(engine, win, 0, 4 * NS_PER_SEC)

@@ -2,15 +2,16 @@
 
 ``StorageBackend`` keeps the topics first stored together as the rows
 of one block, chunk matrices whose rows advance in lock step, and lands
-a batch as one column per block and timestamp.  The reference is the
+a pass as one column per block.  The reference is the
 layout it replaced: :class:`FrozenSeries`, the per-topic growable column
 pair as it was, held here and fed every reading one ``insert`` at a
 time, with the tiered backend's seal floor kept beside it.
 
 - A hypothesis state machine drives a ``StorageBackend`` and a
-  ``TieredStorageBackend`` through the same steps: ``insert_columns``
-  with full, partial, duplicate-topic, two-timestamp, stale and
-  below-floor batches; scalar ``insert`` and ``insert_batch``; growth
+  ``TieredStorageBackend`` through the same steps, every write a
+  sequence of one-instant passes (``insert_columns_at``): full,
+  partial, duplicate-topic, two-timestamp, stale and below-floor
+  writes; one topic's reading, or its readings out of order; growth
   across chunk boundaries; ``flush`` (tiered), ``expire`` and ``drop``.
   After every step each backend equals its reference on contents,
   ``insert_count``, ``ooo_dropped``, ``topics()``, ``count``, ``latest``
@@ -55,6 +56,7 @@ from repro.dcdb import cache as cache_module
 from repro.dcdb import segments as segments_module
 from repro.dcdb import storage as storage_module
 from repro.dcdb.sensor import SensorReading
+from tests.hosts import insert_passes, series
 
 STEP = 10  # ns between successive timestamps
 TTL = 100 * STEP
@@ -333,9 +335,10 @@ def machine_for(storage_cls, tiered_cls):
 
         def _columns(self, topics, timestamps):
             values = self._values(len(topics))
+            readings = list(zip(topics, timestamps, values))
             for backend, ref in self.pairs:
-                backend.insert_columns(list(topics), list(timestamps), values)
-                for reading in zip(topics, timestamps, values):
+                insert_passes(backend, readings)
+                for reading in readings:
                     ref.insert(*reading)
 
         def _subset(self, data, min_size=1):
@@ -343,7 +346,7 @@ def machine_for(storage_cls, tiered_cls):
                 st.sampled_from(TOPICS), min_size=min_size, unique=True,
             ))
 
-        # -- insert_columns --------------------------------------------
+        # -- passes ----------------------------------------------------
 
         @rule(reverse=st.booleans())
         def full(self, reverse):
@@ -421,7 +424,7 @@ def machine_for(storage_cls, tiered_cls):
                 self.clock = ts
             (value,) = self._values(1)
             for backend, ref in self.pairs:
-                backend.insert(topic, ts, value)
+                insert_passes(backend, [(topic, ts, value)])
                 ref.insert(topic, ts, value)
 
         @rule(
@@ -434,7 +437,7 @@ def machine_for(storage_cls, tiered_cls):
             values = np.array(self._values(len(offsets)))
             self.clock = max([self.clock, *ts.tolist()])
             for backend, ref in self.pairs:
-                backend.insert_batch(topic, ts, values)
+                insert_passes(backend, series(topic, ts, values))
                 ref.insert_batch(topic, ts, values)
 
         # -- maintenance -----------------------------------------------
@@ -578,7 +581,7 @@ def backends(storage_edits=(), cache_edits=(), segments_edits=()):
 
 MUTATIONS = {
     "missed-row-not-moved-out": {"cache_edits": [(
-        "if missed:\n            groups.setdefault((), []).extend(missed)",
+        "if missed:\n            groups.setdefault(0, []).extend(missed)",
         "if False:\n            pass",
     )]},
     "chunk-boundary-loses-a-reading": {"storage_edits": [(
@@ -636,9 +639,9 @@ def test_flush_gathers_by_run_what_the_per_topic_twin_gathers(tmp_path):
         start = clock[0] + STEP
         clock[0] += k * STEP
         stamps = [start + j * STEP for j in range(k) for _ in topics]
-        tiered.insert_columns(
+        insert_passes(tiered, zip(
             topics * k, stamps, [float(i) for i in range(len(stamps))]
-        )
+        ))
 
     write(wide + narrow)  # one block, then split by the next writes
     write(wide, k=300)  # across the first chunk: two chunks wide

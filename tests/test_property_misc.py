@@ -16,7 +16,7 @@ from repro.dcdb.mqtt import Broker
 from repro.dcdb.storage import StorageBackend
 from repro.ml.stats import StreamingStats, deciles, window_features
 from repro.plugins.aggregator import AggregatorOperator
-from tests.hosts import RecordingHost, one
+from tests.hosts import RecordingHost, insert_passes, one
 from tests.test_pipeline_fusion import Host, final_series, run_both
 
 finite_floats = st.floats(
@@ -127,7 +127,7 @@ class TestStorageProperties:
         ts, ref = 0, []
         for i, d in enumerate(deltas):
             ts += d
-            storage.insert("/t", ts, float(i))
+            insert_passes(storage, [("/t", ts, float(i))])
             ref.append((ts, float(i)))
         hi = lo + span
         got_ts, got_val = storage.query("/t", lo, hi)

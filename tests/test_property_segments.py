@@ -51,6 +51,7 @@ from repro.dcdb.segments import (
     rollup_columns,
     rollup_segment,
 )
+from tests.hosts import insert_passes, series
 
 TEN_S, MINUTE = 10 * NS_PER_SEC, 60 * NS_PER_SEC
 FOREVER = 2**62
@@ -765,7 +766,7 @@ def readings(start_s, seconds=60, seed=11):
 
 def insert(backend, batch):
     for topic, (ts, val) in batch.items():
-        backend.insert_batch(topic, ts, val)
+        insert_passes(backend, series(topic, ts, val))
 
 
 def tiered(directory):
@@ -806,7 +807,7 @@ def assert_replay_refused(backend, batch):
     order, as an equal timestamp is within one tier)."""
     before = backend.ooo_dropped, backend.total_readings()
     for topic, (ts, val) in batch.items():
-        backend.insert_batch(topic, ts[:-1], val[:-1])
+        insert_passes(backend, series(topic, ts[:-1], val[:-1]))
     replayed = sum(len(ts) - 1 for ts, _ in batch.values())
     assert backend.ooo_dropped == before[0] + replayed
     assert backend.total_readings() == before[1]
@@ -1116,7 +1117,8 @@ def aged_store(backend_cls, directory, drawn):
         seconds, step, topics, delay_s = chunk
         ts = now + np.arange(0, seconds * NS_PER_SEC, step, dtype=np.int64)
         for topic in sorted(topics):
-            backend.insert_batch(topic, ts, rng.normal(100.0, 5.0, len(ts)))
+            values = rng.normal(100.0, 5.0, len(ts))
+            insert_passes(backend, series(topic, ts, values))
         now += seconds * NS_PER_SEC
         if i == len(chunks):
             break  # the memory chunk stays in memory

@@ -27,6 +27,7 @@ from repro.core.tree import SensorTree
 from repro.core.units import UnitResolver
 from repro.dcdb.cache import SensorCache
 from repro.deploy import build_deployment
+from tests.hosts import store
 
 WINDOW = 3 * NS_PER_SEC
 
@@ -56,7 +57,7 @@ class Host:
         if topic not in self.caches:
             cache = self.caches[topic] = SensorCache(16, interval_ns=NS_PER_SEC)
             for i in range(8):
-                cache.store(i * NS_PER_SEC, float(i))
+                store(cache, i * NS_PER_SEC, float(i))
 
     def cache_for(self, topic):
         return self.caches.get(topic)

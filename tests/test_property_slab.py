@@ -63,6 +63,7 @@ from repro.plugins.aggregator import AggregatorOperator
 from tests.test_property_gather import (
     agent_with_engine, mutant_engine, mutant_module,
 )
+from tests.hosts import ingest_passes, store
 
 STEP = 10  # ns between two readings of a ring
 
@@ -225,7 +226,7 @@ class SlabRig:
             self.clock += STEP
             values = self.value + 1.0 + np.arange(len(rings))
             self.value += len(rings)
-            for col in plan_columns(rings, [self.clock] * len(rings)):
+            for col in plan_columns(rings):
                 col.slab.store_column(
                     self.clock, values if col.index is None else values[col.index]
                 )
@@ -275,7 +276,7 @@ def run_scenario(engine_cls, scenario):
     assert (resized.slab is before) == (scenario["capacity"] == scenario["cap"])
     stale = rig.rings[scenario["stale"]]
     if stale.newest_ts is not None:
-        stale.store(stale.newest_ts - 1, -1.0)
+        store(stale, stale.newest_ts - 1, -1.0)
         assert stale.stale_drops == 1
     rig.check()
     rig.store(scenario["more"])
@@ -405,7 +406,7 @@ class TestSlab:
         ring.resize(8)
         assert ring.slab is not slab and ring.row == 0 and slab.epoch == 1
         assert ring.view_absolute(0, 100).timestamps().tolist() == [3, 4, 5, 6]
-        ring.store(7, 7.0)
+        store(ring, 7, 7.0)
         assert slab.ts.max() == 6 and slab.val[:, 0].max() == 6.0  # nobody's row
         assert other.slab is slab and slab.bound == {1: other}
         assert other.view_absolute(0, 100).values().tolist() == [-3.0, -4.0, -5.0, -6.0]
@@ -458,7 +459,7 @@ class TestSlab:
         for ring in rings:
             ring.gap_ns = STEP
             for i in range(1, 6):
-                ring.store(i * STEP, float(i))
+                store(ring, i * STEP, float(i))
         plan = engine.compile_plan(topics, 10 * STEP)  # k = 12 > cap
         win = engine._execute_plan(plan)
         assert win.width == 12 and win.counts.tolist() == [cap] * rows
@@ -488,8 +489,8 @@ def aggregator_rig(m, n, n_units, seed, short_row=False, short_unit=False):
             cache = caches[topic] = SensorCache(64, interval_ns=NS_PER_SEC)
             length = n - (short_row and topic == "/n0/in0")
             for i in range(length):
-                cache.store(
-                    NOW - (length - 1 - i) * NS_PER_SEC,
+                store(
+                    cache, NOW - (length - 1 - i) * NS_PER_SEC,
                     float(rng.normal(50.0, 20.0)),
                 )
         if short_unit and j == n_units - 1:
@@ -700,10 +701,7 @@ def test_no_row_is_touched_in_python_on_a_steady_state_tick(monkeypatch):
 
 
 def ingest(agent, readings):
-    topics, timestamps = zip(*readings)
-    agent._ingest(
-        topics, list(timestamps), np.array(timestamps, dtype=np.float64)
-    )
+    ingest_passes(agent, [(topic, ts, float(ts)) for topic, ts in readings])
 
 
 def assert_rows_are_scalar(engine, win, window_ns):

@@ -8,17 +8,18 @@ with its own head, size and newest timestamp, held here and fed every
 reading one ``store`` at a time.
 
 - A hypothesis state machine over one slab of 1–40 rings: full, partial,
-  duplicate, two-timestamp and stale column writes through a writer
-  that memoises its plans the way the hosts do; scalar ``store``,
-  ``clear`` and ``resize``; a slab growing as a whole, as the agent
-  grows one.  After every step every ring's ``len``, ``newest_ts``,
+  duplicate, two-timestamp and stale writes, each a sequence of
+  one-instant passes through a writer that memoises its plans the way
+  the hosts do; a pass of one ring, ``clear`` and ``resize``; a slab
+  growing as a whole, as the agent grows one.  After every step every ring's ``len``, ``newest_ts``,
   ``stale_drops``, ``view_relative`` and ``view_absolute`` are
   byte-equal to its reference, and every slab holds its invariant: the
   live rows share one history of timestamps — the slab's one vector,
   which every ring reads as its own — and each ring's views alias its
   slab.  Four seeded mutations of ``dcdb/cache.py`` must fail it.
-- ``StorageBackend.insert_columns`` is ``insert`` per reading, on both
-  backends, the tiered one below a seal floor included.
+- Storage keeps what a per-topic rule keeps from a sequence of passes
+  — a reading not older than its topic's newest — and counts the rest,
+  on both backends, the tiered one below a seal floor included.
 - Exact counts on steady ticks, stated beforehand: no per-reading call,
   and storage compiles no plan and allocates no block or chunk — on the
   tick after a flush too; the tick that crosses a chunk boundary
@@ -48,11 +49,12 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.dcdb import Broker, CollectAgent
 from repro.dcdb import cache as cache_module
 from repro.dcdb import storage as storage_module
-from repro.dcdb.cache import SensorCache
+from repro.dcdb.cache import CacheSlab
 from repro.dcdb.segments import TieredStorageBackend
 from repro.dcdb.storage import StorageBackend
 from repro.deploy import build_deployment
 from repro.simulator.clock import TaskScheduler
+from tests.hosts import ingest_passes, insert_passes, series, store_passes
 from tests.test_property_slab import inband_fused_spec
 
 STEP = 10  # ns: the rings' interval hint
@@ -137,26 +139,18 @@ class FrozenRing:
 
 
 class Writer:
-    """A host's write path over ``module``'s slabs: the hosts' memoised
-    writer (``plan_write`` -> ``write_columns``), one plan per ring
-    sequence, compiled by ``plan_columns`` alone (the rings exist)."""
+    """A host's write path over ``module``'s slabs: a sequence of
+    readings as its one-instant passes, by the hosts' memoised writer
+    (``plan_write`` -> ``write_columns_at``), one plan per ring sequence
+    kept across writes, compiled by ``plan_columns`` alone (the rings
+    exist)."""
 
     def __init__(self, module):
         self.module = module
         self.plans = module.PlanMemo()
 
-    def compile(self, rings, timestamps):
-        return self.module.WritePlan(
-            rings, self.module.plan_columns(rings, timestamps)
-        )
-
     def write(self, rings, timestamps, values):
-        plan = self.module.plan_write(
-            self.plans, self.compile, tuple(rings), list(timestamps)
-        )
-        self.module.write_columns(
-            plan.columns, timestamps, np.asarray(values, dtype=np.float64)
-        )
+        store_passes(zip(rings, timestamps, values), self.plans, self.module)
 
 
 def machine_for(module):
@@ -250,11 +244,10 @@ def machine_for(module):
 
         @rule(data=st.data(), stale=st.booleans())
         def scalar_store(self, data, stale):
+            """A pass of one ring."""
             j = data.draw(st.integers(0, len(self.rings) - 1))
             ts = self.clock - STEP if stale else self._tick()
-            (value,) = self._values(1)
-            self.rings[j].store(ts, value)
-            self.refs[j].store(ts, value)
+            self._write([j], [ts])
 
         @rule(data=st.data())
         def clear(self, data):
@@ -358,7 +351,7 @@ def mutant_cache(*edits):
 
 MUTATIONS = {
     "missed-row-not-moved-out": (
-        "if missed:\n            groups.setdefault((), []).extend(missed)",
+        "if missed:\n            groups.setdefault(0, []).extend(missed)",
         "if False:\n            pass",
     ),
     "epoch-not-bumped": (
@@ -394,13 +387,42 @@ def test_seeded_mutation_fails_the_machine(name):
 
 
 # ----------------------------------------------------------------------
-# Storage: columns, the per-reading semantics
+# Storage: passes, against the per-topic rule
 # ----------------------------------------------------------------------
 
 TOPICS = ["/a", "/b", "/c"]
 _readings = st.lists(
     st.tuples(st.sampled_from(TOPICS), st.integers(0, 40)), max_size=60,
 )
+
+
+class PerTopic:
+    """The storage rule one reading at a time, in plain Python: a
+    reading is kept when it is not older than its topic's newest (a
+    sealed one included), else dropped and counted."""
+
+    def __init__(self):
+        self.kept = {}  # topic -> [(ts, value)]
+        self.newest = {}
+        self.dropped = 0
+
+    def write(self, readings):
+        for topic, ts, value in readings:
+            kept = self.kept.setdefault(topic, [])
+            if ts < self.newest.get(topic, ts):
+                self.dropped += 1
+                continue
+            kept.append((ts, value))
+            self.newest[topic] = ts
+
+    def contents(self):
+        out = {}
+        for topic in sorted(self.kept):
+            ts = np.array([t for t, _ in self.kept[topic]], dtype=np.int64)
+            val = np.array([v for _, v in self.kept[topic]], dtype=np.float64)
+            out[topic] = (ts.tobytes(), val.tobytes())
+        stored = sum(len(kept) for kept in self.kept.values())
+        return out, stored, self.dropped
 
 
 def _contents(storage):
@@ -411,42 +433,45 @@ def _contents(storage):
     return out, storage.insert_count, storage.ooo_dropped
 
 
+def _sequences(before, batch, offset):
+    """``before`` and then ``batch`` as ``(topic, ts, value)`` readings,
+    each timestamp moved by ``offset`` (``batch``'s ten less: it
+    straddles what ``before`` left)."""
+    first = [
+        (topic, offset + ts, float(i)) for i, (topic, ts) in enumerate(before)
+    ]
+    then = [
+        (topic, offset - 10 + ts, float(-i)) for i, (topic, ts) in enumerate(batch)
+    ]
+    return first, then
+
+
 @settings(max_examples=150, deadline=None)
 @given(before=_readings, batch=_readings)
-def test_insert_columns_is_insert_per_reading(before, batch):
-    columns, one_by_one = StorageBackend(), StorageBackend()
-    for storage in (columns, one_by_one):
-        for i, (topic, ts) in enumerate(before):
-            storage.insert(topic, ts, float(i))
-    topics = [topic for topic, _ in batch]
-    stamps = [ts for _, ts in batch]
-    values = [float(-i) for i in range(len(batch))]
-    columns.insert_columns(topics, stamps, values)
-    for reading in zip(topics, stamps, values):
-        one_by_one.insert(*reading)
-    assert _contents(columns) == _contents(one_by_one)
+def test_passes_keep_what_the_per_topic_rule_keeps(before, batch):
+    storage, reference = StorageBackend(), PerTopic()
+    for readings in _sequences(before, batch, 10):
+        insert_passes(storage, readings)
+        reference.write(readings)
+    assert _contents(storage) == reference.contents()
 
 
 @settings(max_examples=60, deadline=None)
 @given(before=_readings, batch=_readings)
-def test_insert_columns_keeps_the_seal_floor(before, batch):
-    """Below a topic's seal floor a reading is refused and counted, and
-    no series is opened for it — as ``TieredStorageBackend.insert``."""
-    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-        columns = TieredStorageBackend(a, flush_mb=64)
-        one_by_one = TieredStorageBackend(b, flush_mb=64)
-        for storage in (columns, one_by_one):
-            for i, (topic, ts) in enumerate(before):
-                storage.insert(topic, 1000 + ts, float(i))  # sealed: 1000+
-            storage.flush(0)
-        topics = [topic for topic, _ in batch]
-        stamps = [990 + ts for _, ts in batch]  # straddles the floors
-        values = [float(-i) for i in range(len(batch))]
-        columns.insert_columns(topics, stamps, values)
-        for reading in zip(topics, stamps, values):
-            one_by_one.insert(*reading)
-        assert _contents(columns) == _contents(one_by_one)
-        assert sorted(columns._series) == sorted(one_by_one._series)
+def test_passes_keep_the_seal_floor(before, batch):
+    """Below a topic's seal floor a reading is refused and counted: the
+    newest sealed reading is the topic's newest."""
+    with tempfile.TemporaryDirectory() as directory:
+        tiered = TieredStorageBackend(directory, flush_mb=64)
+        reference = PerTopic()
+        sealed, then = _sequences(before, batch, 1000)
+        insert_passes(tiered, sealed)
+        reference.write(sealed)
+        tiered.flush(0)
+        insert_passes(tiered, then)
+        reference.write(then)
+        assert _contents(tiered) == reference.contents()
+        assert sorted(tiered._series) == sorted(reference.kept)
 
 
 # ----------------------------------------------------------------------
@@ -469,14 +494,27 @@ def ingest_fanin_spec():
     }
 
 
-def count_calls(monkeypatch, cls, name, calls, note=lambda self: self):
+def count_calls(
+    monkeypatch, cls, name, calls, note=lambda self: self, when=lambda self: True
+):
     fn = getattr(cls, name)
 
     def counting(self, *args, **kwargs):
-        calls.append(note(self))
+        if when(self):
+            calls.append(note(self))
         return fn(self, *args, **kwargs)
 
     monkeypatch.setattr(cls, name, counting)
+
+
+def count_lone_columns(monkeypatch, cls, calls, note=lambda group: group):
+    """Columns ``cls`` (a ring slab or a storage block) stores on a group
+    of one live member: what a per-reading write is (before passes,
+    ``SensorCache.store`` and ``StorageBackend.insert`` were one each)."""
+    count_calls(
+        monkeypatch, cls, "store_column", calls, note,
+        when=lambda group: len(group.bound) == 1,
+    )
 
 
 def test_a_steady_ingest_tick_makes_no_per_reading_call(monkeypatch):
@@ -484,8 +522,8 @@ def test_a_steady_ingest_tick_makes_no_per_reading_call(monkeypatch):
     dep.run(5)  # every cache, plan and route run exists
     readings = len(dep.pushers) * SENSORS
     stores, inserts, routes = [], [], []
-    count_calls(monkeypatch, SensorCache, "store", stores)
-    count_calls(monkeypatch, StorageBackend, "insert", inserts)
+    count_lone_columns(monkeypatch, CacheSlab, stores)
+    count_lone_columns(monkeypatch, storage_module._Block, inserts)
     count_calls(monkeypatch, Broker, "_route", routes)
     before = dep.agent.storage.insert_count
     ticks = 3
@@ -504,12 +542,12 @@ def test_a_steady_ingest_tick_makes_no_per_reading_call(monkeypatch):
 
 def count_storage_writes(monkeypatch):
     """Per call, in lists: storage plan compiles, block and chunk
-    allocations, ``StorageBackend.insert``."""
+    allocations, per-reading writes (:func:`count_lone_columns`)."""
     calls = {"plans": [], "blocks": [], "chunks": [], "inserts": []}
     count_calls(monkeypatch, StorageBackend, "_write_plan", calls["plans"])
     count_calls(monkeypatch, storage_module._Block, "__init__", calls["blocks"])
     count_calls(monkeypatch, storage_module._Block, "_add_chunk", calls["chunks"])
-    count_calls(monkeypatch, StorageBackend, "insert", calls["inserts"])
+    count_lone_columns(monkeypatch, storage_module._Block, calls["inserts"])
     return calls
 
 
@@ -598,18 +636,18 @@ def test_crossing_a_chunk_allocates_one_and_copies_nothing(monkeypatch):
 def test_inband_stores_one_ring_at_a_time_only_on_one_row_slabs(monkeypatch):
     dep = build_deployment(inband_fused_spec())
     dep.run(8)
-    rings_on_slab = []  # per store call: live rings on the ring's slab
-    count_calls(
-        monkeypatch, SensorCache, "store", rings_on_slab,
-        note=lambda ring: len(ring.slab.bound),
+    rows_of_slab = []  # per lone column: rows of the slab
+    count_lone_columns(
+        monkeypatch, CacheSlab, rows_of_slab, note=lambda slab: slab.rows,
     )
     dep.run(5)
-    # The parent: 980 stores in these 5 ticks, every Pusher
-    # sample, operator output and agent arrival one call each.  Here a
-    # pass is a column, and a ring written alone is one that is alone —
-    # here there is none.
-    assert set(rings_on_slab) <= {1}
-    assert len(rings_on_slab) == 0
+    # Before passes: 980 stores in these 5 ticks, every Pusher sample,
+    # operator output and agent arrival one call each.  Here a pass is a
+    # column, and a ring written alone is one that is alone: the one
+    # output of each Pusher's node-instr operator, a pass of one on a
+    # slab of one (2 Pushers, 5 ticks).
+    assert set(rows_of_slab) <= {1}
+    assert len(rows_of_slab) == 10
 
 
 # ----------------------------------------------------------------------
@@ -625,10 +663,7 @@ def agent_at(cache_window_s):
 
 
 def ingest(agent, topic, timestamps):
-    agent._ingest(
-        [topic] * len(timestamps), list(timestamps),
-        np.array(timestamps, dtype=np.float64),
-    )
+    ingest_passes(agent, series(topic, timestamps, timestamps))
 
 
 def test_one_off_cadence_arrival_does_not_size_a_ring_for_life():

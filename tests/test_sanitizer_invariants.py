@@ -5,6 +5,7 @@ import time
 from repro.dcdb.cache import SensorCache
 from repro.sanitizer import make_sanitizer
 from repro.sanitizer.invariants import time_functions_patched
+from tests.hosts import store
 
 
 def codes(diags):
@@ -29,7 +30,7 @@ class TestCacheOrder:
     def test_monotonic_cache_is_clean(self):
         cache = SensorCache(8)
         for i in range(5):
-            cache.store(i * 1000, float(i))
+            store(cache, i * 1000, float(i))
         san = make_sanitizer(track_wall_clock=False)
         san.check_deployment(
             FakeDeployment([FakeHost("node0", {"power": cache})])
@@ -38,8 +39,8 @@ class TestCacheOrder:
 
     def test_r010_stale_drops_surfaced(self):
         cache = SensorCache(8)
-        cache.store(1000, 1.0)
-        cache.store(500, 2.0)  # out of order: dropped by the guard
+        store(cache, 1000, 1.0)
+        store(cache, 500, 2.0)  # out of order: dropped by the guard
         assert cache.stale_drops == 1
         san = make_sanitizer(track_wall_clock=False)
         san.check_deployment(
@@ -55,7 +56,7 @@ class TestViewImmutability:
     def make_view(self, cache=None):
         cache = cache or SensorCache(16)
         for i in range(8):
-            cache.store(i * 1000, float(i))
+            store(cache, i * 1000, float(i))
         return cache.view_absolute(0, 10_000)
 
     def test_untouched_view_is_clean(self):
@@ -85,7 +86,7 @@ class TestViewImmutability:
             view = self.make_view(cache)
             san.on_query_view("t", view)
             for i in range(8, 20):
-                cache.store(i * 1000, float(i))
+                store(cache, i * 1000, float(i))
         assert san.finish() == []
 
 

@@ -8,6 +8,7 @@ from repro.common.errors import StorageError
 from repro.dcdb.storage import StorageBackend
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.metrics import classification_accuracy, confusion_matrix
+from tests.hosts import insert_passes
 
 
 class TestQueryAggregate:
@@ -15,7 +16,7 @@ class TestQueryAggregate:
         s = StorageBackend()
         # 10 readings at t = 0..9, values 0..9.
         for i in range(10):
-            s.insert("/a", i, float(i))
+            insert_passes(s, [("/a", i, float(i))])
         return s
 
     def test_mean_buckets(self):
@@ -40,8 +41,8 @@ class TestQueryAggregate:
 
     def test_empty_buckets_omitted(self):
         s = StorageBackend()
-        s.insert("/a", 0, 1.0)
-        s.insert("/a", 20, 2.0)
+        insert_passes(s, [("/a", 0, 1.0)])
+        insert_passes(s, [("/a", 20, 2.0)])
         ts, values = s.query_aggregate("/a", 0, 25, 5, "mean")
         assert list(ts) == [0, 20]
         assert list(values) == [1.0, 2.0]
@@ -64,7 +65,7 @@ class TestQueryAggregate:
         ts = np.sort(rng.integers(0, 1000, 200))
         values = rng.random(200)
         for t, v in zip(ts, values):
-            s.insert("/x", int(t), float(v))
+            insert_passes(s, [("/x", int(t), float(v))])
         got_ts, got = s.query_aggregate("/x", 0, 999, 100, "mean")
         stored_ts, stored_val = s.query("/x", 0, 999)
         for bucket_start, value in zip(got_ts, got):

@@ -18,7 +18,7 @@ from repro.dcdb.segments import (
 )
 from repro.dcdb.storage import StorageBackend
 from repro.simulator.clock import TaskScheduler
-from tests.hosts import one
+from tests.hosts import insert_passes, one, series
 
 
 def _fill(backend, topics=2, seconds=20, seed=7):
@@ -26,7 +26,7 @@ def _fill(backend, topics=2, seconds=20, seed=7):
     names = [f"/r0/n{i}/power" for i in range(topics)]
     for topic in names:
         ts = np.arange(seconds, dtype=np.int64) * NS_PER_SEC
-        backend.insert_batch(topic, ts, rng.normal(size=seconds))
+        insert_passes(backend, series(topic, ts, rng.normal(size=seconds)))
     return names
 
 
@@ -180,14 +180,10 @@ class TestTieredBackend:
         tiered = TieredStorageBackend(tmp_path, flush_mb=64)
         names = _fill(tiered, seconds=10)
         tiered.flush(10 * NS_PER_SEC)
-        tiered.insert(names[0], 0, 1.0)
+        insert_passes(tiered, [(names[0], 0, 1.0)])
         assert tiered.ooo_dropped == 1
         assert tiered.count(names[0]) == 10
-        tiered.insert_batch(
-            names[0],
-            np.array([0, 20 * NS_PER_SEC], dtype=np.int64),
-            np.array([1.0, 2.0]),
-        )
+        insert_passes(tiered, series(names[0], [0, 20 * NS_PER_SEC], [1.0, 2.0]))
         assert tiered.ooo_dropped == 2
         assert tiered.count(names[0]) == 11
 
@@ -208,7 +204,7 @@ class TestTieredBackend:
         tiered = TieredStorageBackend(tmp_path, flush_mb=64)
         names = ["/r0/n0/power", "/r0/n1/power"]
         for sec in range(5):
-            tiered.insert_columns(names, [sec * NS_PER_SEC] * 2, [1.0, 2.0])
+            insert_passes(tiered, zip(names, [sec * NS_PER_SEC] * 2, [1.0, 2.0]))
         ts, val = StorageBackend.query(tiered, names[1], 0, 2**62)
         assert list(ts) == [sec * NS_PER_SEC for sec in range(5)]
         assert list(val) == [2.0] * 5
@@ -220,7 +216,7 @@ class TestTieredBackend:
             assert len(tiered.query(name, 0, 2**62)[0]) == 5
         assert StorageBackend.latest(tiered, names[1]) is None
         assert tiered.latest(names[1]) == newest
-        tiered.insert_columns(names, [5 * NS_PER_SEC] * 2, [3.0, 4.0])
+        insert_passes(tiered, zip(names, [5 * NS_PER_SEC] * 2, [3.0, 4.0]))
         ts, val = StorageBackend.query(tiered, names[1], 0, 2**62)
         assert list(ts) == [5 * NS_PER_SEC] and list(val) == [4.0]
         assert tiered.latest(names[1]) == (5 * NS_PER_SEC, 4.0)
@@ -247,20 +243,20 @@ class TestTieredBackend:
         assert tiered.total_readings() == 60
 
     def test_a_nul_topic_is_refused_and_the_sweeps_go_on(self, tmp_path):
-        """No segment can name a topic with a NUL in it: every insert
-        path of both backends refuses it on its first arrival, instead
-        of every later flush failing with the good topics held."""
+        """No segment can name a topic with a NUL in it: both backends
+        refuse it on its first arrival, in a pass with others or alone,
+        instead of every later flush failing with the good topics held."""
         tiered = TieredStorageBackend(tmp_path, flush_mb=0)
         bad = "/n0/bad\0x"
         for backend in (StorageBackend(), tiered):
             with pytest.raises(StorageError):
-                backend.insert_columns(["/n0/ok", bad], [NS_PER_SEC] * 2, [1.0, 2.0])
+                insert_passes(
+                    backend, [("/n0/ok", NS_PER_SEC, 1.0), (bad, NS_PER_SEC, 2.0)]
+                )
             with pytest.raises(StorageError):
-                backend.insert(bad, NS_PER_SEC, 2.0)
-            with pytest.raises(StorageError):
-                backend.insert_batch(bad, np.array([NS_PER_SEC]), np.array([2.0]))
+                insert_passes(backend, [(bad, NS_PER_SEC, 2.0)])
             assert bad not in backend
-        tiered.insert_columns(["/n0/ok"], [2 * NS_PER_SEC], [3.0])
+        insert_passes(tiered, [("/n0/ok", 2 * NS_PER_SEC, 3.0)])
         stats = tiered.maintain(10 * NS_PER_SEC)
         assert stats["errors"] == 0 and stats["flushed"] == 1
         (seg,) = tiered.store.segments
@@ -296,9 +292,9 @@ class TestTieredBackend:
         )
         ts = np.arange(60, dtype=np.int64) * NS_PER_SEC
         val = np.arange(60, dtype=np.float64)
-        tiered.insert_batch("/a", ts[:20], val[:20])
+        insert_passes(tiered, series("/a", ts[:20], val[:20]))
         assert tiered.maintain(20 * NS_PER_SEC)["flushed"] == 20
-        tiered.insert_batch("/a", ts[20:], val[20:])
+        insert_passes(tiered, series("/a", ts[20:], val[20:]))
         assert tiered.maintain(60 * NS_PER_SEC)["flushed"] == 40
         tiered.maintain(200 * NS_PER_SEC)
         (seg,) = tiered.store.segments
@@ -317,9 +313,9 @@ class TestTieredBackend:
         )
         ts = np.arange(20, dtype=np.int64) * NS_PER_SEC
         val = np.arange(20, dtype=np.float64)
-        tiered.insert_batch("/a", ts[:10], val[:10])
+        insert_passes(tiered, series("/a", ts[:10], val[:10]))
         tiered.maintain(10 * NS_PER_SEC)
-        tiered.insert_batch("/a", ts[10:], val[10:])
+        insert_passes(tiered, series("/a", ts[10:], val[10:]))
         tiered.maintain(20 * NS_PER_SEC)
         tiered.maintain(45 * NS_PER_SEC)  # the 0-9 s segment rolls up
         bad, raw = tiered.store.segments
@@ -349,20 +345,21 @@ class TestTieredBackend:
 
         first = backend()
         ts = np.arange(60, dtype=np.int64) * NS_PER_SEC
-        first.insert_batch("/a", ts, np.ones(60))
+        insert_passes(first, series("/a", ts, np.ones(60)))
         first.flush(60 * NS_PER_SEC)
         first.maintain((5000 if minute else 100) * NS_PER_SEC)
         (seg,) = first.store.segments
         assert seg.level == (2 if minute else 1)
         assert seg.max_ts == (0 if minute else 50 * NS_PER_SEC)
-        first.insert("/a", 55 * NS_PER_SEC, 1.0)
+        insert_passes(first, [("/a", 55 * NS_PER_SEC, 1.0)])
         assert first.ooo_dropped == 1
         second = backend()
-        second.insert("/a", 55 * NS_PER_SEC, 1.0)
+        insert_passes(second, [("/a", 55 * NS_PER_SEC, 1.0)])
         assert second.ooo_dropped == 1
         assert second.count("/a") == len(second.query("/a", 0, 2**62)[0])
         assert super(TieredStorageBackend, second).total_readings() == 0
-        second.insert("/a", 59 * NS_PER_SEC, 1.0)  # the floor itself is in order
+        # The floor itself is in order.
+        insert_passes(second, [("/a", 59 * NS_PER_SEC, 1.0)])
         assert second.ooo_dropped == 1
 
     def test_query_aggregate_spans_tiers(self, tmp_path):
@@ -585,11 +582,11 @@ def _apply(backend, ops, topic="/p"):
     for scalar, readings in ops:
         if scalar:
             for t, v in readings:
-                backend.insert(topic, t, v)
+                insert_passes(backend, [(topic, t, v)])
         else:
             ts = np.array([t for t, _ in readings], dtype=np.int64)
             val = np.array([v for _, v in readings])
-            backend.insert_batch(topic, ts, val)
+            insert_passes(backend, series(topic, ts, val))
 
 
 class TestStorageProperties:

@@ -33,7 +33,7 @@ from repro.telemetry import (
     render_prometheus,
     time_histogram,
 )
-from tests.hosts import one
+from tests.hosts import insert_passes, one, store
 
 
 class TestCounter:
@@ -253,7 +253,7 @@ class FakeHost:
 def filled_cache(n=10):
     c = SensorCache(64, interval_ns=NS_PER_SEC)
     for i in range(n):
-        c.store(i * NS_PER_SEC, float(i))
+        store(c, i * NS_PER_SEC, float(i))
     return c
 
 
@@ -263,7 +263,7 @@ class TestQueryEngineTelemetry:
         views over the registry counters — they must agree exactly."""
         storage = StorageBackend()
         for i in range(5):
-            storage.insert("/stored", i * NS_PER_SEC, float(i))
+            insert_passes(storage, [("/stored", i * NS_PER_SEC, float(i))])
         host = FakeHost(storage)
         host.caches["/a"] = filled_cache()
         qe = QueryEngine(host)
@@ -298,7 +298,7 @@ class TestQueryEngineTelemetry:
         for i in range(6):
             agent.broker.publish_batch(one("/n/a", float(i), i * NS_PER_SEC))
         agent.flush()
-        agent.storage.insert("/n/stored", 0, 1.0)  # no cache: another source
+        insert_passes(agent.storage, [("/n/stored", 0, 1.0)])  # no cache: another source
         qe = QueryEngine(agent)
         assert qe.telemetry is agent.telemetry
 
@@ -324,7 +324,7 @@ class TestQueryEngineTelemetry:
         # caught by the check, re-read — and counted.
         raw = agent.caches["/n/raw"] = SensorCache(64)
         for i in range(10):
-            raw.store(i * NS_PER_SEC, float(i))
+            store(raw, i * NS_PER_SEC, float(i))
         win = qe.query_relative_batch(["/n/raw"], 3 * NS_PER_SEC, key="raw")
         assert win.counts.tolist() == [4]
         assert page() == ({"ring": 3, "scalar": 1, "miss": 0}, [1])
